@@ -18,7 +18,7 @@
 //! per-kernel terminal special cases.
 //!
 //! All recursions here memoize through the session's computed cache
-//! (tags `op::COFACTOR`, `op::RESTRICT`, `op::CONSTRAIN`, `op::SCOPED`)
+//! (tags `op::COFACTOR`, `op::RESTRICT`, `op::CONSTRAIN`, `op::REPLACE`)
 //! instead of allocating a fresh `HashMap` per call: results persist across
 //! calls, repeated cofactors of the same function hit immediately, and a
 //! lossy collision merely costs a re-computation. Garbage collection never
@@ -28,6 +28,19 @@
 //! it names. Like every kernel, these recursions create nodes only
 //! through `Session::mk`, which keeps the interior reference counts
 //! exact as a side effect — no cofactor path does its own refcounting.
+//!
+//! Node-to-constant substitution ([`Manager::replace_node_with_const`],
+//! the probe behind every functional dominator test) rebuilds only the
+//! *ancestors* of the target: an edge whose level is at or below the
+//! target's level cannot reach it (children sit strictly deeper), so it
+//! is returned as is, without a step or a probe. The rebuild is memoized
+//! under the keyed op `(node, target << 1, value)` in the cache's
+//! order-sensitive generation — a level swap changes which nodes reach
+//! the target, so swaps retire it together with restrict/constrain — and
+//! the `target << 1` word lets the collector's scrub drop every entry for
+//! a reclaimed target before its slot can be reused. Repeated dominator
+//! tests on one function (the BDS dominator search, the m-dominator scan
+//! and the balanced XOR split all probe the same `f`) share the memo.
 
 use crate::manager::Manager;
 use crate::reference::{NodeId, Ref, Var};
@@ -159,35 +172,42 @@ impl Session {
         Ok(r)
     }
 
-    /// The scoped rebuild behind node-to-constant substitution: rebuilds
-    /// the DAG of `f` with `target` replaced by `rep`, memoized under the
-    /// per-call `scope` epoch.
+    /// The ancestor-only rebuild behind node-to-constant substitution:
+    /// rebuilds the part of `f` above `target` (at `target_level`) with
+    /// the target replaced by the constant `value`, memoized under the
+    /// keyed op `(node, target << 1, value)`.
     pub(crate) fn replace_rec(
         &mut self,
         store: &NodeStore,
         f: Ref,
         target: NodeId,
-        rep: Ref,
-        scope: u32,
+        target_level: u32,
+        value: bool,
     ) -> Result<Ref, LimitExceeded> {
         let c = f.is_complemented();
-        let id = f.node();
-        if id == target {
+        if f.node() == target {
+            let rep = if value { Ref::ONE } else { Ref::ZERO };
             return Ok(rep.xor_complement(c));
         }
-        if id.is_terminal() {
+        // Constants report u32::MAX, so this also ends the recursion.
+        if store.level(f) >= target_level {
             return Ok(f);
         }
         self.tick(store)?;
-        if let Some(r) = self.cache.lookup(op::SCOPED, f.regular().raw(), scope, 0) {
+        let key_b = target.0 << 1;
+        let key_c = value as u32;
+        if let Some(r) = self
+            .cache
+            .lookup(op::REPLACE, f.regular().raw(), key_b, key_c)
+        {
             return Ok(r.xor_complement(c));
         }
-        let n = store.node(id.index());
-        let low = self.replace_rec(store, n.low, target, rep, scope)?;
-        let high = self.replace_rec(store, n.high, target, rep, scope)?;
+        let n = store.node(f.node().index());
+        let low = self.replace_rec(store, n.low, target, target_level, value)?;
+        let high = self.replace_rec(store, n.high, target, target_level, value)?;
         let r = self.mk(store, n.var, low, high)?;
         self.cache
-            .insert(op::SCOPED, f.regular().raw(), scope, 0, r);
+            .insert(op::REPLACE, f.regular().raw(), key_b, key_c, r);
         Ok(r.xor_complement(c))
     }
 }
@@ -293,6 +313,14 @@ impl Manager {
     /// for the node's output), this returns `F(value)` — the key primitive
     /// behind functional dominator checks: a node `d` is, e.g., a
     /// generalized 1-dominator iff `F(0) = 0`, so that `f = F(1) · f_d`.
+    ///
+    /// Only the ancestors of `target` are rebuilt: every edge at or below
+    /// the target's level is shared with `f` unchanged. Results are
+    /// memoized per `(node, target, value)` in the order-sensitive cache
+    /// generation, so the second dominator test of the same `(f, target)`
+    /// pair — or of any function sharing `f`'s upper nodes — is a probe,
+    /// until a level swap or a collection that reclaims `target` retires
+    /// the entries.
     pub fn replace_node_with_const(&mut self, f: Ref, target: NodeId, value: bool) -> Ref {
         self.ungoverned(|m| m.try_replace_node_with_const(f, target, value))
     }
@@ -304,9 +332,14 @@ impl Manager {
         target: NodeId,
         value: bool,
     ) -> Result<Ref, LimitExceeded> {
-        let rep = self.constant(value);
-        let scope = self.new_scope();
-        self.run_kernel(|st, s| s.replace_rec(st, f, target, rep, scope))
+        // A target outside the arena gets no pruning (the rebuild then
+        // returns `f` itself, as for any node `f` does not reach).
+        let target_level = if target.index() < self.store.num_nodes() {
+            self.level(self.function_of(target))
+        } else {
+            u32::MAX
+        };
+        self.run_kernel(|st, s| s.replace_rec(st, f, target, target_level, value))
     }
 }
 
@@ -444,8 +477,8 @@ mod tests {
 
     #[test]
     fn repeated_replacements_stay_canonical_across_scopes() {
-        // Each replace call opens a fresh scope; results must not leak
-        // between different targets or values.
+        // The memo persists across calls, keyed by target and value:
+        // results must not leak between different targets or values.
         let mut m = Manager::new();
         let (a, b, c) = (m.var(0), m.var(1), m.var(2));
         let f = m.maj(a, b, c);

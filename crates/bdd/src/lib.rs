@@ -78,11 +78,14 @@
 //!   truncating keys, and a truncated key can alias two different
 //!   operations). Inserts refresh a matching key in place, then prefer
 //!   a stale way (generation retired), then rotate the victim cursor.
-//!   All recursive kernels share this one cache via op tag codes: `ITE`,
-//!   `AND`, `XOR`, `COFACTOR`, `RESTRICT`, `CONSTRAIN`, and `SCOPED`
-//!   (per-call epochs used by `permute` / `replace_node_with_const`
-//!   rebuilds). [`Manager::clear_caches`] bumps the generation: O(1),
-//!   capacity kept.
+//!   All recursive kernels share this one cache via op tag codes (3 bits
+//!   of the tag word): `ITE`, `AND`, `XOR`, `COFACTOR`, `RESTRICT`,
+//!   `CONSTRAIN`, and `REPLACE` (node-to-constant substitution, keyed by
+//!   `(node, target << 1, value)`). `RESTRICT`, `CONSTRAIN` and `REPLACE`
+//!   results depend on the variable order, so they carry a second,
+//!   order-sensitive generation that every node-rewriting level swap
+//!   retires; the other ops survive swaps. [`Manager::clear_caches`]
+//!   bumps both generations: O(1), capacity kept.
 //!
 //! # Garbage collection
 //!
@@ -138,7 +141,9 @@
 //!   convergence ([`ConvergeConfig`]), fusing adjacent symmetric
 //!   variables into group blocks ([`Manager::symmetric_levels`]).
 //!   [`window_reorder`] drives the same swaps through a sliding
-//!   window-permutation search, and [`sift_reorder`] /
+//!   window-permutation search whose candidates are scored from the
+//!   window's boundary tables without building a node
+//!   ([`window_sizes`]), and [`sift_reorder`] /
 //!   [`sift_converge_reorder`] scope a sift to one function.
 //! * Sifting runs only at explicit quiescent points, never inside a
 //!   kernel: flows either call the search functions directly (the BDS
@@ -329,7 +334,9 @@ pub use manager::{
     AutoSiftConfig, CacheStats, ConvergeConfig, GcConfig, Manager, Node, SiftConfig, SiftReport,
 };
 pub use reference::{NodeId, Ref, Var};
-pub use reorder::{invert, sift_converge_reorder, sift_reorder, window_reorder, Reordered};
+pub use reorder::{
+    invert, sift_converge_reorder, sift_reorder, window_reorder, window_sizes, Reordered,
+};
 pub use session::{
     JobBudget, LimitExceeded, LimitKind, ResourceLimits, Session, DEFAULT_CACHE_BITS,
 };

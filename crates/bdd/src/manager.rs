@@ -747,13 +747,6 @@ impl Manager {
         }
     }
 
-    /// Cofactors `f` with respect to variable `v` assumed to be at or above
-    /// `f`'s top level: returns `(f|v=0, f|v=1)`.
-    #[inline(always)]
-    pub(crate) fn shallow_cofactors(&self, f: Ref, v: Var) -> (Ref, Ref) {
-        self.store.shallow_cofactors(f, v)
-    }
-
     /// Drops every memoized operation result in O(1) (generation bump).
     /// The table keeps its allocation, so long-running flows can clear
     /// between phases without paying a re-allocation or a re-grow.
@@ -764,20 +757,6 @@ impl Manager {
         // the private one: an O(1) epoch bump through `&mut`.
         self.store.assert_quiescent("shared-cache clear");
         self.store.shared_cache_mut().clear();
-    }
-
-    /// Opens a fresh scope for [`crate::session::op::SCOPED`] cache
-    /// entries (per-call memoization of permute / node-replacement
-    /// rebuilds).
-    #[inline]
-    pub(crate) fn new_scope(&mut self) -> u32 {
-        self.session.scope_epoch = self.session.scope_epoch.wrapping_add(1);
-        if self.session.scope_epoch == 0 {
-            // An epoch reuse after wrap could alias old entries: flush.
-            self.session.cache.clear();
-            self.session.scope_epoch = 1;
-        }
-        self.session.scope_epoch
     }
 
     /// Snapshot of the kernel's memory-system counters. The
@@ -1164,9 +1143,12 @@ impl Manager {
         // a full memo rebuild, which dominates high-churn flows. Instead,
         // scrub: drop exactly the entries with a reclaimed slot behind any
         // word. Key words that are not `Ref`s (cofactor variable codes,
-        // scope epochs) are treated as if they were — a false hit there
-        // only costs a spurious miss, while every word that *is* a `Ref`
-        // gets checked, so no dangling reference survives in the cache.
+        // substitution values) are treated as if they were — a false hit
+        // there only costs a spurious miss, while every word that *is* a
+        // `Ref` gets checked, so no dangling reference survives in the
+        // cache. A substitution target is keyed as `target << 1` for
+        // exactly this reason: a reclaimed target drops its memo before
+        // the slot can be reused by a different node.
         let store = &self.store;
         self.session.cache.scrub(|w| {
             let idx = (w >> 1) as usize;
@@ -1367,12 +1349,13 @@ impl Manager {
         } else {
             // Conservative cache scrub. Most memoized results survive a
             // swap unchanged: their keys and results are `Ref`s, the swap
-            // preserves every Ref's function, and ITE/AND/XOR/COFACTOR/
-            // SCOPED results are determined by operand functions alone.
-            // The Coudert–Madre restrict/constrain results additionally
-            // depend on the variable *order*, so exactly that class is
-            // retired (O(1) generation bump) — the rest of the memo stays
-            // warm across reordering.
+            // preserves every Ref's function, and ITE/AND/XOR/COFACTOR
+            // results are determined by operand functions alone. The
+            // Coudert–Madre restrict/constrain results and node
+            // substitutions additionally depend on the variable *order*
+            // (the latter on which nodes reach the target), so exactly
+            // that class is retired (O(1) generation bump) — the rest of
+            // the memo stays warm across reordering.
             self.session.cache.clear_order_sensitive();
         }
         (moved.len(), self.live_nodes() as isize - live_before)
@@ -1769,12 +1752,12 @@ mod tests {
     fn shallow_cofactors_respect_complement() {
         let mut m = Manager::new();
         let a = m.var(0);
-        let (f0, f1) = m.shallow_cofactors(a, Var(0));
+        let (f0, f1) = m.store.shallow_cofactors(a, Var(0));
         assert_eq!((f0, f1), (Ref::ZERO, Ref::ONE));
-        let (g0, g1) = m.shallow_cofactors(!a, Var(0));
+        let (g0, g1) = m.store.shallow_cofactors(!a, Var(0));
         assert_eq!((g0, g1), (Ref::ONE, Ref::ZERO));
         // A variable below the asked level is untouched.
-        let (h0, h1) = m.shallow_cofactors(a, Var(5));
+        let (h0, h1) = m.store.shallow_cofactors(a, Var(5));
         assert_eq!((h0, h1), (a, a));
     }
 
@@ -1980,29 +1963,34 @@ mod tests {
     }
 
     #[test]
-    fn new_scope_epoch_wrap_flushes_cache() {
+    fn order_generation_wrap_retires_replace_memo() {
         let mut m = Manager::new();
         let a = m.var(0);
         let b = m.var(1);
         let f = m.ite(a, b, Ref::ZERO);
-        // Put the epoch at the wrap boundary and plant a poisoned SCOPED
-        // entry under the epoch that will be handed out after the wrap
-        // (epoch 1). If new_scope failed to flush, the next scoped rebuild
-        // would observe it and return garbage.
-        m.session.scope_epoch = u32::MAX;
-        m.session.cache.insert(op::SCOPED, f.raw(), 1, 1, Ref::ZERO);
-        let scope = m.new_scope();
-        assert_eq!(scope, 1, "epoch wraps to 1");
+        // Put the order generation at the wrap boundary and plant a
+        // poisoned substitution entry. The wrap must wipe it together with
+        // every function-valued entry of the table; if it only restarted
+        // the order generation at 1, a stale entry could come back live.
+        m.session
+            .cache
+            .insert(op::REPLACE, f.raw(), b.node().0 << 1, 1, Ref::ZERO);
+        m.session
+            .cache
+            .insert(op::AND, a.raw(), b.raw(), 0, Ref::ZERO);
+        m.session.cache.order_generation = (u32::MAX >> crate::session::GEN_SHIFT) - 1;
+        m.session.cache.clear_order_sensitive();
         assert_eq!(
-            m.session.cache.lookup(op::SCOPED, f.raw(), 1, 1),
+            m.session
+                .cache
+                .lookup(op::REPLACE, f.raw(), b.node().0 << 1, 1),
             None,
-            "the stale entry for the reused epoch must be unobservable"
+            "the poisoned substitution must be unobservable after the wrap"
         );
-        // End-to-end: a permute (which consumes a fresh scope) right after
-        // an epoch wrap still returns the correct function.
-        m.session.scope_epoch = u32::MAX;
-        let g = m.permute(f, &[0, 1]);
-        assert_eq!(g, f, "identity permutation after epoch wrap");
+        assert_eq!(m.session.cache.lookup(op::AND, a.raw(), b.raw(), 0), None);
+        // End-to-end: the substitution after the wrap is still correct.
+        assert_eq!(m.replace_node_with_const(f, b.node(), true), a);
+        assert_eq!(m.replace_node_with_const(f, b.node(), false), Ref::ZERO);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Variable reordering: the in-place searches driving the manager's
-//! adjacent-level swap primitive, plus the permutation-rebuild fallback.
+//! adjacent-level swap primitive, plus the permutation-rebuild oracle.
 //!
 //! The BDS decomposition engine reorders each local BDD before searching
 //! for dominators (§IV-B of the BDS-MAJ paper: "As a first step, it
@@ -9,17 +9,27 @@
 //! [`Manager::swap_levels`], which patches the affected nodes in place —
 //! every outstanding [`Ref`] (the function under search included) keeps
 //! denoting the same Boolean function, only its node count changes.
-//! Rejected trial orders cost only the displaced nodes, which the manager
-//! recycles at the next collection point.
 //!
-//! [`Manager::permute`] remains as the *renaming* primitive: it builds a
+//! [`window_reorder`] scores its candidate arrangements without building
+//! a node. Permuting the variables of levels `[start, start + w)` changes
+//! only the nodes at those levels, and the nodes there under any
+//! arrangement are fixed by the *boundary tables*: the cofactors, over
+//! the `2^w` window assignments, of each edge that enters the window from
+//! above. Counting the distinct complement-normalized sub-tables each
+//! candidate level depends on gives the candidate's window population, and
+//! `size(f) − count(current) + count(candidate)` is exactly what a rebuild
+//! would measure. Probes therefore leave no garbage behind; only a winning
+//! arrangement pays the swap primitive.
+//!
+//! [`Manager::permute`] is the *renaming* primitive: it builds a
 //! genuinely different function (the composition with a variable
-//! substitution), which is occasionally what a caller wants — but it is no
-//! longer how reordering is implemented.
+//! substitution). Its one in-crate use is as the oracle the window probe
+//! is checked against in debug builds ([`Manager::size_under`]).
 
+use crate::hasher::BuildFxHasher;
 use crate::manager::{ConvergeConfig, Manager, SiftConfig};
-use crate::reference::Ref;
-use crate::session::op;
+use crate::reference::{NodeId, Ref};
+use std::collections::HashMap;
 
 impl Manager {
     /// Rebuilds `f` with every variable `v` replaced by `perm[v]` — a
@@ -29,8 +39,9 @@ impl Manager {
     /// and must be a permutation of `0..perm.len()` covering the support
     /// of `f`.
     ///
-    /// The per-call memo lives in the shared computed cache under a fresh
-    /// `op::SCOPED` epoch, so no allocation happens per call.
+    /// The memo is local to the call (keyed by node, so `f` and `¬f`
+    /// share an entry); the `ite` calls it makes go through the computed
+    /// cache as usual.
     ///
     /// # Panics
     ///
@@ -42,36 +53,186 @@ impl Manager {
             "permute: perm must be a permutation of 0..{}",
             perm.len()
         );
-        let scope = self.new_scope();
-        self.permute_rec(f, perm, scope)
+        let mut memo = HashMap::default();
+        self.permute_rec(f, perm, &mut memo)
     }
 
-    fn permute_rec(&mut self, f: Ref, perm: &[u32], scope: u32) -> Ref {
+    fn permute_rec(
+        &mut self,
+        f: Ref,
+        perm: &[u32],
+        memo: &mut HashMap<NodeId, Ref, BuildFxHasher>,
+    ) -> Ref {
         if f.is_const() {
             return f;
         }
-        if let Some(r) = self.session.cache.lookup(op::SCOPED, f.raw(), scope, 1) {
-            return r;
+        let c = f.is_complemented();
+        if let Some(&r) = memo.get(&f.node()) {
+            return r.xor_complement(c);
         }
-        let v = self.top_var(f).expect("non-constant");
-        let new_var = perm[v.index()];
-        let (f0, f1) = self.shallow_cofactors(f, v);
-        let lo = self.permute_rec(f0, perm, scope);
-        let hi = self.permute_rec(f1, perm, scope);
+        let n = self.node(f.node());
+        let lo = self.permute_rec(n.low, perm, memo);
+        let hi = self.permute_rec(n.high, perm, memo);
         // The renamed variable may land *below* the children's new
         // positions, so rebuild with ITE (handles arbitrary targets).
-        let vref = self.var(new_var);
+        let vref = self.var(perm[n.var.index()]);
         let r = self.ite(vref, hi, lo);
-        self.session.cache.insert(op::SCOPED, f.raw(), scope, 1, r);
-        r
+        memo.insert(f.node(), r);
+        r.xor_complement(c)
     }
 
     /// Size of `f` if its variables were renamed by `perm` (the permuted
-    /// BDD is built and measured; nodes stay in the manager).
+    /// BDD is built and measured; nodes stay in the manager as garbage).
     pub fn size_under(&mut self, f: Ref, perm: &[u32]) -> usize {
         let g = self.permute(f, perm);
         self.size(g)
     }
+}
+
+/// Marks a window-local node in a [`WindowProbe`] edge word; edges
+/// without it are raw [`Ref`]s below the window. Bit 0 is the complement
+/// bit in both kinds, so negation stays one XOR.
+const LOCAL: u64 = 1 << 63;
+
+/// The boundary tables of one window position, from which the size of
+/// `f` under any arrangement of the window's variables follows without
+/// building a node (see the module docs).
+struct WindowProbe {
+    width: usize,
+    /// `f`'s size under the current order.
+    size: usize,
+    /// `f`'s nodes above and below the window: every arrangement keeps
+    /// them.
+    outside: usize,
+    /// `2^width` entries per entering edge: entry `a` is the edge's
+    /// cofactor under the window assignment `a` (bit `p` = value of the
+    /// variable at level `start + p`), an edge below the window.
+    tables: Vec<Ref>,
+    /// Window-local unique table, `(level offset, low, high) → node`,
+    /// rebuilt per candidate.
+    unique: HashMap<(usize, u64, u64), u64, BuildFxHasher>,
+}
+
+impl WindowProbe {
+    /// Tabulates the window of `width` levels from `start` for `f`.
+    fn new(m: &Manager, f: Ref, start: usize, width: usize) -> WindowProbe {
+        let (top, bottom) = (start as u32, (start + width) as u32);
+        let in_window = |level: u32| (top..bottom).contains(&level);
+        let mut entering: Vec<Ref> = Vec::new();
+        if in_window(m.level(f)) {
+            entering.push(f);
+        }
+        let (mut size, mut outside) = (0, 0);
+        {
+            let mut seen = m.session.visited.borrow_mut();
+            seen.begin(m.num_nodes());
+            let mut stack = vec![f.node()];
+            while let Some(id) = stack.pop() {
+                if id.is_terminal() || !seen.mark(id.index()) {
+                    continue;
+                }
+                size += 1;
+                let n = m.node(id);
+                let level = m.level_of_var(n.var);
+                if !in_window(level) {
+                    outside += 1;
+                }
+                for child in [n.low, n.high] {
+                    if level < top && in_window(m.level(child)) {
+                        entering.push(child);
+                    }
+                    stack.push(child.node());
+                }
+            }
+        }
+        entering.sort_unstable();
+        entering.dedup();
+        let rows = 1usize << width;
+        let mut tables = Vec::with_capacity(entering.len() * rows);
+        for &g in &entering {
+            for a in 0..rows {
+                let mut e = g;
+                let mut level = m.level(e);
+                while in_window(level) {
+                    let n = m.node(e.node());
+                    let child = if a >> (level - top) & 1 == 1 {
+                        n.high
+                    } else {
+                        n.low
+                    };
+                    e = child.xor_complement(e.is_complemented());
+                    level = m.level(e);
+                }
+                tables.push(e);
+            }
+        }
+        WindowProbe {
+            width,
+            size,
+            outside,
+            tables,
+            unique: HashMap::default(),
+        }
+    }
+
+    /// Size of `f` under the arrangement that seats the window's current
+    /// level `start + order[i]` at level `start + i`.
+    fn size_with(&mut self, order: &[u32]) -> usize {
+        if order.iter().enumerate().all(|(i, &p)| p as usize == i) {
+            return self.size;
+        }
+        self.unique.clear();
+        let rows = 1usize << self.width;
+        for base in (0..self.tables.len()).step_by(rows) {
+            self.build(base, order, 0, 0);
+        }
+        self.outside + self.unique.len()
+    }
+
+    /// Hash-conses the sub-table of the entering edge at `base` with the
+    /// positions `order[..i]` fixed to `bits`, complement-normalized like
+    /// the manager's `mk` (the 1-edge is kept regular), so a function and
+    /// its complement share one node.
+    fn build(&mut self, base: usize, order: &[u32], i: usize, bits: usize) -> u64 {
+        let Some(&p) = order.get(i) else {
+            return u64::from(self.tables[base + bits].raw());
+        };
+        let low = self.build(base, order, i + 1, bits);
+        let high = self.build(base, order, i + 1, bits | 1 << p);
+        if low == high {
+            return low;
+        }
+        let c = high & 1;
+        let next = self.unique.len() as u64;
+        let id = *self.unique.entry((i, low ^ c, high ^ c)).or_insert(next);
+        LOCAL | id << 1 | c
+    }
+}
+
+/// The size of `f` under every arrangement of the variables at levels
+/// `[start, start + width)`, computed from the window's boundary tables
+/// without building a node: one `(cand, size)` pair per arrangement, in
+/// the order [`window_reorder`] probes them, where `cand[i]` is the
+/// variable seated at level `start + i` and `size` is what
+/// [`Manager::size_under`] would measure for that order. The current
+/// arrangement is included, with `f`'s current size.
+///
+/// The tables hold `2^width` entries per edge entering the window and the
+/// result has `width!` entries, so keep `width` small (≤ 4 in practice).
+///
+/// # Panics
+///
+/// Panics if `start + width` exceeds the manager's variable count.
+pub fn window_sizes(m: &Manager, f: Ref, start: usize, width: usize) -> Vec<(Vec<u32>, usize)> {
+    let slice = &m.level2var()[start..start + width];
+    let mut probe = WindowProbe::new(m, f, start, width);
+    permutations(&(0..width as u32).collect::<Vec<u32>>())
+        .into_iter()
+        .map(|order| {
+            let size = probe.size_with(&order);
+            (order.iter().map(|&p| slice[p as usize]).collect(), size)
+        })
+        .collect()
 }
 
 /// Result of an in-place reordering search.
@@ -104,22 +265,27 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// [`Manager::swap_levels`], until a full sweep yields no improvement or
 /// `max_sweeps` is reached.
 ///
-/// Candidates are *probed* with cheap [`Manager::size_under`] renamings —
-/// O(|f|) each, touching nobody else's nodes — and only a winning
-/// arrangement pays the swap primitive, whose cost scales with the whole
-/// manager's population at the affected levels. On the converged orders
-/// typical of flows decomposing many same-shaped cones, almost every
-/// window is already optimal, so the global cost is paid exactly where
-/// the order actually changes.
+/// Candidates are *probed* without building a node: once per window
+/// position the search tabulates the cofactors of every edge entering the
+/// window from above over the `2^window` window assignments, and a
+/// candidate's size is `f`'s nodes outside the window plus the distinct
+/// complement-normalized sub-tables its levels depend on — exactly the
+/// size a [`Manager::size_under`] rebuild would measure (debug builds
+/// assert the two agree). Only a winning arrangement pays the swap
+/// primitive, whose cost scales with the whole manager's population at
+/// the affected levels. On the converged orders typical of flows
+/// decomposing many same-shaped cones, almost every window is already
+/// optimal, so the global cost is paid exactly where the order actually
+/// changes, and the probes leave no garbage for the collector.
 ///
 /// The search runs in place: `f` is returned unchanged (same `Ref`, same
 /// function) with the minimizing order left installed in the manager —
 /// which also re-shapes every other function sharing these variables, as
-/// dynamic reordering always does. Rejected probes are garbage; the
-/// search protects `f` and offers the manager a
-/// [`Manager::maybe_collect`] after each window position, so long passes
-/// recycle their trials instead of growing the arena. Functions the
-/// *caller* holds across this call must be protected by the caller.
+/// dynamic reordering always does. The search protects `f` and offers the
+/// manager a [`Manager::maybe_collect`] after each window position, so
+/// the nodes displaced by installed swaps are recycled during long
+/// passes. Functions the *caller* holds across this call must be
+/// protected by the caller.
 pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize) -> Reordered {
     let n = m.num_vars() as usize;
     let mut best_size = m.size(f);
@@ -145,19 +311,17 @@ pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize)
                 if support_vars < 2 {
                     continue;
                 }
-                // Probe every other arrangement of the window's variables:
-                // renaming cand[i] to behave as slice[i] measures f's size
-                // under the order that seats cand[i] at level start + i.
+                // Probe every other arrangement of the window's variables.
                 let mut best_slice = slice.clone();
-                for cand in permutations(&slice) {
+                for (cand, s) in window_sizes(m, f, start, window) {
                     if cand == slice {
                         continue;
                     }
-                    let mut perm: Vec<u32> = (0..n as u32).collect();
-                    for (i, &v) in cand.iter().enumerate() {
-                        perm[v as usize] = slice[i];
-                    }
-                    let s = m.size_under(f, &perm);
+                    debug_assert_eq!(
+                        s,
+                        m.size_under(f, &renaming(n, &slice, &cand)),
+                        "window probe must equal the rebuilt size"
+                    );
                     if s < best_size {
                         best_size = s;
                         best_slice = cand;
@@ -171,7 +335,7 @@ pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize)
                     restore_window(m, start, &best_slice);
                     debug_assert_eq!(m.size(f), best_size, "probe and swap must agree");
                 }
-                // Rejected probes are dead; let the manager recycle them.
+                // Let the manager recycle what the swaps displaced.
                 m.maybe_collect();
             }
             if !improved {
@@ -187,6 +351,17 @@ pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize)
         function: f,
         size: m.size(f),
     }
+}
+
+/// The variable renaming under which [`Manager::size_under`] measures the
+/// order that seats `cand[i]` where `slice[i]` sits now: `cand[i]` is
+/// renamed to behave as `slice[i]`.
+fn renaming(n: usize, slice: &[u32], cand: &[u32]) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for (&v, &s) in cand.iter().zip(slice) {
+        perm[v as usize] = s;
+    }
+    perm
 }
 
 /// Rudell sifting scoped to a caller's function: protects `f`, runs one

@@ -41,9 +41,10 @@ pub(crate) mod op {
     pub const RESTRICT: u32 = 5;
     /// Coudert–Madre constrain.
     pub const CONSTRAIN: u32 = 6;
-    /// Call-scoped rebuilds (permute, node replacement): the second key
-    /// word is a per-call epoch, so stale entries can never be observed.
-    pub const SCOPED: u32 = 7;
+    /// Node-to-constant substitution `F(value)`, keyed by
+    /// `(node, target << 1, value)`. Which nodes reach the target depends
+    /// on the variable order, so this memo is order-sensitive.
+    pub const REPLACE: u32 = 7;
 }
 
 /// One computed-cache entry: the full operation key, the result, and the
@@ -118,18 +119,19 @@ pub(crate) const L2_PUBLISH_MIN_WORK: u64 = 8;
 /// Entries are tagged by one of *two* generations: most operations are
 /// function-valued (their keys and results are `Ref`s whose functions the
 /// in-place level swap preserves), but the Coudert–Madre generalized
-/// cofactors pick their result *using the variable order*, so their memo
-/// must not survive a reordering. [`ComputedCache::clear_order_sensitive`]
-/// retires only the latter in O(1), keeping the ITE/AND/XOR/cofactor memo
-/// warm across level swaps — the same warm-memo philosophy as the GC's
-/// selective scrub.
+/// cofactors pick their result *using the variable order*, and a node
+/// substitution depends on which nodes reach the target in the current
+/// DAG, so their memo must not survive a reordering.
+/// [`ComputedCache::clear_order_sensitive`] retires only the latter in
+/// O(1), keeping the ITE/AND/XOR/cofactor memo warm across level swaps —
+/// the same warm-memo philosophy as the GC's selective scrub.
 pub(crate) struct ComputedCache {
     pub(crate) sets: Vec<CacheSet>,
     mask: usize,
     pub(crate) generation: u32,
-    /// Generation of the order-sensitive ops (`RESTRICT`, `CONSTRAIN`);
-    /// bumped by every node-rewriting level swap.
-    order_generation: u32,
+    /// Generation of the order-sensitive ops (`RESTRICT`, `CONSTRAIN`,
+    /// `REPLACE`); bumped by every node-rewriting level swap.
+    pub(crate) order_generation: u32,
     pub(crate) lookups: u64,
     pub(crate) hits: u64,
     pub(crate) insertions: u64,
@@ -154,7 +156,7 @@ const OP_MASK: u32 = (1 << GEN_SHIFT) - 1;
 /// order (rather than only on the operand functions).
 #[inline(always)]
 fn order_sensitive(op: u32) -> bool {
-    op == op::RESTRICT || op == op::CONSTRAIN
+    op == op::RESTRICT || op == op::CONSTRAIN || op == op::REPLACE
 }
 
 impl ComputedCache {
@@ -469,8 +471,6 @@ pub struct Session {
     /// Visited-stamp scratch shared by the `&self` traversals — the
     /// `!Sync` pin.
     pub(crate) visited: RefCell<VisitScratch>,
-    /// Per-call epoch for [`op::SCOPED`] cache entries.
-    pub(crate) scope_epoch: u32,
     /// Resource budget consulted by the `try_*` kernels (all-`None` =
     /// unlimited).
     pub(crate) limits: ResourceLimits,
@@ -510,7 +510,6 @@ impl Session {
         Session {
             cache: ComputedCache::with_bits(cache_bits),
             visited: RefCell::new(VisitScratch::default()),
-            scope_epoch: 0,
             limits: ResourceLimits::default(),
             governed: false,
             steps: 0,

@@ -2,7 +2,7 @@
 //! against randomly generated Boolean expressions, with the BDD compared to
 //! a bit-parallel truth-vector oracle.
 
-use bdd::{ConvergeConfig, GcConfig, LimitKind, Manager, Ref, SiftConfig};
+use bdd::{ConvergeConfig, GcConfig, LimitKind, Manager, NodeId, Ref, SiftConfig, Var};
 use proptest::prelude::*;
 
 /// A random Boolean expression over `NVARS` variables.
@@ -321,7 +321,7 @@ proptest! {
         for i in 0..NVARS { m.var(i); }
         let f = fe.to_bdd(&mut m);
         let g = ge.to_bdd(&mut m);
-        let composed = m.compose(f, bdd::Var(v), g);
+        let composed = m.compose(f, Var(v), g);
         // Oracle: evaluate f with variable v replaced by g's value.
         for row in 0..(1u64 << NVARS) {
             let mut assignment: Vec<bool> = (0..NVARS).map(|i| row >> i & 1 == 1).collect();
@@ -333,6 +333,288 @@ proptest! {
             prop_assert_eq!(m.eval(composed, &orig), want);
         }
     }
+}
+
+/// The renaming under which [`Manager::size_under`] measures the order
+/// that seats `cand[i]` where `slice[i]` sits now.
+fn renaming(slice: &[u32], cand: &[u32]) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..NVARS).collect();
+    for (&v, &s) in cand.iter().zip(slice) {
+        perm[v as usize] = s;
+    }
+    perm
+}
+
+/// Builds `e` in a fresh manager over `NVARS` variables, optionally as
+/// `x0 ⊕ e|x0=0` (so the two edges out of the `x0` node enter the levels
+/// below in both polarities) and optionally complemented, then applies
+/// `swaps` as adjacent level swaps.
+fn probe_subject(e: &Expr, pair: bool, negate: bool, swaps: &[u32]) -> (Manager, Ref) {
+    let mut m = Manager::new();
+    for i in 0..NVARS {
+        m.var(i);
+    }
+    let mut f = e.to_bdd(&mut m);
+    if pair {
+        let g = m.cofactor(f, Var(0), false);
+        let x = m.var(0);
+        f = m.xor(x, g);
+    }
+    if negate {
+        f = !f;
+    }
+    for &l in swaps {
+        m.swap_levels(l);
+    }
+    (m, f)
+}
+
+/// All orderings of `items`, in the order the window search probes them.
+fn permutations(items: &[u32]) -> Vec<Vec<u32>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for (i, &head) in items.iter().enumerate() {
+        let mut rest = items.to_vec();
+        rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, head);
+            out.push(tail);
+        }
+    }
+    out
+}
+
+/// The window search scored by rebuilds instead of boundary tables: every
+/// candidate is measured with [`Manager::size_under`], and the winner is
+/// installed by adjacent swaps. The oracle for [`bdd::window_reorder`]'s
+/// decisions.
+fn window_reorder_by_rebuild(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize) {
+    let n = m.num_vars() as usize;
+    let mut best_size = m.size(f);
+    m.protect(f);
+    let window = window.min(n);
+    let support = m.support(f);
+    for _ in 0..max_sweeps {
+        let mut improved = false;
+        for start in 0..=(n - window) {
+            let slice: Vec<u32> = m.level2var()[start..start + window].to_vec();
+            if slice.iter().filter(|&&v| support.contains(&Var(v))).count() < 2 {
+                continue;
+            }
+            let mut best_slice = slice.clone();
+            for cand in permutations(&slice) {
+                if cand == slice {
+                    continue;
+                }
+                let s = m.size_under(f, &renaming(&slice, &cand));
+                if s < best_size {
+                    best_size = s;
+                    best_slice = cand;
+                    improved = true;
+                }
+            }
+            for (i, &want) in best_slice.iter().enumerate() {
+                let mut pos = (start + i..start + window)
+                    .find(|&p| m.level2var()[p] == want)
+                    .unwrap();
+                while pos > start + i {
+                    m.swap_levels((pos - 1) as u32);
+                    pos -= 1;
+                }
+            }
+            m.maybe_collect();
+        }
+        if !improved {
+            break;
+        }
+    }
+    m.release(f);
+}
+
+/// Node-to-constant substitution by a full, unmemoized rebuild of `f`:
+/// the oracle for the pruned, memoized kernel.
+fn replace_by_rebuild(m: &mut Manager, f: Ref, target: NodeId, value: bool) -> Ref {
+    let r = if f.node() == target {
+        m.constant(value)
+    } else if f.is_const() {
+        return f;
+    } else {
+        let n = m.node(f.node());
+        let low = replace_by_rebuild(m, n.low, target, value);
+        let high = replace_by_rebuild(m, n.high, target, value);
+        m.mk(n.var, low, high)
+    };
+    r.xor_complement(f.is_complemented())
+}
+
+/// Checks every `(node, value)` substitution of `f` and of `!f` against
+/// the rebuild oracle, with targets drawn from all of `fs`.
+fn check_replacements(m: &mut Manager, fs: &[Ref]) -> Result<(), TestCaseError> {
+    let mut targets: Vec<NodeId> = Vec::new();
+    for &f in fs {
+        targets.extend(m.node_stats(f).nodes());
+    }
+    for &f in fs {
+        for root in [f, !f] {
+            for &t in &targets {
+                for value in [false, true] {
+                    let want = replace_by_rebuild(m, root, t, value);
+                    let got = m.replace_node_with_const(root, t, value);
+                    prop_assert_eq!(got, want, "replace {:?} in {:?} by {}", t, root, value);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn window_probe_matches_size_under(
+        e in arb_expr(),
+        pair in any::<bool>(),
+        negate in any::<bool>(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 0..4),
+    ) {
+        // Every window start, every width, every arrangement: the
+        // boundary-table count must equal the rebuilt size, before and
+        // after each of a few random level swaps.
+        let (mut m, f) = probe_subject(&e, pair, negate, &[]);
+        m.protect(f);
+        for round in 0..=swaps.len() {
+            for w in 2..=4usize {
+                for start in 0..=(NVARS as usize - w) {
+                    let slice = m.level2var()[start..start + w].to_vec();
+                    let sizes = bdd::window_sizes(&m, f, start, w);
+                    prop_assert_eq!(sizes.len(), (1..=w).product::<usize>());
+                    for (cand, s) in sizes {
+                        let rebuilt = m.size_under(f, &renaming(&slice, &cand));
+                        prop_assert_eq!(
+                            s, rebuilt, "levels {}..{} as {:?}", start, start + w, cand
+                        );
+                    }
+                }
+            }
+            m.collect();
+            if let Some(&l) = swaps.get(round) {
+                m.swap_levels(l);
+            }
+        }
+        m.release(f);
+    }
+
+    #[test]
+    fn window_probe_search_matches_rebuild_search(
+        e in arb_expr(),
+        pair in any::<bool>(),
+        negate in any::<bool>(),
+        w in 2usize..5,
+        swaps in proptest::collection::vec(0..NVARS - 1, 0..4),
+    ) {
+        // Two managers built by the same steps: one searched by
+        // window_reorder, one by the rebuild-scored loop it replaced. Same
+        // candidates, same strict `<`, so the same order and the same
+        // swaps.
+        let (mut a, fa) = probe_subject(&e, pair, negate, &swaps);
+        let (mut b, fb) = probe_subject(&e, pair, negate, &swaps);
+        let (swaps_a, swaps_b) = (a.cache_stats().sift_swaps, b.cache_stats().sift_swaps);
+        let found = bdd::window_reorder(&mut a, fa, w, 4);
+        window_reorder_by_rebuild(&mut b, fb, w, 4);
+        prop_assert_eq!(a.var2level(), b.var2level());
+        prop_assert_eq!(
+            a.cache_stats().sift_swaps - swaps_a,
+            b.cache_stats().sift_swaps - swaps_b,
+            "same number of installing swaps"
+        );
+        prop_assert_eq!(found.size, b.size(fb));
+        prop_assert_eq!(bdd_truth(&a, fa), bdd_truth(&b, fb));
+    }
+
+    #[test]
+    fn replace_matches_unmemoized_rebuild(
+        e in arb_expr(),
+        g in arb_expr(),
+        k in arb_expr(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 1..4),
+    ) {
+        // Every (node, value) pair, with targets inside and outside f,
+        // against the unmemoized full rebuild. The memo persists across
+        // calls, so each later round would see stale entries if a level
+        // swap did not retire them, or if a collection left an entry for
+        // a reclaimed target whose slot a new node then took.
+        let mut m = Manager::new();
+        for i in 0..NVARS {
+            let v = m.var(i);
+            m.protect(v);
+        }
+        let f = e.to_bdd(&mut m);
+        let h = g.to_bdd(&mut m);
+        m.protect(f);
+        m.protect(h);
+        check_replacements(&mut m, &[f, h])?;
+        for &l in &swaps {
+            m.swap_levels(l);
+            check_replacements(&mut m, &[f, h])?;
+        }
+        // Reclaim h's nodes, then let a new function take their slots.
+        m.release(h);
+        m.collect();
+        let fresh = k.to_bdd(&mut m);
+        m.protect(fresh);
+        check_replacements(&mut m, &[f, fresh])?;
+        m.release(fresh);
+        m.release(f);
+    }
+}
+
+/// The collector's scrub must drop every substitution entry keyed by a
+/// reclaimed target. Here the stale entries could not even give a wrong
+/// answer (a target the key node does not reach leaves it unchanged, and
+/// a reachable one cannot die first), so the check is on the cache's own
+/// counters: once the reclaimed target's slot holds a different node, the
+/// same substitution must redo the fresh call's probes instead of
+/// answering from the dead target's entry at the root.
+#[test]
+fn replace_memo_drops_reclaimed_target() {
+    let mut m = Manager::new();
+    let x: Vec<Ref> = (0..NVARS)
+        .map(|i| {
+            let v = m.var(i);
+            m.protect(v)
+        })
+        .collect();
+    let mut f = Ref::ZERO;
+    for pair in x.chunks(2) {
+        let p = m.and(pair[0], pair[1]);
+        f = m.or(f, p);
+    }
+    m.protect(f);
+    m.collect();
+    // A node at x4's level that f does not reach, and nothing else dead.
+    let target = m.xor(x[4], x[5]).node();
+    let probes = |m: &mut Manager, t: NodeId| {
+        let before = m.cache_stats();
+        let r = m.replace_node_with_const(f, t, true);
+        let after = m.cache_stats();
+        (r, after.lookups - before.lookups, after.hits - before.hits)
+    };
+    let fresh = probes(&mut m, target);
+    assert_eq!(fresh.0, f, "f does not reach the target");
+    assert!(fresh.1 > 1, "the rebuild probes every ancestor level");
+    assert_eq!(m.collect(), 1, "exactly the target is reclaimed");
+    // ¬x4 + x5: another node at x4's level, which takes the freed slot.
+    let other = m.or(!x[4], x[5]);
+    assert_eq!(other.node(), target, "the new node reuses the slot");
+    assert_eq!(probes(&mut m, target), fresh, "no stale entry answers");
+    assert_eq!(
+        m.replace_node_with_const(other, target, false),
+        replace_by_rebuild(&mut m, other, target, false)
+    );
+    m.release(f);
 }
 
 /// Deterministic xorshift64* for the storm test below (independent of the

@@ -109,6 +109,14 @@ impl MajCandidate {
 ///
 /// Candidates are returned most-connected first, truncated to
 /// `max_candidates`.
+///
+/// Ties in connectivity are broken by [`NodeId`], i.e. by arena slot, so
+/// which candidates survive the truncation depends on the manager's
+/// allocation history (slot reuse after collections included), not only
+/// on `f`. The tie-break is kept because the reported gate counts rest on
+/// it: dropping it (equals then stay in DFS discovery order) leaves
+/// Table I unchanged but moves the large-cone benchmark from 15392 to
+/// 15391 majority-flow gates.
 pub fn find_m_dominators(m: &mut Manager, f: Ref, config: &MajConfig) -> Vec<NodeId> {
     if f.is_const() {
         return Vec::new();
