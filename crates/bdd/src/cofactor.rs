@@ -7,9 +7,9 @@
 //! holds, while being (heuristically) smaller outside it.
 //!
 //! Like the connective kernels in [`crate::ops`], every recursion here is
-//! a [`Session`] method taking `(&NodeStore, ...)` — per-session
-//! memoization and governance against the shared, `Sync` node store —
-//! with thin [`Manager`] entry points running them through `run_kernel`.
+//! a [`Session`] method taking `(&mut NodeStore, ...)` — the session's
+//! memoization and governance against the manager's node store — with
+//! thin [`Manager`] entry points handing the two halves over.
 //!
 //! All recursions branch on *levels* (current order positions, via
 //! `NodeStore::level`), never on raw variable indices, so they are
@@ -26,7 +26,7 @@
 //! intermediates); when the manager does collect, it scrubs every cache
 //! entry naming a reclaimed slot, so no entry here can outlive the nodes
 //! it names. Like every kernel, these recursions create nodes only
-//! through `Session::mk`, which keeps the interior reference counts
+//! through `NodeStore::mk`, which keeps the interior reference counts
 //! exact as a side effect — no cofactor path does its own refcounting.
 //!
 //! Node-to-constant substitution ([`Manager::replace_node_with_const`],
@@ -51,7 +51,7 @@ impl Session {
     /// The cofactor recursion `f|v=value`.
     pub(crate) fn cofactor_rec(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         v: Var,
         value: bool,
@@ -86,7 +86,7 @@ impl Session {
         } else {
             let r0 = self.cofactor_rec(store, f0, v, value)?;
             let r1 = self.cofactor_rec(store, f1, v, value)?;
-            self.mk(store, top, r0, r1)?
+            store.mk(top, r0, r1)
         };
         self.cache.insert(op::COFACTOR, f.raw(), key_b, 0, r);
         Ok(r)
@@ -96,7 +96,7 @@ impl Session {
     /// enforced by the entry point).
     pub(crate) fn restrict_rec(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         c: Ref,
     ) -> Result<Ref, LimitExceeded> {
@@ -128,7 +128,7 @@ impl Session {
             } else {
                 let r0 = self.restrict_rec(store, f0, c0)?;
                 let r1 = self.restrict_rec(store, f1, c1)?;
-                self.mk(store, v, r0, r1)?
+                store.mk(v, r0, r1)
             }
         };
         self.cache.insert(op::RESTRICT, f.raw(), c.raw(), 0, r);
@@ -139,7 +139,7 @@ impl Session {
     /// enforced by the entry point).
     pub(crate) fn constrain_rec(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         c: Ref,
     ) -> Result<Ref, LimitExceeded> {
@@ -166,7 +166,7 @@ impl Session {
         } else {
             let r0 = self.constrain_rec(store, f0, c0)?;
             let r1 = self.constrain_rec(store, f1, c1)?;
-            self.mk(store, v, r0, r1)?
+            store.mk(v, r0, r1)
         };
         self.cache.insert(op::CONSTRAIN, f.raw(), c.raw(), 0, r);
         Ok(r)
@@ -178,7 +178,7 @@ impl Session {
     /// keyed op `(node, target << 1, value)`.
     pub(crate) fn replace_rec(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         target: NodeId,
         target_level: u32,
@@ -205,7 +205,7 @@ impl Session {
         let n = store.node(f.node().index());
         let low = self.replace_rec(store, n.low, target, target_level, value)?;
         let high = self.replace_rec(store, n.high, target, target_level, value)?;
-        let r = self.mk(store, n.var, low, high)?;
+        let r = store.mk(n.var, low, high);
         self.cache
             .insert(op::REPLACE, f.regular().raw(), key_b, key_c, r);
         Ok(r.xor_complement(c))
@@ -220,7 +220,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::cofactor`].
     pub fn try_cofactor(&mut self, f: Ref, v: Var, value: bool) -> Result<Ref, LimitExceeded> {
-        self.run_kernel(|st, s| s.cofactor_rec(st, f, v, value))
+        self.session.cofactor_rec(&mut self.store, f, v, value)
     }
 
     /// Existential quantification `∃v. f = f|v=0 + f|v=1`.
@@ -280,7 +280,7 @@ impl Manager {
     /// Panics if `c` is the constant zero, like the infallible form.
     pub fn try_restrict(&mut self, f: Ref, c: Ref) -> Result<Ref, LimitExceeded> {
         assert!(!c.is_zero(), "restrict: empty care set");
-        self.run_kernel(|st, s| s.restrict_rec(st, f, c))
+        self.session.restrict_rec(&mut self.store, f, c)
     }
 
     /// The Coudert–Madre *constrain* (a.k.a. image-restricting) generalized
@@ -303,7 +303,7 @@ impl Manager {
     /// Panics if `c` is the constant zero, like the infallible form.
     pub fn try_constrain(&mut self, f: Ref, c: Ref) -> Result<Ref, LimitExceeded> {
         assert!(!c.is_zero(), "constrain: empty care set");
-        self.run_kernel(|st, s| s.constrain_rec(st, f, c))
+        self.session.constrain_rec(&mut self.store, f, c)
     }
 
     /// Rebuilds the DAG of `f` with the internal node `target` replaced by
@@ -339,7 +339,8 @@ impl Manager {
         } else {
             u32::MAX
         };
-        self.run_kernel(|st, s| s.replace_rec(st, f, target, target_level, value))
+        self.session
+            .replace_rec(&mut self.store, f, target, target_level, value)
     }
 }
 

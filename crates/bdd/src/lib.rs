@@ -45,20 +45,18 @@
 //! # Storage architecture
 //!
 //! The kernel's hot state is three flat arrays — no per-operation
-//! allocation, no std `HashMap` on any hot path. Since PR 9 they are
-//! split across two types: the node-owning arena and unique table live
-//! in the shared [`NodeStore`], the computed cache and traversal
-//! scratch in the per-thread [`Session`] (see the concurrency contract
-//! below); a [`Manager`] bundles one store with one default session and
-//! keeps the classic single-threaded API.
+//! allocation, no std `HashMap` on any hot path. A [`Manager`] owns them
+//! through two plain structs: the node store (arena, unique table,
+//! reference counts, variable order) and the session (computed cache,
+//! traversal scratch, resource budget). Every recursive kernel takes
+//! `(&mut store, &mut session)`, and the store's `mk` is the one place
+//! a node is created.
 //!
-//! * **Node arena** — a flat cell vector in [`NodeStore`]; a node is its
-//!   index, index 0 is the terminal. The `(var, low, high)` words are
-//!   atomics so concurrent sessions can publish nodes race-free, but on
-//!   the sequential path they cost nothing (Relaxed loads compile to
-//!   plain loads). Dead nodes are reclaimed by the collector (below);
-//!   their slots are poisoned, linked into a free list, and reused by
-//!   `mk` before the arena grows (reclaim-before-grow).
+//! * **Node arena** — a flat `(var, low, high)` vector; a node is its
+//!   index, index 0 is the terminal. Dead nodes are reclaimed by the
+//!   collector (below); their slots are poisoned, stacked on a free
+//!   list, and reused by `mk` before the arena grows
+//!   (reclaim-before-grow).
 //! * **Unique table** — an open-addressed, power-of-two `Vec<u32>` bucket
 //!   array over the arena, probed linearly from an inlined multiply-mix
 //!   hash of `(var, low, high)`. Bucket value 0 doubles as the
@@ -170,7 +168,7 @@
 //!
 //! **What survives an abort:** everything. All invariant maintenance
 //! (unique-table insertion, interior refcounts, per-variable node lists,
-//! free-list reuse) happens atomically inside `Manager::mk`, so an early
+//! free-list reuse) happens inside one call of the store's `mk`, so an early
 //! return between `mk` calls cannot tear any structure. After a
 //! `LimitExceeded` the manager is fully consistent and immediately
 //! usable: the unique table and computed cache are intact (including
@@ -187,98 +185,17 @@
 //! same poll, and the deadline clock is sampled every 256 steps — an
 //! abort lands within microseconds of the crossing, never mid-`mk`.
 //!
-//! # Concurrency contract
+//! # Ownership
 //!
-//! The kernel state is split along the thread boundary (PR 9 split the
-//! store from the session; PR 11 added the shared cache tier and the
-//! work-stealing forked apply):
-//!
-//! * **Shared: [`NodeStore`]** — the node arena, the unique table, the
-//!   interior refcounts, and the lossy shared computed cache (the L2
-//!   tier). It is `Sync`: any number of sessions may hash-cons into it
-//!   concurrently through `try_mk`, which claims a slot (free-list pop
-//!   or arena high-water CAS), writes the node's words, and *publishes*
-//!   the slot index into its bucket with a single compare-exchange.
-//!   Losing a publication race abandons the claimed slot (recovered at
-//!   the next sweep) and adopts the winner.
-//! * **Per-thread: [`Session`]** — the set-associative private computed
-//!   cache (the L1 tier), the `RefCell` visited-stamp scratch (which is
-//!   what makes it deliberately **not `Sync`**), the [`ResourceLimits`]
-//!   budget, and the created-node log. Every recursive kernel runs
-//!   against `(&NodeStore, &mut Session)`.
-//! * **[`Manager`]** bundles one store with one default session, so the
-//!   classic API is unchanged: it stays `Send` and `!Sync`, one manager
-//!   per worker thread.
-//!
-//! **Memory ordering.** Publication is the ordering-critical edge:
-//! `try_mk` releases the node's field writes with a `Release` CAS on
-//! the bucket, and every probe reads buckets with `Acquire`, so
-//! observing an index implies observing the node it names. The shared
-//! cache follows the same shape with a two-word entry: claim via CAS to
-//! a busy sentinel, `Release`-store the payload, `Release`-store the
-//! tag *last*, so a reader that sees a matching tag sees the payload
-//! that belongs to it. Slot claiming and the statistics counters are
-//! `Relaxed` — they only arbitrate indices or feed heuristics
-//! reconciled at quiescent points. The workspace linter (`bdslint`'s
-//! `cas-publication` rule) confines atomic table and cache-entry writes
-//! to the publication functions and requires each to justify its
-//! ordering.
-//!
-//! **Two-tier memoization.** Kernel lookups probe the private L1 first
-//! and the shared L2 on a miss; an L2 hit warms the L1 in place.
-//! Publication into the L2 is work-gated: only results whose recursion
-//! consumed enough descendant probes are shared, so the L2 holds the
-//! expensive subproblems instead of leaf churn. The L2 is *lossy by
-//! contract* — entries are overwritten on index collision and the whole
-//! tier is epoch-cleared at quiescent points (O(1)) — so a miss is
-//! always correct, merely slower. A hit is exact: the 96-bit key mix is
-//! invertible and split across the two words, a torn read from a
-//! concurrent single publication is detected by re-reading the tag, and
-//! the remainder checks make *cross-key* poisoning impossible. The
-//! residual two-writer ABA window (two publications of the *same* slot
-//! interleaving between a reader's tag reads) can only pair words from
-//! different *keys'* publications if the remainders also collide —
-//! which the split remainder rules out — and same-key republication is
-//! benign because a kernel result is a deterministic function of its
-//! key. This is the honest guarantee: wrong answers never, lost entries
-//! whenever.
-//!
-//! **Quiescence.** Everything that is *not* publication is
-//! stop-the-world: GC, sifting, and table/arena growth require `&mut`
-//! access with exactly one session live. The store counts sessions
-//! outstanding during parallel regions and the quiescent entry points
-//! assert that count is zero. When the shared table fills mid-region,
-//! workers abort their cones through the [`LimitExceeded`] path; the
-//! manager then grows at the now-quiescent point and retries — loudly,
-//! never by silently degrading.
-//!
-//! **Parallel apply.** `Manager::par_and` / `par_xor` / `par_ite` run
-//! one large cone as a fork-join recursion: each recursion step may
-//! push its `else`-subproblem onto the calling worker's deque and
-//! recurse into the `then`-subproblem; idle workers *steal* pushed
-//! subproblems from the back of other deques, solve them with their own
-//! session against the shared store, and the owner joins the halves
-//! bottom-up with `mk`. The shared L2 cache is what keeps the workers'
-//! duplicated subproblems cheap — a subproblem solved on one thread is
-//! a single shared probe on every other. Canonicity makes the result
-//! the identical [`Ref`] at any width, and the storm tests pin exactly
-//! that. The fork width comes from the installed [`JobBudget`] — a
-//! machine-wide permit pool shared with the `bench` suite pool and the
-//! `bdsmaj` CLI, so nested parallelism never oversubscribes — and a
-//! zero-width fork (no budget, no spare permits, or a cone below the
-//! granularity cutoff) *is* the sequential kernel, node counts and all.
-//! The flow reaches this through `try_par_*`: governed kernels (with
-//! resource limits or an abort installed) stay on the exact sequential
-//! budget semantics; ungoverned cone builds route to the forked path.
-//!
-//! The compile-time assertions below pin the contract:
+//! The kernel has a single owner. A [`Manager`] holds every byte of its
+//! state directly — no atomics, no locks, no shared tables — so each
+//! `mk` is plain loads and stores. Parallel work uses one manager per
+//! thread: a manager may move to a worker (`Send`), but is never shared
+//! (`!Sync`, because the traversal scratch sits in a `RefCell`).
 //!
 //! ```
 //! fn sendable<T: Send>() {}
 //! sendable::<bdd::Manager>(); // a worker may own a Manager
-//!
-//! fn sharable<T: Sync>() {}
-//! sharable::<bdd::NodeStore>(); // the store is shared across sessions
 //! ```
 //!
 //! ```compile_fail
@@ -286,13 +203,6 @@
 //! // (RefCell session scratch). One Manager per worker.
 //! fn sharable<T: Sync>() {}
 //! sharable::<bdd::Manager>();
-//! ```
-//!
-//! ```compile_fail
-//! // Does not compile: a Session is pinned to its thread — its RefCell
-//! // scratch and computed cache are deliberately unsynchronized.
-//! fn sharable<T: Sync>() {}
-//! sharable::<bdd::Session>();
 //! ```
 //!
 //! # Example
@@ -320,12 +230,10 @@ mod dot;
 mod hasher;
 mod manager;
 mod ops;
-mod parallel;
 mod reference;
 mod reorder;
 mod sat;
 mod session;
-pub mod steal;
 mod store;
 
 pub use analysis::{InDegree, NodeStats};
@@ -337,10 +245,7 @@ pub use reference::{NodeId, Ref, Var};
 pub use reorder::{
     invert, sift_converge_reorder, sift_reorder, window_reorder, window_sizes, Reordered,
 };
-pub use session::{
-    JobBudget, LimitExceeded, LimitKind, ResourceLimits, Session, DEFAULT_CACHE_BITS,
-};
-pub use store::NodeStore;
+pub use session::{LimitExceeded, LimitKind, ResourceLimits, DEFAULT_CACHE_BITS};
 
 #[cfg(test)]
 mod tests {

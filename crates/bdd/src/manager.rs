@@ -1,39 +1,24 @@
-//! The manager façade over the concurrent-kernel split: one shared
-//! [`NodeStore`] plus one default [`Session`], presenting the classic
-//! single-threaded BDD-manager API.
+//! The manager: one [`NodeStore`] plus one [`Session`], presenting the
+//! classic BDD-manager API.
 //!
-//! The heavy lifting lives elsewhere since the store/session split:
+//! The heavy lifting lives elsewhere:
 //!
 //! * [`crate::store`] owns the node arena, the open-addressed unique
-//!   table and the interior reference counts — the `Sync` half that many
-//!   threads may publish nodes into at once;
+//!   table, the reference counts and the variable order, and its `mk`
+//!   is the one place nodes are created;
 //! * [`crate::session`] owns the set-associative computed cache, the
-//!   visit scratch, the resource budget and the tick state — the
-//!   per-thread half (`!Sync` by construction);
+//!   visit scratch, the resource budget and the tick state;
 //! * the recursive kernels in [`crate::ops`] and [`crate::cofactor`] are
-//!   methods on `Session` taking `(&NodeStore, &mut Session)`;
-//! * [`crate::parallel`] forks extra sessions against the shared store
-//!   for the parallel apply.
+//!   methods on `Session` taking `(&mut NodeStore, ...)`.
 //!
-//! What remains here is the *quiescent-point* machinery — everything
-//! that needs `&mut` exclusivity over the store: garbage collection
-//! (refcount-driven and mark-and-sweep), dynamic reordering (adjacent
-//! level swaps, Rudell sifting, symmetric groups), table and arena
-//! growth, and the bookkeeping that folds kernel publication logs into
-//! the per-variable slot lists. All of it asserts store quiescence (no
-//! extra sessions outstanding) — GC, sifting and growth are
-//! stop-the-world by contract (see the crate-level "Concurrency
-//! contract").
-//!
-//! The façade also owns the grow-and-retry loop: a kernel that runs the
-//! shared store out of headroom unwinds with
-//! [`LimitKind::TableFull`], the façade grows the store at this (by
-//! definition quiescent) point and re-runs the operation — the warm
-//! computed cache makes the retry cheap, and the error never escapes a
-//! `Manager` entry point.
+//! What remains here is the machinery that runs *between* kernel calls:
+//! garbage collection (refcount-driven and mark-and-sweep) and dynamic
+//! reordering (adjacent level swaps, Rudell sifting, symmetric groups).
+//! Neither runs inside a kernel, so recursion intermediates need no
+//! protection.
 
 use crate::reference::{NodeId, Ref, Var};
-use crate::session::{LimitExceeded, LimitKind, ResourceLimits, Session, DEFAULT_CACHE_BITS};
+use crate::session::{LimitExceeded, ResourceLimits, Session, DEFAULT_CACHE_BITS};
 use crate::store::{NodeStore, FREE_VAR, MIN_BUCKETS};
 
 pub use crate::store::Node;
@@ -47,25 +32,11 @@ pub struct CacheStats {
     pub hits: u64,
     /// Computed-cache insertions (including overwrites of colliding slots).
     pub insertions: u64,
-    /// Shared (L2) cache probes — made only on a private (L1) miss.
-    pub shared_lookups: u64,
-    /// Shared-cache probes that returned a result published by some
-    /// session (possibly another thread's).
-    pub shared_hits: u64,
-    /// Results published to the shared cache (only recursions clearing
-    /// the work threshold publish; see `bdd::session`'s publication
-    /// policy).
-    pub shared_insertions: u64,
-    /// Tasks the work-stealing parallel apply executed from another
-    /// worker's deque (0 without intra-cone parallelism).
-    pub par_steals: u64,
     /// Largest node-arena size (slot count, including reclaimed slots)
     /// observed over the manager's lifetime.
     pub peak_nodes: usize,
     /// Computed-cache capacity in entries (fixed after construction).
     pub cache_entries: usize,
-    /// Shared (L2) cache capacity in entries (fixed after construction).
-    pub shared_cache_entries: usize,
     /// Unique-table bucket count (shrinks when a collection leaves the
     /// table sparse).
     pub unique_buckets: usize,
@@ -103,15 +74,6 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// Fraction of shared (L2) cache probes that hit, in `[0, 1]`.
-    pub fn shared_hit_rate(&self) -> f64 {
-        if self.shared_lookups == 0 {
-            0.0
-        } else {
-            self.shared_hits as f64 / self.shared_lookups as f64
         }
     }
 }
@@ -262,10 +224,9 @@ impl Default for AutoSiftConfig {
 /// Default unique-table bucket count (grows on demand).
 const DEFAULT_BUCKETS: usize = 1 << 12;
 
-/// A BDD manager: one shared [`NodeStore`] (arena, unique table,
-/// interior refcounts) plus one default [`Session`] (computed cache,
-/// visit scratch, resource budget), presenting the classic
-/// single-threaded API.
+/// A BDD manager: the node store (arena, unique table, reference
+/// counts, variable order) plus the kernel's memo/budget state (computed
+/// cache, visit scratch, resource budget).
 ///
 /// All functions created by one manager live in the same shared DAG, so
 /// equality of [`Ref`]s is equality of Boolean functions.
@@ -283,9 +244,9 @@ const DEFAULT_BUCKETS: usize = 1 << 12;
 /// ```
 #[derive(Debug)]
 pub struct Manager {
-    /// The shared node-owning half (see [`crate::store`]).
+    /// The node-owning half (see [`crate::store`]).
     pub(crate) store: NodeStore,
-    /// The manager's own per-thread half (see [`crate::session`]).
+    /// The memo/budget half (see [`crate::session`]).
     pub(crate) session: Session,
     gc: GcConfig,
     auto_sift: AutoSiftConfig,
@@ -303,17 +264,6 @@ pub struct Manager {
     /// reclaimed at least one node); excludes per-swap eager reclamation.
     collections: u64,
     reclaimed_total: u64,
-    /// The global worker-thread budget the parallel apply draws from
-    /// (`None` = no intra-cone parallelism; see [`crate::parallel`]).
-    pub(crate) job_budget: Option<crate::session::JobBudget>,
-    /// Tasks the parallel apply's workers stole from each other over the
-    /// manager's lifetime (folded in after each par call joins).
-    pub(crate) par_steals: u64,
-    /// Test-only fault injection: when set, every parallel-apply worker
-    /// panics on its first task, exercising the unwind cleanup paths
-    /// (permit drain-back, shared-region exit).
-    #[cfg(test)]
-    pub(crate) fault_panic_workers: bool,
 }
 
 impl Default for Manager {
@@ -346,10 +296,6 @@ impl Manager {
             gc_epoch: 0,
             collections: 0,
             reclaimed_total: 0,
-            job_budget: None,
-            par_steals: 0,
-            #[cfg(test)]
-            fault_panic_workers: false,
         }
     }
 
@@ -358,18 +304,9 @@ impl Manager {
     pub fn reserve_nodes(&mut self, nodes: usize) {
         let wanted = (nodes.max(8) * 4 / 3 + 1).next_power_of_two();
         if wanted > self.store.buckets_len() {
-            self.store.ensure_arena_capacity(nodes);
+            self.store.reserve_slots(nodes);
             self.store.grow_buckets_to(wanted);
         }
-    }
-
-    /// Installs the global worker-thread budget the parallel apply draws
-    /// from (see [`crate::session::JobBudget`]): suite-level and
-    /// intra-cone parallelism share one pool of permits, so `--jobs`
-    /// stays the single oversubscription knob. `None` (the default)
-    /// disables intra-cone forking entirely.
-    pub fn set_job_budget(&mut self, budget: Option<crate::session::JobBudget>) {
-        self.job_budget = budget;
     }
 
     /// Installs a resource budget for the `try_*` kernels and resets the
@@ -417,9 +354,7 @@ impl Manager {
     /// it into the unlimited-budget infallible form. This is how every
     /// classic entry point (`ite`, `and`, `xor`, the cofactor family, ...)
     /// wraps its `try_*` twin: the budget and any armed fault injection
-    /// are ignored for the duration, then restored. (Store exhaustion is
-    /// not governance: the façade's grow-and-retry loop has already
-    /// absorbed any [`LimitKind::TableFull`] before this returns.)
+    /// are ignored for the duration, then restored.
     pub fn ungoverned<T>(&mut self, f: impl FnOnce(&mut Manager) -> Result<T, LimitExceeded>) -> T {
         let saved = std::mem::replace(&mut self.session.governed, false);
         let r = f(self);
@@ -427,78 +362,6 @@ impl Manager {
         match r {
             Ok(v) => v,
             Err(e) => unreachable!("ungoverned kernel reported {e}"),
-        }
-    }
-
-    /// The façade's kernel driver: runs a recursive kernel against
-    /// `(&store, &mut session)` (the split borrow that replaced the old
-    /// `&mut Manager` threading), folds the session's publication log
-    /// into the per-variable slot lists afterwards (success and abort
-    /// alike — aborted recursions leave real arena nodes behind), and
-    /// absorbs [`LimitKind::TableFull`] by growing the store at this
-    /// quiescent point and re-running (the warm computed cache makes the
-    /// retry cheap). Genuine governance aborts pass through.
-    pub(crate) fn run_kernel(
-        &mut self,
-        kernel: impl Fn(&NodeStore, &mut Session) -> Result<Ref, LimitExceeded>,
-    ) -> Result<Ref, LimitExceeded> {
-        loop {
-            let r = kernel(&self.store, &mut self.session);
-            self.drain_created();
-            match r {
-                Err(e) if e.kind == LimitKind::TableFull => {
-                    self.grow_for_retry();
-                }
-                r => {
-                    // Grow-ahead at the operation boundary keeps the
-                    // shared path's 7/8 emergency cap out of reach on
-                    // the next call.
-                    if self.store.occupied() * 4 >= self.store.buckets_len() * 3 {
-                        self.store.grow_buckets_to(self.store.buckets_len() * 2);
-                    }
-                    return r;
-                }
-            }
-        }
-    }
-
-    /// Folds the default session's publication log into the store's
-    /// per-variable slot lists (kernels hold only `&NodeStore`, so they
-    /// log what they create instead of maintaining the lists).
-    pub(crate) fn drain_created(&mut self) {
-        let created = std::mem::take(&mut self.session.created);
-        self.fold_created(created);
-    }
-
-    /// List-drain core shared with the parallel apply (which folds the
-    /// logs of every worker session after joining them).
-    pub(crate) fn fold_created(&mut self, created: Vec<u32>) {
-        self.store.sync_lengths();
-        for idx in created {
-            let v = self.store.var_of(idx as usize) as usize;
-            self.store.var_pos[idx as usize] = self.store.var_nodes[v].len() as u32;
-            self.store.var_nodes[v].push(idx);
-        }
-    }
-
-    /// Grows whichever store resource ran out: the unique table past its
-    /// shared-region load cap, the arena past its capacity, or both.
-    /// Called at quiescent points only (growth asserts it).
-    pub(crate) fn grow_for_retry(&mut self) {
-        let mut grew = false;
-        if (self.store.occupied() + 1) * 8 > self.store.buckets_len() * 7 {
-            self.store.grow_buckets_to(self.store.buckets_len() * 2);
-            grew = true;
-        }
-        if self.store.arena_full() {
-            self.store.grow_arena();
-            grew = true;
-        }
-        if !grew {
-            // try_mk only fails on one of the two conditions; racing
-            // counters can leave both checks momentarily happy, in which
-            // case arena headroom is the safe default.
-            self.store.grow_arena();
         }
     }
 
@@ -548,8 +411,8 @@ impl Manager {
         self.store.live_nodes()
     }
 
-    /// Read access to a stored node (a by-value snapshot since the
-    /// store/session split — nodes are three words).
+    /// Read access to a stored node (a by-value snapshot — nodes are
+    /// three words).
     ///
     /// # Panics
     ///
@@ -620,9 +483,7 @@ impl Manager {
 
     /// Finds or creates the node `(var, low, high)`, applying the reduction
     /// rules (equal children; complement pushed off the 1-edge). Unknown
-    /// variables are registered at the deepest level first. This is the
-    /// quiescent (`&mut`) construction path — kernels use the session-side
-    /// `mk` against the shared store instead.
+    /// variables are registered at the deepest level first.
     ///
     /// # Panics
     ///
@@ -631,36 +492,7 @@ impl Manager {
     #[inline]
     pub fn mk(&mut self, var: Var, low: Ref, high: Ref) -> Ref {
         self.store.ensure_var(var.0);
-        if low == high {
-            return low;
-        }
-        debug_assert!(
-            self.store.var_level(var.0) < self.store.level(low)
-                && self.store.var_level(var.0) < self.store.level(high),
-            "mk: ordering violated at {var:?}"
-        );
-        let complement = high.is_complemented();
-        let (low, high) = if complement {
-            (!low, !high)
-        } else {
-            (low, high)
-        };
-        loop {
-            match self.store.try_mk(var, low, high) {
-                Ok((r, created)) => {
-                    if created {
-                        self.fold_created(vec![r.node().0]);
-                        // Exclusive-path growth at 3/4 load, ahead of the
-                        // shared path's 7/8 emergency cap.
-                        if self.store.occupied() * 4 >= self.store.buckets_len() * 3 {
-                            self.store.grow_buckets_to(self.store.buckets_len() * 2);
-                        }
-                    }
-                    return r.xor_complement(complement);
-                }
-                Err(_) => self.grow_for_retry(),
-            }
-        }
+        self.store.mk(var, low, high)
     }
 
     /// Full recount audit of the interior reference counts and the
@@ -753,10 +585,6 @@ impl Manager {
     /// Correctness is unaffected.
     pub fn clear_caches(&mut self) {
         self.session.cache.clear();
-        // The shared (L2) cache clears at the same quiescent points as
-        // the private one: an O(1) epoch bump through `&mut`.
-        self.store.assert_quiescent("shared-cache clear");
-        self.store.shared_cache_mut().clear();
     }
 
     /// Snapshot of the kernel's memory-system counters. The
@@ -769,13 +597,8 @@ impl Manager {
             lookups: self.session.cache.lookups,
             hits: self.session.cache.hits,
             insertions: self.session.cache.insertions,
-            shared_lookups: self.session.cache.shared_lookups,
-            shared_hits: self.session.cache.shared_hits,
-            shared_insertions: self.session.cache.shared_insertions,
-            par_steals: self.par_steals,
             peak_nodes: self.store.num_nodes(),
             cache_entries: self.session.cache.entry_capacity(),
-            shared_cache_entries: self.store.shared_cache().len(),
             unique_buckets: self.store.buckets_len(),
             garbage_estimate: self.store.free_nodes(),
             live_nodes: self.live_nodes(),
@@ -947,13 +770,9 @@ impl Manager {
     /// the current size) and scrubs the computed-cache entries that name
     /// a reclaimed slot. Returns the number of reclaimed nodes.
     ///
-    /// Stop-the-world: asserts store quiescence (no parallel sessions
-    /// outstanding). Every `Ref` the caller intends to keep using must be
-    /// protected (or reachable from a protected one) — anything else
-    /// dangles afterwards.
+    /// Every `Ref` the caller intends to keep using must be protected (or
+    /// reachable from a protected one) — anything else dangles afterwards.
     pub fn collect(&mut self) -> usize {
-        self.store.assert_quiescent("collect");
-        self.store.sync_lengths();
         self.store.reset_allocs_since_gc();
         // Seed with every in-use node nothing references, then cascade:
         // each reclaimed node drops its children's counts, and a child
@@ -1033,8 +852,6 @@ impl Manager {
     /// or the dead fraction clears the threshold) sweep, rebuild the
     /// unique table and invalidate the computed cache.
     fn mark_and_sweep(&mut self, force: bool) -> usize {
-        self.store.assert_quiescent("collect");
-        self.store.sync_lengths();
         self.store.reset_allocs_since_gc();
         let n = self.store.num_nodes();
         let in_use = self.live_nodes() - 1;
@@ -1081,13 +898,13 @@ impl Manager {
         self.sweep_dead(dead_list, true)
     }
 
-    /// The shared sweep finalization: poisons the `dead` slots onto the
-    /// free list (also recovering any slots abandoned by lost publication
-    /// races), rebuilds the per-variable slot lists and the unique table
-    /// from the survivors (shrink-on-sparse), and scrubs the computed
-    /// cache. With `dec_children`, the dead nodes' arena edges are first
-    /// removed from the interior counts (the refcount-driven
-    /// [`Manager::collect`] has already done so while cascading).
+    /// The shared sweep finalization: poisons the `dead` slots, re-stacks
+    /// the free list in ascending slot order, rebuilds the per-variable
+    /// slot lists and the unique table from the survivors
+    /// (shrink-on-sparse), and scrubs the computed cache. With
+    /// `dec_children`, the dead nodes' arena edges are first removed from
+    /// the interior counts (the refcount-driven [`Manager::collect`] has
+    /// already done so while cascading).
     fn sweep_dead(&mut self, dead: Vec<u32>, dec_children: bool) -> usize {
         let n = self.store.num_nodes();
         if dec_children {
@@ -1105,12 +922,14 @@ impl Manager {
             }
         }
         for &s in &dead {
-            self.store.free_push(s);
+            self.store.poison(s);
             self.store.refs[s as usize] = 0;
             *self.store.int_ref_mut(s as usize) = 0;
         }
-        // Recover race-abandoned slots alongside the freshly poisoned
-        // dead: one arena scan rebuilds the free stack exactly.
+        // One ascending arena scan re-stacks every free slot, old and new:
+        // the next `mk` takes the highest one. That order decides which
+        // slots later nodes get (and so the `NodeId` tie-breaks of the
+        // dominator search), whatever order `dead` was found in.
         self.store.rebuild_free();
         // The sweep may have poisoned slots listed anywhere: rebuild the
         // per-variable slot lists (and the slots' positions in them) from
@@ -1154,18 +973,6 @@ impl Manager {
             let idx = (w >> 1) as usize;
             idx >= store.num_nodes() || store.var_of(idx) != FREE_VAR
         });
-        // The shared (L2) cache gets the same treatment at the same
-        // quiescent point: decode each entry's exact operands (the key
-        // mix is invertible) and drop the ones naming a reclaimed slot,
-        // keeping the cross-thread memo warm across the sweep. Unlike the
-        // L1, every L2 key word *is* a raw `Ref`, so the check is exact.
-        let num_nodes = self.store.num_nodes();
-        let cells: Vec<bool> = (0..num_nodes)
-            .map(|i| self.store.var_of(i) != FREE_VAR)
-            .collect();
-        self.store
-            .shared_cache_mut()
-            .scrub(|slot| (slot as usize) < num_nodes && cells[slot as usize]);
         self.gc_epoch += 1;
         self.collections += 1;
         self.reclaimed_total += dead.len() as u64;
@@ -1249,8 +1056,6 @@ impl Manager {
     /// protected or not, stays valid, and only the order-sensitive memo
     /// generation retires.
     pub(crate) fn swap_levels_inner(&mut self, level: u32, reclaim: bool) -> (usize, isize) {
-        self.store.assert_quiescent("level swap");
-        self.store.sync_lengths();
         let l = level as usize;
         assert!(
             l + 1 < self.store.level2var.len(),
@@ -1338,13 +1143,8 @@ impl Manager {
         if self.reclaimed_total != reclaimed_before {
             // Eager reclamation recycled slots the memo (and Ref-keyed
             // side tables) may still name: retire the whole cache (O(1)
-            // generation bump) and advance the reclamation epoch. The
-            // shared (L2) cache may name the recycled slots too — same
-            // O(1) epoch treatment (swaps without reclamation need no L2
-            // action at all: only function-valued AND/XOR/ITE results are
-            // ever published, and swaps preserve every Ref's function).
+            // generation bump) and advance the reclamation epoch.
             self.session.cache.clear();
-            self.store.shared_cache_mut().clear();
             self.gc_epoch += 1;
         } else {
             // Conservative cache scrub. Most memoized results survive a
@@ -1397,7 +1197,6 @@ impl Manager {
     }
 
     fn sift_filtered(&mut self, cfg: &SiftConfig, subset: Option<&[Var]>) -> SiftReport {
-        self.store.assert_quiescent("sift");
         let n = self.num_vars() as usize;
         self.collect();
         let initial = self.rooted_size();
@@ -1897,6 +1696,27 @@ mod tests {
         let c2 = m.var(2);
         let _redo = m.ite(c2, keep, b2);
         assert_eq!(m.num_nodes(), before, "free slots absorbed the rebuild");
+    }
+
+    #[test]
+    fn collection_reuses_freed_slots_highest_first() {
+        // The sweep re-stacks the free list in ascending slot order, so
+        // fresh nodes take freed slots from the top down, and only then
+        // does the arena grow. Downstream `NodeId` tie-breaks depend on it.
+        let mut m = Manager::new();
+        let vars: Vec<Ref> = (0..6).map(|i| m.var(i)).collect();
+        let keep = m.and(vars[0], vars[1]);
+        let _dead = m.xor_all(vars.iter().copied());
+        m.protect(keep);
+        assert!(m.collect() > 2);
+        let mut free: Vec<usize> = (1..m.num_nodes())
+            .filter(|&i| m.store.var_of(i) == FREE_VAR)
+            .collect();
+        for v in 10..10 + free.len() as u32 {
+            assert_eq!(Some(m.var(v).node().index()), free.pop());
+        }
+        let arena = m.num_nodes();
+        assert_eq!(m.var(40).node().index(), arena, "then the arena grows");
     }
 
     #[test]

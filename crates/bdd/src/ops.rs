@@ -11,14 +11,10 @@
 //! forwards to the specialized kernels, so the cache is never split
 //! between equivalent formulations of one operation.
 //!
-//! Since the concurrent-kernel split (see the crate-level "Concurrency
-//! contract"), every recursion here is a method on [`Session`] taking
-//! `(&NodeStore, ...)`: node publication goes through the store's CAS
-//! protocol while memoization and governance ticks stay per-session.
-//! The [`Manager`] entry points below run the same kernels against the
-//! façade's store and default session via `run_kernel`, which also
-//! drains the session's created-node log and turns shared-table
-//! exhaustion into a stop-the-world grow-and-retry.
+//! Every recursion here is a method on [`Session`] taking
+//! `(&mut NodeStore, ...)`: nodes are created by the store's `mk`, while
+//! memoization and governance ticks live in the session. The [`Manager`]
+//! entry points below hand the manager's two halves to the kernel.
 //!
 //! All recursions branch on *levels* (positions in the current variable
 //! order, via `NodeStore::level`), not raw variable indices, so they stay
@@ -35,17 +31,16 @@
 //! same recursion with the manager's resource budget suspended
 //! ([`Manager::ungoverned`]), so it can never abort. A `try_*` abort is
 //! clean by construction: all invariant maintenance (unique table,
-//! interior refcounts, per-variable lists) happens atomically inside
-//! the store's publication protocol, so unwinding between `mk` calls
-//! leaves the store fully consistent and the partially built nodes as
-//! unreferenced garbage for the next collection (see
-//! [`crate::LimitExceeded`]).
+//! interior refcounts, per-variable lists) happens inside one
+//! `NodeStore::mk` call, so unwinding between `mk` calls leaves the
+//! store fully consistent and the partially built nodes as unreferenced
+//! garbage for the next collection (see [`crate::LimitExceeded`]).
 //!
 //! None of the kernels here triggers garbage collection: recursive
 //! intermediates need no protection, and results only need
 //! [`Manager::protect`] when the caller holds them across an explicit
 //! `collect`/`maybe_collect` point. Every node these kernels produce is
-//! funnelled through `Session::mk`, which also maintains the interior
+//! funnelled through `NodeStore::mk`, which also maintains the interior
 //! (arena-edge) reference counts — the kernels themselves never touch
 //! refcounts, so the accounting behind the refcount-driven collector and
 //! sifting's O(1) size deltas cannot drift here.
@@ -60,7 +55,7 @@ impl Session {
     /// then the memoized three-operand recursion.
     pub(crate) fn ite_ap(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         g: Ref,
         h: Ref,
@@ -118,7 +113,13 @@ impl Session {
 
     /// The memoized three-operand ITE recursion (all two-operand shapes
     /// already filtered out by [`Session::ite_ap`]).
-    fn ite_rec(&mut self, store: &NodeStore, f: Ref, g: Ref, h: Ref) -> Result<Ref, LimitExceeded> {
+    fn ite_rec(
+        &mut self,
+        store: &mut NodeStore,
+        f: Ref,
+        g: Ref,
+        h: Ref,
+    ) -> Result<Ref, LimitExceeded> {
         self.tick(store)?;
         let (mut f, mut g, mut h) = (f, g, h);
         // Keep the predicate regular: ite(!f, g, h) = ite(f, h, g).
@@ -134,10 +135,9 @@ impl Session {
             h = !h;
         }
 
-        if let Some(r) = self.lookup2(store, op::ITE, f.raw(), g.raw(), h.raw()) {
+        if let Some(r) = self.cache.lookup(op::ITE, f.raw(), g.raw(), h.raw()) {
             return Ok(r.xor_complement(complement_result));
         }
-        let work0 = self.cache.lookups;
 
         let v = store.var_at_level(store.level(f).min(store.level(g)).min(store.level(h)));
         let (f0, f1) = store.shallow_cofactors(f, v);
@@ -145,8 +145,8 @@ impl Session {
         let (h0, h1) = store.shallow_cofactors(h, v);
         let t = self.ite_ap(store, f1, g1, h1)?;
         let e = self.ite_ap(store, f0, g0, h0)?;
-        let r = self.mk(store, v, e, t)?;
-        self.publish2(store, op::ITE, f.raw(), g.raw(), h.raw(), work0, r);
+        let r = store.mk(v, e, t);
+        self.cache.insert(op::ITE, f.raw(), g.raw(), h.raw(), r);
         Ok(r.xor_complement(complement_result))
     }
 
@@ -154,7 +154,7 @@ impl Session {
     /// memoized recursion.
     pub(crate) fn and_rec(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         g: Ref,
     ) -> Result<Ref, LimitExceeded> {
@@ -174,17 +174,16 @@ impl Session {
         self.tick(store)?;
         // Commutative: order operands so (f, g) and (g, f) share a slot.
         let (f, g) = if f.raw() <= g.raw() { (f, g) } else { (g, f) };
-        if let Some(r) = self.lookup2(store, op::AND, f.raw(), g.raw(), 0) {
+        if let Some(r) = self.cache.lookup(op::AND, f.raw(), g.raw(), 0) {
             return Ok(r);
         }
-        let work0 = self.cache.lookups;
         let v = store.var_at_level(store.level(f).min(store.level(g)));
         let (f0, f1) = store.shallow_cofactors(f, v);
         let (g0, g1) = store.shallow_cofactors(g, v);
         let t = self.and_rec(store, f1, g1)?;
         let e = self.and_rec(store, f0, g0)?;
-        let r = self.mk(store, v, e, t)?;
-        self.publish2(store, op::AND, f.raw(), g.raw(), 0, work0, r);
+        let r = store.mk(v, e, t);
+        self.cache.insert(op::AND, f.raw(), g.raw(), 0, r);
         Ok(r)
     }
 
@@ -192,7 +191,7 @@ impl Session {
     /// so this shares the `op::AND` cache).
     pub(crate) fn or_ap(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         g: Ref,
     ) -> Result<Ref, LimitExceeded> {
@@ -206,7 +205,7 @@ impl Session {
     /// polarity combinations.
     pub(crate) fn xor_ap(
         &mut self,
-        store: &NodeStore,
+        store: &mut NodeStore,
         f: Ref,
         g: Ref,
     ) -> Result<Ref, LimitExceeded> {
@@ -234,21 +233,20 @@ impl Session {
     }
 
     /// XOR recursion on regular, ordered, non-constant operands.
-    fn xor_rec(&mut self, store: &NodeStore, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
+    fn xor_rec(&mut self, store: &mut NodeStore, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
         debug_assert!(!f.is_complemented() && !g.is_complemented());
         debug_assert!(f.raw() < g.raw() && !f.is_const());
         self.tick(store)?;
-        if let Some(r) = self.lookup2(store, op::XOR, f.raw(), g.raw(), 0) {
+        if let Some(r) = self.cache.lookup(op::XOR, f.raw(), g.raw(), 0) {
             return Ok(r);
         }
-        let work0 = self.cache.lookups;
         let v = store.var_at_level(store.level(f).min(store.level(g)));
         let (f0, f1) = store.shallow_cofactors(f, v);
         let (g0, g1) = store.shallow_cofactors(g, v);
         let t = self.xor_ap(store, f1, g1)?;
         let e = self.xor_ap(store, f0, g0)?;
-        let r = self.mk(store, v, e, t)?;
-        self.publish2(store, op::XOR, f.raw(), g.raw(), 0, work0, r);
+        let r = store.mk(v, e, t);
+        self.cache.insert(op::XOR, f.raw(), g.raw(), 0, r);
         Ok(r)
     }
 }
@@ -279,7 +277,7 @@ impl Manager {
     /// [`LimitExceeded`] when the installed [`crate::ResourceLimits`] are
     /// crossed.
     pub fn try_ite(&mut self, f: Ref, g: Ref, h: Ref) -> Result<Ref, LimitExceeded> {
-        self.run_kernel(|st, s| s.ite_ap(st, f, g, h))
+        self.session.ite_ap(&mut self.store, f, g, h)
     }
 
     /// Logical negation (free on complemented-edge BDDs).
@@ -294,7 +292,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::and`].
     pub fn try_and(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        self.run_kernel(|st, s| s.and_rec(st, f, g))
+        self.session.and_rec(&mut self.store, f, g)
     }
 
     /// Disjunction `f + g` (De Morgan over the AND kernel; negation is
@@ -305,7 +303,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::or`].
     pub fn try_or(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        self.run_kernel(|st, s| s.or_ap(st, f, g))
+        self.session.or_ap(&mut self.store, f, g)
     }
 
     /// Negated conjunction.
@@ -329,7 +327,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::xor`].
     pub fn try_xor(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        self.run_kernel(|st, s| s.xor_ap(st, f, g))
+        self.session.xor_ap(&mut self.store, f, g)
     }
 
     /// Exclusive nor (equivalence) `f ⊙ g`.

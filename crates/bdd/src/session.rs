@@ -1,32 +1,18 @@
-//! Per-thread kernel state: the computed cache, the visit scratch, the
-//! resource budget and the tick counter — everything a recursive kernel
-//! mutates that is *not* the shared node store.
+//! The memo/budget half of the kernel: the computed cache, the visit
+//! scratch, the resource budget and the tick counter — everything a
+//! recursive kernel mutates that is *not* the node store.
 //!
-//! The concurrent-kernel split (see the crate-level "Concurrency
-//! contract") divides the old monolithic manager into:
-//!
-//! * [`crate::store::NodeStore`] — the node-owning half (arena, unique
-//!   table, interior refcounts), shared by many threads (`Sync`);
-//! * [`Session`] — the per-thread half. One session per thread, never
-//!   shared: the [`VisitScratch`] lives in a `RefCell` (which pins
-//!   `Session: !Sync`), and the computed cache is deliberately private
-//!   per session so lookups and inserts stay plain unsynchronized loads
-//!   and stores.
-//!
-//! Every recursive kernel takes `(&NodeStore, &mut Session)`: node
-//! *publication* goes through the store's CAS protocol, while
-//! memoization, governance ticks and traversal scratch stay thread-local.
-//! [`crate::manager::Manager`] owns one store plus one default session
-//! and keeps the classic single-threaded API; the parallel apply in
-//! [`crate::parallel`] forks extra sessions against the same store.
+//! Every recursive kernel is a [`Session`] method taking
+//! `(&mut NodeStore, ...)`: nodes are created through
+//! [`crate::store::NodeStore::mk`], while memoization, governance ticks
+//! and traversal scratch live here. [`crate::manager::Manager`] owns one
+//! store and one session and passes both halves to each kernel.
 
-use crate::reference::{Ref, Var};
+use crate::reference::Ref;
 use crate::store::{triple_hash, NodeStore};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-/// Operation tags for the per-session computed cache. Tag 0 is reserved
+/// Operation tags for the computed cache. Tag 0 is reserved
 /// so a zero-initialized entry can never match a real key.
 pub(crate) mod op {
     /// Three-operand if-then-else.
@@ -98,18 +84,6 @@ const _: () = assert!(std::mem::size_of::<CacheSet>() == 64);
 /// cache-line-sized sets (see [`ComputedCache`]).
 pub const DEFAULT_CACHE_BITS: u32 = 14;
 
-/// Cache budget of the short-lived worker sessions forked by the
-/// parallel apply: smaller than the default — a worker memoizes one
-/// cone fragment, not a whole flow (and shares everything expensive
-/// through the store's L2 cache anyway).
-pub(crate) const WORKER_CACHE_BITS: u32 = 12;
-
-/// Publication threshold of the shared (L2) cache: a result is published
-/// only when the recursion that produced it performed at least this many
-/// descendant L1 probes (one probe ≈ one non-terminal recursion step).
-/// See [`Session::publish2`].
-pub(crate) const L2_PUBLISH_MIN_WORK: u64 = 8;
-
 /// The fixed-size, set-associative, lossy operation cache: power-of-two
 /// [`CacheSet`] groups (three ways per 64-byte line), indexed by the same
 /// multiply-mix hash as the unique table. Within a set, inserts overwrite
@@ -135,14 +109,6 @@ pub(crate) struct ComputedCache {
     pub(crate) lookups: u64,
     pub(crate) hits: u64,
     pub(crate) insertions: u64,
-    /// Traffic this session sent to the *shared* (L2) cache: probes made
-    /// on an L1 miss, hits among them, and publications. Tracked here
-    /// (plain per-session counters, folded in with
-    /// [`ComputedCache::absorb_counters`]) so the shared cache itself
-    /// carries no contended counter words.
-    pub(crate) shared_lookups: u64,
-    pub(crate) shared_hits: u64,
-    pub(crate) shared_insertions: u64,
 }
 
 /// Generations live in the upper bits of the entry tag; op tags occupy the
@@ -174,9 +140,6 @@ impl ComputedCache {
             lookups: 0,
             hits: 0,
             insertions: 0,
-            shared_lookups: 0,
-            shared_hits: 0,
-            shared_insertions: 0,
         }
     }
 
@@ -303,17 +266,6 @@ impl ComputedCache {
             }
         }
     }
-
-    /// Folds another session's traffic counters into this cache's (the
-    /// parallel apply reports worker traffic through the parent session).
-    pub(crate) fn absorb_counters(&mut self, other: &ComputedCache) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.insertions += other.insertions;
-        self.shared_lookups += other.shared_lookups;
-        self.shared_hits += other.shared_hits;
-        self.shared_insertions += other.shared_insertions;
-    }
 }
 
 impl std::fmt::Debug for ComputedCache {
@@ -412,13 +364,6 @@ pub enum LimitKind {
     /// A test-only injected fault
     /// ([`crate::manager::Manager::fault_inject_abort_after`]).
     Injected,
-    /// The shared node store ran out of arena or unique-table headroom
-    /// while it could not be grown (growth needs `&mut`, which a shared
-    /// kernel region cannot take). This is a *retry* signal: the manager
-    /// façade catches it, grows the store at the next quiescent point and
-    /// re-runs the operation (the warm computed cache makes the retry
-    /// cheap), so it never escapes a `Manager` entry point.
-    TableFull,
 }
 
 /// A `try_*` kernel aborted because a [`ResourceLimits`] bound was
@@ -446,7 +391,6 @@ impl std::fmt::Display for LimitExceeded {
             LimitKind::Steps => "step limit",
             LimitKind::Deadline => "deadline",
             LimitKind::Injected => "injected fault",
-            LimitKind::TableFull => "shared-table headroom",
         };
         write!(
             f,
@@ -458,18 +402,16 @@ impl std::fmt::Display for LimitExceeded {
 
 impl std::error::Error for LimitExceeded {}
 
-/// Per-thread kernel state: the computed cache, the traversal scratch,
-/// the resource budget and the tick counter.
+/// The kernel's memo/budget state: the computed cache, the traversal
+/// scratch, the resource budget and the tick counter.
 ///
-/// One session per thread. The `RefCell` around the visit scratch pins
-/// `Session: !Sync` (asserted by a `compile_fail` doctest in the crate
-/// docs) — sharing a session between threads is a bug by construction;
-/// sharing the [`NodeStore`] is the supported way to cooperate.
+/// The `RefCell` around the visit scratch lets `&self` traversals mark
+/// nodes; it also makes the owning [`crate::Manager`] `!Sync` (asserted
+/// by a `compile_fail` doctest in the crate docs).
 #[derive(Debug)]
-pub struct Session {
+pub(crate) struct Session {
     pub(crate) cache: ComputedCache,
-    /// Visited-stamp scratch shared by the `&self` traversals — the
-    /// `!Sync` pin.
+    /// Visited-stamp scratch shared by the `&self` traversals.
     pub(crate) visited: RefCell<VisitScratch>,
     /// Resource budget consulted by the `try_*` kernels (all-`None` =
     /// unlimited).
@@ -483,30 +425,12 @@ pub struct Session {
     /// Test-only fault injection: abort with [`LimitKind::Injected`] once
     /// `steps` reaches this value.
     pub(crate) abort_at_step: Option<u64>,
-    /// Arena slots this session created since the manager last drained
-    /// the log. Kernels hold only `&NodeStore`, so they cannot maintain
-    /// the store's per-variable slot lists; instead every publication is
-    /// logged here and [`crate::manager::Manager`] folds the log into the
-    /// lists after each kernel call (success and abort alike — aborted
-    /// recursions leave real arena nodes behind).
-    pub(crate) created: Vec<u32>,
-}
-
-impl Default for Session {
-    fn default() -> Self {
-        Session::with_cache_bits(DEFAULT_CACHE_BITS)
-    }
 }
 
 impl Session {
-    /// A fresh ungoverned session with the default cache budget.
-    pub fn new() -> Session {
-        Session::default()
-    }
-
     /// A fresh ungoverned session with a computed cache budgeted at
     /// `cache_bits` (clamped to `[8, 28]`).
-    pub fn with_cache_bits(cache_bits: u32) -> Session {
+    pub(crate) fn with_cache_bits(cache_bits: u32) -> Session {
         Session {
             cache: ComputedCache::with_bits(cache_bits),
             visited: RefCell::new(VisitScratch::default()),
@@ -514,19 +438,18 @@ impl Session {
             governed: false,
             steps: 0,
             abort_at_step: None,
-            created: Vec::new(),
         }
     }
 
     /// Installs a resource budget and resets the step counter.
-    pub fn set_limits(&mut self, limits: ResourceLimits) {
+    pub(crate) fn set_limits(&mut self, limits: ResourceLimits) {
         self.limits = limits;
         self.steps = 0;
         self.governed = limits.is_limited() || self.abort_at_step.is_some();
     }
 
     /// Removes any installed budget (and disarms fault injection).
-    pub fn clear_limits(&mut self) {
+    pub(crate) fn clear_limits(&mut self) {
         self.limits = ResourceLimits::default();
         self.abort_at_step = None;
         self.steps = 0;
@@ -534,18 +457,18 @@ impl Session {
     }
 
     /// The currently installed resource budget.
-    pub fn limits(&self) -> ResourceLimits {
+    pub(crate) fn limits(&self) -> ResourceLimits {
         self.limits
     }
 
     /// Kernel recursion steps taken since the limits were installed or
     /// last reset.
-    pub fn steps_used(&self) -> u64 {
+    pub(crate) fn steps_used(&self) -> u64 {
         self.steps
     }
 
     /// Resets the step counter without touching the installed bounds.
-    pub fn reset_steps(&mut self) {
+    pub(crate) fn reset_steps(&mut self) {
         self.steps = 0;
     }
 
@@ -605,163 +528,6 @@ impl Session {
             }
         }
         Ok(())
-    }
-
-    /// Two-tier memo probe: private L1 first, shared L2 on a miss. An L2
-    /// hit warms the L1 in place, so a key another thread solved costs
-    /// this session one shared probe total, not one per repetition.
-    ///
-    /// Only the function-valued binary/ternary kernels (`AND`, `XOR`,
-    /// `ITE`) go through here — their results survive in-place level
-    /// swaps, so the L2 only needs clearing when nodes are actually
-    /// reclaimed (see the manager's quiescent hooks).
-    #[inline(always)]
-    pub(crate) fn lookup2(
-        &mut self,
-        store: &NodeStore,
-        op: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-    ) -> Option<Ref> {
-        if let Some(r) = self.cache.lookup(op, a, b, c) {
-            return Some(r);
-        }
-        self.cache.shared_lookups += 1;
-        let r = store.shared_cache().lookup(op as u64, a, b, c)?;
-        self.cache.shared_hits += 1;
-        self.cache.insert(op, a, b, c, r);
-        Some(r)
-    }
-
-    /// Two-tier memo insert: always into the private L1; into the shared
-    /// L2 only when the recursion that produced `r` consumed at least
-    /// [`L2_PUBLISH_MIN_WORK`] descendant cache probes (`work0` is the L1
-    /// lookup count sampled right after this key's own miss). Leaf-ish
-    /// results churn far faster than they are reused cross-thread, so
-    /// publishing them would only add coherence traffic and evictions;
-    /// the threshold keeps the L2 holding the expensive subproblems.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub(crate) fn publish2(
-        &mut self,
-        store: &NodeStore,
-        op: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-        work0: u64,
-        r: Ref,
-    ) {
-        self.cache.insert(op, a, b, c, r);
-        if self.cache.lookups - work0 >= L2_PUBLISH_MIN_WORK {
-            self.cache.shared_insertions += 1;
-            store.shared_cache().publish(op as u64, a, b, c, r);
-        }
-    }
-
-    /// Finds or creates the node `(var, low, high)` in the shared store,
-    /// applying the reduction rules (equal children; complement pushed
-    /// off the 1-edge). The kernel-side `mk`: the variable must already
-    /// be registered (kernels only ever rebuild over operand variables),
-    /// a created slot is logged for the manager's list drain, and a full
-    /// store surfaces as [`LimitKind::TableFull`] for the façade's
-    /// grow-and-retry loop.
-    #[inline]
-    pub(crate) fn mk(
-        &mut self,
-        store: &NodeStore,
-        var: Var,
-        low: Ref,
-        high: Ref,
-    ) -> Result<Ref, LimitExceeded> {
-        if low == high {
-            return Ok(low);
-        }
-        debug_assert!(
-            store.var_level(var.0) < store.level(low) && store.var_level(var.0) < store.level(high),
-            "mk: ordering violated at {var:?}"
-        );
-        let complement = high.is_complemented();
-        let (low, high) = if complement {
-            (!low, !high)
-        } else {
-            (low, high)
-        };
-        match store.try_mk(var, low, high) {
-            Ok((r, created)) => {
-                if created {
-                    self.created.push(r.node().0);
-                }
-                Ok(r.xor_complement(complement))
-            }
-            Err(_) => Err(LimitExceeded {
-                kind: LimitKind::TableFull,
-                steps: self.steps,
-                live_nodes: store.live_nodes(),
-            }),
-        }
-    }
-}
-
-/// A shared, clonable budget of *additional* worker threads: the single
-/// `--jobs` knob, enforced globally. Suite-level parallelism (one
-/// manager per `bench::pool` worker) and intra-cone parallelism (the
-/// parallel apply forking sessions against one shared store) draw from
-/// the same pool of permits, so nesting one inside the other can never
-/// oversubscribe the machine.
-///
-/// A budget constructed with `JobBudget::new(p)` allows `p` extra
-/// threads beyond the callers that hold it. [`JobBudget::try_acquire`]
-/// never blocks: a nested region that finds no permits simply runs
-/// sequentially on its own thread.
-#[derive(Clone, Debug)]
-pub struct JobBudget(Arc<AtomicUsize>);
-
-impl JobBudget {
-    /// A budget permitting `permits` additional worker threads (on top
-    /// of every thread already running that holds a clone).
-    pub fn new(permits: usize) -> JobBudget {
-        JobBudget(Arc::new(AtomicUsize::new(permits)))
-    }
-
-    /// Claims up to `max` permits without blocking; returns how many were
-    /// actually claimed (possibly zero). The caller must [`release`]
-    /// exactly that many when its workers exit.
-    ///
-    /// [`release`]: JobBudget::release
-    pub fn try_acquire(&self, max: usize) -> usize {
-        let mut avail = self.0.load(Ordering::Relaxed);
-        loop {
-            let take = avail.min(max);
-            if take == 0 {
-                return 0;
-            }
-            // ordering: Relaxed suffices — permits only gate thread
-            // *counts*; all data handoff synchronizes through spawn/join.
-            match self.0.compare_exchange_weak(
-                avail,
-                avail - take,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return take,
-                Err(now) => avail = now,
-            }
-        }
-    }
-
-    /// Returns `permits` previously claimed permits to the pool.
-    pub fn release(&self, permits: usize) {
-        if permits > 0 {
-            // ordering: Relaxed — see try_acquire.
-            self.0.fetch_add(permits, Ordering::Relaxed);
-        }
-    }
-
-    /// Permits currently available (diagnostic; racy by nature).
-    pub fn available(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -825,21 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn job_budget_acquire_release_roundtrip() {
-        let b = JobBudget::new(3);
-        assert_eq!(b.available(), 3);
-        assert_eq!(b.try_acquire(2), 2);
-        let b2 = b.clone();
-        assert_eq!(b2.try_acquire(5), 1, "clones share one pool");
-        assert_eq!(b.try_acquire(1), 0, "exhausted budget yields zero");
-        b2.release(1);
-        b.release(2);
-        assert_eq!(b.available(), 3);
-    }
-
-    #[test]
     fn session_limit_bookkeeping_roundtrip() {
-        let mut s = Session::new();
+        let mut s = Session::with_cache_bits(DEFAULT_CACHE_BITS);
         assert!(!s.limits().is_limited());
         s.set_limits(ResourceLimits {
             max_steps: Some(10),

@@ -1,50 +1,33 @@
-//! The shared node store: arena, open-addressed unique table and
-//! interior reference counts — the node-owning half of the concurrent
-//! kernel split (the per-thread half is [`crate::session::Session`]).
+//! The node store: the arena, the open-addressed unique table, the
+//! interior and external reference counts, the variable order and the
+//! per-variable slot lists — the node-owning half of the kernel (the
+//! memo/budget half is [`crate::session::Session`]).
 //!
-//! `NodeStore` is `Sync`. Many sessions may run recursive kernels against
-//! one store at once; the only mutation a shared (`&self`) region ever
-//! performs is *node publication* through [`NodeStore::try_mk`], which is
-//! lock-free:
+//! The store has a single owner. Every mutation goes through `&mut
+//! self`, and one function creates nodes: [`NodeStore::mk`] probes the
+//! unique table and, on a miss, reuses the most recently freed slot or
+//! appends one to the arena, inserts it, counts its two arena edges,
+//! appends it to its variable's slot list and grows the table in place
+//! once it is three quarters full. Nothing is ever logged for later
+//! reconciliation, so the store is consistent between any two `mk`
+//! calls — which is what makes a kernel abort clean.
 //!
-//! * a probe walks the bucket array with `Acquire` loads;
-//! * a miss claims an arena slot (free-list first, then the arena
-//!   high-water mark, both by CAS), writes the node fields, and publishes
-//!   the slot into the empty bucket with a `Release`
-//!   `compare_exchange` — the release/acquire pair is what makes the
-//!   relaxed field writes visible to every later prober;
-//! * losing the publication race re-checks the winner (same triple:
-//!   abandon our slot and adopt the winner's — hash-consing holds under
-//!   contention) or keeps probing with the claimed slot in hand.
-//!
-//! Everything else — growth, reclamation, level swaps, the per-variable
-//! slot lists, external refcounts — runs through `&mut self` at
-//! *quiescent points* (exactly one session live, asserted via the
-//! sessions-outstanding count), where plain access is safe and the
-//! atomics are read and written through `get_mut`. A shared region that
-//! runs out of arena or table headroom gets [`StoreFull`] back and the
-//! manager façade grows the store at the next quiescent point and
-//! retries; the store never grows under a shared region's feet.
-//!
-//! The free list is a *frozen* stack during shared regions: `&mut` code
-//! pushes reclaimed slots and keeps `free.len() == free_top`; shared
-//! claims only CAS-decrement the atomic `free_top` over the frozen
-//! contents, and the manager re-syncs the vector length afterwards.
-//! Slots abandoned after a lost publication race are poisoned and
-//! counted in `abandoned` until the next sweep's arena scan recovers
-//! them onto the free list.
+//! Slot allocation order is part of the flow's observable behaviour
+//! (the m-dominator search breaks ties by `NodeId`), so it is fixed:
+//! LIFO free-list pops first, then the arena high-water mark; after a
+//! sweep, [`NodeStore::rebuild_free`] re-stacks the free list in
+//! ascending slot order, so the highest freed slot is reused first.
 
 use crate::reference::{NodeId, Ref, Var};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Sentinel variable index used by the terminal node; compares below every
 /// real variable when ordered by *level depth* (larger index = deeper).
-pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
+const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Sentinel variable index poisoning a reclaimed arena slot. A slot with
-/// this variable is on the free list (or awaiting recovery after a lost
-/// publication race): it is never reachable from a live [`Ref`], never
-/// listed in the unique table, and is overwritten on reuse.
+/// this variable is on the free list (or parked mid-rewrite by a level
+/// swap): it is never reachable from a live [`Ref`], never listed in the
+/// unique table, and is overwritten on reuse.
 pub(crate) const FREE_VAR: u32 = u32::MAX - 1;
 
 /// Smallest bucket array [`NodeStore::with_capacity`] will allocate.
@@ -56,7 +39,7 @@ pub(crate) const MIN_BUCKETS: usize = 1 << 8;
 /// collision chain the bucket words share a line but the arena nodes they
 /// name do not.
 #[inline(always)]
-pub(crate) fn prefetch<T>(p: *const T) {
+fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a pure performance hint with no memory effects;
     // the CPU ignores addresses it cannot fetch.
@@ -76,287 +59,6 @@ pub(crate) fn triple_hash(a: u32, b: u32, c: u32) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^ (h >> 32)
-}
-
-// ------------------------------------------------------- shared (L2) cache
-
-/// Index bits of the shared computed cache: `2^15` entries × 16 bytes =
-/// 512 KiB per store. Fixed-size and lossy by design — a collision simply
-/// overwrites, and a miss costs one sequential recursion step.
-const SHARED_CACHE_BITS: u32 = 15;
-
-/// Bits of the 96-bit key-mix *remainder* kept in the tag word; the rest
-/// (`96 - SHARED_CACHE_BITS - 53` bits) live in the payload word. Between
-/// the entry's position (the index bits) and the two stored fragments,
-/// every one of the 96 key bits is represented, so a full tag + remainder
-/// match is a proof of key equality, not a probabilistic guess.
-const SHARED_REM_LO_BITS: u32 = 53;
-const SHARED_REM_LO_MASK: u64 = (1 << SHARED_REM_LO_BITS) - 1;
-/// Tag-word layout: `[epoch:8][op:3][rem_lo:53]`. Published tags always
-/// carry a nonzero 3-bit op code, so the all-zero word doubles as the
-/// empty sentinel and op-field-zero values are free for the claim state.
-const SHARED_OP_SHIFT: u32 = 53;
-const SHARED_EPOCH_SHIFT: u32 = 56;
-/// Claim sentinel: op field zero, distinct from the empty word. A writer
-/// parks the tag here between its two payload/tag publication stores so
-/// no reader can match the entry mid-update.
-const SHARED_BUSY: u64 = 1;
-
-/// 96-bit modulus mask for the shared-cache key mix.
-const MIX_MASK: u128 = (1u128 << 96) - 1;
-/// Odd multipliers of the invertible key mix, plus an op salt. Oddness
-/// makes the multiplications bijective modulo 2^96, and `z ^= z >> 48`
-/// is an involution on 96-bit words, so the whole mix is a permutation
-/// of the key space: equal mixes imply equal `(op, a, b, c)` keys.
-const MIX_C1: u128 = 0xD2B7_4407_B1CE_6E93_9E37_79B9_7F4A_7C15 & MIX_MASK;
-const MIX_C2: u128 = 0xCA5A_8263_93B8_5156_58C9_16DE_5A8D_F8E7 & MIX_MASK;
-const MIX_OP_SALT: u128 = 0xA24B_AED4_963E_E407_D1B5_4A32_D192_ED03 & MIX_MASK;
-const MIX_C1_INV: u128 = mul_inverse_pow96(MIX_C1);
-const MIX_C2_INV: u128 = mul_inverse_pow96(MIX_C2);
-
-/// Multiplicative inverse of an odd constant modulo 2^96 (Newton
-/// iteration; each round doubles the number of correct low bits, and an
-/// odd `c` is its own inverse modulo 8).
-const fn mul_inverse_pow96(c: u128) -> u128 {
-    let mut x = c;
-    let mut i = 0;
-    while i < 6 {
-        x = x.wrapping_mul(2u128.wrapping_sub(c.wrapping_mul(x))) & MIX_MASK;
-        i += 1;
-    }
-    x
-}
-
-/// The invertible 96-bit mix of a shared-cache key. Invertibility is the
-/// point: the cache stores only mixed bits, and [`shared_unmix`] recovers
-/// the exact operands for the quiescent GC scrub.
-#[inline(always)]
-fn shared_mix(op: u64, a: u32, b: u32, c: u32) -> u128 {
-    let mut z = (a as u128) | ((b as u128) << 32) | ((c as u128) << 64);
-    z ^= (op as u128).wrapping_mul(MIX_OP_SALT) & MIX_MASK;
-    z = z.wrapping_mul(MIX_C1) & MIX_MASK;
-    z ^= z >> 48;
-    z = z.wrapping_mul(MIX_C2) & MIX_MASK;
-    z ^= z >> 48;
-    z
-}
-
-/// Exact inverse of [`shared_mix`] for a known op code.
-fn shared_unmix(op: u64, z: u128) -> (u32, u32, u32) {
-    let mut z = z ^ (z >> 48);
-    z = z.wrapping_mul(MIX_C2_INV) & MIX_MASK;
-    z ^= z >> 48;
-    z = z.wrapping_mul(MIX_C1_INV) & MIX_MASK;
-    z ^= (op as u128).wrapping_mul(MIX_OP_SALT) & MIX_MASK;
-    (z as u32, (z >> 32) as u32, (z >> 64) as u32)
-}
-
-/// One shared-cache entry: a packed `2 × AtomicU64` pair.
-///
-/// * `tag_word` — `[epoch:8][op:3][rem_lo:53]`; all-zero = empty,
-///   op-field-zero nonzero values = claimed (mid-publication).
-/// * `payload_word` — `[rem_hi:32][result:32]` (the raw result `Ref`).
-#[derive(Debug)]
-struct SharedEntry {
-    tag_word: AtomicU64,
-    payload_word: AtomicU64,
-}
-
-/// The shared, lossy, fixed-size operation cache (the concurrent L2
-/// behind every session's private L1).
-///
-/// Readers are wait-free and writers lock-free: publication claims the
-/// tag word with a CAS to the [`SHARED_BUSY`] sentinel, `Release`-stores
-/// the payload, then `Release`-stores the final tag; lookups
-/// `Acquire`-load tag and payload and re-read the tag, so a read torn by
-/// a concurrent publication is a detected miss, never a wrong function
-/// (the full argument lives on [`SharedCache::lookup`]).
-///
-/// Clearing is O(1): bump the 8-bit epoch stamped into every tag (stale
-/// epochs simply stop matching), with a full wipe every 256 bumps when
-/// the stamp would alias. Both the clear and the GC scrub mutate through
-/// `&mut`/`get_mut` at the same stop-the-world quiescent points as
-/// collection and sifting.
-#[derive(Debug)]
-pub struct SharedCache {
-    slots: Box<[SharedEntry]>,
-    mask: u64,
-    bits: u32,
-    /// Monotone clear counter; only the low 8 bits are stamped into tags.
-    epoch: AtomicU64,
-}
-
-impl SharedCache {
-    fn with_bits(bits: u32) -> SharedCache {
-        // The tag + payload store 53 + 32 = 85 remainder bits, so the
-        // index must consume at least 96 - 85 = 11 — below that, two
-        // distinct keys could alias one entry and a hit could name the
-        // wrong function.
-        assert!((11..=28).contains(&bits), "shared cache bits out of range");
-        let n = 1usize << bits;
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || SharedEntry {
-            tag_word: AtomicU64::new(0),
-            payload_word: AtomicU64::new(0),
-        });
-        SharedCache {
-            slots: slots.into_boxed_slice(),
-            mask: (n - 1) as u64,
-            bits,
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Entry count (telemetry).
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Index, tag word and payload remainder for a key under the current
-    /// epoch.
-    #[inline(always)]
-    fn locate(&self, op: u64, a: u32, b: u32, c: u32) -> (usize, u64, u32) {
-        debug_assert!(
-            op != 0 && op < 8,
-            "shared-cache op codes are 3 nonzero bits"
-        );
-        let z = shared_mix(op, a, b, c);
-        let idx = (z as u64 & self.mask) as usize;
-        let rem = z >> self.bits;
-        // ordering: (load) Relaxed — the epoch only changes at quiescent
-        // points, where `&mut` access orders it before any shared region.
-        let epoch = self.epoch.load(Ordering::Relaxed) & 0xFF;
-        let tag = (epoch << SHARED_EPOCH_SHIFT)
-            | (op << SHARED_OP_SHIFT)
-            | (rem as u64 & SHARED_REM_LO_MASK);
-        (idx, tag, (rem >> SHARED_REM_LO_BITS) as u32)
-    }
-
-    /// Wait-free lookup. A hit proves the entry was published for exactly
-    /// this `(op, a, b, c)` key in the current epoch:
-    ///
-    /// * the tag is `Acquire`-loaded and compared whole (epoch, op and 53
-    ///   remainder bits), the payload is `Acquire`-loaded, and its high
-    ///   32 remainder bits are compared too — together with the index
-    ///   that covers all 96 bits of the invertible key mix, so there is
-    ///   no aliasing between distinct keys;
-    /// * the tag re-read detects torn interleavings: a concurrent
-    ///   publication parks the tag on [`SHARED_BUSY`] *before* its
-    ///   `Release` payload store, and our `Acquire` payload load
-    ///   synchronizes with that store, so if the payload we read belongs
-    ///   to a different publication than the tag, the re-read observes
-    ///   the claim (or the later tag) instead of our tag and the lookup
-    ///   misses. A stale-payload tear is impossible the other way around
-    ///   because the tag is published last.
-    pub(crate) fn lookup(&self, op: u64, a: u32, b: u32, c: u32) -> Option<Ref> {
-        let (idx, tag, rem_hi) = self.locate(op, a, b, c);
-        let e = &self.slots[idx];
-        // ordering: (load) Acquire — pairs with the Release tag store in
-        // `publish`, making the payload store before it visible.
-        let t = e.tag_word.load(Ordering::Acquire);
-        if t != tag {
-            return None;
-        }
-        // ordering: (load) Acquire — pairs with the Release payload store
-        // in `publish`; if this payload is newer than the tag above, the
-        // publisher's earlier claim CAS is now visible to the re-read.
-        let p = e.payload_word.load(Ordering::Acquire);
-        // ordering: (load) Relaxed — pure tear detector: coherence alone
-        // guarantees this read sees the claim sentinel (or a later tag)
-        // if the payload came from a newer publication.
-        if e.tag_word.load(Ordering::Relaxed) != t {
-            return None;
-        }
-        if (p >> 32) as u32 != rem_hi {
-            return None;
-        }
-        Some(Ref::from_raw(p as u32))
-    }
-
-    /// Lock-free, lossy publication. Losing the claim race (or finding
-    /// the entry mid-publication) just drops the insert — the result is
-    /// recomputable, and a bounded cache sheds load under contention
-    /// instead of serializing on it.
-    pub(crate) fn publish(&self, op: u64, a: u32, b: u32, c: u32, result: Ref) {
-        let (idx, tag, rem_hi) = self.locate(op, a, b, c);
-        let e = &self.slots[idx];
-        let payload = ((rem_hi as u64) << 32) | result.raw() as u64;
-        // ordering: (load) Relaxed — advisory peek; a racing writer makes
-        // the CAS below fail anyway.
-        let cur = e.tag_word.load(Ordering::Relaxed);
-        if cur == SHARED_BUSY {
-            return;
-        }
-        // ordering: Relaxed — the claim CAS on tag_word only arbitrates
-        // which writer owns the entry; it publishes nothing (readers can
-        // never match the BUSY sentinel), and the payload/tag stores
-        // below carry their own Release edges.
-        if e.tag_word
-            .compare_exchange(cur, SHARED_BUSY, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        // ordering: Release on payload_word — readers Acquire-load the
-        // payload, which (a) orders this write with the final tag store
-        // for ordinary hits and (b) makes the claim CAS above visible to
-        // a reader holding a stale tag, so its tag re-read detects the
-        // tear instead of pairing our payload with the old tag.
-        e.payload_word.store(payload, Ordering::Release);
-        // ordering: Release on tag_word — publishes the payload store:
-        // any reader that Acquire-loads this tag observes the payload it
-        // belongs to. Tag-last is what makes a matching tag mean "fully
-        // published".
-        e.tag_word.store(tag, Ordering::Release);
-    }
-
-    /// O(1) epoch clear (quiescent-only): stale epochs stop matching
-    /// instantly; the table is physically wiped only when the 8-bit
-    /// stamp would wrap onto a value still present in old tags.
-    pub(crate) fn clear(&mut self) {
-        let epoch = self.epoch.get_mut();
-        *epoch = epoch.wrapping_add(1);
-        if *epoch & 0xFF == 0 {
-            for e in self.slots.iter_mut() {
-                *e.tag_word.get_mut() = 0;
-                *e.payload_word.get_mut() = 0;
-            }
-        }
-    }
-
-    /// Quiescent GC scrub: decode every current-epoch entry back to its
-    /// exact operands (the mix is invertible) and drop the ones naming a
-    /// reclaimed slot; stale-epoch and claim-parked leftovers are dropped
-    /// too. The surviving memo stays warm across collections, exactly
-    /// like the per-session L1 scrub.
-    pub(crate) fn scrub<F: Fn(u32) -> bool>(&mut self, live: F) {
-        let epoch = *self.epoch.get_mut() & 0xFF;
-        for i in 0..self.slots.len() {
-            let t = *self.slots[i].tag_word.get_mut();
-            if t == 0 {
-                continue;
-            }
-            let p = *self.slots[i].payload_word.get_mut();
-            let op = (t >> SHARED_OP_SHIFT) & 0x7;
-            let keep = op != 0 && (t >> SHARED_EPOCH_SHIFT) == epoch && {
-                let rem = ((t & SHARED_REM_LO_MASK) as u128)
-                    | (((p >> 32) as u128) << SHARED_REM_LO_BITS);
-                let z = (i as u128) | (rem << self.bits);
-                let (a, b, c) = shared_unmix(op, z);
-                // A raw edge's slot index is its raw word sans sign bit;
-                // slot 0 (the terminal) is always live.
-                let ok = |raw: u32| {
-                    let slot = raw >> 1;
-                    slot == 0 || live(slot)
-                };
-                ok(a) && ok(b) && ok(c) && ok(p as u32)
-            };
-            if !keep {
-                *self.slots[i].tag_word.get_mut() = 0;
-                *self.slots[i].payload_word.get_mut() = 0;
-            }
-        }
-    }
 }
 
 /// A stored BDD node: the Shannon expansion of a function with respect to
@@ -379,89 +81,46 @@ pub struct Node {
     pub high: Ref,
 }
 
-/// One arena slot: the three node words as atomics so a shared region
-/// can write a claimed slot's fields before publishing it. Outside
-/// publication the fields are plain data — `&mut` code reads and writes
-/// them through `get_mut`, and shared readers only ever see slots whose
-/// publication they observed through an `Acquire` bucket load.
+/// The poisoned contents of a reclaimed slot.
+const FREE_NODE: Node = Node {
+    var: Var(FREE_VAR),
+    low: Ref::ONE,
+    high: Ref::ONE,
+};
+
+/// The node store: arena, unique table, reference counts, variable order
+/// and per-variable slot lists. See the module docs for the allocation
+/// contract.
 #[derive(Debug)]
-struct NodeCell {
-    var: AtomicU32,
-    low: AtomicU32,
-    high: AtomicU32,
-}
-
-impl NodeCell {
-    fn empty() -> NodeCell {
-        NodeCell {
-            var: AtomicU32::new(FREE_VAR),
-            low: AtomicU32::new(Ref::ONE.raw()),
-            high: AtomicU32::new(Ref::ONE.raw()),
-        }
-    }
-}
-
-/// A shared kernel region ran out of arena slots or unique-table
-/// headroom. Growth needs `&mut NodeStore`, so the region unwinds (the
-/// manager façade maps this to `LimitKind::TableFull`, grows at the next
-/// quiescent point and retries).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct StoreFull;
-
-/// The shared, `Sync` node store: arena, unique table, interior
-/// refcounts, variable order and per-variable slot lists.
-///
-/// See the module docs for the shared-vs-quiescent access contract and
-/// the crate-level "Concurrency contract" for how sessions cooperate.
-#[derive(Debug)]
-pub struct NodeStore {
-    /// The node arena. Fixed capacity between `&mut` growths; the
-    /// initialized prefix is `next`.
-    cells: Box<[NodeCell]>,
-    /// Arena length (high-water mark of claimed slots).
-    next: AtomicU32,
+pub(crate) struct NodeStore {
+    /// The node arena; index 0 is the terminal. Its length is the arena
+    /// high-water mark, and every per-slot vector below has that length.
+    nodes: Vec<Node>,
     /// Interior reference count per arena slot: the number of *arena
-    /// edges* into the slot. Incremented atomically by publication,
-    /// maintained plainly by the quiescent rewrite/reclaim paths, and
-    /// audited against a full recount in debug builds.
-    int_refs: Box<[AtomicU32]>,
+    /// edges* into the slot. Maintained by `mk`, the level swap's slot
+    /// patching and the sweeps; audited against a full recount in debug
+    /// builds.
+    int_refs: Vec<u32>,
     /// External reference count per arena slot (collection roots).
-    /// Quiescent-only.
     pub(crate) refs: Vec<u32>,
     /// Position of each slot inside its `var_nodes[var]` list.
-    /// Quiescent-only.
     pub(crate) var_pos: Vec<u32>,
-    /// Reclaimed arena slots awaiting reuse (LIFO). Contents are frozen
-    /// during shared regions; the live length is `free_top`.
-    pub(crate) free: Vec<u32>,
-    /// Atomic stack pointer into `free` (shared claims CAS-decrement it).
-    free_top: AtomicU32,
-    /// Slots poisoned after losing a publication race, not yet recovered
-    /// onto the free list by a sweep.
-    abandoned: AtomicU32,
+    /// Reclaimed arena slots awaiting reuse (LIFO).
+    free: Vec<u32>,
     /// Open-addressed unique table (bucket => node index, 0 = empty).
-    buckets: Box<[AtomicU32]>,
+    buckets: Vec<u32>,
     bucket_mask: usize,
-    occupied: AtomicUsize,
+    occupied: usize,
     /// Nodes created since the last collection attempt (gates
     /// `maybe_collect`).
-    allocs_since_gc: AtomicUsize,
-    /// Extra sessions currently running shared kernel regions against
-    /// this store (the manager's own session is not counted). Growth,
-    /// GC and sifting assert this is zero — they are stop-the-world.
-    sessions_out: AtomicUsize,
-    /// The shared lossy computed cache (L2) probed by every session on a
-    /// private-cache miss. Shared regions use its wait-free/lock-free
-    /// entry points; clears and scrubs are quiescent-only.
-    shared: SharedCache,
+    allocs_since_gc: usize,
     num_vars: u32,
     /// Position of each variable in the decision order
     /// (`var2level[var] = level`; always a permutation of `0..num_vars`).
     pub(crate) var2level: Vec<u32>,
     /// Inverse of `var2level` (`level2var[level] = var`).
     pub(crate) level2var: Vec<u32>,
-    /// Exact per-variable slot lists. Quiescent-only: kernels log their
-    /// publications per session and the manager folds the logs in.
+    /// Exact per-variable slot lists, appended to by `mk`.
     pub(crate) var_nodes: Vec<Vec<u32>>,
     var_names: Vec<Option<String>>,
 }
@@ -470,38 +129,32 @@ impl NodeStore {
     /// A store pre-sized for `nodes` arena slots, containing only the
     /// terminal node.
     pub(crate) fn with_capacity(nodes: usize) -> NodeStore {
-        let cap = nodes.max(16);
         let buckets = (nodes.max(8) * 4 / 3 + 1)
             .next_power_of_two()
             .max(MIN_BUCKETS);
-        let mut cells = Vec::with_capacity(cap);
-        cells.resize_with(cap, NodeCell::empty);
-        *cells[0].var.get_mut() = TERMINAL_VAR;
-        let mut int_refs = Vec::with_capacity(cap);
-        int_refs.resize_with(cap, || AtomicU32::new(0));
-        let mut bucket_vec = Vec::with_capacity(buckets);
-        bucket_vec.resize_with(buckets, || AtomicU32::new(0));
-        NodeStore {
-            cells: cells.into_boxed_slice(),
-            next: AtomicU32::new(1),
-            int_refs: int_refs.into_boxed_slice(),
-            refs: vec![0u32; 1],
-            var_pos: vec![0u32; 1],
+        let mut store = NodeStore {
+            nodes: Vec::new(),
+            int_refs: Vec::new(),
+            refs: Vec::new(),
+            var_pos: Vec::new(),
             free: Vec::new(),
-            free_top: AtomicU32::new(0),
-            abandoned: AtomicU32::new(0),
-            buckets: bucket_vec.into_boxed_slice(),
+            buckets: vec![0; buckets],
             bucket_mask: buckets - 1,
-            occupied: AtomicUsize::new(0),
-            allocs_since_gc: AtomicUsize::new(0),
-            sessions_out: AtomicUsize::new(0),
-            shared: SharedCache::with_bits(SHARED_CACHE_BITS),
+            occupied: 0,
+            allocs_since_gc: 0,
             num_vars: 0,
             var2level: Vec::new(),
             level2var: Vec::new(),
             var_nodes: Vec::new(),
             var_names: Vec::new(),
-        }
+        };
+        store.reserve_slots(nodes.max(16));
+        store.push_slot(Node {
+            var: Var(TERMINAL_VAR),
+            low: Ref::ONE,
+            high: Ref::ONE,
+        });
+        store
     }
 
     // ------------------------------------------------------------- sizes
@@ -509,31 +162,20 @@ impl NodeStore {
     /// Current arena size in slots, including the terminal and reclaimed
     /// slots awaiting reuse.
     #[inline(always)]
-    pub fn num_nodes(&self) -> usize {
-        // ordering: Relaxed — a monotone counter; exact at quiescent
-        // points, momentarily approximate (only ever low) mid-region.
-        self.next.load(Ordering::Relaxed) as usize
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Number of live nodes (arena slots currently holding a node,
-    /// including the terminal; excludes free and abandoned slots).
+    /// including the terminal; excludes free slots).
     #[inline(always)]
-    pub fn live_nodes(&self) -> usize {
-        // ordering: Relaxed — the three counters race individually, so
-        // mid-region this is an estimate (used only by governance ticks);
-        // at quiescent points every term is exact.
-        let next = self.next.load(Ordering::Relaxed) as usize;
-        let free = self.free_top.load(Ordering::Relaxed) as usize;
-        let abandoned = self.abandoned.load(Ordering::Relaxed) as usize;
-        next.saturating_sub(free + abandoned)
+    pub(crate) fn live_nodes(&self) -> usize {
+        self.nodes.len() - self.free.len()
     }
 
-    /// Arena slots known reclaimed: the free stack plus race-abandoned
-    /// slots awaiting recovery by the next sweep.
+    /// Reclaimed arena slots awaiting reuse.
     pub(crate) fn free_nodes(&self) -> usize {
-        // ordering: Relaxed — quiescent-point reporting.
-        self.free_top.load(Ordering::Relaxed) as usize
-            + self.abandoned.load(Ordering::Relaxed) as usize
+        self.free.len()
     }
 
     /// Unique-table bucket count.
@@ -541,76 +183,20 @@ impl NodeStore {
         self.buckets.len()
     }
 
-    /// Unique-table entries (live arena nodes listed in a bucket).
-    pub(crate) fn occupied(&self) -> usize {
-        // ordering: Relaxed — exact at quiescent points.
-        self.occupied.load(Ordering::Relaxed)
-    }
-
     /// Nodes created since the last collection attempt.
     pub(crate) fn allocs_since_gc(&self) -> usize {
-        // ordering: Relaxed — GC gating heuristic only.
-        self.allocs_since_gc.load(Ordering::Relaxed)
+        self.allocs_since_gc
     }
 
     pub(crate) fn reset_allocs_since_gc(&mut self) {
-        *self.allocs_since_gc.get_mut() = 0;
-    }
-
-    // --------------------------------------------------- sessions / stop
-
-    /// Registers `extra` additional sessions about to run shared kernel
-    /// regions (the parallel apply's workers).
-    pub(crate) fn begin_shared(&self, extra: usize) {
-        // ordering: Relaxed — the count only gates quiescent-point
-        // assertions; worker data handoff synchronizes via spawn/join.
-        self.sessions_out.fetch_add(extra, Ordering::Relaxed);
-    }
-
-    /// Deregisters `extra` sessions after their threads joined.
-    pub(crate) fn end_shared(&self, extra: usize) {
-        // ordering: Relaxed — see begin_shared.
-        self.sessions_out.fetch_sub(extra, Ordering::Relaxed);
-    }
-
-    /// Extra sessions currently outstanding (0 at every quiescent point).
-    pub fn sessions_outstanding(&self) -> usize {
-        // ordering: Relaxed — diagnostic / assertion read.
-        self.sessions_out.load(Ordering::Relaxed)
-    }
-
-    /// Asserts the store is quiescent (no extra sessions outstanding) —
-    /// the precondition of growth, collection and sifting, which mutate
-    /// state shared regions read without synchronization.
-    #[inline]
-    pub(crate) fn assert_quiescent(&self, what: &str) {
-        assert_eq!(
-            self.sessions_outstanding(),
-            0,
-            "{what} requires a quiescent store (stop-the-world): \
-             parallel sessions are still outstanding"
-        );
-    }
-
-    // ------------------------------------------------------- shared cache
-
-    /// The shared (L2) computed cache. Safe under shared regions: every
-    /// `&self` entry point is wait-free or lock-free.
-    #[inline(always)]
-    pub(crate) fn shared_cache(&self) -> &SharedCache {
-        &self.shared
-    }
-
-    /// Mutable access to the shared cache for quiescent clears/scrubs.
-    pub(crate) fn shared_cache_mut(&mut self) -> &mut SharedCache {
-        &mut self.shared
+        self.allocs_since_gc = 0;
     }
 
     // ------------------------------------------------------ order / vars
 
     /// Registers `index` (and any gap below it) in the order maps; new
     /// variables are appended at the deepest levels in index order.
-    /// Quiescent-only (kernels never introduce variables).
+    /// Kernels never introduce variables.
     pub(crate) fn ensure_var(&mut self, index: u32) {
         if index < self.num_vars {
             return;
@@ -625,7 +211,7 @@ impl NodeStore {
     }
 
     /// Number of variables known to the store.
-    pub fn num_vars(&self) -> u32 {
+    pub(crate) fn num_vars(&self) -> u32 {
         self.num_vars
     }
 
@@ -665,26 +251,13 @@ impl NodeStore {
     /// Raw variable word of an arena slot (sentinels included).
     #[inline(always)]
     pub(crate) fn var_of(&self, i: usize) -> u32 {
-        // ordering: Relaxed — the slot's publication was observed through
-        // an Acquire bucket load (shared readers) or program order
-        // (quiescent readers), either of which orders these field writes.
-        self.cells[i].var.load(Ordering::Relaxed)
+        self.nodes[i].var.0
     }
 
-    /// Snapshot of a stored node by arena slot. The caller must hold a
-    /// slot index it observed through publication (a `Ref`, a bucket
-    /// probe, or quiescent iteration) — never a guess.
+    /// Snapshot of a stored node by arena slot.
     #[inline(always)]
     pub(crate) fn node(&self, i: usize) -> Node {
-        let c = &self.cells[i];
-        // ordering: Relaxed — see var_of: visibility of the three field
-        // writes is ordered by the Release publication CAS the reader's
-        // Acquire (or quiescence) observed.
-        Node {
-            var: Var(c.var.load(Ordering::Relaxed)),
-            low: Ref::from_raw(c.low.load(Ordering::Relaxed)),
-            high: Ref::from_raw(c.high.load(Ordering::Relaxed)),
-        }
+        self.nodes[i]
     }
 
     /// Level of an edge's top node in the current variable order:
@@ -723,244 +296,128 @@ impl NodeStore {
     /// Interior reference count of a slot.
     #[inline(always)]
     pub(crate) fn int_ref(&self, i: usize) -> u32 {
-        // ordering: Relaxed — exact at quiescent points; shared regions
-        // only ever increment.
-        self.int_refs[i].load(Ordering::Relaxed)
+        self.int_refs[i]
     }
 
-    /// Quiescent-point mutable access to a slot's interior count.
+    /// Mutable access to a slot's interior count.
     #[inline(always)]
     pub(crate) fn int_ref_mut(&mut self, i: usize) -> &mut u32 {
-        self.int_refs[i].get_mut()
+        &mut self.int_refs[i]
     }
 
-    // -------------------------------------------------- node publication
+    // ------------------------------------------------------ node creation
 
-    /// Claims an unclaimed arena slot: the frozen free stack first
-    /// (CAS-decrement of the atomic stack pointer), then the arena
-    /// high-water mark (CAS increment). Errs when the arena is out of
-    /// capacity — growth needs a quiescent `&mut`.
-    fn claim_slot(&self) -> Result<u32, StoreFull> {
-        // ordering: Relaxed on both CAS loops — they only arbitrate
-        // *which* thread takes which index; the free stack's contents and
-        // the arena capacity were frozen before the shared region began,
-        // so the happens-before edge is the thread spawn, not the CAS.
-        let mut top = self.free_top.load(Ordering::Relaxed);
-        while top > 0 {
-            match self.free_top.compare_exchange_weak(
-                top,
-                top - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let slot = self.free[(top - 1) as usize];
-                    debug_assert_eq!(self.var_of(slot as usize), FREE_VAR);
-                    return Ok(slot);
-                }
-                Err(now) => top = now,
-            }
-        }
-        let mut next = self.next.load(Ordering::Relaxed);
-        loop {
-            if next as usize >= self.cells.len() {
-                return Err(StoreFull);
-            }
-            debug_assert!(next < u32::MAX >> 1, "node arena exceeds Ref address space");
-            match self.next.compare_exchange_weak(
-                next,
-                next + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(next),
-                Err(now) => next = now,
-            }
-        }
-    }
-
-    /// Poisons a claimed-but-unpublished slot after a lost publication
-    /// race. The slot index is private to this thread (nothing else can
-    /// reference it), so the store is unordered; the next sweep's arena
-    /// scan recovers the slot onto the free list.
-    fn abandon_slot(&self, idx: u32) {
-        // ordering: Relaxed — the slot was never published; no other
-        // thread holds its index until a quiescent sweep recovers it.
-        self.cells[idx as usize]
-            .var
-            .store(FREE_VAR, Ordering::Relaxed);
-        self.cells[idx as usize]
-            .low
-            .store(Ref::ONE.raw(), Ordering::Relaxed);
-        self.cells[idx as usize]
-            .high
-            .store(Ref::ONE.raw(), Ordering::Relaxed);
-        // ordering: Relaxed — a statistics counter reconciled at the next
-        // quiescent sweep.
-        self.abandoned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The concurrent insert-or-get: finds the canonical node for a
-    /// regular-`high` triple or publishes a fresh one, lock-free.
-    /// Returns the node's `Ref` and whether this call created it (the
-    /// caller logs created slots for the quiescent list drain).
+    /// Finds or creates the node `(var, low, high)`, applying the
+    /// reduction rules (equal children collapse; a complemented 1-edge is
+    /// pushed onto the 0-edge and the returned edge). The variable must
+    /// already be registered ([`NodeStore::ensure_var`]).
     ///
-    /// Errs with [`StoreFull`] when the arena is out of capacity or the
-    /// unique table is past its shared-region load cap (7/8 — the `&mut`
-    /// paths regrow at 3/4, so this is the emergency brake, not the
-    /// steady state).
-    pub(crate) fn try_mk(&self, var: Var, low: Ref, high: Ref) -> Result<(Ref, bool), StoreFull> {
-        debug_assert!(!high.is_complemented());
-        debug_assert!(low != high, "reduction rule is the caller's job");
-        // Load cap: past 7/8 the probe chains degrade and a concurrent
-        // region has no way to grow the table — unwind and let the
-        // manager grow at the next quiescent point. The check is racy
-        // (Relaxed read) but conservative: a handful of in-flight inserts
-        // past the cap still leaves empty buckets, so probes terminate.
-        if (self.occupied() + 1) * 8 > self.buckets.len() * 7 {
-            return Err(StoreFull);
+    /// A miss takes the most recently freed slot, or else appends one to
+    /// the arena, then does all of the bookkeeping in place: the bucket,
+    /// the two children's interior counts, the variable's slot list, and
+    /// table growth at 3/4 load.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if the children's levels are not strictly
+    /// below `var`'s level (which would break canonicity).
+    #[inline]
+    pub(crate) fn mk(&mut self, var: Var, low: Ref, high: Ref) -> Ref {
+        if low == high {
+            return low;
         }
-        let h = triple_hash(var.0, low.raw(), high.raw());
+        debug_assert!(
+            self.var_level(var.0) < self.level(low) && self.var_level(var.0) < self.level(high),
+            "mk: ordering violated at {var:?}"
+        );
+        let complement = high.is_complemented();
+        let (low, high) = if complement {
+            (!low, !high)
+        } else {
+            (low, high)
+        };
         let mask = self.bucket_mask;
-        let mut i = (h as usize) & mask;
-        let mut claimed: Option<u32> = None;
+        let mut i = (triple_hash(var.0, low.raw(), high.raw()) as usize) & mask;
         loop {
-            // ordering: Acquire — pairs with the Release publication CAS
-            // below, so a nonzero index read here implies the slot's
-            // field writes are visible.
-            let b = self.buckets[i].load(Ordering::Acquire);
+            let b = self.buckets[i];
             if b == 0 {
-                let idx = match claimed {
-                    Some(s) => s,
-                    None => {
-                        let s = self.claim_slot()?;
-                        // Write the node fields before publication.
-                        // ordering: Relaxed — the publication CAS below
-                        // releases these writes; until it succeeds the
-                        // slot index is private to this thread.
-                        self.cells[s as usize].var.store(var.0, Ordering::Relaxed);
-                        self.cells[s as usize]
-                            .low
-                            .store(low.raw(), Ordering::Relaxed);
-                        self.cells[s as usize]
-                            .high
-                            .store(high.raw(), Ordering::Relaxed);
-                        claimed = Some(s);
-                        s
-                    }
-                };
-                // ordering: Release on success publishes the slot's field
-                // writes to every prober that Acquire-loads this bucket;
-                // Acquire on failure so the winner's fields are readable
-                // for the re-check below.
-                match self.buckets[i].compare_exchange(0, idx, Ordering::Release, Ordering::Acquire)
-                {
-                    Ok(_) => {
-                        // Won the race: the node is live. Its edges are
-                        // arena edges — count them now (after publication
-                        // is fine: reconciliation only happens at
-                        // quiescent points, and concurrent readers never
-                        // consult interior counts).
-                        for c in [low, high] {
-                            let ci = c.node().index();
-                            if ci != 0 {
-                                // ordering: Relaxed — atomicity is all
-                                // that is needed; counts are read only at
-                                // quiescent points.
-                                self.int_refs[ci].fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        // ordering: Relaxed — heuristic counters (load
-                        // factor, GC gating), reconciled at quiescence.
-                        self.occupied.fetch_add(1, Ordering::Relaxed);
-                        self.allocs_since_gc.fetch_add(1, Ordering::Relaxed);
-                        return Ok((Ref::new(NodeId(idx), false), true));
-                    }
-                    Err(winner) => {
-                        // Lost: someone published into this bucket first.
-                        // If they published *our* triple, adopt theirs.
-                        let n = self.node(winner as usize);
-                        if n.var == var && n.low == low && n.high == high {
-                            self.abandon_slot(idx);
-                            return Ok((Ref::new(NodeId(winner), false), false));
-                        }
-                        // Different triple: keep our claimed slot and
-                        // continue probing past the now-occupied bucket.
-                        i = (i + 1) & mask;
-                        continue;
-                    }
-                }
+                break;
             }
             // Overlap the next probe's node fetch with this comparison:
             // the next bucket word is (almost always) in the line already
             // loaded, but the arena node it names is not.
-            // ordering: Relaxed — purely a prefetch hint; the index is
-            // re-read with Acquire if the probe actually advances.
-            let next = self.buckets[(i + 1) & mask].load(Ordering::Relaxed);
+            let next = self.buckets[(i + 1) & mask];
             if next != 0 {
-                prefetch(&self.cells[next as usize]);
+                prefetch(&self.nodes[next as usize]);
             }
-            let n = self.node(b as usize);
+            let n = self.nodes[b as usize];
             if n.var == var && n.low == low && n.high == high {
-                if let Some(s) = claimed {
-                    self.abandon_slot(s);
-                }
-                return Ok((Ref::new(NodeId(b), false), false));
+                return Ref::new(NodeId(b), complement);
             }
             i = (i + 1) & mask;
         }
+        let node = Node { var, low, high };
+        let idx = match self.free.pop() {
+            Some(slot) => {
+                debug_assert_eq!(self.var_of(slot as usize), FREE_VAR);
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                debug_assert!(
+                    self.nodes.len() < (u32::MAX >> 1) as usize,
+                    "node arena exceeds Ref address space"
+                );
+                self.push_slot(node)
+            }
+        };
+        self.buckets[i] = idx;
+        for c in [low, high] {
+            let ci = c.node().index();
+            if ci != 0 {
+                self.int_refs[ci] += 1;
+            }
+        }
+        let list = &mut self.var_nodes[var.0 as usize];
+        self.var_pos[idx as usize] = list.len() as u32;
+        list.push(idx);
+        self.allocs_since_gc += 1;
+        self.occupied += 1;
+        if self.occupied * 4 >= self.buckets.len() * 3 {
+            self.grow_buckets_to(self.buckets.len() * 2);
+        }
+        Ref::new(NodeId(idx), complement)
     }
 
-    // ------------------------------------------------ quiescent mutation
-
-    /// Arena headroom check for the `&mut` grow-ahead paths.
-    pub(crate) fn arena_full(&self) -> bool {
-        self.num_nodes() + 1 >= self.cells.len() && self.free_top.load(Ordering::Relaxed) == 0
+    /// Appends a slot holding `node` to the arena (with zeroed counts)
+    /// and returns its index.
+    fn push_slot(&mut self, node: Node) -> u32 {
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.int_refs.push(0);
+        self.refs.push(0);
+        self.var_pos.push(0);
+        idx
     }
 
-    /// Doubles the arena capacity (slots beyond the high-water mark stay
-    /// unclaimed). Quiescent-only.
-    pub(crate) fn grow_arena(&mut self) {
-        self.assert_quiescent("arena growth");
-        let new_cap = (self.cells.len() * 2).max(16);
-        let mut cells = Vec::with_capacity(new_cap);
-        for c in self.cells.iter_mut() {
-            let (v, l, h) = (*c.var.get_mut(), *c.low.get_mut(), *c.high.get_mut());
-            cells.push(NodeCell {
-                var: AtomicU32::new(v),
-                low: AtomicU32::new(l),
-                high: AtomicU32::new(h),
-            });
-        }
-        cells.resize_with(new_cap, NodeCell::empty);
-        self.cells = cells.into_boxed_slice();
-        let mut int_refs = Vec::with_capacity(new_cap);
-        for r in self.int_refs.iter_mut() {
-            int_refs.push(AtomicU32::new(*r.get_mut()));
-        }
-        int_refs.resize_with(new_cap, || AtomicU32::new(0));
-        self.int_refs = int_refs.into_boxed_slice();
-    }
+    // ------------------------------------------------------- maintenance
 
-    /// Grows the arena until it holds at least `nodes` slots.
-    /// Quiescent-only (via [`NodeStore::grow_arena`]).
-    pub(crate) fn ensure_arena_capacity(&mut self, nodes: usize) {
-        while self.cells.len() < nodes {
-            self.grow_arena();
-        }
+    /// Reserves arena room for at least `nodes` slots in total.
+    pub(crate) fn reserve_slots(&mut self, nodes: usize) {
+        let extra = nodes.saturating_sub(self.nodes.len());
+        self.nodes.reserve(extra);
+        self.int_refs.reserve(extra);
+        self.refs.reserve(extra);
+        self.var_pos.reserve(extra);
     }
 
     /// Rebuilds the bucket array at `new_len` (a power of two) by
     /// re-inserting every live arena node; reclaimed slots are skipped.
-    /// Quiescent-only.
     pub(crate) fn grow_buckets_to(&mut self, new_len: usize) {
         debug_assert!(new_len.is_power_of_two());
-        self.assert_quiescent("unique-table growth");
         let mask = new_len - 1;
         let mut buckets = vec![0u32; new_len];
-        let n = self.num_nodes();
-        for idx in 1..n {
-            let node = self.node(idx);
+        for (idx, node) in self.nodes.iter().enumerate().skip(1) {
             if node.var.0 == FREE_VAR {
                 continue;
             }
@@ -970,87 +427,56 @@ impl NodeStore {
             }
             buckets[i] = idx as u32;
         }
-        self.buckets = buckets
-            .into_iter()
-            .map(AtomicU32::new)
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        self.buckets = buckets;
         self.bucket_mask = mask;
     }
 
-    /// Re-syncs the plain-side bookkeeping after shared kernel regions:
-    /// truncates the free stack to its atomic pointer and extends the
-    /// external-count and list-position arrays over newly claimed slots.
-    /// Every quiescent point passes through here before touching lists.
-    pub(crate) fn sync_lengths(&mut self) {
-        let top = *self.free_top.get_mut() as usize;
-        self.free.truncate(top);
-        let n = *self.next.get_mut() as usize;
-        if self.refs.len() < n {
-            self.refs.resize(n, 0);
-        }
-        if self.var_pos.len() < n {
-            self.var_pos.resize(n, 0);
-        }
-    }
-
-    /// Overwrites a slot's node words. Quiescent-only (level swaps).
+    /// Overwrites a slot's node words (level swaps).
     pub(crate) fn set_node(&mut self, i: usize, n: Node) {
-        *self.cells[i].var.get_mut() = n.var.0;
-        *self.cells[i].low.get_mut() = n.low.raw();
-        *self.cells[i].high.get_mut() = n.high.raw();
+        self.nodes[i] = n;
     }
 
     /// Overwrites just a slot's variable word (the swap rewrite parks
-    /// slots on `FREE_VAR` mid-flight). Quiescent-only.
+    /// slots on `FREE_VAR` mid-flight).
     pub(crate) fn set_var_of(&mut self, i: usize, var: u32) {
-        *self.cells[i].var.get_mut() = var;
+        self.nodes[i].var = Var(var);
     }
 
-    /// Poisons a reclaimed slot and pushes it onto the free stack
-    /// (keeping the stack pointer in step). Quiescent-only; the caller
-    /// has already detached the slot from the table and lists.
+    /// Poisons a reclaimed slot and pushes it onto the free stack, so it
+    /// is the next slot `mk` reuses. The caller has already detached the
+    /// slot from the table and lists.
     pub(crate) fn free_push(&mut self, slot: u32) {
-        self.set_node(
-            slot as usize,
-            Node {
-                var: Var(FREE_VAR),
-                low: Ref::ONE,
-                high: Ref::ONE,
-            },
-        );
-        debug_assert_eq!(self.free.len(), *self.free_top.get_mut() as usize);
+        self.nodes[slot as usize] = FREE_NODE;
         self.free.push(slot);
-        *self.free_top.get_mut() += 1;
     }
 
-    /// Rebuilds the free stack from a full arena scan (recovering slots
-    /// abandoned by lost publication races) and zeroes the abandoned
-    /// count. Quiescent-only; sweeps call this after poisoning.
+    /// Poisons a reclaimed slot without stacking it; a sweep poisons its
+    /// whole dead set this way and then calls [`NodeStore::rebuild_free`].
+    pub(crate) fn poison(&mut self, slot: u32) {
+        self.nodes[slot as usize] = FREE_NODE;
+    }
+
+    /// Rebuilds the free stack from an ascending arena scan, so the
+    /// highest free slot is reused first. Sweeps call this after
+    /// poisoning; the resulting order fixes which slots the next nodes
+    /// get, and with it the `NodeId` tie-breaks downstream.
     pub(crate) fn rebuild_free(&mut self) {
         self.free.clear();
-        let n = *self.next.get_mut() as usize;
-        for i in 1..n {
-            if *self.cells[i].var.get_mut() == FREE_VAR {
+        for (i, node) in self.nodes.iter().enumerate().skip(1) {
+            if node.var.0 == FREE_VAR {
                 self.free.push(i as u32);
             }
         }
-        *self.free_top.get_mut() = self.free.len() as u32;
-        *self.abandoned.get_mut() = 0;
     }
 
     /// Removes one arena slot from the unique table by backward-shift
     /// deletion (no tombstones, so later probes stay one-load-per-step).
     /// `n` is the node content the slot is currently hashed under.
-    /// Quiescent-only.
     pub(crate) fn remove_slot(&mut self, idx: u32, n: &Node) {
         let mask = self.bucket_mask;
         let mut i = (triple_hash(n.var.0, n.low.raw(), n.high.raw()) as usize) & mask;
-        while *self.buckets[i].get_mut() != idx {
-            debug_assert!(
-                *self.buckets[i].get_mut() != 0,
-                "remove_slot: slot not in the table"
-            );
+        while self.buckets[i] != idx {
+            debug_assert!(self.buckets[i] != 0, "remove_slot: slot not in the table");
             i = (i + 1) & mask;
         }
         // Shift the rest of the probe cluster back over the hole so no
@@ -1058,7 +484,7 @@ impl NodeStore {
         let mut hole = i;
         let mut j = (hole + 1) & mask;
         loop {
-            let b = *self.buckets[j].get_mut();
+            let b = self.buckets[j];
             if b == 0 {
                 break;
             }
@@ -1067,24 +493,23 @@ impl NodeStore {
             // `b` may move into the hole iff its ideal bucket is not in
             // the (cyclic) open interval (hole, j].
             if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(hole) & mask) {
-                *self.buckets[hole].get_mut() = b;
+                self.buckets[hole] = b;
                 hole = j;
             }
             j = (j + 1) & mask;
         }
-        *self.buckets[hole].get_mut() = 0;
-        *self.occupied.get_mut() -= 1;
+        self.buckets[hole] = 0;
+        self.occupied -= 1;
     }
 
     /// Inserts an existing arena slot into the unique table (the slot's
     /// triple must not already be present — guaranteed by the level-swap
     /// rewrite, which never recreates an existing function's node).
-    /// Quiescent-only.
     pub(crate) fn insert_slot(&mut self, idx: u32) {
         let n = self.node(idx as usize);
         let mut i = (triple_hash(n.var.0, n.low.raw(), n.high.raw()) as usize) & self.bucket_mask;
         loop {
-            let b = *self.buckets[i].get_mut();
+            let b = self.buckets[i];
             if b == 0 {
                 break;
             }
@@ -1094,9 +519,9 @@ impl NodeStore {
             );
             i = (i + 1) & self.bucket_mask;
         }
-        *self.buckets[i].get_mut() = idx;
-        *self.occupied.get_mut() += 1;
-        if *self.occupied.get_mut() * 4 >= self.buckets.len() * 3 {
+        self.buckets[i] = idx;
+        self.occupied += 1;
+        if self.occupied * 4 >= self.buckets.len() * 3 {
             self.grow_buckets_to(self.buckets.len() * 2);
         }
     }
@@ -1104,7 +529,7 @@ impl NodeStore {
     /// Resets the occupancy count after a sweep rebuild (the survivors
     /// were counted by the rebuild itself).
     pub(crate) fn set_occupied(&mut self, n: usize) {
-        *self.occupied.get_mut() = n;
+        self.occupied = n;
     }
 }
 
@@ -1113,156 +538,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_mk_hash_conses_and_logs_creation() {
+    fn mk_hash_conses_and_lists_creation() {
         let mut store = NodeStore::with_capacity(16);
         store.ensure_var(0);
-        let (a, created) = store.try_mk(Var(0), Ref::ZERO, Ref::ONE).unwrap();
-        assert!(created);
-        let (b, again) = store.try_mk(Var(0), Ref::ZERO, Ref::ONE).unwrap();
-        assert!(!again, "second insert of the same triple is a get");
-        assert_eq!(a, b);
-        assert_eq!(store.num_nodes(), 2);
-        assert_eq!(store.live_nodes(), 2);
-    }
-
-    #[test]
-    fn try_mk_reports_exhaustion_instead_of_growing() {
-        let mut store = NodeStore::with_capacity(4);
-        // Capacity floors at 16 slots; fill the arena with distinct
-        // single-variable nodes until the claim fails.
-        let cap = 16;
-        for v in 0..cap as u32 {
-            store.ensure_var(v);
-        }
-        let mut made = 0;
-        let mut last = Ref::ONE;
-        for v in 0..cap as u32 {
-            match store.try_mk(Var(v), Ref::ZERO, Ref::ONE) {
-                Ok((r, _)) => {
-                    made += 1;
-                    last = r;
-                }
-                Err(StoreFull) => break,
-            }
-        }
-        assert!(made >= cap - 1, "arena admits its capacity minus terminal");
-        // A fresh canonical triple over an existing node: refused, not grown.
+        store.ensure_var(1);
+        let a = store.mk(Var(1), Ref::ZERO, Ref::ONE);
         assert_eq!(
-            store.try_mk(Var(0), Ref::ONE, last).ok().map(|_| ()),
-            None,
-            "a full arena must refuse, not grow"
+            store.mk(Var(1), Ref::ZERO, Ref::ONE),
+            a,
+            "second mk is a get"
         );
-        store.grow_arena();
-        assert!(
-            store.try_mk(Var(0), Ref::ONE, last).is_ok(),
-            "quiescent growth restores headroom"
-        );
-    }
-
-    #[test]
-    fn concurrent_publication_stays_canonical() {
-        // Hammer one store from several threads creating an overlapping
-        // family of triples; every thread must observe identical Refs for
-        // identical triples (hash-consing under contention).
-        let mut store = NodeStore::with_capacity(4096);
-        for v in 0..64u32 {
-            store.ensure_var(v);
-        }
-        let store = &store;
-        let results: Vec<Vec<Ref>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(move || {
-                        (0..64u32)
-                            .map(|v| store.try_mk(Var(v), Ref::ZERO, Ref::ONE).unwrap().0)
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for w in &results[1..] {
-            assert_eq!(&results[0], w, "all threads agree on canonical refs");
-        }
-        // Exactly 64 distinct nodes exist (plus the terminal); racers'
-        // abandoned slots are not live.
-        assert_eq!(store.live_nodes(), 65);
-    }
-
-    #[test]
-    fn shared_cache_poisoning_storm_every_hit_is_exact() {
-        // Several threads publish and look up an adversarial key family
-        // in a deliberately tiny cache, so distinct keys collide on the
-        // same slots constantly and claim races / torn interleavings are
-        // the common case, not the exception. The invariant under attack:
-        // a *hit* must return exactly the value published for that key
-        // in the current epoch — a tear, key aliasing, or a stale-epoch
-        // survivor would surface some other publication's result (a
-        // poisoned L2, which the kernel would memoize as a wrong
-        // subresult). Misses are always legal: the cache is lossy.
-        // 11 bits is the smallest aliasing-free table (the constructor
-        // asserts it): 2048 slots under an 8192-key family keeps every
-        // slot multi-tenant.
-        let mut cache = SharedCache::with_bits(11);
-        assert_eq!(cache.len(), 2048, "smallest aliasing-free table");
-
-        // The result is a pure function of (round, key), so every thread
-        // can verify any hit locally without coordination, and a hit
-        // carrying an earlier round's value is caught by the same check.
-        fn expected(round: u32, op: u64, a: u32, b: u32, c: u32) -> Ref {
-            let mix = (op as u32)
-                .wrapping_mul(0x9E37_79B9)
-                .wrapping_add(a.rotate_left(7))
-                .wrapping_add(b.rotate_left(13))
-                .wrapping_add(c.rotate_left(19))
-                .wrapping_add(round.wrapping_mul(0x85EB_CA6B));
-            Ref::from_raw(mix)
-        }
-
-        const KEYS: u32 = 8192;
-        const PROBES: u32 = 16;
-        const THREADS: u32 = 4;
-        for round in 0..3u32 {
-            let cache_ref = &cache;
-            std::thread::scope(|s| {
-                for t in 0..THREADS {
-                    s.spawn(move || {
-                        // Each thread walks the key family from its own
-                        // offset, alternating publish and lookup so every
-                        // slot sees concurrent writers and readers.
-                        for i in 0..KEYS {
-                            let k = (i + t * (KEYS / THREADS)) % KEYS;
-                            let op = 1 + (k % 7) as u64;
-                            let (a, b, c) = (k, k.wrapping_mul(31), k.wrapping_mul(131));
-                            cache_ref.publish(op, a, b, c, expected(round, op, a, b, c));
-                            for probe in 0..PROBES {
-                                let p = (k + probe * 7) % KEYS;
-                                let pop = 1 + (p % 7) as u64;
-                                let (pa, pb, pc) = (p, p.wrapping_mul(31), p.wrapping_mul(131));
-                                if let Some(hit) = cache_ref.lookup(pop, pa, pb, pc) {
-                                    assert_eq!(
-                                        hit,
-                                        expected(round, pop, pa, pb, pc),
-                                        "round {round}: poisoned hit for key {p}"
-                                    );
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            // Quiescent epoch clear between rounds: everything published
-            // above must stop matching, so the next round's hits can only
-            // carry next-round values (asserted by `expected(round + 1)`).
-            cache.clear();
-            for k in 0..KEYS {
-                let op = 1 + (k % 7) as u64;
-                assert_eq!(
-                    cache.lookup(op, k, k.wrapping_mul(31), k.wrapping_mul(131)),
-                    None,
-                    "stale-epoch entry survived the clear for key {k}"
-                );
-            }
-        }
+        // A complemented 1-edge is normalized onto the returned edge.
+        let f = store.mk(Var(0), a, !a);
+        assert!(f.is_complemented());
+        assert_eq!(store.mk(Var(0), !a, a), !f);
+        assert_eq!(store.num_nodes(), 3);
+        assert_eq!(store.live_nodes(), 3);
+        assert_eq!(store.var_nodes[1], vec![a.node().0]);
+        assert_eq!(store.var_nodes[0], vec![f.node().0]);
+        assert_eq!(store.int_ref(a.node().index()), 2, "both edges of f");
     }
 }

@@ -10,7 +10,7 @@
 //! carries the sequential-vs-parallel wall-clock pair and the speedup is
 //! tracked like every other perf number.
 
-use bdd::{ConvergeConfig, GcConfig, JobBudget, Manager, Ref, SiftConfig};
+use bdd::{ConvergeConfig, GcConfig, Manager, Ref, SiftConfig};
 use bench::{engine_options_for, parse_jobs, pool, timed, ReorderPolicy};
 use circuits::suite::paper_suite;
 use logic::{partition, PartitionConfig};
@@ -201,127 +201,6 @@ fn sift_storm() -> SiftStormResult {
         converge_swaps: creport.swaps,
         converge_passes: creport.passes,
         converge_micros: celapsed.as_micros(),
-    }
-}
-
-struct ParApplyRun {
-    threads: usize,
-    ops: u64,
-    lookups: u64,
-    hit_rate: f64,
-    /// Shared (L2) cache probes — L1 misses that consulted the
-    /// store-level cache (the storm's cross-thread reuse channel).
-    shared_lookups: u64,
-    shared_hits: u64,
-    shared_hit_rate: f64,
-    /// Results the workers published into the shared cache.
-    shared_insertions: u64,
-    /// Tasks executed from another worker's deque — the load-balancing
-    /// the fork-join scheduler actually performed (0 at `threads = 1`).
-    steals: u64,
-    micros: u128,
-    result_nodes: usize,
-}
-
-struct ParApplyResult {
-    cone_nodes: usize,
-    /// Fixed L2 capacity (slot count) of each run's store.
-    shared_cache_entries: usize,
-    runs: Vec<ParApplyRun>,
-}
-
-/// The forked-apply storm: a pool of wide cones (cross-products of
-/// *distant* variables, which under the natural order are hundreds of
-/// shared nodes — comfortably past the fork granularity cutoff)
-/// combined by `par_and`/`par_xor`/`par_ite` at increasing widths. Each
-/// width runs in a fresh manager with a cold computed cache and a
-/// `threads − 1`-permit budget, so `threads = 1` *is* the sequential
-/// kernel and is the baseline the wider runs compare against. Worker
-/// cache counters fold back into the manager after every join, so
-/// `cache_lookups` is total recursion work across all threads and
-/// lookups-per-second is the tracked rate. Canonicity
-/// makes a cross-width oracle free: one function under one variable
-/// order has exactly one ROBDD, so the final result's node count must
-/// agree at every width.
-fn par_apply_storm() -> ParApplyResult {
-    const NVARS: u32 = 16;
-    let seed = |m: &mut Manager| -> Vec<Ref> {
-        let vars: Vec<Ref> = (0..NVARS).map(|i| m.var(i)).collect();
-        let half = (NVARS / 2) as usize;
-        let mut pool = Vec::new();
-        let (mut acc, mut alt) = (m.zero(), m.one());
-        for i in 0..half {
-            let p = m.and(vars[i], vars[i + half]);
-            acc = m.xor(acc, p);
-            let q = m.or(vars[i], vars[(i + half + 1) % NVARS as usize]);
-            alt = m.maj(alt, q, p);
-            pool.push(acc);
-            pool.push(alt);
-        }
-        pool.extend(vars);
-        pool
-    };
-    let mut cone_nodes = 0usize;
-    let mut shared_cache_entries = 0usize;
-    let mut oracle_nodes: Option<usize> = None;
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut m = Manager::new();
-        m.set_job_budget(Some(JobBudget::new(threads - 1)));
-        let pool = seed(&mut m);
-        cone_nodes = m.shared_size(&pool);
-        assert!(
-            cone_nodes >= 512,
-            "par_apply seed shrank to {cone_nodes} shared nodes — the storm \
-             would silently stop exercising the forked path"
-        );
-        let seeded = m.cache_stats();
-        let mut ops = 0u64;
-        let (last, elapsed) = timed(|| {
-            let n = pool.len();
-            let mut acc = pool[0];
-            for i in 0..n {
-                acc = match i % 3 {
-                    0 => m.par_and(acc, pool[(i * 7 + 3) % n]),
-                    1 => m.par_xor(acc, pool[(i * 5 + 1) % n]),
-                    _ => m.par_ite(pool[(i * 3 + 2) % n], acc, pool[(i * 11 + 5) % n]),
-                };
-                ops += 1;
-            }
-            acc
-        });
-        let result_nodes = m.size(last);
-        match oracle_nodes {
-            None => oracle_nodes = Some(result_nodes),
-            Some(want) => assert_eq!(
-                result_nodes, want,
-                "canonicity oracle: par_apply result size diverged at threads={threads}"
-            ),
-        }
-        let stats = m.cache_stats();
-        shared_cache_entries = stats.shared_cache_entries;
-        let lookups = stats.lookups - seeded.lookups;
-        let hits = stats.hits - seeded.hits;
-        let shared_lookups = stats.shared_lookups - seeded.shared_lookups;
-        let shared_hits = stats.shared_hits - seeded.shared_hits;
-        runs.push(ParApplyRun {
-            threads,
-            ops,
-            lookups,
-            hit_rate: hits as f64 / lookups.max(1) as f64,
-            shared_lookups,
-            shared_hits,
-            shared_hit_rate: shared_hits as f64 / shared_lookups.max(1) as f64,
-            shared_insertions: stats.shared_insertions - seeded.shared_insertions,
-            steals: stats.par_steals - seeded.par_steals,
-            micros: elapsed.as_micros(),
-            result_nodes,
-        });
-    }
-    ParApplyResult {
-        cone_nodes,
-        shared_cache_entries,
-        runs,
     }
 }
 
@@ -541,30 +420,9 @@ fn main() {
         sift.converge_passes
     );
 
-    let par = par_apply_storm();
-    for r in &par.runs {
-        println!(
-            "par_apply  threads={} {:>4} ops / {:>9} lookups in {:>8} µs  ({:.1} Mlookups/s, L1 hit {:.1}%, L2 {}/{} hit {:.1}%, {} L2 inserts, {} steals, {} result nodes, {} shared cone nodes, L2 {} entries)",
-            r.threads,
-            r.ops,
-            r.lookups,
-            r.micros,
-            r.lookups as f64 / r.micros.max(1) as f64,
-            100.0 * r.hit_rate,
-            r.shared_hits,
-            r.shared_lookups,
-            100.0 * r.shared_hit_rate,
-            r.shared_insertions,
-            r.steals,
-            r.result_nodes,
-            par.cone_nodes,
-            par.shared_cache_entries
-        );
-    }
-
     // Suite portion: per-benchmark decomposition wall clock (Table I
     // flows), timed sequentially first (the continuity baseline), then
-    // through the work-stealing pool when more than one worker is asked
+    // through the suite pool when more than one worker is asked
     // for — the sequential/parallel wall-clock pair is the tracked
     // speedup number.
     let suite = paper_suite();
@@ -696,43 +554,6 @@ fn main() {
         sift.converge_passes,
         sift.converge_micros
     );
-    json.push_str("  \"par_apply\": {\n");
-    let _ = writeln!(json, "    \"cone_nodes\": {},", par.cone_nodes);
-    let _ = writeln!(
-        json,
-        "    \"shared_cache_entries\": {},",
-        par.shared_cache_entries
-    );
-    // Same caveat as the suite section: on a single-core container the
-    // wider runs are expected to be no faster than the `threads = 1`
-    // baseline, and `cores` is what lets a reader tell that apart from a
-    // regression.
-    let _ = writeln!(
-        json,
-        "    \"cores\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    json.push_str("    \"runs\": [\n");
-    for (i, r) in par.runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {}, \"ops\": {}, \"cache_lookups\": {}, \"cache_hit_rate\": {:.4}, \"shared_lookups\": {}, \"shared_hits\": {}, \"shared_hit_rate\": {:.4}, \"shared_insertions\": {}, \"steals\": {}, \"micros\": {}, \"mlookups_per_sec\": {:.3}, \"result_nodes\": {}}}{}",
-            r.threads,
-            r.ops,
-            r.lookups,
-            r.hit_rate,
-            r.shared_lookups,
-            r.shared_hits,
-            r.shared_hit_rate,
-            r.shared_insertions,
-            r.steals,
-            r.micros,
-            r.lookups as f64 / r.micros.max(1) as f64,
-            r.result_nodes,
-            if i + 1 < par.runs.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n  },\n");
     json.push_str("  \"sift_suite\": {\n");
     let _ = writeln!(json, "    \"reduced_benchmarks\": {reduced},");
     let _ = writeln!(

@@ -3,8 +3,8 @@
 //! over the 17-benchmark suite, followed by the paper's headline
 //! aggregates (average node reduction, MAJ node share, runtime delta).
 //!
-//! `--jobs N` fans the 17 rows out over the work-stealing suite pool.
-//! Row order and content (names, node counts, verified flags) are
+//! `--jobs N` fans the 17 rows out over the suite pool, one manager per
+//! row. Row order and content (names, node counts, verified flags) are
 //! identical at every worker count; only the measured-runtime cells
 //! vary, as they do between any two runs.
 

@@ -3,8 +3,8 @@
 //! BDS-MAJ, BDS-PGA, ABC-like and DC-like — plus the paper's headline
 //! percentage aggregates.
 //!
-//! `--jobs N` fans the 17 rows out over the work-stealing suite pool.
-//! Row order and content (names, mapped area/gates/delay, verified
+//! `--jobs N` fans the 17 rows out over the suite pool, one manager per
+//! row. Row order and content (names, mapped area/gates/delay, verified
 //! flags) are identical at every worker count.
 
 use bench::{

@@ -2,24 +2,16 @@
 //! Criterion benches: runs every flow of the paper on the 17-benchmark
 //! suite and aggregates the Table I / Table II rows.
 //!
-//! Suite runs fan out over the hand-rolled work-stealing pool in
-//! [`pool`]: each benchmark row is an independent task (every flow run
-//! already builds its own `bdd::Manager`, which is deliberately not
-//! `Sync`), and results land in a pre-sized slot vector, so row order
-//! and content (names, counts, verified flags) are identical to a
+//! Suite runs fan out over the hand-rolled pool in [`pool`]: each
+//! benchmark row is an independent task (every flow run already builds
+//! its own `bdd::Manager`, which is deliberately not `Sync`), and
+//! results are placed by task index, so row order and content (names, counts, verified flags) are identical to a
 //! sequential run — only measured-runtime cells vary, as they do between
 //! any two runs of the same binary. The worker count comes
 //! from the binaries' shared `--jobs N` flag, the `BENCH_JOBS`
 //! environment variable, or the machine's available parallelism, in that
-//! order; `--jobs 1` is the exact sequential path.
-//!
-//! Since PR 9 a manager can *also* fork single large cones across
-//! threads (`par_and`/`par_xor`/`par_ite` against the shared, `Sync`
-//! `bdd::NodeStore`). Both levels of parallelism draw from one permit
-//! pool: [`pool::run_with_budget`] hands each task the `bdd::JobBudget`
-//! holding the jobs the suite level did not consume, so `--jobs` caps
-//! total threads no matter how the work nests (see [`pool`]'s module
-//! docs for the accounting).
+//! order; `--jobs 1` is the exact sequential path. Parallelism stops at
+//! the row: a single cone is always built by one thread.
 
 use baselines::{abc_flow, dc_flow};
 use bdd::ResourceLimits;
@@ -331,15 +323,7 @@ pub fn run_table1_with(engine: &EngineOptions) -> Vec<Table1Row> {
 /// path.
 pub fn run_table1_jobs(engine: &EngineOptions, jobs: usize) -> Vec<Table1Row> {
     let suite = paper_suite();
-    // Leftover suite threads flow into each task as its intra-cone fork
-    // budget, so `jobs` caps total parallelism across both levels.
-    pool::run_with_budget(jobs, suite.len(), |i, budget| {
-        let engine = EngineOptions {
-            job_budget: Some(budget.clone()),
-            ..engine.clone()
-        };
-        table1_row_with(&suite[i], &engine)
-    })
+    pool::run(jobs, suite.len(), |i| table1_row_with(&suite[i], engine))
 }
 
 /// [`run_table1_jobs`] under a per-row resource budget, with per-task
@@ -456,13 +440,8 @@ pub fn run_table2_with(lib: &Library, engine: &EngineOptions) -> Vec<Table2Row> 
 /// path.
 pub fn run_table2_jobs(lib: &Library, engine: &EngineOptions, jobs: usize) -> Vec<Table2Row> {
     let suite = paper_suite();
-    // Same two-level budget sharing as `run_table1_jobs`.
-    pool::run_with_budget(jobs, suite.len(), |i, budget| {
-        let engine = EngineOptions {
-            job_budget: Some(budget.clone()),
-            ..engine.clone()
-        };
-        table2_row_with(&suite[i], lib, &engine)
+    pool::run(jobs, suite.len(), |i| {
+        table2_row_with(&suite[i], lib, engine)
     })
 }
 

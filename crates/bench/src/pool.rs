@@ -1,56 +1,34 @@
-//! A scoped, hand-rolled work-stealing thread pool for the embarrassingly
-//! parallel suite runs (Table I/II rows, kernels-bench sections, the
-//! `bdsmaj` CLI's multi-file mode).
+//! A scoped, hand-rolled thread pool for the embarrassingly parallel
+//! suite runs (Table I/II rows, kernels-bench sections, the `bdsmaj`
+//! CLI's multi-file mode).
 //!
 //! Design:
 //!
-//! * **Per-worker deques.** The task indices `0..n` are dealt round-robin
-//!   across one deque per worker ([`bdd::steal::StealDeques`] — the same
-//!   deal / own-front-pop / steal-back primitive the parallel apply's
-//!   fork-join recursion schedules on). A worker pops from the *front* of
-//!   its own deque and, when that runs dry, steals from the *back* of a
-//!   victim's — owner and thief on opposite ends (in the spirit of
-//!   rayon's scoped join, without the dependency: the workspace is
-//!   offline).
-//! * **Pre-sized slot vector.** Worker `w` finishing task `i` writes into
-//!   slot `i`, so [`run`] returns results in task order no matter which
-//!   thread ran what — callers print rows in the same order and with the
-//!   same content as a sequential run.
+//! * **One shared task counter.** Workers claim the next unclaimed task
+//!   index with a single `fetch_add` until all `n` are claimed, so a
+//!   worker that drew a short task simply claims again.
+//! * **Results by index.** Each worker keeps `(index, result)` pairs and
+//!   the caller places them by index after the join, so [`run`] returns
+//!   results in task order no matter which thread ran what — callers
+//!   print rows in the same order and with the same content as a
+//!   sequential run.
 //! * **Panic propagation.** A panicking task poisons nothing: the payload
-//!   is captured, the remaining workers drain early, and the payload is
+//!   is captured, no further task is claimed, and the payload is
 //!   re-thrown on the calling thread via `resume_unwind`, exactly like a
 //!   panic in a plain sequential loop.
 //! * **`jobs == 1` degrades to the exact sequential path** — no threads,
-//!   no locks, a plain in-order `map`; parallelism is strictly opt-in.
+//!   no atomics, a plain in-order `map`; parallelism is strictly opt-in.
 //!
 //! # Ownership rule
 //!
-//! Tasks must not share a [`bdd::Manager`]: the manager bundles a
-//! per-thread [`bdd::Session`] (`RefCell` traversal scratch, computed
-//! cache) and is deliberately **not `Sync`** (there is a `compile_fail`
-//! doctest in the `bdd` crate pinning this). Every flow in this
-//! workspace builds one manager per benchmark run, so each worker owns
-//! its managers outright. Since PR 9 the node-owning half
-//! ([`bdd::NodeStore`]) *is* `Sync`, but cross-thread sharing happens
-//! only inside `Manager::par_and`-style entry points — never across
-//! pool tasks.
-//!
-//! # One thread cap, two levels of parallelism
-//!
-//! A manager with a [`bdd::JobBudget`] installed will fork large cones
-//! across extra threads (`par_and`/`par_xor`/`par_ite`). Nesting that
-//! inside a pool worker must not multiply threads: [`run_with_budget`]
-//! hands every task a budget holding exactly the `jobs` threads the
-//! suite level did not consume, and each worker returns its own thread
-//! to the budget when its deque drains. Wire that budget into the
-//! task's managers (`Manager::set_job_budget`) and `--jobs`/`BENCH_JOBS`
-//! stays the single knob for total parallelism.
+//! Tasks must not share a [`bdd::Manager`]: the manager owns its whole
+//! kernel state and is deliberately **not `Sync`** (there is a
+//! `compile_fail` doctest in the `bdd` crate pinning this). Every flow in
+//! this workspace builds one manager per benchmark run, so each worker
+//! owns its managers outright.
 
-use bdd::steal::StealDeques;
-use bdd::JobBudget;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Worker count used when the caller does not say: the `BENCH_JOBS`
 /// environment variable if it parses as a positive integer, otherwise the
@@ -74,98 +52,48 @@ pub fn default_jobs() -> usize {
 ///
 /// With `jobs <= 1` (or fewer than two tasks) this is a plain sequential
 /// loop on the calling thread. Otherwise `min(jobs, n)` scoped workers
-/// drain round-robin-seeded deques, stealing from each other when their
-/// own runs dry; results land in a pre-sized slot vector indexed by task,
-/// so the returned order is independent of scheduling.
+/// claim task indices from one shared counter; results are placed by
+/// index, so the returned order is independent of scheduling.
 ///
-/// If any task panics, the first payload is re-thrown on the calling
-/// thread after all workers have stopped.
+/// If any task panics, no further task is claimed, and the lowest-indexed
+/// panic payload is re-thrown on the calling thread after all workers
+/// have stopped.
 pub fn run<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_with_budget(jobs, n, |i, _| f(i))
-}
-
-/// Like [`run`], but each task also receives the shared [`JobBudget`]
-/// holding the threads the suite level did not consume: with `w =
-/// min(jobs, n)` workers running, the budget starts at `jobs - w`
-/// permits, and every worker returns its own thread to the budget when
-/// its deque drains. A task that installs the budget into its managers
-/// (`Manager::set_job_budget`) lets large cones fork intra-cone without
-/// ever exceeding `jobs` threads machine-wide.
-// bdslint: allow(protect-release) -- the release call returns a drained
-// worker's thread permit to the JobBudget; no node root is involved.
-pub fn run_with_budget<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &JobBudget) -> T + Sync,
-{
     if jobs <= 1 || n <= 1 {
-        // Sequential suite level: the whole budget minus this thread is
-        // available for intra-cone forking.
-        let budget = JobBudget::new(jobs.saturating_sub(1));
-        return (0..n).map(|i| f(i, &budget)).collect();
+        return (0..n).map(f).collect();
     }
-    let workers = jobs.min(n);
-    let budget = JobBudget::new(jobs - workers);
-    // Deal task indices round-robin so a skewed prefix (the suite's big
-    // datapaths cluster together) still spreads across workers even
-    // before any stealing happens.
-    let deques: StealDeques<usize> = StealDeques::deal(workers, 0..n);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panicked = AtomicBool::new(false);
-    let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let panicked = &panicked;
-            let payload = &payload;
-            let f = &f;
-            let budget = &budget;
-            scope.spawn(move || {
-                while !panicked.load(Ordering::Relaxed) {
-                    let Some((i, _)) = deques.next(me) else {
-                        break;
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| f(i, budget))) {
-                        Ok(v) => *slots[i].lock().unwrap() = Some(v),
-                        Err(p) => {
-                            // First panic wins; everyone else drains out.
-                            payload.lock().unwrap().get_or_insert(p);
-                            panicked.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                // This worker's thread is done — still-running tasks may
-                // widen their intra-cone forks by one.
-                budget.release(1);
-            });
+    let slots = claim_all(
+        jobs.min(n),
+        n,
+        |i| catch_unwind(AssertUnwindSafe(|| f(i))),
+        |r| r.is_err(),
+    );
+    let claimed = slots.iter().filter(|s| s.is_some()).count();
+    let mut out = Vec::with_capacity(n);
+    let mut panic = None;
+    for slot in slots.into_iter().flatten() {
+        match slot {
+            Ok(v) => out.push(v),
+            Err(p) => {
+                panic.get_or_insert(p);
+            }
         }
-    });
-
-    if let Some(p) = payload.lock().unwrap().take() {
-        // The early drain abandons any task that was still queued (dealt
-        // to a deque but never popped). Account for them out loud before
-        // re-throwing, so a batch log never silently under-reports.
-        let abandoned = deques.queued();
+    }
+    if let Some(p) = panic {
+        // The early stop abandons every task not yet claimed. Account for
+        // them out loud before re-throwing, so a batch log never silently
+        // under-reports.
+        let abandoned = n - claimed;
         if abandoned > 0 {
             eprintln!("pool: a task panicked; {abandoned} of {n} tasks were abandoned unrun");
         }
         resume_unwind(p);
     }
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap()
-                .expect("every task index was drained exactly once")
-        })
-        .collect()
+    out
 }
 
 /// Like [`run`], but with per-task panic isolation: every task runs to
@@ -179,55 +107,62 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_catching_with_budget(jobs, n, |i, _| f(i))
+    let call = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
+    if jobs <= 1 || n <= 1 {
+        return (0..n).map(call).collect();
+    }
+    claim_all(jobs.min(n), n, call, |_| false)
+        .into_iter()
+        .map(|slot| slot.expect("every task index is claimed exactly once"))
+        .collect()
 }
 
-/// [`run_catching`] with the same leftover-thread [`JobBudget`] contract
-/// as [`run_with_budget`]: each task receives the budget holding the
-/// threads the suite level did not consume, and drained workers return
-/// their own thread to it.
-// bdslint: allow(protect-release) -- the release call returns a drained
-// worker's thread permit to the JobBudget; no node root is involved.
-pub fn run_catching_with_budget<T, F>(jobs: usize, n: usize, f: F) -> Vec<Result<T, String>>
+/// The scheduling loop behind [`run`] and [`run_catching`]: `workers`
+/// scoped threads claim task indices `0..n` from one shared counter and
+/// run `task` on each, until every index is claimed or some result
+/// satisfies `stop` (then no further index is claimed). Returns each
+/// result at its task index; indices never claimed stay `None`.
+fn claim_all<R, F, S>(workers: usize, n: usize, task: F, stop: S) -> Vec<Option<R>>
 where
-    T: Send,
-    F: Fn(usize, &JobBudget) -> T + Sync,
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+    S: Fn(&R) -> bool + Sync,
 {
-    let call = |i: usize, budget: &JobBudget| {
-        catch_unwind(AssertUnwindSafe(|| f(i, budget))).map_err(panic_message)
-    };
-    if jobs <= 1 || n <= 1 {
-        let budget = JobBudget::new(jobs.saturating_sub(1));
-        return (0..n).map(|i| call(i, &budget)).collect();
-    }
-    let workers = jobs.min(n);
-    let budget = JobBudget::new(jobs - workers);
-    let deques: StealDeques<usize> = StealDeques::deal(workers, 0..n);
-    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let call = &call;
-            let budget = &budget;
-            scope.spawn(move || {
-                while let Some((i, _)) = deques.next(me) {
-                    *slots[i].lock().unwrap() = Some(call(i, budget));
-                }
-                budget.release(1);
-            });
-        }
+    let next = AtomicUsize::new(0);
+    let stopped = AtomicBool::new(false);
+    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    // ordering: Relaxed throughout — the counter only
+                    // hands out distinct indices and the flag only stops
+                    // claiming; results travel back through the join.
+                    while !stopped.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let r = task(i);
+                        if stop(&r) {
+                            stopped.store(true, Ordering::Relaxed);
+                        }
+                        done.push((i, r));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("pool tasks run under catch_unwind"))
+            .collect()
     });
-
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in done.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
     slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap()
-                .expect("every task index was drained exactly once")
-        })
-        .collect()
 }
 
 /// Renders a caught panic payload as a display string (panics carry
@@ -245,7 +180,6 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn sequential_and_parallel_agree() {
@@ -264,7 +198,7 @@ mod tests {
 
     #[test]
     fn skewed_workload_runs_every_task_exactly_once() {
-        // One task dominates the runtime; the dealt-then-stolen schedule
+        // One task dominates the runtime; the claim-as-you-go schedule
         // must still run each index exactly once and keep result order.
         const N: usize = 64;
         let ran: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
@@ -364,34 +298,6 @@ mod tests {
             .map(Result::unwrap)
             .collect();
         assert_eq!(plain, caught);
-    }
-
-    #[test]
-    fn sequential_budget_holds_the_unused_jobs() {
-        // One task, four jobs: the suite level consumes one thread, so
-        // three permits are available for intra-cone forking.
-        let seen = run_with_budget(4, 1, |_, b| b.available());
-        assert_eq!(seen, vec![3]);
-        // jobs == 1 leaves nothing to fork with.
-        let seen = run_with_budget(1, 1, |_, b| b.available());
-        assert_eq!(seen, vec![0]);
-    }
-
-    #[test]
-    fn parallel_budget_never_exceeds_the_job_cap() {
-        // 8 jobs over 2 tasks: 2 workers run, 6 permits start in the
-        // budget, and a finished worker returns its thread — so a task
-        // can observe 6 or 7 available, never 8.
-        let seen = run_with_budget(8, 2, |_, b| b.available());
-        for avail in seen {
-            assert!((6..8).contains(&avail), "available={avail}");
-        }
-        // Saturated suite level: every job is a worker, nothing to fork
-        // with until siblings drain.
-        let seen = run_with_budget(2, 2, |_, b| b.try_acquire(100));
-        for got in seen {
-            assert!(got <= 1, "acquired={got}");
-        }
     }
 
     #[test]

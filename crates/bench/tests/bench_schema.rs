@@ -275,67 +275,6 @@ fn committed_bench_json_keeps_its_schema() {
         );
     }
 
-    // The forked-apply section (PR 9): per-width baselines where the
-    // first run is the sequential kernel itself. `cones`/`cores` give a
-    // reader the context to tell a single-core container's flat curve
-    // apart from a parallel regression. PR 11 added the shared (L2)
-    // computed-cache counters and the work-stealing tally per run.
-    let par = doc.expect_field("top level", "par_apply");
-    par.expect_field("par_apply", "cone_nodes")
-        .as_num("par_apply.cone_nodes");
-    let entries = par
-        .expect_field("par_apply", "shared_cache_entries")
-        .as_num("par_apply.shared_cache_entries");
-    assert!(
-        entries >= 1.0,
-        "par_apply.shared_cache_entries must be at least 1"
-    );
-    let pcores = par
-        .expect_field("par_apply", "cores")
-        .as_num("par_apply.cores");
-    assert!(pcores >= 1.0, "par_apply.cores must be at least 1");
-    let pruns = par
-        .expect_field("par_apply", "runs")
-        .as_arr("par_apply.runs");
-    assert!(!pruns.is_empty(), "par_apply.runs must not be empty");
-    for (i, run) in pruns.iter().enumerate() {
-        let ctx = format!("par_apply.runs[{i}]");
-        for key in [
-            "threads",
-            "ops",
-            "cache_lookups",
-            "cache_hit_rate",
-            "shared_lookups",
-            "shared_hits",
-            "shared_hit_rate",
-            "shared_insertions",
-            "steals",
-            "micros",
-            "mlookups_per_sec",
-            "result_nodes",
-        ] {
-            run.expect_field(&ctx, key).as_num(&ctx);
-        }
-    }
-    let baseline = pruns[0]
-        .expect_field("par_apply.runs[0]", "threads")
-        .as_num("par_apply.runs[0].threads");
-    assert!(
-        baseline == 1.0,
-        "the first par_apply run must be the threads=1 sequential baseline, got {baseline}"
-    );
-    // threads = 1 is the exact sequential path: no forked tasks exist,
-    // so nothing can be stolen. (The L2 tier is still probed — the
-    // two-tier lookup is unconditional — so `shared_lookups` may be
-    // nonzero even here.)
-    let seq_steals = pruns[0]
-        .expect_field("par_apply.runs[0]", "steals")
-        .as_num("par_apply.runs[0].steals");
-    assert!(
-        seq_steals == 0.0,
-        "the threads=1 baseline must report zero steals, got {seq_steals}"
-    );
-
     // The storm sections carry the kernel-telemetry counters that
     // bdslint's liveness rule requires someone to read; keeping them in
     // the schema is that someone.

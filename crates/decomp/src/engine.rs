@@ -99,15 +99,6 @@ pub struct EngineOptions {
     /// decomposition once before degrading (a smaller BDD often fits the
     /// same budget).
     pub retry_after_sift: bool,
-    /// Thread permits for intra-cone parallelism. Installed into the
-    /// run's manager ([`bdd::Manager::set_job_budget`]) before any cone
-    /// is built, so large unbudgeted cones fork their apply across the
-    /// permits (`bdd::Manager::par_and` and friends). `None` (the
-    /// default) keeps every build on the exact sequential path. The
-    /// budget is shared and machine-wide: a suite runner hands every
-    /// task the same budget, so nested parallelism never oversubscribes
-    /// the `--jobs` cap.
-    pub job_budget: Option<bdd::JobBudget>,
 }
 
 impl Default for EngineOptions {
@@ -122,7 +113,6 @@ impl Default for EngineOptions {
             reorder_min_size: 0,
             limits: ResourceLimits::default(),
             retry_after_sift: true,
-            job_budget: None,
         }
     }
 }
@@ -235,10 +225,6 @@ pub fn decompose_network(
         }
         ReorderPolicy::None | ReorderPolicy::Window => {}
     }
-    // Install the thread budget before the partition pass: the cone
-    // builds it runs are the largest applies of the whole flow, exactly
-    // where intra-cone forking pays.
-    manager.set_job_budget(options.job_budget.clone());
     let part = partition_with_limits(net, &mut manager, options.partition, options.limits);
     let governed = options.limits.is_limited();
 

@@ -1,4 +1,4 @@
-//! The eight workspace invariants `bdslint` enforces, plus the annotation
+//! The seven workspace invariants `bdslint` enforces, plus the annotation
 //! hygiene diagnostics.
 //!
 //! Every rule is deny-by-default: a violation is suppressed only by a
@@ -14,7 +14,7 @@ use crate::model::FileModel;
 
 /// Rule identifiers, exactly as they appear in findings and in
 /// `allow(...)` annotations.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     KERNEL_TICK,
     GC_IN_KERNEL,
     PROTECT_RELEASE,
@@ -22,7 +22,6 @@ pub const RULES: [&str; 9] = [
     UNSAFE_SAFETY,
     TELEMETRY_LIVENESS,
     COMPLEMENT_CANONICAL,
-    CAS_PUBLICATION,
     ANNOTATION,
 ];
 
@@ -33,7 +32,6 @@ pub const PROTECT_RELEASE: &str = "protect-release";
 pub const PANIC_SURFACE: &str = "panic-surface";
 pub const UNSAFE_SAFETY: &str = "unsafe-safety";
 pub const TELEMETRY_LIVENESS: &str = "telemetry-liveness";
-pub const CAS_PUBLICATION: &str = "cas-publication";
 /// Meta-rule: malformed/unjustified/unknown `bdslint:` annotations.
 pub const ANNOTATION: &str = "annotation";
 
@@ -94,19 +92,6 @@ pub struct Config {
     /// from raw parts: the hash-consing constructor, the computed-cache
     /// decoder, and the node→function view. Grow this list deliberately.
     pub ref_ctor_fns: &'static [&'static str],
-    /// Directory governed by the CAS-publication rule: atomic writes to
-    /// the shared unique-table/arena state are confined to the
-    /// registered publication functions, and every such operation must
-    /// justify its memory ordering (PR 9). Empty disables the rule.
-    pub cas_dir: &'static str,
-    /// The only functions (inside `cas_dir`) allowed to mutate shared
-    /// table state through atomics: the publication protocol itself.
-    /// Everything else mutates through `&mut` at quiescent points.
-    pub cas_publication_fns: &'static [&'static str],
-    /// Field names that constitute shared table state for the
-    /// CAS-publication rule (arena cells, buckets, interior refcounts,
-    /// and the allocation/occupancy counters).
-    pub cas_state_fields: &'static [&'static str],
 }
 
 impl Default for Config {
@@ -143,25 +128,7 @@ impl Default for Config {
             ],
             ref_ctor_dir: "crates/bdd/src",
             ref_encoding_file: "crates/bdd/src/reference.rs",
-            ref_ctor_fns: &["try_mk", "node", "lookup", "function_of"],
-            cas_dir: "crates/bdd/src",
-            cas_publication_fns: &["try_mk", "claim_slot", "abandon_slot", "publish"],
-            cas_state_fields: &[
-                "cells",
-                "buckets",
-                "int_refs",
-                "free_top",
-                "next",
-                "occupied",
-                "abandoned",
-                "allocs_since_gc",
-                // The shared computed cache's two-word entries: claimed,
-                // payload-published and tag-released only inside
-                // `SharedCache::publish` (quiescent clear/scrub paths go
-                // through `get_mut`).
-                "tag_word",
-                "payload_word",
-            ],
+            ref_ctor_fns: &["mk", "node", "lookup", "function_of"],
         }
     }
 }
@@ -218,7 +185,6 @@ pub fn run(cfg: &Config, lintable: &[FileModel], corpus: &[FileModel]) -> Vec<Fi
         panic_surface(cfg, file, &mut findings);
         unsafe_safety(file, &mut findings);
         complement_canonical(cfg, file, &mut findings);
-        cas_publication(cfg, file, &mut findings);
         annotation_hygiene(file, &mut findings);
     }
     for file in corpus {
@@ -226,7 +192,6 @@ pub fn run(cfg: &Config, lintable: &[FileModel], corpus: &[FileModel]) -> Vec<Fi
         annotation_hygiene(file, &mut findings);
     }
     kernel_registry_coverage(cfg, lintable, &mut findings);
-    cas_registry_coverage(cfg, lintable, &mut findings);
     telemetry_liveness(cfg, lintable, corpus, &mut findings);
     findings.sort();
     findings.dedup();
@@ -532,126 +497,6 @@ fn complement_canonical(cfg: &Config, file: &FileModel, findings: &mut Vec<Findi
                     });
                 }
             }
-        }
-    }
-}
-
-/// Atomic method calls that mutate their receiver — the write half of
-/// the publication protocol. Loads are deliberately exempt: reads are
-/// safe anywhere, and the Acquire pairing is documented at the store.
-const CAS_WRITE_OPS: [&str; 8] = [
-    "store",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-];
-
-/// Rule 8 (`cas-publication`): the shared unique table is mutated
-/// through atomics only inside the registered publication functions —
-/// the slot-claim/publish protocol of PR 9. A raw atomic store to a
-/// bucket or arena cell anywhere else bypasses the Release/Acquire
-/// discipline that makes concurrent hash-consing sound (a reader could
-/// observe a published index before the node's field writes). Inside the
-/// registered functions, every atomic write must be justified by an
-/// `// ordering:` comment so the memory-ordering argument survives
-/// refactors. Quiescent `&mut` mutators are exempt by construction:
-/// they go through `get_mut()`, which is not an atomic call.
-fn cas_publication(cfg: &Config, file: &FileModel, findings: &mut Vec<Finding>) {
-    if cfg.cas_dir.is_empty() || !file.path.starts_with(cfg.cas_dir) {
-        return;
-    }
-    for (lineno, line) in file.code.iter().enumerate() {
-        if file.is_test[lineno] {
-            continue;
-        }
-        let Some(col) = CAS_WRITE_OPS
-            .iter()
-            .flat_map(|op| method_calls(line, op))
-            .min()
-        else {
-            continue;
-        };
-        // The receiver may sit on the line above (rustfmt splits long
-        // statements), so the state-field name is sought on both.
-        let state_field = cfg.cas_state_fields.iter().find(|fld| {
-            !word_occurrences(line, fld).is_empty()
-                || (lineno > 0 && !word_occurrences(&file.code[lineno - 1], fld).is_empty())
-        });
-        let Some(field) = state_field else {
-            continue;
-        };
-        let Some(span) = file.enclosing_fn(lineno, col) else {
-            continue;
-        };
-        if !cfg.cas_publication_fns.contains(&span.name.as_str()) {
-            if !file.allowed(CAS_PUBLICATION, lineno) {
-                findings.push(Finding {
-                    file: file.path.clone(),
-                    line: lineno + 1,
-                    rule: CAS_PUBLICATION,
-                    message: format!(
-                        "atomic write to table state `{}` outside the registered \
-                         publication functions ({}) — shared-table mutation must \
-                         go through the slot-claim/publish protocol (quiescent \
-                         `&mut` paths use `get_mut()`)",
-                        field,
-                        cfg.cas_publication_fns.join(", ")
-                    ),
-                });
-            }
-            continue;
-        }
-        let documented =
-            (span.body_open_line..=lineno).any(|l| file.comments[l].contains("ordering:"));
-        if !documented && !file.allowed(CAS_PUBLICATION, lineno) {
-            findings.push(Finding {
-                file: file.path.clone(),
-                line: lineno + 1,
-                rule: CAS_PUBLICATION,
-                message: format!(
-                    "atomic write to table state `{field}` in `{}` has no \
-                     `// ordering:` justification above it — document why the \
-                     chosen memory ordering is sufficient",
-                    span.name
-                ),
-            });
-        }
-    }
-}
-
-/// Registry drift: a registered publication function that no longer
-/// exists under the CAS dir means a rename dodged the publication rule —
-/// break loudly, exactly like the kernel registry.
-fn cas_registry_coverage(cfg: &Config, lintable: &[FileModel], findings: &mut Vec<Finding>) {
-    if cfg.cas_dir.is_empty() {
-        return;
-    }
-    let cas_files: Vec<&FileModel> = lintable
-        .iter()
-        .filter(|f| f.path.starts_with(cfg.cas_dir))
-        .collect();
-    if cas_files.is_empty() {
-        return; // nothing under the CAS dir (fixture roots)
-    }
-    for name in cfg.cas_publication_fns {
-        let found = cas_files
-            .iter()
-            .any(|f| f.fns.iter().any(|s| s.name == *name));
-        if !found {
-            findings.push(Finding {
-                file: cfg.cas_dir.to_string(),
-                line: 0,
-                rule: CAS_PUBLICATION,
-                message: format!(
-                    "registered publication function `{name}` not found under {} — \
-                     update the bdslint cas registry alongside the rename",
-                    cfg.cas_dir
-                ),
-            });
         }
     }
 }

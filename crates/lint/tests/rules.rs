@@ -30,9 +30,6 @@ fn base_config() -> Config {
         ref_ctor_dir: "",
         ref_encoding_file: "",
         ref_ctor_fns: &[],
-        cas_dir: "",
-        cas_publication_fns: &[],
-        cas_state_fields: &[],
     }
 }
 
@@ -236,76 +233,6 @@ fn raw_ref_construction_is_caught() {
 fn registered_constructors_encoding_module_and_tests_pass() {
     let findings = lint_fixture("complement/good", &complement_cfg());
     assert!(findings.is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------- rule 8
-
-fn cas_cfg() -> Config {
-    Config {
-        cas_dir: "crates/bdd/src",
-        cas_publication_fns: &["try_mk", "publish"],
-        cas_state_fields: &["buckets", "cells", "occupied", "tag_word", "payload_word"],
-        ..base_config()
-    }
-}
-
-#[test]
-fn cas_writes_outside_publication_or_undocumented_are_caught() {
-    let findings = lint_fixture("cas/bad", &cas_cfg());
-    assert_eq!(
-        rules_of(&findings),
-        [
-            "cas-publication", // undocumented try_mk CAS
-            "cas-publication", // out-of-protocol buckets store
-            "cas-publication", // undocumented publish tag store
-            "cas-publication", // out-of-protocol tag_word store
-        ],
-        "{findings:?}"
-    );
-    assert!(
-        findings[0].message.contains("// ordering:"),
-        "{}",
-        findings[0]
-    );
-    assert!(
-        findings[1].message.contains("outside the registered"),
-        "{}",
-        findings[1]
-    );
-    assert!(
-        findings[2].message.contains("// ordering:") && findings[2].message.contains("publish"),
-        "{}",
-        findings[2]
-    );
-    assert!(
-        findings[3].message.contains("outside the registered")
-            && findings[3].message.contains("tag_word"),
-        "{}",
-        findings[3]
-    );
-}
-
-#[test]
-fn documented_publication_quiescent_mutators_and_escapes_pass() {
-    let findings = lint_fixture("cas/good", &cas_cfg());
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn cas_registry_drift_is_a_finding() {
-    // No `claim_slot` anywhere under the CAS dir: a rename that dodges
-    // the publication registry must break loudly.
-    let cfg = Config {
-        cas_publication_fns: &["claim_slot"],
-        ..cas_cfg()
-    };
-    let findings = lint_fixture("cas/good", &cfg);
-    assert!(
-        findings.iter().any(|f| f
-            .message
-            .contains("registered publication function `claim_slot`")),
-        "{findings:?}"
-    );
 }
 
 // ----------------------------------------------------------- annotations

@@ -379,19 +379,14 @@ pub fn try_apply_gate(
         GateKind::Const(b) => manager.constant(*b),
         GateKind::Buf => kids[0],
         GateKind::Inv => !kids[0],
-        // The wide-fanin folds and the mux route through the
-        // parallelism-aware entries: with a `JobBudget` installed on the
-        // manager an ungoverned build forks large cones across threads,
-        // while governed (budgeted) builds and managers without a budget
-        // take the exact sequential path (`bdd::Manager::try_par_and`).
-        GateKind::And => manager.try_par_and_all(kids.iter().copied())?,
-        GateKind::Or => manager.try_par_or_all(kids.iter().copied())?,
-        GateKind::Nand => !manager.try_par_and_all(kids.iter().copied())?,
-        GateKind::Nor => !manager.try_par_or_all(kids.iter().copied())?,
-        GateKind::Xor => manager.try_par_xor_all(kids.iter().copied())?,
-        GateKind::Xnor => !manager.try_par_xor_all(kids.iter().copied())?,
+        GateKind::And => manager.try_and_all(kids.iter().copied())?,
+        GateKind::Or => manager.try_or_all(kids.iter().copied())?,
+        GateKind::Nand => !manager.try_and_all(kids.iter().copied())?,
+        GateKind::Nor => !manager.try_or_all(kids.iter().copied())?,
+        GateKind::Xor => manager.try_xor_all(kids.iter().copied())?,
+        GateKind::Xnor => !manager.try_xor_all(kids.iter().copied())?,
         GateKind::Maj => manager.try_maj(kids[0], kids[1], kids[2])?,
-        GateKind::Mux => manager.try_par_ite(kids[0], kids[1], kids[2])?,
+        GateKind::Mux => manager.try_ite(kids[0], kids[1], kids[2])?,
         GateKind::Lut(table) => {
             // Shannon expansion over the LUT inputs, deepest variable first.
             fn expand(

@@ -12,11 +12,12 @@
 //! ```
 //!
 //! With more than one input file the tool switches to **multi-file mode**:
-//! every file is synthesized as an independent task on the work-stealing
-//! suite pool (`--jobs N`, default `BENCH_JOBS` or all cores; each task
-//! owns its BDD managers), per-file reports are printed in input order,
-//! and `-o` names a *directory* that receives one optimized BLIF per
-//! input (stdout BLIF dumping is single-file only).
+//! every file is synthesized as an independent task on the suite pool
+//! (`--jobs N`, default `BENCH_JOBS` or all cores; each task owns its BDD
+//! managers), per-file reports are printed in input order, and `-o` names
+//! a *directory* that receives one optimized BLIF per input (stdout BLIF
+//! dumping is single-file only). `--jobs` sizes only that pool: a single
+//! file is always synthesized on one thread.
 
 use bds_maj::prelude::*;
 use bench::{pool, RowBudget};
@@ -137,17 +138,13 @@ fn synthesize(
     label: &str,
     args: &Args,
     lib: &Library,
-    fork_budget: &JobBudget,
 ) -> Result<FileResult, String> {
     use std::fmt::Write as _;
     // The budget's deadline starts counting at task start, so every file
-    // in a batch gets its own clock. The fork budget holds the `--jobs`
-    // threads the file level is not using, so a single large cone can
-    // fork its apply without ever exceeding the cap machine-wide.
+    // in a batch gets its own clock.
     let engine = EngineOptions {
         reorder: args.reorder,
         limits: args.budget.limits_now(),
-        job_budget: Some(fork_budget.clone()),
         ..EngineOptions::default()
     };
     let maj_options = BdsMajOptions {
@@ -216,10 +213,7 @@ fn synthesize(
 /// Single-input mode (one file or `--bench`): report to stderr, BLIF to
 /// `-o PATH` or stdout. Byte-identical to the historical behavior.
 fn run_single(net: &Network, args: &Args, lib: &Library) -> ExitCode {
-    // One file, `--jobs` threads: everything beyond this thread is
-    // available to intra-cone forking.
-    let fork_budget = JobBudget::new(args.jobs.saturating_sub(1));
-    let result = match synthesize(net, "the input", args, lib, &fork_budget) {
+    let result = match synthesize(net, "the input", args, lib) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("{msg}");
@@ -280,11 +274,10 @@ fn run_multi(nets: Vec<(String, Network)>, args: &Args, lib: &Library) -> ExitCo
         None => None,
     };
     // Per-task panic isolation: one pathological input yields one failed
-    // row ("status: failed") instead of killing the whole batch. Leftover
-    // pool threads flow into each task as its intra-cone fork budget.
-    let results = pool::run_catching_with_budget(args.jobs, nets.len(), |i, budget| {
+    // row ("status: failed") instead of killing the whole batch.
+    let results = pool::run_catching(args.jobs, nets.len(), |i| {
         let (path, net) = &nets[i];
-        synthesize(net, path, args, lib, budget)
+        synthesize(net, path, args, lib)
     });
     let mut failures = 0usize;
     let mut degraded = 0usize;

@@ -46,7 +46,7 @@ pub use techmap;
 /// Convenient glob-import surface for examples and applications.
 pub mod prelude {
     pub use baselines::{abc_flow, dc_flow, expand_maj};
-    pub use bdd::{JobBudget, Manager, NodeId, Ref, Var};
+    pub use bdd::{Manager, NodeId, Ref, Var};
     pub use bdsmaj::{
         bds_maj, bds_pga, find_m_dominators, maj_decompose, BdsMajOptions, MajConfig,
     };

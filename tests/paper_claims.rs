@@ -6,15 +6,44 @@
 use bds_maj::circuits::suite::{paper_suite, Group};
 use bds_maj::prelude::*;
 
+/// Table I under the default flow options, row by row: the BDS-MAJ
+/// `(MAJ nodes, decomposition total)` and the BDS-PGA decomposition
+/// total. The counts depend on node allocation order (the m-dominator
+/// search breaks ties by `NodeId`), so a kernel change that moves which
+/// slot a node lands in shows up here as a changed row.
+const TABLE1_GOLDEN: [(&str, usize, usize, usize); 17] = [
+    ("alu2", 3, 60, 72),
+    ("C6288", 224, 960, 1856),
+    ("C1355", 0, 178, 178),
+    ("dalu", 14, 224, 280),
+    ("apex6", 0, 550, 550),
+    ("vda", 9, 1052, 1055),
+    ("f51m", 13, 73, 125),
+    ("misex3", 1, 1139, 1141),
+    ("seq", 0, 3697, 3697),
+    ("bigkey", 8, 1636, 1655),
+    ("SQRT 32 bit", 120, 832, 1312),
+    ("Wallace 16 bit", 219, 1070, 1946),
+    ("CLA 64 bit", 0, 488, 488),
+    ("Rev (1/X) 19 bit", 631, 2925, 5442),
+    ("Div 18 bit", 289, 1278, 2435),
+    ("MAC 16 bit", 250, 1171, 2171),
+    ("4-Op ADD 16 bit", 46, 142, 326),
+];
+
 /// Table I claim: BDS-MAJ never produces more decomposition nodes than
 /// BDS-PGA (same engine, strictly more decomposition options), and the
-/// result is always functionally correct.
+/// result is always functionally correct. Every row must also match
+/// [`TABLE1_GOLDEN`] exactly.
 #[test]
 fn bds_maj_dominates_bds_pga_across_the_suite() {
     let mut total_maj = 0usize;
     let mut total_nodes = 0usize;
     let mut wins = 0usize;
-    for bench in paper_suite() {
+    let suite = paper_suite();
+    assert_eq!(suite.len(), TABLE1_GOLDEN.len());
+    for (bench, &(name, maj, total, pga_total)) in suite.iter().zip(&TABLE1_GOLDEN) {
+        assert_eq!(bench.name, name, "suite order changed");
         let with = bds_maj(&bench.network, &BdsMajOptions::default());
         let without = bds_pga(&bench.network, &EngineOptions::default());
         equiv_sim(&bench.network, with.network(), 4, 1)
@@ -23,6 +52,12 @@ fn bds_maj_dominates_bds_pga_across_the_suite() {
             .unwrap_or_else(|e| panic!("bds-pga broke {}: {e}", bench.name));
         let n_with = with.network().gate_counts().decomposition_total();
         let n_without = without.network.gate_counts().decomposition_total();
+        assert_eq!(
+            (with.network().gate_counts().maj, n_with, n_without),
+            (maj, total, pga_total),
+            "{}: (BDS-MAJ maj, BDS-MAJ total, BDS-PGA total) moved",
+            bench.name
+        );
         assert!(
             n_with <= n_without,
             "{}: BDS-MAJ ({n_with}) larger than BDS-PGA ({n_without})",
