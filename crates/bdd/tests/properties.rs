@@ -2,7 +2,7 @@
 //! against randomly generated Boolean expressions, with the BDD compared to
 //! a bit-parallel truth-vector oracle.
 
-use bdd::{ConvergeConfig, GcConfig, LimitKind, Manager, NodeId, Ref, SiftConfig, Var};
+use bdd::{GcConfig, LimitKind, Manager, NodeId, Ref, SiftConfig, Var};
 use proptest::prelude::*;
 
 /// A random Boolean expression over `NVARS` variables.
@@ -288,29 +288,6 @@ proptest! {
         prop_assert_eq!(bdd_truth(&m, f), tf, "tiny-budget sift changed f");
         prop_assert_eq!(bdd_truth(&m, h), th, "tiny-budget sift changed g");
         // Canonicity under whatever order the aborted pass installed.
-        prop_assert_eq!(e.to_bdd(&mut m), f);
-        prop_assert_eq!(g.to_bdd(&mut m), h);
-    }
-
-    #[test]
-    fn converge_sift_preserves_semantics_and_terminates(e in arb_expr(), g in arb_expr()) {
-        // The fixpoint driver (symmetric groups on, relaxed budgets) must
-        // terminate within its pass cap, never increase the rooted size,
-        // and preserve every protected function exactly.
-        let mut m = Manager::new();
-        for i in 0..NVARS { m.var(i); }
-        let f = e.to_bdd(&mut m);
-        let h = g.to_bdd(&mut m);
-        let (tf, th) = (e.truth(), g.truth());
-        m.protect(f);
-        m.protect(h);
-        let cfg = ConvergeConfig::default();
-        let report = m.sift_to_fixpoint(&cfg);
-        prop_assert!(report.passes >= 1 && report.passes <= cfg.max_passes);
-        prop_assert!(report.final_size <= report.initial_size);
-        m.verify_interior_refs();
-        prop_assert_eq!(bdd_truth(&m, f), tf, "converging sift changed f");
-        prop_assert_eq!(bdd_truth(&m, h), th, "converging sift changed g");
         prop_assert_eq!(e.to_bdd(&mut m), f);
         prop_assert_eq!(g.to_bdd(&mut m), h);
     }
@@ -952,6 +929,9 @@ fn sift_storm_interleaved_with_gc_stays_canonical() {
                 m.sift(&SiftConfig::default());
             }
             sift_reports += 1;
+            // The O(1) swap deltas and eager reclamation must leave the
+            // interior counts equal to a full recount of the arena edges.
+            m.verify_interior_refs();
             // (a) every protected function survives reordering + sweeps.
             for &(f, t) in &pool {
                 assert_eq!(
@@ -976,87 +956,6 @@ fn sift_storm_interleaved_with_gc_stays_canonical() {
     assert!(stats.sifts >= sift_reports as u64);
     assert!(stats.sift_swaps > 0, "sifting must perform swaps");
     assert!(stats.reclaimed_total > 0, "collections must reclaim");
-}
-
-/// The converge storm: random ops over a protected pool with periodic
-/// *fixpoint* sifting (symmetric groups on, relaxed budgets) interleaved
-/// with forced collections — the sift-converge flow's interleaving. At
-/// every converge point each pool function must keep its truth vector,
-/// the interior refcounts must survive a full recount audit, and the
-/// unique table must stay canonical under the converged order.
-#[test]
-fn converge_sift_storm_with_gc_stays_canonical() {
-    const OPS: usize = 10_000;
-    const POOL: usize = 80;
-    const CONVERGE_EVERY: usize = 2_000;
-    let mut m = Manager::with_capacity(16, 8);
-    let mut rng = Storm(0xC0_4E_46_3B_DD_51_F7_01);
-    let mut pool: Vec<(Ref, u64)> = Vec::new();
-    for i in 0..NVARS {
-        let v = m.var(i);
-        m.protect(v);
-        pool.push((v, var_truth(i)));
-    }
-    let cfg = ConvergeConfig::default();
-    let mut converges = 0usize;
-    for step in 0..OPS {
-        let a = pool[rng.below(pool.len())];
-        let b = pool[rng.below(pool.len())];
-        let c = pool[rng.below(pool.len())];
-        let (r, truth) = match rng.below(6) {
-            0 => (m.and(a.0, b.0), a.1 & b.1),
-            1 => (m.or(a.0, b.0), a.1 | b.1),
-            2 => (m.xor(a.0, b.0), a.1 ^ b.1),
-            3 => (m.ite(a.0, b.0, c.0), (a.1 & b.1) | (!a.1 & c.1 & mask())),
-            4 => (
-                m.maj(a.0, b.0, c.0),
-                (a.1 & b.1) | (b.1 & c.1) | (a.1 & c.1),
-            ),
-            _ => (!a.0, !a.1 & mask()),
-        };
-        let truth = truth & mask();
-        assert_eq!(
-            bdd_truth(&m, r),
-            truth,
-            "step {step}: BDD disagrees with oracle"
-        );
-        if pool.len() < POOL {
-            m.protect(r);
-            pool.push((r, truth));
-        } else {
-            let k = rng.below(POOL);
-            m.release(pool[k].0);
-            m.protect(r);
-            pool[k] = (r, truth);
-        }
-        if step % CONVERGE_EVERY == CONVERGE_EVERY - 1 {
-            let report = m.sift_to_fixpoint(&cfg);
-            assert!(report.passes <= cfg.max_passes, "fixpoint must terminate");
-            assert!(report.final_size <= report.initial_size);
-            m.collect();
-            m.verify_interior_refs();
-            converges += 1;
-            for &(f, t) in &pool {
-                assert_eq!(
-                    bdd_truth(&m, f),
-                    t,
-                    "pool function corrupted at step {step}"
-                );
-            }
-            let x = pool[rng.below(pool.len())];
-            let y = pool[rng.below(pool.len())];
-            let redo1 = m.and(x.0, y.0);
-            let redo2 = m.and(x.0, y.0);
-            assert_eq!(redo1, redo2, "canonicity under the converged order");
-            assert_eq!(bdd_truth(&m, redo1), x.1 & y.1 & mask());
-        }
-    }
-    assert!(converges >= 4, "the storm must actually converge-sift");
-    let stats = m.cache_stats();
-    assert!(
-        stats.sifts as usize >= converges,
-        "each converge runs at least one pass"
-    );
 }
 
 /// The bounded-memory proof for long flows: a storm over enough variables
@@ -1329,14 +1228,14 @@ fn exhaustive_four_var_complement_pairs_share_one_node() {
     m.verify_interior_refs();
 }
 
-/// Complement-edge ⨯ GC ⨯ converge-sift storm: a negation-heavy op mix
-/// (every result also enters the pool complemented) driven through
-/// periodic `sift_to_fixpoint` + `collect` cycles. After every quiescent
+/// Complement-edge ⨯ GC ⨯ sift storm: a negation-heavy op mix (every
+/// result also enters the pool complemented) driven through periodic
+/// `sift` + `collect` cycles. After every quiescent
 /// point the canonical-form audit must hold, every pool function and its
 /// complement must still agree with the truth-table oracle, and negation
 /// must still be a pure sign flip on the reordered, compacted arena.
 #[test]
-fn complement_storm_with_gc_and_converge_sift_stays_canonical() {
+fn complement_storm_with_gc_and_sift_stays_canonical() {
     const OPS: usize = 8_000;
     const POOL: usize = 80;
     const QUIESCE_EVERY: usize = 2_000;
@@ -1348,7 +1247,6 @@ fn complement_storm_with_gc_and_converge_sift_stays_canonical() {
         m.protect(v);
         pool.push((v, var_truth(i)));
     }
-    let cfg = ConvergeConfig::default();
     let mut quiesces = 0usize;
     for step in 0..OPS {
         let a = pool[rng.below(pool.len())];
@@ -1393,8 +1291,8 @@ fn complement_storm_with_gc_and_converge_sift_stays_canonical() {
             pool[k] = (ins, ins_t);
         }
         if step % QUIESCE_EVERY == QUIESCE_EVERY - 1 {
-            let report = m.sift_to_fixpoint(&cfg);
-            assert!(report.passes <= cfg.max_passes, "fixpoint must terminate");
+            let report = m.sift(&SiftConfig::default());
+            assert!(report.final_size <= report.initial_size);
             m.collect();
             m.verify_edge_canonical_form();
             m.verify_interior_refs();

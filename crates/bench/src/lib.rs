@@ -25,8 +25,8 @@ use techmap::{map_network, report, Library, MappedReport};
 
 pub mod pool;
 
-/// Parses the shared `--reorder {none,window,sift}` flag of the table
-/// binaries into engine options (all other knobs stay at their defaults).
+/// Engine options for the table binaries' shared `--reorder {none,window}`
+/// flag (all other knobs stay at their defaults).
 pub fn engine_options_for(reorder: ReorderPolicy) -> EngineOptions {
     EngineOptions {
         reorder,
@@ -115,7 +115,7 @@ pub struct SuiteArgs {
 
 /// Usage text for the shared suite flags, printed on any parse error.
 pub const SUITE_USAGE: &str = "supported options:
-  --reorder {none,window,sift,sift-converge}  per-cone reordering policy (default: window)
+  --reorder {none,window}       per-cone reordering policy (default: window)
   --jobs N                      suite worker threads (default: BENCH_JOBS or all cores; 1 = sequential)
   --node-limit N                live-BDD-node ceiling per benchmark (graceful per-cone degradation)
   --step-limit N                kernel recursion-step ceiling per cone
@@ -197,10 +197,11 @@ pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
                 }
                 let v = args
                     .get(i + 1)
-                    .ok_or("--reorder requires one of: none, window, sift, sift-converge")?;
-                reorder = Some(ReorderPolicy::from_flag(v).ok_or(format!(
-                    "--reorder {v}: use none, window, sift or sift-converge"
-                ))?);
+                    .ok_or("--reorder requires one of: none, window")?;
+                reorder = Some(
+                    ReorderPolicy::from_flag(v)
+                        .ok_or(format!("--reorder {v}: use none or window"))?,
+                );
                 i += 2;
             }
             "--jobs" => {
@@ -226,7 +227,7 @@ pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
 }
 
 /// Shared argv parsing for the table binaries: accepts exactly the
-/// `--reorder {none,window,sift}` and `--jobs N` flags and exits with a
+/// `--reorder {none,window}`, `--jobs N` and budget flags and exits with a
 /// usage message on anything else (including a repeated flag).
 pub fn suite_args() -> SuiteArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -602,11 +603,17 @@ mod tests {
     #[test]
     fn suite_args_parse_and_reject_duplicates() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let a = parse_suite_args(&args(&["--reorder", "sift", "--jobs", "3"])).unwrap();
-        assert_eq!(a.reorder, ReorderPolicy::Sift);
+        let a = parse_suite_args(&args(&["--reorder", "none", "--jobs", "3"])).unwrap();
+        assert_eq!(a.reorder, ReorderPolicy::None);
         assert_eq!(a.jobs, 3);
-        let d = parse_suite_args(&args(&["--reorder", "none", "--reorder", "sift"]));
+        let d = parse_suite_args(&args(&["--reorder", "none", "--reorder", "window"]));
         assert_eq!(d.unwrap_err(), "duplicate --reorder flag");
+        for gone in ["sift", "sift-converge"] {
+            assert_eq!(
+                parse_suite_args(&args(&["--reorder", gone])).unwrap_err(),
+                format!("--reorder {gone}: use none or window")
+            );
+        }
         let j = parse_suite_args(&args(&["--jobs", "2", "--jobs", "4"]));
         assert_eq!(j.unwrap_err(), "duplicate --jobs flag");
         assert!(parse_suite_args(&args(&["--jobs", "0"])).is_err());
@@ -658,6 +665,31 @@ mod tests {
             ..RowBudget::default()
         };
         let row = table1_row_with(alu2, &budget.apply(&EngineOptions::default()));
+        assert_eq!(row.status, RowStatus::Degraded);
+        assert!(row.verified, "degraded rows must still be equivalent");
+    }
+
+    /// The retry path, on a budget that aborts cones mid-decomposition
+    /// (after their partition build fit): sifting each aborted cone and
+    /// retrying it once recovers every cone of bigkey, while without the
+    /// retry the same budget leaves cones degraded.
+    #[test]
+    fn sift_then_retry_recovers_budget_aborted_cones() {
+        let suite = paper_suite();
+        let bigkey = suite.iter().find(|b| b.name == "bigkey").unwrap();
+        let budget = RowBudget {
+            node_limit: Some(500),
+            step_limit: Some(300),
+            timeout: None,
+        };
+        let row = table1_row_with(bigkey, &budget.apply(&EngineOptions::default()));
+        assert_eq!(row.status, RowStatus::Ok);
+        assert!(row.verified);
+        let no_retry = EngineOptions {
+            retry_after_sift: false,
+            ..EngineOptions::default()
+        };
+        let row = table1_row_with(bigkey, &budget.apply(&no_retry));
         assert_eq!(row.status, RowStatus::Degraded);
         assert!(row.verified, "degraded rows must still be equivalent");
     }

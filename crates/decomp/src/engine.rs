@@ -33,9 +33,9 @@ impl MajorityHook for NoMajority {
     }
 }
 
-/// Which variable-reordering machinery runs on each supernode BDD before
+/// Which variable reordering runs on each supernode BDD before
 /// decomposition (§IV-B: "it performs variable reordering to compact the
-/// size of the input BDD"). All policies are *in place* — the supernode's
+/// size of the input BDD"). Reordering is *in place*: the supernode's
 /// `Ref` and its variable-to-signal binding survive unchanged; only the
 /// manager's level order moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,24 +44,14 @@ pub enum ReorderPolicy {
     None,
     /// Sliding window-permutation search (`bdd::window_reorder`).
     Window,
-    /// Rudell sifting (`bdd::sift_reorder` per cone, plus the manager's
-    /// threshold-gated `maybe_sift` at the engine's quiescent points).
-    Sift,
-    /// Converging sift (`bdd::sift_converge_reorder` per cone:
-    /// budget-relaxed passes with symmetric-group sifting repeated to a
-    /// fixpoint; `maybe_sift` is armed with the same fixpoint options).
-    SiftConverge,
 }
 
 impl ReorderPolicy {
-    /// Parses the `--reorder {none,window,sift,sift-converge}`
-    /// command-line spelling.
+    /// Parses the `--reorder {none,window}` command-line spelling.
     pub fn from_flag(s: &str) -> Option<ReorderPolicy> {
         match s {
             "none" => Some(ReorderPolicy::None),
             "window" => Some(ReorderPolicy::Window),
-            "sift" => Some(ReorderPolicy::Sift),
-            "sift-converge" => Some(ReorderPolicy::SiftConverge),
             _ => None,
         }
     }
@@ -207,24 +197,6 @@ pub fn decompose_network(
         (net.len() * 16).clamp(1 << 12, 1 << 20),
         bdd::DEFAULT_CACHE_BITS,
     );
-    match options.reorder {
-        // Arm the manager-global hook too: partition and this engine offer
-        // `maybe_sift` at every quiescent point alongside `maybe_collect`.
-        ReorderPolicy::Sift => {
-            manager.set_sift_config(bdd::AutoSiftConfig {
-                enabled: true,
-                ..Default::default()
-            });
-        }
-        ReorderPolicy::SiftConverge => {
-            manager.set_sift_config(bdd::AutoSiftConfig {
-                enabled: true,
-                fixpoint: Some(bdd::ConvergeConfig::default()),
-                ..Default::default()
-            });
-        }
-        ReorderPolicy::None | ReorderPolicy::Window => {}
-    }
     let part = partition_with_limits(net, &mut manager, options.partition, options.limits);
     let governed = options.limits.is_limited();
 
@@ -252,28 +224,13 @@ pub fn decompose_network(
         // place on the shared level maps: the cone's `Ref` and its
         // variable-to-signal binding are untouched, only node counts move.
         let cone_size = manager.size(function);
-        if var_signals.len() >= 3
+        if options.reorder == ReorderPolicy::Window
+            && options.reorder_window >= 2
+            && var_signals.len() >= 3
             && cone_size >= options.reorder_min_size
             && cone_size <= options.reorder_size_limit
         {
-            match options.reorder {
-                ReorderPolicy::None => {}
-                ReorderPolicy::Window => {
-                    if options.reorder_window >= 2 {
-                        bdd::window_reorder(&mut manager, function, options.reorder_window, 4);
-                    }
-                }
-                ReorderPolicy::Sift => {
-                    bdd::sift_reorder(&mut manager, function, &bdd::SiftConfig::default());
-                }
-                ReorderPolicy::SiftConverge => {
-                    bdd::sift_converge_reorder(
-                        &mut manager,
-                        function,
-                        &bdd::ConvergeConfig::default(),
-                    );
-                }
-            }
+            bdd::window_reorder(&mut manager, function, options.reorder_window, 4);
         }
         // The function under decomposition is the iteration's root;
         // everything decompose_function creates below it is transient and
@@ -345,10 +302,8 @@ pub fn decompose_network(
                                    // are emitted, and later supernodes reference *signals*, not Refs.
         manager.release(sn.function);
         // Quiescent point: every live function is a protected root, so
-        // offer dynamic reordering (no-op unless armed) and then let the
-        // collector recycle decomposition garbage plus whatever nodes the
-        // sift displaced.
-        manager.maybe_sift();
+        // let the collector recycle decomposition garbage plus whatever
+        // nodes the reordering displaced.
         manager.maybe_collect();
     }
     for (name, s) in net.outputs() {
@@ -665,45 +620,5 @@ mod tests {
             "an ample budget must not perturb the decomposition"
         );
         assert_eq!(equiv_sim(&net, &budgeted.network, 16, 7), Ok(()));
-    }
-
-    /// The retry path: when the budget is tight (but not hopeless) the
-    /// engine may sift and retry; whatever the outcome, the function is
-    /// preserved and every cone lands in the report.
-    #[test]
-    fn retry_after_sift_preserves_function() {
-        let mut net = Network::new("add_budget");
-        let a: Vec<SignalId> = (0..6).map(|i| net.add_input(format!("a{i}"))).collect();
-        let b: Vec<SignalId> = (0..6).map(|i| net.add_input(format!("b{i}"))).collect();
-        let mut carry: Option<SignalId> = None;
-        for i in 0..6 {
-            let (s, c) = match carry {
-                None => (
-                    net.add_gate(GateKind::Xor, vec![a[i], b[i]]),
-                    net.add_gate(GateKind::And, vec![a[i], b[i]]),
-                ),
-                Some(cin) => (
-                    net.add_gate(GateKind::Xor, vec![a[i], b[i], cin]),
-                    net.add_gate(GateKind::Maj, vec![a[i], b[i], cin]),
-                ),
-            };
-            net.set_output(format!("s{i}"), s);
-            carry = Some(c);
-        }
-        net.set_output("cout", carry.unwrap());
-        let options = EngineOptions {
-            limits: ResourceLimits {
-                max_steps: Some(40),
-                ..ResourceLimits::default()
-            },
-            retry_after_sift: true,
-            ..EngineOptions::default()
-        };
-        let result = decompose_network(&net, &options, &mut NoMajority);
-        assert_eq!(equiv_sim(&net, &result.network, 64, 13), Ok(()));
-        assert_eq!(
-            result.report.cones.len(),
-            result.report.ok_count() + result.report.degraded_count()
-        );
     }
 }

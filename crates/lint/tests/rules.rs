@@ -199,6 +199,41 @@ fn fully_read_telemetry_passes() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+#[test]
+fn telemetry_registry_drift_is_a_finding() {
+    // A registered struct its file no longer declares, and one whose file
+    // is gone: a move that dodges the registry must break loudly instead
+    // of switching the liveness check off.
+    let cfg = Config {
+        telemetry_structs: &[
+            ("CacheStats", "crates/bdd/src/manager.rs"),
+            ("SiftReport", "crates/bdd/src/manager.rs"),
+            ("FlowReport", "crates/decomp/src/engine.rs"),
+        ],
+        ..base_config()
+    };
+    let findings = lint_fixture("telemetry/good", &cfg);
+    assert_eq!(
+        rules_of(&findings),
+        ["telemetry-liveness", "telemetry-liveness"],
+        "{findings:?}"
+    );
+    assert!(
+        findings.iter().all(|f| f.message.contains("not declared")),
+        "{findings:?}"
+    );
+    assert!(
+        findings[0].message.contains("`SiftReport`"),
+        "{}",
+        findings[0]
+    );
+    assert!(
+        findings[1].message.contains("`FlowReport`"),
+        "{}",
+        findings[1]
+    );
+}
+
 // ---------------------------------------------------------------- rule 7
 
 fn complement_cfg() -> Config {

@@ -271,11 +271,8 @@ pub fn partition_with_limits(
         }
         // A finished cone's intermediates (the per-gate partial products
         // of eval_cone) are dead now; between builds every live function
-        // is a protected supernode root, so both dynamic reordering (a
-        // no-op unless the caller armed `AutoSiftConfig`) and collection
-        // are safe at this quiescent point. Sift first: the swap garbage
-        // it displaces is exactly what the collector then recycles.
-        manager.maybe_sift();
+        // is a protected supernode root, so collection is safe at this
+        // quiescent point.
         manager.maybe_collect();
     }
     if governed {

@@ -5,7 +5,7 @@
 //! plus an area/delay report on the CMOS 22 nm six-cell library.
 //!
 //! ```text
-//! usage: bdsmaj [--flow bds-maj|bds-pga|abc|dc] [--reorder none|window|sift|sift-converge]
+//! usage: bdsmaj [--flow bds-maj|bds-pga|abc|dc] [--reorder none|window]
 //!               [--jobs N] [--map] [-o OUT.blif] IN.blif
 //!        bdsmaj ... [-o OUT_DIR] IN1.blif IN2.blif ...  # multi-file mode
 //!        bdsmaj --bench NAME        # run a built-in paper benchmark instead
@@ -24,6 +24,10 @@ use bench::{pool, RowBudget};
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Exit code for a malformed command line (an unknown option, a missing
+/// or rejected value, a removed `--reorder` spelling).
+const EXIT_USAGE: u8 = 2;
+
 /// Exit code for runs that completed but under graceful degradation
 /// (some cones carried through un-decomposed). 0 = ok, 1 = failure,
 /// 2 = usage error.
@@ -41,7 +45,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: bdsmaj [--flow bds-maj|bds-pga|abc|dc] \
-                     [--reorder none|window|sift|sift-converge] [--jobs N] [--map] \
+                     [--reorder none|window] [--jobs N] [--map] \
                      [--node-limit N] [--step-limit N] [--timeout SECS] \
                      [-o OUT.blif] (IN.blif | --bench NAME)\n       \
                      bdsmaj ... [-o OUT_DIR] IN1.blif IN2.blif ...  # multi-file mode\n\
@@ -70,9 +74,8 @@ fn parse_args() -> Result<Args, String> {
                 }
                 reorder_seen = true;
                 let v = it.next().ok_or("--reorder needs a value")?;
-                args.reorder = ReorderPolicy::from_flag(&v).ok_or(format!(
-                    "--reorder {v}: use none, window, sift or sift-converge"
-                ))?;
+                args.reorder = ReorderPolicy::from_flag(&v)
+                    .ok_or(format!("--reorder {v}: use none or window"))?;
             }
             "--jobs" => {
                 if jobs.is_some() {
@@ -331,7 +334,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(EXIT_USAGE);
         }
     };
     let lib = Library::cmos22();
