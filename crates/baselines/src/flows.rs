@@ -1,7 +1,7 @@
 //! Complete baseline synthesis flows, matching the comparison set of
 //! Table II: the ABC-like AIG flow and the Design-Compiler-like
 //! multi-strategy flow (a simulation of a commercial best-of-breed
-//! optimizer — DC itself is proprietary; see DESIGN.md §3).
+//! optimizer — DC itself is proprietary).
 
 use crate::balance::abc_flow;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};

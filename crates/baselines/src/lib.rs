@@ -2,7 +2,7 @@
 //! AIG flow (structural hashing + balancing, blind to XOR/MAJ structure)
 //! and the Design-Compiler-like multi-strategy flow (best-of-breed area
 //! optimization without majority inference). Both are substitutes for
-//! tools that are closed-source or unavailable offline — see DESIGN.md §3.
+//! tools that are closed-source or unavailable offline.
 //!
 //! # Example
 //!

@@ -1,15 +1,15 @@
-//! Structural and semantic analysis: evaluation, size, support,
-//! satisfying-set counting, and the per-node connectivity statistics used by
-//! dominator-driven decomposition.
+//! Structural and semantic analysis: evaluation, size, support, and the
+//! per-node connectivity statistics used by dominator-driven
+//! decomposition.
 //!
 //! All traversals here start from caller-supplied roots and never touch
 //! reclaimed arena slots; a [`NodeStats`] snapshot, like any other
-//! `Ref`/`NodeId` collection, is invalidated by a garbage collection
-//! (compare [`Manager::gc_epoch`] when holding one across collection
-//! points). Everything is order-agnostic: evaluation and support index by
-//! variable *identity*, not by level, so results are unchanged by
-//! reordering (level swaps and sifting preserve each `Ref`'s function,
-//! though `size` may of course change — that is the point of sifting).
+//! `Ref`/`NodeId` collection, is invalidated by a garbage collection, so
+//! hold one only between two quiescent points. Everything is
+//! order-agnostic: evaluation and support index by variable *identity*,
+//! not by level, so results are unchanged by reordering (level swaps and
+//! sifting preserve each `Ref`'s function, though `size` may of course
+//! change — that is the point of sifting).
 
 use crate::hasher::BuildFxHasher;
 use crate::manager::Manager;
@@ -140,36 +140,6 @@ impl Manager {
         out
     }
 
-    /// Fraction of the `2^num_vars` input assignments satisfying `f`,
-    /// computed exactly by one DAG traversal.
-    pub fn density(&self, f: Ref) -> f64 {
-        fn prob(m: &Manager, r: Ref, memo: &mut HashMap<NodeId, f64, BuildFxHasher>) -> f64 {
-            let p = if r.regular().is_one() {
-                1.0
-            } else if let Some(&p) = memo.get(&r.node()) {
-                p
-            } else {
-                let n = m.store.node(r.node().index());
-                let p = 0.5 * prob(m, n.low, memo) + 0.5 * prob(m, n.high, memo);
-                memo.insert(r.node(), p);
-                p
-            };
-            if r.is_complemented() {
-                1.0 - p
-            } else {
-                p
-            }
-        }
-        let mut memo = HashMap::default();
-        prob(self, f, &mut memo)
-    }
-
-    /// Number of satisfying assignments over `num_vars` variables
-    /// (as `f64`, exact while below 2^53).
-    pub fn sat_count(&self, f: Ref, num_vars: u32) -> f64 {
-        self.density(f) * (num_vars as f64).exp2()
-    }
-
     /// Collects the internal nodes of the DAG rooted at `f`, together with
     /// incoming-edge statistics for each. The root reference itself is
     /// counted as one incoming edge (a 0-edge, complemented if the root
@@ -269,19 +239,6 @@ mod tests {
         let f = m.xor(a, c);
         assert_eq!(m.support(f), vec![Var(0), Var(2)]);
         assert_eq!(m.support(Ref::ONE), vec![]);
-    }
-
-    #[test]
-    fn density_and_sat_count() {
-        let mut m = Manager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert!((m.density(f) - 0.25).abs() < 1e-12);
-        assert!((m.sat_count(f, 2) - 1.0).abs() < 1e-9);
-        let g = m.xor(a, b);
-        assert!((m.sat_count(g, 2) - 2.0).abs() < 1e-9);
-        assert!((m.density(Ref::ONE) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Cofactoring, quantification, composition, the Coudert–Madre generalized
-//! cofactors, and node-to-constant substitution.
+//! Cofactoring, the Coudert–Madre `restrict` generalized cofactor, and
+//! node-to-constant substitution.
 //!
-//! `restrict` and `constrain` are the two generalized-cofactor operators the
-//! BDS-MAJ paper cites ([17], [18]) for seeding the majority decomposition:
-//! both return a function that agrees with `f` wherever the care set `c`
-//! holds, while being (heuristically) smaller outside it.
+//! The BDS-MAJ paper cites two generalized-cofactor operators ([17],
+//! [18]) for seeding the majority decomposition; the flow seeds with
+//! `restrict`, which returns a function that agrees with `f` wherever the
+//! care set `c` holds, while being (heuristically) smaller outside it.
 //!
 //! Like the connective kernels in [`crate::ops`], every recursion here is
 //! a [`Session`] method taking `(&mut NodeStore, ...)` — the session's
@@ -18,7 +18,7 @@
 //! per-kernel terminal special cases.
 //!
 //! All recursions here memoize through the session's computed cache
-//! (tags `op::COFACTOR`, `op::RESTRICT`, `op::CONSTRAIN`, `op::REPLACE`)
+//! (tags `op::COFACTOR`, `op::RESTRICT`, `op::REPLACE`)
 //! instead of allocating a fresh `HashMap` per call: results persist across
 //! calls, repeated cofactors of the same function hit immediately, and a
 //! lossy collision merely costs a re-computation. Garbage collection never
@@ -36,7 +36,7 @@
 //! is returned as is, without a step or a probe. The rebuild is memoized
 //! under the keyed op `(node, target << 1, value)` in the cache's
 //! order-sensitive generation — a level swap changes which nodes reach
-//! the target, so swaps retire it together with restrict/constrain — and
+//! the target, so swaps retire it together with restrict — and
 //! the `target << 1` word lets the collector's scrub drop every entry for
 //! a reclaimed target before its slot can be reused. Repeated dominator
 //! tests on one function (the BDS dominator search, the m-dominator scan
@@ -135,43 +135,6 @@ impl Session {
         Ok(r)
     }
 
-    /// The Coudert–Madre *constrain* recursion (care set non-zero,
-    /// enforced by the entry point).
-    pub(crate) fn constrain_rec(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        c: Ref,
-    ) -> Result<Ref, LimitExceeded> {
-        if c.is_one() || f.is_const() {
-            return Ok(f);
-        }
-        if f == c {
-            return Ok(Ref::ONE);
-        }
-        if f == !c {
-            return Ok(Ref::ZERO);
-        }
-        self.tick(store)?;
-        if let Some(r) = self.cache.lookup(op::CONSTRAIN, f.raw(), c.raw(), 0) {
-            return Ok(r);
-        }
-        let v = store.var_at_level(store.level(f).min(store.level(c)));
-        let (f0, f1) = store.shallow_cofactors(f, v);
-        let (c0, c1) = store.shallow_cofactors(c, v);
-        let r = if c0.is_zero() {
-            self.constrain_rec(store, f1, c1)?
-        } else if c1.is_zero() {
-            self.constrain_rec(store, f0, c0)?
-        } else {
-            let r0 = self.constrain_rec(store, f0, c0)?;
-            let r1 = self.constrain_rec(store, f1, c1)?;
-            store.mk(v, r0, r1)
-        };
-        self.cache.insert(op::CONSTRAIN, f.raw(), c.raw(), 0, r);
-        Ok(r)
-    }
-
     /// The ancestor-only rebuild behind node-to-constant substitution:
     /// rebuilds the part of `f` above `target` (at `target_level`) with
     /// the target replaced by the constant `value`, memoized under the
@@ -223,87 +186,18 @@ impl Manager {
         self.session.cofactor_rec(&mut self.store, f, v, value)
     }
 
-    /// Existential quantification `∃v. f = f|v=0 + f|v=1`.
-    pub fn exists(&mut self, f: Ref, v: Var) -> Ref {
-        self.ungoverned(|m| m.try_exists(f, v))
-    }
-
-    /// Budget-governed [`Manager::exists`].
-    pub fn try_exists(&mut self, f: Ref, v: Var) -> Result<Ref, LimitExceeded> {
-        let f0 = self.try_cofactor(f, v, false)?;
-        let f1 = self.try_cofactor(f, v, true)?;
-        self.try_or(f0, f1)
-    }
-
-    /// Universal quantification `∀v. f = f|v=0 · f|v=1`.
-    pub fn forall(&mut self, f: Ref, v: Var) -> Ref {
-        self.ungoverned(|m| m.try_forall(f, v))
-    }
-
-    /// Budget-governed [`Manager::forall`].
-    pub fn try_forall(&mut self, f: Ref, v: Var) -> Result<Ref, LimitExceeded> {
-        let f0 = self.try_cofactor(f, v, false)?;
-        let f1 = self.try_cofactor(f, v, true)?;
-        self.try_and(f0, f1)
-    }
-
-    /// Functional composition `f[v := g]`.
-    pub fn compose(&mut self, f: Ref, v: Var, g: Ref) -> Ref {
-        self.ungoverned(|m| m.try_compose(f, v, g))
-    }
-
-    /// Budget-governed [`Manager::compose`].
-    pub fn try_compose(&mut self, f: Ref, v: Var, g: Ref) -> Result<Ref, LimitExceeded> {
-        let f0 = self.try_cofactor(f, v, false)?;
-        let f1 = self.try_cofactor(f, v, true)?;
-        self.try_ite(g, f1, f0)
-    }
-
     /// The Coudert–Madre *restrict* generalized cofactor `f ⇓ c`.
     ///
     /// Guarantees `(f ⇓ c) · c = f · c`; outside the care set `c` the result
     /// is chosen to shrink the BDD (variables foreign to `f` are quantified
-    /// out of `c` on the way down, which is what distinguishes `restrict`
-    /// from [`Manager::constrain`]).
+    /// out of `c` on the way down).
     ///
     /// # Panics
     ///
     /// Panics if `c` is the constant zero (the care set must be satisfiable).
     pub fn restrict(&mut self, f: Ref, c: Ref) -> Ref {
-        self.ungoverned(|m| m.try_restrict(f, c))
-    }
-
-    /// Budget-governed [`Manager::restrict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is the constant zero, like the infallible form.
-    pub fn try_restrict(&mut self, f: Ref, c: Ref) -> Result<Ref, LimitExceeded> {
         assert!(!c.is_zero(), "restrict: empty care set");
-        self.session.restrict_rec(&mut self.store, f, c)
-    }
-
-    /// The Coudert–Madre *constrain* (a.k.a. image-restricting) generalized
-    /// cofactor `f ↓ c`.
-    ///
-    /// Guarantees `(f ↓ c) · c = f · c`, and additionally the strong
-    /// property `f ↓ c = f(π_c(x))` for the canonical projection `π_c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is the constant zero.
-    pub fn constrain(&mut self, f: Ref, c: Ref) -> Ref {
-        self.ungoverned(|m| m.try_constrain(f, c))
-    }
-
-    /// Budget-governed [`Manager::constrain`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is the constant zero, like the infallible form.
-    pub fn try_constrain(&mut self, f: Ref, c: Ref) -> Result<Ref, LimitExceeded> {
-        assert!(!c.is_zero(), "constrain: empty care set");
-        self.session.constrain_rec(&mut self.store, f, c)
+        self.ungoverned(|m| m.session.restrict_rec(&mut m.store, f, c))
     }
 
     /// Rebuilds the DAG of `f` with the internal node `target` replaced by
@@ -382,63 +276,12 @@ mod tests {
     }
 
     #[test]
-    fn quantifiers() {
-        let mut m = Manager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert_eq!(m.exists(f, Var(0)), b);
-        assert_eq!(m.forall(f, Var(0)), Ref::ZERO);
-        let g = m.or(a, b);
-        assert_eq!(m.forall(g, Var(0)), b);
-        assert_eq!(m.exists(g, Var(0)), Ref::ONE);
-    }
-
-    #[test]
-    fn compose_substitutes_a_function() {
-        let mut m = Manager::new();
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let f = m.xor(a, b);
-        let g = m.and(b, c);
-        let h = m.compose(f, Var(0), g);
-        let expect = m.xor(g, b);
-        assert_eq!(h, expect);
-    }
-
-    #[test]
-    fn restrict_and_constrain_agree_on_care_set() {
-        let mut m = Manager::new();
-        let (a, b, c, d) = (m.var(0), m.var(1), m.var(2), m.var(3));
-        let ab = m.and(a, b);
-        let cd = m.xor(c, d);
-        let f = m.or(ab, cd);
-        let care = m.or(a, c);
-        for gc in [m.restrict(f, care), m.constrain(f, care)] {
-            let lhs = m.and(gc, care);
-            let rhs = m.and(f, care);
-            assert_eq!(lhs, rhs, "generalized cofactor must agree on care set");
-        }
-    }
-
-    #[test]
     fn restrict_with_full_care_set_is_identity() {
         let mut m = Manager::new();
         let a = m.var(0);
         let b = m.var(1);
         let f = m.xor(a, b);
         assert_eq!(m.restrict(f, Ref::ONE), f);
-        assert_eq!(m.constrain(f, Ref::ONE), f);
-    }
-
-    #[test]
-    fn constrain_detects_equal_and_opposite() {
-        let mut m = Manager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert_eq!(m.constrain(f, f), Ref::ONE);
-        let nf = !f;
-        assert_eq!(m.constrain(nf, f), Ref::ZERO);
     }
 
     #[test]

@@ -289,9 +289,8 @@ impl Manager {
             *self.store.int_ref_mut(s as usize) = 0;
         }
         // One ascending arena scan re-stacks every free slot, old and new:
-        // the next `mk` takes the highest one. That order decides which
-        // slots later nodes get (and so the `NodeId` tie-breaks of the
-        // dominator search), whatever order `dead` was found in.
+        // the next `mk` takes the highest one, whatever order `dead` was
+        // found in.
         self.store.rebuild_free();
         // The sweep may have poisoned slots listed anywhere: rebuild the
         // per-variable slot lists (and the slots' positions in them) from
@@ -335,7 +334,6 @@ impl Manager {
             let idx = (w >> 1) as usize;
             idx >= store.num_nodes() || store.var_of(idx) != FREE_VAR
         });
-        self.gc_epoch += 1;
         self.collections += 1;
         self.reclaimed_total += dead.len() as u64;
         dead.len()
@@ -384,7 +382,7 @@ mod tests {
     fn collection_reuses_freed_slots_highest_first() {
         // The sweep re-stacks the free list in ascending slot order, so
         // fresh nodes take freed slots from the top down, and only then
-        // does the arena grow. Downstream `NodeId` tie-breaks depend on it.
+        // does the arena grow.
         let mut m = Manager::new();
         let vars: Vec<Ref> = (0..6).map(|i| m.var(i)).collect();
         let keep = m.and(vars[0], vars[1]);
@@ -415,7 +413,6 @@ mod tests {
             0,
             "empty sweeps are not counted"
         );
-        assert_eq!(m.gc_epoch(), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   node is regular), so negation is free;
 //! * a memoized if-then-else operator ([`Manager::ite`]) plus specialized
 //!   AND/XOR kernels for the two dominant connectives;
-//! * the Coudert–Madre generalized cofactors [`Manager::restrict`] and
-//!   [`Manager::constrain`] used by the majority decomposition of BDS-MAJ;
+//! * the Coudert–Madre generalized cofactor [`Manager::restrict`] that
+//!   seeds the majority decomposition of BDS-MAJ;
 //! * structural analysis needed by dominator-driven decomposition:
 //!   node iteration, in-degree statistics and node-to-constant substitution.
 //!
@@ -77,10 +77,10 @@
 //!   operations). Inserts refresh a matching key in place, then prefer
 //!   a stale way (generation retired), then rotate the victim cursor.
 //!   All recursive kernels share this one cache via op tag codes (3 bits
-//!   of the tag word): `ITE`, `AND`, `XOR`, `COFACTOR`, `RESTRICT`,
-//!   `CONSTRAIN`, and `REPLACE` (node-to-constant substitution, keyed by
-//!   `(node, target << 1, value)`). `RESTRICT`, `CONSTRAIN` and `REPLACE`
-//!   results depend on the variable order, so they carry a second,
+//!   of the tag word): `ITE`, `AND`, `XOR`, `COFACTOR`, `RESTRICT`, and
+//!   `REPLACE` (node-to-constant substitution, keyed by
+//!   `(node, target << 1, value)`). `RESTRICT` and `REPLACE` results
+//!   depend on the variable order, so they carry a second,
 //!   order-sensitive generation that every node-rewriting level swap
 //!   retires; the other ops survive swaps. [`Manager::clear_caches`]
 //!   bumps both generations: O(1), capacity kept.
@@ -165,16 +165,19 @@
 //!
 //! # Resource governance and the fallible-kernel contract
 //!
-//! Every recursive kernel exists in two forms: the classic infallible
-//! entry (`ite`, `and`, `xor`, `cofactor`, ...) and a budget-governed
-//! `try_*` twin returning `Result<Ref, LimitExceeded>`. Install a budget
-//! with [`Manager::set_limits`] ([`ResourceLimits`]: a live-node ceiling,
-//! a recursion-step ceiling, a wall-clock deadline — any subset); the
-//! `try_*` kernels then poll it on a cheap counter inside the recursion
-//! and abort cooperatively with [`LimitExceeded`] when it is crossed.
-//! The infallible entries run the *same* recursions with the budget
-//! suspended ([`Manager::ungoverned`]), so pre-existing code keeps its
-//! can't-fail signatures and pays one branch per recursion step.
+//! Every recursive kernel is written once, in a fallible form. The
+//! entries the budgeted flow calls are budget-governed `try_*` functions
+//! returning `Result<Ref, LimitExceeded>` (`try_ite`, `try_and`,
+//! `try_xor`, `try_cofactor`, `try_replace_node_with_const`, ...).
+//! Install a budget with [`Manager::set_limits`] ([`ResourceLimits`]: a
+//! live-node ceiling, a recursion-step ceiling, a wall-clock deadline —
+//! any subset); the `try_*` kernels then poll it on a cheap counter
+//! inside the recursion and abort cooperatively with [`LimitExceeded`]
+//! when it is crossed. The infallible entries (`ite`, `and`, `restrict`,
+//! ...) run the *same* recursions with the budget suspended
+//! ([`Manager::ungoverned`]), so they keep can't-fail signatures and pay
+//! one branch per recursion step. A kernel gets a `try_*` entry only
+//! where the governed flow calls one.
 //!
 //! **What survives an abort:** everything. All invariant maintenance
 //! (unique-table insertion, interior refcounts, per-variable node lists,
@@ -243,7 +246,6 @@ mod manager;
 mod ops;
 mod reference;
 mod reorder;
-mod sat;
 mod session;
 mod store;
 

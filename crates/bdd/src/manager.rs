@@ -42,11 +42,8 @@ pub struct CacheStats {
     /// Unique-table bucket count (shrinks when a collection leaves the
     /// table sparse).
     pub unique_buckets: usize,
-    /// Arena slots known to be reclaimable or already reclaimed: the
-    /// current free list, plus — when computed via
-    /// [`Manager::cache_stats_with_roots`] — the in-use nodes unreachable
-    /// from the supplied roots (what the next sweep from those roots would
-    /// add to the free list).
+    /// Arena slots already reclaimed and awaiting reuse (the free list;
+    /// not-yet-swept dead nodes are not counted).
     pub garbage_estimate: usize,
     /// Arena slots currently holding a live (not reclaimed) node,
     /// including the terminal.
@@ -110,12 +107,6 @@ pub struct Manager {
     pub(crate) gc: GcConfig,
     pub(crate) sift_swaps: u64,
     pub(crate) sifts: u64,
-    /// Reclamation epoch: bumped whenever any slot is reclaimed — by a
-    /// sweeping collection *or* by the eager reclamation inside sifting's
-    /// level swaps. Holders of `Ref`-keyed side tables (e.g. the majority
-    /// hook's memo) compare this against a saved value to know when their
-    /// keys may dangle.
-    pub(crate) gc_epoch: u64,
     /// Number of sweeping collections (mark/refcount sweeps that
     /// reclaimed at least one node); excludes per-swap eager reclamation.
     pub(crate) collections: u64,
@@ -147,7 +138,6 @@ impl Manager {
             gc: GcConfig::default(),
             sift_swaps: 0,
             sifts: 0,
-            gc_epoch: 0,
             collections: 0,
             reclaimed_total: 0,
         }
@@ -181,18 +171,6 @@ impl Manager {
     /// The currently installed resource budget.
     pub fn limits(&self) -> ResourceLimits {
         self.session.limits()
-    }
-
-    /// Kernel recursion steps taken since the limits were installed or
-    /// last reset — a cheap progress/cost indicator.
-    pub fn steps_used(&self) -> u64 {
-        self.session.steps_used()
-    }
-
-    /// Resets the step counter without touching the installed bounds
-    /// (e.g. to give each cone of a flow a fresh work budget).
-    pub fn reset_steps(&mut self) {
-        self.session.reset_steps();
     }
 
     /// Test-only fault injection: the next `try_*` kernel aborts with
@@ -441,11 +419,7 @@ impl Manager {
         self.session.cache.clear();
     }
 
-    /// Snapshot of the kernel's memory-system counters. The
-    /// `garbage_estimate` field reports the current free list (slots
-    /// already reclaimed and awaiting reuse); use
-    /// [`Manager::cache_stats_with_roots`] to also count not-yet-swept
-    /// dead nodes.
+    /// Snapshot of the kernel's memory-system counters.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             lookups: self.session.cache.lookups,
@@ -462,17 +436,6 @@ impl Manager {
             sift_swaps: self.sift_swaps,
             sifts: self.sifts,
         }
-    }
-
-    /// [`Manager::cache_stats`] with `garbage_estimate` extended by the
-    /// in-use nodes unreachable from `roots` — what a sweep from exactly
-    /// those roots would reclaim, on top of the existing free list.
-    pub fn cache_stats_with_roots(&self, roots: &[Ref]) -> CacheStats {
-        let mut stats = self.cache_stats();
-        let live = self.shared_size(roots);
-        let in_use = self.live_nodes() - 1; // internal nodes currently held
-        stats.garbage_estimate = self.store.free_nodes() + in_use.saturating_sub(live);
-        stats
     }
 
     // ------------------------------------------------------------------
@@ -528,14 +491,6 @@ impl Manager {
     /// The active collector configuration.
     pub fn gc_config(&self) -> GcConfig {
         self.gc
-    }
-
-    /// Number of collections that reclaimed at least one node. Any
-    /// `Ref`-keyed side table outside the manager is invalid once this
-    /// changes: swept slots are reused, so a stale key may alias a
-    /// *different* function.
-    pub fn gc_epoch(&self) -> u64 {
-        self.gc_epoch
     }
 }
 
@@ -777,20 +732,5 @@ mod tests {
         let g = m.and(f, d);
         let _ = g;
         m.verify_interior_refs();
-    }
-
-    #[test]
-    fn garbage_estimate_counts_unreachable_nodes() {
-        let mut m = Manager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let c = m.var(2);
-        let keep = m.and(a, b);
-        let _dead = m.ite(c, keep, b);
-        let stats = m.cache_stats_with_roots(&[keep]);
-        assert!(stats.garbage_estimate > 0, "the ite chain is unreachable");
-        // With every created function as a root, nothing is garbage.
-        let all = m.cache_stats_with_roots(&[keep, _dead, a, b, c]);
-        assert_eq!(all.garbage_estimate, 0);
     }
 }

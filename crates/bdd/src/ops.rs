@@ -24,12 +24,13 @@
 //!
 //! # Fallible entry points
 //!
-//! Every kernel exists in two forms: the classic infallible one (`ite`,
-//! `and`, ...) and a budget-governed `try_*` twin returning
-//! `Result<Ref, LimitExceeded>`. The recursions are written once, in the
-//! fallible form; each infallible entry is a thin wrapper running the
-//! same recursion with the manager's resource budget suspended
-//! ([`Manager::ungoverned`]), so it can never abort. A `try_*` abort is
+//! The recursions are written once, in the fallible form. A
+//! budget-governed entry is named `try_*` and returns
+//! `Result<Ref, LimitExceeded>`; an infallible entry (`ite`, `and`, ...)
+//! runs the same recursion with the manager's resource budget suspended
+//! ([`Manager::ungoverned`]), so it can never abort. A connective has a
+//! `try_*` form where the governed flow calls one (the n-ary
+//! conjunction and disjunction have only that form). A `try_*` abort is
 //! clean by construction: all invariant maintenance (unique table,
 //! interior refcounts, per-variable lists) happens inside one
 //! `NodeStore::mk` call, so unwinding between `mk` calls leaves the
@@ -335,17 +336,6 @@ impl Manager {
         !self.xor(f, g)
     }
 
-    /// Budget-governed [`Manager::xnor`].
-    pub fn try_xnor(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        Ok(!self.try_xor(f, g)?)
-    }
-
-    /// Implication `f → g`.
-    pub fn implies(&mut self, f: Ref, g: Ref) -> Ref {
-        let ng = !g;
-        !self.and(f, ng)
-    }
-
     /// Three-input majority `Maj(a, b, c) = ab + bc + ac`, the radix-3
     /// primitive at the heart of BDS-MAJ.
     pub fn maj(&mut self, a: Ref, b: Ref, c: Ref) -> Ref {
@@ -359,12 +349,8 @@ impl Manager {
         self.try_ite(a, bc_or, bc_and)
     }
 
-    /// n-ary conjunction over an iterator of functions.
-    pub fn and_all<I: IntoIterator<Item = Ref>>(&mut self, fs: I) -> Ref {
-        self.ungoverned(|m| m.try_and_all(fs))
-    }
-
-    /// Budget-governed [`Manager::and_all`].
+    /// Budget-governed n-ary conjunction over an iterator of functions
+    /// (`ONE` for an empty iterator).
     pub fn try_and_all<I: IntoIterator<Item = Ref>>(
         &mut self,
         fs: I,
@@ -376,12 +362,8 @@ impl Manager {
         Ok(acc)
     }
 
-    /// n-ary disjunction over an iterator of functions.
-    pub fn or_all<I: IntoIterator<Item = Ref>>(&mut self, fs: I) -> Ref {
-        self.ungoverned(|m| m.try_or_all(fs))
-    }
-
-    /// Budget-governed [`Manager::or_all`].
+    /// Budget-governed n-ary disjunction over an iterator of functions
+    /// (`ZERO` for an empty iterator).
     pub fn try_or_all<I: IntoIterator<Item = Ref>>(&mut self, fs: I) -> Result<Ref, LimitExceeded> {
         let mut acc = Ref::ZERO;
         for f in fs {
@@ -440,7 +422,6 @@ mod tests {
             (m.nor(a, b), |x, y| !(x || y)),
             (m.xor(a, b), |x, y| x ^ y),
             (m.xnor(a, b), |x, y| !(x ^ y)),
-            (m.implies(a, b), |x, y| !x || y),
         ];
         for (f, reference) in cases {
             assert_equiv(&m, f, 2, |v| reference(v[0], v[1]));
@@ -484,11 +465,11 @@ mod tests {
     #[test]
     fn and_or_all_handle_empty_and_units() {
         let mut m = Manager::new();
-        assert_eq!(m.and_all([]), Ref::ONE);
-        assert_eq!(m.or_all([]), Ref::ZERO);
+        assert_eq!(m.try_and_all([]), Ok(Ref::ONE));
+        assert_eq!(m.try_or_all([]), Ok(Ref::ZERO));
         let a = m.var(0);
-        assert_eq!(m.and_all([a]), a);
-        assert_eq!(m.or_all([a]), a);
+        assert_eq!(m.try_and_all([a]), Ok(a));
+        assert_eq!(m.try_or_all([a]), Ok(a));
     }
 
     #[test]

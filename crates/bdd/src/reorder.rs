@@ -556,9 +556,8 @@ impl Manager {
     /// removed are reclaimed *immediately* (cascading into their
     /// children), their slots feeding the very next `mk`: swap garbage
     /// never exists, so `live_nodes() - 1` *is* the rooted size for the
-    /// whole pass. Eager reclamation invalidates `Ref`s nothing holds —
-    /// the computed cache is cleared (it may name the recycled slots) and
-    /// the `gc_epoch` advances so `Ref`-keyed side tables drop theirs.
+    /// whole pass. Eager reclamation invalidates `Ref`s nothing holds, so
+    /// the computed cache is cleared (it may name the recycled slots).
     /// Without `reclaim` this is the historical contract: every `Ref`,
     /// protected or not, stays valid, and only the order-sensitive memo
     /// generation retires.
@@ -648,21 +647,19 @@ impl Manager {
             self.dec_child(n.high, reclaim);
         }
         if self.reclaimed_total != reclaimed_before {
-            // Eager reclamation recycled slots the memo (and Ref-keyed
-            // side tables) may still name: retire the whole cache (O(1)
-            // generation bump) and advance the reclamation epoch.
+            // Eager reclamation recycled slots the memo may still name:
+            // retire the whole cache (O(1) generation bump).
             self.session.cache.clear();
-            self.gc_epoch += 1;
         } else {
             // Conservative cache scrub. Most memoized results survive a
             // swap unchanged: their keys and results are `Ref`s, the swap
             // preserves every Ref's function, and ITE/AND/XOR/COFACTOR
             // results are determined by operand functions alone. The
-            // Coudert–Madre restrict/constrain results and node
-            // substitutions additionally depend on the variable *order*
-            // (the latter on which nodes reach the target), so exactly
-            // that class is retired (O(1) generation bump) — the rest of
-            // the memo stays warm across reordering.
+            // Coudert–Madre restrict results and node substitutions
+            // additionally depend on the variable *order* (the latter on
+            // which nodes reach the target), so exactly that class is
+            // retired (O(1) generation bump) — the rest of the memo stays
+            // warm across reordering.
             self.session.cache.clear_order_sensitive();
         }
         (moved.len(), self.live_nodes() as isize - live_before)
@@ -682,10 +679,9 @@ impl Manager {
     /// (a debug-mode full recount audits the bookkeeping). Call this
     /// only at quiescent points with every live function protected,
     /// exactly like [`Manager::collect`] — eager reclamation invalidates
-    /// unprotected refs just like a collection does (and advances
-    /// [`Manager::gc_epoch`]). With no protected roots the pass is a
-    /// no-op. (The cheaper [`Manager::swap_levels`] primitive never
-    /// reclaims and preserves even unprotected refs.)
+    /// unprotected refs just like a collection does. With no protected
+    /// roots the pass is a no-op. (The cheaper [`Manager::swap_levels`]
+    /// primitive never reclaims and preserves even unprotected refs.)
     pub fn sift(&mut self, cfg: &SiftConfig) -> SiftReport {
         self.sift_filtered(cfg, None)
     }

@@ -25,8 +25,6 @@ pub(crate) mod op {
     pub const COFACTOR: u32 = 4;
     /// Coudert–Madre restrict.
     pub const RESTRICT: u32 = 5;
-    /// Coudert–Madre constrain.
-    pub const CONSTRAIN: u32 = 6;
     /// Node-to-constant substitution `F(value)`, keyed by
     /// `(node, target << 1, value)`. Which nodes reach the target depends
     /// on the variable order, so this memo is order-sensitive.
@@ -103,8 +101,8 @@ pub(crate) struct ComputedCache {
     pub(crate) sets: Vec<CacheSet>,
     mask: usize,
     pub(crate) generation: u32,
-    /// Generation of the order-sensitive ops (`RESTRICT`, `CONSTRAIN`,
-    /// `REPLACE`); bumped by every node-rewriting level swap.
+    /// Generation of the order-sensitive ops (`RESTRICT`, `REPLACE`);
+    /// bumped by every node-rewriting level swap.
     pub(crate) order_generation: u32,
     pub(crate) lookups: u64,
     pub(crate) hits: u64,
@@ -122,7 +120,7 @@ const OP_MASK: u32 = (1 << GEN_SHIFT) - 1;
 /// order (rather than only on the operand functions).
 #[inline(always)]
 fn order_sensitive(op: u32) -> bool {
-    op == op::RESTRICT || op == op::CONSTRAIN || op == op::REPLACE
+    op == op::RESTRICT || op == op::REPLACE
 }
 
 impl ComputedCache {
@@ -420,7 +418,7 @@ pub(crate) struct Session {
     /// a fault injection is armed, and governance is not suspended by an
     /// infallible wrapper.
     pub(crate) governed: bool,
-    /// Kernel recursion steps since limits were installed / last reset.
+    /// Kernel recursion steps since limits were installed.
     pub(crate) steps: u64,
     /// Test-only fault injection: abort with [`LimitKind::Injected`] once
     /// `steps` reaches this value.
@@ -459,17 +457,6 @@ impl Session {
     /// The currently installed resource budget.
     pub(crate) fn limits(&self) -> ResourceLimits {
         self.limits
-    }
-
-    /// Kernel recursion steps taken since the limits were installed or
-    /// last reset.
-    pub(crate) fn steps_used(&self) -> u64 {
-        self.steps
-    }
-
-    /// Resets the step counter without touching the installed bounds.
-    pub(crate) fn reset_steps(&mut self) {
-        self.steps = 0;
     }
 
     /// Arms (or disarms) the test-only injected abort.
@@ -599,7 +586,7 @@ mod tests {
             ..ResourceLimits::default()
         });
         assert!(s.governed);
-        assert_eq!(s.steps_used(), 0);
+        assert_eq!(s.steps, 0);
         s.clear_limits();
         assert!(!s.governed);
     }

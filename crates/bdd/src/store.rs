@@ -12,11 +12,13 @@
 //! reconciliation, so the store is consistent between any two `mk`
 //! calls — which is what makes a kernel abort clean.
 //!
-//! Slot allocation order is part of the flow's observable behaviour
-//! (the m-dominator search breaks ties by `NodeId`), so it is fixed:
-//! LIFO free-list pops first, then the arena high-water mark; after a
-//! sweep, [`NodeStore::rebuild_free`] re-stacks the free list in
-//! ascending slot order, so the highest freed slot is reused first.
+//! Slot allocation order is fixed: LIFO free-list pops first, then the
+//! arena high-water mark; after a sweep, [`NodeStore::rebuild_free`]
+//! re-stacks the free list in ascending slot order, so the highest freed
+//! slot is reused first. It is not observable in a flow's output: no
+//! decision above the kernel orders nodes by `NodeId` or keeps a
+//! `Ref`-keyed memo across collections, so where a node lands (and hence
+//! when the collector ran) cannot move a gate count.
 
 use crate::reference::{NodeId, Ref, Var};
 
@@ -459,7 +461,7 @@ impl NodeStore {
     /// Rebuilds the free stack from an ascending arena scan, so the
     /// highest free slot is reused first. Sweeps call this after
     /// poisoning; the resulting order fixes which slots the next nodes
-    /// get, and with it the `NodeId` tie-breaks downstream.
+    /// get.
     pub(crate) fn rebuild_free(&mut self) {
         self.free.clear();
         for (i, node) in self.nodes.iter().enumerate().skip(1) {

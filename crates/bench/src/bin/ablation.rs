@@ -1,8 +1,9 @@
-//! Quality-side ablation of the design choices listed in DESIGN.md §7:
-//! prints decomposed node counts under parameter sweeps so the impact of
-//! each knob on result quality (not just runtime) is visible.
+//! Quality-side ablation: sweeps the m-dominator candidate cap, the
+//! balancing iteration limit, the global sizing factor `k` and the
+//! partition support bound, printing decomposed node counts on four
+//! suite circuits so each knob's effect on result quality is visible.
 
-use bdsmaj::{bds_maj, BdsMajOptions, CofactorOp};
+use bdsmaj::{bds_maj, BdsMajOptions};
 use circuits::suite::benchmark;
 use logic::equiv_sim;
 
@@ -53,24 +54,6 @@ fn main() {
         for name in names {
             let mut opts = BdsMajOptions::default();
             opts.maj.global_k = k;
-            let (total, maj, ok) = run(name, &opts);
-            print!(
-                "  {name}={total} (maj {maj}){}",
-                if ok { "" } else { " FAIL" }
-            );
-        }
-        println!();
-    }
-
-    println!("\n== generalized-cofactor operator (paper cites both) ==");
-    for (label, op) in [
-        ("restrict", CofactorOp::Restrict),
-        ("constrain", CofactorOp::Constrain),
-    ] {
-        print!("{label:>9}:");
-        for name in names {
-            let mut opts = BdsMajOptions::default();
-            opts.maj.cofactor = op;
             let (total, maj, ok) = run(name, &opts);
             print!(
                 "  {name}={total} (maj {maj}){}",

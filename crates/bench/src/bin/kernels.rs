@@ -13,6 +13,7 @@
 use bdd::{GcConfig, Manager, Ref, SiftConfig};
 use bench::{parse_jobs, pool, timed};
 use circuits::suite::paper_suite;
+use decomp::EngineOptions;
 use std::fmt::Write as _;
 
 /// An op storm: builds a dense function family, returning total operations.
@@ -298,8 +299,9 @@ fn main() {
     // speedup number.
     let suite = paper_suite();
     let take = subset.unwrap_or(suite.len()).min(suite.len());
+    let engine = EngineOptions::default();
     let row_of = |i: usize| {
-        let (row, t) = timed(|| bench::table1_row(&suite[i]));
+        let (row, t) = timed(|| bench::table1_row(&suite[i], &engine));
         (suite[i].name, t.as_secs_f64(), row)
     };
     let (rows, suite_seq_elapsed) = timed(|| pool::run(1, take, row_of));

@@ -8,22 +8,19 @@
 //! identical at every worker count; only the measured-runtime cells
 //! vary, as they do between any two runs.
 
-use bench::{
-    average_saving, engine_options_for, print_rows_grouped, run_table1_budgeted, suite_args,
-    RowStatus,
-};
+use bench::{average_saving, print_rows_grouped, reorder_label, run_table1, suite_args, RowStatus};
 
 fn main() {
     let args = suite_args();
-    let reorder = args.reorder;
-    println!("TABLE I: Decomposition Results: BDS-MAJ vs. BDS-PGA ({reorder:?} reordering)");
+    let reorder = reorder_label(&args.engine);
+    println!("TABLE I: Decomposition Results: BDS-MAJ vs. BDS-PGA ({reorder} reordering)");
     println!(
         "{:<18} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>8} | eq",
         "Benchmark", "AND", "OR", "XOR", "XNOR", "MAJ", "Total", "sec",
         "AND", "OR", "XOR", "XNOR", "MAJ", "Total", "sec"
     );
     println!("{:-<18}-+-{:-<44}-+-{:-<44}-+---", "", "", "");
-    let rows = run_table1_budgeted(&engine_options_for(reorder), args.jobs, args.budget);
+    let rows = run_table1(&args.engine, args.jobs, args.budget);
     let mut node_pairs = Vec::new();
     let mut runtime_pairs = Vec::new();
     let mut maj_nodes = 0usize;

@@ -7,17 +7,14 @@
 //! row. Row order and content (names, mapped area/gates/delay, verified
 //! flags) are identical at every worker count.
 
-use bench::{
-    average_saving, engine_options_for, print_rows_grouped, run_table2_budgeted, suite_args,
-    RowStatus,
-};
+use bench::{average_saving, print_rows_grouped, reorder_label, run_table2, suite_args, RowStatus};
 use techmap::Library;
 
 fn main() {
     let args = suite_args();
     let lib = Library::cmos22();
-    let reorder = args.reorder;
-    println!("TABLE II: Logic Synthesis, CMOS 22nm Technology Node ({reorder:?} reordering)");
+    let reorder = reorder_label(&args.engine);
+    println!("TABLE II: Logic Synthesis, CMOS 22nm Technology Node ({reorder} reordering)");
     println!(
         "{:<18} | {:>9} {:>6} {:>7} | {:>9} {:>6} {:>7} | {:>9} {:>6} {:>7} | {:>9} {:>6} {:>7} | eq",
         "Benchmark",
@@ -30,7 +27,7 @@ fn main() {
         "{:<18} | {:^25} | {:^25} | {:^25} | {:^25} |",
         "", "BDS-MAJ", "BDS-PGA", "ABC", "Design Compiler (sim.)"
     );
-    let rows = run_table2_budgeted(&lib, &engine_options_for(reorder), args.jobs, args.budget);
+    let rows = run_table2(&lib, &args.engine, args.jobs, args.budget);
     let mut area_vs = [Vec::new(), Vec::new(), Vec::new()]; // pga, abc, dc
     let mut delay_vs = [Vec::new(), Vec::new(), Vec::new()];
     let mut avgs = [0.0f64; 12];

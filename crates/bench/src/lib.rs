@@ -1,5 +1,5 @@
 //! Shared harness code for the table-reproducing binaries and the
-//! Criterion benches: runs every flow of the paper on the 17-benchmark
+//! kernels perf bin: runs every flow of the paper on the 17-benchmark
 //! suite and aggregates the Table I / Table II rows.
 //!
 //! Suite runs fan out over the hand-rolled pool in [`pool`]: each
@@ -18,21 +18,11 @@ use bdd::ResourceLimits;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use circuits::suite::{paper_suite, Benchmark, Group};
 use decomp::EngineOptions;
-pub use decomp::ReorderPolicy;
 use logic::{equiv_sim, GateCounts, Network};
 use std::time::{Duration, Instant};
 use techmap::{map_network, report, Library, MappedReport};
 
 pub mod pool;
-
-/// Engine options for the table binaries' shared `--reorder {none,window}`
-/// flag (all other knobs stay at their defaults).
-pub fn engine_options_for(reorder: ReorderPolicy) -> EngineOptions {
-    EngineOptions {
-        reorder,
-        ..EngineOptions::default()
-    }
-}
 
 /// Outcome class of one benchmark row, printed in the tables and written
 /// to `BENCH_kernels.json` so resource-degraded runs are visible instead
@@ -101,10 +91,11 @@ impl RowBudget {
 }
 
 /// The table binaries' shared command-line knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SuiteArgs {
-    /// Per-cone reordering policy (`--reorder`, default: window).
-    pub reorder: ReorderPolicy,
+    /// Engine options: the defaults, with per-cone reordering off under
+    /// `--reorder none` (`reorder_window: 0`).
+    pub engine: EngineOptions,
     /// Worker count for the suite pool (`--jobs`, default:
     /// [`pool::default_jobs`]).
     pub jobs: usize,
@@ -120,6 +111,27 @@ pub const SUITE_USAGE: &str = "supported options:
   --node-limit N                live-BDD-node ceiling per benchmark (graceful per-cone degradation)
   --step-limit N                kernel recursion-step ceiling per cone
   --timeout SECS                wall-clock allowance per benchmark row (fractions allowed)";
+
+/// Parses a `--reorder` value into the engine's `reorder_window`: `none`
+/// turns per-cone reordering off (`0`), `window` keeps the default
+/// window.
+pub fn parse_reorder(v: &str) -> Result<usize, String> {
+    match v {
+        "none" => Ok(0),
+        "window" => Ok(EngineOptions::default().reorder_window),
+        _ => Err(format!("--reorder {v}: use none or window")),
+    }
+}
+
+/// The reordering name printed in the table headers: `Window`, or `None`
+/// when `engine` reorders no cone.
+pub fn reorder_label(engine: &EngineOptions) -> &'static str {
+    if engine.reorder_window < 2 {
+        "None"
+    } else {
+        "Window"
+    }
+}
 
 /// Parses a `--jobs` value: a positive worker count.
 pub fn parse_jobs(v: &str) -> Result<usize, String> {
@@ -149,7 +161,7 @@ pub fn parse_timeout(v: &str) -> Result<Duration, String> {
 /// an argv slice (without the program name). Rejects duplicate flags and
 /// unknown arguments.
 pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
-    let mut reorder: Option<ReorderPolicy> = None;
+    let mut reorder_window: Option<usize> = None;
     let mut jobs: Option<usize> = None;
     let mut node_limit: Option<usize> = None;
     let mut step_limit: Option<u64> = None;
@@ -192,16 +204,13 @@ pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
         }
         match args[i].as_str() {
             "--reorder" => {
-                if reorder.is_some() {
+                if reorder_window.is_some() {
                     return Err("duplicate --reorder flag".to_string());
                 }
                 let v = args
                     .get(i + 1)
                     .ok_or("--reorder requires one of: none, window")?;
-                reorder = Some(
-                    ReorderPolicy::from_flag(v)
-                        .ok_or(format!("--reorder {v}: use none or window"))?,
-                );
+                reorder_window = Some(parse_reorder(v)?);
                 i += 2;
             }
             "--jobs" => {
@@ -215,8 +224,12 @@ pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    let defaults = EngineOptions::default();
     Ok(SuiteArgs {
-        reorder: reorder.unwrap_or(ReorderPolicy::Window),
+        engine: EngineOptions {
+            reorder_window: reorder_window.unwrap_or(defaults.reorder_window),
+            ..defaults
+        },
         jobs: jobs.unwrap_or_else(pool::default_jobs),
         budget: RowBudget {
             node_limit,
@@ -308,37 +321,16 @@ impl Table1Row {
 }
 
 /// Runs the Table I experiment (BDS-MAJ vs BDS-PGA decomposition) on the
-/// full suite with default engine options and the default worker count.
-pub fn run_table1() -> Vec<Table1Row> {
-    run_table1_with(&EngineOptions::default())
-}
-
-/// [`run_table1`] under explicit engine options (the `--reorder` knob),
-/// on [`pool::default_jobs`] workers.
-pub fn run_table1_with(engine: &EngineOptions) -> Vec<Table1Row> {
-    run_table1_jobs(engine, pool::default_jobs())
-}
-
-/// [`run_table1_with`] on an explicit worker count. Rows come back in
-/// suite order regardless of `jobs`; `jobs == 1` is the exact sequential
-/// path.
-pub fn run_table1_jobs(engine: &EngineOptions, jobs: usize) -> Vec<Table1Row> {
-    let suite = paper_suite();
-    pool::run(jobs, suite.len(), |i| table1_row_with(&suite[i], engine))
-}
-
-/// [`run_table1_jobs`] under a per-row resource budget, with per-task
-/// panic isolation: a benchmark that blows the budget comes back as a
-/// `Degraded` row; one that dies entirely comes back as a `Limit`
-/// placeholder row instead of killing the batch.
-pub fn run_table1_budgeted(
-    engine: &EngineOptions,
-    jobs: usize,
-    budget: RowBudget,
-) -> Vec<Table1Row> {
+/// full suite under `engine` with `budget` installed per row, on `jobs`
+/// workers. Rows come back in suite order regardless of `jobs`;
+/// `jobs == 1` is the exact sequential path. Each task is panic-isolated:
+/// a benchmark that blows the budget comes back as a `Degraded` row; one
+/// that dies entirely comes back as a `Limit` placeholder row instead of
+/// killing the batch.
+pub fn run_table1(engine: &EngineOptions, jobs: usize, budget: RowBudget) -> Vec<Table1Row> {
     let suite = paper_suite();
     pool::run_catching(jobs, suite.len(), |i| {
-        table1_row_with(&suite[i], &budget.apply(engine))
+        table1_row(&suite[i], &budget.apply(engine))
     })
     .into_iter()
     .enumerate()
@@ -351,16 +343,11 @@ pub fn run_table1_budgeted(
     .collect()
 }
 
-/// Runs one benchmark of Table I with default engine options.
-pub fn table1_row(bench: &Benchmark) -> Table1Row {
-    table1_row_with(bench, &EngineOptions::default())
-}
-
 /// Runs one benchmark of Table I under explicit engine options. Both
 /// decomposed networks are oracle-checked against the input by random
 /// simulation (`verified`), so reordering policies cannot silently change
 /// a function.
-pub fn table1_row_with(bench: &Benchmark, engine: &EngineOptions) -> Table1Row {
+pub fn table1_row(bench: &Benchmark, engine: &EngineOptions) -> Table1Row {
     let net = &bench.network;
     let maj_options = BdsMajOptions {
         engine: engine.clone(),
@@ -425,30 +412,10 @@ impl Table2Row {
 }
 
 /// Runs the Table II experiment (full synthesis with mapping) on the
-/// suite with default engine options and the default worker count.
-pub fn run_table2(lib: &Library) -> Vec<Table2Row> {
-    run_table2_with(lib, &EngineOptions::default())
-}
-
-/// [`run_table2`] under explicit engine options (the `--reorder` knob),
-/// on [`pool::default_jobs`] workers.
-pub fn run_table2_with(lib: &Library, engine: &EngineOptions) -> Vec<Table2Row> {
-    run_table2_jobs(lib, engine, pool::default_jobs())
-}
-
-/// [`run_table2_with`] on an explicit worker count. Rows come back in
-/// suite order regardless of `jobs`; `jobs == 1` is the exact sequential
-/// path.
-pub fn run_table2_jobs(lib: &Library, engine: &EngineOptions, jobs: usize) -> Vec<Table2Row> {
-    let suite = paper_suite();
-    pool::run(jobs, suite.len(), |i| {
-        table2_row_with(&suite[i], lib, engine)
-    })
-}
-
-/// [`run_table2_jobs`] under a per-row resource budget with per-task
-/// panic isolation (see [`run_table1_budgeted`]).
-pub fn run_table2_budgeted(
+/// suite under `engine` with `budget` installed per row, on `jobs`
+/// workers, with the same row order and per-task panic isolation as
+/// [`run_table1`].
+pub fn run_table2(
     lib: &Library,
     engine: &EngineOptions,
     jobs: usize,
@@ -456,7 +423,7 @@ pub fn run_table2_budgeted(
 ) -> Vec<Table2Row> {
     let suite = paper_suite();
     pool::run_catching(jobs, suite.len(), |i| {
-        table2_row_with(&suite[i], lib, &budget.apply(engine))
+        table2_row(&suite[i], lib, &budget.apply(engine))
     })
     .into_iter()
     .enumerate()
@@ -469,13 +436,8 @@ pub fn run_table2_budgeted(
     .collect()
 }
 
-/// Runs one benchmark of Table II with default engine options.
-pub fn table2_row(bench: &Benchmark, lib: &Library) -> Table2Row {
-    table2_row_with(bench, lib, &EngineOptions::default())
-}
-
 /// Runs one benchmark of Table II under explicit engine options.
-pub fn table2_row_with(bench: &Benchmark, lib: &Library, engine: &EngineOptions) -> Table2Row {
+pub fn table2_row(bench: &Benchmark, lib: &Library, engine: &EngineOptions) -> Table2Row {
     let net = &bench.network;
     let synth = |optimized: &Network| {
         let mapped = map_network(optimized);
@@ -604,7 +566,8 @@ mod tests {
     fn suite_args_parse_and_reject_duplicates() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let a = parse_suite_args(&args(&["--reorder", "none", "--jobs", "3"])).unwrap();
-        assert_eq!(a.reorder, ReorderPolicy::None);
+        assert_eq!(a.engine.reorder_window, 0);
+        assert_eq!(reorder_label(&a.engine), "None");
         assert_eq!(a.jobs, 3);
         let d = parse_suite_args(&args(&["--reorder", "none", "--reorder", "window"]));
         assert_eq!(d.unwrap_err(), "duplicate --reorder flag");
@@ -620,7 +583,11 @@ mod tests {
         assert!(parse_suite_args(&args(&["--jobs"])).is_err());
         assert!(parse_suite_args(&args(&["--frobnicate"])).is_err());
         let defaults = parse_suite_args(&[]).unwrap();
-        assert_eq!(defaults.reorder, ReorderPolicy::Window);
+        assert_eq!(
+            defaults.engine.reorder_window,
+            EngineOptions::default().reorder_window
+        );
+        assert_eq!(reorder_label(&defaults.engine), "Window");
         assert!(defaults.jobs >= 1);
         assert!(!defaults.budget.is_limited());
     }
@@ -664,7 +631,7 @@ mod tests {
             step_limit: Some(2),
             ..RowBudget::default()
         };
-        let row = table1_row_with(alu2, &budget.apply(&EngineOptions::default()));
+        let row = table1_row(alu2, &budget.apply(&EngineOptions::default()));
         assert_eq!(row.status, RowStatus::Degraded);
         assert!(row.verified, "degraded rows must still be equivalent");
     }
@@ -682,14 +649,14 @@ mod tests {
             step_limit: Some(300),
             timeout: None,
         };
-        let row = table1_row_with(bigkey, &budget.apply(&EngineOptions::default()));
+        let row = table1_row(bigkey, &budget.apply(&EngineOptions::default()));
         assert_eq!(row.status, RowStatus::Ok);
         assert!(row.verified);
         let no_retry = EngineOptions {
             retry_after_sift: false,
             ..EngineOptions::default()
         };
-        let row = table1_row_with(bigkey, &budget.apply(&no_retry));
+        let row = table1_row(bigkey, &budget.apply(&no_retry));
         assert_eq!(row.status, RowStatus::Degraded);
         assert!(row.verified, "degraded rows must still be equivalent");
     }
@@ -698,7 +665,7 @@ mod tests {
     fn table1_row_on_small_benchmark() {
         let suite = paper_suite();
         let alu2 = suite.iter().find(|b| b.name == "alu2").unwrap();
-        let row = table1_row(alu2);
+        let row = table1_row(alu2, &EngineOptions::default());
         assert!(row.verified, "decompositions must be equivalent");
         assert!(row.maj.decomposition_total() > 0);
         assert!(row.pga.maj == 0, "BDS-PGA produces no MAJ nodes");
@@ -708,7 +675,7 @@ mod tests {
     fn table2_row_on_small_benchmark() {
         let suite = paper_suite();
         let f51m = suite.iter().find(|b| b.name == "f51m").unwrap();
-        let row = table2_row(f51m, &Library::cmos22());
+        let row = table2_row(f51m, &Library::cmos22(), &EngineOptions::default());
         assert!(row.verified, "all four flows must be equivalent");
         assert!(row.bds_maj.area > 0.0);
         assert!(row.abc.gate_count > 0);
@@ -720,8 +687,8 @@ mod tests {
     #[test]
     fn table1_rows_identical_at_jobs_1_and_4() {
         let engine = EngineOptions::default();
-        let seq = run_table1_jobs(&engine, 1);
-        let par = run_table1_jobs(&engine, 4);
+        let seq = run_table1(&engine, 1, RowBudget::default());
+        let par = run_table1(&engine, 4, RowBudget::default());
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.name, b.name);

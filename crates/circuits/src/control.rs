@@ -3,8 +3,8 @@
 //!
 //! The MCNC `.blif` distribution is not redistributable here, so each named
 //! benchmark is replaced by a seeded pseudo-random circuit of the same
-//! functional family and comparable interface/size (see DESIGN.md §3). The
-//! generators are fully deterministic for a given seed.
+//! functional family and comparable interface/size. The generators are
+//! fully deterministic for a given seed.
 
 use logic::{GateKind, Network, SignalId, XorShift64};
 

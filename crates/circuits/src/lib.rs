@@ -2,7 +2,7 @@
 //!
 //! The MCNC `.blif` distribution is not available offline, so each paper
 //! benchmark is replaced by a structural generator of the same functional
-//! family and comparable size (see DESIGN.md §3/§4): arithmetic datapaths
+//! family and comparable size: arithmetic datapaths
 //! are generated exactly (multipliers, dividers, square root, ...) and
 //! control benchmarks are seeded pseudo-random circuits with matched
 //! interfaces.

@@ -29,6 +29,6 @@ mod maj;
 pub use decomp::{ConeStatus, FlowReport};
 pub use flow::{bds_maj, bds_pga, BdsMajOptions, FlowResult};
 pub use maj::{
-    balance_pass, construct_majority, find_m_dominators, maj_decompose, CofactorOp, MajCandidate,
-    MajConfig, MajDecomposer,
+    balance_pass, construct_majority, find_m_dominators, maj_decompose, MajCandidate, MajConfig,
+    MajDecomposer,
 };

@@ -17,24 +17,13 @@
 
 use bdd::{Manager, NodeId, Ref};
 use decomp::{classify_dominator, xor_decompose_balanced, MajorityHook, SearchOptions};
-use std::collections::HashMap;
 
-/// Which generalized-cofactor operator seeds the construction (the paper
-/// cites both `restrict` [17] and `constrain` [18]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CofactorOp {
-    /// Coudert–Madre `restrict` (default: smaller seeds in practice).
-    #[default]
-    Restrict,
-    /// Coudert–Madre `constrain`.
-    Constrain,
-}
+/// Sizing factor of the local selection among candidates (§III-E).
+const LOCAL_K: f64 = 1.5;
 
 /// Tuning parameters of the majority decomposition (paper defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct MajConfig {
-    /// Sizing factor for the local selection among candidates (§III-E).
-    pub local_k: f64,
     /// Sizing factor for the global accept-or-reject decision (§IV-B).
     pub global_k: f64,
     /// Maximum cyclic-optimization iterations (the paper uses 5).
@@ -44,8 +33,6 @@ pub struct MajConfig {
     pub max_candidates: usize,
     /// Functions with fewer BDD nodes than this are not worth a MAJ split.
     pub min_size: usize,
-    /// Generalized-cofactor operator for the (β) seeds.
-    pub cofactor: CofactorOp,
     /// Bounds for the balanced XOR decomposition used in (γ).
     pub search: SearchOptions,
 }
@@ -53,12 +40,10 @@ pub struct MajConfig {
 impl Default for MajConfig {
     fn default() -> Self {
         MajConfig {
-            local_k: 1.5,
             global_k: 1.6,
             max_iterations: 5,
             max_candidates: 8,
             min_size: 3,
-            cofactor: CofactorOp::Restrict,
             search: SearchOptions::default(),
         }
     }
@@ -108,15 +93,10 @@ impl MajCandidate {
 /// reachable both where `F` follows it and where `F` opposes it).
 ///
 /// Candidates are returned most-connected first, truncated to
-/// `max_candidates`.
-///
-/// Ties in connectivity are broken by [`NodeId`], i.e. by arena slot, so
-/// which candidates survive the truncation depends on the manager's
-/// allocation history (slot reuse after collections included), not only
-/// on `f`. The tie-break is kept because the reported gate counts rest on
-/// it: dropping it (equals then stay in DFS discovery order) leaves
-/// Table I unchanged but moves the large-cone benchmark from 15392 to
-/// 15391 majority-flow gates.
+/// `max_candidates`. Equal connectivity keeps the DFS discovery order of
+/// [`Manager::node_stats`] (the sort is stable), so the candidate list is
+/// a function of `f`'s BDD under the current variable order alone, never
+/// of where its nodes sit in the arena.
 pub fn find_m_dominators(m: &mut Manager, f: Ref, config: &MajConfig) -> Vec<NodeId> {
     if f.is_const() {
         return Vec::new();
@@ -139,32 +119,30 @@ pub fn find_m_dominators(m: &mut Manager, f: Ref, config: &MajConfig) -> Vec<Nod
         }
         out.push((deg.total(), id));
     }
-    out.sort_by_key(|&(deg, id)| (std::cmp::Reverse(deg), id));
+    out.sort_by_key(|&(deg, _)| std::cmp::Reverse(deg));
     out.truncate(config.max_candidates);
     out.into_iter().map(|(_, id)| id).collect()
 }
 
 /// Constructs the initial majority decomposition for a candidate `fa`
-/// (phase (β): Theorems 3.2 and 3.3).
-pub fn construct_majority(m: &mut Manager, f: Ref, fa: Ref, cofactor: CofactorOp) -> MajCandidate {
-    let h = generalized_cofactor(m, f, fa, cofactor);
-    let w = generalized_cofactor(m, f, !fa, cofactor);
+/// (phase (β): Theorems 3.2 and 3.3), seeded with the Coudert–Madre
+/// `restrict` generalized cofactor.
+pub fn construct_majority(m: &mut Manager, f: Ref, fa: Ref) -> MajCandidate {
+    let h = generalized_cofactor(m, f, fa);
+    let w = generalized_cofactor(m, f, !fa);
     let diff = m.xor(fa, f);
     let fb = m.ite(diff, f, h);
     let fc = m.ite(diff, f, w);
     MajCandidate::of(m, [fa, fb, fc])
 }
 
-fn generalized_cofactor(m: &mut Manager, f: Ref, c: Ref, op: CofactorOp) -> Ref {
+fn generalized_cofactor(m: &mut Manager, f: Ref, c: Ref) -> Ref {
     if c.is_zero() {
         // Empty care set: every value is a don't-care; F itself is as good
         // a representative as any.
         return f;
     }
-    match op {
-        CofactorOp::Restrict => m.restrict(f, c),
-        CofactorOp::Constrain => m.constrain(f, c),
-    }
+    m.restrict(f, c)
 }
 
 /// One cyclic-balancing pass over all couples (phase (γ): Theorem 3.4).
@@ -211,7 +189,7 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
     let mut best: Option<MajCandidate> = None;
     for id in candidates {
         let fa = m.function_of(id);
-        let mut cand = construct_majority(m, f, fa, config.cofactor);
+        let mut cand = construct_majority(m, f, fa);
         let mut iterations = 0;
         while iterations < config.max_iterations {
             if !balance_pass(m, &mut cand, config) {
@@ -227,7 +205,7 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
         match &best {
             None => best = Some(cand),
             Some(b) => {
-                if cand.beats(b, config.local_k) {
+                if cand.beats(b, LOCAL_K) {
                     best = Some(cand);
                 }
             }
@@ -240,15 +218,15 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
 /// BDS engine, with the paper's global selection test (§IV-B): a majority
 /// decomposition is adopted only when each component is smaller than the
 /// original function by the global sizing factor.
+///
+/// It keeps no state between calls beyond its counters: the answer for
+/// `f` depends on `f`'s BDD under the current variable order alone, so
+/// it cannot depend on when the manager last collected. Within one
+/// decomposition of a cone a repeated function never reaches the hook:
+/// the engine's per-cone emitter memo answers it first.
 #[derive(Debug, Default)]
 pub struct MajDecomposer {
     config: MajConfig,
-    cache: HashMap<Ref, Option<[Ref; 3]>>,
-    /// Manager GC epoch the memo was built against. The memo is keyed by
-    /// `Ref` and stores unprotected triples, so after any collection that
-    /// reclaimed nodes both keys and values may alias recycled slots — the
-    /// whole memo is dropped when the epoch moves.
-    gc_epoch: u64,
     /// Number of functions successfully decomposed through MAJ.
     pub accepted: usize,
     /// Number of functions where MAJ was evaluated and rejected.
@@ -272,13 +250,6 @@ impl MajDecomposer {
 
 impl MajorityHook for MajDecomposer {
     fn try_majority(&mut self, m: &mut Manager, f: Ref) -> Option<[Ref; 3]> {
-        if m.gc_epoch() != self.gc_epoch {
-            self.cache.clear();
-            self.gc_epoch = m.gc_epoch();
-        }
-        if let Some(hit) = self.cache.get(&f) {
-            return *hit;
-        }
         let fsize = m.size(f);
         let result = if fsize < self.config.min_size {
             None
@@ -298,7 +269,6 @@ impl MajorityHook for MajDecomposer {
         } else {
             self.rejected += 1;
         }
-        self.cache.insert(f, result);
         result
     }
 }
@@ -337,11 +307,9 @@ mod tests {
         let mut m = Manager::new();
         let (f, a, _, _) = paper_example(&mut m);
         // Use Fa = a as in the paper's example (§III-C).
-        for op in [CofactorOp::Restrict, CofactorOp::Constrain] {
-            let cand = construct_majority(&mut m, f, a, op);
-            let maj = m.maj(cand.triple[0], cand.triple[1], cand.triple[2]);
-            assert_eq!(maj, f, "Theorem 3.2 construction must be valid ({op:?})");
-        }
+        let cand = construct_majority(&mut m, f, a);
+        let maj = m.maj(cand.triple[0], cand.triple[1], cand.triple[2]);
+        assert_eq!(maj, f, "Theorem 3.2 construction must be valid");
     }
 
     #[test]
@@ -356,7 +324,7 @@ mod tests {
         let w = m.restrict(f, !a);
         let and_bc = m.and(b, c);
         assert_eq!(w, and_bc, "F restricted to a=0 region is bc");
-        let cand = construct_majority(&mut m, f, a, CofactorOp::Restrict);
+        let cand = construct_majority(&mut m, f, a);
         assert_eq!(cand.triple[1], or_bc);
         assert_eq!(cand.triple[2], and_bc);
     }
@@ -367,17 +335,18 @@ mod tests {
         // must discover Maj(a, b, c).
         let mut m = Manager::new();
         let (f, a, b, c) = paper_example(&mut m);
-        let mut cand = construct_majority(&mut m, f, a, CofactorOp::Restrict);
+        let mut cand = construct_majority(&mut m, f, a);
         let config = MajConfig::default();
         while balance_pass(&mut m, &mut cand, &config) {}
         let maj = m.maj(cand.triple[0], cand.triple[1], cand.triple[2]);
         assert_eq!(maj, f);
         assert_eq!(cand.sizes, [1, 1, 1], "balanced to three literals");
-        let mut lits = vec![cand.triple[0], cand.triple[1], cand.triple[2]];
-        lits.sort_by_key(|r| r.raw());
-        let mut expect = vec![a, b, c];
-        expect.sort_by_key(|r| r.raw());
-        assert_eq!(lits, expect, "the literals a, b, c are recovered");
+        for lit in [a, b, c] {
+            assert!(
+                cand.triple.contains(&lit),
+                "the literals a, b, c are recovered"
+            );
+        }
     }
 
     #[test]
@@ -399,18 +368,6 @@ mod tests {
         let g = m.and(a, b);
         assert_eq!(hook.try_majority(&mut m, g), None);
         assert!(hook.accepted >= 1 && hook.rejected >= 1);
-    }
-
-    #[test]
-    fn hook_result_is_cached() {
-        let mut m = Manager::new();
-        let (f, ..) = paper_example(&mut m);
-        let mut hook = MajDecomposer::new(MajConfig::default());
-        let first = hook.try_majority(&mut m, f);
-        let accepted = hook.accepted;
-        let second = hook.try_majority(&mut m, f);
-        assert_eq!(first, second);
-        assert_eq!(hook.accepted, accepted, "second call served from cache");
     }
 
     #[test]

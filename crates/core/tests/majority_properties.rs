@@ -3,8 +3,7 @@
 
 use bdd::{Manager, Ref};
 use bdsmaj::{
-    balance_pass, construct_majority, find_m_dominators, maj_decompose, CofactorOp, MajConfig,
-    MajDecomposer,
+    balance_pass, construct_majority, find_m_dominators, maj_decompose, MajConfig, MajDecomposer,
 };
 use decomp::MajorityHook;
 use proptest::prelude::*;
@@ -68,17 +67,12 @@ proptest! {
     /// Fa, not only m-dominators — here Fa is an arbitrary second random
     /// function.
     #[test]
-    fn construction_is_valid_for_arbitrary_candidates(
-        fe in arb_expr(),
-        ae in arb_expr(),
-        use_constrain in any::<bool>(),
-    ) {
+    fn construction_is_valid_for_arbitrary_candidates(fe in arb_expr(), ae in arb_expr()) {
         let mut m = Manager::new();
         for i in 0..NVARS { m.var(i); }
         let f = to_bdd(&fe, &mut m);
         let fa = to_bdd(&ae, &mut m);
-        let op = if use_constrain { CofactorOp::Constrain } else { CofactorOp::Restrict };
-        let cand = construct_majority(&mut m, f, fa, op);
+        let cand = construct_majority(&mut m, f, fa);
         let back = m.maj(cand.triple[0], cand.triple[1], cand.triple[2]);
         prop_assert_eq!(back, f, "Maj(Fa,Fb,Fc) must equal F");
     }
@@ -90,7 +84,7 @@ proptest! {
         for i in 0..NVARS { m.var(i); }
         let f = to_bdd(&fe, &mut m);
         let fa = to_bdd(&ae, &mut m);
-        let mut cand = construct_majority(&mut m, f, fa, CofactorOp::Restrict);
+        let mut cand = construct_majority(&mut m, f, fa);
         let config = MajConfig::default();
         for _ in 0..3 {
             balance_pass(&mut m, &mut cand, &config);
@@ -106,7 +100,7 @@ proptest! {
         for i in 0..NVARS { m.var(i); }
         let f = to_bdd(&fe, &mut m);
         let fa = to_bdd(&ae, &mut m);
-        let mut cand = construct_majority(&mut m, f, fa, CofactorOp::Restrict);
+        let mut cand = construct_majority(&mut m, f, fa);
         let before = cand.total();
         let config = MajConfig::default();
         balance_pass(&mut m, &mut cand, &config);

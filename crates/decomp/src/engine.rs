@@ -33,30 +33,6 @@ impl MajorityHook for NoMajority {
     }
 }
 
-/// Which variable reordering runs on each supernode BDD before
-/// decomposition (§IV-B: "it performs variable reordering to compact the
-/// size of the input BDD"). Reordering is *in place*: the supernode's
-/// `Ref` and its variable-to-signal binding survive unchanged; only the
-/// manager's level order moves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReorderPolicy {
-    /// Keep the static DFS-discovery order from the partition.
-    None,
-    /// Sliding window-permutation search (`bdd::window_reorder`).
-    Window,
-}
-
-impl ReorderPolicy {
-    /// Parses the `--reorder {none,window}` command-line spelling.
-    pub fn from_flag(s: &str) -> Option<ReorderPolicy> {
-        match s {
-            "none" => Some(ReorderPolicy::None),
-            "window" => Some(ReorderPolicy::Window),
-            _ => None,
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
@@ -64,12 +40,13 @@ pub struct EngineOptions {
     pub partition: PartitionConfig,
     /// Dominator search bounds.
     pub search: SearchOptions,
-    /// Expand MUX fallbacks into AND/OR/INV gates (the paper's node
-    /// accounting has no MUX column; BDS reports muxes as AND/OR logic).
-    pub expand_mux: bool,
-    /// Per-supernode reordering policy.
-    pub reorder: ReorderPolicy,
-    /// Window size for [`ReorderPolicy::Window`] (`< 2` disables).
+    /// Window size of the per-supernode reordering pass (§IV-B: "it
+    /// performs variable reordering to compact the size of the input
+    /// BDD"), a sliding window-permutation search
+    /// (`bdd::window_reorder`); `< 2` keeps the partition's static order.
+    /// Reordering is in place: the supernode's `Ref` and its
+    /// variable-to-signal binding survive unchanged; only the manager's
+    /// level order moves.
     pub reorder_window: usize,
     /// Skip per-cone reordering for supernode BDDs larger than this (the
     /// search cost grows with BDD size).
@@ -96,8 +73,6 @@ impl Default for EngineOptions {
         EngineOptions {
             partition: PartitionConfig::default(),
             search: SearchOptions::default(),
-            expand_mux: true,
-            reorder: ReorderPolicy::Window,
             reorder_window: 3,
             reorder_size_limit: 400,
             reorder_min_size: 0,
@@ -174,8 +149,9 @@ pub struct DecomposeResult {
 /// first at each recursion step (the BDS-MAJ layering).
 ///
 /// The result is a functionally equivalent network over the same primary
-/// inputs/outputs, built from two-input AND/OR/XNOR gates, MAJ-3, MUX and
-/// inverters, with sharing across factoring trees.
+/// inputs/outputs, built from two-input AND/OR/XNOR gates, MAJ-3 and
+/// inverters, with sharing across factoring trees (a degraded cone keeps
+/// its original gates).
 ///
 /// Memory-wise the flow is bounded: the partition protects each supernode
 /// function as a collection root, the engine releases it once the
@@ -224,8 +200,7 @@ pub fn decompose_network(
         // place on the shared level maps: the cone's `Ref` and its
         // variable-to-signal binding are untouched, only node counts move.
         let cone_size = manager.size(function);
-        if options.reorder == ReorderPolicy::Window
-            && options.reorder_window >= 2
+        if options.reorder_window >= 2
             && var_signals.len() >= 3
             && cone_size >= options.reorder_min_size
             && cone_size <= options.reorder_size_limit
@@ -442,14 +417,12 @@ fn try_emit_step(
             let sv = fe.var_signal(var.0);
             let sh = try_decompose_function(m, hi, fe, emitter, net, options, hook, depth + 1)?;
             let sl = try_decompose_function(m, lo, fe, emitter, net, options, hook, depth + 1)?;
-            if options.expand_mux {
-                let t1 = emitter.gate(net, GateKind::And, vec![sv, sh]);
-                let nv = emitter.invert(net, sv);
-                let t2 = emitter.gate(net, GateKind::And, vec![nv, sl]);
-                emitter.gate(net, GateKind::Or, vec![t1, t2])
-            } else {
-                emitter.gate(net, GateKind::Mux, vec![sv, sh, sl])
-            }
+            // The paper's node accounting has no MUX column (BDS reports
+            // muxes as AND/OR logic), so the fallback emits AND/OR/INV.
+            let t1 = emitter.gate(net, GateKind::And, vec![sv, sh]);
+            let nv = emitter.invert(net, sv);
+            let t2 = emitter.gate(net, GateKind::And, vec![nv, sl]);
+            emitter.gate(net, GateKind::Or, vec![t1, t2])
         }
     };
     fe.insert(f, s);

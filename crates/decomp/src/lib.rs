@@ -36,6 +36,6 @@ pub use dominators::{
 pub use emit::{Emitter, FunctionEmitter};
 pub use engine::{
     decompose_function, decompose_network, try_decompose_function, ConeStatus, DecomposeResult,
-    EngineOptions, FlowReport, MajorityHook, NoMajority, ReorderPolicy,
+    EngineOptions, FlowReport, MajorityHook, NoMajority,
 };
 pub use xordec::xor_decompose_balanced;

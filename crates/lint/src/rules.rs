@@ -104,7 +104,6 @@ impl Default for Config {
                 "xor_rec",
                 "cofactor_rec",
                 "restrict_rec",
-                "constrain_rec",
                 "replace_rec",
             ],
             gc_free_files: ["crates/bdd/src/ops.rs", "crates/bdd/src/cofactor.rs"].as_slice(),

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example majority_explorer`
 
-use bds_maj::bdsmaj::{balance_pass, construct_majority, CofactorOp};
+use bds_maj::bdsmaj::{balance_pass, construct_majority};
 use bds_maj::prelude::*;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
 
     // Phase (β): construct the initial decomposition from the candidate.
     let fa = m.function_of(dominators[0]);
-    let cand = construct_majority(&mut m, f, fa, CofactorOp::Restrict);
+    let cand = construct_majority(&mut m, f, fa);
     println!(
         "\n(β) construction: |Fa| = {}, |Fb| = {}, |Fc| = {}   (seeds H = F⇓Fa, W = F⇓Fa')",
         cand.sizes[0], cand.sizes[1], cand.sizes[2]

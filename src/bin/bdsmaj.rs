@@ -35,7 +35,8 @@ const EXIT_DEGRADED: u8 = 3;
 
 struct Args {
     flow: String,
-    reorder: ReorderPolicy,
+    /// The engine's `reorder_window` (`--reorder none` sets 0).
+    reorder_window: usize,
     jobs: usize,
     map: bool,
     output: Option<String>,
@@ -54,7 +55,7 @@ exit codes: 0 ok, 1 failed, 2 usage error, 3 completed degraded (cones over budg
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         flow: "bds-maj".to_string(),
-        reorder: ReorderPolicy::Window,
+        reorder_window: EngineOptions::default().reorder_window,
         jobs: 0,
         map: false,
         output: None,
@@ -74,8 +75,7 @@ fn parse_args() -> Result<Args, String> {
                 }
                 reorder_seen = true;
                 let v = it.next().ok_or("--reorder needs a value")?;
-                args.reorder = ReorderPolicy::from_flag(&v)
-                    .ok_or(format!("--reorder {v}: use none or window"))?;
+                args.reorder_window = bench::parse_reorder(&v)?;
             }
             "--jobs" => {
                 if jobs.is_some() {
@@ -146,7 +146,7 @@ fn synthesize(
     // The budget's deadline starts counting at task start, so every file
     // in a batch gets its own clock.
     let engine = EngineOptions {
-        reorder: args.reorder,
+        reorder_window: args.reorder_window,
         limits: args.budget.limits_now(),
         ..EngineOptions::default()
     };

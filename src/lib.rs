@@ -50,7 +50,7 @@ pub mod prelude {
     pub use bdsmaj::{
         bds_maj, bds_pga, find_m_dominators, maj_decompose, BdsMajOptions, MajConfig,
     };
-    pub use decomp::{decompose_network, EngineOptions, NoMajority, ReorderPolicy};
+    pub use decomp::{decompose_network, EngineOptions, NoMajority};
     pub use logic::{
         equiv_exact, equiv_sim, parse_blif, write_blif, GateKind, Network, PartitionConfig,
         SignalId,

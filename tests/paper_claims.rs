@@ -8,9 +8,10 @@ use bds_maj::prelude::*;
 
 /// Table I under the default flow options, row by row: the BDS-MAJ
 /// `(MAJ nodes, decomposition total)` and the BDS-PGA decomposition
-/// total. The counts depend on node allocation order (the m-dominator
-/// search breaks ties by `NodeId`), so a kernel change that moves which
-/// slot a node lands in shows up here as a changed row.
+/// total. No decision depends on which arena slot a node lands in or on
+/// when the collector ran (`tests/gc_schedule.rs`), so a kernel change
+/// that only moves allocations cannot move a row; a changed row is an
+/// algorithmic change.
 const TABLE1_GOLDEN: [(&str, usize, usize, usize); 17] = [
     ("alu2", 3, 60, 72),
     ("C6288", 224, 960, 1856),
