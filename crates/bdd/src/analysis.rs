@@ -79,7 +79,7 @@ impl Manager {
             if cur.is_const() {
                 return cur.is_one();
             }
-            let n = self.store.node(cur.node().index());
+            let n = self.nodes[cur.node().index()];
             let c = cur.is_complemented();
             let branch = if assignment[n.var.index()] {
                 n.high
@@ -102,8 +102,8 @@ impl Manager {
 
     /// Combined size of several functions counting shared nodes once.
     pub fn shared_size(&self, fs: &[Ref]) -> usize {
-        let mut seen = self.session.visited.borrow_mut();
-        seen.begin(self.store.num_nodes());
+        let mut seen = self.visited.borrow_mut();
+        seen.begin(self.nodes.len());
         let mut count = 0usize;
         let mut stack: Vec<NodeId> = fs.iter().map(|f| f.node()).collect();
         while let Some(id) = stack.pop() {
@@ -111,7 +111,7 @@ impl Manager {
                 continue;
             }
             count += 1;
-            let n = self.store.node(id.index());
+            let n = self.nodes[id.index()];
             stack.push(n.low.node());
             stack.push(n.high.node());
         }
@@ -123,14 +123,14 @@ impl Manager {
     /// level order).
     pub fn support(&self, f: Ref) -> Vec<Var> {
         let mut vars: HashSet<u32, BuildFxHasher> = HashSet::default();
-        let mut seen = self.session.visited.borrow_mut();
-        seen.begin(self.store.num_nodes());
+        let mut seen = self.visited.borrow_mut();
+        seen.begin(self.nodes.len());
         let mut stack = vec![f.node()];
         while let Some(id) = stack.pop() {
             if id.is_terminal() || !seen.mark(id.index()) {
                 continue;
             }
-            let n = self.store.node(id.index());
+            let n = self.nodes[id.index()];
             vars.insert(n.var.0);
             stack.push(n.low.node());
             stack.push(n.high.node());
@@ -149,8 +149,8 @@ impl Manager {
         if f.is_const() {
             return stats;
         }
-        let mut seen = self.session.visited.borrow_mut();
-        seen.begin(self.store.num_nodes());
+        let mut seen = self.visited.borrow_mut();
+        seen.begin(self.nodes.len());
         let mut stack = vec![f.node()];
         stats.record_zero(f.node(), f.is_complemented());
         while let Some(id) = stack.pop() {
@@ -158,7 +158,7 @@ impl Manager {
                 continue;
             }
             stats.order.push(id);
-            let n = self.store.node(id.index());
+            let n = self.nodes[id.index()];
             if !n.low.node().is_terminal() {
                 stats.record_zero(n.low.node(), n.low.is_complemented());
                 stack.push(n.low.node());

@@ -7,17 +7,16 @@
 //! care set `c` holds, while being (heuristically) smaller outside it.
 //!
 //! Like the connective kernels in [`crate::ops`], every recursion here is
-//! a [`Session`] method taking `(&mut NodeStore, ...)` — the session's
-//! memoization and governance against the manager's node store — with
-//! thin [`Manager`] entry points handing the two halves over.
+//! a [`Manager`] method that ticks the budget, memoizes in the manager's
+//! computed cache and creates nodes with `mk`.
 //!
 //! All recursions branch on *levels* (current order positions, via
-//! `NodeStore::level`), never on raw variable indices, so they are
+//! [`Manager::level`]), never on raw variable indices, so they are
 //! correct under any order installed by the reordering machinery;
 //! constants report the `u32::MAX` pseudo-level, which subsumes the old
 //! per-kernel terminal special cases.
 //!
-//! All recursions here memoize through the session's computed cache
+//! All recursions here memoize through the manager's computed cache
 //! (tags `op::COFACTOR`, `op::RESTRICT`, `op::REPLACE`)
 //! instead of allocating a fresh `HashMap` per call: results persist across
 //! calls, repeated cofactors of the same function hit immediately, and a
@@ -26,7 +25,7 @@
 //! intermediates); when the manager does collect, it scrubs every cache
 //! entry naming a reclaimed slot, so no entry here can outlive the nodes
 //! it names. Like every kernel, these recursions create nodes only
-//! through `NodeStore::mk`, which keeps the interior reference counts
+//! through [`Manager::mk`], which keeps the interior reference counts
 //! exact as a side effect — no cofactor path does its own refcounting.
 //!
 //! Node-to-constant substitution ([`Manager::replace_node_with_const`],
@@ -44,30 +43,23 @@
 
 use crate::manager::Manager;
 use crate::reference::{NodeId, Ref, Var};
-use crate::session::{op, LimitExceeded, Session};
-use crate::store::NodeStore;
+use crate::session::{op, LimitExceeded};
 
-impl Session {
+impl Manager {
     /// The cofactor recursion `f|v=value`.
-    pub(crate) fn cofactor_rec(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        v: Var,
-        value: bool,
-    ) -> Result<Ref, LimitExceeded> {
+    fn cofactor_rec(&mut self, f: Ref, v: Var, value: bool) -> Result<Ref, LimitExceeded> {
         // One level comparison covers every identity case: constants (the
         // u32::MAX pseudo-level), functions entirely below `v` in the
         // order, and variables the manager has never seen.
-        let vl = store.var_level(v.0);
-        if vl == u32::MAX || store.level(f) > vl {
+        let vl = self.level_of_var(v);
+        if vl == u32::MAX || self.level(f) > vl {
             return Ok(f);
         }
-        self.tick(store)?;
+        self.tick()?;
         // Complements commute with cofactoring; recurse on the regular
         // reference so both polarities share one cache entry.
         if f.is_complemented() {
-            return Ok(!self.cofactor_rec(store, !f, v, value)?);
+            return Ok(!self.cofactor_rec(!f, v, value)?);
         }
         let key_b = v.0 << 1 | value as u32;
         if let Some(r) = self.cache.lookup(op::COFACTOR, f.raw(), key_b, 0) {
@@ -75,8 +67,8 @@ impl Session {
         }
         // bdslint: allow(panic-surface) -- constants returned at the level
         // guard above (their pseudo-level u32::MAX exceeds any real vl)
-        let top = store.top_var(f).expect("non-constant here");
-        let (f0, f1) = store.shallow_cofactors(f, top);
+        let top = self.top_var(f).expect("non-constant here");
+        let (f0, f1) = self.shallow_cofactors(f, top);
         let r = if top == v {
             if value {
                 f1
@@ -84,9 +76,9 @@ impl Session {
                 f0
             }
         } else {
-            let r0 = self.cofactor_rec(store, f0, v, value)?;
-            let r1 = self.cofactor_rec(store, f1, v, value)?;
-            store.mk(top, r0, r1)
+            let r0 = self.cofactor_rec(f0, v, value)?;
+            let r1 = self.cofactor_rec(f1, v, value)?;
+            self.mk(top, r0, r1)
         };
         self.cache.insert(op::COFACTOR, f.raw(), key_b, 0, r);
         Ok(r)
@@ -94,41 +86,36 @@ impl Session {
 
     /// The Coudert–Madre *restrict* recursion (care set non-zero,
     /// enforced by the entry point).
-    pub(crate) fn restrict_rec(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        c: Ref,
-    ) -> Result<Ref, LimitExceeded> {
+    fn restrict_rec(&mut self, f: Ref, c: Ref) -> Result<Ref, LimitExceeded> {
         if c.is_one() || f.is_const() {
             return Ok(f);
         }
-        self.tick(store)?;
+        self.tick()?;
         if let Some(r) = self.cache.lookup(op::RESTRICT, f.raw(), c.raw(), 0) {
             return Ok(r);
         }
-        let fv = store.level(f);
-        let cv = store.level(c);
+        let fv = self.level(f);
+        let cv = self.level(c);
         let r = if cv < fv {
             // The care-set top variable does not influence f here: remove it.
             let c_drop = {
-                let cvar = store.var_at_level(cv);
-                let (c0, c1) = store.shallow_cofactors(c, cvar);
-                self.or_ap(store, c0, c1)?
+                let cvar = self.var_at_level(cv);
+                let (c0, c1) = self.shallow_cofactors(c, cvar);
+                self.or_ap(c0, c1)?
             };
-            self.restrict_rec(store, f, c_drop)?
+            self.restrict_rec(f, c_drop)?
         } else {
-            let v = store.var_at_level(fv);
-            let (f0, f1) = store.shallow_cofactors(f, v);
-            let (c0, c1) = store.shallow_cofactors(c, v);
+            let v = self.var_at_level(fv);
+            let (f0, f1) = self.shallow_cofactors(f, v);
+            let (c0, c1) = self.shallow_cofactors(c, v);
             if c0.is_zero() {
-                self.restrict_rec(store, f1, c1)?
+                self.restrict_rec(f1, c1)?
             } else if c1.is_zero() {
-                self.restrict_rec(store, f0, c0)?
+                self.restrict_rec(f0, c0)?
             } else {
-                let r0 = self.restrict_rec(store, f0, c0)?;
-                let r1 = self.restrict_rec(store, f1, c1)?;
-                store.mk(v, r0, r1)
+                let r0 = self.restrict_rec(f0, c0)?;
+                let r1 = self.restrict_rec(f1, c1)?;
+                self.mk(v, r0, r1)
             }
         };
         self.cache.insert(op::RESTRICT, f.raw(), c.raw(), 0, r);
@@ -139,9 +126,8 @@ impl Session {
     /// rebuilds the part of `f` above `target` (at `target_level`) with
     /// the target replaced by the constant `value`, memoized under the
     /// keyed op `(node, target << 1, value)`.
-    pub(crate) fn replace_rec(
+    fn replace_rec(
         &mut self,
-        store: &mut NodeStore,
         f: Ref,
         target: NodeId,
         target_level: u32,
@@ -153,10 +139,10 @@ impl Session {
             return Ok(rep.xor_complement(c));
         }
         // Constants report u32::MAX, so this also ends the recursion.
-        if store.level(f) >= target_level {
+        if self.level(f) >= target_level {
             return Ok(f);
         }
-        self.tick(store)?;
+        self.tick()?;
         let key_b = target.0 << 1;
         let key_c = value as u32;
         if let Some(r) = self
@@ -165,17 +151,15 @@ impl Session {
         {
             return Ok(r.xor_complement(c));
         }
-        let n = store.node(f.node().index());
-        let low = self.replace_rec(store, n.low, target, target_level, value)?;
-        let high = self.replace_rec(store, n.high, target, target_level, value)?;
-        let r = store.mk(n.var, low, high);
+        let n = self.node(f.node());
+        let low = self.replace_rec(n.low, target, target_level, value)?;
+        let high = self.replace_rec(n.high, target, target_level, value)?;
+        let r = self.mk(n.var, low, high);
         self.cache
             .insert(op::REPLACE, f.regular().raw(), key_b, key_c, r);
         Ok(r.xor_complement(c))
     }
-}
 
-impl Manager {
     /// The cofactor `f|v=value`, for a variable anywhere in the order.
     pub fn cofactor(&mut self, f: Ref, v: Var, value: bool) -> Ref {
         self.ungoverned(|m| m.try_cofactor(f, v, value))
@@ -183,7 +167,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::cofactor`].
     pub fn try_cofactor(&mut self, f: Ref, v: Var, value: bool) -> Result<Ref, LimitExceeded> {
-        self.session.cofactor_rec(&mut self.store, f, v, value)
+        self.cofactor_rec(f, v, value)
     }
 
     /// The Coudert–Madre *restrict* generalized cofactor `f ⇓ c`.
@@ -197,7 +181,7 @@ impl Manager {
     /// Panics if `c` is the constant zero (the care set must be satisfiable).
     pub fn restrict(&mut self, f: Ref, c: Ref) -> Ref {
         assert!(!c.is_zero(), "restrict: empty care set");
-        self.ungoverned(|m| m.session.restrict_rec(&mut m.store, f, c))
+        self.ungoverned(|m| m.restrict_rec(f, c))
     }
 
     /// Rebuilds the DAG of `f` with the internal node `target` replaced by
@@ -228,13 +212,12 @@ impl Manager {
     ) -> Result<Ref, LimitExceeded> {
         // A target outside the arena gets no pruning (the rebuild then
         // returns `f` itself, as for any node `f` does not reach).
-        let target_level = if target.index() < self.store.num_nodes() {
+        let target_level = if target.index() < self.num_nodes() {
             self.level(self.function_of(target))
         } else {
             u32::MAX
         };
-        self.session
-            .replace_rec(&mut self.store, f, target, target_level, value)
+        self.replace_rec(f, target, target_level, value)
     }
 }
 

@@ -2,15 +2,17 @@
 //! counts paired with the callers' external claims
 //! ([`Manager::protect`] / [`Manager::release`]).
 //!
-//! A node with both counts at zero is dead by definition, so
-//! [`Manager::collect`] reclaims without a mark phase: zero-count nodes
-//! seed a cascade through their children. [`Manager::maybe_collect`] is
-//! the threshold-gated form flows call at every quiescent point
-//! ([`GcConfig`]); it measures the dead fraction with a mark pass before
-//! sweeping. Either way the sweep poisons the dead slots onto the free
-//! list in ascending slot order, rebuilds the per-variable slot lists and
-//! the unique table (shrinking it when sparse), and scrubs exactly the
-//! computed-cache entries naming a reclaimed slot.
+//! A node with both counts at zero is dead by definition, so the
+//! collector never marks from the roots: [`Manager::collect`] seeds a
+//! cascade with the zero-count nodes, and each reclaimed node drops its
+//! children's counts. [`Manager::maybe_collect`] is the gated form flows
+//! call at every quiescent point ([`GcConfig`]); once its gates pass it
+//! runs `collect`. The sweep poisons the dead slots onto the free list
+//! in ascending slot order, rebuilds the per-variable slot lists and the
+//! unique table (shrinking it when sparse), and scrubs exactly the
+//! computed-cache entries naming a reclaimed slot. In debug builds every
+//! sweep is audited against a full recount and against the rooted size
+//! ([`Manager::rooted_size`]).
 //!
 //! The level swaps of [`crate::reorder`] keep the interior counts exact
 //! through [`Manager::inc_child`] / [`Manager::dec_child`]; sifting's
@@ -19,16 +21,15 @@
 
 use crate::manager::Manager;
 use crate::reference::Ref;
-use crate::store::{FREE_VAR, MIN_BUCKETS};
+use crate::store::{buckets_for, FREE_NODE, FREE_VAR};
 
 /// Tuning knobs of the dead-node collector (see [`Manager::maybe_collect`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GcConfig {
-    /// A [`Manager::maybe_collect`] call sweeps only when at least this
-    /// fraction of the in-use nodes is dead (unreachable from any
-    /// protected node). Also gates how much allocation must happen between
-    /// collection attempts, so repeated `maybe_collect` calls on a quiet
-    /// manager cost O(1).
+    /// A [`Manager::maybe_collect`] call collects only once the nodes
+    /// created since the last collection reach this fraction of the arena
+    /// size, so repeated calls on a quiet manager cost O(1) and the
+    /// amortized collection cost per created node stays constant.
     pub dead_fraction: f64,
     /// Collections are skipped entirely while fewer than this many nodes
     /// are in use — tiny managers are cheaper to let grow.
@@ -51,7 +52,7 @@ impl Manager {
     pub(crate) fn inc_child(&mut self, c: Ref) {
         let i = c.node().index();
         if i != 0 {
-            *self.store.int_ref_mut(i) += 1;
+            self.int_refs[i] += 1;
         }
     }
 
@@ -62,30 +63,39 @@ impl Manager {
     /// size *is* the rooted size.
     #[inline]
     pub(crate) fn dec_child(&mut self, c: Ref, reclaim: bool) {
+        if let Some(slot) = self.drop_edge(c) {
+            if reclaim {
+                self.reclaim_cascade(slot);
+            }
+        }
+    }
+
+    /// Drops one interior reference to `c`'s node and returns its slot if
+    /// that was the node's last reference, interior and external.
+    #[inline(always)]
+    fn drop_edge(&mut self, c: Ref) -> Option<u32> {
         let i = c.node().index();
         if i == 0 {
-            return;
+            return None;
         }
         debug_assert!(
-            self.store.int_ref(i) > 0,
+            self.int_refs[i] > 0,
             "interior refcount underflow at slot {i}"
         );
-        *self.store.int_ref_mut(i) -= 1;
-        if reclaim && self.store.int_ref(i) == 0 && self.store.refs[i] == 0 {
-            self.reclaim_cascade(i as u32);
-        }
+        self.int_refs[i] -= 1;
+        (self.int_refs[i] == 0 && self.refs[i] == 0).then_some(i as u32)
     }
 
     /// Removes `slot` from its `var_nodes` list in O(1) via the stored
     /// position (swap-remove; the displaced tail entry's position is
     /// patched).
     fn remove_from_var_list(&mut self, slot: u32, var: u32) {
-        let p = self.store.var_pos[slot as usize] as usize;
-        let list = &mut self.store.var_nodes[var as usize];
+        let p = self.var_pos[slot as usize] as usize;
+        let list = &mut self.var_nodes[var as usize];
         debug_assert_eq!(list[p], slot, "var_pos out of sync at slot {slot}");
         list.swap_remove(p);
         if p < list.len() {
-            self.store.var_pos[list[p] as usize] = p as u32;
+            self.var_pos[list[p] as usize] = p as u32;
         }
     }
 
@@ -97,104 +107,77 @@ impl Manager {
     fn reclaim_cascade(&mut self, start: u32) {
         let mut stack = vec![start];
         while let Some(s) = stack.pop() {
-            let n = self.store.node(s as usize);
+            let n = self.nodes[s as usize];
             debug_assert!(n.var.0 != FREE_VAR, "double reclaim of slot {s}");
-            self.store.remove_slot(s, &n);
+            self.remove_slot(s, &n);
             self.remove_from_var_list(s, n.var.0);
-            self.store.free_push(s);
+            self.nodes[s as usize] = FREE_NODE;
+            self.free.push(s);
             self.reclaimed_total += 1;
             for c in [n.low, n.high] {
-                let i = c.node().index();
-                if i == 0 {
-                    continue;
-                }
-                debug_assert!(
-                    self.store.int_ref(i) > 0,
-                    "interior refcount underflow at slot {i}"
-                );
-                *self.store.int_ref_mut(i) -= 1;
-                if self.store.int_ref(i) == 0 && self.store.refs[i] == 0 {
-                    stack.push(i as u32);
-                }
+                stack.extend(self.drop_edge(c));
             }
         }
     }
 
-    /// Collects dead nodes now, **without a mark phase**: because the
-    /// interior reference counts are exact, a node with `refs == 0 &&
-    /// int_refs == 0` is dead by definition, and reclaiming it cascades
-    /// into any child whose last reference it held — in a DAG this
-    /// reclaims exactly the set a mark-and-sweep from the protected roots
-    /// would (debug builds assert the equivalence). The cost is one
-    /// arena scan plus O(dead), never a traversal of the live nodes.
-    /// Sweeping rebuilds the unique table without the dead entries
-    /// (shrinking it when the survivors would fit a table a quarter of
-    /// the current size) and scrubs the computed-cache entries that name
-    /// a reclaimed slot. Returns the number of reclaimed nodes.
+    /// Collects dead nodes now. Because the interior reference counts are
+    /// exact, a node with `refs == 0 && int_refs == 0` is dead by
+    /// definition, and reclaiming it cascades into any child whose last
+    /// reference it held — in a DAG this reclaims exactly the nodes no
+    /// protected root reaches (debug builds check the survivors against
+    /// [`Manager::rooted_size`]). The cost is one arena scan plus
+    /// O(dead), never a traversal of the live nodes. Sweeping rebuilds
+    /// the unique table without the dead entries (shrinking it when the
+    /// survivors would fit a table a quarter of the current size) and
+    /// scrubs the computed-cache entries that name a reclaimed slot.
+    /// Returns the number of reclaimed nodes.
     ///
     /// Every `Ref` the caller intends to keep using must be protected (or
     /// reachable from a protected one) — anything else dangles afterwards.
     pub fn collect(&mut self) -> usize {
-        self.store.reset_allocs_since_gc();
+        self.allocs_since_gc = 0;
         // Seed with every in-use node nothing references, then cascade:
         // each reclaimed node drops its children's counts, and a child
         // whose count reaches zero (with no external claim) joins the
-        // dead set. Acyclicity guarantees this reaches everything a mark
-        // pass would leave unmarked.
-        let n = self.store.num_nodes();
-        let mut stack: Vec<u32> = Vec::new();
-        for i in 1..n {
-            if self.store.var_of(i) != FREE_VAR
-                && self.store.refs[i] == 0
-                && self.store.int_ref(i) == 0
-            {
-                stack.push(i as u32);
-            }
-        }
+        // dead set. Acyclicity guarantees this reaches every node no
+        // protected root reaches.
+        let mut stack: Vec<u32> = (1..self.nodes.len())
+            .filter(|&i| {
+                self.nodes[i].var.0 != FREE_VAR && self.refs[i] == 0 && self.int_refs[i] == 0
+            })
+            .map(|i| i as u32)
+            .collect();
         let mut dead: Vec<u32> = Vec::new();
         while let Some(s) = stack.pop() {
             dead.push(s);
-            let node = self.store.node(s as usize);
-            for c in [node.low, node.high] {
-                let i = c.node().index();
-                if i == 0 {
-                    continue;
-                }
-                debug_assert!(
-                    self.store.int_ref(i) > 0,
-                    "interior refcount underflow at slot {i}"
-                );
-                *self.store.int_ref_mut(i) -= 1;
-                if self.store.int_ref(i) == 0 && self.store.refs[i] == 0 {
-                    stack.push(i as u32);
-                }
+            let n = self.nodes[s as usize];
+            for c in [n.low, n.high] {
+                stack.extend(self.drop_edge(c));
             }
         }
         if dead.is_empty() {
             return 0;
         }
-        // The cascade above already dropped the children's counts.
-        let reclaimed = self.sweep_dead(dead, false);
+        let reclaimed = self.sweep_dead(&dead);
         #[cfg(debug_assertions)]
         {
             self.verify_interior_refs();
             debug_assert_eq!(
                 self.rooted_size(),
                 self.live_nodes() - 1,
-                "refcount collect and mark reachability disagree"
+                "refcount collect and root reachability disagree"
             );
         }
         reclaimed
     }
 
-    /// Collects only when worthwhile: a no-op until the allocations since
-    /// the last attempt reach [`GcConfig::dead_fraction`] of the in-use
-    /// nodes (so calling this in a tight flow loop is cheap), then a mark
-    /// pass measures the true dead fraction and sweeps only when it
-    /// exceeds the threshold. Returns the number of reclaimed nodes.
+    /// Collects only when worthwhile: a no-op while fewer than
+    /// [`GcConfig::min_nodes`] nodes are in use, or until the allocations
+    /// since the last collection reach [`GcConfig::dead_fraction`] of the
+    /// arena (so calling this in a tight flow loop is cheap); then a
+    /// [`Manager::collect`]. Returns the number of reclaimed nodes.
     pub fn maybe_collect(&mut self) -> usize {
-        let in_use = self.live_nodes() - 1;
-        if in_use < self.gc.min_nodes {
+        if self.live_nodes() - 1 < self.gc.min_nodes {
             return 0;
         }
         // Gate on allocations relative to the arena *capacity*, not the
@@ -202,122 +185,50 @@ impl Manager {
         // proportional amount of fresh allocation first keeps the
         // amortized overhead per created node constant even under extreme
         // churn.
-        if (self.store.allocs_since_gc() as f64)
-            < self.gc.dead_fraction * self.store.num_nodes() as f64
-        {
+        if (self.allocs_since_gc as f64) < self.gc.dead_fraction * self.nodes.len() as f64 {
             return 0;
         }
-        self.mark_and_sweep(false)
+        self.collect()
     }
 
-    /// The collector core: mark from protected roots, then (when `force`
-    /// or the dead fraction clears the threshold) sweep, rebuild the
-    /// unique table and invalidate the computed cache.
-    fn mark_and_sweep(&mut self, force: bool) -> usize {
-        self.store.reset_allocs_since_gc();
-        let n = self.store.num_nodes();
-        let in_use = self.live_nodes() - 1;
-        // Mark phase: flood from every externally referenced node. The
-        // visited scratch doubles as the mark bitmap; nothing else may
-        // traverse between mark and sweep.
-        let mut live = 0usize;
-        {
-            let mut seen = self.session.visited.borrow_mut();
-            seen.begin(n);
-            let mut stack: Vec<u32> = Vec::new();
-            for (i, &rc) in self.store.refs.iter().enumerate().skip(1) {
-                if rc > 0 {
-                    stack.push(i as u32);
-                }
-            }
-            while let Some(i) = stack.pop() {
-                if !seen.mark(i as usize) {
-                    continue;
-                }
-                live += 1;
-                let node = self.store.node(i as usize);
-                debug_assert!(node.var.0 != FREE_VAR, "marked a reclaimed slot");
-                if !node.low.node().is_terminal() {
-                    stack.push(node.low.node().0);
-                }
-                if !node.high.node().is_terminal() {
-                    stack.push(node.high.node().0);
-                }
-            }
+    /// Finishes a collection whose cascade has already dropped the dead
+    /// nodes' edges from the interior counts: poisons the `dead` slots,
+    /// re-stacks the free list in ascending slot order, rebuilds the
+    /// per-variable slot lists and the unique table from the survivors
+    /// (shrink-on-sparse), and scrubs the computed cache.
+    fn sweep_dead(&mut self, dead: &[u32]) -> usize {
+        for &s in dead {
+            self.nodes[s as usize] = FREE_NODE;
         }
-        let dead = in_use - live;
-        if dead == 0 || (!force && (dead as f64) < self.gc.dead_fraction * in_use as f64) {
-            return 0;
-        }
-        let dead_list: Vec<u32> = {
-            let seen = self.session.visited.borrow();
-            (1..n as u32)
-                .filter(|&i| {
-                    self.store.var_of(i as usize) != FREE_VAR && !seen.is_marked(i as usize)
-                })
-                .collect()
-        };
-        self.sweep_dead(dead_list, true)
-    }
-
-    /// The shared sweep finalization: poisons the `dead` slots, re-stacks
-    /// the free list in ascending slot order, rebuilds the per-variable
-    /// slot lists and the unique table from the survivors
-    /// (shrink-on-sparse), and scrubs the computed cache. With
-    /// `dec_children`, the dead nodes' arena edges are first removed from
-    /// the interior counts (the refcount-driven [`Manager::collect`] has
-    /// already done so while cascading).
-    fn sweep_dead(&mut self, dead: Vec<u32>, dec_children: bool) -> usize {
-        let n = self.store.num_nodes();
-        if dec_children {
-            // Every dec below corresponds to a real arena edge from a dead
-            // node, so no count underflows; dead slots' own counts are
-            // zeroed when poisoned (order between the two loops is free).
-            for &s in &dead {
-                let node = self.store.node(s as usize);
-                for c in [node.low, node.high] {
-                    let i = c.node().index();
-                    if i != 0 {
-                        *self.store.int_ref_mut(i) -= 1;
-                    }
-                }
-            }
-        }
-        for &s in &dead {
-            self.store.poison(s);
-            self.store.refs[s as usize] = 0;
-            *self.store.int_ref_mut(s as usize) = 0;
-        }
-        // One ascending arena scan re-stacks every free slot, old and new:
-        // the next `mk` takes the highest one, whatever order `dead` was
-        // found in.
-        self.store.rebuild_free();
-        // The sweep may have poisoned slots listed anywhere: rebuild the
-        // per-variable slot lists (and the slots' positions in them) from
-        // the survivors — one O(arena) pass the sweep already paid.
-        for list in &mut self.store.var_nodes {
+        // One ascending arena scan re-stacks every free slot, old and new
+        // (the next `mk` takes the highest one, whatever order `dead` was
+        // found in), and rebuilds the per-variable slot lists, which may
+        // have listed a poisoned slot anywhere.
+        self.free.clear();
+        for list in &mut self.var_nodes {
             list.clear();
         }
-        for i in 1..n {
-            let v = self.store.var_of(i) as usize;
-            if v < self.store.var_nodes.len() {
-                self.store.var_pos[i] = self.store.var_nodes[v].len() as u32;
-                self.store.var_nodes[v].push(i as u32);
+        for i in 1..self.nodes.len() {
+            let v = self.nodes[i].var.0;
+            if v == FREE_VAR {
+                self.free.push(i as u32);
+            } else {
+                let list = &mut self.var_nodes[v as usize];
+                self.var_pos[i] = list.len() as u32;
+                list.push(i as u32);
             }
         }
         // The unique table still lists the dead nodes: rebuild it from the
         // survivors, shrinking when they'd fit a quarter-size table.
         let live = self.live_nodes() - 1;
-        self.store.set_occupied(live);
-        let wanted = (live.max(8) * 4 / 3 + 1)
-            .next_power_of_two()
-            .max(MIN_BUCKETS);
-        let new_len = if wanted * 4 <= self.store.buckets_len() {
+        self.occupied = live;
+        let wanted = buckets_for(live);
+        let new_len = if wanted * 4 <= self.buckets.len() {
             wanted
         } else {
-            self.store.buckets_len()
+            self.buckets.len()
         };
-        self.store.grow_buckets_to(new_len);
+        self.grow_buckets_to(new_len);
         // Cached results naming a dead node must not survive — but wiping
         // the whole cache (a generation bump) makes every collection cost
         // a full memo rebuild, which dominates high-churn flows. Instead,
@@ -329,10 +240,10 @@ impl Manager {
         // cache. A substitution target is keyed as `target << 1` for
         // exactly this reason: a reclaimed target drops its memo before
         // the slot can be reused by a different node.
-        let store = &self.store;
-        self.session.cache.scrub(|w| {
+        let nodes = &self.nodes;
+        self.cache.scrub(|w| {
             let idx = (w >> 1) as usize;
-            idx >= store.num_nodes() || store.var_of(idx) != FREE_VAR
+            idx >= nodes.len() || nodes[idx].var.0 != FREE_VAR
         });
         self.collections += 1;
         self.reclaimed_total += dead.len() as u64;
@@ -344,6 +255,7 @@ impl Manager {
 mod tests {
     use super::*;
     use crate::reference::Var;
+    use crate::store::MIN_BUCKETS;
 
     #[test]
     fn collect_reclaims_dead_nodes_and_reuses_slots() {
@@ -362,7 +274,6 @@ mod tests {
         assert_eq!(m.live_nodes(), before - reclaimed);
         let stats = m.cache_stats();
         assert_eq!(stats.free_nodes, reclaimed);
-        assert_eq!(stats.garbage_estimate, reclaimed);
         assert_eq!(stats.reclaimed_total, reclaimed as u64);
         assert_eq!(stats.collections, 1);
         // The kept function still evaluates correctly...
@@ -390,7 +301,7 @@ mod tests {
         m.protect(keep);
         assert!(m.collect() > 2);
         let mut free: Vec<usize> = (1..m.num_nodes())
-            .filter(|&i| m.store.var_of(i) == FREE_VAR)
+            .filter(|&i| m.nodes[i].var.0 == FREE_VAR)
             .collect();
         for v in 10..10 + free.len() as u32 {
             assert_eq!(Some(m.var(v).node().index()), free.pop());
@@ -459,6 +370,46 @@ mod tests {
         // Immediately afterwards nothing has been allocated: cheap no-op.
         assert_eq!(m.maybe_collect(), 0);
         assert_eq!(m.gc_config().min_nodes, 0);
+    }
+
+    #[test]
+    fn maybe_collect_keeps_exactly_the_rooted_nodes() {
+        // Protected roots sharing the subgraphs of `g` and `h`, plus dead
+        // nodes: a chain, and parents above the roots whose edges point
+        // straight into them, so the cascade must stop at protected and
+        // shared nodes. This checks the swept set directly, because
+        // `collect`'s own audit is compiled out of release builds.
+        let mut m = Manager::new();
+        m.set_gc_config(GcConfig {
+            dead_fraction: 0.25,
+            min_nodes: 0,
+        });
+        let v: Vec<Ref> = (0..7).map(|i| m.var(i)).collect();
+        let g = m.maj(v[4], v[5], v[6]);
+        let h = m.xor(v[5], v[6]);
+        let x13 = m.xor(v[1], v[3]);
+        let roots = [m.ite(v[1], g, h), m.ite(v[2], h, !g), m.and(x13, g)];
+        for &r in &roots {
+            m.protect(r);
+        }
+        let mut prev = Ref::ONE;
+        for i in (0..7).rev() {
+            prev = m.mk(Var(i), !prev, prev);
+        }
+        let _ = m.ite(v[0], roots[0], roots[1]);
+        let _ = m.ite(v[0], roots[2], !roots[0]);
+        let truth = |m: &Manager, f: Ref| -> u128 {
+            (0..128u32).fold(0, |acc, row| {
+                let assignment: Vec<bool> = (0..7).map(|i| row >> i & 1 == 1).collect();
+                acc | (m.eval(f, &assignment) as u128) << row
+            })
+        };
+        let before: Vec<u128> = roots.iter().map(|&r| truth(&m, r)).collect();
+        assert!(m.maybe_collect() > 0, "the chain and the parents are dead");
+        assert_eq!(m.rooted_size(), m.live_nodes() - 1);
+        m.verify_interior_refs();
+        let after: Vec<u128> = roots.iter().map(|&r| truth(&m, r)).collect();
+        assert_eq!(after, before);
     }
 
     #[test]

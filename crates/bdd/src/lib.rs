@@ -44,16 +44,18 @@
 //!
 //! # Storage architecture
 //!
-//! The kernel's hot state is three flat arrays — no per-operation
-//! allocation, no std `HashMap` on any hot path. A [`Manager`] owns them
-//! through two plain structs: the node store (arena, unique table,
-//! reference counts, variable order) and the session (computed cache,
-//! traversal scratch, resource budget). Every recursive kernel takes
-//! `(&mut store, &mut session)`, and the store's `mk` is the one place
-//! a node is created.
+//! A [`Manager`] holds all kernel state directly, as CUDD's `DdManager`
+//! does: the node arena with its per-slot reference counts, the unique
+//! table, the variable order, the computed cache, the traversal scratch
+//! and the resource budget. The hot state is three flat tables — no
+//! per-operation allocation, no std `HashMap` on any hot path. Every
+//! recursive kernel is a `Manager` method, and [`Manager::mk`] is the one
+//! place a node is created.
 //!
-//! * **Node arena** — a flat `(var, low, high)` vector; a node is its
-//!   index, index 0 is the terminal. Dead nodes are reclaimed by the
+//! * **Node arena** — a flat `(var, low, high)` vector, with parallel
+//!   per-slot vectors for the two reference counts and the slot's place
+//!   in its variable's node list; a node is its index, index 0 is the
+//!   terminal. Dead nodes are reclaimed by the
 //!   collector (below); their slots are poisoned, stacked on a free
 //!   list, and reused by `mk` before the arena grows
 //!   (reclaim-before-grow).
@@ -96,14 +98,16 @@
 //!   exact by `mk`, the level swap's slot patching, and the sweep, so a
 //!   node with both counts at zero is dead by definition
 //!   ([`Manager::verify_interior_refs`] audits this in debug builds).
-//! * [`Manager::collect`] (unconditional) reclaims *without a mark
-//!   phase*: zero-count nodes seed a cascade through their children.
-//!   [`Manager::maybe_collect`] (threshold-gated, see [`GcConfig`])
-//!   measures the dead fraction with a mark pass first. Either way, dead
-//!   slots go to the free list, the unique table is rebuilt
-//!   (shrink-on-sparse), and the computed cache is scrubbed of exactly
-//!   the entries naming a reclaimed slot — the memo stays warm across
-//!   collections.
+//! * The refcounts are the only way dead nodes are found; nothing marks
+//!   from the roots. [`Manager::collect`] seeds a cascade with the
+//!   zero-count nodes, and each reclaimed node drops its children's
+//!   counts. [`Manager::maybe_collect`] runs `collect` once its gates
+//!   pass (see [`GcConfig`]). Dead slots go to the free list, the unique
+//!   table is rebuilt (shrink-on-sparse), and the computed cache is
+//!   scrubbed of exactly the entries naming a reclaimed slot — the memo
+//!   stays warm across collections. Debug builds check every sweep
+//!   against the reachable set of the protected roots
+//!   ([`Manager::rooted_size`]).
 //! * Collection never runs implicitly inside an operation, so recursion
 //!   intermediates need no protection; flows call `maybe_collect` at
 //!   quiescent points (between supernodes, between reorder trials).
@@ -181,7 +185,7 @@
 //!
 //! **What survives an abort:** everything. All invariant maintenance
 //! (unique-table insertion, interior refcounts, per-variable node lists,
-//! free-list reuse) happens inside one call of the store's `mk`, so an early
+//! free-list reuse) happens inside one call of `mk`, so an early
 //! return between `mk` calls cannot tear any structure. After a
 //! `LimitExceeded` the manager is fully consistent and immediately
 //! usable: the unique table and computed cache are intact (including
@@ -213,7 +217,7 @@
 //!
 //! ```compile_fail
 //! // Does not compile: a Manager must never be shared across threads
-//! // (RefCell session scratch). One Manager per worker.
+//! // (its visit scratch sits in a RefCell). One Manager per worker.
 //! fn sharable<T: Sync>() {}
 //! sharable::<bdd::Manager>();
 //! ```

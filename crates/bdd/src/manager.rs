@@ -1,27 +1,28 @@
-//! The manager: one [`NodeStore`] plus one [`Session`], presenting the
-//! classic BDD-manager API.
+//! The manager: the one struct holding all kernel state, and its API
+//! surface.
 //!
-//! The heavy lifting lives elsewhere:
+//! [`Manager`] owns the node arena, the unique table, the reference
+//! counts, the variable order, the computed cache, the visit scratch and
+//! the resource budget directly, as CUDD's `DdManager` does. Its methods
+//! are spread over the modules by concern:
 //!
-//! * [`crate::store`] owns the node arena, the open-addressed unique
-//!   table, the reference counts and the variable order, and its `mk`
-//!   is the one place nodes are created;
-//! * [`crate::session`] owns the set-associative computed cache, the
-//!   visit scratch, the resource budget and the tick state;
-//! * the recursive kernels in [`crate::ops`] and [`crate::cofactor`] are
-//!   methods on `Session` taking `(&mut NodeStore, ...)`.
+//! * [`crate::store`] holds `mk`, the one place nodes are created, with
+//!   the unique-table and arena maintenance behind it;
+//! * [`crate::session`] holds the set-associative computed cache, the
+//!   visit scratch, and the resource budget with its tick;
+//! * [`crate::ops`] and [`crate::cofactor`] hold the recursive kernels;
+//! * [`crate::gc`] collects dead nodes and [`crate::reorder`] moves the
+//!   variable order, both between kernel calls, so recursion
+//!   intermediates need no protection.
 //!
-//! The machinery that runs *between* kernel calls lives beside it:
-//! [`crate::gc`] collects dead nodes and [`crate::reorder`] moves the
-//! variable order. Neither runs inside a kernel, so recursion
-//! intermediates need no protection. What remains here is the API
-//! surface: construction, budgets, the order maps, root protection,
+//! What remains here is construction, the order maps, root protection,
 //! audits and the memory-system counters.
 
 use crate::gc::GcConfig;
 use crate::reference::{NodeId, Ref, Var};
-use crate::session::{LimitExceeded, ResourceLimits, Session, DEFAULT_CACHE_BITS};
-use crate::store::{NodeStore, FREE_VAR};
+use crate::session::{ComputedCache, ResourceLimits, VisitScratch, DEFAULT_CACHE_BITS};
+use crate::store::{buckets_for, FREE_VAR, TERMINAL_VAR};
+use std::cell::RefCell;
 
 pub use crate::store::Node;
 
@@ -42,9 +43,6 @@ pub struct CacheStats {
     /// Unique-table bucket count (shrinks when a collection leaves the
     /// table sparse).
     pub unique_buckets: usize,
-    /// Arena slots already reclaimed and awaiting reuse (the free list;
-    /// not-yet-swept dead nodes are not counted).
-    pub garbage_estimate: usize,
     /// Arena slots currently holding a live (not reclaimed) node,
     /// including the terminal.
     pub live_nodes: usize,
@@ -52,7 +50,7 @@ pub struct CacheStats {
     pub free_nodes: usize,
     /// Total nodes reclaimed by the collector over the manager's lifetime.
     pub reclaimed_total: u64,
-    /// Number of collections that actually swept (mark passes that found
+    /// Number of collections that actually swept (collections that found
     /// nothing to reclaim are not counted).
     pub collections: u64,
     /// Adjacent-level swaps over the manager's lifetime, counted at the
@@ -80,9 +78,9 @@ impl CacheStats {
 /// Default unique-table bucket count (grows on demand).
 const DEFAULT_BUCKETS: usize = 1 << 12;
 
-/// A BDD manager: the node store (arena, unique table, reference
-/// counts, variable order) plus the kernel's memo/budget state (computed
-/// cache, visit scratch, resource budget).
+/// A BDD manager: the node arena, unique table, reference counts and
+/// variable order, plus the computed cache, visit scratch and resource
+/// budget the kernels use.
 ///
 /// All functions created by one manager live in the same shared DAG, so
 /// equality of [`Ref`]s is equality of Boolean functions.
@@ -100,15 +98,58 @@ const DEFAULT_BUCKETS: usize = 1 << 12;
 /// ```
 #[derive(Debug)]
 pub struct Manager {
-    /// The node-owning half (see [`crate::store`]).
-    pub(crate) store: NodeStore,
-    /// The memo/budget half (see [`crate::session`]).
-    pub(crate) session: Session,
+    /// The node arena; index 0 is the terminal. Its length is the arena
+    /// high-water mark, and every per-slot vector below has that length.
+    pub(crate) nodes: Vec<Node>,
+    /// Interior reference count per arena slot: the number of *arena
+    /// edges* into the slot. Maintained by `mk`, the level swap's slot
+    /// patching and the collector; audited against a full recount in
+    /// debug builds.
+    pub(crate) int_refs: Vec<u32>,
+    /// External reference count per arena slot (collection roots).
+    pub(crate) refs: Vec<u32>,
+    /// Position of each slot inside its `var_nodes[var]` list.
+    pub(crate) var_pos: Vec<u32>,
+    /// Reclaimed arena slots awaiting reuse (LIFO).
+    pub(crate) free: Vec<u32>,
+    /// Open-addressed unique table (bucket => node index, 0 = empty).
+    pub(crate) buckets: Vec<u32>,
+    pub(crate) bucket_mask: usize,
+    /// Nodes listed in `buckets`.
+    pub(crate) occupied: usize,
+    /// Nodes created since the last collection (gates `maybe_collect`).
+    pub(crate) allocs_since_gc: usize,
+    /// Position of each variable in the decision order
+    /// (`var2level[var] = level`; always a permutation of `0..num_vars`).
+    pub(crate) var2level: Vec<u32>,
+    /// Inverse of `var2level` (`level2var[level] = var`).
+    pub(crate) level2var: Vec<u32>,
+    /// Exact per-variable slot lists, appended to by `mk`.
+    pub(crate) var_nodes: Vec<Vec<u32>>,
+    var_names: Vec<Option<String>>,
+    /// The memo shared by every recursive kernel (see [`crate::session`]).
+    pub(crate) cache: ComputedCache,
+    /// Visited-stamp scratch shared by the `&self` traversals. The
+    /// `RefCell` lets them mark nodes; it also makes the manager `!Sync`
+    /// (asserted by a `compile_fail` doctest in the crate docs).
+    pub(crate) visited: RefCell<VisitScratch>,
+    /// Resource budget consulted by the `try_*` kernels (all-`None` =
+    /// unlimited).
+    pub(crate) limits: ResourceLimits,
+    /// Fast gate for [`Manager::tick`]: true iff `limits.is_limited()` or
+    /// a fault injection is armed, and governance is not suspended by an
+    /// infallible wrapper.
+    pub(crate) governed: bool,
+    /// Kernel recursion steps since limits were installed.
+    pub(crate) steps: u64,
+    /// Test-only fault injection: abort with
+    /// [`crate::LimitKind::Injected`] once `steps` reaches this value.
+    pub(crate) abort_at_step: Option<u64>,
     pub(crate) gc: GcConfig,
     pub(crate) sift_swaps: u64,
     pub(crate) sifts: u64,
-    /// Number of sweeping collections (mark/refcount sweeps that
-    /// reclaimed at least one node); excludes per-swap eager reclamation.
+    /// Number of sweeping collections (collections that reclaimed at
+    /// least one node); excludes per-swap eager reclamation.
     pub(crate) collections: u64,
     pub(crate) reclaimed_total: u64,
 }
@@ -132,68 +173,49 @@ impl Manager {
     /// Sizing the tables up front avoids rehash churn while building large
     /// functions; the unique table still doubles on demand past `nodes`.
     pub fn with_capacity(nodes: usize, cache_bits: u32) -> Manager {
-        Manager {
-            store: NodeStore::with_capacity(nodes),
-            session: Session::with_cache_bits(cache_bits),
+        let buckets = buckets_for(nodes);
+        let mut m = Manager {
+            nodes: Vec::new(),
+            int_refs: Vec::new(),
+            refs: Vec::new(),
+            var_pos: Vec::new(),
+            free: Vec::new(),
+            buckets: vec![0; buckets],
+            bucket_mask: buckets - 1,
+            occupied: 0,
+            allocs_since_gc: 0,
+            var2level: Vec::new(),
+            level2var: Vec::new(),
+            var_nodes: Vec::new(),
+            var_names: Vec::new(),
+            cache: ComputedCache::with_bits(cache_bits),
+            visited: RefCell::new(VisitScratch::default()),
+            limits: ResourceLimits::default(),
+            governed: false,
+            steps: 0,
+            abort_at_step: None,
             gc: GcConfig::default(),
             sift_swaps: 0,
             sifts: 0,
             collections: 0,
             reclaimed_total: 0,
-        }
+        };
+        m.reserve_slots(nodes.max(16));
+        m.push_slot(Node {
+            var: Var(TERMINAL_VAR),
+            low: Ref::ONE,
+            high: Ref::ONE,
+        });
+        m
     }
 
     /// Grows the unique table (and the arena) so at least `nodes` arena
     /// nodes fit without a rehash. No-op when already large enough.
     pub fn reserve_nodes(&mut self, nodes: usize) {
-        let wanted = (nodes.max(8) * 4 / 3 + 1).next_power_of_two();
-        if wanted > self.store.buckets_len() {
-            self.store.reserve_slots(nodes);
-            self.store.grow_buckets_to(wanted);
-        }
-    }
-
-    /// Installs a resource budget for the `try_*` kernels and resets the
-    /// step counter. All-`None` limits (the default) disable governance.
-    ///
-    /// See [`ResourceLimits`] for what each bound means and
-    /// [`LimitExceeded`] for the abort-recovery contract.
-    pub fn set_limits(&mut self, limits: ResourceLimits) {
-        self.session.set_limits(limits);
-    }
-
-    /// Removes any installed resource budget (and disarms fault
-    /// injection); the `try_*` kernels become infallible in practice.
-    pub fn clear_limits(&mut self) {
-        self.session.clear_limits();
-    }
-
-    /// The currently installed resource budget.
-    pub fn limits(&self) -> ResourceLimits {
-        self.session.limits()
-    }
-
-    /// Test-only fault injection: the next `try_*` kernel aborts with
-    /// [`LimitKind::Injected`] once the step counter reaches `steps`
-    /// (`None` disarms). Used by the abort-recovery property tests to
-    /// stop recursions at arbitrary interior points.
-    #[doc(hidden)]
-    pub fn fault_inject_abort_after(&mut self, steps: Option<u64>) {
-        self.session.fault_inject_abort_after(steps);
-    }
-
-    /// Runs a fallible kernel closure with governance suspended, turning
-    /// it into the unlimited-budget infallible form. This is how every
-    /// classic entry point (`ite`, `and`, `xor`, the cofactor family, ...)
-    /// wraps its `try_*` twin: the budget and any armed fault injection
-    /// are ignored for the duration, then restored.
-    pub fn ungoverned<T>(&mut self, f: impl FnOnce(&mut Manager) -> Result<T, LimitExceeded>) -> T {
-        let saved = std::mem::replace(&mut self.session.governed, false);
-        let r = f(self);
-        self.session.governed = saved;
-        match r {
-            Ok(v) => v,
-            Err(e) => unreachable!("ungoverned kernel reported {e}"),
+        let wanted = buckets_for(nodes);
+        if wanted > self.buckets.len() {
+            self.reserve_slots(nodes);
+            self.grow_buckets_to(wanted);
         }
     }
 
@@ -220,27 +242,28 @@ impl Manager {
     /// variable count if needed (new variables enter at the deepest
     /// levels, leaving the existing order untouched).
     pub fn var(&mut self, index: u32) -> Ref {
-        self.store.ensure_var(index);
         self.mk(Var(index), Ref::ZERO, Ref::ONE)
     }
 
     /// Number of variables known to the manager.
     pub fn num_vars(&self) -> u32 {
-        self.store.num_vars()
+        self.var2level.len() as u32
     }
 
     /// Current arena size in slots, including the terminal and reclaimed
     /// slots awaiting reuse — the kernel's memory footprint. With periodic
     /// collection this stays within a constant factor of
     /// [`Manager::live_nodes`] instead of growing monotonically.
+    #[inline(always)]
     pub fn num_nodes(&self) -> usize {
-        self.store.num_nodes()
+        self.nodes.len()
     }
 
     /// Number of live nodes (arena slots currently holding a node,
     /// including the terminal; excludes the free list).
+    #[inline(always)]
     pub fn live_nodes(&self) -> usize {
-        self.store.live_nodes()
+        self.nodes.len() - self.free.len()
     }
 
     /// Read access to a stored node (a by-value snapshot — nodes are
@@ -253,7 +276,7 @@ impl Manager {
     /// reference the caller failed to protect).
     pub fn node(&self, id: NodeId) -> Node {
         assert!(!id.is_terminal(), "terminal node has no decision variable");
-        let n = self.store.node(id.index());
+        let n = self.nodes[id.index()];
         debug_assert!(
             n.var.0 != FREE_VAR,
             "dangling reference to reclaimed node {id:?}"
@@ -263,7 +286,11 @@ impl Manager {
 
     /// The decision variable of an edge's top node; `None` for constants.
     pub fn top_var(&self, f: Ref) -> Option<Var> {
-        self.store.top_var(f)
+        if f.is_const() {
+            None
+        } else {
+            Some(self.nodes[f.node().index()].var)
+        }
     }
 
     /// Level of an edge's top node in the current variable order, the
@@ -272,13 +299,14 @@ impl Manager {
     /// below every real one. Smaller means closer to the root.
     #[inline(always)]
     pub fn level(&self, f: Ref) -> u32 {
-        self.store.level(f)
+        self.level_of_var(self.nodes[f.node().index()].var)
     }
 
     /// Level of variable `v` in the current order (`u32::MAX` if `v` is
-    /// unknown to the manager).
+    /// unknown to the manager, and for the terminal/free sentinels).
+    #[inline(always)]
     pub fn level_of_var(&self, v: Var) -> u32 {
-        self.store.var_level(v.0)
+        self.var2level.get(v.index()).copied().unwrap_or(u32::MAX)
     }
 
     /// The variable currently sitting at `level`.
@@ -288,43 +316,36 @@ impl Manager {
     /// Panics if `level >= num_vars`.
     #[inline(always)]
     pub fn var_at_level(&self, level: u32) -> Var {
-        self.store.var_at_level(level)
+        Var(self.level2var[level as usize])
     }
 
     /// The current order as `var2level[var] = level` (a permutation of
     /// `0..num_vars`).
     pub fn var2level(&self) -> &[u32] {
-        &self.store.var2level
+        &self.var2level
     }
 
     /// The current order as `level2var[level] = var` (the inverse of
     /// [`Manager::var2level`]).
     pub fn level2var(&self) -> &[u32] {
-        &self.store.level2var
+        &self.level2var
     }
 
     /// Associates a display name with a variable (used by the DOT export).
     pub fn set_var_name(&mut self, index: u32, name: impl Into<String>) {
-        self.store.set_var_name(index, name.into());
+        let idx = index as usize;
+        if self.var_names.len() <= idx {
+            self.var_names.resize(idx + 1, None);
+        }
+        self.var_names[idx] = Some(name.into());
     }
 
     /// Display name of a variable, defaulting to `x<i>`.
     pub fn var_name(&self, index: u32) -> String {
-        self.store.var_name(index)
-    }
-
-    /// Finds or creates the node `(var, low, high)`, applying the reduction
-    /// rules (equal children; complement pushed off the 1-edge). Unknown
-    /// variables are registered at the deepest level first.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if the children's levels are not strictly
-    /// below `var`'s level (which would break canonicity).
-    #[inline]
-    pub fn mk(&mut self, var: Var, low: Ref, high: Ref) -> Ref {
-        self.store.ensure_var(var.0);
-        self.store.mk(var, low, high)
+        self.var_names
+            .get(index as usize)
+            .and_then(|n| n.clone())
+            .unwrap_or_else(|| format!("x{index}"))
     }
 
     /// Full recount audit of the interior reference counts and the
@@ -334,10 +355,8 @@ impl Manager {
     /// the O(1) swap deltas (called after every collection and after each
     /// variable's sift walk in debug builds; tests call it directly).
     pub fn verify_interior_refs(&self) {
-        let n = self.store.num_nodes();
-        let mut counts = vec![0u32; n];
-        for i in 1..n {
-            let node = self.store.node(i);
+        let mut counts = vec![0u32; self.nodes.len()];
+        for node in self.nodes.iter().skip(1) {
             if node.var.0 == FREE_VAR {
                 continue;
             }
@@ -349,29 +368,26 @@ impl Manager {
             }
         }
         for (i, &count) in counts.iter().enumerate().skip(1) {
-            if self.store.var_of(i) == FREE_VAR {
+            if self.nodes[i].var.0 == FREE_VAR {
                 assert_eq!(
-                    self.store.int_ref(i),
-                    0,
+                    self.int_refs[i], 0,
                     "reclaimed slot {i} carries interior references"
                 );
             } else {
                 assert_eq!(
-                    self.store.int_ref(i),
-                    count,
+                    self.int_refs[i], count,
                     "interior refcount of slot {i} disagrees with a full recount"
                 );
             }
         }
-        for (v, list) in self.store.var_nodes.iter().enumerate() {
+        for (v, list) in self.var_nodes.iter().enumerate() {
             for (p, &s) in list.iter().enumerate() {
                 assert_eq!(
-                    self.store.var_of(s as usize),
-                    v as u32,
+                    self.nodes[s as usize].var.0, v as u32,
                     "var_nodes[{v}] lists slot {s} of another variable"
                 );
                 assert_eq!(
-                    self.store.var_pos[s as usize] as usize, p,
+                    self.var_pos[s as usize] as usize, p,
                     "var_pos of slot {s} disagrees with its list position"
                 );
             }
@@ -387,8 +403,7 @@ impl Manager {
     /// node reached through a complemented edge. Panics on the first
     /// violation; O(arena), intended for tests and debug audits.
     pub fn verify_edge_canonical_form(&self) {
-        for i in 1..self.store.num_nodes() {
-            let n = self.store.node(i);
+        for (i, n) in self.nodes.iter().enumerate().skip(1) {
             if n.var.0 == FREE_VAR {
                 continue;
             }
@@ -407,7 +422,7 @@ impl Manager {
         if f.is_const() {
             u32::MAX
         } else {
-            self.store.int_ref(f.node().index())
+            self.int_refs[f.node().index()]
         }
     }
 
@@ -416,21 +431,20 @@ impl Manager {
     /// between phases without paying a re-allocation or a re-grow.
     /// Correctness is unaffected.
     pub fn clear_caches(&mut self) {
-        self.session.cache.clear();
+        self.cache.clear();
     }
 
     /// Snapshot of the kernel's memory-system counters.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            lookups: self.session.cache.lookups,
-            hits: self.session.cache.hits,
-            insertions: self.session.cache.insertions,
-            peak_nodes: self.store.num_nodes(),
-            cache_entries: self.session.cache.entry_capacity(),
-            unique_buckets: self.store.buckets_len(),
-            garbage_estimate: self.store.free_nodes(),
+            lookups: self.cache.lookups,
+            hits: self.cache.hits,
+            insertions: self.cache.insertions,
+            peak_nodes: self.nodes.len(),
+            cache_entries: self.cache.entry_capacity(),
+            unique_buckets: self.buckets.len(),
             live_nodes: self.live_nodes(),
-            free_nodes: self.store.free_nodes(),
+            free_nodes: self.free.len(),
             reclaimed_total: self.reclaimed_total,
             collections: self.collections,
             sift_swaps: self.sift_swaps,
@@ -452,10 +466,10 @@ impl Manager {
         if !f.is_const() {
             let slot = f.node().index();
             debug_assert!(
-                self.store.var_of(slot) != FREE_VAR,
+                self.nodes[slot].var.0 != FREE_VAR,
                 "protect of reclaimed node"
             );
-            self.store.refs[slot] = self.store.refs[slot].saturating_add(1);
+            self.refs[slot] = self.refs[slot].saturating_add(1);
         }
         f
     }
@@ -466,11 +480,8 @@ impl Manager {
     pub fn release(&mut self, f: Ref) {
         if !f.is_const() {
             let slot = f.node().index();
-            debug_assert!(
-                self.store.refs[slot] > 0,
-                "release without matching protect"
-            );
-            self.store.refs[slot] = self.store.refs[slot].saturating_sub(1);
+            debug_assert!(self.refs[slot] > 0, "release without matching protect");
+            self.refs[slot] = self.refs[slot].saturating_sub(1);
         }
     }
 
@@ -479,7 +490,7 @@ impl Manager {
         if f.is_const() {
             u32::MAX
         } else {
-            self.store.refs[f.node().index()]
+            self.refs[f.node().index()]
         }
     }
 
@@ -541,12 +552,12 @@ mod tests {
     fn shallow_cofactors_respect_complement() {
         let mut m = Manager::new();
         let a = m.var(0);
-        let (f0, f1) = m.store.shallow_cofactors(a, Var(0));
+        let (f0, f1) = m.shallow_cofactors(a, Var(0));
         assert_eq!((f0, f1), (Ref::ZERO, Ref::ONE));
-        let (g0, g1) = m.store.shallow_cofactors(!a, Var(0));
+        let (g0, g1) = m.shallow_cofactors(!a, Var(0));
         assert_eq!((g0, g1), (Ref::ONE, Ref::ZERO));
         // A variable below the asked level is untouched.
-        let (h0, h1) = m.store.shallow_cofactors(a, Var(5));
+        let (h0, h1) = m.shallow_cofactors(a, Var(5));
         assert_eq!((h0, h1), (a, a));
     }
 
@@ -665,22 +676,17 @@ mod tests {
         // poisoned substitution entry. The wrap must wipe it together with
         // every function-valued entry of the table; if it only restarted
         // the order generation at 1, a stale entry could come back live.
-        m.session
-            .cache
+        m.cache
             .insert(op::REPLACE, f.raw(), b.node().0 << 1, 1, Ref::ZERO);
-        m.session
-            .cache
-            .insert(op::AND, a.raw(), b.raw(), 0, Ref::ZERO);
-        m.session.cache.order_generation = (u32::MAX >> crate::session::GEN_SHIFT) - 1;
-        m.session.cache.clear_order_sensitive();
+        m.cache.insert(op::AND, a.raw(), b.raw(), 0, Ref::ZERO);
+        m.cache.order_generation = (u32::MAX >> crate::session::GEN_SHIFT) - 1;
+        m.cache.clear_order_sensitive();
         assert_eq!(
-            m.session
-                .cache
-                .lookup(op::REPLACE, f.raw(), b.node().0 << 1, 1),
+            m.cache.lookup(op::REPLACE, f.raw(), b.node().0 << 1, 1),
             None,
             "the poisoned substitution must be unobservable after the wrap"
         );
-        assert_eq!(m.session.cache.lookup(op::AND, a.raw(), b.raw(), 0), None);
+        assert_eq!(m.cache.lookup(op::AND, a.raw(), b.raw(), 0), None);
         // End-to-end: the substitution after the wrap is still correct.
         assert_eq!(m.replace_node_with_const(f, b.node(), true), a);
         assert_eq!(m.replace_node_with_const(f, b.node(), false), Ref::ZERO);

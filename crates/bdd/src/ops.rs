@@ -11,14 +11,14 @@
 //! forwards to the specialized kernels, so the cache is never split
 //! between equivalent formulations of one operation.
 //!
-//! Every recursion here is a method on [`Session`] taking
-//! `(&mut NodeStore, ...)`: nodes are created by the store's `mk`, while
-//! memoization and governance ticks live in the session. The [`Manager`]
-//! entry points below hand the manager's two halves to the kernel.
+//! Every recursion here is a [`Manager`] method: it ticks the budget
+//! (`self.tick()?`), probes and fills `self.cache`, and creates nodes
+//! with `self.mk`. The public entry points below call the recursions
+//! directly.
 //!
 //! All recursions branch on *levels* (positions in the current variable
-//! order, via `NodeStore::level`), not raw variable indices, so they stay
-//! correct under any order the sifting machinery installs; constants
+//! order, via [`Manager::level`]), not raw variable indices, so they stay
+//! correct under any order the reordering machinery installs; constants
 //! report the `u32::MAX` pseudo-level and need no separate terminal
 //! branch when picking the top level.
 //!
@@ -33,34 +33,28 @@
 //! conjunction and disjunction have only that form). A `try_*` abort is
 //! clean by construction: all invariant maintenance (unique table,
 //! interior refcounts, per-variable lists) happens inside one
-//! `NodeStore::mk` call, so unwinding between `mk` calls leaves the
-//! store fully consistent and the partially built nodes as unreferenced
-//! garbage for the next collection (see [`crate::LimitExceeded`]).
+//! [`Manager::mk`] call, so unwinding between `mk` calls leaves the
+//! manager fully consistent and the partially built nodes as
+//! unreferenced garbage for the next collection (see
+//! [`crate::LimitExceeded`]).
 //!
 //! None of the kernels here triggers garbage collection: recursive
 //! intermediates need no protection, and results only need
 //! [`Manager::protect`] when the caller holds them across an explicit
 //! `collect`/`maybe_collect` point. Every node these kernels produce is
-//! funnelled through `NodeStore::mk`, which also maintains the interior
-//! (arena-edge) reference counts — the kernels themselves never touch
-//! refcounts, so the accounting behind the refcount-driven collector and
-//! sifting's O(1) size deltas cannot drift here.
+//! funnelled through `mk`, which also maintains the interior (arena-edge)
+//! reference counts — the kernels themselves never touch refcounts, so
+//! the accounting behind the refcount-driven collector and sifting's
+//! O(1) size deltas cannot drift here.
 
 use crate::manager::Manager;
 use crate::reference::Ref;
-use crate::session::{op, LimitExceeded, Session};
-use crate::store::NodeStore;
+use crate::session::{op, LimitExceeded};
 
-impl Session {
+impl Manager {
     /// ITE entry: terminal/absorption filtering and two-operand routing,
     /// then the memoized three-operand recursion.
-    pub(crate) fn ite_ap(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        g: Ref,
-        h: Ref,
-    ) -> Result<Ref, LimitExceeded> {
+    fn ite_ap(&mut self, f: Ref, g: Ref, h: Ref) -> Result<Ref, LimitExceeded> {
         // Terminal and absorption cases.
         if f.is_one() {
             return Ok(g);
@@ -90,38 +84,32 @@ impl Session {
             if h.is_zero() {
                 return Ok(f);
             }
-            return self.or_ap(store, f, h); // ite(f, 1, h) = f + h
+            return self.or_ap(f, h); // ite(f, 1, h) = f + h
         }
         if g.is_zero() {
             if h.is_one() {
                 return Ok(!f);
             }
             let nf = !f;
-            return self.and_rec(store, nf, h); // ite(f, 0, h) = f'·h
+            return self.and_rec(nf, h); // ite(f, 0, h) = f'·h
         }
         if h.is_zero() {
-            return self.and_rec(store, f, g); // ite(f, g, 0) = f·g
+            return self.and_rec(f, g); // ite(f, g, 0) = f·g
         }
         if h.is_one() {
             let ng = !g;
-            return Ok(!self.and_rec(store, f, ng)?); // ite(f, g, 1) = f' + g
+            return Ok(!self.and_rec(f, ng)?); // ite(f, g, 1) = f' + g
         }
         if g == !h {
-            return Ok(!self.xor_ap(store, f, g)?); // ite(f, g, g') = f ⊙ g
+            return Ok(!self.xor_ap(f, g)?); // ite(f, g, g') = f ⊙ g
         }
-        self.ite_rec(store, f, g, h)
+        self.ite_rec(f, g, h)
     }
 
     /// The memoized three-operand ITE recursion (all two-operand shapes
-    /// already filtered out by [`Session::ite_ap`]).
-    fn ite_rec(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        g: Ref,
-        h: Ref,
-    ) -> Result<Ref, LimitExceeded> {
-        self.tick(store)?;
+    /// already filtered out by [`Manager::ite_ap`]).
+    fn ite_rec(&mut self, f: Ref, g: Ref, h: Ref) -> Result<Ref, LimitExceeded> {
+        self.tick()?;
         let (mut f, mut g, mut h) = (f, g, h);
         // Keep the predicate regular: ite(!f, g, h) = ite(f, h, g).
         if f.is_complemented() {
@@ -140,25 +128,20 @@ impl Session {
             return Ok(r.xor_complement(complement_result));
         }
 
-        let v = store.var_at_level(store.level(f).min(store.level(g)).min(store.level(h)));
-        let (f0, f1) = store.shallow_cofactors(f, v);
-        let (g0, g1) = store.shallow_cofactors(g, v);
-        let (h0, h1) = store.shallow_cofactors(h, v);
-        let t = self.ite_ap(store, f1, g1, h1)?;
-        let e = self.ite_ap(store, f0, g0, h0)?;
-        let r = store.mk(v, e, t);
+        let v = self.var_at_level(self.level(f).min(self.level(g)).min(self.level(h)));
+        let (f0, f1) = self.shallow_cofactors(f, v);
+        let (g0, g1) = self.shallow_cofactors(g, v);
+        let (h0, h1) = self.shallow_cofactors(h, v);
+        let t = self.ite_ap(f1, g1, h1)?;
+        let e = self.ite_ap(f0, g0, h0)?;
+        let r = self.mk(v, e, t);
         self.cache.insert(op::ITE, f.raw(), g.raw(), h.raw(), r);
         Ok(r.xor_complement(complement_result))
     }
 
     /// The specialized AND kernel: terminal tests, operand ordering, the
     /// memoized recursion.
-    pub(crate) fn and_rec(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        g: Ref,
-    ) -> Result<Ref, LimitExceeded> {
+    fn and_rec(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
         // Terminal cases.
         if f == g {
             return Ok(f);
@@ -172,44 +155,34 @@ impl Session {
         if g.is_one() {
             return Ok(f);
         }
-        self.tick(store)?;
+        self.tick()?;
         // Commutative: order operands so (f, g) and (g, f) share a slot.
         let (f, g) = if f.raw() <= g.raw() { (f, g) } else { (g, f) };
         if let Some(r) = self.cache.lookup(op::AND, f.raw(), g.raw(), 0) {
             return Ok(r);
         }
-        let v = store.var_at_level(store.level(f).min(store.level(g)));
-        let (f0, f1) = store.shallow_cofactors(f, v);
-        let (g0, g1) = store.shallow_cofactors(g, v);
-        let t = self.and_rec(store, f1, g1)?;
-        let e = self.and_rec(store, f0, g0)?;
-        let r = store.mk(v, e, t);
+        let v = self.var_at_level(self.level(f).min(self.level(g)));
+        let (f0, f1) = self.shallow_cofactors(f, v);
+        let (g0, g1) = self.shallow_cofactors(g, v);
+        let t = self.and_rec(f1, g1)?;
+        let e = self.and_rec(f0, g0)?;
+        let r = self.mk(v, e, t);
         self.cache.insert(op::AND, f.raw(), g.raw(), 0, r);
         Ok(r)
     }
 
     /// Disjunction by De Morgan over the AND kernel (negation is free,
     /// so this shares the `op::AND` cache).
-    pub(crate) fn or_ap(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        g: Ref,
-    ) -> Result<Ref, LimitExceeded> {
+    pub(crate) fn or_ap(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
         let (nf, ng) = (!f, !g);
-        Ok(!self.and_rec(store, nf, ng)?)
+        Ok(!self.and_rec(nf, ng)?)
     }
 
     /// XOR entry: complements factor out of XOR entirely
     /// (`!f ⊕ g = !(f ⊕ g)`), so the recursion runs on regular,
     /// operand-ordered references and one cache entry covers all four
     /// polarity combinations.
-    pub(crate) fn xor_ap(
-        &mut self,
-        store: &mut NodeStore,
-        f: Ref,
-        g: Ref,
-    ) -> Result<Ref, LimitExceeded> {
+    fn xor_ap(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
         if f == g {
             return Ok(Ref::ZERO);
         }
@@ -229,30 +202,28 @@ impl Session {
         if f.is_one() {
             return Ok((!g).xor_complement(complement_result));
         }
-        let r = self.xor_rec(store, f, g)?;
+        let r = self.xor_rec(f, g)?;
         Ok(r.xor_complement(complement_result))
     }
 
     /// XOR recursion on regular, ordered, non-constant operands.
-    fn xor_rec(&mut self, store: &mut NodeStore, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
+    fn xor_rec(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
         debug_assert!(!f.is_complemented() && !g.is_complemented());
         debug_assert!(f.raw() < g.raw() && !f.is_const());
-        self.tick(store)?;
+        self.tick()?;
         if let Some(r) = self.cache.lookup(op::XOR, f.raw(), g.raw(), 0) {
             return Ok(r);
         }
-        let v = store.var_at_level(store.level(f).min(store.level(g)));
-        let (f0, f1) = store.shallow_cofactors(f, v);
-        let (g0, g1) = store.shallow_cofactors(g, v);
-        let t = self.xor_ap(store, f1, g1)?;
-        let e = self.xor_ap(store, f0, g0)?;
-        let r = store.mk(v, e, t);
+        let v = self.var_at_level(self.level(f).min(self.level(g)));
+        let (f0, f1) = self.shallow_cofactors(f, v);
+        let (g0, g1) = self.shallow_cofactors(g, v);
+        let t = self.xor_ap(f1, g1)?;
+        let e = self.xor_ap(f0, g0)?;
+        let r = self.mk(v, e, t);
         self.cache.insert(op::XOR, f.raw(), g.raw(), 0, r);
         Ok(r)
     }
-}
 
-impl Manager {
     /// If-then-else: `ite(f, g, h) = f·g + f'·h`.
     ///
     /// Two-operand shapes (`and`/`or`/`xor`/... patterns) are forwarded to
@@ -278,7 +249,7 @@ impl Manager {
     /// [`LimitExceeded`] when the installed [`crate::ResourceLimits`] are
     /// crossed.
     pub fn try_ite(&mut self, f: Ref, g: Ref, h: Ref) -> Result<Ref, LimitExceeded> {
-        self.session.ite_ap(&mut self.store, f, g, h)
+        self.ite_ap(f, g, h)
     }
 
     /// Logical negation (free on complemented-edge BDDs).
@@ -293,7 +264,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::and`].
     pub fn try_and(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        self.session.and_rec(&mut self.store, f, g)
+        self.and_rec(f, g)
     }
 
     /// Disjunction `f + g` (De Morgan over the AND kernel; negation is
@@ -304,7 +275,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::or`].
     pub fn try_or(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        self.session.or_ap(&mut self.store, f, g)
+        self.or_ap(f, g)
     }
 
     /// Negated conjunction.
@@ -328,7 +299,7 @@ impl Manager {
 
     /// Budget-governed [`Manager::xor`].
     pub fn try_xor(&mut self, f: Ref, g: Ref) -> Result<Ref, LimitExceeded> {
-        self.session.xor_ap(&mut self.store, f, g)
+        self.xor_ap(f, g)
     }
 
     /// Exclusive nor (equivalence) `f ⊙ g`.

@@ -136,7 +136,7 @@ impl WindowProbe {
         }
         let (mut size, mut outside) = (0, 0);
         {
-            let mut seen = m.session.visited.borrow_mut();
+            let mut seen = m.visited.borrow_mut();
             seen.begin(m.num_nodes());
             let mut stack = vec![f.node()];
             while let Some(id) = stack.pop() {
@@ -491,14 +491,15 @@ pub struct SiftReport {
 
 impl Manager {
     /// Number of internal nodes reachable from the externally protected
-    /// roots — the size metric sifting minimizes. Unprotected garbage
-    /// (dead intermediates awaiting collection) is excluded, so the
-    /// metric is stable under churn.
+    /// roots — the size metric sifting minimizes, and the reachability
+    /// oracle the collector's debug audit checks every sweep against.
+    /// Unprotected garbage (dead intermediates awaiting collection) is
+    /// excluded, so the metric is stable under churn.
     pub fn rooted_size(&self) -> usize {
-        let mut seen = self.session.visited.borrow_mut();
-        seen.begin(self.store.num_nodes());
+        let mut seen = self.visited.borrow_mut();
+        seen.begin(self.nodes.len());
         let mut stack: Vec<u32> = Vec::new();
-        for (i, &rc) in self.store.refs.iter().enumerate().skip(1) {
+        for (i, &rc) in self.refs.iter().enumerate().skip(1) {
             if rc > 0 {
                 stack.push(i as u32);
             }
@@ -509,7 +510,7 @@ impl Manager {
                 continue;
             }
             count += 1;
-            let n = self.store.node(i as usize);
+            let n = self.nodes[i as usize];
             if !n.low.node().is_terminal() {
                 stack.push(n.low.node().0);
             }
@@ -564,25 +565,25 @@ impl Manager {
     pub(crate) fn swap_levels_inner(&mut self, level: u32, reclaim: bool) -> (usize, isize) {
         let l = level as usize;
         assert!(
-            l + 1 < self.store.level2var.len(),
+            l + 1 < self.level2var.len(),
             "swap_levels: level {level} out of range ({} variables)",
-            self.store.level2var.len()
+            self.level2var.len()
         );
         // Swap accounting lives at the primitive, so sift walks, window
         // installs and direct callers are all counted (see `sift_swaps`).
         self.sift_swaps += 1;
-        let x = self.store.level2var[l];
-        let y = self.store.level2var[l + 1];
+        let x = self.level2var[l];
+        let y = self.level2var[l + 1];
         // Only upper-level nodes referencing the lower level change shape;
         // everything else is order-independent under an adjacent swap.
-        let list = std::mem::take(&mut self.store.var_nodes[x as usize]);
+        let list = std::mem::take(&mut self.var_nodes[x as usize]);
         let mut keep: Vec<u32> = Vec::with_capacity(list.len());
         let mut moved: Vec<(u32, Node)> = Vec::new();
         for &slot in &list {
-            let n = self.store.node(slot as usize);
+            let n = self.nodes[slot as usize];
             debug_assert_eq!(n.var.0, x, "per-variable slot list out of sync");
-            let low_y = self.store.var_of(n.low.node().index()) == y;
-            let high_y = self.store.var_of(n.high.node().index()) == y;
+            let low_y = self.nodes[n.low.node().index()].var.0 == y;
+            let high_y = self.nodes[n.high.node().index()].var.0 == y;
             if low_y || high_y {
                 moved.push((slot, n));
             } else {
@@ -590,13 +591,13 @@ impl Manager {
             }
         }
         for (p, &slot) in keep.iter().enumerate() {
-            self.store.var_pos[slot as usize] = p as u32;
+            self.var_pos[slot as usize] = p as u32;
         }
-        self.store.var_nodes[x as usize] = keep;
+        self.var_nodes[x as usize] = keep;
         // The order maps swap unconditionally.
-        self.store.level2var.swap(l, l + 1);
-        self.store.var2level[x as usize] = (l + 1) as u32;
-        self.store.var2level[y as usize] = l as u32;
+        self.level2var.swap(l, l + 1);
+        self.var2level[x as usize] = (l + 1) as u32;
+        self.var2level[y as usize] = l as u32;
         if moved.is_empty() {
             return (0, 0);
         }
@@ -609,14 +610,14 @@ impl Manager {
         // so no still-needed child can be eagerly reclaimed out from
         // under a later rewrite.
         for &(i, ref n) in &moved {
-            self.store.remove_slot(i, n);
-            self.store.set_var_of(i as usize, FREE_VAR);
+            self.remove_slot(i, n);
+            self.nodes[i as usize].var = Var(FREE_VAR);
         }
         let (xv, yv) = (Var(x), Var(y));
         for &(i, n) in &moved {
             // f = x·f1 + x'·f0 = y·(x·f11 + x'·f01) + y'·(x·f10 + x'·f00).
-            let (f00, f01) = self.store.shallow_cofactors(n.low, yv);
-            let (f10, f11) = self.store.shallow_cofactors(n.high, yv);
+            let (f00, f01) = self.shallow_cofactors(n.low, yv);
+            let (f10, f11) = self.shallow_cofactors(n.high, yv);
             let new_low = self.mk(xv, f00, f10);
             let new_high = self.mk(xv, f01, f11);
             // `f11` is a cofactor of the regular `n.high`, hence regular,
@@ -627,29 +628,26 @@ impl Manager {
                 "swap: 1-edge must stay regular"
             );
             debug_assert_ne!(new_low, new_high, "swap: a rewritten node cannot vanish");
-            self.store.set_node(
-                i as usize,
-                Node {
-                    var: yv,
-                    low: new_low,
-                    high: new_high,
-                },
-            );
+            self.nodes[i as usize] = Node {
+                var: yv,
+                low: new_low,
+                high: new_high,
+            };
             // New edges first, then the old ones: a child shared between
             // the two sides must never transiently hit zero and be
             // reclaimed while still referenced.
             self.inc_child(new_low);
             self.inc_child(new_high);
-            self.store.insert_slot(i);
-            self.store.var_pos[i as usize] = self.store.var_nodes[y as usize].len() as u32;
-            self.store.var_nodes[y as usize].push(i);
+            self.insert_slot(i);
+            self.var_pos[i as usize] = self.var_nodes[y as usize].len() as u32;
+            self.var_nodes[y as usize].push(i);
             self.dec_child(n.low, reclaim);
             self.dec_child(n.high, reclaim);
         }
         if self.reclaimed_total != reclaimed_before {
             // Eager reclamation recycled slots the memo may still name:
             // retire the whole cache (O(1) generation bump).
-            self.session.cache.clear();
+            self.cache.clear();
         } else {
             // Conservative cache scrub. Most memoized results survive a
             // swap unchanged: their keys and results are `Ref`s, the swap
@@ -660,7 +658,7 @@ impl Manager {
             // which nodes reach the target), so exactly that class is
             // retired (O(1) generation bump) — the rest of the memo stays
             // warm across reordering.
-            self.session.cache.clear_order_sensitive();
+            self.cache.clear_order_sensitive();
         }
         (moved.len(), self.live_nodes() as isize - live_before)
     }
@@ -733,7 +731,7 @@ impl Manager {
             let mut best_i = usize::MAX;
             let mut best_pop = 0usize;
             for (i, &v) in remaining.iter().enumerate() {
-                let pop = self.store.var_nodes[v as usize].len();
+                let pop = self.var_nodes[v as usize].len();
                 if pop > best_pop {
                     best_pop = pop;
                     best_i = i;
@@ -743,7 +741,7 @@ impl Manager {
                 break;
             }
             let v = remaining.swap_remove(best_i);
-            let mut level = self.store.var2level[v as usize] as usize;
+            let mut level = self.var2level[v as usize] as usize;
             report.vars_sifted += 1;
             // Growth aborts are bounded against this walk's *starting*
             // size: a big win by an earlier variable must not let this

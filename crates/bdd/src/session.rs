@@ -1,16 +1,16 @@
-//! The memo/budget half of the kernel: the computed cache, the visit
-//! scratch, the resource budget and the tick counter — everything a
-//! recursive kernel mutates that is *not* the node store.
+//! The memo and budget state of [`Manager`]: the computed cache, the
+//! visit scratch, and the resource budget with the tick that enforces
+//! it.
 //!
-//! Every recursive kernel is a [`Session`] method taking
-//! `(&mut NodeStore, ...)`: nodes are created through
-//! [`crate::store::NodeStore::mk`], while memoization, governance ticks
-//! and traversal scratch live here. [`crate::manager::Manager`] owns one
-//! store and one session and passes both halves to each kernel.
+//! Every recursive kernel memoizes through [`ComputedCache`] (its
+//! set-associative table format stays behind this type) and calls
+//! [`Manager::tick`] before its first `mk` or self-recursion; the
+//! infallible entry points suspend the budget with
+//! [`Manager::ungoverned`].
 
+use crate::manager::Manager;
 use crate::reference::Ref;
-use crate::store::{triple_hash, NodeStore};
-use std::cell::RefCell;
+use crate::store::triple_hash;
 
 /// Operation tags for the computed cache. Tag 0 is reserved
 /// so a zero-initialized entry can never match a real key.
@@ -310,19 +310,11 @@ impl VisitScratch {
             true
         }
     }
-
-    /// Whether node `i` was marked in the traversal opened by the most
-    /// recent [`VisitScratch::begin`] (used by the sweep phase to read the
-    /// mark phase's result).
-    #[inline(always)]
-    pub(crate) fn is_marked(&self, i: usize) -> bool {
-        self.stamp.get(i) == Some(&self.gen)
-    }
 }
 
 /// Resource budget governing the fallible (`try_*`) kernel entry points.
 ///
-/// All fields default to `None` (unlimited). A session with limits
+/// All fields default to `None` (unlimited). A manager with limits
 /// installed checks them from a cheap step counter ticked once per
 /// recursive kernel invocation; when any bound is crossed the running
 /// `try_*` operation returns [`LimitExceeded`] and unwinds cooperatively.
@@ -331,7 +323,7 @@ impl VisitScratch {
 /// recursions and can never abort.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceLimits {
-    /// Abort once the store's live node count exceeds this (the memory
+    /// Abort once the manager's live node count exceeds this (the memory
     /// bound: a blowing-up cone is cut off before it can exhaust the
     /// arena).
     pub max_live_nodes: Option<usize>,
@@ -400,54 +392,21 @@ impl std::fmt::Display for LimitExceeded {
 
 impl std::error::Error for LimitExceeded {}
 
-/// The kernel's memo/budget state: the computed cache, the traversal
-/// scratch, the resource budget and the tick counter.
-///
-/// The `RefCell` around the visit scratch lets `&self` traversals mark
-/// nodes; it also makes the owning [`crate::Manager`] `!Sync` (asserted
-/// by a `compile_fail` doctest in the crate docs).
-#[derive(Debug)]
-pub(crate) struct Session {
-    pub(crate) cache: ComputedCache,
-    /// Visited-stamp scratch shared by the `&self` traversals.
-    pub(crate) visited: RefCell<VisitScratch>,
-    /// Resource budget consulted by the `try_*` kernels (all-`None` =
-    /// unlimited).
-    pub(crate) limits: ResourceLimits,
-    /// Fast gate for [`Session::tick`]: true iff `limits.is_limited()` or
-    /// a fault injection is armed, and governance is not suspended by an
-    /// infallible wrapper.
-    pub(crate) governed: bool,
-    /// Kernel recursion steps since limits were installed.
-    pub(crate) steps: u64,
-    /// Test-only fault injection: abort with [`LimitKind::Injected`] once
-    /// `steps` reaches this value.
-    pub(crate) abort_at_step: Option<u64>,
-}
-
-impl Session {
-    /// A fresh ungoverned session with a computed cache budgeted at
-    /// `cache_bits` (clamped to `[8, 28]`).
-    pub(crate) fn with_cache_bits(cache_bits: u32) -> Session {
-        Session {
-            cache: ComputedCache::with_bits(cache_bits),
-            visited: RefCell::new(VisitScratch::default()),
-            limits: ResourceLimits::default(),
-            governed: false,
-            steps: 0,
-            abort_at_step: None,
-        }
-    }
-
-    /// Installs a resource budget and resets the step counter.
-    pub(crate) fn set_limits(&mut self, limits: ResourceLimits) {
+impl Manager {
+    /// Installs a resource budget for the `try_*` kernels and resets the
+    /// step counter. All-`None` limits (the default) disable governance.
+    ///
+    /// See [`ResourceLimits`] for what each bound means and
+    /// [`LimitExceeded`] for the abort-recovery contract.
+    pub fn set_limits(&mut self, limits: ResourceLimits) {
         self.limits = limits;
         self.steps = 0;
         self.governed = limits.is_limited() || self.abort_at_step.is_some();
     }
 
-    /// Removes any installed budget (and disarms fault injection).
-    pub(crate) fn clear_limits(&mut self) {
+    /// Removes any installed resource budget (and disarms fault
+    /// injection); the `try_*` kernels become infallible in practice.
+    pub fn clear_limits(&mut self) {
         self.limits = ResourceLimits::default();
         self.abort_at_step = None;
         self.steps = 0;
@@ -455,63 +414,75 @@ impl Session {
     }
 
     /// The currently installed resource budget.
-    pub(crate) fn limits(&self) -> ResourceLimits {
+    pub fn limits(&self) -> ResourceLimits {
         self.limits
     }
 
-    /// Arms (or disarms) the test-only injected abort.
-    pub(crate) fn fault_inject_abort_after(&mut self, steps: Option<u64>) {
+    /// Test-only fault injection: the next `try_*` kernel aborts with
+    /// [`LimitKind::Injected`] once the step counter reaches `steps`
+    /// (`None` disarms). Used by the abort-recovery property tests to
+    /// stop recursions at arbitrary interior points.
+    #[doc(hidden)]
+    pub fn fault_inject_abort_after(&mut self, steps: Option<u64>) {
         self.abort_at_step = steps;
         self.steps = 0;
         self.governed = self.limits.is_limited() || steps.is_some();
     }
 
+    /// Runs a fallible kernel closure with governance suspended, turning
+    /// it into the unlimited-budget infallible form. This is how every
+    /// classic entry point (`ite`, `and`, `xor`, the cofactor family, ...)
+    /// wraps its `try_*` twin: the budget and any armed fault injection
+    /// are ignored for the duration, then restored.
+    pub fn ungoverned<T>(&mut self, f: impl FnOnce(&mut Manager) -> Result<T, LimitExceeded>) -> T {
+        let saved = std::mem::replace(&mut self.governed, false);
+        let r = f(self);
+        self.governed = saved;
+        match r {
+            Ok(v) => v,
+            Err(e) => unreachable!("ungoverned kernel reported {e}"),
+        }
+    }
+
     /// One governance tick, called at the top of every fallible kernel
     /// recursion. A single predictable branch when ungoverned.
     #[inline(always)]
-    pub(crate) fn tick(&mut self, store: &NodeStore) -> Result<(), LimitExceeded> {
+    pub(crate) fn tick(&mut self) -> Result<(), LimitExceeded> {
         if !self.governed {
             return Ok(());
         }
-        self.tick_slow(store)
+        self.tick_slow()
     }
 
     #[cold]
-    fn tick_slow(&mut self, store: &NodeStore) -> Result<(), LimitExceeded> {
+    fn tick_slow(&mut self) -> Result<(), LimitExceeded> {
         self.steps += 1;
-        let exceeded = |kind, steps, live| LimitExceeded {
+        let (steps, live_nodes) = (self.steps, self.live_nodes());
+        let exceeded = |kind| LimitExceeded {
             kind,
             steps,
-            live_nodes: live,
+            live_nodes,
         };
         if let Some(at) = self.abort_at_step {
-            if self.steps >= at {
-                return Err(exceeded(
-                    LimitKind::Injected,
-                    self.steps,
-                    store.live_nodes(),
-                ));
+            if steps >= at {
+                return Err(exceeded(LimitKind::Injected));
             }
         }
         if let Some(max) = self.limits.max_steps {
-            if self.steps > max {
-                return Err(exceeded(LimitKind::Steps, self.steps, store.live_nodes()));
+            if steps > max {
+                return Err(exceeded(LimitKind::Steps));
             }
         }
         if let Some(max) = self.limits.max_live_nodes {
-            if store.live_nodes() > max {
-                return Err(exceeded(LimitKind::Nodes, self.steps, store.live_nodes()));
+            if live_nodes > max {
+                return Err(exceeded(LimitKind::Nodes));
             }
         }
         if let Some(deadline) = self.limits.deadline {
             // The clock is the only expensive check: sample it every 256
             // steps so governed kernels stay within noise of ungoverned.
-            if self.steps & 0xFF == 0 && std::time::Instant::now() >= deadline {
-                return Err(exceeded(
-                    LimitKind::Deadline,
-                    self.steps,
-                    store.live_nodes(),
-                ));
+            if steps & 0xFF == 0 && std::time::Instant::now() >= deadline {
+                return Err(exceeded(LimitKind::Deadline));
             }
         }
         Ok(())
@@ -558,7 +529,6 @@ mod tests {
         for i in 0..4 {
             assert!(s.mark(i), "node {i} must read unvisited after the wrap");
             assert!(!s.mark(i), "second visit is still detected");
-            assert!(s.is_marked(i));
         }
     }
 
@@ -579,15 +549,15 @@ mod tests {
 
     #[test]
     fn session_limit_bookkeeping_roundtrip() {
-        let mut s = Session::with_cache_bits(DEFAULT_CACHE_BITS);
-        assert!(!s.limits().is_limited());
-        s.set_limits(ResourceLimits {
+        let mut m = Manager::new();
+        assert!(!m.limits().is_limited());
+        m.set_limits(ResourceLimits {
             max_steps: Some(10),
             ..ResourceLimits::default()
         });
-        assert!(s.governed);
-        assert_eq!(s.steps, 0);
-        s.clear_limits();
-        assert!(!s.governed);
+        assert!(m.governed);
+        assert_eq!(m.steps, 0);
+        m.clear_limits();
+        assert!(!m.governed);
     }
 }

@@ -1,30 +1,28 @@
-//! The node store: the arena, the open-addressed unique table, the
-//! interior and external reference counts, the variable order and the
-//! per-variable slot lists — the node-owning half of the kernel (the
-//! memo/budget half is [`crate::session::Session`]).
+//! Node creation: the arena, the open-addressed unique table and the
+//! per-variable slot lists of [`Manager`], and [`Manager::mk`], the one
+//! function that creates a node.
 //!
-//! The store has a single owner. Every mutation goes through `&mut
-//! self`, and one function creates nodes: [`NodeStore::mk`] probes the
-//! unique table and, on a miss, reuses the most recently freed slot or
+//! On a unique-table miss, `mk` reuses the most recently freed slot or
 //! appends one to the arena, inserts it, counts its two arena edges,
 //! appends it to its variable's slot list and grows the table in place
 //! once it is three quarters full. Nothing is ever logged for later
-//! reconciliation, so the store is consistent between any two `mk`
+//! reconciliation, so the manager is consistent between any two `mk`
 //! calls — which is what makes a kernel abort clean.
 //!
 //! Slot allocation order is fixed: LIFO free-list pops first, then the
-//! arena high-water mark; after a sweep, [`NodeStore::rebuild_free`]
-//! re-stacks the free list in ascending slot order, so the highest freed
-//! slot is reused first. It is not observable in a flow's output: no
-//! decision above the kernel orders nodes by `NodeId` or keeps a
-//! `Ref`-keyed memo across collections, so where a node lands (and hence
-//! when the collector ran) cannot move a gate count.
+//! arena high-water mark; a sweep re-stacks the free list in ascending
+//! slot order, so the highest freed slot is reused first. It is not
+//! observable in a flow's output: no decision above the kernel orders
+//! nodes by `NodeId` or keeps a `Ref`-keyed memo across collections, so
+//! where a node lands (and hence when the collector ran) cannot move a
+//! gate count.
 
+use crate::manager::Manager;
 use crate::reference::{NodeId, Ref, Var};
 
 /// Sentinel variable index used by the terminal node; compares below every
 /// real variable when ordered by *level depth* (larger index = deeper).
-const TERMINAL_VAR: u32 = u32::MAX;
+pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Sentinel variable index poisoning a reclaimed arena slot. A slot with
 /// this variable is on the free list (or parked mid-rewrite by a level
@@ -32,8 +30,15 @@ const TERMINAL_VAR: u32 = u32::MAX;
 /// unique table, and is overwritten on reuse.
 pub(crate) const FREE_VAR: u32 = u32::MAX - 1;
 
-/// Smallest bucket array [`NodeStore::with_capacity`] will allocate.
+/// Smallest bucket array the unique table is ever given.
 pub(crate) const MIN_BUCKETS: usize = 1 << 8;
+
+/// Unique-table bucket count that holds `nodes` entries below 3/4 load.
+pub(crate) fn buckets_for(nodes: usize) -> usize {
+    (nodes.max(8) * 4 / 3 + 1)
+        .next_power_of_two()
+        .max(MIN_BUCKETS)
+}
 
 /// Best-effort prefetch of the cache line holding `*p` (x86_64 only; a
 /// no-op elsewhere). Unique-table probes use it to overlap the *next*
@@ -84,198 +89,23 @@ pub struct Node {
 }
 
 /// The poisoned contents of a reclaimed slot.
-const FREE_NODE: Node = Node {
+pub(crate) const FREE_NODE: Node = Node {
     var: Var(FREE_VAR),
     low: Ref::ONE,
     high: Ref::ONE,
 };
 
-/// The node store: arena, unique table, reference counts, variable order
-/// and per-variable slot lists. See the module docs for the allocation
-/// contract.
-#[derive(Debug)]
-pub(crate) struct NodeStore {
-    /// The node arena; index 0 is the terminal. Its length is the arena
-    /// high-water mark, and every per-slot vector below has that length.
-    nodes: Vec<Node>,
-    /// Interior reference count per arena slot: the number of *arena
-    /// edges* into the slot. Maintained by `mk`, the level swap's slot
-    /// patching and the sweeps; audited against a full recount in debug
-    /// builds.
-    int_refs: Vec<u32>,
-    /// External reference count per arena slot (collection roots).
-    pub(crate) refs: Vec<u32>,
-    /// Position of each slot inside its `var_nodes[var]` list.
-    pub(crate) var_pos: Vec<u32>,
-    /// Reclaimed arena slots awaiting reuse (LIFO).
-    free: Vec<u32>,
-    /// Open-addressed unique table (bucket => node index, 0 = empty).
-    buckets: Vec<u32>,
-    bucket_mask: usize,
-    occupied: usize,
-    /// Nodes created since the last collection attempt (gates
-    /// `maybe_collect`).
-    allocs_since_gc: usize,
-    num_vars: u32,
-    /// Position of each variable in the decision order
-    /// (`var2level[var] = level`; always a permutation of `0..num_vars`).
-    pub(crate) var2level: Vec<u32>,
-    /// Inverse of `var2level` (`level2var[level] = var`).
-    pub(crate) level2var: Vec<u32>,
-    /// Exact per-variable slot lists, appended to by `mk`.
-    pub(crate) var_nodes: Vec<Vec<u32>>,
-    var_names: Vec<Option<String>>,
-}
-
-impl NodeStore {
-    /// A store pre-sized for `nodes` arena slots, containing only the
-    /// terminal node.
-    pub(crate) fn with_capacity(nodes: usize) -> NodeStore {
-        let buckets = (nodes.max(8) * 4 / 3 + 1)
-            .next_power_of_two()
-            .max(MIN_BUCKETS);
-        let mut store = NodeStore {
-            nodes: Vec::new(),
-            int_refs: Vec::new(),
-            refs: Vec::new(),
-            var_pos: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![0; buckets],
-            bucket_mask: buckets - 1,
-            occupied: 0,
-            allocs_since_gc: 0,
-            num_vars: 0,
-            var2level: Vec::new(),
-            level2var: Vec::new(),
-            var_nodes: Vec::new(),
-            var_names: Vec::new(),
-        };
-        store.reserve_slots(nodes.max(16));
-        store.push_slot(Node {
-            var: Var(TERMINAL_VAR),
-            low: Ref::ONE,
-            high: Ref::ONE,
-        });
-        store
-    }
-
-    // ------------------------------------------------------------- sizes
-
-    /// Current arena size in slots, including the terminal and reclaimed
-    /// slots awaiting reuse.
-    #[inline(always)]
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of live nodes (arena slots currently holding a node,
-    /// including the terminal; excludes free slots).
-    #[inline(always)]
-    pub(crate) fn live_nodes(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
-    /// Reclaimed arena slots awaiting reuse.
-    pub(crate) fn free_nodes(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Unique-table bucket count.
-    pub(crate) fn buckets_len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Nodes created since the last collection attempt.
-    pub(crate) fn allocs_since_gc(&self) -> usize {
-        self.allocs_since_gc
-    }
-
-    pub(crate) fn reset_allocs_since_gc(&mut self) {
-        self.allocs_since_gc = 0;
-    }
-
-    // ------------------------------------------------------ order / vars
-
+impl Manager {
     /// Registers `index` (and any gap below it) in the order maps; new
     /// variables are appended at the deepest levels in index order.
     /// Kernels never introduce variables.
+    #[inline(always)]
     pub(crate) fn ensure_var(&mut self, index: u32) {
-        if index < self.num_vars {
-            return;
-        }
-        self.num_vars = index + 1;
-        while (self.var2level.len() as u32) < self.num_vars {
+        while self.var2level.len() <= index as usize {
             let next = self.var2level.len() as u32;
             self.var2level.push(next);
             self.level2var.push(next);
             self.var_nodes.push(Vec::new());
-        }
-    }
-
-    /// Number of variables known to the store.
-    pub(crate) fn num_vars(&self) -> u32 {
-        self.num_vars
-    }
-
-    /// Level of a variable index; `u32::MAX` for the terminal/free
-    /// sentinels and for variables the store has never seen.
-    #[inline(always)]
-    pub(crate) fn var_level(&self, var: u32) -> u32 {
-        match self.var2level.get(var as usize) {
-            Some(&l) => l,
-            None => u32::MAX,
-        }
-    }
-
-    /// The variable currently sitting at `level`.
-    #[inline(always)]
-    pub(crate) fn var_at_level(&self, level: u32) -> Var {
-        Var(self.level2var[level as usize])
-    }
-
-    pub(crate) fn set_var_name(&mut self, index: u32, name: String) {
-        let idx = index as usize;
-        if self.var_names.len() <= idx {
-            self.var_names.resize(idx + 1, None);
-        }
-        self.var_names[idx] = Some(name);
-    }
-
-    pub(crate) fn var_name(&self, index: u32) -> String {
-        self.var_names
-            .get(index as usize)
-            .and_then(|n| n.clone())
-            .unwrap_or_else(|| format!("x{index}"))
-    }
-
-    // ------------------------------------------------------ node reading
-
-    /// Raw variable word of an arena slot (sentinels included).
-    #[inline(always)]
-    pub(crate) fn var_of(&self, i: usize) -> u32 {
-        self.nodes[i].var.0
-    }
-
-    /// Snapshot of a stored node by arena slot.
-    #[inline(always)]
-    pub(crate) fn node(&self, i: usize) -> Node {
-        self.nodes[i]
-    }
-
-    /// Level of an edge's top node in the current variable order:
-    /// constants (and the poisoned/unregistered sentinels) report
-    /// `u32::MAX`, the pseudo-level below every real one.
-    #[inline(always)]
-    pub(crate) fn level(&self, f: Ref) -> u32 {
-        self.var_level(self.var_of(f.node().index()))
-    }
-
-    /// The decision variable of an edge's top node; `None` for constants.
-    pub(crate) fn top_var(&self, f: Ref) -> Option<Var> {
-        if f.is_const() {
-            None
-        } else {
-            Some(Var(self.var_of(f.node().index())))
         }
     }
 
@@ -286,7 +116,7 @@ impl NodeStore {
     /// terminal branch.
     #[inline(always)]
     pub(crate) fn shallow_cofactors(&self, f: Ref, v: Var) -> (Ref, Ref) {
-        let n = self.node(f.node().index());
+        let n = self.nodes[f.node().index()];
         if n.var != v {
             (f, f)
         } else {
@@ -295,24 +125,10 @@ impl NodeStore {
         }
     }
 
-    /// Interior reference count of a slot.
-    #[inline(always)]
-    pub(crate) fn int_ref(&self, i: usize) -> u32 {
-        self.int_refs[i]
-    }
-
-    /// Mutable access to a slot's interior count.
-    #[inline(always)]
-    pub(crate) fn int_ref_mut(&mut self, i: usize) -> &mut u32 {
-        &mut self.int_refs[i]
-    }
-
-    // ------------------------------------------------------ node creation
-
-    /// Finds or creates the node `(var, low, high)`, applying the
-    /// reduction rules (equal children collapse; a complemented 1-edge is
-    /// pushed onto the 0-edge and the returned edge). The variable must
-    /// already be registered ([`NodeStore::ensure_var`]).
+    /// Finds or creates the node `(var, low, high)`, applying the reduction
+    /// rules (equal children collapse; a complemented 1-edge is pushed onto
+    /// the 0-edge and the returned edge). Unknown variables are registered
+    /// at the deepest level first.
     ///
     /// A miss takes the most recently freed slot, or else appends one to
     /// the arena, then does all of the bookkeeping in place: the bucket,
@@ -324,12 +140,13 @@ impl NodeStore {
     /// In debug builds, panics if the children's levels are not strictly
     /// below `var`'s level (which would break canonicity).
     #[inline]
-    pub(crate) fn mk(&mut self, var: Var, low: Ref, high: Ref) -> Ref {
+    pub fn mk(&mut self, var: Var, low: Ref, high: Ref) -> Ref {
+        self.ensure_var(var.0);
         if low == high {
             return low;
         }
         debug_assert!(
-            self.var_level(var.0) < self.level(low) && self.var_level(var.0) < self.level(high),
+            self.level_of_var(var) < self.level(low) && self.level_of_var(var) < self.level(high),
             "mk: ordering violated at {var:?}"
         );
         let complement = high.is_complemented();
@@ -361,7 +178,7 @@ impl NodeStore {
         let node = Node { var, low, high };
         let idx = match self.free.pop() {
             Some(slot) => {
-                debug_assert_eq!(self.var_of(slot as usize), FREE_VAR);
+                debug_assert_eq!(self.nodes[slot as usize].var.0, FREE_VAR);
                 self.nodes[slot as usize] = node;
                 slot
             }
@@ -393,7 +210,7 @@ impl NodeStore {
 
     /// Appends a slot holding `node` to the arena (with zeroed counts)
     /// and returns its index.
-    fn push_slot(&mut self, node: Node) -> u32 {
+    pub(crate) fn push_slot(&mut self, node: Node) -> u32 {
         let idx = self.nodes.len() as u32;
         self.nodes.push(node);
         self.int_refs.push(0);
@@ -401,8 +218,6 @@ impl NodeStore {
         self.var_pos.push(0);
         idx
     }
-
-    // ------------------------------------------------------- maintenance
 
     /// Reserves arena room for at least `nodes` slots in total.
     pub(crate) fn reserve_slots(&mut self, nodes: usize) {
@@ -433,44 +248,6 @@ impl NodeStore {
         self.bucket_mask = mask;
     }
 
-    /// Overwrites a slot's node words (level swaps).
-    pub(crate) fn set_node(&mut self, i: usize, n: Node) {
-        self.nodes[i] = n;
-    }
-
-    /// Overwrites just a slot's variable word (the swap rewrite parks
-    /// slots on `FREE_VAR` mid-flight).
-    pub(crate) fn set_var_of(&mut self, i: usize, var: u32) {
-        self.nodes[i].var = Var(var);
-    }
-
-    /// Poisons a reclaimed slot and pushes it onto the free stack, so it
-    /// is the next slot `mk` reuses. The caller has already detached the
-    /// slot from the table and lists.
-    pub(crate) fn free_push(&mut self, slot: u32) {
-        self.nodes[slot as usize] = FREE_NODE;
-        self.free.push(slot);
-    }
-
-    /// Poisons a reclaimed slot without stacking it; a sweep poisons its
-    /// whole dead set this way and then calls [`NodeStore::rebuild_free`].
-    pub(crate) fn poison(&mut self, slot: u32) {
-        self.nodes[slot as usize] = FREE_NODE;
-    }
-
-    /// Rebuilds the free stack from an ascending arena scan, so the
-    /// highest free slot is reused first. Sweeps call this after
-    /// poisoning; the resulting order fixes which slots the next nodes
-    /// get.
-    pub(crate) fn rebuild_free(&mut self) {
-        self.free.clear();
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            if node.var.0 == FREE_VAR {
-                self.free.push(i as u32);
-            }
-        }
-    }
-
     /// Removes one arena slot from the unique table by backward-shift
     /// deletion (no tombstones, so later probes stay one-load-per-step).
     /// `n` is the node content the slot is currently hashed under.
@@ -490,7 +267,7 @@ impl NodeStore {
             if b == 0 {
                 break;
             }
-            let nb = self.node(b as usize);
+            let nb = self.nodes[b as usize];
             let ideal = (triple_hash(nb.var.0, nb.low.raw(), nb.high.raw()) as usize) & mask;
             // `b` may move into the hole iff its ideal bucket is not in
             // the (cyclic) open interval (hole, j].
@@ -508,7 +285,7 @@ impl NodeStore {
     /// triple must not already be present — guaranteed by the level-swap
     /// rewrite, which never recreates an existing function's node).
     pub(crate) fn insert_slot(&mut self, idx: u32) {
-        let n = self.node(idx as usize);
+        let n = self.nodes[idx as usize];
         let mut i = (triple_hash(n.var.0, n.low.raw(), n.high.raw()) as usize) & self.bucket_mask;
         loop {
             let b = self.buckets[i];
@@ -516,7 +293,7 @@ impl NodeStore {
                 break;
             }
             debug_assert!(
-                self.node(b as usize) != n,
+                self.nodes[b as usize] != n,
                 "insert_slot: duplicate triple would break canonicity"
             );
             i = (i + 1) & self.bucket_mask;
@@ -527,12 +304,6 @@ impl NodeStore {
             self.grow_buckets_to(self.buckets.len() * 2);
         }
     }
-
-    /// Resets the occupancy count after a sweep rebuild (the survivors
-    /// were counted by the rebuild itself).
-    pub(crate) fn set_occupied(&mut self, n: usize) {
-        self.occupied = n;
-    }
 }
 
 #[cfg(test)]
@@ -541,23 +312,17 @@ mod tests {
 
     #[test]
     fn mk_hash_conses_and_lists_creation() {
-        let mut store = NodeStore::with_capacity(16);
-        store.ensure_var(0);
-        store.ensure_var(1);
-        let a = store.mk(Var(1), Ref::ZERO, Ref::ONE);
-        assert_eq!(
-            store.mk(Var(1), Ref::ZERO, Ref::ONE),
-            a,
-            "second mk is a get"
-        );
+        let mut m = Manager::with_capacity(16, 8);
+        let a = m.mk(Var(1), Ref::ZERO, Ref::ONE);
+        assert_eq!(m.mk(Var(1), Ref::ZERO, Ref::ONE), a, "second mk is a get");
         // A complemented 1-edge is normalized onto the returned edge.
-        let f = store.mk(Var(0), a, !a);
+        let f = m.mk(Var(0), a, !a);
         assert!(f.is_complemented());
-        assert_eq!(store.mk(Var(0), !a, a), !f);
-        assert_eq!(store.num_nodes(), 3);
-        assert_eq!(store.live_nodes(), 3);
-        assert_eq!(store.var_nodes[1], vec![a.node().0]);
-        assert_eq!(store.var_nodes[0], vec![f.node().0]);
-        assert_eq!(store.int_ref(a.node().index()), 2, "both edges of f");
+        assert_eq!(m.mk(Var(0), !a, a), !f);
+        assert_eq!(m.num_nodes(), 3);
+        assert_eq!(m.live_nodes(), 3);
+        assert_eq!(m.var_nodes[1], vec![a.node().0]);
+        assert_eq!(m.var_nodes[0], vec![f.node().0]);
+        assert_eq!(m.int_refs[a.node().index()], 2, "both edges of f");
     }
 }

@@ -84,7 +84,7 @@ struct GcStormResult {
     peak_nodes: usize,
     final_nodes: usize,
     live_nodes: usize,
-    garbage_estimate: usize,
+    free_nodes: usize,
     hit_rate: f64,
 }
 
@@ -144,7 +144,7 @@ fn gc_storm(rounds: u32) -> GcStormResult {
         peak_nodes: stats.peak_nodes,
         final_nodes: m.num_nodes(),
         live_nodes: m.live_nodes(),
-        garbage_estimate: stats.garbage_estimate,
+        free_nodes: stats.free_nodes,
         hit_rate: stats.hit_rate(),
     }
 }
@@ -272,7 +272,7 @@ fn main() {
 
     let gc = gc_storm(3_125);
     println!(
-        "gc_storm   {:>8} ops in {:>8} µs  ({:.1} Mops/s, cache hit {:.1}% of {} lookups, reclaimed {} in {} collections, arena {} peak {} live {} garbage-est {})",
+        "gc_storm   {:>8} ops in {:>8} µs  ({:.1} Mops/s, cache hit {:.1}% of {} lookups, reclaimed {} in {} collections, arena {} peak {} live {} free {})",
         gc.ops,
         gc.micros,
         gc.ops as f64 / gc.micros.max(1) as f64,
@@ -283,7 +283,7 @@ fn main() {
         gc.final_nodes,
         gc.peak_nodes,
         gc.live_nodes,
-        gc.garbage_estimate
+        gc.free_nodes
     );
 
     let sift = sift_storm();
@@ -364,7 +364,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"gc_storm\": {{\"ops\": {}, \"micros\": {}, \"mops_per_sec\": {:.3}, \"cache_lookups\": {}, \"cache_hit_rate\": {:.4}, \"reclaimed\": {}, \"collections\": {}, \"peak_nodes\": {}, \"final_nodes\": {}, \"live_nodes\": {}, \"garbage_estimate\": {}}},",
+        "  \"gc_storm\": {{\"ops\": {}, \"micros\": {}, \"mops_per_sec\": {:.3}, \"cache_lookups\": {}, \"cache_hit_rate\": {:.4}, \"reclaimed\": {}, \"collections\": {}, \"peak_nodes\": {}, \"final_nodes\": {}, \"live_nodes\": {}, \"free_nodes\": {}}},",
         gc.ops,
         gc.micros,
         gc.ops as f64 / gc.micros.max(1) as f64,
@@ -375,7 +375,7 @@ fn main() {
         gc.peak_nodes,
         gc.final_nodes,
         gc.live_nodes,
-        gc.garbage_estimate
+        gc.free_nodes
     );
     let _ = writeln!(
         json,

@@ -284,7 +284,7 @@ fn committed_bench_json_keeps_its_schema() {
         "cache_lookups",
         "cache_hit_rate",
         "reclaimed",
-        "garbage_estimate",
+        "free_nodes",
     ] {
         gc.expect_field("gc_storm", key).as_num("gc_storm");
     }

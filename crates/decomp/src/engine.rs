@@ -273,8 +273,10 @@ pub fn decompose_network(
         }
         report.cones.push((net.signal_name(sn.root), status));
         manager.release(function); // the engine's claim from above
-                                   // The partition's claim on this supernode is done too: its gates
-                                   // are emitted, and later supernodes reference *signals*, not Refs.
+                                   // `function` is `sn.function`, so both calls release the same
+                                   // `Ref`: first the engine's claim, then the partition's. The
+                                   // partition is done with it too: this supernode's gates are
+                                   // emitted, and later supernodes reference *signals*, not Refs.
         manager.release(sn.function);
         // Quiescent point: every live function is a protected root, so
         // let the collector recycle decomposition garbage plus whatever
