@@ -1,6 +1,6 @@
 //! Structural and semantic analysis: evaluation, size, support, and the
-//! per-node connectivity statistics used by dominator-driven
-//! decomposition.
+//! per-node connectivity statistics and structural x-dominators used by
+//! dominator-driven decomposition.
 //!
 //! All traversals here start from caller-supplied roots and never touch
 //! reclaimed arena slots; a [`NodeStats`] snapshot, like any other
@@ -9,7 +9,9 @@
 //! order-agnostic: evaluation and support index by variable *identity*,
 //! not by level, so results are unchanged by reordering (level swaps and
 //! sifting preserve each `Ref`'s function, though `size` may of course
-//! change — that is the point of sifting).
+//! change — that is the point of sifting). The structural results —
+//! `size`, `node_stats`, `x_dominators` — describe the DAG under the
+//! current order.
 
 use crate::hasher::BuildFxHasher;
 use crate::manager::Manager;
@@ -171,6 +173,54 @@ impl Manager {
         stats
     }
 
+    /// The internal nodes of `f`, root excluded, that lie on every
+    /// root-to-terminal path, in level order: the x-dominators of BDS
+    /// (Yang & Ciesielski, IEEE TCAD 21(7), 2002).
+    ///
+    /// Every ROBDD path is realizable, so node `d` lies on every path
+    /// exactly when every assignment's path visits it, which with
+    /// complement edges is exactly when `f[d:=0] == ¬f[d:=1]` (see
+    /// [`Manager::replace_node_with_const`]). A path meets each level at
+    /// most once and ends at the terminal, below the last level, so `d`
+    /// lies on every path iff it is the only node of `f` at its level and
+    /// no edge from a shallower level reaches deeper than it. One pass
+    /// over the nodes in level order checks both. It creates no nodes,
+    /// probes no cache and ticks no budget.
+    pub fn x_dominators(&self, f: Ref) -> Vec<NodeId> {
+        let mut by_level: Vec<(u32, NodeId)> = Vec::new();
+        {
+            let mut seen = self.visited.borrow_mut();
+            seen.begin(self.nodes.len());
+            let mut stack = vec![f.node()];
+            while let Some(id) = stack.pop() {
+                if id.is_terminal() || !seen.mark(id.index()) {
+                    continue;
+                }
+                let n = self.nodes[id.index()];
+                by_level.push((self.level_of_var(n.var), id));
+                stack.push(n.low.node());
+                stack.push(n.high.node());
+            }
+        }
+        by_level.sort_unstable();
+        let mut out = Vec::new();
+        // The deepest level entered by an edge from the levels above; the
+        // terminal's pseudo-level u32::MAX is below every real one.
+        let mut reach = 0;
+        for group in by_level.chunk_by(|a, b| a.0 == b.0) {
+            if let [(level, id)] = *group {
+                if reach <= level && id != f.node() {
+                    out.push(id);
+                }
+            }
+            for &(_, id) in group {
+                let n = self.nodes[id.index()];
+                reach = reach.max(self.level(n.low)).max(self.level(n.high));
+            }
+        }
+        out
+    }
+
     /// The function rooted at internal node `id`, as a regular reference.
     pub fn function_of(&self, id: NodeId) -> Ref {
         Ref::new(id, false)
@@ -267,5 +317,62 @@ mod tests {
         let stats = m.node_stats(Ref::ONE);
         assert!(stats.is_empty());
         assert_eq!(stats.len(), 0);
+    }
+
+    /// The structural set of `f` as a list of node variables, top down.
+    fn x_dominator_vars(m: &Manager, f: Ref) -> Vec<Var> {
+        m.x_dominators(f).iter().map(|&id| m.node(id).var).collect()
+    }
+
+    #[test]
+    fn x_dominators_skip_a_node_jumped_by_an_edge() {
+        // (a ? b : c) ⊕ d under a<b<c<d: the b-node is alone at its level,
+        // but the edge from a to the c-node jumps it; the c-node is jumped
+        // by the b-node's edges into the d-node, which every path meets.
+        let mut m = Manager::new();
+        let (a, b, c, d) = (m.var(0), m.var(1), m.var(2), m.var(3));
+        let sel = m.ite(a, b, c);
+        let f = m.xor(sel, d);
+        assert_eq!(m.size(f), 4);
+        assert_eq!(x_dominator_vars(&m, f), vec![Var(3)]);
+        // An edge into the terminal jumps every level below it.
+        let bc = m.or(b, c);
+        let g = m.and(a, bc);
+        assert_eq!(x_dominator_vars(&m, g), vec![]);
+    }
+
+    #[test]
+    fn x_dominators_keep_a_node_entered_by_a_complemented_edge() {
+        // a ⊙ bc: the two edges out of a enter the bc node in opposite
+        // polarities, and every path still meets it.
+        let mut m = Manager::new();
+        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
+        let bc = m.and(b, c);
+        let f = m.xnor(a, bc);
+        let deg = m.node_stats(f).in_degree(bc.node());
+        assert_eq!((deg.total(), deg.zero_complemented), (2, 1));
+        assert_eq!(m.x_dominators(f), vec![bc.node()]);
+        assert_eq!(m.x_dominators(!f), vec![bc.node()]);
+    }
+
+    #[test]
+    fn x_dominators_exclude_the_root_and_constants() {
+        let mut m = Manager::new();
+        let a = m.var(0);
+        assert_eq!(m.x_dominators(a), vec![]);
+        assert_eq!(m.x_dominators(!a), vec![]);
+        assert_eq!(m.x_dominators(Ref::ONE), vec![]);
+        assert_eq!(m.x_dominators(Ref::ZERO), vec![]);
+    }
+
+    #[test]
+    fn x_dominators_of_parity_are_every_node_below_the_root() {
+        let mut m = Manager::new();
+        let vars: Vec<Ref> = (0..6).map(|i| m.var(i)).collect();
+        let f = m.xor_all(vars);
+        let below_root: Vec<Var> = (1..6).map(Var).collect();
+        assert_eq!(m.size(f), 6);
+        assert_eq!(x_dominator_vars(&m, f), below_root);
+        assert_eq!(x_dominator_vars(&m, !f), below_root);
     }
 }

@@ -38,8 +38,12 @@
 //! the target, so swaps retire it together with restrict — and
 //! the `target << 1` word lets the collector's scrub drop every entry for
 //! a reclaimed target before its slot can be reused. Repeated dominator
-//! tests on one function (the BDS dominator search, the m-dominator scan
-//! and the balanced XOR split all probe the same `f`) share the memo.
+//! tests on one function share the memo: the BDS dominator search and the
+//! m-dominator scan (both through `classify_dominator`) substitute both
+//! constants for every candidate node of `f`. The balanced XOR split
+//! finds its x-dominators structurally ([`Manager::x_dominators`]) and
+//! substitutes only `1`, only for those; debug builds also run both
+//! substitutions on each of its candidates to check that verdict.
 
 use crate::manager::Manager;
 use crate::reference::{NodeId, Ref, Var};

@@ -14,7 +14,8 @@
 //! * the Coudert–Madre generalized cofactor [`Manager::restrict`] that
 //!   seeds the majority decomposition of BDS-MAJ;
 //! * structural analysis needed by dominator-driven decomposition:
-//!   node iteration, in-degree statistics and node-to-constant substitution.
+//!   node iteration, in-degree statistics, the structural x-dominator set
+//!   ([`Manager::x_dominators`]) and node-to-constant substitution.
 //!
 //! # Edge encoding
 //!

@@ -416,6 +416,40 @@ fn check_replacements(m: &mut Manager, fs: &[Ref]) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// Checks [`Manager::x_dominators`] of `f` and of `!f` against the
+/// functional x-dominator test `f[d:=0] == ¬f[d:=1]` on every node of `f`
+/// but the root, and checks that the structural set comes in level order.
+fn check_x_dominators(m: &mut Manager, f: Ref) -> Result<(), TestCaseError> {
+    let nodes = m.node_stats(f).nodes().to_vec();
+    for root in [f, !f] {
+        let mut functional = Vec::new();
+        for &d in &nodes {
+            if d == f.node() {
+                continue;
+            }
+            let f1 = m.replace_node_with_const(root, d, true);
+            let f0 = m.replace_node_with_const(root, d, false);
+            if f0 == !f1 {
+                functional.push(d);
+            }
+        }
+        let mut structural = m.x_dominators(root);
+        let levels: Vec<u32> = structural
+            .iter()
+            .map(|&d| m.level(m.function_of(d)))
+            .collect();
+        prop_assert!(
+            levels.windows(2).all(|w| w[0] < w[1]),
+            "level order: {:?}",
+            levels
+        );
+        structural.sort();
+        functional.sort();
+        prop_assert_eq!(structural, functional, "x-dominators of {:?}", root);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -513,6 +547,28 @@ proptest! {
         m.protect(fresh);
         check_replacements(&mut m, &[f, fresh])?;
         m.release(fresh);
+        m.release(f);
+    }
+
+    #[test]
+    fn x_dominators_match_functional_test(
+        e in arb_expr(),
+        pair in any::<bool>(),
+        negate in any::<bool>(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 1..4),
+    ) {
+        // The structural set against the rebuild-based classification,
+        // under the identity order, after each level swap and after a
+        // sift, so that levels and variable indices differ.
+        let (mut m, f) = probe_subject(&e, pair, negate, &[]);
+        m.protect(f);
+        check_x_dominators(&mut m, f)?;
+        for &l in &swaps {
+            m.swap_levels(l);
+            check_x_dominators(&mut m, f)?;
+        }
+        m.sift(&SiftConfig::default());
+        check_x_dominators(&mut m, f)?;
         m.release(f);
     }
 }

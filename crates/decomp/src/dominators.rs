@@ -1,19 +1,27 @@
-//! Functional dominator detection on BDDs.
+//! Dominator detection on BDDs.
 //!
-//! BDS drives decomposition with *dominator* nodes. This module detects
-//! them functionally: for an internal node `d` of the BDD of `f`, write
-//! `f = F(z)` with `z` the output of `d` (see
+//! BDS drives decomposition with *dominator* nodes. For an internal node
+//! `d` of the BDD of `f`, write `f = F(z)` with `z` the output of `d` (see
 //! [`bdd::Manager::replace_node_with_const`]). Then with `F1 = F(1)` and
 //! `F0 = F(0)`:
 //!
 //! * `F0 = 0`   ⇒ `f = F1 · f_d`   — (generalized) **1-dominator**, AND;
 //! * `F1 = 1`   ⇒ `f = F0 + f_d`   — (generalized) **0-dominator**, OR;
-//! * `F0 = F1'` ⇒ `f = F1 ⊙ f_d`   — (generalized) **x-dominator**, XNOR.
+//! * `F0 = F1'` ⇒ `f = F1 ⊙ f_d`   — **x-dominator**, XNOR.
 //!
-//! Structural 0-/1-/x-dominators in the sense of Yang–Ciesielski are the
-//! disjoint special cases of these conditions; the functional check also
-//! captures the "generalized dominators" that BDS uses for non-disjoint
-//! decomposition.
+//! The x-dominator condition is structural. Every ROBDD path is
+//! realizable, so with complement edges `F0 = F1'` holds exactly when `d`
+//! lies on every root-to-terminal path: `d` is the only node of `f` at its
+//! level, and no edge from a shallower level reaches deeper than it. This
+//! is the x-dominator of Yang–Ciesielski. [`bdd::Manager::x_dominators`]
+//! finds all of them in one pass without building a node, and the
+//! balanced XOR split ([`crate::xor_decompose_balanced`]) tests with it.
+//!
+//! [`classify_dominator`] stays functional and builds both `F1` and `F0`
+//! for every candidate: the 0-/1-dominator (AND/OR) conditions have no
+//! structural test here, and besides the structural 0-/1-dominators of
+//! Yang–Ciesielski they admit the "generalized dominators" that BDS uses
+//! for non-disjoint decomposition.
 
 use bdd::{LimitExceeded, Manager, NodeId, Ref, Var};
 

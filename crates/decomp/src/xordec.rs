@@ -10,41 +10,62 @@ use bdd::{Manager, Ref};
 
 /// Splits `fx` into `(m_part, k_part)` with `fx = m_part ⊕ k_part`.
 ///
-/// The search walks the x-dominator candidates of `fx` (functional check
-/// `F0 = F1'`) and picks the split minimizing `max(|M|, |K|)`. When no
-/// x-dominator exists, the split falls back to Shannon cofactoring on the
-/// top variable, `fx = v ⊕ (v ⊕ fx)` being rejected in favour of the
-/// trivial `(fx, 0)` when it would not reduce the balance.
+/// Each x-dominator `d` of `fx` gives the split `fx = f_d ⊙ F1 =
+/// ¬F1 ⊕ f_d` with `F1 = fx[d:=1]`. The x-dominators are found
+/// structurally, as the nodes on every root-to-terminal path
+/// ([`Manager::x_dominators`]); when there is none, or `fx` has more than
+/// `max_bdd_size` nodes, the result is the trivial `(fx, 0)`. Otherwise
+/// the candidates are walked highest in-degree first (DFS order on ties,
+/// at most `max_candidates`), `F1` is rebuilt for the x-dominators among
+/// them, and the split minimizing `max(|M|, |K|)` wins if it scores below
+/// `|fx|`, the trivial split's score.
+///
+/// Debug builds walk the candidates even when no x-dominator exists and
+/// check every structural verdict against the functional test
+/// `fx[d:=0] == ¬fx[d:=1]`.
 pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref, options: &SearchOptions) -> (Ref, Ref) {
     let trivial = (fx, Ref::ZERO);
     let fsize = m.size(fx);
-    if fsize <= 1 {
+    if fsize > options.max_bdd_size {
         return trivial;
     }
+    let mut dominators = m.x_dominators(fx);
+    if dominators.is_empty() && !cfg!(debug_assertions) {
+        return trivial;
+    }
+    dominators.sort_unstable();
+    let stats = m.node_stats(fx);
+    let mut candidates: Vec<_> = stats.nodes().to_vec();
+    candidates.sort_by_key(|&id| std::cmp::Reverse(stats.in_degree(id).total()));
+    candidates.truncate(options.max_candidates);
     let mut best = trivial;
     let mut best_score = fsize; // the trivial split scores |fx|
-    if fsize <= options.max_bdd_size {
-        let stats = m.node_stats(fx);
-        let mut candidates: Vec<_> = stats.nodes().to_vec();
-        candidates.sort_by_key(|&id| std::cmp::Reverse(stats.in_degree(id).total()));
-        candidates.truncate(options.max_candidates);
-        for id in candidates {
-            if id == fx.node() {
-                continue;
-            }
+    for id in candidates {
+        if id == fx.node() {
+            continue;
+        }
+        let is_dominator = dominators.binary_search(&id).is_ok();
+        #[cfg(debug_assertions)]
+        {
             let f1 = m.replace_node_with_const(fx, id, true);
             let f0 = m.replace_node_with_const(fx, id, false);
-            if f0 != !f1 {
-                continue;
-            }
-            // fx = f_d ⊙ F1 = f_d ⊕ F1'.
-            let k = m.function_of(id);
-            let m_part = !f1;
-            let score = m.size(k).max(m.size(m_part));
-            if score < best_score {
-                best_score = score;
-                best = (m_part, k);
-            }
+            assert_eq!(
+                is_dominator,
+                f0 == !f1,
+                "structural and functional x-dominator tests disagree on {id:?} in {fx:?}"
+            );
+        }
+        if !is_dominator {
+            continue;
+        }
+        // fx = f_d ⊙ F1 = f_d ⊕ F1'.
+        let f1 = m.replace_node_with_const(fx, id, true);
+        let k = m.function_of(id);
+        let m_part = !f1;
+        let score = m.size(k).max(m.size(m_part));
+        if score < best_score {
+            best_score = score;
+            best = (m_part, k);
         }
     }
     best
