@@ -7,9 +7,9 @@
 //! `Ref`/`NodeId` collection, is invalidated by a garbage collection, so
 //! hold one only between two quiescent points. Everything is
 //! order-agnostic: evaluation and support index by variable *identity*,
-//! not by level, so results are unchanged by reordering (level swaps and
-//! sifting preserve each `Ref`'s function, though `size` may of course
-//! change — that is the point of sifting). The structural results —
+//! not by level, so results are unchanged by reordering (level swaps
+//! preserve each `Ref`'s function, though `size` may of course change —
+//! that is the point of reordering). The structural results —
 //! `size`, `node_stats`, `x_dominators` — describe the DAG under the
 //! current order.
 

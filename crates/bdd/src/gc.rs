@@ -15,9 +15,8 @@
 //! ([`Manager::rooted_size`]).
 //!
 //! The level swaps of [`crate::reorder`] keep the interior counts exact
-//! through [`Manager::inc_child`] / [`Manager::dec_child`]; sifting's
-//! swaps also reclaim eagerly through the same cascade, so swap garbage
-//! never exists during a sift pass.
+//! through [`Manager::inc_child`] / [`Manager::dec_child`]; the nodes a
+//! swap displaces wait for the next collection like any other garbage.
 
 use crate::manager::Manager;
 use crate::reference::Ref;
@@ -56,24 +55,10 @@ impl Manager {
         }
     }
 
-    /// Drops one interior reference to `c`'s node. With `reclaim`, a node
-    /// whose last reference (interior *and* external) just vanished is
-    /// reclaimed on the spot, cascading into its own children — the eager
-    /// mode sifting uses so swap garbage never exists and the live arena
-    /// size *is* the rooted size.
-    #[inline]
-    pub(crate) fn dec_child(&mut self, c: Ref, reclaim: bool) {
-        if let Some(slot) = self.drop_edge(c) {
-            if reclaim {
-                self.reclaim_cascade(slot);
-            }
-        }
-    }
-
     /// Drops one interior reference to `c`'s node and returns its slot if
     /// that was the node's last reference, interior and external.
     #[inline(always)]
-    fn drop_edge(&mut self, c: Ref) -> Option<u32> {
+    pub(crate) fn dec_child(&mut self, c: Ref) -> Option<u32> {
         let i = c.node().index();
         if i == 0 {
             return None;
@@ -84,40 +69,6 @@ impl Manager {
         );
         self.int_refs[i] -= 1;
         (self.int_refs[i] == 0 && self.refs[i] == 0).then_some(i as u32)
-    }
-
-    /// Removes `slot` from its `var_nodes` list in O(1) via the stored
-    /// position (swap-remove; the displaced tail entry's position is
-    /// patched).
-    fn remove_from_var_list(&mut self, slot: u32, var: u32) {
-        let p = self.var_pos[slot as usize] as usize;
-        let list = &mut self.var_nodes[var as usize];
-        debug_assert_eq!(list[p], slot, "var_pos out of sync at slot {slot}");
-        list.swap_remove(p);
-        if p < list.len() {
-            self.var_pos[list[p] as usize] = p as u32;
-        }
-    }
-
-    /// Reclaims a dead slot (`refs == 0 && int_refs == 0`) immediately:
-    /// detaches it from the unique table and its per-variable list,
-    /// poisons it onto the free list, and cascades into any child whose
-    /// last reference this was. Iterative (worklist) so a long dead chain
-    /// cannot overflow the stack.
-    fn reclaim_cascade(&mut self, start: u32) {
-        let mut stack = vec![start];
-        while let Some(s) = stack.pop() {
-            let n = self.nodes[s as usize];
-            debug_assert!(n.var.0 != FREE_VAR, "double reclaim of slot {s}");
-            self.remove_slot(s, &n);
-            self.remove_from_var_list(s, n.var.0);
-            self.nodes[s as usize] = FREE_NODE;
-            self.free.push(s);
-            self.reclaimed_total += 1;
-            for c in [n.low, n.high] {
-                stack.extend(self.drop_edge(c));
-            }
-        }
     }
 
     /// Collects dead nodes now. Because the interior reference counts are
@@ -152,7 +103,7 @@ impl Manager {
             dead.push(s);
             let n = self.nodes[s as usize];
             for c in [n.low, n.high] {
-                stack.extend(self.drop_edge(c));
+                stack.extend(self.dec_child(c));
             }
         }
         if dead.is_empty() {
@@ -169,6 +120,36 @@ impl Manager {
             );
         }
         reclaimed
+    }
+
+    /// Number of internal nodes reachable from the externally protected
+    /// roots — the reachability oracle the collector's debug audit checks
+    /// every sweep against. Unprotected garbage (dead intermediates
+    /// awaiting collection) is excluded.
+    pub fn rooted_size(&self) -> usize {
+        let mut seen = self.visited.borrow_mut();
+        seen.begin(self.nodes.len());
+        let mut stack: Vec<u32> = Vec::new();
+        for (i, &rc) in self.refs.iter().enumerate().skip(1) {
+            if rc > 0 {
+                stack.push(i as u32);
+            }
+        }
+        let mut count = 0usize;
+        while let Some(i) = stack.pop() {
+            if !seen.mark(i as usize) {
+                continue;
+            }
+            count += 1;
+            let n = self.nodes[i as usize];
+            if !n.low.node().is_terminal() {
+                stack.push(n.low.node().0);
+            }
+            if !n.high.node().is_terminal() {
+                stack.push(n.high.node().0);
+            }
+        }
+        count
     }
 
     /// Collects only when worthwhile: a no-op while fewer than
@@ -213,9 +194,7 @@ impl Manager {
             if v == FREE_VAR {
                 self.free.push(i as u32);
             } else {
-                let list = &mut self.var_nodes[v as usize];
-                self.var_pos[i] = list.len() as u32;
-                list.push(i as u32);
+                self.var_nodes[v as usize].push(i as u32);
             }
         }
         // The unique table still lists the dead nodes: rebuild it from the

@@ -54,8 +54,8 @@
 //! place a node is created.
 //!
 //! * **Node arena** — a flat `(var, low, high)` vector, with parallel
-//!   per-slot vectors for the two reference counts and the slot's place
-//!   in its variable's node list; a node is its index, index 0 is the
+//!   per-slot vectors for the two reference counts, and one slot list per
+//!   variable for the level swap; a node is its index, index 0 is the
 //!   terminal. Dead nodes are reclaimed by the
 //!   collector (below); their slots are poisoned, stacked on a free
 //!   list, and reused by `mk` before the arena grows
@@ -140,33 +140,10 @@
 //!   candidates are scored from the window's boundary tables without
 //!   building a node ([`window_sizes`]); only a winning arrangement pays
 //!   the swap primitive.
-//! * [`Manager::sift`] is Rudell's sifting on top of the swap primitive
-//!   (growth abort against each variable's start size + swap budget,
-//!   [`SiftConfig`]); it minimizes the node count of the protected roots,
-//!   tracking that size in O(1) per swap from the swaps' exact deltas
-//!   (sift swaps eagerly reclaim displaced nodes the interior counts
-//!   prove dead, so the pass never re-walks the rooted set).
-//!   [`sift_reorder`] scopes one pass to a function's support. The engine
-//!   runs it once on a cone whose decomposition blew its resource budget,
-//!   before its single retry.
 //! * Reordering runs only at explicit quiescent points, never inside a
-//!   kernel. Sifting collects on entry, so every live function must be
-//!   protected first. Direct [`Manager::swap_levels`] calls preserve
-//!   every `Ref` but displace nodes into garbage, so a `maybe_collect`
-//!   should follow them.
-//!
-//! Why the engine windows each cone instead of sifting it: a sift
-//! minimizes the rooted size of *every* protected root. Inside the
-//! engine loop those roots are the supernodes not yet decomposed, not
-//! the cone under decomposition, so [`sift_reorder`] trades the cone's
-//! size against its neighbours' and only the shared total shrinks.
-//! Over the 9,948 cones the engine reorders on the Table I suite,
-//! [`window_reorder`] shrinks 282 cones, grows none and leaves 48,558
-//! nodes summed over the cones; [`sift_reorder`] shrinks 18, grows 12
-//! and leaves 49,680. The dominator search decomposes the cone, so the
-//! window's smaller cones give the smaller networks: 1027.9 BDS-MAJ nodes
-//! per Table I row on average, against 1094.1 under per-cone sifting at
-//! about five times the wall time.
+//!   kernel. [`Manager::swap_levels`] preserves every `Ref` but displaces
+//!   nodes into garbage, so a `maybe_collect` should follow a burst of
+//!   swaps.
 //!
 //! # Resource governance and the fallible-kernel contract
 //!
@@ -195,8 +172,8 @@
 //! aborted operation built are ordinary unreferenced garbage that the
 //! next [`Manager::collect`] reclaims. The recommended recovery is:
 //! protect what you still need, `collect()`, then either retry with a
-//! larger budget (possibly after a sift) or fall back. Nothing needs to
-//! be rebuilt; no poisoned state exists.
+//! fresh budget or fall back. Nothing needs to be rebuilt; no poisoned
+//! state exists.
 //!
 //! Limits are polled, not preemptive: the step counter advances once per
 //! cache-missing recursion step, the node ceiling is compared on the
@@ -259,9 +236,7 @@ pub use gc::GcConfig;
 pub use hasher::{BuildFxHasher, FxHasher};
 pub use manager::{CacheStats, Manager, Node};
 pub use reference::{NodeId, Ref, Var};
-pub use reorder::{
-    invert, sift_reorder, window_reorder, window_sizes, Reordered, SiftConfig, SiftReport,
-};
+pub use reorder::{window_reorder, window_sizes};
 pub use session::{LimitExceeded, LimitKind, ResourceLimits, DEFAULT_CACHE_BITS};
 
 #[cfg(test)]

@@ -53,15 +53,9 @@ pub struct CacheStats {
     /// Number of collections that actually swept (collections that found
     /// nothing to reclaim are not counted).
     pub collections: u64,
-    /// Adjacent-level swaps over the manager's lifetime, counted at the
-    /// swap primitive itself — sift walks and restores, window-reorder
-    /// installs, and direct [`Manager::swap_levels`] calls alike (the
-    /// window install path used to bypass this counter and under-report
-    /// reorder work).
+    /// Adjacent-level swaps over the manager's lifetime: every
+    /// [`Manager::swap_levels`] call, window-reorder installs included.
     pub sift_swaps: u64,
-    /// Number of [`Manager::sift`] / [`Manager::sift_vars`] passes run
-    /// (one per [`crate::sift_reorder`] call).
-    pub sifts: u64,
 }
 
 impl CacheStats {
@@ -108,8 +102,6 @@ pub struct Manager {
     pub(crate) int_refs: Vec<u32>,
     /// External reference count per arena slot (collection roots).
     pub(crate) refs: Vec<u32>,
-    /// Position of each slot inside its `var_nodes[var]` list.
-    pub(crate) var_pos: Vec<u32>,
     /// Reclaimed arena slots awaiting reuse (LIFO).
     pub(crate) free: Vec<u32>,
     /// Open-addressed unique table (bucket => node index, 0 = empty).
@@ -124,7 +116,9 @@ pub struct Manager {
     pub(crate) var2level: Vec<u32>,
     /// Inverse of `var2level` (`level2var[level] = var`).
     pub(crate) level2var: Vec<u32>,
-    /// Exact per-variable slot lists, appended to by `mk`.
+    /// Exact per-variable slot lists, appended to by `mk`: the level
+    /// swap's work list. They list garbage nodes too, until the next
+    /// sweep rebuilds them.
     pub(crate) var_nodes: Vec<Vec<u32>>,
     var_names: Vec<Option<String>>,
     /// The memo shared by every recursive kernel (see [`crate::session`]).
@@ -147,9 +141,8 @@ pub struct Manager {
     pub(crate) abort_at_step: Option<u64>,
     pub(crate) gc: GcConfig,
     pub(crate) sift_swaps: u64,
-    pub(crate) sifts: u64,
     /// Number of sweeping collections (collections that reclaimed at
-    /// least one node); excludes per-swap eager reclamation.
+    /// least one node).
     pub(crate) collections: u64,
     pub(crate) reclaimed_total: u64,
 }
@@ -178,7 +171,6 @@ impl Manager {
             nodes: Vec::new(),
             int_refs: Vec::new(),
             refs: Vec::new(),
-            var_pos: Vec::new(),
             free: Vec::new(),
             buckets: vec![0; buckets],
             bucket_mask: buckets - 1,
@@ -196,7 +188,6 @@ impl Manager {
             abort_at_step: None,
             gc: GcConfig::default(),
             sift_swaps: 0,
-            sifts: 0,
             collections: 0,
             reclaimed_total: 0,
         };
@@ -350,10 +341,10 @@ impl Manager {
 
     /// Full recount audit of the interior reference counts and the
     /// per-variable slot lists: recomputes every `int_refs` entry from the
-    /// arena edges and every `var_pos` from the lists, and panics on the
-    /// first disagreement. O(arena) — the debug-mode cross-check behind
-    /// the O(1) swap deltas (called after every collection and after each
-    /// variable's sift walk in debug builds; tests call it directly).
+    /// arena edges, checks that each listed slot holds its list's variable
+    /// and that the lists hold one entry per live node, and panics on the
+    /// first disagreement. O(arena) — called after every collection in
+    /// debug builds; tests call it directly.
     pub fn verify_interior_refs(&self) {
         let mut counts = vec![0u32; self.nodes.len()];
         for node in self.nodes.iter().skip(1) {
@@ -381,17 +372,19 @@ impl Manager {
             }
         }
         for (v, list) in self.var_nodes.iter().enumerate() {
-            for (p, &s) in list.iter().enumerate() {
+            for &s in list {
                 assert_eq!(
                     self.nodes[s as usize].var.0, v as u32,
                     "var_nodes[{v}] lists slot {s} of another variable"
                 );
-                assert_eq!(
-                    self.var_pos[s as usize] as usize, p,
-                    "var_pos of slot {s} disagrees with its list position"
-                );
             }
         }
+        let listed: usize = self.var_nodes.iter().map(Vec::len).sum();
+        assert_eq!(
+            listed,
+            self.live_nodes() - 1,
+            "var_nodes and the live node count disagree"
+        );
     }
 
     /// Audits the complement-edge canonical form over the live arena: no
@@ -448,7 +441,6 @@ impl Manager {
             reclaimed_total: self.reclaimed_total,
             collections: self.collections,
             sift_swaps: self.sift_swaps,
-            sifts: self.sifts,
         }
     }
 

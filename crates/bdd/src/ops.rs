@@ -44,8 +44,8 @@
 //! `collect`/`maybe_collect` point. Every node these kernels produce is
 //! funnelled through `mk`, which also maintains the interior (arena-edge)
 //! reference counts — the kernels themselves never touch refcounts, so
-//! the accounting behind the refcount-driven collector and sifting's
-//! O(1) size deltas cannot drift here.
+//! the accounting behind the refcount-driven collector cannot drift
+//! here.
 
 use crate::manager::Manager;
 use crate::reference::Ref;

@@ -8,9 +8,9 @@ use std::fmt;
 ///
 /// The variable's position (its *level*) is a separate notion kept in the
 /// manager's `var2level` map: indices and levels coincide only until the
-/// first reordering (`Manager::swap_levels` / `Manager::sift`). Callers
-/// always bind semantics (assignments, signal maps) to indices; levels
-/// are an internal matter of the order.
+/// first reordering (`Manager::swap_levels`). Callers always bind
+/// semantics (assignments, signal maps) to indices; levels are an
+/// internal matter of the order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Var(pub u32);
 

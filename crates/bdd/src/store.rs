@@ -197,9 +197,7 @@ impl Manager {
                 self.int_refs[ci] += 1;
             }
         }
-        let list = &mut self.var_nodes[var.0 as usize];
-        self.var_pos[idx as usize] = list.len() as u32;
-        list.push(idx);
+        self.var_nodes[var.0 as usize].push(idx);
         self.allocs_since_gc += 1;
         self.occupied += 1;
         if self.occupied * 4 >= self.buckets.len() * 3 {
@@ -215,7 +213,6 @@ impl Manager {
         self.nodes.push(node);
         self.int_refs.push(0);
         self.refs.push(0);
-        self.var_pos.push(0);
         idx
     }
 
@@ -225,7 +222,6 @@ impl Manager {
         self.nodes.reserve(extra);
         self.int_refs.reserve(extra);
         self.refs.reserve(extra);
-        self.var_pos.reserve(extra);
     }
 
     /// Rebuilds the bucket array at `new_len` (a power of two) by

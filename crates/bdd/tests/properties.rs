@@ -2,7 +2,7 @@
 //! against randomly generated Boolean expressions, with the BDD compared to
 //! a bit-parallel truth-vector oracle.
 
-use bdd::{GcConfig, LimitKind, Manager, NodeId, Ref, SiftConfig, Var};
+use bdd::{GcConfig, LimitKind, Manager, NodeId, Ref, Var};
 use proptest::prelude::*;
 
 /// A random Boolean expression over `NVARS` variables.
@@ -190,21 +190,26 @@ proptest! {
     }
 
     #[test]
-    fn sift_preserves_semantics(e in arb_expr(), g in arb_expr()) {
-        // Rudell sifting moves the whole order in place; every protected
-        // function must keep its exact truth vector, and canonicity must
-        // hold under the new order (recomputing returns identical refs).
+    fn swap_walk_preserves_semantics(
+        e in arb_expr(),
+        g in arb_expr(),
+        walk in proptest::collection::vec(0..NVARS - 1, 1..24),
+    ) {
+        // A random walk of adjacent swaps moves the whole order in place;
+        // every function must keep its exact truth vector, and canonicity
+        // must hold under the new order (recomputing returns identical
+        // refs).
         let mut m = Manager::new();
         for i in 0..NVARS { m.var(i); }
         let f = e.to_bdd(&mut m);
         let h = g.to_bdd(&mut m);
         let (tf, th) = (e.truth(), g.truth());
-        m.protect(f);
-        m.protect(h);
-        let report = m.sift(&SiftConfig::default());
-        prop_assert!(report.final_size <= report.initial_size);
-        prop_assert_eq!(bdd_truth(&m, f), tf, "sift changed f");
-        prop_assert_eq!(bdd_truth(&m, h), th, "sift changed g");
+        for &l in &walk {
+            m.swap_levels(l);
+        }
+        m.verify_interior_refs();
+        prop_assert_eq!(bdd_truth(&m, f), tf, "swaps changed f");
+        prop_assert_eq!(bdd_truth(&m, h), th, "swaps changed g");
         // Canonicity under the installed order.
         let f2 = e.to_bdd(&mut m);
         let h2 = g.to_bdd(&mut m);
@@ -238,44 +243,6 @@ proptest! {
         prop_assert_eq!(bdd_truth(&m, f), tf);
         prop_assert_eq!(bdd_truth(&m, h), th);
         // Canonicity: rebuilding after the double swap lands on the same refs.
-        prop_assert_eq!(e.to_bdd(&mut m), f);
-        prop_assert_eq!(g.to_bdd(&mut m), h);
-    }
-
-    #[test]
-    fn sift_with_tiny_budget_stays_valid(e in arb_expr(), g in arb_expr(), budget in 0usize..8) {
-        // Budget exhaustion — including 0 and mid-restore — must leave a
-        // valid var2level permutation and every protected function intact
-        // against the truth oracle; restores past the budget surface as
-        // restore_overage, never as a stranded half-moved variable.
-        let mut m = Manager::new();
-        for i in 0..NVARS { m.var(i); }
-        let f = e.to_bdd(&mut m);
-        let h = g.to_bdd(&mut m);
-        let (tf, th) = (e.truth(), g.truth());
-        m.protect(f);
-        m.protect(h);
-        let report = m.sift(&SiftConfig { max_swaps: budget, ..SiftConfig::default() });
-        // Walk swaps respect the budget; only restores may overshoot it,
-        // and the overshoot is exactly what restore_overage reports.
-        prop_assert!(report.swaps - report.restore_overage <= budget,
-            "non-restore swaps {} must fit the budget {}", report.swaps - report.restore_overage, budget);
-        prop_assert_eq!(report.restore_overage, report.swaps.saturating_sub(budget));
-        if budget == 0 { prop_assert_eq!(report.swaps, 0); }
-        m.verify_interior_refs();
-        let v2l = m.var2level();
-        let l2v = m.level2var();
-        let mut seen = vec![false; v2l.len()];
-        for &l in v2l {
-            prop_assert!((l as usize) < seen.len() && !std::mem::replace(&mut seen[l as usize], true),
-                "var2level must stay a permutation");
-        }
-        for v in 0..NVARS as usize {
-            prop_assert_eq!(l2v[v2l[v] as usize], v as u32, "maps must stay inverse");
-        }
-        prop_assert_eq!(bdd_truth(&m, f), tf, "tiny-budget sift changed f");
-        prop_assert_eq!(bdd_truth(&m, h), th, "tiny-budget sift changed g");
-        // Canonicity under whatever order the aborted pass installed.
         prop_assert_eq!(e.to_bdd(&mut m), f);
         prop_assert_eq!(g.to_bdd(&mut m), h);
     }
@@ -510,7 +477,7 @@ proptest! {
             b.cache_stats().sift_swaps - swaps_b,
             "same number of installing swaps"
         );
-        prop_assert_eq!(found.size, b.size(fb));
+        prop_assert_eq!(found, b.size(fb));
         prop_assert_eq!(bdd_truth(&a, fa), bdd_truth(&b, fb));
     }
 
@@ -558,8 +525,8 @@ proptest! {
         swaps in proptest::collection::vec(0..NVARS - 1, 1..4),
     ) {
         // The structural set against the rebuild-based classification,
-        // under the identity order, after each level swap and after a
-        // sift, so that levels and variable indices differ.
+        // under the identity order and after each level swap, so that
+        // levels and variable indices differ.
         let (mut m, f) = probe_subject(&e, pair, negate, &[]);
         m.protect(f);
         check_x_dominators(&mut m, f)?;
@@ -567,8 +534,6 @@ proptest! {
             m.swap_levels(l);
             check_x_dominators(&mut m, f)?;
         }
-        m.sift(&SiftConfig::default());
-        check_x_dominators(&mut m, f)?;
         m.release(f);
     }
 }
@@ -843,15 +808,15 @@ fn gc_storm_stays_canonical_across_collections() {
     assert_eq!(stats.live_nodes + stats.free_nodes, m.num_nodes());
 }
 
-/// Sifting under a full truth-table oracle at flow-realistic width: the
-/// order-hostile pairing function over 12 variables (`Σ x_i·x_{i+6}`,
-/// exponential interleaved, linear paired) plus a parity sharing the same
-/// manager. After sifting, every one of the 4096 assignments must agree
-/// with the oracle for both functions, the pairing function must reach
-/// its linear-order size, and the installed maps must stay inverse
-/// permutations.
+/// Window reordering under a full truth-table oracle at flow-realistic
+/// width: the order-hostile pairing function over 12 variables
+/// (`Σ x_i·x_{i+6}`, exponential interleaved, linear paired) plus a
+/// parity sharing the same manager. After the search, every one of the
+/// 4096 assignments must agree with the oracle for both functions, the
+/// pairing function must reach its linear-order size, and the installed
+/// maps must stay inverse permutations.
 #[test]
-fn sift_truth_oracle_on_twelve_vars() {
+fn window_reorder_truth_oracle_on_twelve_vars() {
     const VARS: u32 = 12;
     let mut m = Manager::new();
     let mut pairs = Ref::ZERO;
@@ -863,15 +828,15 @@ fn sift_truth_oracle_on_twelve_vars() {
     }
     let vars: Vec<Ref> = (0..VARS).map(|i| m.var(i)).collect();
     let parity = m.xor_all(vars);
-    m.protect(pairs);
     m.protect(parity);
     let before = m.size(pairs);
-    let report = m.sift(&SiftConfig::default());
-    let after = m.size(pairs);
-    assert!(report.swaps > 0);
+    let swaps = m.cache_stats().sift_swaps;
+    let after = bdd::window_reorder(&mut m, pairs, 3, 4);
+    assert!(m.cache_stats().sift_swaps > swaps);
+    assert_eq!(m.size(pairs), after);
     assert!(
         after < before,
-        "sift must shrink the interleaved pairing ({before} -> {after})"
+        "window reordering must shrink the interleaved pairing ({before} -> {after})"
     );
     assert_eq!(after, VARS as usize, "pairing order is linear");
     assert_eq!(
@@ -893,17 +858,25 @@ fn sift_truth_oracle_on_twelve_vars() {
     }
 }
 
+/// A burst of `count` random adjacent swaps over the manager's levels.
+fn swap_burst(m: &mut Manager, rng: &mut Storm, count: usize) {
+    let levels = m.num_vars() as usize - 1;
+    for _ in 0..count {
+        m.swap_levels(rng.below(levels) as u32);
+    }
+}
+
 /// The reordering-under-reclamation storm: random ops over a protected
-/// pool with periodic *sifting* interleaved with forced collections. At
-/// every sift point each pool function must keep its truth vector and the
-/// unique table must stay canonical (rebuilding a pool function returns
-/// the identical `Ref`) — across arbitrary interleavings of level swaps,
-/// slot reuse and unique-table rebuilds.
+/// pool with periodic bursts of random level swaps interleaved with
+/// forced collections. At every burst each pool function must keep its
+/// truth vector and the unique table must stay canonical (rebuilding a
+/// pool function returns the identical `Ref`) — across arbitrary
+/// interleavings of level swaps, slot reuse and unique-table rebuilds.
 #[test]
-fn sift_storm_interleaved_with_gc_stays_canonical() {
+fn swap_storm_interleaved_with_gc_stays_canonical() {
     const OPS: usize = 20_000;
     const POOL: usize = 100;
-    const SIFT_EVERY: usize = 2_500;
+    const SWAP_EVERY: usize = 2_500;
     let mut m = Manager::with_capacity(16, 8);
     let mut rng = Storm(0x51F7_BDD5_EED0_0D5E);
     let mut pool: Vec<(Ref, u64)> = Vec::new();
@@ -912,7 +885,7 @@ fn sift_storm_interleaved_with_gc_stays_canonical() {
         m.protect(v);
         pool.push((v, var_truth(i)));
     }
-    let mut sift_reports = 0usize;
+    let mut bursts = 0usize;
     for step in 0..OPS {
         let a = pool[rng.below(pool.len())];
         let b = pool[rng.below(pool.len())];
@@ -943,18 +916,18 @@ fn sift_storm_interleaved_with_gc_stays_canonical() {
             m.protect(r);
             pool[k] = (r, truth);
         }
-        if step % SIFT_EVERY == SIFT_EVERY - 1 {
-            // Alternate sift-then-collect and collect-then-sift so both
-            // interleavings are exercised (sift itself also collects).
-            if (step / SIFT_EVERY).is_multiple_of(2) {
-                m.sift(&SiftConfig::default());
+        if step % SWAP_EVERY == SWAP_EVERY - 1 {
+            // Alternate swap-then-collect and collect-then-swap so both
+            // interleavings are exercised.
+            if (step / SWAP_EVERY).is_multiple_of(2) {
+                swap_burst(&mut m, &mut rng, 32);
                 m.collect();
             } else {
                 m.collect();
-                m.sift(&SiftConfig::default());
+                swap_burst(&mut m, &mut rng, 32);
             }
-            sift_reports += 1;
-            // The O(1) swap deltas and eager reclamation must leave the
+            bursts += 1;
+            // The swaps' slot patching and the sweeps must leave the
             // interior counts equal to a full recount of the arena edges.
             m.verify_interior_refs();
             // (a) every protected function survives reordering + sweeps.
@@ -976,10 +949,9 @@ fn sift_storm_interleaved_with_gc_stays_canonical() {
             assert_eq!(bdd_truth(&m, xor1), (x.1 ^ y.1) & mask());
         }
     }
-    assert!(sift_reports >= 7, "the storm must actually sift");
+    assert!(bursts >= 7, "the storm must actually reorder");
     let stats = m.cache_stats();
-    assert!(stats.sifts >= sift_reports as u64);
-    assert!(stats.sift_swaps > 0, "sifting must perform swaps");
+    assert_eq!(stats.sift_swaps, 32 * bursts as u64);
     assert!(stats.reclaimed_total > 0, "collections must reclaim");
 }
 
@@ -1253,14 +1225,14 @@ fn exhaustive_four_var_complement_pairs_share_one_node() {
     m.verify_interior_refs();
 }
 
-/// Complement-edge ⨯ GC ⨯ sift storm: a negation-heavy op mix (every
+/// Complement-edge ⨯ GC ⨯ swap storm: a negation-heavy op mix (every
 /// result also enters the pool complemented) driven through periodic
-/// `sift` + `collect` cycles. After every quiescent
+/// cycles of random level swaps and a `collect`. After every quiescent
 /// point the canonical-form audit must hold, every pool function and its
 /// complement must still agree with the truth-table oracle, and negation
 /// must still be a pure sign flip on the reordered, compacted arena.
 #[test]
-fn complement_storm_with_gc_and_sift_stays_canonical() {
+fn complement_storm_with_gc_and_swaps_stays_canonical() {
     const OPS: usize = 8_000;
     const POOL: usize = 80;
     const QUIESCE_EVERY: usize = 2_000;
@@ -1300,7 +1272,7 @@ fn complement_storm_with_gc_and_sift_stays_canonical() {
         );
         assert_eq!(!!r, r, "step {step}: double negation at the Ref level");
         // Half the inserts go in complemented, so the working set is
-        // saturated with signed edges before every sift/collect cycle.
+        // saturated with signed edges before every swap/collect cycle.
         let (ins, ins_t) = if step % 2 == 0 {
             (r, truth)
         } else {
@@ -1316,8 +1288,7 @@ fn complement_storm_with_gc_and_sift_stays_canonical() {
             pool[k] = (ins, ins_t);
         }
         if step % QUIESCE_EVERY == QUIESCE_EVERY - 1 {
-            let report = m.sift(&SiftConfig::default());
-            assert!(report.final_size <= report.initial_size);
+            swap_burst(&mut m, &mut rng, 32);
             m.collect();
             m.verify_edge_canonical_form();
             m.verify_interior_refs();
@@ -1332,7 +1303,7 @@ fn complement_storm_with_gc_and_sift_stays_canonical() {
             }
             // Negation stays free after reordering: same node, new sign.
             let x = pool[rng.below(pool.len())].0;
-            assert_eq!((!x).node(), x.node(), "sift must not split a pair");
+            assert_eq!((!x).node(), x.node(), "swaps must not split a pair");
         }
     }
     assert!(quiesces >= 4, "the storm must actually quiesce");

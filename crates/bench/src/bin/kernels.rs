@@ -10,7 +10,7 @@
 //! carries the sequential-vs-parallel wall-clock pair and the speedup is
 //! tracked like every other perf number.
 
-use bdd::{GcConfig, Manager, Ref, SiftConfig};
+use bdd::{GcConfig, Manager, Ref};
 use bench::{parse_jobs, pool, timed};
 use circuits::suite::paper_suite;
 use decomp::EngineOptions;
@@ -149,41 +149,6 @@ fn gc_storm(rounds: u32) -> GcStormResult {
     }
 }
 
-struct SiftStormResult {
-    nodes_before: usize,
-    nodes_after: usize,
-    swaps: usize,
-    vars_sifted: usize,
-    micros: u128,
-}
-
-/// The reordering storm: an order-hostile sum of pair-products
-/// (`x0·x8 + x1·x9 + ... + x7·x15`), exponential under the interleaved
-/// identity order and linear once sifting parks each pair adjacently.
-/// One default sift pass, timed (the O(1) swap deltas show up here).
-// bdslint: allow(protect-release) -- the storm function stays rooted
-// across the sift pass and dies with its manager
-fn sift_storm() -> SiftStormResult {
-    let mut m = Manager::new();
-    let mut f = m.zero();
-    for i in 0..8 {
-        let a = m.var(i);
-        let b = m.var(i + 8);
-        let ab = m.and(a, b);
-        f = m.or(f, ab);
-    }
-    m.protect(f);
-    let nodes_before = m.size(f);
-    let (report, elapsed) = timed(|| m.sift(&SiftConfig::default()));
-    SiftStormResult {
-        nodes_before,
-        nodes_after: m.size(f),
-        swaps: report.swaps,
-        vars_sifted: report.vars_sifted,
-        micros: elapsed.as_micros(),
-    }
-}
-
 fn run_storm(name: &'static str, f: fn(&mut Manager, u32) -> u64, rounds: u32) -> StormResult {
     let mut m = Manager::new();
     let (ops, elapsed) = timed(|| f(&mut m, rounds));
@@ -286,12 +251,6 @@ fn main() {
         gc.free_nodes
     );
 
-    let sift = sift_storm();
-    println!(
-        "sift_storm {:>4} -> {:>4} nodes in {:>8} µs  ({} adjacent swaps over {} vars)",
-        sift.nodes_before, sift.nodes_after, sift.micros, sift.swaps, sift.vars_sifted
-    );
-
     // Suite portion: per-benchmark decomposition wall clock (Table I
     // flows), timed sequentially first (the continuity baseline), then
     // through the suite pool when more than one worker is asked
@@ -376,11 +335,6 @@ fn main() {
         gc.final_nodes,
         gc.live_nodes,
         gc.free_nodes
-    );
-    let _ = writeln!(
-        json,
-        "  \"sift_storm\": {{\"nodes_before\": {}, \"nodes_after\": {}, \"swaps\": {}, \"vars_sifted\": {}, \"micros\": {}}},",
-        sift.nodes_before, sift.nodes_after, sift.swaps, sift.vars_sifted, sift.micros
     );
     json.push_str("  \"suite\": {\n");
     let _ = write!(

@@ -58,14 +58,12 @@ pub struct EngineOptions {
     /// Per-cone resource budget for both the partition's cone builds and
     /// the decomposition recursion (the step counter resets per cone; a
     /// deadline is absolute, bounding the whole run). All-`None` (the
-    /// default) runs unbudgeted. A cone that blows the budget degrades
-    /// gracefully: its original gates are copied un-decomposed and the
-    /// outcome lands in [`FlowReport`].
+    /// default) runs unbudgeted. A cone whose decomposition blows the
+    /// budget is retried once after a collection, with the step counter
+    /// reset; if the retry aborts too, the cone degrades gracefully: its
+    /// original gates are copied un-decomposed. The outcome lands in
+    /// [`FlowReport`].
     pub limits: ResourceLimits,
-    /// After a budget abort, sift the cone's BDD and retry the
-    /// decomposition once before degrading (a smaller BDD often fits the
-    /// same budget).
-    pub retry_after_sift: bool,
 }
 
 impl Default for EngineOptions {
@@ -77,7 +75,6 @@ impl Default for EngineOptions {
             reorder_size_limit: 400,
             reorder_min_size: 0,
             limits: ResourceLimits::default(),
-            retry_after_sift: true,
         }
     }
 }
@@ -87,7 +84,7 @@ impl Default for EngineOptions {
 pub enum ConeStatus {
     /// Decomposed within budget on the first attempt.
     Ok,
-    /// The first attempt blew the budget; a sift + retry succeeded.
+    /// The first attempt blew the budget; a collect and retry succeeded.
     RetriedOk,
     /// Budget exceeded: the cone's original gates were copied verbatim
     /// (functionally correct, just not decomposed).
@@ -112,7 +109,7 @@ impl FlowReport {
             .count()
     }
 
-    /// Cones that needed the sift + retry to fit the budget.
+    /// Cones that needed the collect and retry to fit the budget.
     pub fn retried_count(&self) -> usize {
         self.cones
             .iter()
@@ -231,14 +228,14 @@ pub fn decompose_network(
             drop(fe);
             r
         };
-        if attempt.is_err() && options.retry_after_sift {
-            // Reclaim the aborted attempt's garbage, shrink the cone, and
-            // retry once with a fresh budget. Any gates the first attempt
-            // emitted stay valid (the emitter's strash may even reuse
-            // them); unreachable ones are dropped by the final clean.
-            manager.clear_limits();
+        if attempt.is_err() {
+            // Reclaim the aborted attempt's garbage, which the live-node
+            // ceiling counts, and retry once under the same order with a
+            // fresh step count. Memoized results naming live nodes survive
+            // the collection. Any gates the first attempt emitted stay
+            // valid (the emitter's strash may even reuse them); unreachable
+            // ones are dropped by the final clean.
             manager.collect();
-            bdd::sift_reorder(&mut manager, function, &bdd::SiftConfig::default());
             manager.set_limits(options.limits);
             let mut fe = FunctionEmitter::new(var_signals.clone());
             attempt = try_decompose_function(
@@ -557,7 +554,6 @@ mod tests {
                 max_steps: Some(2),
                 ..ResourceLimits::default()
             },
-            retry_after_sift: false,
             ..EngineOptions::default()
         };
         let result = decompose_network(&net, &options, &mut NoMajority);

@@ -107,7 +107,7 @@ impl Default for Config {
                 "replace_rec",
             ],
             gc_free_files: ["crates/bdd/src/ops.rs", "crates/bdd/src/cofactor.rs"].as_slice(),
-            gc_methods: &["collect", "maybe_collect", "sift", "sift_vars"],
+            gc_methods: &["collect", "maybe_collect"],
             panic_free_files: &[
                 "crates/bdd/src/ops.rs",
                 "crates/bdd/src/cofactor.rs",
@@ -115,7 +115,6 @@ impl Default for Config {
             ],
             telemetry_structs: &[
                 ("CacheStats", "crates/bdd/src/manager.rs"),
-                ("SiftReport", "crates/bdd/src/reorder.rs"),
                 ("FlowReport", "crates/decomp/src/engine.rs"),
             ],
             ref_ctor_dir: "crates/bdd/src",

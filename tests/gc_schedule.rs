@@ -2,9 +2,11 @@
 //! runs must not move a gate. Each run below installs a collection
 //! schedule through a majority hook that sets the manager's `GcConfig` on
 //! its first call, and must reproduce the default-schedule network
-//! exactly.
+//! exactly. A resource budget is one more schedule: it collects after
+//! every aborted cone before the retry, so a budgeted run that degrades no
+//! cone must reproduce the unbudgeted network too.
 
-use bds_maj::bdd::{GcConfig, Manager, Ref};
+use bds_maj::bdd::{GcConfig, Manager, Ref, ResourceLimits};
 use bds_maj::bdsmaj::MajDecomposer;
 use bds_maj::circuits::suite::{benchmark, paper_suite};
 use bds_maj::decomp::MajorityHook;
@@ -95,4 +97,51 @@ fn large_cone_networks_do_not_depend_on_the_gc_schedule() {
         let net = benchmark(name).expect("suite circuit");
         assert_schedule_invariant(name, &net, &engine);
     }
+}
+
+/// Budgets, as (live nodes, steps), that abort cones of the suite in
+/// both release and debug builds and let the retry recover some of them.
+const BUDGETS: [(usize, Option<u64>); 2] = [(1000, Some(300)), (2000, None)];
+
+/// Every Table I circuit, BDS-MAJ and BDS-PGA, under each of [`BUDGETS`]:
+/// a run that degrades no cone must write the unbudgeted network, however
+/// many of its cones aborted and were retried.
+#[test]
+fn budgeted_networks_that_fit_equal_the_unbudgeted_ones() {
+    let mut retried = 0;
+    for bench in paper_suite() {
+        let net = &bench.network;
+        let want_maj = write_blif(bds_maj(net, &BdsMajOptions::default()).network());
+        let want_pga = write_blif(&bds_pga(net, &EngineOptions::default()).network);
+        for (nodes, steps) in BUDGETS {
+            let engine = EngineOptions {
+                limits: ResourceLimits {
+                    max_live_nodes: Some(nodes),
+                    max_steps: steps,
+                    deadline: None,
+                },
+                ..EngineOptions::default()
+            };
+            let maj_options = BdsMajOptions {
+                engine: engine.clone(),
+                ..BdsMajOptions::default()
+            };
+            let maj = bds_maj(net, &maj_options);
+            let pga = bds_pga(net, &engine);
+            let runs = [
+                ("BDS-MAJ", maj.report(), maj.network(), &want_maj),
+                ("BDS-PGA", &pga.report, &pga.network, &want_pga),
+            ];
+            for (flow, report, got, want) in runs {
+                retried += report.retried_count();
+                assert!(
+                    report.is_degraded() || write_blif(got) == *want,
+                    "{} {flow} under ({nodes} nodes, {steps:?} steps): \
+                     the budgeted run fit but moved the network",
+                    bench.name
+                );
+            }
+        }
+    }
+    assert!(retried > 0, "the budgets must exercise the retry path");
 }
