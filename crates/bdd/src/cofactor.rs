@@ -25,8 +25,7 @@
 //! intermediates); when the manager does collect, it scrubs every cache
 //! entry naming a reclaimed slot, so no entry here can outlive the nodes
 //! it names. Like every kernel, these recursions create nodes only
-//! through [`Manager::mk`], which keeps the interior reference counts
-//! exact as a side effect — no cofactor path does its own refcounting.
+//! through [`Manager::mk`].
 //!
 //! Node-to-constant substitution ([`Manager::replace_node_with_const`],
 //! the probe behind every functional dominator test) rebuilds only the

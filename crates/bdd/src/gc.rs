@@ -1,25 +1,21 @@
-//! The dead-node collector: exact interior (arena-edge) reference
-//! counts paired with the callers' external claims
-//! ([`Manager::protect`] / [`Manager::release`]).
+//! The dead-node collector: mark from the callers' protected roots
+//! ([`Manager::protect`] / [`Manager::release`]), then sweep.
 //!
-//! A node with both counts at zero is dead by definition, so the
-//! collector never marks from the roots: [`Manager::collect`] seeds a
-//! cascade with the zero-count nodes, and each reclaimed node drops its
-//! children's counts. [`Manager::maybe_collect`] is the gated form flows
-//! call at every quiescent point ([`GcConfig`]); once its gates pass it
-//! runs `collect`. The sweep poisons the dead slots onto the free list
-//! in ascending slot order, rebuilds the per-variable slot lists and the
-//! unique table (shrinking it when sparse), and scrubs exactly the
-//! computed-cache entries naming a reclaimed slot. In debug builds every
-//! sweep is audited against a full recount and against the rooted size
-//! ([`Manager::rooted_size`]).
+//! [`Manager::collect`] marks every node a protected root reaches
+//! ([`Manager::rooted_size`]) and reclaims every other in-use slot in one
+//! ascending arena scan, which also re-stacks the free list and rebuilds
+//! the per-variable slot lists. It then rebuilds the unique table
+//! (shrinking it when sparse) and scrubs exactly the computed-cache
+//! entries naming a reclaimed slot. [`Manager::maybe_collect`] is the
+//! gated form flows call at every quiescent point ([`GcConfig`]); once
+//! its gates pass it runs `collect`. In debug builds every sweep is
+//! followed by the arena audit ([`Manager::verify_arena`]).
 //!
-//! The level swaps of [`crate::reorder`] keep the interior counts exact
-//! through [`Manager::inc_child`] / [`Manager::dec_child`]; the nodes a
-//! swap displaces wait for the next collection like any other garbage.
+//! Nodes carry no interior counts, so neither `mk` nor the level swaps of
+//! [`crate::reorder`] do any collector bookkeeping: the nodes a swap
+//! displaces wait for the next collection like any other garbage.
 
 use crate::manager::Manager;
-use crate::reference::Ref;
 use crate::store::{buckets_for, FREE_NODE, FREE_VAR};
 
 /// Tuning knobs of the dead-node collector (see [`Manager::maybe_collect`]).
@@ -45,87 +41,90 @@ impl Default for GcConfig {
 }
 
 impl Manager {
-    /// Adds one interior reference to `c`'s node (edges to the terminal
-    /// are not tracked — it is unconditionally live).
-    #[inline(always)]
-    pub(crate) fn inc_child(&mut self, c: Ref) {
-        let i = c.node().index();
-        if i != 0 {
-            self.int_refs[i] += 1;
-        }
-    }
-
-    /// Drops one interior reference to `c`'s node and returns its slot if
-    /// that was the node's last reference, interior and external.
-    #[inline(always)]
-    pub(crate) fn dec_child(&mut self, c: Ref) -> Option<u32> {
-        let i = c.node().index();
-        if i == 0 {
-            return None;
-        }
-        debug_assert!(
-            self.int_refs[i] > 0,
-            "interior refcount underflow at slot {i}"
-        );
-        self.int_refs[i] -= 1;
-        (self.int_refs[i] == 0 && self.refs[i] == 0).then_some(i as u32)
-    }
-
-    /// Collects dead nodes now. Because the interior reference counts are
-    /// exact, a node with `refs == 0 && int_refs == 0` is dead by
-    /// definition, and reclaiming it cascades into any child whose last
-    /// reference it held — in a DAG this reclaims exactly the nodes no
-    /// protected root reaches (debug builds check the survivors against
-    /// [`Manager::rooted_size`]). The cost is one arena scan plus
-    /// O(dead), never a traversal of the live nodes. Sweeping rebuilds
-    /// the unique table without the dead entries (shrinking it when the
-    /// survivors would fit a table a quarter of the current size) and
-    /// scrubs the computed-cache entries that name a reclaimed slot.
-    /// Returns the number of reclaimed nodes.
+    /// Collects dead nodes now: marks every node a protected root reaches
+    /// and reclaims every other in-use slot. The cost is one traversal of
+    /// the rooted nodes plus one arena scan. Sweeping rebuilds the unique
+    /// table without the dead entries (shrinking it when the survivors
+    /// would fit a table a quarter of the current size) and scrubs the
+    /// computed-cache entries that name a reclaimed slot. Returns the
+    /// number of reclaimed nodes; a collection that finds nothing dead
+    /// changes nothing and is not counted.
     ///
     /// Every `Ref` the caller intends to keep using must be protected (or
     /// reachable from a protected one) — anything else dangles afterwards.
     pub fn collect(&mut self) -> usize {
         self.allocs_since_gc = 0;
-        // Seed with every in-use node nothing references, then cascade:
-        // each reclaimed node drops its children's counts, and a child
-        // whose count reaches zero (with no external claim) joins the
-        // dead set. Acyclicity guarantees this reaches every node no
-        // protected root reaches.
-        let mut stack: Vec<u32> = (1..self.nodes.len())
-            .filter(|&i| {
-                self.nodes[i].var.0 != FREE_VAR && self.refs[i] == 0 && self.int_refs[i] == 0
-            })
-            .map(|i| i as u32)
-            .collect();
-        let mut dead: Vec<u32> = Vec::new();
-        while let Some(s) = stack.pop() {
-            dead.push(s);
-            let n = self.nodes[s as usize];
-            for c in [n.low, n.high] {
-                stack.extend(self.dec_child(c));
-            }
-        }
-        if dead.is_empty() {
+        // Mark: `rooted_size` stamps the visit scratch with every node a
+        // root reaches. When that is every in-use node, nothing is dead.
+        if self.rooted_size() == self.live_nodes() - 1 {
             return 0;
         }
-        let reclaimed = self.sweep_dead(&dead);
-        #[cfg(debug_assertions)]
+        // One ascending arena scan reclaims the slots the mark missed,
+        // re-stacks every free slot, old and new (the next `mk` takes the
+        // highest one), and rebuilds the per-variable slot lists, which
+        // may have listed a dead slot anywhere.
+        let mut reclaimed = 0;
         {
-            self.verify_interior_refs();
-            debug_assert_eq!(
-                self.rooted_size(),
-                self.live_nodes() - 1,
-                "refcount collect and root reachability disagree"
-            );
+            let mut marked = self.visited.borrow_mut();
+            self.free.clear();
+            for list in &mut self.var_nodes {
+                list.clear();
+            }
+            for i in 1..self.nodes.len() {
+                let mut v = self.nodes[i].var.0;
+                // `mark` answers true exactly when the root mark missed `i`.
+                if v != FREE_VAR && marked.mark(i) {
+                    self.nodes[i] = FREE_NODE;
+                    v = FREE_VAR;
+                    reclaimed += 1;
+                }
+                if v == FREE_VAR {
+                    self.free.push(i as u32);
+                } else {
+                    self.var_nodes[v as usize].push(i as u32);
+                }
+            }
         }
+        // The unique table still lists the dead nodes: rebuild it from the
+        // survivors, shrinking when they'd fit a quarter-size table.
+        let live = self.live_nodes() - 1;
+        self.occupied = live;
+        let wanted = buckets_for(live);
+        let new_len = if wanted * 4 <= self.buckets.len() {
+            wanted
+        } else {
+            self.buckets.len()
+        };
+        self.grow_buckets_to(new_len);
+        // Cached results naming a dead node must not survive — but wiping
+        // the whole cache (a generation bump) makes every collection cost
+        // a full memo rebuild, which dominates high-churn flows. Instead,
+        // scrub: drop exactly the entries with a reclaimed slot behind any
+        // word. Key words that are not `Ref`s (cofactor variable codes,
+        // substitution values) are treated as if they were — a false hit
+        // there only costs a spurious miss, while every word that *is* a
+        // `Ref` gets checked, so no dangling reference survives in the
+        // cache. A substitution target is keyed as `target << 1` for
+        // exactly this reason: a reclaimed target drops its memo before
+        // the slot can be reused by a different node.
+        let nodes = &self.nodes;
+        self.cache.scrub(|w| {
+            let idx = (w >> 1) as usize;
+            idx >= nodes.len() || nodes[idx].var.0 != FREE_VAR
+        });
+        self.collections += 1;
+        self.reclaimed_total += reclaimed as u64;
+        #[cfg(debug_assertions)]
+        self.verify_arena();
         reclaimed
     }
 
     /// Number of internal nodes reachable from the externally protected
-    /// roots — the reachability oracle the collector's debug audit checks
-    /// every sweep against. Unprotected garbage (dead intermediates
-    /// awaiting collection) is excluded.
+    /// roots. This is the collector's mark: it leaves the visit scratch
+    /// stamped with exactly these nodes, and [`Manager::collect`] sweeps
+    /// every in-use slot outside them. Unprotected garbage (dead
+    /// intermediates awaiting collection) is excluded. The traversal is
+    /// iterative, so chain depth cannot overflow the native stack.
     pub fn rooted_size(&self) -> usize {
         let mut seen = self.visited.borrow_mut();
         seen.begin(self.nodes.len());
@@ -171,69 +170,12 @@ impl Manager {
         }
         self.collect()
     }
-
-    /// Finishes a collection whose cascade has already dropped the dead
-    /// nodes' edges from the interior counts: poisons the `dead` slots,
-    /// re-stacks the free list in ascending slot order, rebuilds the
-    /// per-variable slot lists and the unique table from the survivors
-    /// (shrink-on-sparse), and scrubs the computed cache.
-    fn sweep_dead(&mut self, dead: &[u32]) -> usize {
-        for &s in dead {
-            self.nodes[s as usize] = FREE_NODE;
-        }
-        // One ascending arena scan re-stacks every free slot, old and new
-        // (the next `mk` takes the highest one, whatever order `dead` was
-        // found in), and rebuilds the per-variable slot lists, which may
-        // have listed a poisoned slot anywhere.
-        self.free.clear();
-        for list in &mut self.var_nodes {
-            list.clear();
-        }
-        for i in 1..self.nodes.len() {
-            let v = self.nodes[i].var.0;
-            if v == FREE_VAR {
-                self.free.push(i as u32);
-            } else {
-                self.var_nodes[v as usize].push(i as u32);
-            }
-        }
-        // The unique table still lists the dead nodes: rebuild it from the
-        // survivors, shrinking when they'd fit a quarter-size table.
-        let live = self.live_nodes() - 1;
-        self.occupied = live;
-        let wanted = buckets_for(live);
-        let new_len = if wanted * 4 <= self.buckets.len() {
-            wanted
-        } else {
-            self.buckets.len()
-        };
-        self.grow_buckets_to(new_len);
-        // Cached results naming a dead node must not survive — but wiping
-        // the whole cache (a generation bump) makes every collection cost
-        // a full memo rebuild, which dominates high-churn flows. Instead,
-        // scrub: drop exactly the entries with a reclaimed slot behind any
-        // word. Key words that are not `Ref`s (cofactor variable codes,
-        // substitution values) are treated as if they were — a false hit
-        // there only costs a spurious miss, while every word that *is* a
-        // `Ref` gets checked, so no dangling reference survives in the
-        // cache. A substitution target is keyed as `target << 1` for
-        // exactly this reason: a reclaimed target drops its memo before
-        // the slot can be reused by a different node.
-        let nodes = &self.nodes;
-        self.cache.scrub(|w| {
-            let idx = (w >> 1) as usize;
-            idx >= nodes.len() || nodes[idx].var.0 != FREE_VAR
-        });
-        self.collections += 1;
-        self.reclaimed_total += dead.len() as u64;
-        dead.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::Var;
+    use crate::reference::{Ref, Var};
     use crate::store::MIN_BUCKETS;
 
     #[test]
@@ -355,9 +297,10 @@ mod tests {
     fn maybe_collect_keeps_exactly_the_rooted_nodes() {
         // Protected roots sharing the subgraphs of `g` and `h`, plus dead
         // nodes: a chain, and parents above the roots whose edges point
-        // straight into them, so the cascade must stop at protected and
-        // shared nodes. This checks the swept set directly, because
-        // `collect`'s own audit is compiled out of release builds.
+        // straight into them, so the sweep must spare every node a root
+        // reaches through either edge and nothing else. This checks the
+        // swept set directly, because `collect`'s own audit is compiled
+        // out of release builds.
         let mut m = Manager::new();
         m.set_gc_config(GcConfig {
             dead_fraction: 0.25,
@@ -386,22 +329,45 @@ mod tests {
         let before: Vec<u128> = roots.iter().map(|&r| truth(&m, r)).collect();
         assert!(m.maybe_collect() > 0, "the chain and the parents are dead");
         assert_eq!(m.rooted_size(), m.live_nodes() - 1);
-        m.verify_interior_refs();
+        m.verify_arena();
         let after: Vec<u128> = roots.iter().map(|&r| truth(&m, r)).collect();
         assert_eq!(after, before);
     }
 
     #[test]
-    fn refcount_collect_reclaims_dead_chains_without_mark() {
-        // A deep chain with no roots: the seed scan only sees the
-        // parentless top, the cascade must reach the rest.
+    fn collect_marks_and_sweeps_a_deep_chain() {
+        // A 2000-deep chain: while its top is protected the iterative mark
+        // must walk every level and reclaim nothing; once the root is
+        // released the sweep must reach every slot.
         let mut m = Manager::with_capacity(16, 8);
         let mut prev = Ref::ONE;
         for v in (0..2000u32).rev() {
             prev = m.mk(Var(v), !prev, prev);
         }
+        m.protect(prev);
+        assert_eq!(m.collect(), 0);
+        assert_eq!(m.rooted_size(), 2000);
+        m.release(prev);
         assert_eq!(m.collect(), 2000);
         assert_eq!(m.live_nodes(), 1);
-        m.verify_interior_refs();
+        m.verify_arena();
+    }
+
+    #[test]
+    #[should_panic(expected = "reclaimed slot")]
+    fn verify_arena_rejects_an_edge_into_a_reclaimed_slot() {
+        // Poison the 1-child of a protected node the way the sweep poisons
+        // a dead slot, as a mark that missed an edge would: the audit must
+        // see the live parent still naming it.
+        let mut m = Manager::new();
+        let a = m.var(0);
+        let b = m.var(1);
+        let f = m.and(a, b);
+        m.protect(f);
+        let child = m.node(f.node()).high.node().index();
+        assert_eq!(child, b.node().index());
+        m.nodes[child] = FREE_NODE;
+        m.free.push(child as u32);
+        m.verify_arena();
     }
 }

@@ -33,10 +33,9 @@
 //! complemented-inputs twin and returns the complement of *that*
 //! (`mk(v, l, h)` with `h` complemented ⇒ `¬mk(v, ¬l, ¬h)`), so the
 //! bit only ever surfaces on 0-edges and on the refs handed to callers.
-//! [`Manager::verify_edge_canonical_form`] audits the invariant over the
-//! live arena, and the workspace linter (`bdslint`'s
-//! `complement-canonical` rule) bans raw sign-bit construction outside
-//! the registered constructors.
+//! [`Manager::verify_arena`] audits the invariant over the live arena,
+//! and the workspace linter (`bdslint`'s `complement-canonical` rule)
+//! bans raw sign-bit construction outside the registered constructors.
 //!
 //! One consequence: there is only one terminal, `⊤` (node 0) — `ZERO`
 //! *is* `¬ONE`, the same node with the sign bit set. A 0/1 terminal pair
@@ -46,20 +45,19 @@
 //! # Storage architecture
 //!
 //! A [`Manager`] holds all kernel state directly, as CUDD's `DdManager`
-//! does: the node arena with its per-slot reference counts, the unique
-//! table, the variable order, the computed cache, the traversal scratch
-//! and the resource budget. The hot state is three flat tables — no
-//! per-operation allocation, no std `HashMap` on any hot path. Every
+//! does: the node arena with its per-slot external reference counts, the
+//! unique table, the variable order, the computed cache, the traversal
+//! scratch and the resource budget. The hot state is three flat tables —
+//! no per-operation allocation, no std `HashMap` on any hot path. Every
 //! recursive kernel is a `Manager` method, and [`Manager::mk`] is the one
 //! place a node is created.
 //!
-//! * **Node arena** — a flat `(var, low, high)` vector, with parallel
-//!   per-slot vectors for the two reference counts, and one slot list per
+//! * **Node arena** — a flat `(var, low, high)` vector, with a parallel
+//!   per-slot vector of external reference counts, and one slot list per
 //!   variable for the level swap; a node is its index, index 0 is the
-//!   terminal. Dead nodes are reclaimed by the
-//!   collector (below); their slots are poisoned, stacked on a free
-//!   list, and reused by `mk` before the arena grows
-//!   (reclaim-before-grow).
+//!   terminal. Dead nodes are reclaimed by the collector (below); their
+//!   slots are poisoned, stacked on a free list, and reused by `mk`
+//!   before the arena grows (reclaim-before-grow).
 //! * **Unique table** — an open-addressed, power-of-two `Vec<u32>` bucket
 //!   array over the arena, probed linearly from an inlined multiply-mix
 //!   hash of `(var, low, high)`. Bucket value 0 doubles as the
@@ -90,25 +88,23 @@
 //!
 //! # Garbage collection
 //!
-//! The collector pairs external refcounts with exact *interior* (arena
-//! edge) refcounts — CUDD's `Cudd_Ref`/`Cudd_RecursiveDeref` discipline,
-//! with the node-to-node half maintained by the kernel itself:
+//! The collector marks from the roots and sweeps the rest:
 //!
-//! * Callers declare long-lived functions with [`Manager::protect`] and
-//!   drop the claim with [`Manager::release`]. Interior counts are kept
-//!   exact by `mk`, the level swap's slot patching, and the sweep, so a
-//!   node with both counts at zero is dead by definition
-//!   ([`Manager::verify_interior_refs`] audits this in debug builds).
-//! * The refcounts are the only way dead nodes are found; nothing marks
-//!   from the roots. [`Manager::collect`] seeds a cascade with the
-//!   zero-count nodes, and each reclaimed node drops its children's
-//!   counts. [`Manager::maybe_collect`] runs `collect` once its gates
-//!   pass (see [`GcConfig`]). Dead slots go to the free list, the unique
-//!   table is rebuilt (shrink-on-sparse), and the computed cache is
-//!   scrubbed of exactly the entries naming a reclaimed slot — the memo
-//!   stays warm across collections. Debug builds check every sweep
-//!   against the reachable set of the protected roots
-//!   ([`Manager::rooted_size`]).
+//! * **Roots.** Callers declare long-lived functions with
+//!   [`Manager::protect`] and drop the claim with [`Manager::release`];
+//!   the slots with a nonzero external count are the roots. Nodes carry
+//!   no other count, so `mk` and the level swap do no collector
+//!   bookkeeping.
+//! * **Mark.** [`Manager::collect`] marks every node a root reaches
+//!   ([`Manager::rooted_size`], an iterative traversal).
+//! * **Sweep.** One ascending arena scan reclaims every in-use slot the
+//!   mark missed, re-stacks the free list and rebuilds the per-variable
+//!   slot lists; then the unique table is rebuilt (shrink-on-sparse) and
+//!   the computed cache is scrubbed of exactly the entries naming a
+//!   reclaimed slot — the memo stays warm across collections. Debug
+//!   builds audit every sweep with [`Manager::verify_arena`].
+//!   [`Manager::maybe_collect`] runs `collect` once its gates pass (see
+//!   [`GcConfig`]).
 //! * Collection never runs implicitly inside an operation, so recursion
 //!   intermediates need no protection; flows call `maybe_collect` at
 //!   quiescent points (between supernodes, between reorder trials).
@@ -162,15 +158,15 @@
 //! where the governed flow calls one.
 //!
 //! **What survives an abort:** everything. All invariant maintenance
-//! (unique-table insertion, interior refcounts, per-variable node lists,
-//! free-list reuse) happens inside one call of `mk`, so an early
-//! return between `mk` calls cannot tear any structure. After a
-//! `LimitExceeded` the manager is fully consistent and immediately
-//! usable: the unique table and computed cache are intact (including
-//! partial results the aborted operation memoized — they are correct,
-//! just incomplete), `verify_interior_refs` passes, and the nodes the
-//! aborted operation built are ordinary unreferenced garbage that the
-//! next [`Manager::collect`] reclaims. The recommended recovery is:
+//! (unique-table insertion, per-variable node lists, free-list reuse)
+//! happens inside one call of `mk`, so an early return between `mk`
+//! calls cannot tear any structure. After a `LimitExceeded` the manager
+//! is fully consistent and immediately usable: the unique table and
+//! computed cache are intact (including partial results the aborted
+//! operation memoized — they are correct, just incomplete),
+//! `verify_arena` passes, and the nodes the aborted operation built are
+//! ordinary unreferenced garbage that the next [`Manager::collect`]
+//! reclaims. The recommended recovery is:
 //! protect what you still need, `collect()`, then either retry with a
 //! fresh budget or fall back. Nothing needs to be rebuilt; no poisoned
 //! state exists.

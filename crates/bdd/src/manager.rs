@@ -1,10 +1,10 @@
 //! The manager: the one struct holding all kernel state, and its API
 //! surface.
 //!
-//! [`Manager`] owns the node arena, the unique table, the reference
-//! counts, the variable order, the computed cache, the visit scratch and
-//! the resource budget directly, as CUDD's `DdManager` does. Its methods
-//! are spread over the modules by concern:
+//! [`Manager`] owns the node arena, the unique table, the external
+//! reference counts, the variable order, the computed cache, the visit
+//! scratch and the resource budget directly, as CUDD's `DdManager` does.
+//! Its methods are spread over the modules by concern:
 //!
 //! * [`crate::store`] holds `mk`, the one place nodes are created, with
 //!   the unique-table and arena maintenance behind it;
@@ -72,7 +72,7 @@ impl CacheStats {
 /// Default unique-table bucket count (grows on demand).
 const DEFAULT_BUCKETS: usize = 1 << 12;
 
-/// A BDD manager: the node arena, unique table, reference counts and
+/// A BDD manager: the node arena, unique table, collection roots and
 /// variable order, plus the computed cache, visit scratch and resource
 /// budget the kernels use.
 ///
@@ -93,14 +93,10 @@ const DEFAULT_BUCKETS: usize = 1 << 12;
 #[derive(Debug)]
 pub struct Manager {
     /// The node arena; index 0 is the terminal. Its length is the arena
-    /// high-water mark, and every per-slot vector below has that length.
+    /// high-water mark, and `refs` has that length too.
     pub(crate) nodes: Vec<Node>,
-    /// Interior reference count per arena slot: the number of *arena
-    /// edges* into the slot. Maintained by `mk`, the level swap's slot
-    /// patching and the collector; audited against a full recount in
-    /// debug builds.
-    pub(crate) int_refs: Vec<u32>,
-    /// External reference count per arena slot (collection roots).
+    /// External reference count per arena slot: the slots with a nonzero
+    /// count are the roots the collector marks from.
     pub(crate) refs: Vec<u32>,
     /// Reclaimed arena slots awaiting reuse (LIFO).
     pub(crate) free: Vec<u32>,
@@ -167,10 +163,10 @@ impl Manager {
     /// functions; the unique table still doubles on demand past `nodes`.
     pub fn with_capacity(nodes: usize, cache_bits: u32) -> Manager {
         let buckets = buckets_for(nodes);
+        let slots = nodes.max(16);
         let mut m = Manager {
-            nodes: Vec::new(),
-            int_refs: Vec::new(),
-            refs: Vec::new(),
+            nodes: Vec::with_capacity(slots),
+            refs: Vec::with_capacity(slots),
             free: Vec::new(),
             buckets: vec![0; buckets],
             bucket_mask: buckets - 1,
@@ -191,23 +187,12 @@ impl Manager {
             collections: 0,
             reclaimed_total: 0,
         };
-        m.reserve_slots(nodes.max(16));
         m.push_slot(Node {
             var: Var(TERMINAL_VAR),
             low: Ref::ONE,
             high: Ref::ONE,
         });
         m
-    }
-
-    /// Grows the unique table (and the arena) so at least `nodes` arena
-    /// nodes fit without a rehash. No-op when already large enough.
-    pub fn reserve_nodes(&mut self, nodes: usize) {
-        let wanted = buckets_for(nodes);
-        if wanted > self.buckets.len() {
-            self.reserve_slots(nodes);
-            self.grow_buckets_to(wanted);
-        }
     }
 
     /// The constant true function.
@@ -339,44 +324,49 @@ impl Manager {
             .unwrap_or_else(|| format!("x{index}"))
     }
 
-    /// Full recount audit of the interior reference counts and the
-    /// per-variable slot lists: recomputes every `int_refs` entry from the
-    /// arena edges, checks that each listed slot holds its list's variable
-    /// and that the lists hold one entry per live node, and panics on the
-    /// first disagreement. O(arena) — called after every collection in
-    /// debug builds; tests call it directly.
-    pub fn verify_interior_refs(&self) {
-        let mut counts = vec![0u32; self.nodes.len()];
-        for node in self.nodes.iter().skip(1) {
-            if node.var.0 == FREE_VAR {
+    /// Audits the arena in one O(arena) pass and panics on the first
+    /// violation:
+    ///
+    /// * no live node names a reclaimed slot as a child — the collector
+    ///   reclaimed only nodes no live node reaches;
+    /// * no stored node has a complemented 1-edge or equal children —
+    ///   `mk`'s canonical form. Together with hash-consing this is why a
+    ///   function and its negation never occupy two nodes: the only
+    ///   stored form of `¬f` is `f`'s own node reached through a
+    ///   complemented edge;
+    /// * the per-variable slot lists hold exactly the live slots, each
+    ///   once and under its own variable.
+    ///
+    /// Runs after every collection in debug builds; tests call it
+    /// directly.
+    pub fn verify_arena(&self) {
+        for (i, n) in self.nodes.iter().enumerate().skip(1) {
+            if n.var.0 == FREE_VAR {
                 continue;
             }
-            for c in [node.low, node.high] {
-                let ci = c.node().index();
-                if ci != 0 {
-                    counts[ci] += 1;
-                }
-            }
-        }
-        for (i, &count) in counts.iter().enumerate().skip(1) {
-            if self.nodes[i].var.0 == FREE_VAR {
-                assert_eq!(
-                    self.int_refs[i], 0,
-                    "reclaimed slot {i} carries interior references"
-                );
-            } else {
-                assert_eq!(
-                    self.int_refs[i], count,
-                    "interior refcount of slot {i} disagrees with a full recount"
+            for c in [n.low, n.high] {
+                assert_ne!(
+                    self.nodes[c.node().index()].var.0,
+                    FREE_VAR,
+                    "slot {i}: edge into reclaimed slot {}",
+                    c.node().index()
                 );
             }
+            assert!(
+                !n.high.is_complemented(),
+                "slot {i}: complemented 1-edge escaped mk's normalization"
+            );
+            assert_ne!(n.low, n.high, "slot {i}: redundant node escaped mk");
         }
+        let mut seen = self.visited.borrow_mut();
+        seen.begin(self.nodes.len());
         for (v, list) in self.var_nodes.iter().enumerate() {
             for &s in list {
                 assert_eq!(
                     self.nodes[s as usize].var.0, v as u32,
                     "var_nodes[{v}] lists slot {s} of another variable"
                 );
+                assert!(seen.mark(s as usize), "var_nodes lists slot {s} twice");
             }
         }
         let listed: usize = self.var_nodes.iter().map(Vec::len).sum();
@@ -385,38 +375,6 @@ impl Manager {
             self.live_nodes() - 1,
             "var_nodes and the live node count disagree"
         );
-    }
-
-    /// Audits the complement-edge canonical form over the live arena: no
-    /// stored node may carry a complemented 1-edge (`mk` pushes the
-    /// complement onto the 0-edge and the incoming edge) and no stored
-    /// node may have equal children (the reduction rule). Together with
-    /// hash-consing this is exactly why a function and its negation can
-    /// never occupy two nodes: the only stored form of `¬f` is `f`'s own
-    /// node reached through a complemented edge. Panics on the first
-    /// violation; O(arena), intended for tests and debug audits.
-    pub fn verify_edge_canonical_form(&self) {
-        for (i, n) in self.nodes.iter().enumerate().skip(1) {
-            if n.var.0 == FREE_VAR {
-                continue;
-            }
-            assert!(
-                !n.high.is_complemented(),
-                "slot {i}: complemented 1-edge escaped mk's normalization"
-            );
-            assert_ne!(n.low, n.high, "slot {i}: redundant node escaped mk");
-        }
-    }
-
-    /// Interior (arena-edge) reference count of `f`'s node — how many
-    /// live nodes name it as a child (test/diagnostic hook; the terminal
-    /// reports `u32::MAX` like [`Manager::protect_count`]).
-    pub fn interior_count(&self, f: Ref) -> u32 {
-        if f.is_const() {
-            u32::MAX
-        } else {
-            self.int_refs[f.node().index()]
-        }
     }
 
     /// Drops every memoized operation result in O(1) (generation bump).
@@ -613,18 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn reserve_nodes_grows_unique_table() {
-        let mut m = Manager::new();
-        let before = m.cache_stats().unique_buckets;
-        m.reserve_nodes(1 << 16);
-        assert!(m.cache_stats().unique_buckets > before);
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert_eq!(m.and(a, b), f);
-    }
-
-    #[test]
     fn stats_track_cache_traffic() {
         let mut m = Manager::new();
         let a = m.var(0);
@@ -703,32 +649,27 @@ mod tests {
     }
 
     #[test]
-    fn interior_refs_track_arena_edges_exactly() {
+    fn arena_audit_holds_across_swaps_collection_and_reuse() {
         let mut m = Manager::new();
         let a = m.var(0);
         let b = m.var(1);
         let c = m.var(2);
         let ab = m.and(a, b);
         let f = m.ite(c, ab, b);
-        m.verify_interior_refs();
-        // `b`'s projection node is the 1-child of `ab` (at least).
-        assert!(m.interior_count(b) >= 1);
-        assert_eq!(m.interior_count(Ref::ONE), u32::MAX);
-        let _ = ab;
-        // A swap rewrites edges; the audit must still pass and the counts
-        // must follow the patched slots.
+        m.verify_arena();
+        // A swap rewrites slots in place; the audit must still pass.
         m.protect(f);
         m.swap_levels(0);
-        m.verify_interior_refs();
+        m.verify_arena();
         m.swap_levels(1);
-        m.verify_interior_refs();
-        // Collection reclaims with cascading decrements; audit again.
+        m.verify_arena();
+        // Collection reclaims what the swaps displaced; audit again.
         m.collect();
-        m.verify_interior_refs();
-        // Free-list reuse re-increments the new children.
+        m.verify_arena();
+        // Free-list reuse lists the new nodes under their variables.
         let d = m.var(3);
         let g = m.and(f, d);
         let _ = g;
-        m.verify_interior_refs();
+        m.verify_arena();
     }
 }

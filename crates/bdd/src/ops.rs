@@ -32,20 +32,17 @@
 //! `try_*` form where the governed flow calls one (the n-ary
 //! conjunction and disjunction have only that form). A `try_*` abort is
 //! clean by construction: all invariant maintenance (unique table,
-//! interior refcounts, per-variable lists) happens inside one
-//! [`Manager::mk`] call, so unwinding between `mk` calls leaves the
-//! manager fully consistent and the partially built nodes as
-//! unreferenced garbage for the next collection (see
-//! [`crate::LimitExceeded`]).
+//! per-variable lists, free list) happens inside one [`Manager::mk`]
+//! call, so unwinding between `mk` calls leaves the manager fully
+//! consistent and the partially built nodes as unreferenced garbage for
+//! the next collection (see [`crate::LimitExceeded`]).
 //!
 //! None of the kernels here triggers garbage collection: recursive
 //! intermediates need no protection, and results only need
 //! [`Manager::protect`] when the caller holds them across an explicit
-//! `collect`/`maybe_collect` point. Every node these kernels produce is
-//! funnelled through `mk`, which also maintains the interior (arena-edge)
-//! reference counts — the kernels themselves never touch refcounts, so
-//! the accounting behind the refcount-driven collector cannot drift
-//! here.
+//! `collect`/`maybe_collect` point. Nodes carry no interior counts — the
+//! collector finds the live set by marking from the protected roots —
+//! so nothing here keeps collector bookkeeping that could drift.
 
 use crate::manager::Manager;
 use crate::reference::Ref;
@@ -542,7 +539,7 @@ mod tests {
         m.clear_limits();
         assert_eq!(m.try_and(f, g), Ok(full));
         if cfg!(debug_assertions) {
-            m.verify_interior_refs();
+            m.verify_arena();
         }
     }
 
@@ -568,7 +565,7 @@ mod tests {
         m.protect(g);
         m.collect();
         if cfg!(debug_assertions) {
-            m.verify_interior_refs();
+            m.verify_arena();
         }
         let r = m.xor(f, g);
         let vars_again: Vec<Ref> = (0..12).map(|i| m.var(i)).collect();

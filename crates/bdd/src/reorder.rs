@@ -433,7 +433,8 @@ impl Manager {
         }
         // Detach the rewritten slots from the unique table (backward-shift
         // deletion) and poison them so a mid-rewrite table growth cannot
-        // re-insert a stale triple; refcounts and identities are kept.
+        // re-insert a stale triple; external counts and identities are
+        // kept.
         for &(i, ref n) in &moved {
             self.remove_slot(i, n);
             self.nodes[i as usize].var = Var(FREE_VAR);
@@ -458,15 +459,8 @@ impl Manager {
                 low: new_low,
                 high: new_high,
             };
-            // The slot's edges move from its old children to its new
-            // ones; an old child left without references is garbage for
-            // the next collection.
-            self.inc_child(new_low);
-            self.inc_child(new_high);
             self.insert_slot(i);
             self.var_nodes[y as usize].push(i);
-            self.dec_child(n.low);
-            self.dec_child(n.high);
         }
         // Most memoized results survive a swap unchanged: their keys and
         // results are `Ref`s, the swap preserves every Ref's function, and

@@ -360,8 +360,8 @@ pub enum LimitKind {
 /// crossed.
 ///
 /// The abort is *clean*: the kernel state remains fully consistent —
-/// unique table, computed cache, interior reference counts and
-/// per-variable lists all intact. Nodes built by the aborted recursion
+/// unique table, computed cache, free list and per-variable lists all
+/// intact. Nodes built by the aborted recursion
 /// are ordinary unreferenced garbage for the next collection; no state
 /// needs rolling back and every previously held [`Ref`] is still valid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

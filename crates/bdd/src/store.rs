@@ -3,11 +3,11 @@
 //! function that creates a node.
 //!
 //! On a unique-table miss, `mk` reuses the most recently freed slot or
-//! appends one to the arena, inserts it, counts its two arena edges,
-//! appends it to its variable's slot list and grows the table in place
-//! once it is three quarters full. Nothing is ever logged for later
-//! reconciliation, so the manager is consistent between any two `mk`
-//! calls — which is what makes a kernel abort clean.
+//! appends one to the arena, inserts it, appends it to its variable's
+//! slot list and grows the table in place once it is three quarters
+//! full. Nothing is ever logged for later reconciliation, so the manager
+//! is consistent between any two `mk` calls — which is what makes a
+//! kernel abort clean.
 //!
 //! Slot allocation order is fixed: LIFO free-list pops first, then the
 //! arena high-water mark; a sweep re-stacks the free list in ascending
@@ -132,8 +132,7 @@ impl Manager {
     ///
     /// A miss takes the most recently freed slot, or else appends one to
     /// the arena, then does all of the bookkeeping in place: the bucket,
-    /// the two children's interior counts, the variable's slot list, and
-    /// table growth at 3/4 load.
+    /// the variable's slot list, and table growth at 3/4 load.
     ///
     /// # Panics
     ///
@@ -191,12 +190,6 @@ impl Manager {
             }
         };
         self.buckets[i] = idx;
-        for c in [low, high] {
-            let ci = c.node().index();
-            if ci != 0 {
-                self.int_refs[ci] += 1;
-            }
-        }
         self.var_nodes[var.0 as usize].push(idx);
         self.allocs_since_gc += 1;
         self.occupied += 1;
@@ -206,22 +199,13 @@ impl Manager {
         Ref::new(NodeId(idx), complement)
     }
 
-    /// Appends a slot holding `node` to the arena (with zeroed counts)
-    /// and returns its index.
+    /// Appends a slot holding `node` to the arena (with a zero external
+    /// count) and returns its index.
     pub(crate) fn push_slot(&mut self, node: Node) -> u32 {
         let idx = self.nodes.len() as u32;
         self.nodes.push(node);
-        self.int_refs.push(0);
         self.refs.push(0);
         idx
-    }
-
-    /// Reserves arena room for at least `nodes` slots in total.
-    pub(crate) fn reserve_slots(&mut self, nodes: usize) {
-        let extra = nodes.saturating_sub(self.nodes.len());
-        self.nodes.reserve(extra);
-        self.int_refs.reserve(extra);
-        self.refs.reserve(extra);
     }
 
     /// Rebuilds the bucket array at `new_len` (a power of two) by
@@ -319,6 +303,5 @@ mod tests {
         assert_eq!(m.live_nodes(), 3);
         assert_eq!(m.var_nodes[1], vec![a.node().0]);
         assert_eq!(m.var_nodes[0], vec![f.node().0]);
-        assert_eq!(m.int_refs[a.node().index()], 2, "both edges of f");
     }
 }

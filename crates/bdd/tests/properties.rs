@@ -207,7 +207,7 @@ proptest! {
         for &l in &walk {
             m.swap_levels(l);
         }
-        m.verify_interior_refs();
+        m.verify_arena();
         prop_assert_eq!(bdd_truth(&m, f), tf, "swaps changed f");
         prop_assert_eq!(bdd_truth(&m, h), th, "swaps changed g");
         // Canonicity under the installed order.
@@ -927,9 +927,9 @@ fn swap_storm_interleaved_with_gc_stays_canonical() {
                 swap_burst(&mut m, &mut rng, 32);
             }
             bursts += 1;
-            // The swaps' slot patching and the sweeps must leave the
-            // interior counts equal to a full recount of the arena edges.
-            m.verify_interior_refs();
+            // The swaps' slot patching and the sweeps must leave no live
+            // edge into a reclaimed slot and the slot lists exact.
+            m.verify_arena();
             // (a) every protected function survives reordering + sweeps.
             for &(f, t) in &pool {
                 assert_eq!(
@@ -1051,7 +1051,7 @@ fn gc_keeps_arena_within_constant_factor_of_live_size() {
 /// The abort-recovery property: a random op storm through the *fallible*
 /// kernels with a fault injected at an arbitrary recursion step. Whatever
 /// interior point the abort lands on, the manager must come back fully
-/// consistent — `verify_interior_refs` passes before and after a recovery
+/// consistent — `verify_arena` passes before and after a recovery
 /// `collect()`, every protected function still matches its truth vector,
 /// and rebuilding over the survivors stays canonical against the oracle.
 mod abort_injection {
@@ -1126,10 +1126,10 @@ mod abort_injection {
             }
             m.fault_inject_abort_after(None);
             // The manager must already be consistent before any cleanup...
-            m.verify_interior_refs();
+            m.verify_arena();
             // ...and the aborted garbage must be collectable.
             m.collect();
-            m.verify_interior_refs();
+            m.verify_arena();
             // Oracle + canonicity over the survivors.
             for &(f, t) in &pool {
                 prop_assert_eq!(bdd_truth(&m, f), t, "protected function corrupted");
@@ -1221,8 +1221,7 @@ fn exhaustive_four_var_complement_pairs_share_one_node() {
     // The structural half of the claim: every stored node is in canonical
     // form (1-edge regular), which makes a node/complement collision
     // unrepresentable in the unique table.
-    m.verify_edge_canonical_form();
-    m.verify_interior_refs();
+    m.verify_arena();
 }
 
 /// Complement-edge ⨯ GC ⨯ swap storm: a negation-heavy op mix (every
@@ -1290,8 +1289,7 @@ fn complement_storm_with_gc_and_swaps_stays_canonical() {
         if step % QUIESCE_EVERY == QUIESCE_EVERY - 1 {
             swap_burst(&mut m, &mut rng, 32);
             m.collect();
-            m.verify_edge_canonical_form();
-            m.verify_interior_refs();
+            m.verify_arena();
             quiesces += 1;
             for &(f, t) in &pool {
                 assert_eq!(bdd_truth(&m, f), t, "pool function corrupted at {step}");

@@ -16,10 +16,13 @@
 //!   paper's size metric and sizing factor `k`.
 
 use bdd::{Manager, NodeId, Ref};
-use decomp::{classify_dominator, xor_decompose_balanced, MajorityHook, SearchOptions};
+use decomp::{classify_dominator, xor_decompose_balanced, MajorityHook};
 
 /// Sizing factor of the local selection among candidates (§III-E).
 const LOCAL_K: f64 = 1.5;
+
+/// Functions with fewer BDD nodes than this are not worth a MAJ split.
+const MIN_SIZE: usize = 3;
 
 /// Tuning parameters of the majority decomposition (paper defaults).
 #[derive(Clone, Copy, Debug)]
@@ -31,10 +34,6 @@ pub struct MajConfig {
     /// Maximum number of m-dominator candidates examined per function
     /// ("adjusted on the fly specifying tighter selection constraints").
     pub max_candidates: usize,
-    /// Functions with fewer BDD nodes than this are not worth a MAJ split.
-    pub min_size: usize,
-    /// Bounds for the balanced XOR decomposition used in (γ).
-    pub search: SearchOptions,
 }
 
 impl Default for MajConfig {
@@ -43,8 +42,6 @@ impl Default for MajConfig {
             global_k: 1.6,
             max_iterations: 5,
             max_candidates: 8,
-            min_size: 3,
-            search: SearchOptions::default(),
         }
     }
 }
@@ -151,7 +148,7 @@ fn generalized_cofactor(m: &mut Manager, f: Ref, c: Ref) -> Ref {
 /// into a balanced `(M, K)` with `M ⊕ K = Fx`, and rewrites
 /// `X ← ITE(Fx, K, X)`, `Y ← ITE(Fx, M, Y)`. A rewrite is kept only when
 /// it shrinks the couple.
-pub fn balance_pass(m: &mut Manager, cand: &mut MajCandidate, config: &MajConfig) -> bool {
+pub fn balance_pass(m: &mut Manager, cand: &mut MajCandidate) -> bool {
     let mut improved = false;
     for (xi, yi) in [(0usize, 1usize), (0, 2), (1, 2)] {
         let x = cand.triple[xi];
@@ -160,7 +157,7 @@ pub fn balance_pass(m: &mut Manager, cand: &mut MajCandidate, config: &MajConfig
         if fx.is_const() {
             continue;
         }
-        let (m_part, k_part) = xor_decompose_balanced(m, fx, &config.search);
+        let (m_part, k_part) = xor_decompose_balanced(m, fx);
         let x_opt = m.ite(fx, k_part, x);
         let y_opt = m.ite(fx, m_part, y);
         let new_sizes = (m.size(x_opt), m.size(y_opt));
@@ -182,7 +179,7 @@ pub fn balance_pass(m: &mut Manager, cand: &mut MajCandidate, config: &MajConfig
 /// The result is *locally* best (phase (ω)); callers apply the global
 /// usefulness test separately (see [`MajDecomposer`]).
 pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajCandidate> {
-    if m.size(f) < config.min_size {
+    if m.size(f) < MIN_SIZE {
         return None;
     }
     let candidates = find_m_dominators(m, f, config);
@@ -192,7 +189,7 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
         let mut cand = construct_majority(m, f, fa);
         let mut iterations = 0;
         while iterations < config.max_iterations {
-            if !balance_pass(m, &mut cand, config) {
+            if !balance_pass(m, &mut cand) {
                 break;
             }
             iterations += 1;
@@ -251,19 +248,15 @@ impl MajDecomposer {
 impl MajorityHook for MajDecomposer {
     fn try_majority(&mut self, m: &mut Manager, f: Ref) -> Option<[Ref; 3]> {
         let fsize = m.size(f);
-        let result = if fsize < self.config.min_size {
-            None
-        } else {
-            maj_decompose(m, f, &self.config).and_then(|cand| {
-                let k = self.config.global_k;
-                let fits = cand.sizes.iter().all(|&s| k * s as f64 <= fsize as f64);
-                if fits {
-                    Some(cand.triple)
-                } else {
-                    None
-                }
-            })
-        };
+        let result = maj_decompose(m, f, &self.config).and_then(|cand| {
+            let k = self.config.global_k;
+            let fits = cand.sizes.iter().all(|&s| k * s as f64 <= fsize as f64);
+            if fits {
+                Some(cand.triple)
+            } else {
+                None
+            }
+        });
         if result.is_some() {
             self.accepted += 1;
         } else {
@@ -336,8 +329,7 @@ mod tests {
         let mut m = Manager::new();
         let (f, a, b, c) = paper_example(&mut m);
         let mut cand = construct_majority(&mut m, f, a);
-        let config = MajConfig::default();
-        while balance_pass(&mut m, &mut cand, &config) {}
+        while balance_pass(&mut m, &mut cand) {}
         let maj = m.maj(cand.triple[0], cand.triple[1], cand.triple[2]);
         assert_eq!(maj, f);
         assert_eq!(cand.sizes, [1, 1, 1], "balanced to three literals");

@@ -85,9 +85,8 @@ proptest! {
         let f = to_bdd(&fe, &mut m);
         let fa = to_bdd(&ae, &mut m);
         let mut cand = construct_majority(&mut m, f, fa);
-        let config = MajConfig::default();
         for _ in 0..3 {
-            balance_pass(&mut m, &mut cand, &config);
+            balance_pass(&mut m, &mut cand);
             let back = m.maj(cand.triple[0], cand.triple[1], cand.triple[2]);
             prop_assert_eq!(back, f, "balancing broke the decomposition");
         }
@@ -102,8 +101,7 @@ proptest! {
         let fa = to_bdd(&ae, &mut m);
         let mut cand = construct_majority(&mut m, f, fa);
         let before = cand.total();
-        let config = MajConfig::default();
-        balance_pass(&mut m, &mut cand, &config);
+        balance_pass(&mut m, &mut cand);
         prop_assert!(cand.total() <= before, "balance accepted a regression");
     }
 

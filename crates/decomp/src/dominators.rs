@@ -100,43 +100,30 @@ pub fn try_classify_dominator(
     })
 }
 
-/// Options bounding the dominator search.
-#[derive(Clone, Copy, Debug)]
-pub struct SearchOptions {
-    /// Skip the dominator scan entirely for BDDs larger than this.
-    pub max_bdd_size: usize,
-    /// Consider at most this many candidate nodes (highest fan-in first).
-    pub max_candidates: usize,
-}
+/// The dominator search (and the balanced XOR split) skips BDDs with more
+/// nodes than this.
+pub(crate) const MAX_BDD_SIZE: usize = 4000;
 
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions {
-            max_bdd_size: 4000,
-            max_candidates: 128,
-        }
-    }
-}
+/// The dominator search (and the balanced XOR split) considers at most
+/// this many candidate nodes, highest fan-in first.
+pub(crate) const MAX_CANDIDATES: usize = 128;
 
 /// Finds the best simple/generalized dominator decomposition of `f`, or
 /// falls back to top-variable cofactoring (MUX).
 ///
 /// "Best" prefers the candidate whose larger part is smallest (balance),
 /// and requires both parts to be strictly smaller than `f` so the
-/// decomposition recursion always terminates.
-pub fn find_decomposition(m: &mut Manager, f: Ref, options: &SearchOptions) -> Decomposition {
-    m.ungoverned(|m| try_find_decomposition(m, f, options))
+/// decomposition recursion always terminates. BDDs over `MAX_BDD_SIZE`
+/// nodes go straight to the MUX.
+pub fn find_decomposition(m: &mut Manager, f: Ref) -> Decomposition {
+    m.ungoverned(|m| try_find_decomposition(m, f))
 }
 
 /// Budget-governed [`find_decomposition`].
-pub fn try_find_decomposition(
-    m: &mut Manager,
-    f: Ref,
-    options: &SearchOptions,
-) -> Result<Decomposition, LimitExceeded> {
+pub fn try_find_decomposition(m: &mut Manager, f: Ref) -> Result<Decomposition, LimitExceeded> {
     let mux = try_mux_fallback(m, f)?;
     let fsize = m.size(f);
-    if fsize <= 1 || fsize > options.max_bdd_size {
+    if fsize <= 1 || fsize > MAX_BDD_SIZE {
         return Ok(mux);
     }
     let stats = m.node_stats(f);
@@ -144,7 +131,7 @@ pub fn try_find_decomposition(
     // Highest fan-in nodes first: they are the most promising divisors and
     // the most likely shared subfunctions.
     candidates.sort_by_key(|&id| std::cmp::Reverse(stats.in_degree(id).total()));
-    candidates.truncate(options.max_candidates);
+    candidates.truncate(MAX_CANDIDATES);
 
     let mut best: Option<(usize, Decomposition)> = None;
     for id in candidates {
@@ -213,7 +200,7 @@ mod tests {
         let left = m.or(a, b);
         let right = m.xor(c, d);
         let f = m.and(left, right);
-        let found = find_decomposition(&mut m, f, &SearchOptions::default());
+        let found = find_decomposition(&mut m, f);
         assert!(
             matches!(found, Decomposition::And { .. }),
             "expected AND decomposition, got {found:?}"
@@ -229,7 +216,7 @@ mod tests {
         let left = m.and(a, b);
         let right = m.and(c, d);
         let f = m.or(left, right);
-        let found = find_decomposition(&mut m, f, &SearchOptions::default());
+        let found = find_decomposition(&mut m, f);
         let back = recompose(&mut m, &found);
         assert_eq!(back, f);
         assert!(
@@ -243,7 +230,7 @@ mod tests {
         let mut m = Manager::new();
         let vars: Vec<Ref> = (0..6).map(|i| m.var(i)).collect();
         let f = m.xor_all(vars);
-        let found = find_decomposition(&mut m, f, &SearchOptions::default());
+        let found = find_decomposition(&mut m, f);
         assert!(
             matches!(found, Decomposition::Xnor { .. }),
             "parity must yield an x-dominator, got {found:?}"
@@ -260,7 +247,7 @@ mod tests {
         let mut m = Manager::new();
         let (a, b, c) = (m.var(0), m.var(1), m.var(2));
         let f = m.maj(a, b, c);
-        let found = find_decomposition(&mut m, f, &SearchOptions::default());
+        let found = find_decomposition(&mut m, f);
         let back = recompose(&mut m, &found);
         assert_eq!(back, f);
     }
@@ -276,16 +263,15 @@ mod tests {
 
     #[test]
     fn size_guard_skips_search() {
+        // A 5000-node parity chain is over MAX_BDD_SIZE: its x-dominators
+        // go unsearched and the MUX is returned.
         let mut m = Manager::new();
-        let (a, b, c, d) = (m.var(0), m.var(1), m.var(2), m.var(3));
-        let ab = m.and(a, b);
-        let cd = m.and(c, d);
-        let f = m.or(ab, cd);
-        let opts = SearchOptions {
-            max_bdd_size: 1,
-            max_candidates: 128,
-        };
-        let found = find_decomposition(&mut m, f, &opts);
+        let mut f = Ref::ONE;
+        for v in (0..5000u32).rev() {
+            f = m.mk(Var(v), !f, f);
+        }
+        assert!(m.size(f) > MAX_BDD_SIZE);
+        let found = find_decomposition(&mut m, f);
         assert!(matches!(found, Decomposition::Mux { .. }));
     }
 
@@ -304,7 +290,7 @@ mod tests {
         let chain = m.xor(x01, o45);
         funcs.push(m.xnor(chain, vars[6]));
         for f in funcs {
-            let found = find_decomposition(&mut m, f, &SearchOptions::default());
+            let found = find_decomposition(&mut m, f);
             let back = recompose(&mut m, &found);
             assert_eq!(back, f, "decomposition of {f:?} must recompose");
         }

@@ -8,7 +8,7 @@
 //! (§IV-B: "We embed our majority decomposition method on top of the
 //! dominator nodes search").
 
-use crate::dominators::{try_find_decomposition, Decomposition, SearchOptions};
+use crate::dominators::{try_find_decomposition, Decomposition};
 use crate::emit::{Emitter, FunctionEmitter};
 use bdd::{LimitExceeded, Manager, Ref, ResourceLimits};
 use logic::{partition_with_limits, GateKind, Network, PartitionConfig, SignalId};
@@ -38,8 +38,6 @@ impl MajorityHook for NoMajority {
 pub struct EngineOptions {
     /// Network partitioning bounds.
     pub partition: PartitionConfig,
-    /// Dominator search bounds.
-    pub search: SearchOptions,
     /// Window size of the per-supernode reordering pass (§IV-B: "it
     /// performs variable reordering to compact the size of the input
     /// BDD"), a sliding window-permutation search
@@ -70,7 +68,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             partition: PartitionConfig::default(),
-            search: SearchOptions::default(),
             reorder_window: 3,
             reorder_size_limit: 400,
             reorder_min_size: 0,
@@ -205,14 +202,20 @@ pub fn decompose_network(
             bdd::window_reorder(&mut manager, function, options.reorder_window, 4);
         }
         // The function under decomposition is the iteration's root;
-        // everything decompose_function creates below it is transient and
+        // everything the recursion creates below it is transient and
         // reclaimable once the supernode is emitted.
         manager.protect(function);
-        let mut status = ConeStatus::Ok;
-        if governed {
-            manager.set_limits(options.limits); // fresh step budget per cone
-        }
-        let mut attempt = {
+        // At most two attempts. An aborted first attempt is collected
+        // (its garbage counts against the live-node ceiling) and retried
+        // under the same order with a fresh step count. Memoized results
+        // naming live nodes survive the collection. Any gates the first
+        // attempt emitted stay valid (the emitter's strash may even reuse
+        // them); unreachable ones are dropped by the final clean.
+        let mut retried = false;
+        let attempt = loop {
+            if governed {
+                manager.set_limits(options.limits); // fresh step budget
+            }
             let mut fe = FunctionEmitter::new(var_signals.clone());
             let r = try_decompose_function(
                 &mut manager,
@@ -226,48 +229,32 @@ pub fn decompose_network(
             );
             // fe's Ref-keyed memo must not outlive a collection.
             drop(fe);
-            r
-        };
-        if attempt.is_err() {
-            // Reclaim the aborted attempt's garbage, which the live-node
-            // ceiling counts, and retry once under the same order with a
-            // fresh step count. Memoized results naming live nodes survive
-            // the collection. Any gates the first attempt emitted stay
-            // valid (the emitter's strash may even reuse them); unreachable
-            // ones are dropped by the final clean.
-            manager.collect();
-            manager.set_limits(options.limits);
-            let mut fe = FunctionEmitter::new(var_signals.clone());
-            attempt = try_decompose_function(
-                &mut manager,
-                function,
-                &mut fe,
-                &mut emitter,
-                &mut out,
-                options,
-                hook,
-                0,
-            );
-            drop(fe);
-            if attempt.is_ok() {
-                status = ConeStatus::RetriedOk;
+            if r.is_ok() || retried {
+                break r;
             }
-        }
+            manager.collect();
+            retried = true;
+        };
         if governed {
             manager.clear_limits();
         }
-        match attempt {
+        let status = match attempt {
             Ok(sig) => {
                 signal_map.insert(sn.root, sig);
+                if retried {
+                    ConeStatus::RetriedOk
+                } else {
+                    ConeStatus::Ok
+                }
             }
             Err(_) => {
                 // Graceful degradation: reclaim the aborted garbage and
                 // copy the original cone's gates through un-decomposed.
-                status = ConeStatus::Degraded;
                 manager.collect();
                 copy_original_cone(net, &mut out, &mut signal_map, sn.root);
+                ConeStatus::Degraded
             }
-        }
+        };
         report.cones.push((net.signal_name(sn.root), status));
         manager.release(function); // the engine's claim from above
                                    // `function` is `sn.function`, so both calls release the same
@@ -330,28 +317,13 @@ fn copy_original_cone(
 const MAX_DEPTH: usize = 512;
 
 /// Recursively decomposes `f` and emits its gates; returns the signal
-/// implementing `f`.
+/// implementing `f`, or aborts with [`LimitExceeded`] when the manager's
+/// installed [`ResourceLimits`] are crossed. Gates already emitted for
+/// finished subfunctions stay in `net` (they are valid, possibly shared
+/// logic); if the whole cone is then abandoned, the caller's final
+/// [`Network::cleaned`] drops the unreachable ones.
 #[allow(clippy::too_many_arguments)]
-pub fn decompose_function(
-    m: &mut Manager,
-    f: Ref,
-    fe: &mut FunctionEmitter,
-    emitter: &mut Emitter,
-    net: &mut Network,
-    options: &EngineOptions,
-    hook: &mut dyn MajorityHook,
-    depth: usize,
-) -> SignalId {
-    m.ungoverned(|m| try_decompose_function(m, f, fe, emitter, net, options, hook, depth))
-}
-
-/// Budget-governed [`decompose_function`]: aborts with [`LimitExceeded`]
-/// when the manager's installed [`ResourceLimits`] are crossed. Gates
-/// already emitted for finished subfunctions stay in `net` (they are
-/// valid, possibly shared logic); if the whole cone is then abandoned,
-/// the caller's final [`Network::cleaned`] drops the unreachable ones.
-#[allow(clippy::too_many_arguments)]
-pub fn try_decompose_function(
+fn try_decompose_function(
     m: &mut Manager,
     f: Ref,
     fe: &mut FunctionEmitter,
@@ -380,7 +352,7 @@ pub fn try_decompose_function(
         return Ok(s);
     }
     // (2) Standard dominator search, MUX as last resort.
-    let d = try_find_decomposition(m, f, &options.search)?;
+    let d = try_find_decomposition(m, f)?;
     try_emit_step(m, f, d, fe, emitter, net, options, hook, depth)
 }
 

@@ -31,11 +31,11 @@ mod xordec;
 
 pub use dominators::{
     classify_dominator, find_decomposition, mux_fallback, try_classify_dominator,
-    try_find_decomposition, try_mux_fallback, Decomposition, DominatorKind, SearchOptions,
+    try_find_decomposition, try_mux_fallback, Decomposition, DominatorKind,
 };
 pub use emit::{Emitter, FunctionEmitter};
 pub use engine::{
-    decompose_function, decompose_network, try_decompose_function, ConeStatus, DecomposeResult,
-    EngineOptions, FlowReport, MajorityHook, NoMajority,
+    decompose_network, ConeStatus, DecomposeResult, EngineOptions, FlowReport, MajorityHook,
+    NoMajority,
 };
 pub use xordec::xor_decompose_balanced;

@@ -5,7 +5,7 @@
 //! BDS-MAJ (§III-D): given `fx = X ⊕ Y`, a balanced `(M, K)` pair rewrites
 //! the couple `(X, Y)` into smaller functions.
 
-use crate::dominators::SearchOptions;
+use crate::dominators::{MAX_BDD_SIZE, MAX_CANDIDATES};
 use bdd::{Manager, Ref};
 
 /// Splits `fx` into `(m_part, k_part)` with `fx = m_part ⊕ k_part`.
@@ -14,19 +14,19 @@ use bdd::{Manager, Ref};
 /// ¬F1 ⊕ f_d` with `F1 = fx[d:=1]`. The x-dominators are found
 /// structurally, as the nodes on every root-to-terminal path
 /// ([`Manager::x_dominators`]); when there is none, or `fx` has more than
-/// `max_bdd_size` nodes, the result is the trivial `(fx, 0)`. Otherwise
+/// `MAX_BDD_SIZE` nodes, the result is the trivial `(fx, 0)`. Otherwise
 /// the candidates are walked highest in-degree first (DFS order on ties,
-/// at most `max_candidates`), `F1` is rebuilt for the x-dominators among
+/// at most `MAX_CANDIDATES`), `F1` is rebuilt for the x-dominators among
 /// them, and the split minimizing `max(|M|, |K|)` wins if it scores below
 /// `|fx|`, the trivial split's score.
 ///
 /// Debug builds walk the candidates even when no x-dominator exists and
 /// check every structural verdict against the functional test
 /// `fx[d:=0] == ¬fx[d:=1]`.
-pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref, options: &SearchOptions) -> (Ref, Ref) {
+pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref) -> (Ref, Ref) {
     let trivial = (fx, Ref::ZERO);
     let fsize = m.size(fx);
-    if fsize > options.max_bdd_size {
+    if fsize > MAX_BDD_SIZE {
         return trivial;
     }
     let mut dominators = m.x_dominators(fx);
@@ -37,7 +37,7 @@ pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref, options: &SearchOptions)
     let stats = m.node_stats(fx);
     let mut candidates: Vec<_> = stats.nodes().to_vec();
     candidates.sort_by_key(|&id| std::cmp::Reverse(stats.in_degree(id).total()));
-    candidates.truncate(options.max_candidates);
+    candidates.truncate(MAX_CANDIDATES);
     let mut best = trivial;
     let mut best_score = fsize; // the trivial split scores |fx|
     for id in candidates {
@@ -84,7 +84,7 @@ mod tests {
         let x45 = m.xor(vars[4], vars[5]);
         let part = m.xor(a01, a23);
         let fx = m.xor(part, x45);
-        let (mp, kp) = xor_decompose_balanced(&mut m, fx, &SearchOptions::default());
+        let (mp, kp) = xor_decompose_balanced(&mut m, fx);
         let back = m.xor(mp, kp);
         assert_eq!(back, fx);
     }
@@ -94,7 +94,7 @@ mod tests {
         let mut m = Manager::new();
         let vars: Vec<Ref> = (0..8).map(|i| m.var(i)).collect();
         let fx = m.xor_all(vars);
-        let (mp, kp) = xor_decompose_balanced(&mut m, fx, &SearchOptions::default());
+        let (mp, kp) = xor_decompose_balanced(&mut m, fx);
         assert!(!kp.is_zero(), "parity must split");
         let back = m.xor(mp, kp);
         assert_eq!(back, fx);
@@ -114,7 +114,7 @@ mod tests {
         let fx = m.xor(or, and);
         let expected = m.xor(b, c);
         assert_eq!(fx, expected, "sanity: (b+c)⊕(bc) = b⊕c");
-        let (mp, kp) = xor_decompose_balanced(&mut m, fx, &SearchOptions::default());
+        let (mp, kp) = xor_decompose_balanced(&mut m, fx);
         let back = m.xor(mp, kp);
         assert_eq!(back, fx);
         assert_eq!(m.size(mp), 1, "one literal per side");
@@ -126,12 +126,9 @@ mod tests {
         let mut m = Manager::new();
         let a = m.var(0);
         assert_eq!(
-            xor_decompose_balanced(&mut m, Ref::ONE, &SearchOptions::default()),
+            xor_decompose_balanced(&mut m, Ref::ONE),
             (Ref::ONE, Ref::ZERO)
         );
-        assert_eq!(
-            xor_decompose_balanced(&mut m, a, &SearchOptions::default()),
-            (a, Ref::ZERO)
-        );
+        assert_eq!(xor_decompose_balanced(&mut m, a), (a, Ref::ZERO));
     }
 }

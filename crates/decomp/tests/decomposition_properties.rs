@@ -3,7 +3,7 @@
 //! split must satisfy its defining equation.
 
 use bdd::{Manager, Ref};
-use decomp::{find_decomposition, xor_decompose_balanced, Decomposition, SearchOptions};
+use decomp::{find_decomposition, xor_decompose_balanced, Decomposition};
 use proptest::prelude::*;
 
 const NVARS: u32 = 7;
@@ -79,7 +79,7 @@ proptest! {
         for i in 0..NVARS { m.var(i); }
         let f = to_bdd(&e, &mut m);
         prop_assume!(!f.is_const());
-        let d = find_decomposition(&mut m, f, &SearchOptions::default());
+        let d = find_decomposition(&mut m, f);
         let back = recompose(&mut m, &d);
         prop_assert_eq!(back, f, "decomposition {:?} of {:?} is invalid", d, f);
     }
@@ -91,7 +91,7 @@ proptest! {
         let f = to_bdd(&e, &mut m);
         prop_assume!(!f.is_const());
         let fsize = m.size(f);
-        let d = find_decomposition(&mut m, f, &SearchOptions::default());
+        let d = find_decomposition(&mut m, f);
         if !matches!(d, Decomposition::Mux { .. }) {
             let (g, divisor) = d.parts();
             prop_assert!(m.size(g) < fsize, "residual must shrink");
@@ -104,7 +104,7 @@ proptest! {
         let mut m = Manager::new();
         for i in 0..NVARS { m.var(i); }
         let fx = to_bdd(&e, &mut m);
-        let (mp, kp) = xor_decompose_balanced(&mut m, fx, &SearchOptions::default());
+        let (mp, kp) = xor_decompose_balanced(&mut m, fx);
         let back = m.xor(mp, kp);
         prop_assert_eq!(back, fx, "M ⊕ K must equal Fx");
     }

@@ -126,11 +126,6 @@ pub fn partition_with_limits(
     config: PartitionConfig,
     limits: ResourceLimits,
 ) -> Partition {
-    // Pre-size the manager's unique table for the whole partition: local
-    // BDDs are built per supernode into one shared manager, and growing
-    // the table once up front beats rehash churn during every cone build.
-    // The estimate is deliberately generous — buckets are 4 bytes each.
-    manager.reserve_nodes((net.len() * 16).clamp(1 << 12, 1 << 20));
     let fanouts = net.fanout_counts();
     let mut is_output = vec![false; net.len()];
     for (_, s) in net.outputs() {

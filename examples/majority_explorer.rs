@@ -41,7 +41,7 @@ fn main() {
     // iteration limit of 5).
     let mut balanced = cand;
     let mut iter = 0;
-    while iter < config.max_iterations && balance_pass(&mut m, &mut balanced, &config) {
+    while iter < config.max_iterations && balance_pass(&mut m, &mut balanced) {
         iter += 1;
         println!(
             "(γ) balancing pass {iter}: sizes now {:?} (total {})",

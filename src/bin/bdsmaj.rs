@@ -25,7 +25,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 /// Exit code for a malformed command line (an unknown option, a missing
-/// or rejected value, a removed `--reorder` spelling).
+/// or rejected value, a repeated flag, a removed `--reorder` spelling).
 const EXIT_USAGE: u8 = 2;
 
 /// Exit code for runs that completed but under graceful degradation
@@ -33,8 +33,30 @@ const EXIT_USAGE: u8 = 2;
 /// 2 = usage error.
 const EXIT_DEGRADED: u8 = 3;
 
+/// The synthesis flow `--flow` selects.
+enum Flow {
+    BdsMaj,
+    BdsPga,
+    Abc,
+    Dc,
+}
+
+impl Flow {
+    fn parse(name: &str) -> Result<Flow, String> {
+        match name {
+            "bds-maj" => Ok(Flow::BdsMaj),
+            "bds-pga" => Ok(Flow::BdsPga),
+            "abc" => Ok(Flow::Abc),
+            "dc" => Ok(Flow::Dc),
+            other => Err(format!(
+                "unknown flow {other}; use bds-maj, bds-pga, abc or dc"
+            )),
+        }
+    }
+}
+
 struct Args {
-    flow: String,
+    flow: Flow,
     /// The engine's `reorder_window` (`--reorder none` sets 0).
     reorder_window: usize,
     jobs: usize,
@@ -54,7 +76,7 @@ exit codes: 0 ok, 1 failed, 2 usage error, 3 completed degraded (cones over budg
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        flow: "bds-maj".to_string(),
+        flow: Flow::BdsMaj,
         reorder_window: EngineOptions::default().reorder_window,
         jobs: 0,
         map: false,
@@ -64,11 +86,19 @@ fn parse_args() -> Result<Args, String> {
         budget: RowBudget::default(),
     };
     let mut jobs: Option<usize> = None;
+    let mut flow_seen = false;
     let mut reorder_seen = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--flow" => args.flow = it.next().ok_or("--flow needs a value")?,
+            "--flow" => {
+                if flow_seen {
+                    return Err("duplicate --flow flag".to_string());
+                }
+                flow_seen = true;
+                let v = it.next().ok_or("--flow needs a value")?;
+                args.flow = Flow::parse(&v)?;
+            }
             "--reorder" => {
                 if reorder_seen {
                     return Err("duplicate --reorder flag".to_string());
@@ -106,8 +136,18 @@ fn parse_args() -> Result<Args, String> {
                 args.budget.timeout = Some(bench::parse_timeout(&v)?);
             }
             "--map" => args.map = true,
-            "-o" | "--output" => args.output = Some(it.next().ok_or("-o needs a value")?),
-            "--bench" => args.bench = Some(it.next().ok_or("--bench needs a value")?),
+            "-o" | "--output" => {
+                if args.output.is_some() {
+                    return Err("duplicate -o flag".to_string());
+                }
+                args.output = Some(it.next().ok_or("-o needs a value")?);
+            }
+            "--bench" => {
+                if args.bench.is_some() {
+                    return Err("duplicate --bench flag".to_string());
+                }
+                args.bench = Some(it.next().ok_or("--bench needs a value")?);
+            }
             "-h" | "--help" => return Err(USAGE.to_string()),
             other if !other.starts_with('-') => args.inputs.push(other.to_string()),
             other => return Err(format!("unknown option {other}")),
@@ -157,25 +197,20 @@ fn synthesize(
     let mut report_text = String::new();
     let _ = writeln!(report_text, "input : {}", net.stats());
     let mut flow_report = None;
-    let optimized = match args.flow.as_str() {
-        "bds-maj" => {
+    let optimized = match args.flow {
+        Flow::BdsMaj => {
             let r = bds_maj(net, &maj_options);
             let net = r.network().clone();
             flow_report = Some(r.result.report);
             net
         }
-        "bds-pga" => {
+        Flow::BdsPga => {
             let r = bds_pga(net, &engine);
             flow_report = Some(r.report);
             r.network
         }
-        "abc" => abc_flow(net),
-        "dc" => dc_flow(net, lib).network,
-        other => {
-            return Err(format!(
-                "unknown flow {other}; use bds-maj, bds-pga, abc or dc"
-            ))
-        }
+        Flow::Abc => abc_flow(net),
+        Flow::Dc => dc_flow(net, lib).network,
     };
     let _ = writeln!(report_text, "output: {}", optimized.stats());
     let degraded = flow_report.as_ref().is_some_and(|r| r.is_degraded());
