@@ -136,6 +136,8 @@
 //!   candidates are scored from the window's boundary tables without
 //!   building a node ([`window_sizes`]); only a winning arrangement pays
 //!   the swap primitive.
+//! * [`install_order`] seats a whole given level order by adjacent
+//!   swaps, one per inversion between it and the current order.
 //! * Reordering runs only at explicit quiescent points, never inside a
 //!   kernel. [`Manager::swap_levels`] preserves every `Ref` but displaces
 //!   nodes into garbage, so a `maybe_collect` should follow a burst of
@@ -232,7 +234,7 @@ pub use gc::GcConfig;
 pub use hasher::{BuildFxHasher, FxHasher};
 pub use manager::{CacheStats, Manager, Node};
 pub use reference::{NodeId, Ref, Var};
-pub use reorder::{window_reorder, window_sizes};
+pub use reorder::{install_order, window_reorder, window_sizes};
 pub use session::{LimitExceeded, LimitKind, ResourceLimits, DEFAULT_CACHE_BITS};
 
 #[cfg(test)]

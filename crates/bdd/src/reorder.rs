@@ -259,10 +259,11 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// size a [`Manager::size_under`] rebuild would measure (debug builds
 /// assert the two agree). Only a winning arrangement pays the swap
 /// primitive, whose cost scales with the whole manager's population at
-/// the affected levels. On the converged orders typical of flows
-/// decomposing many same-shaped cones, almost every window is already
-/// optimal, so the global cost is paid exactly where the order actually
-/// changes, and the probes leave no garbage for the collector.
+/// the affected levels, and the probes leave no garbage for the
+/// collector. A flow that meets the same function under the same order
+/// again can skip this search and [`install_order`] the order it left
+/// the first time; the BDS engine replays such cones, so this search
+/// sees each (function, order) pair of a run once.
 ///
 /// The search runs in place: `f` keeps its `Ref` and its function, and
 /// the minimizing order is left installed in the manager — which also
@@ -342,6 +343,24 @@ fn renaming(n: usize, slice: &[u32], cand: &[u32]) -> Vec<u32> {
         perm[v as usize] = s;
     }
     perm
+}
+
+/// Installs the level order `level2var` (`level2var[l]` is the variable
+/// seated at level `l`) in place by adjacent [`Manager::swap_levels`]
+/// calls, as many as the two orders have inversions; installing the
+/// current order swaps nothing. Like every swap, it keeps each [`Ref`]'s
+/// function and may leave displaced nodes for the next collection.
+///
+/// # Panics
+///
+/// Panics if `level2var` is not a permutation of the manager's variables.
+pub fn install_order(m: &mut Manager, level2var: &[u32]) {
+    assert_eq!(
+        level2var.len(),
+        m.num_vars() as usize,
+        "install_order: the order must seat every variable"
+    );
+    restore_window(m, 0, level2var);
 }
 
 /// Bubbles the levels `[start, start + target.len())` into the variable

@@ -246,6 +246,50 @@ proptest! {
         prop_assert_eq!(e.to_bdd(&mut m), f);
         prop_assert_eq!(g.to_bdd(&mut m), h);
     }
+
+    #[test]
+    fn install_order_swaps_into_any_permutation(
+        e in arb_expr(),
+        g in arb_expr(),
+        walk in proptest::collection::vec(0..NVARS - 1, 0..12),
+        keys in proptest::collection::vec(any::<u64>(), NVARS as usize..NVARS as usize + 1),
+    ) {
+        // From an order a random swap walk left, install a random target
+        // order: one swap per inversion, the target seated, every
+        // protected function unchanged, and a second install of the same
+        // order swaps nothing.
+        let mut m = Manager::new();
+        for i in 0..NVARS { m.var(i); }
+        let f = e.to_bdd(&mut m);
+        let h = !g.to_bdd(&mut m);
+        m.protect(f);
+        m.protect(h);
+        let (tf, th) = (e.truth(), !g.truth() & mask());
+        for &l in &walk {
+            m.swap_levels(l);
+        }
+        let mut target: Vec<u32> = (0..NVARS).collect();
+        target.sort_by_key(|&v| keys[v as usize]);
+        let before = m.var2level().to_vec();
+        let t = &target;
+        let inversions = (0..t.len())
+            .flat_map(|a| (a + 1..t.len()).map(move |b| (t[a], t[b])))
+            .filter(|&(va, vb)| before[va as usize] > before[vb as usize])
+            .count();
+        let swaps = m.cache_stats().sift_swaps;
+        bdd::install_order(&mut m, &target);
+        prop_assert_eq!(m.cache_stats().sift_swaps - swaps, inversions as u64);
+        prop_assert_eq!(m.level2var(), &target[..]);
+        m.collect();
+        m.verify_arena();
+        prop_assert_eq!(bdd_truth(&m, f), tf, "the install changed f");
+        prop_assert_eq!(bdd_truth(&m, h), th, "the install changed h");
+        let swaps = m.cache_stats().sift_swaps;
+        bdd::install_order(&mut m, &target);
+        prop_assert_eq!(m.cache_stats().sift_swaps, swaps, "the order was in place");
+        m.release(f);
+        m.release(h);
+    }
 }
 
 /// The renaming under which [`Manager::size_under`] measures the order

@@ -27,9 +27,10 @@ pub struct BdsMajOptions {
 pub struct FlowResult {
     /// Decomposition outcome (network + runtime).
     pub result: DecomposeResult,
-    /// How many functions the majority hook decomposed.
+    /// Majority hook calls that returned a MAJ split
+    /// ([`MajDecomposer::accepted`]); cones the engine replays make none.
     pub maj_accepted: usize,
-    /// How many functions the majority hook evaluated and declined.
+    /// Majority hook calls that declined ([`MajDecomposer::rejected`]).
     pub maj_rejected: usize,
 }
 
@@ -87,7 +88,7 @@ pub fn bds_pga(net: &Network, options: &EngineOptions) -> DecomposeResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::{equiv_sim, GateKind, Network, SignalId};
+    use logic::{equiv_exact, equiv_sim, GateKind, Network, SignalId};
 
     fn majority_rich_network() -> Network {
         // A 4-bit ripple-carry adder written in AND/OR/XOR form (no MAJ
@@ -155,6 +156,48 @@ mod tests {
             n_with <= n_without,
             "BDS-MAJ ({n_with}) must not be larger than BDS-PGA ({n_without})"
         );
+    }
+
+    /// A ripple-carry adder of identical full-adder slices, sum and carry
+    /// in AND/OR/XOR form, carry-in a primary input.
+    fn ripple_carry_adder(bits: usize) -> Network {
+        let mut net = Network::new("rca");
+        let mut carry = net.add_input("cin");
+        for i in 0..bits {
+            let a = net.add_input(format!("a{i}"));
+            let b = net.add_input(format!("b{i}"));
+            let s = net.add_gate(GateKind::Xor, vec![a, b, carry]);
+            let ab = net.add_gate(GateKind::And, vec![a, b]);
+            let bc = net.add_gate(GateKind::And, vec![b, carry]);
+            let ac = net.add_gate(GateKind::And, vec![a, carry]);
+            let t = net.add_gate(GateKind::Or, vec![ab, bc]);
+            carry = net.add_gate(GateKind::Or, vec![t, ac]);
+            net.set_output(format!("s{i}"), s);
+        }
+        net.set_output("cout", carry);
+        net
+    }
+
+    /// Every slice of the adder has the sum and carry BDDs of the slice
+    /// before, and both are symmetric in their three inputs, so no
+    /// reorder moves the order: the first slice's two cones are
+    /// decomposed, and the other seven slices' 14 cones are replayed.
+    #[test]
+    fn identical_adder_slices_are_replayed() {
+        let net = ripple_carry_adder(8);
+        let maj = bds_maj(&net, &BdsMajOptions::default());
+        let pga = bds_pga(&net, &EngineOptions::default());
+        for (flow, out, report) in [
+            ("BDS-MAJ", maj.network(), maj.report()),
+            ("BDS-PGA", &pga.network, &pga.report),
+        ] {
+            assert_eq!(equiv_exact(&net, out, 1 << 16), Some(true), "{flow}");
+            assert_eq!(
+                (report.cones.len(), report.replayed_count()),
+                (16, 14),
+                "{flow}: cones and replayed cones"
+            );
+        }
     }
 
     #[test]

@@ -218,15 +218,19 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
 ///
 /// It keeps no state between calls beyond its counters: the answer for
 /// `f` depends on `f`'s BDD under the current variable order alone, so
-/// it cannot depend on when the manager last collected. Within one
-/// decomposition of a cone a repeated function never reaches the hook:
-/// the engine's per-cone emitter memo answers it first.
+/// it cannot depend on when the manager last collected, and the engine
+/// may replay an earlier answer instead of asking (see
+/// [`decomp::MajorityHook`]). Within one decomposition of a cone a
+/// repeated function never reaches the hook: the engine's per-cone
+/// emitter memo answers it first.
 #[derive(Debug, Default)]
 pub struct MajDecomposer {
     config: MajConfig,
-    /// Number of functions successfully decomposed through MAJ.
+    /// Hook calls that returned a MAJ split. A cone the engine replays
+    /// makes none; debug builds also count the calls of the engine's
+    /// replay check.
     pub accepted: usize,
-    /// Number of functions where MAJ was evaluated and rejected.
+    /// Hook calls that declined, counted like `accepted`.
     pub rejected: usize,
 }
 

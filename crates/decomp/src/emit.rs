@@ -7,6 +7,10 @@
 //! per-supernode map from BDD [`Ref`]s to emitted signals, and a global
 //! structural-hash table so identical gates are reused across factoring
 //! trees.
+//!
+//! Each supernode's emitter calls are also recorded as [`Step`]s over
+//! cut-input positions, so the engine can replay them for a later
+//! supernode with the same BDD under the same order.
 
 use bdd::{BuildFxHasher, Manager, Ref};
 use logic::{strash_key, GateKind, Network, SignalId};
@@ -172,79 +176,157 @@ impl Emitter {
     }
 }
 
-/// Builds network signals for BDD functions of one supernode.
-///
-/// `var_signals[i]` is the network signal of BDD variable `i`. A map from
-/// (possibly complemented) references to signals provides the
-/// canonicity-based sharing inside the factoring tree.
-#[derive(Debug)]
-pub struct FunctionEmitter {
-    var_signals: Vec<SignalId>,
-    memo: HashMap<Ref, SignalId, BuildFxHasher>,
+/// A signal of one cone's decomposition, named so that another cone can
+/// replay it: a cut input by position, or the result of an earlier
+/// [`Step`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Operand {
+    Input(u32),
+    Step(u32),
 }
 
-impl FunctionEmitter {
+/// One [`Emitter`] call of a cone's decomposition, over [`Operand`]s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    And(Operand, Operand),
+    Or(Operand, Operand),
+    Xnor(Operand, Operand),
+    Maj(Operand, Operand, Operand),
+    Invert(Operand),
+    Const(bool),
+}
+
+/// The signal `op` names, given the cone's cut signals and the signals
+/// of the steps made so far.
+fn resolve(op: Operand, inputs: &[SignalId], done: &[SignalId]) -> SignalId {
+    match op {
+        Operand::Input(i) => inputs[i as usize],
+        Operand::Step(i) => done[i as usize],
+    }
+}
+
+impl Step {
+    /// Makes this step's emitter call; `done` holds the signals of the
+    /// steps before it.
+    fn emit(
+        self,
+        emitter: &mut Emitter,
+        net: &mut Network,
+        inputs: &[SignalId],
+        done: &[SignalId],
+    ) -> SignalId {
+        let sig = |op| resolve(op, inputs, done);
+        match self {
+            Step::And(a, b) => emitter.gate(net, GateKind::And, vec![sig(a), sig(b)]),
+            Step::Or(a, b) => emitter.gate(net, GateKind::Or, vec![sig(a), sig(b)]),
+            Step::Xnor(a, b) => emitter.gate(net, GateKind::Xnor, vec![sig(a), sig(b)]),
+            Step::Maj(a, b, c) => emitter.gate(net, GateKind::Maj, vec![sig(a), sig(b), sig(c)]),
+            Step::Invert(a) => emitter.invert(net, sig(a)),
+            Step::Const(value) => emitter.constant(net, value),
+        }
+    }
+}
+
+/// Makes the recorded `steps` through `emitter` for a cone whose cut
+/// signals are `inputs`, and returns the signal `result` names. The
+/// emitter sees the calls the recording cone made, with this cone's
+/// signals in them.
+pub(crate) fn replay(
+    steps: &[Step],
+    result: Operand,
+    emitter: &mut Emitter,
+    net: &mut Network,
+    inputs: &[SignalId],
+) -> SignalId {
+    let mut done = Vec::with_capacity(steps.len());
+    for &step in steps {
+        let s = step.emit(emitter, net, inputs, &done);
+        done.push(s);
+    }
+    resolve(result, inputs, &done)
+}
+
+/// Builds network signals for BDD functions of one supernode, and records
+/// every emitter call it makes as a [`Step`] so that a later cone with the
+/// same BDD and order can [`replay`] them.
+///
+/// `inputs[i]` is the network signal of BDD variable `i`. A map from
+/// (possibly complemented) references to operands provides the
+/// canonicity-based sharing inside the factoring tree.
+#[derive(Debug)]
+pub(crate) struct FunctionEmitter<'a> {
+    inputs: &'a [SignalId],
+    /// The emitter calls made so far, and the signal each returned.
+    steps: Vec<Step>,
+    signals: Vec<SignalId>,
+    memo: HashMap<Ref, Operand, BuildFxHasher>,
+}
+
+impl<'a> FunctionEmitter<'a> {
     /// Creates an emitter for a supernode whose BDD variable `i` is driven
-    /// by `var_signals[i]`.
-    pub fn new(var_signals: Vec<SignalId>) -> FunctionEmitter {
+    /// by `inputs[i]`.
+    pub(crate) fn new(inputs: &'a [SignalId]) -> FunctionEmitter<'a> {
         FunctionEmitter {
-            var_signals,
+            inputs,
+            steps: Vec::new(),
+            signals: Vec::new(),
             memo: HashMap::default(),
         }
     }
 
-    /// Signal driving BDD variable `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is not mapped.
-    pub fn var_signal(&self, index: u32) -> SignalId {
-        self.var_signals[index as usize]
+    /// The signal `op` names.
+    pub(crate) fn signal(&self, op: Operand) -> SignalId {
+        resolve(op, self.inputs, &self.signals)
     }
 
-    /// Looks up a memoized emission.
-    pub fn get(&self, f: Ref) -> Option<SignalId> {
-        self.memo.get(&f).copied()
+    /// Consumes the emitter, returning the emitter calls it made.
+    pub(crate) fn into_steps(self) -> Vec<Step> {
+        self.steps
     }
 
-    /// Records the signal implementing `f` (and its complement's inverter
-    /// when already present).
-    pub fn insert(&mut self, f: Ref, s: SignalId) {
-        self.memo.insert(f, s);
+    /// Makes `step`'s emitter call and records it.
+    pub(crate) fn emit(&mut self, emitter: &mut Emitter, net: &mut Network, step: Step) -> Operand {
+        let s = step.emit(emitter, net, self.inputs, &self.signals);
+        self.steps.push(step);
+        self.signals.push(s);
+        Operand::Step(self.steps.len() as u32 - 1)
+    }
+
+    /// Records the operand implementing `f`.
+    pub(crate) fn insert(&mut self, f: Ref, op: Operand) {
+        self.memo.insert(f, op);
     }
 
     /// Emits (or reuses) the literal / constant base cases; returns `None`
     /// for functions that need real decomposition.
-    pub fn emit_base(
+    pub(crate) fn emit_base(
         &mut self,
         m: &Manager,
         emitter: &mut Emitter,
         net: &mut Network,
         f: Ref,
-    ) -> Option<SignalId> {
-        if let Some(s) = self.get(f) {
-            return Some(s);
+    ) -> Option<Operand> {
+        if let Some(&op) = self.memo.get(&f) {
+            return Some(op);
         }
-        if f.is_const() {
-            let s = emitter.constant(net, f.is_one());
-            self.insert(f, s);
-            return Some(s);
-        }
-        let node = m.node(f.node());
-        if node.low.is_const() && node.high.is_const() {
+        let op = if f.is_const() {
+            self.emit(emitter, net, Step::Const(f.is_one()))
+        } else {
+            let node = m.node(f.node());
+            if !(node.low.is_const() && node.high.is_const()) {
+                return None;
+            }
             // A single node over one variable: the literal v or !v.
             let var = m.top_var(f).expect("non-constant");
-            let base = self.var_signal(var.0);
-            let positive = m.eval_literal(f);
-            let s = if positive {
+            let base = Operand::Input(var.0);
+            if m.eval_literal(f) {
                 base
             } else {
-                emitter.invert(net, base)
-            };
-            self.insert(f, s);
-            return Some(s);
-        }
-        None
+                self.emit(emitter, net, Step::Invert(base))
+            }
+        };
+        self.insert(f, op);
+        Some(op)
     }
 }
 
@@ -313,14 +395,21 @@ mod tests {
         let f = m.var(0);
         let mut net = Network::new("t");
         let a = net.add_input("a");
+        let b = net.add_input("b");
         let mut e = Emitter::new();
-        let mut fe = FunctionEmitter::new(vec![a]);
+        let inputs = [a];
+        let mut fe = FunctionEmitter::new(&inputs);
         let s = fe.emit_base(&m, &mut e, &mut net, f).expect("literal");
-        assert_eq!(s, a);
+        assert_eq!(fe.signal(s), a);
         let ns = fe.emit_base(&m, &mut e, &mut net, !f).expect("neg literal");
-        assert!(matches!(net.node(ns).kind, GateKind::Inv));
+        assert!(matches!(net.node(fe.signal(ns)).kind, GateKind::Inv));
         // Memoized on second ask.
         assert_eq!(fe.emit_base(&m, &mut e, &mut net, !f), Some(ns));
+        // One call was made; replayed over `b`, it inverts `b`.
+        let steps = fe.into_steps();
+        assert_eq!(steps, [Step::Invert(Operand::Input(0))]);
+        let nb = replay(&steps, ns, &mut e, &mut net, &[b]);
+        assert_eq!(net.node(nb).fanins, [b]);
     }
 
     #[test]

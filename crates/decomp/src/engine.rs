@@ -9,15 +9,20 @@
 //! dominator nodes search").
 
 use crate::dominators::{try_find_decomposition, Decomposition};
-use crate::emit::{Emitter, FunctionEmitter};
-use bdd::{LimitExceeded, Manager, Ref, ResourceLimits};
-use logic::{partition_with_limits, GateKind, Network, PartitionConfig, SignalId};
+use crate::emit::{replay, Emitter, FunctionEmitter, Operand, Step};
+use bdd::{BuildFxHasher, LimitExceeded, Manager, Ref, ResourceLimits};
+use logic::{partition_with_limits, Network, PartitionConfig, SignalId};
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// Pluggable majority decomposition: given `f`, return `[Fa, Fb, Fc]` with
 /// `f = Maj(Fa, Fb, Fc)`, or `None` to let the standard dominator search
 /// proceed.
+///
+/// The answer for `f` must depend only on `f`'s BDD under the manager's
+/// current variable order. The engine relies on this: a cone whose BDD
+/// and entry order it has already decomposed in this run is replayed
+/// from that first decomposition, and the hook is not asked again.
 pub trait MajorityHook {
     /// Attempts a majority decomposition of `f`.
     fn try_majority(&mut self, m: &mut Manager, f: Ref) -> Option<[Ref; 3]>;
@@ -59,8 +64,10 @@ pub struct EngineOptions {
     /// default) runs unbudgeted. A cone whose decomposition blows the
     /// budget is retried once after a collection, with the step counter
     /// reset; if the retry aborts too, the cone degrades gracefully: its
-    /// original gates are copied un-decomposed. The outcome lands in
-    /// [`FlowReport`].
+    /// original gates are copied un-decomposed. A replayed cone runs no
+    /// kernel under the budget: it ticks no step, builds no node beyond
+    /// its order install's level swaps, and cannot degrade. The outcome
+    /// lands in [`FlowReport`].
     pub limits: ResourceLimits,
 }
 
@@ -83,6 +90,10 @@ pub enum ConeStatus {
     Ok,
     /// The first attempt blew the budget; a collect and retry succeeded.
     RetriedOk,
+    /// An earlier cone of the run had the same BDD under the same order
+    /// and decomposed on its first attempt; its emitter calls were
+    /// replayed with this cone's inputs, and its exit order installed.
+    Replayed,
     /// Budget exceeded: the cone's original gates were copied verbatim
     /// (functionally correct, just not decomposed).
     Degraded,
@@ -98,7 +109,8 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Cones decomposed within budget (first try or after retry).
+    /// Cones decomposed within budget (first try, after retry, or
+    /// replayed).
     pub fn ok_count(&self) -> usize {
         self.cones
             .iter()
@@ -111,6 +123,14 @@ impl FlowReport {
         self.cones
             .iter()
             .filter(|(_, s)| *s == ConeStatus::RetriedOk)
+            .count()
+    }
+
+    /// Cones replayed from an earlier cone's decomposition.
+    pub fn replayed_count(&self) -> usize {
+        self.cones
+            .iter()
+            .filter(|(_, s)| *s == ConeStatus::Replayed)
             .count()
     }
 
@@ -135,7 +155,7 @@ pub struct DecomposeResult {
     pub network: Network,
     /// Wall-clock runtime of the decomposition (excluding parsing etc.).
     pub runtime: std::time::Duration,
-    /// Per-cone budget outcomes (all `Ok` when running unbudgeted).
+    /// Per-cone outcomes (`Ok` or `Replayed` when running unbudgeted).
     pub report: FlowReport,
 }
 
@@ -146,6 +166,19 @@ pub struct DecomposeResult {
 /// inputs/outputs, built from two-input AND/OR/XNOR gates, MAJ-3 and
 /// inverters, with sharing across factoring trees (a degraded cone keeps
 /// its original gates).
+///
+/// A cone's emitted logic is a function of its supernode BDD, of the level
+/// order on entry and of whether the cone is reordered: every decision
+/// reads only the BDD under the current order, and the recursion never
+/// branches on an emitted signal. So the first cone with a given key that
+/// decomposes on its first attempt is recorded as a template (its emitter
+/// calls over cut-input positions, and the order it leaves installed),
+/// and every later cone with that key installs the order and replays the
+/// calls with its own inputs. The emitter sees exactly the calls a fresh
+/// decomposition would make, so the output is the same, without the
+/// reorder, the hook or the dominator search. Debug builds decompose
+/// every replayed cone afresh as well and assert that it makes the
+/// template's calls.
 ///
 /// Memory-wise the flow is bounded: the partition protects each supernode
 /// function as a collection root, the engine releases it once the
@@ -174,6 +207,8 @@ pub fn decompose_network(
     let mut emitter = Emitter::new();
     let mut report = FlowReport::default();
     let mut signal_map: HashMap<SignalId, SignalId> = HashMap::new();
+    // Local to the call: `Ref`s mean nothing outside this manager.
+    let mut templates: HashMap<ConeKey, Template, BuildFxHasher> = HashMap::default();
     for &pi in net.inputs() {
         let new = out.add_input(net.signal_name(pi));
         signal_map.insert(pi, new);
@@ -193,75 +228,103 @@ pub fn decompose_network(
         // Per-supernode reordering pass (BDS §IV-B). Reordering is in
         // place on the shared level maps: the cone's `Ref` and its
         // variable-to-signal binding are untouched, only node counts move.
+        // The decision also reads the cut width, which the `Ref` does not
+        // determine, so it is part of the key.
         let cone_size = manager.size(function);
-        if options.reorder_window >= 2
+        let reorder = options.reorder_window >= 2
             && var_signals.len() >= 3
             && cone_size >= options.reorder_min_size
-            && cone_size <= options.reorder_size_limit
-        {
-            bdd::window_reorder(&mut manager, function, options.reorder_window, 4);
-        }
-        // The function under decomposition is the iteration's root;
-        // everything the recursion creates below it is transient and
-        // reclaimable once the supernode is emitted.
-        manager.protect(function);
-        // At most two attempts. An aborted first attempt is collected
-        // (its garbage counts against the live-node ceiling) and retried
-        // under the same order with a fresh step count. Memoized results
-        // naming live nodes survive the collection. Any gates the first
-        // attempt emitted stay valid (the emitter's strash may even reuse
-        // them); unreachable ones are dropped by the final clean.
-        let mut retried = false;
-        let attempt = loop {
-            if governed {
-                manager.set_limits(options.limits); // fresh step budget
-            }
-            let mut fe = FunctionEmitter::new(var_signals.clone());
-            let r = try_decompose_function(
+            && cone_size <= options.reorder_size_limit;
+        // The partition built every supernode before the first cone and
+        // protects each until its turn, so an earlier key holding this
+        // `Ref` was made for this very function; no collection can have
+        // recycled the slot in between.
+        let key = (function, reorder, manager.level2var().to_vec());
+        let status = if let Some(t) = templates.get(&key) {
+            #[cfg(debug_assertions)]
+            check_template(
                 &mut manager,
                 function,
-                &mut fe,
-                &mut emitter,
-                &mut out,
+                reorder,
+                var_signals.len(),
+                t,
                 options,
                 hook,
-                0,
             );
-            // fe's Ref-keyed memo must not outlive a collection.
-            drop(fe);
-            if r.is_ok() || retried {
-                break r;
+            bdd::install_order(&mut manager, &t.exit_order);
+            debug_assert_eq!(manager.level2var(), &t.exit_order[..]);
+            let sig = replay(&t.steps, t.result, &mut emitter, &mut out, &var_signals);
+            signal_map.insert(sn.root, sig);
+            ConeStatus::Replayed
+        } else {
+            if reorder {
+                bdd::window_reorder(&mut manager, function, options.reorder_window, SWEEPS);
             }
-            manager.collect();
-            retried = true;
-        };
-        if governed {
-            manager.clear_limits();
-        }
-        let status = match attempt {
-            Ok(sig) => {
-                signal_map.insert(sn.root, sig);
-                if retried {
-                    ConeStatus::RetriedOk
-                } else {
-                    ConeStatus::Ok
+            // At most two attempts. An aborted first attempt is collected
+            // (its garbage counts against the live-node ceiling) and
+            // retried under the same order with a fresh step count; the
+            // partition's claim keeps `function` alive through the
+            // collection. Memoized results naming live nodes survive it.
+            // Any gates the first attempt emitted stay valid (the
+            // emitter's strash may even reuse them); unreachable ones are
+            // dropped by the final clean.
+            let mut retried = false;
+            let attempt = loop {
+                if governed {
+                    manager.set_limits(options.limits); // fresh step budget
                 }
-            }
-            Err(_) => {
-                // Graceful degradation: reclaim the aborted garbage and
-                // copy the original cone's gates through un-decomposed.
+                let mut fe = FunctionEmitter::new(&var_signals);
+                let r = try_decompose_function(
+                    &mut manager,
+                    function,
+                    &mut fe,
+                    &mut emitter,
+                    &mut out,
+                    options,
+                    hook,
+                    0,
+                );
+                match r {
+                    Ok(root) => break Some((fe, root)),
+                    Err(_) if retried => break None,
+                    // fe's Ref-keyed memo must not outlive a collection.
+                    Err(_) => drop(fe),
+                }
                 manager.collect();
-                copy_original_cone(net, &mut out, &mut signal_map, sn.root);
-                ConeStatus::Degraded
+                retried = true;
+            };
+            if governed {
+                manager.clear_limits();
+            }
+            match attempt {
+                Some((fe, root)) => {
+                    signal_map.insert(sn.root, fe.signal(root));
+                    if retried {
+                        ConeStatus::RetriedOk
+                    } else {
+                        let template = Template {
+                            steps: fe.into_steps(),
+                            result: root,
+                            exit_order: manager.level2var().to_vec(),
+                        };
+                        templates.insert(key, template);
+                        ConeStatus::Ok
+                    }
+                }
+                None => {
+                    // Graceful degradation: reclaim the aborted garbage
+                    // and copy the original cone's gates through
+                    // un-decomposed.
+                    manager.collect();
+                    copy_original_cone(net, &mut out, &mut signal_map, sn.root);
+                    ConeStatus::Degraded
+                }
             }
         };
         report.cones.push((net.signal_name(sn.root), status));
-        manager.release(function); // the engine's claim from above
-                                   // `function` is `sn.function`, so both calls release the same
-                                   // `Ref`: first the engine's claim, then the partition's. The
-                                   // partition is done with it too: this supernode's gates are
-                                   // emitted, and later supernodes reference *signals*, not Refs.
-        manager.release(sn.function);
+        // Drop the partition's claim: this supernode's gates are emitted,
+        // and later supernodes reference *signals*, not `Ref`s.
+        manager.release(function);
         // Quiescent point: every live function is a protected root, so
         // let the collector recycle decomposition garbage plus whatever
         // nodes the reordering displaced.
@@ -276,6 +339,65 @@ pub fn decompose_network(
         runtime: start.elapsed(),
         report,
     }
+}
+
+/// Sweep bound of the per-cone [`bdd::window_reorder`].
+const SWEEPS: usize = 4;
+
+/// A cone's replay key: its supernode BDD, whether the engine reorders
+/// it, and the level order on entry.
+type ConeKey = (Ref, bool, Vec<u32>);
+
+/// The first decomposition of a [`ConeKey`]: the emitter calls it made,
+/// the operand implementing the cone, and the level order it left
+/// installed.
+struct Template {
+    steps: Vec<Step>,
+    result: Operand,
+    exit_order: Vec<u32>,
+}
+
+/// The debug-build oracle for a replay: decomposes the cone afresh exactly
+/// as a miss does, reorder included and budget suspended, into a throwaway
+/// network whose inputs stand in for the cut; asserts that it makes the
+/// template's calls and leaves the template's order; then reinstalls the
+/// entry order for the replay.
+#[cfg(debug_assertions)]
+fn check_template(
+    m: &mut Manager,
+    f: Ref,
+    reorder: bool,
+    width: usize,
+    t: &Template,
+    options: &EngineOptions,
+    hook: &mut dyn MajorityHook,
+) {
+    let entry = m.level2var().to_vec();
+    let mut net = Network::new("replay oracle");
+    let cut: Vec<SignalId> = (0..width).map(|i| net.add_input(format!("x{i}"))).collect();
+    if reorder {
+        bdd::window_reorder(m, f, options.reorder_window, SWEEPS);
+    }
+    let mut fe = FunctionEmitter::new(&cut);
+    let root = m.ungoverned(|m| {
+        try_decompose_function(
+            m,
+            f,
+            &mut fe,
+            &mut Emitter::new(),
+            &mut net,
+            options,
+            hook,
+            0,
+        )
+    });
+    let steps = fe.into_steps();
+    assert_eq!(
+        (&steps, root, m.level2var()),
+        (&t.steps, t.result, &t.exit_order[..]),
+        "a replay must make the calls a fresh decomposition makes"
+    );
+    bdd::install_order(m, &entry);
 }
 
 /// The graceful-degradation fallback: copies the original network's gates
@@ -316,8 +438,8 @@ fn copy_original_cone(
 /// is only a defensive bound.
 const MAX_DEPTH: usize = 512;
 
-/// Recursively decomposes `f` and emits its gates; returns the signal
-/// implementing `f`, or aborts with [`LimitExceeded`] when the manager's
+/// Recursively decomposes `f` and emits its gates through `fe`; returns the
+/// operand implementing `f`, or aborts with [`LimitExceeded`] when the manager's
 /// installed [`ResourceLimits`] are crossed. Gates already emitted for
 /// finished subfunctions stay in `net` (they are valid, possibly shared
 /// logic); if the whole cone is then abandoned, the caller's final
@@ -326,13 +448,13 @@ const MAX_DEPTH: usize = 512;
 fn try_decompose_function(
     m: &mut Manager,
     f: Ref,
-    fe: &mut FunctionEmitter,
+    fe: &mut FunctionEmitter<'_>,
     emitter: &mut Emitter,
     net: &mut Network,
     options: &EngineOptions,
     hook: &mut dyn MajorityHook,
     depth: usize,
-) -> Result<SignalId, LimitExceeded> {
+) -> Result<Operand, LimitExceeded> {
     if let Some(s) = fe.emit_base(m, emitter, net, f) {
         return Ok(s);
     }
@@ -347,7 +469,7 @@ fn try_decompose_function(
         let sa = try_decompose_function(m, fa, fe, emitter, net, options, hook, depth + 1)?;
         let sb = try_decompose_function(m, fb, fe, emitter, net, options, hook, depth + 1)?;
         let sc = try_decompose_function(m, fc, fe, emitter, net, options, hook, depth + 1)?;
-        let s = emitter.gate(net, GateKind::Maj, vec![sa, sb, sc]);
+        let s = fe.emit(emitter, net, Step::Maj(sa, sb, sc));
         fe.insert(f, s);
         return Ok(s);
     }
@@ -361,39 +483,39 @@ fn try_emit_step(
     m: &mut Manager,
     f: Ref,
     d: Decomposition,
-    fe: &mut FunctionEmitter,
+    fe: &mut FunctionEmitter<'_>,
     emitter: &mut Emitter,
     net: &mut Network,
     options: &EngineOptions,
     hook: &mut dyn MajorityHook,
     depth: usize,
-) -> Result<SignalId, LimitExceeded> {
+) -> Result<Operand, LimitExceeded> {
     let s = match d {
         Decomposition::And { g, d } => {
             let sg = try_decompose_function(m, g, fe, emitter, net, options, hook, depth + 1)?;
             let sd = try_decompose_function(m, d, fe, emitter, net, options, hook, depth + 1)?;
-            emitter.gate(net, GateKind::And, vec![sg, sd])
+            fe.emit(emitter, net, Step::And(sg, sd))
         }
         Decomposition::Or { g, d } => {
             let sg = try_decompose_function(m, g, fe, emitter, net, options, hook, depth + 1)?;
             let sd = try_decompose_function(m, d, fe, emitter, net, options, hook, depth + 1)?;
-            emitter.gate(net, GateKind::Or, vec![sg, sd])
+            fe.emit(emitter, net, Step::Or(sg, sd))
         }
         Decomposition::Xnor { g, d } => {
             let sg = try_decompose_function(m, g, fe, emitter, net, options, hook, depth + 1)?;
             let sd = try_decompose_function(m, d, fe, emitter, net, options, hook, depth + 1)?;
-            emitter.gate(net, GateKind::Xnor, vec![sg, sd])
+            fe.emit(emitter, net, Step::Xnor(sg, sd))
         }
         Decomposition::Mux { var, hi, lo } => {
-            let sv = fe.var_signal(var.0);
+            let sv = Operand::Input(var.0);
             let sh = try_decompose_function(m, hi, fe, emitter, net, options, hook, depth + 1)?;
             let sl = try_decompose_function(m, lo, fe, emitter, net, options, hook, depth + 1)?;
             // The paper's node accounting has no MUX column (BDS reports
             // muxes as AND/OR logic), so the fallback emits AND/OR/INV.
-            let t1 = emitter.gate(net, GateKind::And, vec![sv, sh]);
-            let nv = emitter.invert(net, sv);
-            let t2 = emitter.gate(net, GateKind::And, vec![nv, sl]);
-            emitter.gate(net, GateKind::Or, vec![t1, t2])
+            let t1 = fe.emit(emitter, net, Step::And(sv, sh));
+            let nv = fe.emit(emitter, net, Step::Invert(sv));
+            let t2 = fe.emit(emitter, net, Step::And(nv, sl));
+            fe.emit(emitter, net, Step::Or(t1, t2))
         }
     };
     fe.insert(f, s);
@@ -403,7 +525,7 @@ fn try_emit_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::equiv_sim;
+    use logic::{equiv_sim, GateKind};
 
     fn small_mixed_network() -> Network {
         let mut net = Network::new("mixed");

@@ -7,6 +7,7 @@
 //! MUX expansion, factoring-tree sharing, AIG conversion and mapping on
 //! thousands of irregular circuits.
 
+use bds_maj::bdd::ResourceLimits;
 use bds_maj::prelude::*;
 use proptest::prelude::*;
 
@@ -39,8 +40,15 @@ fn arb_recipe() -> impl Strategy<Value = GateRecipe> {
 /// Materializes a recipe list into a well-formed network.
 fn build_network(num_inputs: usize, recipes: &[GateRecipe]) -> Network {
     let mut net = Network::new("random");
+    add_block(&mut net, "", num_inputs, recipes);
+    net
+}
+
+/// Adds one block of `recipes` over `num_inputs` fresh inputs to `net`,
+/// with input and output names starting with `prefix`.
+fn add_block(net: &mut Network, prefix: &str, num_inputs: usize, recipes: &[GateRecipe]) {
     let mut pool: Vec<SignalId> = (0..num_inputs)
-        .map(|i| net.add_input(format!("i{i}")))
+        .map(|i| net.add_input(format!("{prefix}i{i}")))
         .collect();
     for recipe in recipes {
         let pick = |idx: &usize| pool[idx % pool.len()];
@@ -62,9 +70,14 @@ fn build_network(num_inputs: usize, recipes: &[GateRecipe]) -> Network {
     // Outputs: the last few signals (deepest logic).
     let n = pool.len();
     for (o, &s) in pool[n.saturating_sub(4)..].iter().enumerate() {
-        net.set_output(format!("o{o}"), s);
+        net.set_output(format!("{prefix}o{o}"), s);
     }
-    net
+}
+
+/// Equivalence by a global BDD where one fits under the cap, else by
+/// random simulation.
+fn equivalent(a: &Network, b: &Network) -> bool {
+    equiv_exact(a, b, 1 << 16).unwrap_or_else(|| equiv_sim(a, b, 4, 0x711E).is_ok())
 }
 
 proptest! {
@@ -129,6 +142,35 @@ proptest! {
         let text = write_blif(&net);
         let reparsed = parse_blif(&text).expect("generated BLIF parses");
         prop_assert!(equiv_sim(&net, &reparsed, 4, 0xB11F).is_ok());
+    }
+
+    /// Identical blocks over disjoint inputs give identical supernode
+    /// BDDs, which the engine replays wherever a block meets an order it
+    /// already decomposed (debug builds decompose every replayed cone
+    /// afresh too and compare). Not every tile replays: a slice whose
+    /// reorder moves the order makes the next slice a miss.
+    #[test]
+    fn tiled_blocks_stay_equivalent_when_replayed(
+        recipes in proptest::collection::vec(arb_recipe(), 5..40),
+        num_inputs in 3usize..7,
+        tiles in 2usize..5,
+    ) {
+        let mut net = Network::new("tiled");
+        for t in 0..tiles {
+            add_block(&mut net, &format!("t{t}_"), num_inputs, &recipes);
+        }
+        let small = ResourceLimits {
+            max_steps: Some(200),
+            ..ResourceLimits::default()
+        };
+        for limits in [ResourceLimits::default(), small] {
+            let engine = EngineOptions { limits, ..EngineOptions::default() };
+            let options = BdsMajOptions { engine: engine.clone(), ..BdsMajOptions::default() };
+            let maj = bds_maj(&net, &options);
+            prop_assert!(equivalent(&net, maj.network()), "BDS-MAJ changed the function");
+            let pga = bds_pga(&net, &engine);
+            prop_assert!(equivalent(&net, &pga.network), "BDS-PGA changed the function");
+        }
     }
 
     #[test]
