@@ -2,10 +2,10 @@
 //! per-node connectivity statistics and structural x-dominators used by
 //! dominator-driven decomposition.
 //!
-//! All traversals here start from caller-supplied roots and never touch
-//! reclaimed arena slots; a [`NodeStats`] snapshot, like any other
-//! `Ref`/`NodeId` collection, is invalidated by a garbage collection, so
-//! hold one only between two quiescent points. Everything is
+//! All traversals here start from caller-supplied roots; a [`NodeStats`]
+//! snapshot, like any other `Ref`/`NodeId` collection, is invalidated by
+//! [`Manager::clear`] and describes the DAG only until the next level
+//! swap. Everything is
 //! order-agnostic: evaluation and support index by variable *identity*,
 //! not by level, so results are unchanged by reordering (level swaps
 //! preserve each `Ref`'s function, though `size` may of course change —

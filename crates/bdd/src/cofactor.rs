@@ -20,23 +20,19 @@
 //! (tags `op::COFACTOR`, `op::RESTRICT`, `op::REPLACE`)
 //! instead of allocating a fresh `HashMap` per call: results persist across
 //! calls, repeated cofactors of the same function hit immediately, and a
-//! lossy collision merely costs a re-computation. Garbage collection never
-//! runs inside these recursions (it would sweep the unprotected
-//! intermediates); when the manager does collect, it scrubs every cache
-//! entry naming a reclaimed slot, so no entry here can outlive the nodes
-//! it names. Like every kernel, these recursions create nodes only
-//! through [`Manager::mk`].
+//! lossy collision merely costs a re-computation. [`Manager::clear`]
+//! empties the cache together with the arena, so no entry here can
+//! outlive the nodes it names. Like every kernel, these recursions create
+//! nodes only through [`Manager::mk`].
 //!
 //! Node-to-constant substitution ([`Manager::replace_node_with_const`],
 //! the probe behind every functional dominator test) rebuilds only the
 //! *ancestors* of the target: an edge whose level is at or below the
 //! target's level cannot reach it (children sit strictly deeper), so it
 //! is returned as is, without a step or a probe. The rebuild is memoized
-//! under the keyed op `(node, target << 1, value)` in the cache's
+//! under the keyed op `(node, target, value)` in the cache's
 //! order-sensitive generation — a level swap changes which nodes reach
-//! the target, so swaps retire it together with restrict — and
-//! the `target << 1` word lets the collector's scrub drop every entry for
-//! a reclaimed target before its slot can be reused. Repeated dominator
+//! the target, so swaps retire it together with restrict. Repeated dominator
 //! tests on one function share the memo: the BDS dominator search and the
 //! m-dominator scan (both through `classify_dominator`) substitute both
 //! constants for every candidate node of `f`. The balanced XOR split
@@ -128,7 +124,7 @@ impl Manager {
     /// The ancestor-only rebuild behind node-to-constant substitution:
     /// rebuilds the part of `f` above `target` (at `target_level`) with
     /// the target replaced by the constant `value`, memoized under the
-    /// keyed op `(node, target << 1, value)`.
+    /// keyed op `(node, target, value)`.
     fn replace_rec(
         &mut self,
         f: Ref,
@@ -146,7 +142,7 @@ impl Manager {
             return Ok(f);
         }
         self.tick()?;
-        let key_b = target.0 << 1;
+        let key_b = target.0;
         let key_c = value as u32;
         if let Some(r) = self
             .cache
@@ -200,8 +196,7 @@ impl Manager {
     /// memoized per `(node, target, value)` in the order-sensitive cache
     /// generation, so the second dominator test of the same `(f, target)`
     /// pair — or of any function sharing `f`'s upper nodes — is a probe,
-    /// until a level swap or a collection that reclaims `target` retires
-    /// the entries.
+    /// until a level swap or a [`Manager::clear`] retires the entries.
     pub fn replace_node_with_const(&mut self, f: Ref, target: NodeId, value: bool) -> Ref {
         self.ungoverned(|m| m.try_replace_node_with_const(f, target, value))
     }
@@ -215,7 +210,7 @@ impl Manager {
     ) -> Result<Ref, LimitExceeded> {
         // A target outside the arena gets no pruning (the rebuild then
         // returns `f` itself, as for any node `f` does not reach).
-        let target_level = if target.index() < self.num_nodes() {
+        let target_level = if target.index() < self.live_nodes() {
             self.level(self.function_of(target))
         } else {
             u32::MAX

@@ -45,27 +45,22 @@
 //! # Storage architecture
 //!
 //! A [`Manager`] holds all kernel state directly, as CUDD's `DdManager`
-//! does: the node arena with its per-slot external reference counts, the
-//! unique table, the variable order, the computed cache, the traversal
-//! scratch and the resource budget. The hot state is three flat tables —
+//! does: the node arena, the unique table, the variable order, the
+//! computed cache, the traversal scratch and the resource budget. The hot state is three flat tables —
 //! no per-operation allocation, no std `HashMap` on any hot path. Every
 //! recursive kernel is a `Manager` method, and [`Manager::mk`] is the one
 //! place a node is created.
 //!
-//! * **Node arena** — a flat `(var, low, high)` vector, with a parallel
-//!   per-slot vector of external reference counts, and one slot list per
-//!   variable for the level swap; a node is its index, index 0 is the
-//!   terminal. Dead nodes are reclaimed by the collector (below); their
-//!   slots are poisoned, stacked on a free list, and reused by `mk`
-//!   before the arena grows (reclaim-before-grow).
+//! * **Node arena** — a flat `(var, low, high)` vector, appended to by
+//!   `mk`, with one slot list per variable for the level swap; a node is
+//!   its index, index 0 is the terminal.
 //! * **Unique table** — an open-addressed, power-of-two `Vec<u32>` bucket
 //!   array over the arena, probed linearly from an inlined multiply-mix
 //!   hash of `(var, low, high)`. Bucket value 0 doubles as the
 //!   empty-slot sentinel (the terminal is never consed), so a probe reads
 //!   one `u32` per step. The table doubles at 75% load. There are no
-//!   tombstones: deletions happen only in bulk during a collection, which
-//!   rebuilds the buckets from the survivors and shrinks the array when
-//!   they would fit a quarter of it.
+//!   tombstones: the level swap deletes by backward shift, and
+//!   [`Manager::clear`] zeroes exactly the arena's buckets.
 //! * **Computed cache** — a fixed-size, set-associative, *lossy* table
 //!   ([`Manager::with_capacity`] sets its size; default
 //!   `3 · 2^(DEFAULT_CACHE_BITS − 2)` = 3 · 2^12 entries). Entries are
@@ -80,41 +75,31 @@
 //!   All recursive kernels share this one cache via op tag codes (3 bits
 //!   of the tag word): `ITE`, `AND`, `XOR`, `COFACTOR`, `RESTRICT`, and
 //!   `REPLACE` (node-to-constant substitution, keyed by
-//!   `(node, target << 1, value)`). `RESTRICT` and `REPLACE` results
+//!   `(node, target, value)`). `RESTRICT` and `REPLACE` results
 //!   depend on the variable order, so they carry a second,
 //!   order-sensitive generation that every node-rewriting level swap
 //!   retires; the other ops survive swaps. [`Manager::clear_caches`]
 //!   bumps both generations: O(1), capacity kept.
 //!
-//! # Garbage collection
+//! # Memory: one cone per arena
 //!
-//! The collector marks from the roots and sweeps the rest:
+//! The kernel keeps no roots and reclaims nothing node by node. A node
+//! lives until [`Manager::clear`] drops the whole arena at once: the
+//! unique table and the computed cache are emptied with it, in O(arena),
+//! while the variables and their order stay. Nodes carry no reference
+//! counts, so `mk` and the level swap do no memory bookkeeping.
 //!
-//! * **Roots.** Callers declare long-lived functions with
-//!   [`Manager::protect`] and drop the claim with [`Manager::release`];
-//!   the slots with a nonzero external count are the roots. Nodes carry
-//!   no other count, so `mk` and the level swap do no collector
-//!   bookkeeping.
-//! * **Mark.** [`Manager::collect`] marks every node a root reaches
-//!   ([`Manager::rooted_size`], an iterative traversal).
-//! * **Sweep.** One ascending arena scan reclaims every in-use slot the
-//!   mark missed, re-stacks the free list and rebuilds the per-variable
-//!   slot lists; then the unique table is rebuilt (shrink-on-sparse) and
-//!   the computed cache is scrubbed of exactly the entries naming a
-//!   reclaimed slot — the memo stays warm across collections. Debug
-//!   builds audit every sweep with [`Manager::verify_arena`].
-//!   [`Manager::maybe_collect`] runs `collect` once its gates pass (see
-//!   [`GcConfig`]).
-//! * Collection never runs implicitly inside an operation, so recursion
-//!   intermediates need no protection; flows call `maybe_collect` at
-//!   quiescent points (between supernodes, between reorder trials).
-//!
-//! Because the cache is bounded and dead nodes are recycled, memory
-//! tracks the *live working set* — not operation count, not total nodes
-//! ever created. [`Manager::cache_stats`] exposes lookup/hit/insert
-//! counters, table sizes, and the reclaim counters
-//! (`reclaimed_total`/`collections`/`free_nodes`/`live_nodes` in
-//! [`CacheStats`]), which the bench binaries report.
+//! This fits how BDS decomposes a network: each supernode's local BDD is
+//! decomposed on its own. The engine clears the arena before every cone
+//! and builds the cone under the current order, so the arena holds one
+//! cone's working set (the cone, the decomposition's intermediates and
+//! the nodes its level swaps displaced), and a swap rewrites only that
+//! cone's nodes. The computed cache is bounded, so memory tracks the
+//! largest cone, not the network. [`Manager::cache_stats`] exposes
+//! lookup/hit/insert counters, table sizes, the arena's size now and its
+//! high-water mark across clears, and the clear counters
+//! (`collections`/`reclaimed_total` in [`CacheStats`]), which the bench
+//! binaries report.
 //!
 //! # Variables vs. levels, and dynamic reordering
 //!
@@ -138,10 +123,9 @@
 //!   the swap primitive.
 //! * [`install_order`] seats a whole given level order by adjacent
 //!   swaps, one per inversion between it and the current order.
-//! * Reordering runs only at explicit quiescent points, never inside a
-//!   kernel. [`Manager::swap_levels`] preserves every `Ref` but displaces
-//!   nodes into garbage, so a `maybe_collect` should follow a burst of
-//!   swaps.
+//! * Reordering runs only between kernel calls, never inside a kernel.
+//!   [`Manager::swap_levels`] preserves every `Ref`; the nodes it
+//!   displaces stay in the arena until the next clear.
 //!
 //! # Resource governance and the fallible-kernel contract
 //!
@@ -160,18 +144,17 @@
 //! where the governed flow calls one.
 //!
 //! **What survives an abort:** everything. All invariant maintenance
-//! (unique-table insertion, per-variable node lists, free-list reuse)
-//! happens inside one call of `mk`, so an early return between `mk`
-//! calls cannot tear any structure. After a `LimitExceeded` the manager
-//! is fully consistent and immediately usable: the unique table and
-//! computed cache are intact (including partial results the aborted
-//! operation memoized — they are correct, just incomplete),
-//! `verify_arena` passes, and the nodes the aborted operation built are
-//! ordinary unreferenced garbage that the next [`Manager::collect`]
-//! reclaims. The recommended recovery is:
-//! protect what you still need, `collect()`, then either retry with a
-//! fresh budget or fall back. Nothing needs to be rebuilt; no poisoned
-//! state exists.
+//! (unique-table insertion, per-variable node lists) happens inside one
+//! call of `mk`, so an early return between `mk` calls cannot tear any
+//! structure. After a `LimitExceeded` the manager is fully consistent
+//! and immediately usable: the unique table and computed cache are
+//! intact (including partial results the aborted operation memoized —
+//! they are correct, just incomplete), `verify_arena` passes, and the
+//! nodes the aborted operation built stay in the arena until the next
+//! [`Manager::clear`]. So a retry with a fresh step budget resumes from
+//! the aborted attempt's nodes and memo, while a node ceiling keeps
+//! counting them; the alternative is to fall back. Nothing needs to be
+//! rebuilt; no poisoned state exists.
 //!
 //! Limits are polled, not preemptive: the step counter advances once per
 //! cache-missing recursion step, the node ceiling is compared on the
@@ -220,7 +203,6 @@
 mod analysis;
 mod cofactor;
 mod dot;
-mod gc;
 mod hasher;
 mod manager;
 mod ops;
@@ -230,7 +212,6 @@ mod session;
 mod store;
 
 pub use analysis::{InDegree, NodeStats};
-pub use gc::GcConfig;
 pub use hasher::{BuildFxHasher, FxHasher};
 pub use manager::{CacheStats, Manager, Node};
 pub use reference::{NodeId, Ref, Var};

@@ -11,17 +11,14 @@
 //! * [`crate::session`] holds the set-associative computed cache, the
 //!   visit scratch, and the resource budget with its tick;
 //! * [`crate::ops`] and [`crate::cofactor`] hold the recursive kernels;
-//! * [`crate::gc`] collects dead nodes and [`crate::reorder`] moves the
-//!   variable order, both between kernel calls, so recursion
-//!   intermediates need no protection.
+//! * [`crate::reorder`] moves the variable order between kernel calls.
 //!
-//! What remains here is construction, the order maps, root protection,
+//! What remains here is construction, the order maps, [`Manager::clear`],
 //! audits and the memory-system counters.
 
-use crate::gc::GcConfig;
 use crate::reference::{NodeId, Ref, Var};
 use crate::session::{ComputedCache, ResourceLimits, VisitScratch, DEFAULT_CACHE_BITS};
-use crate::store::{buckets_for, FREE_VAR, TERMINAL_VAR};
+use crate::store::{buckets_for, triple_hash, TERMINAL_VAR};
 use std::cell::RefCell;
 
 pub use crate::store::Node;
@@ -35,23 +32,19 @@ pub struct CacheStats {
     pub hits: u64,
     /// Computed-cache insertions (including overwrites of colliding slots).
     pub insertions: u64,
-    /// Largest node-arena size (slot count, including reclaimed slots)
-    /// observed over the manager's lifetime.
+    /// Largest arena size (nodes, including the terminal) over the
+    /// manager's lifetime: a high-water mark across [`Manager::clear`]s.
     pub peak_nodes: usize,
     /// Computed-cache capacity in entries (fixed after construction).
     pub cache_entries: usize,
-    /// Unique-table bucket count (shrinks when a collection leaves the
-    /// table sparse).
+    /// Unique-table bucket count (doubles on demand, never shrinks).
     pub unique_buckets: usize,
-    /// Arena slots currently holding a live (not reclaimed) node,
-    /// including the terminal.
+    /// Nodes in the arena now, including the terminal.
     pub live_nodes: usize,
-    /// Reclaimed arena slots currently awaiting reuse on the free list.
-    pub free_nodes: usize,
-    /// Total nodes reclaimed by the collector over the manager's lifetime.
+    /// Total nodes dropped by [`Manager::clear`] over the manager's
+    /// lifetime.
     pub reclaimed_total: u64,
-    /// Number of collections that actually swept (collections that found
-    /// nothing to reclaim are not counted).
+    /// Number of [`Manager::clear`] calls that dropped at least one node.
     pub collections: u64,
     /// Adjacent-level swaps over the manager's lifetime: every
     /// [`Manager::swap_levels`] call, window-reorder installs included.
@@ -72,12 +65,12 @@ impl CacheStats {
 /// Default unique-table bucket count (grows on demand).
 const DEFAULT_BUCKETS: usize = 1 << 12;
 
-/// A BDD manager: the node arena, unique table, collection roots and
-/// variable order, plus the computed cache, visit scratch and resource
-/// budget the kernels use.
+/// A BDD manager: the node arena, unique table and variable order, plus
+/// the computed cache, visit scratch and resource budget the kernels use.
 ///
-/// All functions created by one manager live in the same shared DAG, so
-/// equality of [`Ref`]s is equality of Boolean functions.
+/// All functions created by one manager since its last [`Manager::clear`]
+/// live in the same shared DAG, so equality of [`Ref`]s is equality of
+/// Boolean functions.
 ///
 /// # Example
 ///
@@ -92,29 +85,21 @@ const DEFAULT_BUCKETS: usize = 1 << 12;
 /// ```
 #[derive(Debug)]
 pub struct Manager {
-    /// The node arena; index 0 is the terminal. Its length is the arena
-    /// high-water mark, and `refs` has that length too.
+    /// The node arena; index 0 is the terminal. Nodes are only ever
+    /// appended, until [`Manager::clear`] drops them all.
     pub(crate) nodes: Vec<Node>,
-    /// External reference count per arena slot: the slots with a nonzero
-    /// count are the roots the collector marks from.
-    pub(crate) refs: Vec<u32>,
-    /// Reclaimed arena slots awaiting reuse (LIFO).
-    pub(crate) free: Vec<u32>,
     /// Open-addressed unique table (bucket => node index, 0 = empty).
     pub(crate) buckets: Vec<u32>,
     pub(crate) bucket_mask: usize,
     /// Nodes listed in `buckets`.
     pub(crate) occupied: usize,
-    /// Nodes created since the last collection (gates `maybe_collect`).
-    pub(crate) allocs_since_gc: usize,
     /// Position of each variable in the decision order
     /// (`var2level[var] = level`; always a permutation of `0..num_vars`).
     pub(crate) var2level: Vec<u32>,
     /// Inverse of `var2level` (`level2var[level] = var`).
     pub(crate) level2var: Vec<u32>,
     /// Exact per-variable slot lists, appended to by `mk`: the level
-    /// swap's work list. They list garbage nodes too, until the next
-    /// sweep rebuilds them.
+    /// swap's work list.
     pub(crate) var_nodes: Vec<Vec<u32>>,
     var_names: Vec<Option<String>>,
     /// The memo shared by every recursive kernel (see [`crate::session`]).
@@ -135,10 +120,11 @@ pub struct Manager {
     /// Test-only fault injection: abort with
     /// [`crate::LimitKind::Injected`] once `steps` reaches this value.
     pub(crate) abort_at_step: Option<u64>,
-    pub(crate) gc: GcConfig,
     pub(crate) sift_swaps: u64,
-    /// Number of sweeping collections (collections that reclaimed at
-    /// least one node).
+    /// Arena high-water mark of the cleared generations (the current one
+    /// is `nodes.len()`).
+    pub(crate) peak_nodes: usize,
+    /// Clears that dropped at least one node, and the nodes they dropped.
     pub(crate) collections: u64,
     pub(crate) reclaimed_total: u64,
 }
@@ -166,12 +152,9 @@ impl Manager {
         let slots = nodes.max(16);
         let mut m = Manager {
             nodes: Vec::with_capacity(slots),
-            refs: Vec::with_capacity(slots),
-            free: Vec::new(),
             buckets: vec![0; buckets],
             bucket_mask: buckets - 1,
             occupied: 0,
-            allocs_since_gc: 0,
             var2level: Vec::new(),
             level2var: Vec::new(),
             var_nodes: Vec::new(),
@@ -182,12 +165,12 @@ impl Manager {
             governed: false,
             steps: 0,
             abort_at_step: None,
-            gc: GcConfig::default(),
             sift_swaps: 0,
+            peak_nodes: 0,
             collections: 0,
             reclaimed_total: 0,
         };
-        m.push_slot(Node {
+        m.nodes.push(Node {
             var: Var(TERMINAL_VAR),
             low: Ref::ONE,
             high: Ref::ONE,
@@ -226,20 +209,14 @@ impl Manager {
         self.var2level.len() as u32
     }
 
-    /// Current arena size in slots, including the terminal and reclaimed
-    /// slots awaiting reuse — the kernel's memory footprint. With periodic
-    /// collection this stays within a constant factor of
-    /// [`Manager::live_nodes`] instead of growing monotonically.
-    #[inline(always)]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of live nodes (arena slots currently holding a node,
-    /// including the terminal; excludes the free list).
+    /// Number of nodes in the arena, including the terminal — the
+    /// kernel's memory footprint, and the count a
+    /// [`ResourceLimits::max_live_nodes`] ceiling is compared against.
+    /// Nothing is reclaimed between two [`Manager::clear`]s, so this only
+    /// grows until the next one.
     #[inline(always)]
     pub fn live_nodes(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     /// Read access to a stored node (a by-value snapshot — nodes are
@@ -247,17 +224,11 @@ impl Manager {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is the terminal node or out of bounds; in debug
-    /// builds, also if `id` was reclaimed by a collection (a dangling
-    /// reference the caller failed to protect).
+    /// Panics if `id` is the terminal node or out of bounds (a reference
+    /// from before the last [`Manager::clear`] can be either).
     pub fn node(&self, id: NodeId) -> Node {
         assert!(!id.is_terminal(), "terminal node has no decision variable");
-        let n = self.nodes[id.index()];
-        debug_assert!(
-            n.var.0 != FREE_VAR,
-            "dangling reference to reclaimed node {id:?}"
-        );
-        n
+        self.nodes[id.index()]
     }
 
     /// The decision variable of an edge's top node; `None` for constants.
@@ -327,31 +298,17 @@ impl Manager {
     /// Audits the arena in one O(arena) pass and panics on the first
     /// violation:
     ///
-    /// * no live node names a reclaimed slot as a child — the collector
-    ///   reclaimed only nodes no live node reaches;
     /// * no stored node has a complemented 1-edge or equal children —
     ///   `mk`'s canonical form. Together with hash-consing this is why a
     ///   function and its negation never occupy two nodes: the only
     ///   stored form of `¬f` is `f`'s own node reached through a
     ///   complemented edge;
-    /// * the per-variable slot lists hold exactly the live slots, each
+    /// * the per-variable slot lists hold exactly the arena's nodes, each
     ///   once and under its own variable.
     ///
-    /// Runs after every collection in debug builds; tests call it
-    /// directly.
+    /// Tests call it directly.
     pub fn verify_arena(&self) {
         for (i, n) in self.nodes.iter().enumerate().skip(1) {
-            if n.var.0 == FREE_VAR {
-                continue;
-            }
-            for c in [n.low, n.high] {
-                assert_ne!(
-                    self.nodes[c.node().index()].var.0,
-                    FREE_VAR,
-                    "slot {i}: edge into reclaimed slot {}",
-                    c.node().index()
-                );
-            }
             assert!(
                 !n.high.is_complemented(),
                 "slot {i}: complemented 1-edge escaped mk's normalization"
@@ -377,6 +334,44 @@ impl Manager {
         );
     }
 
+    /// Drops every node: the arena keeps only the terminal, and the
+    /// unique table and computed cache are emptied, while the variables
+    /// and their order stay. Every non-constant [`Ref`] made before the
+    /// call is dangling afterwards. A flow that decomposes one cone at a
+    /// time clears between cones, so the arena holds one cone's working
+    /// set and a level swap rewrites only that cone's nodes.
+    ///
+    /// The cost is O(arena), not O(table): each node's bucket is found by
+    /// its own probe and zeroed, the per-variable slot lists are emptied
+    /// and the cache retires its generations in O(1). A clear that drops
+    /// nodes counts in [`CacheStats::collections`] and
+    /// [`CacheStats::reclaimed_total`].
+    pub fn clear(&mut self) {
+        let dropped = self.nodes.len() - 1;
+        if dropped == 0 {
+            return;
+        }
+        self.peak_nodes = self.peak_nodes.max(self.nodes.len());
+        let mask = self.bucket_mask;
+        for (idx, n) in self.nodes.iter().enumerate().skip(1) {
+            // Buckets zeroed earlier in this loop may sit on the probe
+            // path; the node's own bucket is still ahead.
+            let mut i = (triple_hash(n.var.0, n.low.raw(), n.high.raw()) as usize) & mask;
+            while self.buckets[i] != idx as u32 {
+                i = (i + 1) & mask;
+            }
+            self.buckets[i] = 0;
+        }
+        self.nodes.truncate(1);
+        self.occupied = 0;
+        for list in &mut self.var_nodes {
+            list.clear();
+        }
+        self.cache.clear();
+        self.collections += 1;
+        self.reclaimed_total += dropped as u64;
+    }
+
     /// Drops every memoized operation result in O(1) (generation bump).
     /// The table keeps its allocation, so long-running flows can clear
     /// between phases without paying a re-allocation or a re-grow.
@@ -391,67 +386,14 @@ impl Manager {
             lookups: self.cache.lookups,
             hits: self.cache.hits,
             insertions: self.cache.insertions,
-            peak_nodes: self.nodes.len(),
+            peak_nodes: self.peak_nodes.max(self.nodes.len()),
             cache_entries: self.cache.entry_capacity(),
             unique_buckets: self.buckets.len(),
             live_nodes: self.live_nodes(),
-            free_nodes: self.free.len(),
             reclaimed_total: self.reclaimed_total,
             collections: self.collections,
             sift_swaps: self.sift_swaps,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Collection roots and collector settings (the collector itself
-    // lives in `crate::gc`).
-    // ------------------------------------------------------------------
-
-    /// Declares `f` a collection root: the node it references (and
-    /// everything reachable from it) survives [`Manager::collect`] until a
-    /// matching [`Manager::release`]. Calls nest — `protect` twice,
-    /// `release` twice. Constants are always live; protecting them is a
-    /// no-op. Returns `f` for call-site convenience.
-    pub fn protect(&mut self, f: Ref) -> Ref {
-        if !f.is_const() {
-            let slot = f.node().index();
-            debug_assert!(
-                self.nodes[slot].var.0 != FREE_VAR,
-                "protect of reclaimed node"
-            );
-            self.refs[slot] = self.refs[slot].saturating_add(1);
-        }
-        f
-    }
-
-    /// Drops one [`Manager::protect`] claim on `f`. The node becomes
-    /// eligible for collection once its external count reaches zero and no
-    /// other protected function reaches it.
-    pub fn release(&mut self, f: Ref) {
-        if !f.is_const() {
-            let slot = f.node().index();
-            debug_assert!(self.refs[slot] > 0, "release without matching protect");
-            self.refs[slot] = self.refs[slot].saturating_sub(1);
-        }
-    }
-
-    /// External reference count of `f`'s node (test/diagnostic hook).
-    pub fn protect_count(&self, f: Ref) -> u32 {
-        if f.is_const() {
-            u32::MAX
-        } else {
-            self.refs[f.node().index()]
-        }
-    }
-
-    /// Replaces the collector configuration (see [`GcConfig`]).
-    pub fn set_gc_config(&mut self, config: GcConfig) {
-        self.gc = config;
-    }
-
-    /// The active collector configuration.
-    pub fn gc_config(&self) -> GcConfig {
-        self.gc
     }
 }
 
@@ -463,7 +405,7 @@ mod tests {
     #[test]
     fn terminal_is_node_zero() {
         let m = Manager::new();
-        assert_eq!(m.num_nodes(), 1);
+        assert_eq!(m.live_nodes(), 1);
         assert!(Ref::ONE.node().is_terminal());
         assert_eq!(m.top_var(Ref::ONE), None);
         assert_eq!(m.top_var(Ref::ZERO), None);
@@ -476,7 +418,7 @@ mod tests {
         let a2 = m.var(3);
         assert_eq!(a1, a2);
         assert_eq!(m.num_vars(), 4);
-        assert_eq!(m.num_nodes(), 2);
+        assert_eq!(m.live_nodes(), 2);
     }
 
     #[test]
@@ -495,7 +437,7 @@ mod tests {
         assert!(na.is_complemented());
         let n = m.node(na.node());
         assert!(!n.high.is_complemented());
-        assert_eq!(m.num_nodes(), 2, "a and !a share one node");
+        assert_eq!(m.live_nodes(), 2, "a and !a share one node");
     }
 
     #[test]
@@ -541,7 +483,7 @@ mod tests {
         for &(v, child, r) in &chain {
             assert_eq!(m.mk(Var(v), !child, child), r);
         }
-        assert_eq!(m.num_nodes(), 301, "re-makes created nothing");
+        assert_eq!(m.live_nodes(), 301, "re-makes created nothing");
     }
 
     #[test]
@@ -583,25 +525,7 @@ mod tests {
         assert_eq!(r1, r2);
         assert!(after.lookups > before.lookups);
         assert!(after.hits > before.hits, "repeat ITE must hit the cache");
-        assert_eq!(after.peak_nodes, m.num_nodes());
-    }
-
-    #[test]
-    fn protect_release_roundtrip() {
-        let mut m = Manager::new();
-        let a = m.var(0);
-        assert_eq!(m.protect_count(a), 0);
-        m.protect(a);
-        m.protect(a);
-        assert_eq!(m.protect_count(a), 2);
-        m.release(a);
-        assert_eq!(m.protect_count(a), 1);
-        m.release(a);
-        assert_eq!(m.protect_count(a), 0);
-        // Constants are always live; protect/release are no-ops.
-        m.protect(Ref::ONE);
-        m.release(Ref::ZERO);
-        assert_eq!(m.protect_count(Ref::ONE), u32::MAX);
+        assert_eq!(after.peak_nodes, m.live_nodes());
     }
 
     #[test]
@@ -615,12 +539,12 @@ mod tests {
         // every function-valued entry of the table; if it only restarted
         // the order generation at 1, a stale entry could come back live.
         m.cache
-            .insert(op::REPLACE, f.raw(), b.node().0 << 1, 1, Ref::ZERO);
+            .insert(op::REPLACE, f.raw(), b.node().0, 1, Ref::ZERO);
         m.cache.insert(op::AND, a.raw(), b.raw(), 0, Ref::ZERO);
         m.cache.order_generation = (u32::MAX >> crate::session::GEN_SHIFT) - 1;
         m.cache.clear_order_sensitive();
         assert_eq!(
-            m.cache.lookup(op::REPLACE, f.raw(), b.node().0 << 1, 1),
+            m.cache.lookup(op::REPLACE, f.raw(), b.node().0, 1),
             None,
             "the poisoned substitution must be unobservable after the wrap"
         );
@@ -658,18 +582,23 @@ mod tests {
         let f = m.ite(c, ab, b);
         m.verify_arena();
         // A swap rewrites slots in place; the audit must still pass.
-        m.protect(f);
         m.swap_levels(0);
         m.verify_arena();
         m.swap_levels(1);
         m.verify_arena();
-        // Collection reclaims what the swaps displaced; audit again.
-        m.collect();
+        let order = m.level2var().to_vec();
+        let size = m.size(f);
+        // A clear empties the arena and keeps the order.
+        m.clear();
         m.verify_arena();
-        // Free-list reuse lists the new nodes under their variables.
-        let d = m.var(3);
-        let g = m.and(f, d);
-        let _ = g;
+        assert_eq!(m.live_nodes(), 1);
+        assert_eq!(m.level2var(), &order[..]);
+        // Rebuilding lists the new nodes under their variables, at the
+        // size the swaps left the function at.
+        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
+        let ab = m.and(a, b);
+        let f = m.ite(c, ab, b);
+        assert_eq!(m.size(f), size);
         m.verify_arena();
     }
 }

@@ -32,17 +32,13 @@
 //! `try_*` form where the governed flow calls one (the n-ary
 //! conjunction and disjunction have only that form). A `try_*` abort is
 //! clean by construction: all invariant maintenance (unique table,
-//! per-variable lists, free list) happens inside one [`Manager::mk`]
-//! call, so unwinding between `mk` calls leaves the manager fully
-//! consistent and the partially built nodes as unreferenced garbage for
-//! the next collection (see [`crate::LimitExceeded`]).
+//! per-variable lists) happens inside one [`Manager::mk`] call, so
+//! unwinding between `mk` calls leaves the manager fully consistent and
+//! the partially built nodes in the arena until the next
+//! [`Manager::clear`] (see [`crate::LimitExceeded`]).
 //!
-//! None of the kernels here triggers garbage collection: recursive
-//! intermediates need no protection, and results only need
-//! [`Manager::protect`] when the caller holds them across an explicit
-//! `collect`/`maybe_collect` point. Nodes carry no interior counts — the
-//! collector finds the live set by marking from the protected roots —
-//! so nothing here keeps collector bookkeeping that could drift.
+//! Nodes carry no reference counts and nothing is reclaimed between
+//! clears, so a result stays valid until the caller clears the manager.
 
 use crate::manager::Manager;
 use crate::reference::Ref;
@@ -557,13 +553,8 @@ mod tests {
         let e = m.try_xor(f, g).expect_err("2 extra nodes cannot suffice");
         assert_eq!(e.kind, LimitKind::Nodes);
         m.clear_limits();
-        // Protect the operands, collect the aborted garbage, and re-run:
-        // the result must be canonical and correct. (The standalone
-        // variable projections in `xs` are unprotected garbage here, so
-        // they must be re-consed after the collect.)
-        m.protect(f);
-        m.protect(g);
-        m.collect();
+        // The aborted nodes stay in a consistent arena; re-run unbudgeted:
+        // the result must be canonical and correct.
         if cfg!(debug_assertions) {
             m.verify_arena();
         }

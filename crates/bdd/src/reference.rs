@@ -55,16 +55,13 @@ impl NodeId {
 /// canonically identifies a Boolean function: two functions are equal if and
 /// only if their `Ref`s are equal. Negation ([`std::ops::Not`]) is free.
 ///
-/// # Validity under garbage collection
+/// # Validity
 ///
-/// A `Ref` is plain data, not an owning handle. It stays valid across
-/// `Manager::collect` only while its node is reachable from a root the
-/// caller declared with `Manager::protect`; otherwise the slot may be
-/// reclaimed and later reused for a *different* function, silently aliasing
-/// the stale `Ref`. Collection never happens implicitly inside manager
-/// operations, so intermediates within one call chain are always safe —
-/// protection is only needed for `Ref`s held across explicit
-/// `collect`/`maybe_collect` points.
+/// A `Ref` is plain data, not an owning handle. It stays valid until the
+/// manager's next `Manager::clear`, which drops every node; afterwards its
+/// slot may hold a *different* function, silently aliasing the stale `Ref`.
+/// Nothing is reclaimed between clears, and no manager operation clears
+/// implicitly.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ref(u32);
 

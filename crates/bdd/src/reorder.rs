@@ -84,7 +84,8 @@ impl Manager {
     }
 
     /// Size of `f` if its variables were renamed by `perm` (the permuted
-    /// BDD is built and measured; nodes stay in the manager as garbage).
+    /// BDD is built and measured; its nodes stay in the arena until the
+    /// next [`Manager::clear`]).
     pub fn size_under(&mut self, f: Ref, perm: &[u32]) -> usize {
         let g = self.permute(f, perm);
         self.size(g)
@@ -127,7 +128,7 @@ impl WindowProbe {
         let (mut size, mut outside) = (0, 0);
         {
             let mut seen = m.visited.borrow_mut();
-            seen.begin(m.num_nodes());
+            seen.begin(m.live_nodes());
             let mut stack = vec![f.node()];
             while let Some(id) = stack.pop() {
                 if id.is_terminal() || !seen.mark(id.index()) {
@@ -258,26 +259,23 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// complement-normalized sub-tables its levels depend on — exactly the
 /// size a [`Manager::size_under`] rebuild would measure (debug builds
 /// assert the two agree). Only a winning arrangement pays the swap
-/// primitive, whose cost scales with the whole manager's population at
-/// the affected levels, and the probes leave no garbage for the
-/// collector. A flow that meets the same function under the same order
-/// again can skip this search and [`install_order`] the order it left
-/// the first time; the BDS engine replays such cones, so this search
-/// sees each (function, order) pair of a run once.
+/// primitive, whose cost scales with the whole arena's population at
+/// the affected levels, and the probes build no node. A flow that meets
+/// the same function under the same order again can skip this search
+/// and [`install_order`] the order it left the first time; the BDS
+/// engine replays such cones, so this search sees each (function, order)
+/// pair of a run once.
 ///
 /// The search runs in place: `f` keeps its `Ref` and its function, and
 /// the minimizing order is left installed in the manager — which also
-/// re-shapes every other function sharing these variables, as dynamic
-/// reordering always does. The search protects `f` and offers the
-/// manager a [`Manager::maybe_collect`] after each window position, so
-/// the nodes displaced by installed swaps are recycled during long
-/// passes. Functions the *caller* holds across this call must be
-/// protected by the caller. Returns the size `f` is left at.
+/// re-shapes every other function in the arena, as dynamic reordering
+/// always does. The BDS engine clears the arena before each cone
+/// ([`Manager::clear`]), so there its swaps rewrite only the cone's own
+/// nodes. Returns the size `f` is left at.
 pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize) -> usize {
     let n = m.num_vars() as usize;
     let mut best_size = m.size(f);
     if n >= 2 && window >= 2 {
-        m.protect(f);
         let window = window.min(n);
         // size(f) depends only on the *relative* order of f's support
         // variables, so a window holding fewer than two of them cannot
@@ -322,14 +320,11 @@ pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize)
                     restore_window(m, start, &best_slice);
                     debug_assert_eq!(m.size(f), best_size, "probe and swap must agree");
                 }
-                // Let the manager recycle what the swaps displaced.
-                m.maybe_collect();
             }
             if !improved {
                 break;
             }
         }
-        m.release(f);
     }
     m.size(f)
 }
@@ -349,7 +344,8 @@ fn renaming(n: usize, slice: &[u32], cand: &[u32]) -> Vec<u32> {
 /// seated at level `l`) in place by adjacent [`Manager::swap_levels`]
 /// calls, as many as the two orders have inversions; installing the
 /// current order swaps nothing. Like every swap, it keeps each [`Ref`]'s
-/// function and may leave displaced nodes for the next collection.
+/// function and may leave displaced nodes in the arena until the next
+/// [`Manager::clear`]; on an empty arena it only permutes the order maps.
 ///
 /// # Panics
 ///
@@ -401,9 +397,9 @@ impl Manager {
     /// level are rewritten; their arena slots are patched (detached from
     /// the unique table, re-expressed over the swapped order, re-inserted),
     /// so every outstanding [`Ref`] keeps denoting the same Boolean
-    /// function across the swap — nothing dangles, unprotected or not.
-    /// Displaced lower-level nodes may become garbage for the next
-    /// collection to reclaim. When any node is rewritten, the
+    /// function across the swap — nothing dangles. Displaced lower-level
+    /// nodes stay in the arena, unreferenced, until the next
+    /// [`Manager::clear`]. When any node is rewritten, the
     /// order-sensitive memo generation retires (an O(1) bump).
     ///
     /// Cost is proportional to the upper level's population (via the
@@ -451,9 +447,8 @@ impl Manager {
             return 0;
         }
         // Detach the rewritten slots from the unique table (backward-shift
-        // deletion) and poison them so a mid-rewrite table growth cannot
-        // re-insert a stale triple; external counts and identities are
-        // kept.
+        // deletion) and park them so a mid-rewrite table growth cannot
+        // re-insert a stale triple; their identities are kept.
         for &(i, ref n) in &moved {
             self.remove_slot(i, n);
             self.nodes[i as usize].var = Var(FREE_VAR);
@@ -553,7 +548,6 @@ mod tests {
         }
         // Interleaved pairing: worst case for the identity order.
         let bad = chain_and_or(&mut m, &[(0, 3), (1, 4), (2, 5)]);
-        m.protect(bad);
         let before = m.size(bad);
         let size = window_reorder(&mut m, bad, 3, 8);
         assert!(
@@ -571,7 +565,6 @@ mod tests {
                 || (assignment[2] && assignment[5]);
             assert_eq!(m.eval(bad, &assignment), want, "row {row}");
         }
-        m.release(bad);
     }
 
     #[test]

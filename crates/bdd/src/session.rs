@@ -26,8 +26,8 @@ pub(crate) mod op {
     /// Coudert–Madre restrict.
     pub const RESTRICT: u32 = 5;
     /// Node-to-constant substitution `F(value)`, keyed by
-    /// `(node, target << 1, value)`. Which nodes reach the target depends
-    /// on the variable order, so this memo is order-sensitive.
+    /// `(node, target, value)`. Which nodes reach the target depends on
+    /// the variable order, so this memo is order-sensitive.
     pub const REPLACE: u32 = 7;
 }
 
@@ -95,8 +95,7 @@ pub const DEFAULT_CACHE_BITS: u32 = 14;
 /// substitution depends on which nodes reach the target in the current
 /// DAG, so their memo must not survive a reordering.
 /// [`ComputedCache::clear_order_sensitive`] retires only the latter in
-/// O(1), keeping the ITE/AND/XOR/cofactor memo warm across level swaps —
-/// the same warm-memo philosophy as the GC's selective scrub.
+/// O(1), keeping the ITE/AND/XOR/cofactor memo warm across level swaps.
 pub(crate) struct ComputedCache {
     pub(crate) sets: Vec<CacheSet>,
     mask: usize,
@@ -249,21 +248,6 @@ impl ComputedCache {
             self.order_generation = 1;
         }
     }
-
-    /// Drops exactly the entries for which any of the four words fails
-    /// `live_word` — the GC's selective scrub (entries naming a reclaimed
-    /// arena slot must not survive a sweep, everything else stays warm).
-    pub(crate) fn scrub(&mut self, mut live_word: impl FnMut(u32) -> bool) {
-        for set in self.sets.iter_mut() {
-            for e in set.ways.iter_mut() {
-                if e.tag != 0
-                    && !(live_word(e.a) && live_word(e.b) && live_word(e.c) && live_word(e.result))
-                {
-                    *e = CacheEntry::default();
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for ComputedCache {
@@ -323,9 +307,13 @@ impl VisitScratch {
 /// recursions and can never abort.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceLimits {
-    /// Abort once the manager's live node count exceeds this (the memory
-    /// bound: a blowing-up cone is cut off before it can exhaust the
-    /// arena).
+    /// Abort once the manager's node count ([`Manager::live_nodes`])
+    /// exceeds this (the memory bound: a blowing-up cone is cut off
+    /// before it can exhaust the arena). Every node built since the last
+    /// [`Manager::clear`] counts, aborted attempts' nodes included, so a
+    /// flow that clears between cones, as the BDS engine does, gets a
+    /// per-cone ceiling, while a pass that builds many cones without
+    /// clearing (the partition) counts all of them.
     pub max_live_nodes: Option<usize>,
     /// Abort after this many kernel recursion steps since the limits were
     /// installed or last reset (the work bound).
@@ -360,10 +348,10 @@ pub enum LimitKind {
 /// crossed.
 ///
 /// The abort is *clean*: the kernel state remains fully consistent —
-/// unique table, computed cache, free list and per-variable lists all
-/// intact. Nodes built by the aborted recursion
-/// are ordinary unreferenced garbage for the next collection; no state
-/// needs rolling back and every previously held [`Ref`] is still valid.
+/// unique table, computed cache and per-variable lists all intact. Nodes
+/// built by the aborted recursion stay in the arena (and count against
+/// the node ceiling) until the next [`Manager::clear`]; no state needs
+/// rolling back and every previously held [`Ref`] is still valid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LimitExceeded {
     /// The bound that was crossed.
@@ -530,21 +518,6 @@ mod tests {
             assert!(s.mark(i), "node {i} must read unvisited after the wrap");
             assert!(!s.mark(i), "second visit is still detected");
         }
-    }
-
-    #[test]
-    fn cache_scrub_drops_exactly_the_flagged_entries() {
-        let mut cache = ComputedCache::with_bits(8);
-        cache.insert(op::AND, 4, 6, 0, Ref::ZERO);
-        cache.insert(op::XOR, 8, 10, 0, Ref::ONE);
-        // Scrub everything whose first word is 8.
-        cache.scrub(|w| w != 8);
-        assert_eq!(cache.lookup(op::XOR, 8, 10, 0), None, "flagged entry dies");
-        assert_eq!(
-            cache.lookup(op::AND, 4, 6, 0),
-            Some(Ref::ZERO),
-            "unflagged entry survives the scrub"
-        );
     }
 
     #[test]

@@ -2,20 +2,17 @@
 //! per-variable slot lists of [`Manager`], and [`Manager::mk`], the one
 //! function that creates a node.
 //!
-//! On a unique-table miss, `mk` reuses the most recently freed slot or
-//! appends one to the arena, inserts it, appends it to its variable's
-//! slot list and grows the table in place once it is three quarters
-//! full. Nothing is ever logged for later reconciliation, so the manager
-//! is consistent between any two `mk` calls — which is what makes a
-//! kernel abort clean.
+//! On a unique-table miss, `mk` appends a slot to the arena, inserts it,
+//! appends it to its variable's slot list and grows the table in place
+//! once it is three quarters full. Nothing is ever logged for later
+//! reconciliation, so the manager is consistent between any two `mk`
+//! calls — which is what makes a kernel abort clean.
 //!
-//! Slot allocation order is fixed: LIFO free-list pops first, then the
-//! arena high-water mark; a sweep re-stacks the free list in ascending
-//! slot order, so the highest freed slot is reused first. It is not
-//! observable in a flow's output: no decision above the kernel orders
-//! nodes by `NodeId` or keeps a `Ref`-keyed memo across collections, so
-//! where a node lands (and hence when the collector ran) cannot move a
-//! gate count.
+//! Slots are allocated in creation order and never reused: the arena
+//! only grows until [`Manager::clear`] drops every node at once. Where a
+//! node lands is not observable in a flow's output: no decision above
+//! the kernel orders nodes by `NodeId` or keeps a `Ref`-keyed memo across
+//! a clear, so neither can move a gate count.
 
 use crate::manager::Manager;
 use crate::reference::{NodeId, Ref, Var};
@@ -24,10 +21,9 @@ use crate::reference::{NodeId, Ref, Var};
 /// real variable when ordered by *level depth* (larger index = deeper).
 pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
-/// Sentinel variable index poisoning a reclaimed arena slot. A slot with
-/// this variable is on the free list (or parked mid-rewrite by a level
-/// swap): it is never reachable from a live [`Ref`], never listed in the
-/// unique table, and is overwritten on reuse.
+/// Sentinel variable index parking an arena slot mid-rewrite by a level
+/// swap: such a slot is not listed in the unique table, so a table growth
+/// during the rewrite cannot re-insert its stale triple.
 pub(crate) const FREE_VAR: u32 = u32::MAX - 1;
 
 /// Smallest bucket array the unique table is ever given.
@@ -88,13 +84,6 @@ pub struct Node {
     pub high: Ref,
 }
 
-/// The poisoned contents of a reclaimed slot.
-pub(crate) const FREE_NODE: Node = Node {
-    var: Var(FREE_VAR),
-    low: Ref::ONE,
-    high: Ref::ONE,
-};
-
 impl Manager {
     /// Registers `index` (and any gap below it) in the order maps; new
     /// variables are appended at the deepest levels in index order.
@@ -130,9 +119,9 @@ impl Manager {
     /// the 0-edge and the returned edge). Unknown variables are registered
     /// at the deepest level first.
     ///
-    /// A miss takes the most recently freed slot, or else appends one to
-    /// the arena, then does all of the bookkeeping in place: the bucket,
-    /// the variable's slot list, and table growth at 3/4 load.
+    /// A miss appends a slot to the arena, then does all of the
+    /// bookkeeping in place: the bucket, the variable's slot list, and
+    /// table growth at 3/4 load.
     ///
     /// # Panics
     ///
@@ -174,24 +163,14 @@ impl Manager {
             }
             i = (i + 1) & mask;
         }
-        let node = Node { var, low, high };
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                debug_assert_eq!(self.nodes[slot as usize].var.0, FREE_VAR);
-                self.nodes[slot as usize] = node;
-                slot
-            }
-            None => {
-                debug_assert!(
-                    self.nodes.len() < (u32::MAX >> 1) as usize,
-                    "node arena exceeds Ref address space"
-                );
-                self.push_slot(node)
-            }
-        };
+        debug_assert!(
+            self.nodes.len() < (u32::MAX >> 1) as usize,
+            "node arena exceeds Ref address space"
+        );
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(Node { var, low, high });
         self.buckets[i] = idx;
         self.var_nodes[var.0 as usize].push(idx);
-        self.allocs_since_gc += 1;
         self.occupied += 1;
         if self.occupied * 4 >= self.buckets.len() * 3 {
             self.grow_buckets_to(self.buckets.len() * 2);
@@ -199,17 +178,9 @@ impl Manager {
         Ref::new(NodeId(idx), complement)
     }
 
-    /// Appends a slot holding `node` to the arena (with a zero external
-    /// count) and returns its index.
-    pub(crate) fn push_slot(&mut self, node: Node) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        self.refs.push(0);
-        idx
-    }
-
     /// Rebuilds the bucket array at `new_len` (a power of two) by
-    /// re-inserting every live arena node; reclaimed slots are skipped.
+    /// re-inserting every arena node; slots a level swap has parked are
+    /// skipped.
     pub(crate) fn grow_buckets_to(&mut self, new_len: usize) {
         debug_assert!(new_len.is_power_of_two());
         let mask = new_len - 1;
@@ -299,7 +270,6 @@ mod tests {
         let f = m.mk(Var(0), a, !a);
         assert!(f.is_complemented());
         assert_eq!(m.mk(Var(0), !a, a), !f);
-        assert_eq!(m.num_nodes(), 3);
         assert_eq!(m.live_nodes(), 3);
         assert_eq!(m.var_nodes[1], vec![a.node().0]);
         assert_eq!(m.var_nodes[0], vec![f.node().0]);

@@ -2,7 +2,7 @@
 //! against randomly generated Boolean expressions, with the BDD compared to
 //! a bit-parallel truth-vector oracle.
 
-use bdd::{GcConfig, LimitKind, Manager, NodeId, Ref, Var};
+use bdd::{LimitKind, Manager, Node, NodeId, Ref, Var};
 use proptest::prelude::*;
 
 /// A random Boolean expression over `NVARS` variables.
@@ -256,14 +256,12 @@ proptest! {
     ) {
         // From an order a random swap walk left, install a random target
         // order: one swap per inversion, the target seated, every
-        // protected function unchanged, and a second install of the same
-        // order swaps nothing.
+        // function unchanged, and a second install of the same order swaps
+        // nothing.
         let mut m = Manager::new();
         for i in 0..NVARS { m.var(i); }
         let f = e.to_bdd(&mut m);
         let h = !g.to_bdd(&mut m);
-        m.protect(f);
-        m.protect(h);
         let (tf, th) = (e.truth(), !g.truth() & mask());
         for &l in &walk {
             m.swap_levels(l);
@@ -280,16 +278,81 @@ proptest! {
         bdd::install_order(&mut m, &target);
         prop_assert_eq!(m.cache_stats().sift_swaps - swaps, inversions as u64);
         prop_assert_eq!(m.level2var(), &target[..]);
-        m.collect();
         m.verify_arena();
         prop_assert_eq!(bdd_truth(&m, f), tf, "the install changed f");
         prop_assert_eq!(bdd_truth(&m, h), th, "the install changed h");
         let swaps = m.cache_stats().sift_swaps;
         bdd::install_order(&mut m, &target);
         prop_assert_eq!(m.cache_stats().sift_swaps, swaps, "the order was in place");
-        m.release(f);
-        m.release(h);
     }
+
+    #[test]
+    fn clear_keeps_the_order_and_rebuilds_canonically(
+        e in arb_expr(),
+        g in arb_expr(),
+        walk in proptest::collection::vec(0..NVARS - 1, 0..12),
+    ) {
+        // Under a random order, build two functions, copy their DAGs out,
+        // clear, and copy them back in with `mk` alone: the order
+        // survives, the arena holds exactly the copied nodes, the copies
+        // are the functions at the same sizes, and the kernels rebuild
+        // them onto the identical refs.
+        let mut m = Manager::new();
+        for i in 0..NVARS { m.var(i); }
+        for &l in &walk {
+            m.swap_levels(l);
+        }
+        let f = e.to_bdd(&mut m);
+        let h = !g.to_bdd(&mut m);
+        let (tf, th) = (e.truth(), !g.truth() & mask());
+        let sizes = (m.size(f), m.size(h));
+        let dag = nodes_children_first(&m, &[f, h]);
+        let order = m.level2var().to_vec();
+        let (before, arena) = (m.cache_stats(), m.live_nodes());
+        m.clear();
+        let after = m.cache_stats();
+        prop_assert_eq!(m.live_nodes(), 1, "only the terminal is left");
+        prop_assert_eq!(m.level2var(), &order[..], "the order survives");
+        prop_assert_eq!(after.collections, before.collections + 1);
+        prop_assert_eq!(after.reclaimed_total, before.reclaimed_total + arena as u64 - 1);
+        prop_assert_eq!(after.peak_nodes, arena, "the high-water mark survives");
+        m.verify_arena();
+        let mut copy: std::collections::HashMap<NodeId, Ref> = Default::default();
+        let copied = |copy: &std::collections::HashMap<NodeId, Ref>, r: Ref| {
+            if r.is_const() { r } else { copy[&r.node()].xor_complement(r.is_complemented()) }
+        };
+        for &(id, n) in &dag {
+            let r = m.mk(n.var, copied(&copy, n.low), copied(&copy, n.high));
+            copy.insert(id, r);
+        }
+        let (f2, h2) = (copied(&copy, f), copied(&copy, h));
+        m.verify_arena();
+        prop_assert_eq!(m.live_nodes(), m.shared_size(&[f2, h2]) + 1, "exactly the copies");
+        prop_assert_eq!(bdd_truth(&m, f2), tf);
+        prop_assert_eq!(bdd_truth(&m, h2), th);
+        prop_assert_eq!((m.size(f2), m.size(h2)), sizes);
+        prop_assert_eq!(e.to_bdd(&mut m), f2, "canonical after the clear");
+        prop_assert_eq!(!g.to_bdd(&mut m), h2, "canonical after the clear");
+    }
+}
+
+/// The nodes of the DAGs rooted at `fs`, every node after its children.
+fn nodes_children_first(m: &Manager, fs: &[Ref]) -> Vec<(NodeId, Node)> {
+    fn visit(m: &Manager, f: Ref, seen: &mut Vec<NodeId>, out: &mut Vec<(NodeId, Node)>) {
+        if f.is_const() || seen.contains(&f.node()) {
+            return;
+        }
+        seen.push(f.node());
+        let n = m.node(f.node());
+        visit(m, n.low, seen, out);
+        visit(m, n.high, seen, out);
+        out.push((f.node(), n));
+    }
+    let (mut seen, mut out) = (Vec::new(), Vec::new());
+    for &f in fs {
+        visit(m, f, &mut seen, &mut out);
+    }
+    out
 }
 
 /// The renaming under which [`Manager::size_under`] measures the order
@@ -350,7 +413,6 @@ fn permutations(items: &[u32]) -> Vec<Vec<u32>> {
 fn window_reorder_by_rebuild(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize) {
     let n = m.num_vars() as usize;
     let mut best_size = m.size(f);
-    m.protect(f);
     let window = window.min(n);
     let support = m.support(f);
     for _ in 0..max_sweeps {
@@ -381,13 +443,11 @@ fn window_reorder_by_rebuild(m: &mut Manager, f: Ref, window: usize, max_sweeps:
                     pos -= 1;
                 }
             }
-            m.maybe_collect();
         }
         if !improved {
             break;
         }
     }
-    m.release(f);
 }
 
 /// Node-to-constant substitution by a full, unmemoized rebuild of `f`:
@@ -475,7 +535,6 @@ proptest! {
         // boundary-table count must equal the rebuilt size, before and
         // after each of a few random level swaps.
         let (mut m, f) = probe_subject(&e, pair, negate, &[]);
-        m.protect(f);
         for round in 0..=swaps.len() {
             for w in 2..=4usize {
                 for start in 0..=(NVARS as usize - w) {
@@ -490,12 +549,10 @@ proptest! {
                     }
                 }
             }
-            m.collect();
             if let Some(&l) = swaps.get(round) {
                 m.swap_levels(l);
             }
         }
-        m.release(f);
     }
 
     #[test]
@@ -535,30 +592,24 @@ proptest! {
         // Every (node, value) pair, with targets inside and outside f,
         // against the unmemoized full rebuild. The memo persists across
         // calls, so each later round would see stale entries if a level
-        // swap did not retire them, or if a collection left an entry for
-        // a reclaimed target whose slot a new node then took.
+        // swap did not retire them, or if a clear left an entry for a
+        // target whose slot a new node then took.
         let mut m = Manager::new();
         for i in 0..NVARS {
-            let v = m.var(i);
-            m.protect(v);
+            m.var(i);
         }
         let f = e.to_bdd(&mut m);
         let h = g.to_bdd(&mut m);
-        m.protect(f);
-        m.protect(h);
         check_replacements(&mut m, &[f, h])?;
         for &l in &swaps {
             m.swap_levels(l);
             check_replacements(&mut m, &[f, h])?;
         }
-        // Reclaim h's nodes, then let a new function take their slots.
-        m.release(h);
-        m.collect();
+        // Clear, then let a new function take the old slots.
+        m.clear();
         let fresh = k.to_bdd(&mut m);
-        m.protect(fresh);
-        check_replacements(&mut m, &[f, fresh])?;
-        m.release(fresh);
-        m.release(f);
+        let f = e.to_bdd(&mut m);
+        check_replacements(&mut m, &[fresh, f])?;
     }
 
     #[test]
@@ -572,60 +623,12 @@ proptest! {
         // under the identity order and after each level swap, so that
         // levels and variable indices differ.
         let (mut m, f) = probe_subject(&e, pair, negate, &[]);
-        m.protect(f);
         check_x_dominators(&mut m, f)?;
         for &l in &swaps {
             m.swap_levels(l);
             check_x_dominators(&mut m, f)?;
         }
-        m.release(f);
     }
-}
-
-/// The collector's scrub must drop every substitution entry keyed by a
-/// reclaimed target. Here the stale entries could not even give a wrong
-/// answer (a target the key node does not reach leaves it unchanged, and
-/// a reachable one cannot die first), so the check is on the cache's own
-/// counters: once the reclaimed target's slot holds a different node, the
-/// same substitution must redo the fresh call's probes instead of
-/// answering from the dead target's entry at the root.
-#[test]
-fn replace_memo_drops_reclaimed_target() {
-    let mut m = Manager::new();
-    let x: Vec<Ref> = (0..NVARS)
-        .map(|i| {
-            let v = m.var(i);
-            m.protect(v)
-        })
-        .collect();
-    let mut f = Ref::ZERO;
-    for pair in x.chunks(2) {
-        let p = m.and(pair[0], pair[1]);
-        f = m.or(f, p);
-    }
-    m.protect(f);
-    m.collect();
-    // A node at x4's level that f does not reach, and nothing else dead.
-    let target = m.xor(x[4], x[5]).node();
-    let probes = |m: &mut Manager, t: NodeId| {
-        let before = m.cache_stats();
-        let r = m.replace_node_with_const(f, t, true);
-        let after = m.cache_stats();
-        (r, after.lookups - before.lookups, after.hits - before.hits)
-    };
-    let fresh = probes(&mut m, target);
-    assert_eq!(fresh.0, f, "f does not reach the target");
-    assert!(fresh.1 > 1, "the rebuild probes every ancestor level");
-    assert_eq!(m.collect(), 1, "exactly the target is reclaimed");
-    // ¬x4 + x5: another node at x4's level, which takes the freed slot.
-    let other = m.or(!x[4], x[5]);
-    assert_eq!(other.node(), target, "the new node reuses the slot");
-    assert_eq!(probes(&mut m, target), fresh, "no stale entry answers");
-    assert_eq!(
-        m.replace_node_with_const(other, target, false),
-        replace_by_rebuild(&mut m, other, target, false)
-    );
-    m.release(f);
 }
 
 /// Deterministic xorshift64* for the storm test below (independent of the
@@ -741,115 +744,7 @@ fn storm_of_ops_stays_canonical_and_bounded() {
         "storm must force unique-table growth"
     );
     assert!(stats.hits > 0, "storm must reuse memoized results");
-    assert_eq!(stats.peak_nodes, m.num_nodes());
-}
-
-/// The collector stress test: a 100k-op random storm over a protected
-/// working set, with a forced collection every few thousand ops. Between
-/// collections this is the same canonicity + truth-table-oracle discipline
-/// as [`storm_of_ops_stays_canonical_and_bounded`]; at every collection
-/// point it additionally checks that
-///
-/// (a) every protected pool function still matches its truth vector after
-///     the sweep (nothing live was reclaimed, nothing dangles),
-/// (b) hash-consing stays canonical across reclaim-and-reuse: rebuilding a
-///     pool function from scratch returns the *identical* `Ref`, and
-/// (c) the collector actually reclaims: over the storm, far more nodes are
-///     reclaimed than the arena ever holds.
-#[test]
-fn gc_storm_stays_canonical_across_collections() {
-    const OPS: usize = 100_000;
-    const POOL: usize = 200;
-    const COLLECT_EVERY: usize = 5_000;
-    let mut m = Manager::with_capacity(16, 8);
-    let mut rng = Storm(0x6C_C0_11_EC_70_12_57_AB);
-    let mut pool: Vec<(Ref, u64)> = Vec::new();
-    for i in 0..NVARS {
-        let v = m.var(i);
-        m.protect(v);
-        pool.push((v, var_truth(i)));
-    }
-    // Canonicity witness map; only valid between collections (a sweep may
-    // recycle the slot behind an unprotected ref), so it is rebuilt from
-    // the protected pool after every collect.
-    let mut canon: std::collections::HashMap<u64, Ref> = std::collections::HashMap::new();
-    let mut collections = 0u64;
-
-    for step in 0..OPS {
-        let a = pool[rng.below(pool.len())];
-        let b = pool[rng.below(pool.len())];
-        let c = pool[rng.below(pool.len())];
-        let (r, truth) = match rng.below(6) {
-            0 => (m.and(a.0, b.0), a.1 & b.1),
-            1 => (m.or(a.0, b.0), a.1 | b.1),
-            2 => (m.xor(a.0, b.0), a.1 ^ b.1),
-            3 => (m.ite(a.0, b.0, c.0), (a.1 & b.1) | (!a.1 & c.1 & mask())),
-            4 => (
-                m.maj(a.0, b.0, c.0),
-                (a.1 & b.1) | (b.1 & c.1) | (a.1 & c.1),
-            ),
-            _ => (!a.0, !a.1 & mask()),
-        };
-        let truth = truth & mask();
-        assert_eq!(
-            bdd_truth(&m, r),
-            truth,
-            "gc storm step {step}: BDD disagrees with oracle"
-        );
-        match canon.entry(truth) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                assert_eq!(*e.get(), r, "gc storm step {step}: canonicity broken");
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(r);
-            }
-        }
-        // Rotate the protected working set: release the evicted root.
-        if pool.len() < POOL {
-            m.protect(r);
-            pool.push((r, truth));
-        } else {
-            let k = rng.below(POOL);
-            m.release(pool[k].0);
-            m.protect(r);
-            pool[k] = (r, truth);
-        }
-
-        if step % COLLECT_EVERY == COLLECT_EVERY - 1 {
-            m.collect();
-            collections += 1;
-            // (a) the protected pool survived intact.
-            for &(f, t) in &pool {
-                assert_eq!(bdd_truth(&m, f), t, "protected function corrupted by sweep");
-            }
-            // (b) reclaim-and-reuse keeps the unique table canonical: any
-            // op over surviving pool entries lands on its canonical node.
-            let x = pool[rng.below(pool.len())];
-            let y = pool[rng.below(pool.len())];
-            let redo1 = m.and(x.0, y.0);
-            let redo2 = m.and(x.0, y.0);
-            assert_eq!(redo1, redo2);
-            assert_eq!(bdd_truth(&m, redo1), x.1 & y.1 & mask());
-            // Unprotected refs (canon values, the redo above) may dangle
-            // after the *next* collect: drop them and re-seed from the
-            // protected pool.
-            canon.clear();
-            for &(f, t) in &pool {
-                canon.insert(t, f);
-            }
-        }
-    }
-
-    let stats = m.cache_stats();
-    assert!(collections >= 19);
-    assert!(
-        stats.reclaimed_total > stats.peak_nodes as u64,
-        "storm must recycle more nodes than the arena ever held \
-         (reclaimed {}, peak {})",
-        stats.reclaimed_total,
-        stats.peak_nodes
-    );
-    assert_eq!(stats.live_nodes + stats.free_nodes, m.num_nodes());
+    assert_eq!(stats.peak_nodes, m.live_nodes());
 }
 
 /// Window reordering under a full truth-table oracle at flow-realistic
@@ -872,7 +767,6 @@ fn window_reorder_truth_oracle_on_twelve_vars() {
     }
     let vars: Vec<Ref> = (0..VARS).map(|i| m.var(i)).collect();
     let parity = m.xor_all(vars);
-    m.protect(parity);
     let before = m.size(pairs);
     let swaps = m.cache_stats().sift_swaps;
     let after = bdd::window_reorder(&mut m, pairs, 3, 4);
@@ -910,12 +804,46 @@ fn swap_burst(m: &mut Manager, rng: &mut Storm, count: usize) {
     }
 }
 
-/// The reordering-under-reclamation storm: random ops over a protected
-/// pool with periodic bursts of random level swaps interleaved with
-/// forced collections. At every burst each pool function must keep its
-/// truth vector and the unique table must stay canonical (rebuilding a
-/// pool function returns the identical `Ref`) — across arbitrary
-/// interleavings of level swaps, slot reuse and unique-table rebuilds.
+/// Builds the function with truth vector `t` over the `NVARS` variables
+/// by Shannon expansion, under whatever order the manager holds.
+fn from_truth(m: &mut Manager, t: u64) -> Ref {
+    fn expand(m: &mut Manager, t: u64, k: u32) -> Ref {
+        let rows = 1u32 << k;
+        let all = if rows == 64 {
+            u64::MAX
+        } else {
+            (1 << rows) - 1
+        };
+        match t & all {
+            0 => Ref::ZERO,
+            t if t == all => Ref::ONE,
+            t => {
+                let lo = expand(m, t, k - 1);
+                let hi = expand(m, t >> (rows / 2), k - 1);
+                let v = m.var(k - 1);
+                m.ite(v, hi, lo)
+            }
+        }
+    }
+    expand(m, t, NVARS)
+}
+
+/// Clears the manager and builds every pool function again from its truth
+/// vector: the pool's old `Ref`s dangle after the clear.
+fn clear_and_rebuild(m: &mut Manager, pool: &mut [(Ref, u64)]) {
+    m.clear();
+    for (f, t) in pool.iter_mut() {
+        *f = from_truth(m, *t);
+    }
+}
+
+/// The reordering-and-clearing storm: random ops over a pool with
+/// periodic bursts of random level swaps interleaved with a clear that
+/// rebuilds the pool under the swapped order. At every burst each pool
+/// function must keep its truth vector and the unique table must stay
+/// canonical (rebuilding a pool function returns the identical `Ref`) —
+/// across arbitrary interleavings of level swaps, clears and unique-table
+/// growth.
 #[test]
 fn swap_storm_interleaved_with_gc_stays_canonical() {
     const OPS: usize = 20_000;
@@ -926,7 +854,6 @@ fn swap_storm_interleaved_with_gc_stays_canonical() {
     let mut pool: Vec<(Ref, u64)> = Vec::new();
     for i in 0..NVARS {
         let v = m.var(i);
-        m.protect(v);
         pool.push((v, var_truth(i)));
     }
     let mut bursts = 0usize;
@@ -952,29 +879,25 @@ fn swap_storm_interleaved_with_gc_stays_canonical() {
             "step {step}: BDD disagrees with oracle"
         );
         if pool.len() < POOL {
-            m.protect(r);
             pool.push((r, truth));
         } else {
-            let k = rng.below(POOL);
-            m.release(pool[k].0);
-            m.protect(r);
-            pool[k] = (r, truth);
+            pool[rng.below(POOL)] = (r, truth);
         }
         if step % SWAP_EVERY == SWAP_EVERY - 1 {
-            // Alternate swap-then-collect and collect-then-swap so both
+            // Alternate swap-then-clear and clear-then-swap so both
             // interleavings are exercised.
             if (step / SWAP_EVERY).is_multiple_of(2) {
                 swap_burst(&mut m, &mut rng, 32);
-                m.collect();
+                clear_and_rebuild(&mut m, &mut pool);
             } else {
-                m.collect();
+                clear_and_rebuild(&mut m, &mut pool);
                 swap_burst(&mut m, &mut rng, 32);
             }
             bursts += 1;
-            // The swaps' slot patching and the sweeps must leave no live
-            // edge into a reclaimed slot and the slot lists exact.
+            // The swaps' slot patching and the clears must leave the
+            // canonical form and the slot lists exact.
             m.verify_arena();
-            // (a) every protected function survives reordering + sweeps.
+            // (a) every pool function survives reordering + clears.
             for &(f, t) in &pool {
                 assert_eq!(
                     bdd_truth(&m, f),
@@ -982,7 +905,7 @@ fn swap_storm_interleaved_with_gc_stays_canonical() {
                     "pool function corrupted at step {step}"
                 );
             }
-            // (b) canonicity under the installed order and recycled slots.
+            // (b) canonicity under the installed order and reused slots.
             let x = pool[rng.below(pool.len())];
             let y = pool[rng.below(pool.len())];
             let redo1 = m.and(x.0, y.0);
@@ -996,108 +919,15 @@ fn swap_storm_interleaved_with_gc_stays_canonical() {
     assert!(bursts >= 7, "the storm must actually reorder");
     let stats = m.cache_stats();
     assert_eq!(stats.sift_swaps, 32 * bursts as u64);
-    assert!(stats.reclaimed_total > 0, "collections must reclaim");
-}
-
-/// The bounded-memory proof for long flows: a storm over enough variables
-/// that, without reclamation, the arena would grow monotonically with
-/// operation count (the PR-1 leak-by-design). With periodic
-/// [`Manager::maybe_collect`] the arena footprint must instead stay within
-/// a small constant factor of the live working set.
-#[test]
-fn gc_keeps_arena_within_constant_factor_of_live_size() {
-    const OPS: usize = 100_000;
-    const ACCS: usize = 8;
-    let mut m = Manager::new();
-    m.set_gc_config(GcConfig {
-        dead_fraction: 0.25,
-        min_nodes: 1 << 12,
-    });
-    let mut rng = Storm(0xBD_D6_CB_DD_6C);
-    // The projection variables are used as operands across collection
-    // points, so they are roots too.
-    let vars: Vec<Ref> = (0..24)
-        .map(|i| {
-            let v = m.var(i);
-            m.protect(v)
-        })
-        .collect();
-    // A rotating set of protected accumulators keeps a live working set
-    // while every overwritten value becomes garbage.
-    let mut accs: Vec<Ref> = vars.iter().take(ACCS).map(|&v| m.protect(v)).collect();
-    let mut arena_after_collect = Vec::new();
-    for step in 0..OPS {
-        let i = rng.below(ACCS);
-        let a = accs[i];
-        let b = accs[rng.below(ACCS)];
-        let v = vars[rng.below(vars.len())];
-        let r = match rng.below(5) {
-            0 => m.and(a, v),
-            1 => m.or(a, v),
-            2 => m.xor(a, v),
-            3 => m.ite(v, a, b),
-            _ => m.ite(a, v, b),
-        };
-        // Random 24-variable combinations grow without bound; reset an
-        // accumulator that outgrows the working-set budget (the discarded
-        // function is exactly the kind of garbage the collector exists
-        // for).
-        let r = if m.size(r) > 500 { v } else { r };
-        m.release(accs[i]);
-        accs[i] = m.protect(r);
-        // The flow-level discipline: offer a collection at every quiescent
-        // point; the threshold gate keeps almost all of these free.
-        m.maybe_collect();
-        if step % 1_000 == 999 {
-            arena_after_collect.push((m.num_nodes(), m.live_nodes()));
-        }
-    }
-    m.collect();
-    let stats = m.cache_stats();
-    let live = m.live_nodes();
-    // Far more nodes were created than the arena ever held: reclamation,
-    // not growth, absorbed the storm.
-    assert!(
-        stats.reclaimed_total > 4 * stats.peak_nodes as u64,
-        "expected heavy recycling (reclaimed {}, peak arena {})",
-        stats.reclaimed_total,
-        stats.peak_nodes
-    );
-    assert!(stats.collections >= 5, "threshold collections must trigger");
-    // The arena footprint is a constant factor of the live size, not of
-    // the operation count: between-collection growth is bounded by the
-    // churn of one threshold window, far below the 100k-op total.
-    let max_arena = arena_after_collect
-        .iter()
-        .map(|&(a, _)| a)
-        .max()
-        .unwrap_or(0);
-    let max_live = arena_after_collect
-        .iter()
-        .map(|&(_, l)| l)
-        .max()
-        .unwrap_or(1);
-    assert!(
-        max_arena < 16 * max_live,
-        "arena footprint {max_arena} not within constant factor of live {max_live}"
-    );
-    // And the final sweep leaves exactly the protected working set (plus
-    // free slots) in the arena.
-    let mut roots = accs.clone();
-    roots.extend(vars.iter().copied());
-    let reachable = m.shared_size(&roots);
-    assert!(
-        live <= reachable + 1 + vars.len(),
-        "live nodes {live} must be the protected set (reachable {reachable})"
-    );
+    assert_eq!(stats.collections, bursts as u64, "every clear counts");
 }
 
 /// The abort-recovery property: a random op storm through the *fallible*
 /// kernels with a fault injected at an arbitrary recursion step. Whatever
 /// interior point the abort lands on, the manager must come back fully
-/// consistent — `verify_arena` passes before and after a recovery
-/// `collect()`, every protected function still matches its truth vector,
-/// and rebuilding over the survivors stays canonical against the oracle.
+/// consistent — `verify_arena` passes, every pool function still matches
+/// its truth vector, and after a recovery `clear()` that rebuilds the
+/// pool, the audit and canonicity against the oracle hold again.
 mod abort_injection {
     use super::*;
 
@@ -1118,7 +948,6 @@ mod abort_injection {
             let mut pool: Vec<(Ref, u64)> = Vec::new();
             for i in 0..NVARS {
                 let v = m.var(i);
-                m.protect(v);
                 pool.push((v, var_truth(i)));
             }
             m.fault_inject_abort_after(Some(abort_at));
@@ -1147,13 +976,9 @@ mod abort_injection {
                         // Completed ops are exact even while armed.
                         prop_assert_eq!(bdd_truth(&m, r), truth);
                         if pool.len() < POOL {
-                            m.protect(r);
                             pool.push((r, truth));
                         } else {
-                            let k = rng.below(POOL);
-                            m.release(pool[k].0);
-                            m.protect(r);
-                            pool[k] = (r, truth);
+                            pool[rng.below(POOL)] = (r, truth);
                         }
                     }
                     Err(e) => {
@@ -1171,12 +996,15 @@ mod abort_injection {
             m.fault_inject_abort_after(None);
             // The manager must already be consistent before any cleanup...
             m.verify_arena();
-            // ...and the aborted garbage must be collectable.
-            m.collect();
-            m.verify_arena();
-            // Oracle + canonicity over the survivors.
             for &(f, t) in &pool {
-                prop_assert_eq!(bdd_truth(&m, f), t, "protected function corrupted");
+                prop_assert_eq!(bdd_truth(&m, f), t, "pool function corrupted");
+            }
+            // ...and after a clear that drops the aborted nodes too.
+            clear_and_rebuild(&mut m, &mut pool);
+            m.verify_arena();
+            // Oracle + canonicity over the rebuilt pool.
+            for &(f, t) in &pool {
+                prop_assert_eq!(bdd_truth(&m, f), t, "rebuilt function wrong");
             }
             let x = pool[rng.below(pool.len())];
             let y = pool[rng.below(pool.len())];
@@ -1268,12 +1096,13 @@ fn exhaustive_four_var_complement_pairs_share_one_node() {
     m.verify_arena();
 }
 
-/// Complement-edge ⨯ GC ⨯ swap storm: a negation-heavy op mix (every
+/// Complement-edge ⨯ clear ⨯ swap storm: a negation-heavy op mix (every
 /// result also enters the pool complemented) driven through periodic
-/// cycles of random level swaps and a `collect`. After every quiescent
-/// point the canonical-form audit must hold, every pool function and its
-/// complement must still agree with the truth-table oracle, and negation
-/// must still be a pure sign flip on the reordered, compacted arena.
+/// cycles of random level swaps and a clear that rebuilds the pool under
+/// the swapped order. After every cycle the canonical-form audit must
+/// hold, every pool function and its complement must still agree with
+/// the truth-table oracle, and negation must still be a pure sign flip on
+/// the reordered, rebuilt arena.
 #[test]
 fn complement_storm_with_gc_and_swaps_stays_canonical() {
     const OPS: usize = 8_000;
@@ -1284,7 +1113,6 @@ fn complement_storm_with_gc_and_swaps_stays_canonical() {
     let mut pool: Vec<(Ref, u64)> = Vec::new();
     for i in 0..NVARS {
         let v = m.var(i);
-        m.protect(v);
         pool.push((v, var_truth(i)));
     }
     let mut quiesces = 0usize;
@@ -1315,24 +1143,21 @@ fn complement_storm_with_gc_and_swaps_stays_canonical() {
         );
         assert_eq!(!!r, r, "step {step}: double negation at the Ref level");
         // Half the inserts go in complemented, so the working set is
-        // saturated with signed edges before every swap/collect cycle.
+        // saturated with signed edges before every swap/clear cycle.
         let (ins, ins_t) = if step % 2 == 0 {
             (r, truth)
         } else {
             (!r, !truth & mask())
         };
         if pool.len() < POOL {
-            m.protect(ins);
             pool.push((ins, ins_t));
         } else {
-            let k = rng.below(POOL);
-            m.release(pool[k].0);
-            m.protect(ins);
-            pool[k] = (ins, ins_t);
+            pool[rng.below(POOL)] = (ins, ins_t);
         }
         if step % QUIESCE_EVERY == QUIESCE_EVERY - 1 {
             swap_burst(&mut m, &mut rng, 32);
-            m.collect();
+            m.verify_arena();
+            clear_and_rebuild(&mut m, &mut pool);
             m.verify_arena();
             quiesces += 1;
             for &(f, t) in &pool {

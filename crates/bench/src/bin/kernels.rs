@@ -10,7 +10,7 @@
 //! carries the sequential-vs-parallel wall-clock pair and the speedup is
 //! tracked like every other perf number.
 
-use bdd::{GcConfig, Manager, Ref};
+use bdd::Manager;
 use bench::{parse_jobs, pool, timed};
 use circuits::suite::paper_suite;
 use decomp::EngineOptions;
@@ -75,80 +75,6 @@ struct StormResult {
     nodes: usize,
 }
 
-struct GcStormResult {
-    ops: u64,
-    micros: u128,
-    lookups: u64,
-    reclaimed: u64,
-    collections: u64,
-    peak_nodes: usize,
-    final_nodes: usize,
-    live_nodes: usize,
-    free_nodes: usize,
-    hit_rate: f64,
-}
-
-/// The reclamation storm: a protected 8-accumulator working set over 24
-/// variables with heavy churn and threshold-triggered collections — the
-/// memory pattern of a long decomposition flow. Without the collector the
-/// arena would grow monotonically with `ops`; with it, `final_nodes` and
-/// `peak_nodes` stay within a constant factor of `live_nodes`.
-// bdslint: allow(protect-release) -- the vars/accs roots live for the
-// whole storm and die with the manager at the end of this function
-fn gc_storm(rounds: u32) -> GcStormResult {
-    let mut m = Manager::new();
-    m.set_gc_config(GcConfig {
-        dead_fraction: 0.25,
-        min_nodes: 1 << 12,
-    });
-    let vars: Vec<Ref> = (0..24)
-        .map(|i| {
-            let v = m.var(i);
-            m.protect(v)
-        })
-        .collect();
-    let mut accs: Vec<Ref> = vars.iter().take(8).map(|&v| m.protect(v)).collect();
-    let mut ops = 0u64;
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let ((), elapsed) = timed(|| {
-        for _ in 0..rounds {
-            for i in 0..accs.len() {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let a = accs[i];
-                let b = accs[(x as usize >> 8) % accs.len()];
-                let v = vars[(x as usize >> 16) % vars.len()];
-                let r = match x % 5 {
-                    0 => m.and(a, v),
-                    1 => m.or(a, v),
-                    2 => m.xor(a, v),
-                    3 => m.ite(v, a, b),
-                    _ => m.ite(a, v, b),
-                };
-                ops += 1;
-                let r = if m.size(r) > 500 { v } else { r };
-                m.release(accs[i]);
-                accs[i] = m.protect(r);
-                m.maybe_collect();
-            }
-        }
-    });
-    let stats = m.cache_stats();
-    GcStormResult {
-        ops,
-        micros: elapsed.as_micros(),
-        lookups: stats.lookups,
-        reclaimed: stats.reclaimed_total,
-        collections: stats.collections,
-        peak_nodes: stats.peak_nodes,
-        final_nodes: m.num_nodes(),
-        live_nodes: m.live_nodes(),
-        free_nodes: stats.free_nodes,
-        hit_rate: stats.hit_rate(),
-    }
-}
-
 fn run_storm(name: &'static str, f: fn(&mut Manager, u32) -> u64, rounds: u32) -> StormResult {
     let mut m = Manager::new();
     let (ops, elapsed) = timed(|| f(&mut m, rounds));
@@ -158,7 +84,7 @@ fn run_storm(name: &'static str, f: fn(&mut Manager, u32) -> u64, rounds: u32) -
         ops,
         micros: elapsed.as_micros(),
         hit_rate: stats.hit_rate(),
-        nodes: m.num_nodes(),
+        nodes: m.live_nodes(),
     }
 }
 
@@ -235,22 +161,6 @@ fn main() {
         );
     }
 
-    let gc = gc_storm(3_125);
-    println!(
-        "gc_storm   {:>8} ops in {:>8} µs  ({:.1} Mops/s, cache hit {:.1}% of {} lookups, reclaimed {} in {} collections, arena {} peak {} live {} free {})",
-        gc.ops,
-        gc.micros,
-        gc.ops as f64 / gc.micros.max(1) as f64,
-        100.0 * gc.hit_rate,
-        gc.lookups,
-        gc.reclaimed,
-        gc.collections,
-        gc.final_nodes,
-        gc.peak_nodes,
-        gc.live_nodes,
-        gc.free_nodes
-    );
-
     // Suite portion: per-benchmark decomposition wall clock (Table I
     // flows), timed sequentially first (the continuity baseline), then
     // through the suite pool when more than one worker is asked
@@ -321,21 +231,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"gc_storm\": {{\"ops\": {}, \"micros\": {}, \"mops_per_sec\": {:.3}, \"cache_lookups\": {}, \"cache_hit_rate\": {:.4}, \"reclaimed\": {}, \"collections\": {}, \"peak_nodes\": {}, \"final_nodes\": {}, \"live_nodes\": {}, \"free_nodes\": {}}},",
-        gc.ops,
-        gc.micros,
-        gc.ops as f64 / gc.micros.max(1) as f64,
-        gc.lookups,
-        gc.hit_rate,
-        gc.reclaimed,
-        gc.collections,
-        gc.peak_nodes,
-        gc.final_nodes,
-        gc.live_nodes,
-        gc.free_nodes
-    );
     json.push_str("  \"suite\": {\n");
     let _ = write!(
         json,

@@ -637,29 +637,30 @@ mod tests {
     }
 
     /// The retry path, on a budget that aborts cones mid-decomposition
-    /// (after their partition build fit): collecting after each abort and
-    /// retrying the cone once recovers every cone of bigkey, and the row
-    /// equals the unbudgeted one.
+    /// (after their rebuild fit): retrying an aborted cone once with a
+    /// fresh step count recovers every cone of dalu, and the row equals
+    /// the unbudgeted one. The aborts land on the row's BDS-PGA side.
     #[test]
     fn retry_recovers_budget_aborted_cones() {
         let suite = paper_suite();
-        let bigkey = suite.iter().find(|b| b.name == "bigkey").unwrap();
+        let dalu = suite.iter().find(|b| b.name == "dalu").unwrap();
         let budget = RowBudget {
             node_limit: Some(1000),
             step_limit: Some(300),
             timeout: None,
         };
         let engine = budget.apply(&EngineOptions::default());
-        let row = table1_row(bigkey, &engine);
+        let row = table1_row(dalu, &engine);
         assert_eq!(row.status, RowStatus::Ok);
         assert!(row.verified);
-        let free = table1_row(bigkey, &EngineOptions::default());
+        let free = table1_row(dalu, &EngineOptions::default());
         assert_eq!((row.maj, row.pga), (free.maj, free.pga));
         let options = BdsMajOptions {
-            engine,
+            engine: engine.clone(),
             ..BdsMajOptions::default()
         };
-        let retried = bds_maj(&bigkey.network, &options).report().retried_count();
+        let retried = bds_maj(&dalu.network, &options).report().retried_count()
+            + bds_pga(&dalu.network, &engine).report.retried_count();
         assert!(retried > 0, "the budget must abort and retry some cone");
     }
 

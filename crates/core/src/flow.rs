@@ -3,11 +3,11 @@
 //! factoring trees with sharing. Also provides the BDS-PGA baseline (the
 //! same engine with the majority hook disabled).
 //!
-//! Both flows run in bounded BDD memory: the engine underneath declares
-//! supernode functions as garbage-collection roots, releases them as
-//! their gates are emitted, and lets the manager reclaim dead
-//! intermediates between supernodes (see `bdd::Manager::collect`), so
-//! long multi-benchmark runs do not accumulate every intermediate node.
+//! Both flows run in bounded BDD memory: after the partition, the engine
+//! underneath holds one cone in the BDD arena at a time. It clears the
+//! manager before each supernode (`bdd::Manager::clear`) and builds that
+//! cone again under the current variable order, so memory tracks the
+//! largest cone's working set, not the whole network.
 
 use crate::maj::{MajConfig, MajDecomposer};
 use decomp::{decompose_network, DecomposeResult, EngineOptions, NoMajority};

@@ -218,7 +218,7 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
 ///
 /// It keeps no state between calls beyond its counters: the answer for
 /// `f` depends on `f`'s BDD under the current variable order alone, so
-/// it cannot depend on when the manager last collected, and the engine
+/// it cannot depend on what else the manager's arena holds, and the engine
 /// may replay an earlier answer instead of asking (see
 /// [`decomp::MajorityHook`]). Within one decomposition of a cone a
 /// repeated function never reaches the hook: the engine's per-cone

@@ -11,7 +11,7 @@
 use crate::dominators::{try_find_decomposition, Decomposition};
 use crate::emit::{replay, Emitter, FunctionEmitter, Operand, Step};
 use bdd::{BuildFxHasher, LimitExceeded, Manager, Ref, ResourceLimits};
-use logic::{partition_with_limits, Network, PartitionConfig, SignalId};
+use logic::{partition_with_limits, try_build_cone, Network, PartitionConfig, SignalId};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -47,27 +47,34 @@ pub struct EngineOptions {
     /// performs variable reordering to compact the size of the input
     /// BDD"), a sliding window-permutation search
     /// (`bdd::window_reorder`); `< 2` keeps the partition's static order.
-    /// Reordering is in place: the supernode's `Ref` and its
-    /// variable-to-signal binding survive unchanged; only the manager's
-    /// level order moves.
+    /// Reordering is in place: the cone's `Ref` and its variable-to-signal
+    /// binding survive unchanged; only the manager's level order moves,
+    /// and the next cone is built under it.
     pub reorder_window: usize,
     /// Skip per-cone reordering for supernode BDDs larger than this (the
     /// search cost grows with BDD size).
     pub reorder_size_limit: usize,
     /// Skip per-cone reordering below this size: in-place searches move
-    /// the *shared* level order, so tiny cones pay global swap cost for
-    /// node counts that cannot meaningfully shrink.
+    /// the level order every later cone is built under, for node counts
+    /// that cannot meaningfully shrink.
     pub reorder_min_size: usize,
-    /// Per-cone resource budget for both the partition's cone builds and
-    /// the decomposition recursion (the step counter resets per cone; a
-    /// deadline is absolute, bounding the whole run). All-`None` (the
-    /// default) runs unbudgeted. A cone whose decomposition blows the
-    /// budget is retried once after a collection, with the step counter
-    /// reset; if the retry aborts too, the cone degrades gracefully: its
-    /// original gates are copied un-decomposed. A replayed cone runs no
-    /// kernel under the budget: it ticks no step, builds no node beyond
-    /// its order install's level swaps, and cannot degrade. The outcome
-    /// lands in [`FlowReport`].
+    /// Per-cone resource budget for the partition's cone builds, the
+    /// cone's rebuild at its turn and the decomposition recursion (the
+    /// step counter resets for each; a deadline is absolute, bounding the
+    /// whole run). All-`None` (the default) runs unbudgeted.
+    ///
+    /// The node ceiling counts the manager's whole arena. In the
+    /// partition that is every cone built so far, aborted builds
+    /// included; the engine clears the arena before each cone, so there
+    /// it is the cone's own working set. A partition build or a rebuild
+    /// that blows the budget degrades the cone: its original gates are
+    /// copied un-decomposed. A decomposition that blows it is retried
+    /// once with the step counter reset; nothing is reclaimed in between,
+    /// so the retry resumes from the aborted attempt's nodes and memo,
+    /// which still count against the ceiling. If the retry aborts too,
+    /// the cone degrades. A replayed cone runs no kernel under the
+    /// budget: it ticks no step, builds no node, and cannot degrade. The
+    /// outcome lands in [`FlowReport`].
     pub limits: ResourceLimits,
 }
 
@@ -88,7 +95,7 @@ impl Default for EngineOptions {
 pub enum ConeStatus {
     /// Decomposed within budget on the first attempt.
     Ok,
-    /// The first attempt blew the budget; a collect and retry succeeded.
+    /// The first attempt blew the budget; the retry succeeded.
     RetriedOk,
     /// An earlier cone of the run had the same BDD under the same order
     /// and decomposed on its first attempt; its emitter calls were
@@ -118,7 +125,7 @@ impl FlowReport {
             .count()
     }
 
-    /// Cones that needed the collect and retry to fit the budget.
+    /// Cones that needed the retry to fit the budget.
     pub fn retried_count(&self) -> usize {
         self.cones
             .iter()
@@ -167,35 +174,38 @@ pub struct DecomposeResult {
 /// inverters, with sharing across factoring trees (a degraded cone keeps
 /// its original gates).
 ///
-/// A cone's emitted logic is a function of its supernode BDD, of the level
-/// order on entry and of whether the cone is reordered: every decision
-/// reads only the BDD under the current order, and the recursion never
-/// branches on an emitted signal. So the first cone with a given key that
+/// One cone is in the BDD arena at a time. The partition chooses every
+/// cut and static order up front; then, before each cone, the engine
+/// clears the manager ([`Manager::clear`], which keeps the order) and
+/// builds the cone again under the current order ([`try_build_cone`]).
+/// By canonicity that is the BDD level swaps would have made of the
+/// partition's build, so a cone's reorder swaps rewrite only its own
+/// nodes and memory tracks the largest cone, not the network.
+///
+/// A cone's emitted logic is a function of its supernode function, of
+/// the level order on entry and of whether the cone is reordered: every
+/// decision reads only the BDD under the current order, and the
+/// recursion never branches on an emitted signal. The supernode's
+/// partition `Ref` names its function for the whole run (compared, never
+/// dereferenced), and with the cut width and the entry order it fixes
+/// the reorder decision. So the first cone with a given key that
 /// decomposes on its first attempt is recorded as a template (its emitter
 /// calls over cut-input positions, and the order it leaves installed),
-/// and every later cone with that key installs the order and replays the
-/// calls with its own inputs. The emitter sees exactly the calls a fresh
-/// decomposition would make, so the output is the same, without the
-/// reorder, the hook or the dominator search. Debug builds decompose
-/// every replayed cone afresh as well and assert that it makes the
-/// template's calls.
-///
-/// Memory-wise the flow is bounded: the partition protects each supernode
-/// function as a collection root, the engine releases it once the
-/// supernode's gates are emitted, and the manager is offered a collection
-/// between supernodes — so the arena tracks the largest live working set
-/// instead of accumulating every intermediate of the whole run.
-// bdslint: allow(protect-release) -- releases roots protected by
-// partition_with_limits: ownership transfers in with the Partition
+/// and every later cone with that key installs the order on the empty
+/// arena and replays the calls with its own inputs, building nothing.
+/// The emitter sees exactly the calls a fresh decomposition would make,
+/// so the output is the same, without the rebuild, the reorder, the hook
+/// or the dominator search. Debug builds decompose every replayed cone
+/// afresh as well and assert that it makes the template's calls.
 pub fn decompose_network(
     net: &Network,
     options: &EngineOptions,
     hook: &mut dyn MajorityHook,
 ) -> DecomposeResult {
     let start = Instant::now();
-    // Pre-size the kernel's tables for the whole run: the partition pass
-    // builds every supernode BDD into this one manager, so starting at the
-    // default table size would pay a cascade of rehash doublings.
+    // Pre-size the kernel's tables for the partition pass, which builds
+    // every supernode BDD into this one manager: starting at the default
+    // table size would pay a cascade of rehash doublings.
     let mut manager = Manager::with_capacity(
         (net.len() * 16).clamp(1 << 12, 1 << 20),
         bdd::DEFAULT_CACHE_BITS,
@@ -207,13 +217,15 @@ pub fn decompose_network(
     let mut emitter = Emitter::new();
     let mut report = FlowReport::default();
     let mut signal_map: HashMap<SignalId, SignalId> = HashMap::new();
-    // Local to the call: `Ref`s mean nothing outside this manager.
+    // Local to the call: the partition's `Ref`s name functions only within
+    // this run.
     let mut templates: HashMap<ConeKey, Template, BuildFxHasher> = HashMap::default();
     for &pi in net.inputs() {
         let new = out.add_input(net.signal_name(pi));
         signal_map.insert(pi, new);
     }
     for sn in &part.supernodes {
+        manager.clear();
         if sn.degraded {
             // The partition could not even build this cone's BDD under
             // budget: carry the original gates through verbatim.
@@ -224,74 +236,64 @@ pub fn decompose_network(
             continue;
         }
         let var_signals: Vec<SignalId> = sn.inputs.iter().map(|s| signal_map[s]).collect();
-        let function = sn.function;
-        // Per-supernode reordering pass (BDS §IV-B). Reordering is in
-        // place on the shared level maps: the cone's `Ref` and its
-        // variable-to-signal binding are untouched, only node counts move.
-        // The decision also reads the cut width, which the `Ref` does not
-        // determine, so it is part of the key.
-        let cone_size = manager.size(function);
-        let reorder = options.reorder_window >= 2
-            && var_signals.len() >= 3
-            && cone_size >= options.reorder_min_size
-            && cone_size <= options.reorder_size_limit;
-        // The partition built every supernode before the first cone and
-        // protects each until its turn, so an earlier key holding this
-        // `Ref` was made for this very function; no collection can have
-        // recycled the slot in between.
-        let key = (function, reorder, manager.level2var().to_vec());
+        let key = (
+            sn.function.raw(),
+            var_signals.len(),
+            manager.level2var().to_vec(),
+        );
         let status = if let Some(t) = templates.get(&key) {
             #[cfg(debug_assertions)]
-            check_template(
-                &mut manager,
-                function,
-                reorder,
-                var_signals.len(),
-                t,
-                options,
-                hook,
-            );
+            {
+                let f = manager.ungoverned(|m| try_build_cone(net, m, sn.root, &sn.inputs));
+                check_template(&mut manager, f, var_signals.len(), t, options, hook);
+                manager.clear();
+            }
             bdd::install_order(&mut manager, &t.exit_order);
             debug_assert_eq!(manager.level2var(), &t.exit_order[..]);
             let sig = replay(&t.steps, t.result, &mut emitter, &mut out, &var_signals);
             signal_map.insert(sn.root, sig);
             ConeStatus::Replayed
         } else {
-            if reorder {
-                bdd::window_reorder(&mut manager, function, options.reorder_window, SWEEPS);
+            if governed {
+                manager.set_limits(options.limits);
             }
-            // At most two attempts. An aborted first attempt is collected
-            // (its garbage counts against the live-node ceiling) and
-            // retried under the same order with a fresh step count; the
-            // partition's claim keeps `function` alive through the
-            // collection. Memoized results naming live nodes survive it.
+            // An aborted rebuild degrades the cone. A decomposition gets at
+            // most two attempts, under the same order, each with a fresh
+            // step count; the retry resumes from the nodes and memo of the
+            // aborted attempt, which still count against the node ceiling.
             // Any gates the first attempt emitted stay valid (the
             // emitter's strash may even reuse them); unreachable ones are
             // dropped by the final clean.
             let mut retried = false;
-            let attempt = loop {
-                if governed {
-                    manager.set_limits(options.limits); // fresh step budget
+            let attempt = match try_build_cone(net, &mut manager, sn.root, &sn.inputs) {
+                Err(_) => None,
+                Ok(function) => {
+                    // Per-supernode reordering pass (BDS §IV-B).
+                    if reorders(&manager, function, var_signals.len(), options) {
+                        bdd::window_reorder(&mut manager, function, options.reorder_window, SWEEPS);
+                    }
+                    loop {
+                        if governed {
+                            manager.set_limits(options.limits);
+                        }
+                        let mut fe = FunctionEmitter::new(&var_signals);
+                        let r = try_decompose_function(
+                            &mut manager,
+                            function,
+                            &mut fe,
+                            &mut emitter,
+                            &mut out,
+                            options,
+                            hook,
+                            0,
+                        );
+                        match r {
+                            Ok(root) => break Some((fe, root)),
+                            Err(_) if retried => break None,
+                            Err(_) => retried = true,
+                        }
+                    }
                 }
-                let mut fe = FunctionEmitter::new(&var_signals);
-                let r = try_decompose_function(
-                    &mut manager,
-                    function,
-                    &mut fe,
-                    &mut emitter,
-                    &mut out,
-                    options,
-                    hook,
-                    0,
-                );
-                match r {
-                    Ok(root) => break Some((fe, root)),
-                    Err(_) if retried => break None,
-                    // fe's Ref-keyed memo must not outlive a collection.
-                    Err(_) => drop(fe),
-                }
-                manager.collect();
-                retried = true;
             };
             if governed {
                 manager.clear_limits();
@@ -312,23 +314,14 @@ pub fn decompose_network(
                     }
                 }
                 None => {
-                    // Graceful degradation: reclaim the aborted garbage
-                    // and copy the original cone's gates through
-                    // un-decomposed.
-                    manager.collect();
+                    // Graceful degradation: copy the original cone's gates
+                    // through un-decomposed.
                     copy_original_cone(net, &mut out, &mut signal_map, sn.root);
                     ConeStatus::Degraded
                 }
             }
         };
         report.cones.push((net.signal_name(sn.root), status));
-        // Drop the partition's claim: this supernode's gates are emitted,
-        // and later supernodes reference *signals*, not `Ref`s.
-        manager.release(function);
-        // Quiescent point: every live function is a protected root, so
-        // let the collector recycle decomposition garbage plus whatever
-        // nodes the reordering displaced.
-        manager.maybe_collect();
     }
     for (name, s) in net.outputs() {
         out.set_output(name.clone(), signal_map[s]);
@@ -344,9 +337,19 @@ pub fn decompose_network(
 /// Sweep bound of the per-cone [`bdd::window_reorder`].
 const SWEEPS: usize = 4;
 
-/// A cone's replay key: its supernode BDD, whether the engine reorders
-/// it, and the level order on entry.
-type ConeKey = (Ref, bool, Vec<u32>);
+/// Whether the engine window-reorders the cone `f` of `width` inputs
+/// before decomposing it: a function of `f` and the current order.
+fn reorders(m: &Manager, f: Ref, width: usize, options: &EngineOptions) -> bool {
+    let size = m.size(f);
+    options.reorder_window >= 2
+        && width >= 3
+        && size >= options.reorder_min_size
+        && size <= options.reorder_size_limit
+}
+
+/// A cone's replay key: the bits of its supernode's partition `Ref`, its
+/// cut width, and the level order on entry.
+type ConeKey = (u32, usize, Vec<u32>);
 
 /// The first decomposition of a [`ConeKey`]: the emitter calls it made,
 /// the operand implementing the cone, and the level order it left
@@ -357,16 +360,15 @@ struct Template {
     exit_order: Vec<u32>,
 }
 
-/// The debug-build oracle for a replay: decomposes the cone afresh exactly
-/// as a miss does, reorder included and budget suspended, into a throwaway
-/// network whose inputs stand in for the cut; asserts that it makes the
-/// template's calls and leaves the template's order; then reinstalls the
-/// entry order for the replay.
+/// The debug-build oracle for a replay: decomposes the cone `f`, built
+/// under the entry order, afresh exactly as a miss does, reorder included
+/// and budget suspended, into a throwaway network whose inputs stand in
+/// for the cut; asserts that it makes the template's calls and leaves the
+/// template's order; then reinstalls the entry order for the replay.
 #[cfg(debug_assertions)]
 fn check_template(
     m: &mut Manager,
     f: Ref,
-    reorder: bool,
     width: usize,
     t: &Template,
     options: &EngineOptions,
@@ -375,7 +377,7 @@ fn check_template(
     let entry = m.level2var().to_vec();
     let mut net = Network::new("replay oracle");
     let cut: Vec<SignalId> = (0..width).map(|i| net.add_input(format!("x{i}"))).collect();
-    if reorder {
+    if reorders(m, f, width, options) {
         bdd::window_reorder(m, f, options.reorder_window, SWEEPS);
     }
     let mut fe = FunctionEmitter::new(&cut);
@@ -660,6 +662,72 @@ mod tests {
             equiv_sim(&net, &result.network, 64, 11),
             Ok(()),
             "degraded cones must carry the original logic through"
+        );
+    }
+
+    /// A hook that declines every call (the flow is BDS-PGA) and records
+    /// the manager's arena size at each one.
+    struct ArenaProbe {
+        max_live: usize,
+    }
+
+    impl MajorityHook for ArenaProbe {
+        fn try_majority(&mut self, m: &mut Manager, _f: Ref) -> Option<[Ref; 3]> {
+            self.max_live = self.max_live.max(m.live_nodes());
+            None
+        }
+    }
+
+    /// 120 distinct random cones over 24 inputs, none replayable: while
+    /// any cone is being decomposed, the arena holds less than all
+    /// supernode BDDs together, which a flow keeping every pending cone
+    /// live never does. (A cone's working set, its dominator tests'
+    /// rebuilds included, is far larger than its BDD, hence so many.)
+    #[test]
+    fn one_cone_in_the_arena_at_a_time() {
+        let mut net = Network::new("cones");
+        let x: Vec<SignalId> = (0..24).map(|i| net.add_input(format!("x{i}"))).collect();
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pick = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        for k in 0..120 {
+            let mut acc = x[pick(24)];
+            for _ in 0..6 {
+                let a = x[pick(24)];
+                let (kind, fanins) = match pick(4) {
+                    0 => (GateKind::And, vec![acc, a]),
+                    1 => (GateKind::Or, vec![acc, a]),
+                    2 => (GateKind::Xor, vec![acc, a]),
+                    _ => (GateKind::Maj, vec![acc, a, x[pick(24)]]),
+                };
+                acc = net.add_gate(kind, fanins);
+            }
+            net.set_output(format!("y{k}"), acc);
+        }
+        let options = EngineOptions::default();
+        let mut m = Manager::new();
+        let part = logic::partition(&net, &mut m, options.partition);
+        let functions: Vec<Ref> = part.supernodes.iter().map(|s| s.function).collect();
+        let mut distinct = functions.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), functions.len(), "every cone is distinct");
+        let all_cones = m.shared_size(&functions);
+
+        let mut probe = ArenaProbe { max_live: 0 };
+        let result = decompose_network(&net, &options, &mut probe);
+        assert_eq!(result.report.replayed_count(), 0);
+        assert_eq!(equiv_sim(&net, &result.network, 16, 9), Ok(()));
+        assert!(probe.max_live > 1, "the hook must be asked");
+        assert!(
+            probe.max_live < all_cones,
+            "the arena held {} nodes; all {} cones together take {all_cones}",
+            probe.max_live,
+            functions.len()
         );
     }
 

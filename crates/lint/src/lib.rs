@@ -1,10 +1,9 @@
 //! `bdslint` — the workspace's own static analyzer.
 //!
-//! Six PRs of kernel work produced invariants that lived only in doc
-//! comments and convention: GC at quiescent points, cooperative `tick()`
-//! governance in every recursive kernel, balanced protect/release root
-//! management, panic-free governed paths, zero `unsafe`, and telemetry
-//! counters that someone actually reads. This crate turns each of those
+//! Kernel work produced invariants that lived only in doc comments and
+//! convention: cooperative `tick()` governance in every recursive kernel,
+//! panic-free governed paths, zero `unsafe`, telemetry counters that
+//! someone actually reads, and complement-canonical edge construction. This crate turns each of those
 //! into a machine-checked, deny-by-default rule that runs under plain
 //! `cargo test` (the workspace self-test) and as the `bdslint` binary in
 //! CI — so the upcoming concurrent-kernel refactor breaks the build, not

@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn allow_annotations_parse() {
         let m = model(
-            "a(); // bdslint: allow(panic-surface) -- reason here\nb(); // bdslint: allow(gc-in-kernel)\nc(); // bdslint: allownothing\n",
+            "a(); // bdslint: allow(panic-surface) -- reason here\nb(); // bdslint: allow(kernel-tick)\nc(); // bdslint: allownothing\n",
         );
         assert_eq!(m.allows.len(), 3);
         assert!(m.allows[0].reason && m.allows[0].rules == ["panic-surface"]);
@@ -401,18 +401,16 @@ mod tests {
         assert!(m.allows[2].malformed);
         assert!(m.allowed("panic-surface", 0));
         assert!(
-            !m.allowed("gc-in-kernel", 1),
+            !m.allowed("kernel-tick", 1),
             "allow without reason must not suppress"
         );
     }
 
     #[test]
     fn annotation_above_through_attributes() {
-        let m = model(
-            "// bdslint: allow(protect-release) -- ownership transfers\n#[inline]\nfn f() {}\n",
-        );
-        assert!(m.allowed("protect-release", 2));
-        assert!(!m.allowed("protect-release", 5));
+        let m = model("// bdslint: allow(kernel-tick) -- not a recursion\n#[inline]\nfn f() {}\n");
+        assert!(m.allowed("kernel-tick", 2));
+        assert!(!m.allowed("kernel-tick", 5));
     }
 
     #[test]

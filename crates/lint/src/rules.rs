@@ -1,4 +1,4 @@
-//! The seven workspace invariants `bdslint` enforces, plus the annotation
+//! The five workspace invariants `bdslint` enforces, plus the annotation
 //! hygiene diagnostics.
 //!
 //! Every rule is deny-by-default: a violation is suppressed only by a
@@ -14,10 +14,8 @@ use crate::model::FileModel;
 
 /// Rule identifiers, exactly as they appear in findings and in
 /// `allow(...)` annotations.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 6] = [
     KERNEL_TICK,
-    GC_IN_KERNEL,
-    PROTECT_RELEASE,
     PANIC_SURFACE,
     UNSAFE_SAFETY,
     TELEMETRY_LIVENESS,
@@ -27,8 +25,6 @@ pub const RULES: [&str; 8] = [
 
 pub const KERNEL_TICK: &str = "kernel-tick";
 pub const COMPLEMENT_CANONICAL: &str = "complement-canonical";
-pub const GC_IN_KERNEL: &str = "gc-in-kernel";
-pub const PROTECT_RELEASE: &str = "protect-release";
 pub const PANIC_SURFACE: &str = "panic-surface";
 pub const UNSAFE_SAFETY: &str = "unsafe-safety";
 pub const TELEMETRY_LIVENESS: &str = "telemetry-liveness";
@@ -67,11 +63,6 @@ pub struct Config {
     /// PR 6 cooperative-governance contract. Grow this list when adding
     /// a kernel.
     pub kernel_fns: &'static [&'static str],
-    /// Kernel files in which no GC/reorder entry point may ever be
-    /// called: collection runs at quiescent points only (PR 2).
-    pub gc_free_files: &'static [&'static str],
-    /// Method names that trigger the quiescent-point rule.
-    pub gc_methods: &'static [&'static str],
     /// Files whose non-test code must be panic-free (governed kernel
     /// paths and the BLIF reader).
     pub panic_free_files: &'static [&'static str],
@@ -106,8 +97,6 @@ impl Default for Config {
                 "restrict_rec",
                 "replace_rec",
             ],
-            gc_free_files: ["crates/bdd/src/ops.rs", "crates/bdd/src/cofactor.rs"].as_slice(),
-            gc_methods: &["collect", "maybe_collect"],
             panic_free_files: &[
                 "crates/bdd/src/ops.rs",
                 "crates/bdd/src/cofactor.rs",
@@ -171,8 +160,6 @@ pub fn run(cfg: &Config, lintable: &[FileModel], corpus: &[FileModel]) -> Vec<Fi
     let mut findings = Vec::new();
     for file in lintable {
         kernel_tick_file(cfg, file, &mut findings);
-        gc_in_kernel(cfg, file, &mut findings);
-        protect_release(file, &mut findings);
         panic_surface(cfg, file, &mut findings);
         unsafe_safety(file, &mut findings);
         complement_canonical(cfg, file, &mut findings);
@@ -283,84 +270,10 @@ fn kernel_registry_coverage(cfg: &Config, lintable: &[FileModel], findings: &mut
     }
 }
 
-/// Rule 2 (`gc-in-kernel`): collection and reordering run at quiescent
-/// points only; the kernel recursion files must never invoke them (the
-/// sweep would reclaim unprotected recursion intermediates).
-fn gc_in_kernel(cfg: &Config, file: &FileModel, findings: &mut Vec<Finding>) {
-    if !cfg.gc_free_files.contains(&file.path.as_str()) {
-        return;
-    }
-    for (lineno, line) in file.code.iter().enumerate() {
-        if file.is_test[lineno] {
-            continue;
-        }
-        for method in cfg.gc_methods {
-            if !method_calls(line, method).is_empty() && !file.allowed(GC_IN_KERNEL, lineno) {
-                findings.push(Finding {
-                    file: file.path.clone(),
-                    line: lineno + 1,
-                    rule: GC_IN_KERNEL,
-                    message: format!(
-                        "`.{method}(` inside a kernel file — GC/reordering is \
-                         quiescent-point-only (PR 2): it would sweep the \
-                         unprotected recursion intermediates"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Rule 3 (`protect-release`): `.protect(` and `.release(` calls must
-/// balance within a function, unless the function is annotated as
-/// transferring root ownership to/from its caller.
-fn protect_release(file: &FileModel, findings: &mut Vec<Finding>) {
-    for span in &file.fns {
-        if file.is_test[span.decl_line] {
-            continue;
-        }
-        let mut protects = 0usize;
-        let mut releases = 0usize;
-        for lineno in span.body_open_line..=span.body_end_line {
-            // Count only calls belonging to this body, not to a nested fn.
-            let line = &file.code[lineno];
-            for col in method_calls(line, "protect") {
-                if file
-                    .enclosing_fn(lineno, col)
-                    .is_some_and(|f| std::ptr::eq(f, span))
-                {
-                    protects += 1;
-                }
-            }
-            for col in method_calls(line, "release") {
-                if file
-                    .enclosing_fn(lineno, col)
-                    .is_some_and(|f| std::ptr::eq(f, span))
-                {
-                    releases += 1;
-                }
-            }
-        }
-        if protects != releases && !file.allowed(PROTECT_RELEASE, span.decl_line) {
-            findings.push(Finding {
-                file: file.path.clone(),
-                line: span.decl_line + 1,
-                rule: PROTECT_RELEASE,
-                message: format!(
-                    "`{}` has {protects} protect call(s) but {releases} release \
-                     call(s) — balance them, or annotate the root-ownership \
-                     transfer with its rationale",
-                    span.name
-                ),
-            });
-        }
-    }
-}
-
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "unimplemented", "todo"];
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
 
-/// Rule 4 (`panic-surface`): governed kernel paths and the BLIF reader
+/// Rule 2 (`panic-surface`): governed kernel paths and the BLIF reader
 /// must not panic — no unwrap/expect, no panicking macros, no `[...]`
 /// indexing. Errors flow through `Result`; provably-safe spots carry an
 /// annotation with the proof sketch.
@@ -424,7 +337,7 @@ fn panic_surface(cfg: &Config, file: &FileModel, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 5 (`unsafe-safety`): every `unsafe` occurrence carries a
+/// Rule 3 (`unsafe-safety`): every `unsafe` occurrence carries a
 /// `// SAFETY:` justification. The workspace is currently unsafe-free;
 /// this locks that state in ahead of the lock-free unique table.
 fn unsafe_safety(file: &FileModel, findings: &mut Vec<Finding>) {
@@ -443,7 +356,7 @@ fn unsafe_safety(file: &FileModel, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 7 (`complement-canonical`): inside the kernel crate, `Ref`s are
+/// Rule 5 (`complement-canonical`): inside the kernel crate, `Ref`s are
 /// minted only by the registered constructors. A raw `Ref::new(` /
 /// `Ref::from_raw(` anywhere else can set the complement bit on a
 /// 1-edge and silently break the canonical form (`f` and `¬f` stop
@@ -492,7 +405,7 @@ fn complement_canonical(cfg: &Config, file: &FileModel, findings: &mut Vec<Findi
     }
 }
 
-/// Rule 6 (`telemetry-liveness`): every public field of the registered
+/// Rule 4 (`telemetry-liveness`): every public field of the registered
 /// telemetry structs is read (`.field` access) in at least one file other
 /// than the defining one — a counter nobody reads is drift waiting to
 /// happen (the PR 4 aggregate-statistics bug class).

@@ -23,8 +23,6 @@ fn base_config() -> Config {
     Config {
         kernel_dir: "crates/bdd/src",
         kernel_fns: &[],
-        gc_free_files: &[],
-        gc_methods: &[],
         panic_free_files: &[],
         telemetry_structs: &[],
         ref_ctor_dir: "",
@@ -74,13 +72,13 @@ fn kernel_tick_clean_passes() {
 
 #[test]
 fn kernel_registry_drift_is_a_finding() {
-    // The gc/bad tree has a kernel dir, but no `ite_rec` anywhere: a
-    // rename that dodges the registry must break loudly.
+    // The complement/bad tree has a kernel dir, but no `ite_rec`
+    // anywhere: a rename that dodges the registry must break loudly.
     let cfg = Config {
         kernel_fns: &["ite_rec"],
         ..base_config()
     };
-    let findings = lint_fixture("gc/bad", &cfg);
+    let findings = lint_fixture("complement/bad", &cfg);
     assert_eq!(rules_of(&findings), ["kernel-tick"], "{findings:?}");
     assert!(
         findings[0].message.contains("registered kernel"),
@@ -90,47 +88,6 @@ fn kernel_registry_drift_is_a_finding() {
 }
 
 // ---------------------------------------------------------------- rule 2
-
-fn gc_cfg() -> Config {
-    Config {
-        gc_free_files: &["crates/bdd/src/ops.rs"],
-        gc_methods: &["collect", "maybe_collect", "sift"],
-        ..base_config()
-    }
-}
-
-#[test]
-fn gc_calls_in_kernel_files_are_caught() {
-    let findings = lint_fixture("gc/bad", &gc_cfg());
-    assert_eq!(
-        rules_of(&findings),
-        ["gc-in-kernel", "gc-in-kernel"],
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn gc_clean_passes_with_annotated_escape_and_test_code() {
-    let findings = lint_fixture("gc/good", &gc_cfg());
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------- rule 3
-
-#[test]
-fn unbalanced_protect_release_is_caught() {
-    let findings = lint_fixture("protect/bad", &base_config());
-    assert_eq!(rules_of(&findings), ["protect-release"], "{findings:?}");
-    assert!(findings[0].message.contains("2 protect"), "{}", findings[0]);
-}
-
-#[test]
-fn balanced_and_annotated_transfers_pass() {
-    let findings = lint_fixture("protect/good", &base_config());
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------- rule 4
 
 fn panic_cfg() -> Config {
     Config {
@@ -161,7 +118,7 @@ fn panic_free_reader_with_annotated_dead_arm_passes() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ---------------------------------------------------------------- rule 5
+// ---------------------------------------------------------------- rule 3
 
 #[test]
 fn unsafe_without_safety_comment_is_caught() {
@@ -175,7 +132,7 @@ fn unsafe_with_safety_comment_passes() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ---------------------------------------------------------------- rule 6
+// ---------------------------------------------------------------- rule 4
 
 fn telemetry_cfg() -> Config {
     Config {
@@ -234,7 +191,7 @@ fn telemetry_registry_drift_is_a_finding() {
     );
 }
 
-// ---------------------------------------------------------------- rule 7
+// ---------------------------------------------------------------- rule 5
 
 fn complement_cfg() -> Config {
     Config {

@@ -9,7 +9,7 @@
 
 use crate::network::{GateKind, Network, SignalId};
 use bdd::{BuildFxHasher, LimitExceeded, Manager, Ref, ResourceLimits};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Tuning knobs for the partial collapse.
 #[derive(Clone, Copy, Debug)]
@@ -41,11 +41,13 @@ pub struct Supernode {
     pub root: SignalId,
     /// Boundary signals feeding the supernode; input `i` is BDD variable `i`.
     pub inputs: Vec<SignalId>,
-    /// Local function over `inputs`, in the shared manager. [`partition`]
-    /// protects it as a garbage-collection root; whoever finishes with the
-    /// supernode releases it (see [`Partition::release_roots`]).
+    /// Local function over `inputs`, in the manager [`partition`] built
+    /// it in, under the identity order. Valid until the manager's next
+    /// [`Manager::clear`]; after that only its bits still mean something:
+    /// two supernodes of one partition share them exactly when their
+    /// functions are equal. [`try_build_cone`] builds the function again.
     ///
-    /// Meaningless (the constant zero, unprotected) when `degraded`.
+    /// Meaningless (the constant zero) when `degraded`.
     pub function: Ref,
     /// The cone build blew its resource budget: `function` was never
     /// built and `inputs` is empty. Consumers must fall back to the
@@ -75,18 +77,10 @@ impl Partition {
         self.supernodes.iter().filter(|s| s.degraded).count()
     }
 
-    /// Releases every supernode function protected by [`partition`].
-    /// Consumers that release per supernode as they go (the decomposition
-    /// engine does) must not also call this. Degraded supernodes hold no
-    /// function and are skipped.
-    // bdslint: allow(protect-release) -- this IS the release half:
-    // it frees the roots partition() protected on the caller's behalf
+    /// Drops every supernode function by clearing the manager
+    /// ([`Manager::clear`]); the variables and their order stay.
     pub fn release_roots(&self, manager: &mut Manager) {
-        for sn in &self.supernodes {
-            if !sn.degraded {
-                manager.release(sn.function);
-            }
-        }
+        manager.clear();
     }
 }
 
@@ -98,12 +92,11 @@ impl Partition {
 /// support would exceed `max_support`. Every boundary signal that is not a
 /// primary input becomes a [`Supernode`].
 ///
-/// Each supernode function is declared a garbage-collection root
-/// ([`Manager::protect`]) the moment it is built, and the manager is
-/// offered a [`Manager::maybe_collect`] between cone builds, so the
-/// intermediates of already-finished cones can be recycled while later
-/// cones are still being collapsed. Callers own the roots: release each
-/// function when done with it (or use [`Partition::release_roots`]).
+/// Every supernode function stays in the manager, next to the
+/// intermediates of every build, until the caller clears it
+/// ([`Manager::clear`]). Each cone is built under both static variable
+/// assignments and the smaller BDD kept, measured under the manager's
+/// current order: the identity order in a fresh manager.
 pub fn partition(net: &Network, manager: &mut Manager, config: PartitionConfig) -> Partition {
     partition_with_limits(net, manager, config, ResourceLimits::default())
 }
@@ -114,12 +107,10 @@ pub fn partition(net: &Network, manager: &mut Manager, config: PartitionConfig) 
 /// installed (the step counter resets per cone; a deadline is absolute
 /// and therefore bounds the whole pass). A cone that blows the budget
 /// becomes a *degraded* supernode — [`Supernode::degraded`] set, no
-/// function, no protection — and its aborted garbage is collected before
-/// the next cone builds, so one pathological cone cannot OOM the run or
-/// poison its neighbours. All-`None` limits make this identical to
-/// [`partition`].
-// bdslint: allow(protect-release) -- supernode roots are handed to the
-// caller, who releases them per cone or via Partition::release_roots
+/// function — so one pathological cone cannot OOM the run. Nothing is
+/// reclaimed during the pass, so a node ceiling counts every cone built
+/// so far, aborted builds included. All-`None` limits make this
+/// identical to [`partition`].
 pub fn partition_with_limits(
     net: &Network,
     manager: &mut Manager,
@@ -215,16 +206,13 @@ pub fn partition_with_limits(
             // global, which is exactly the containment we want.
             manager.set_limits(limits);
         }
-        match try_build_local_bdd(net, manager, id, &boundary, &depth, false) {
+        let supernode = match try_build_local_bdd(net, manager, id, &boundary, &depth, false) {
             Ok((inputs, function)) => {
-                manager.protect(function);
                 // Second candidate under the depth-weighted visit order.
                 // Neither static order dominates the suite, so keep the
-                // smaller of the two; the loser's nodes are unprotected
-                // garbage reclaimed by the maybe_collect below. A fresh
-                // step budget keeps the extra build from starving the
-                // cone, and a blown second build just falls back to the
-                // first — never a new degradation.
+                // smaller of the two. A fresh step budget keeps the extra
+                // build from starving the cone, and a blown second build
+                // just falls back to the first — never a new degradation.
                 if governed {
                     manager.set_limits(limits);
                 }
@@ -233,42 +221,25 @@ pub fn partition_with_limits(
                         Ok((inputs2, function2))
                             if manager.size(function2) < manager.size(function) =>
                         {
-                            manager.protect(function2);
-                            manager.release(function);
                             (inputs2, function2)
                         }
                         _ => (inputs, function),
                     };
-                part.supernodes.push(Supernode {
+                Supernode {
                     root: id,
                     inputs,
                     function,
                     degraded: false,
-                });
+                }
             }
-            Err(_) => {
-                // The aborted build's partial products are unreferenced
-                // garbage; reclaim them now so the blown cone does not
-                // carry its node debt into its neighbours' budgets.
-                part.supernodes.push(Supernode {
-                    root: id,
-                    inputs: Vec::new(),
-                    function: Ref::ZERO,
-                    degraded: true,
-                });
-                manager.clear_limits();
-                manager.collect();
-                continue;
-            }
-        }
-        if governed {
-            manager.clear_limits();
-        }
-        // A finished cone's intermediates (the per-gate partial products
-        // of eval_cone) are dead now; between builds every live function
-        // is a protected supernode root, so collection is safe at this
-        // quiescent point.
-        manager.maybe_collect();
+            Err(_) => Supernode {
+                root: id,
+                inputs: Vec::new(),
+                function: Ref::ZERO,
+                degraded: true,
+            },
+        };
+        part.supernodes.push(supernode);
     }
     if governed {
         manager.clear_limits();
@@ -294,21 +265,18 @@ fn try_build_local_bdd(
     deep_first: bool,
 ) -> Result<(Vec<SignalId>, Ref), LimitExceeded> {
     let mut inputs: Vec<SignalId> = Vec::new();
-    let mut var_of: HashMap<SignalId, u32, BuildFxHasher> = HashMap::default();
-    // Pre-assign variables in DFS discovery order for a topology-aware
-    // static ordering (deepest fanin visited first).
+    // Assign variables in DFS discovery order for a topology-aware static
+    // ordering (deepest fanin visited first).
     let mut stack = vec![(root, false)];
-    let mut visited: HashMap<SignalId, bool, BuildFxHasher> = HashMap::default();
+    let mut visited: HashSet<SignalId, BuildFxHasher> = HashSet::default();
     while let Some((id, is_boundary_ref)) = stack.pop() {
         if is_boundary_ref || boundary[id.index()] && id != root {
-            if let std::collections::hash_map::Entry::Vacant(e) = var_of.entry(id) {
-                let v = inputs.len() as u32;
-                e.insert(v);
+            if !inputs.contains(&id) {
                 inputs.push(id);
             }
             continue;
         }
-        if visited.insert(id, true).is_some() {
+        if !visited.insert(id) {
             continue;
         }
         // Visit order: left-to-right, or deepest fanin sub-cone first.
@@ -323,9 +291,29 @@ fn try_build_local_bdd(
         }
     }
 
-    let mut memo: HashMap<SignalId, Ref, BuildFxHasher> = HashMap::default();
-    let f = eval_cone(net, manager, root, &var_of, &mut memo, root)?;
+    let f = try_build_cone(net, manager, root, &inputs)?;
     Ok((inputs, f))
+}
+
+/// Builds the function of the cone rooted at `root` over the boundary
+/// signals `inputs` (input `i` is variable `i`), under the manager's
+/// current order: a [`Supernode`]'s function again, from its `root` and
+/// `inputs`, after its manager was cleared. By canonicity this is the
+/// BDD level swaps would have turned the partition's build into.
+/// Budget-governed like [`try_apply_gate`].
+pub fn try_build_cone(
+    net: &Network,
+    manager: &mut Manager,
+    root: SignalId,
+    inputs: &[SignalId],
+) -> Result<Ref, LimitExceeded> {
+    let var_of: HashMap<SignalId, u32, BuildFxHasher> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (s, i as u32))
+        .collect();
+    let mut memo: HashMap<SignalId, Ref, BuildFxHasher> = HashMap::default();
+    eval_cone(net, manager, root, &var_of, &mut memo, root)
 }
 
 fn eval_cone(

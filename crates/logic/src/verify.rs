@@ -126,7 +126,7 @@ pub fn output_bdds(net: &Network, manager: &mut Manager, max_nodes: usize) -> Op
         let kids: Vec<Ref> = node.fanins.iter().map(|f| values[f]).collect();
         let r = apply_gate(manager, &node.kind, &kids);
         values.insert(id, r);
-        if manager.num_nodes() > max_nodes {
+        if manager.live_nodes() > max_nodes {
             return None;
         }
     }

@@ -9,9 +9,9 @@ use bds_maj::prelude::*;
 /// Table I under the default flow options, row by row: the BDS-MAJ
 /// `(MAJ nodes, decomposition total)` and the BDS-PGA decomposition
 /// total. No decision depends on which arena slot a node lands in or on
-/// when the collector ran (`tests/gc_schedule.rs`), so a kernel change
-/// that only moves allocations cannot move a row; a changed row is an
-/// algorithmic change.
+/// what else the arena holds, so a kernel change that only moves
+/// allocations cannot move a row; a changed row is an algorithmic
+/// change.
 const TABLE1_GOLDEN: [(&str, usize, usize, usize); 17] = [
     ("alu2", 3, 60, 72),
     ("C6288", 224, 960, 1856),
