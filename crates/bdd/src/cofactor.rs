@@ -30,12 +30,12 @@
 //! *ancestors* of the target: an edge whose level is at or below the
 //! target's level cannot reach it (children sit strictly deeper), so it
 //! is returned as is, without a step or a probe. The rebuild is memoized
-//! under the keyed op `(node, target, value)` in the cache's
-//! order-sensitive generation — a level swap changes which nodes reach
-//! the target, so swaps retire it together with restrict. Repeated dominator
-//! tests on one function share the memo: the BDS dominator search and the
-//! m-dominator scan (both through `classify_dominator`) substitute both
-//! constants for every candidate node of `f`. The balanced XOR split
+//! under the keyed op `(node, target, value)` — a level swap changes
+//! which nodes reach the target, so a swap that rewrites a node retires
+//! the whole memo, restrict's included. Repeated dominator tests on one
+//! function share the memo: the BDS dominator search and the m-dominator
+//! scan (both through `classify_dominator`) substitute both constants
+//! for every candidate node of `f`. The balanced XOR split
 //! finds its x-dominators structurally ([`Manager::x_dominators`]) and
 //! substitutes only `1`, only for those; debug builds also run both
 //! substitutions on each of its candidates to check that verdict.
@@ -193,10 +193,10 @@ impl Manager {
     ///
     /// Only the ancestors of `target` are rebuilt: every edge at or below
     /// the target's level is shared with `f` unchanged. Results are
-    /// memoized per `(node, target, value)` in the order-sensitive cache
-    /// generation, so the second dominator test of the same `(f, target)`
-    /// pair — or of any function sharing `f`'s upper nodes — is a probe,
-    /// until a level swap or a [`Manager::clear`] retires the entries.
+    /// memoized per `(node, target, value)` in the computed cache, so the
+    /// second dominator test of the same `(f, target)` pair — or of any
+    /// function sharing `f`'s upper nodes — is a probe, until a level swap
+    /// that rewrites a node or a [`Manager::clear`] retires the entries.
     pub fn replace_node_with_const(&mut self, f: Ref, target: NodeId, value: bool) -> Ref {
         self.ungoverned(|m| m.try_replace_node_with_const(f, target, value))
     }

@@ -52,8 +52,8 @@
 //! place a node is created.
 //!
 //! * **Node arena** — a flat `(var, low, high)` vector, appended to by
-//!   `mk`, with one slot list per variable for the level swap; a node is
-//!   its index, index 0 is the terminal.
+//!   `mk`; a node is its index, index 0 is the terminal. The level swap
+//!   finds the nodes it rewrites by one scan of it.
 //! * **Unique table** — an open-addressed, power-of-two `Vec<u32>` bucket
 //!   array over the arena, probed linearly from an inlined multiply-mix
 //!   hash of `(var, low, high)`. Bucket value 0 doubles as the
@@ -76,10 +76,9 @@
 //!   of the tag word): `ITE`, `AND`, `XOR`, `COFACTOR`, `RESTRICT`, and
 //!   `REPLACE` (node-to-constant substitution, keyed by
 //!   `(node, target, value)`). `RESTRICT` and `REPLACE` results
-//!   depend on the variable order, so they carry a second,
-//!   order-sensitive generation that every node-rewriting level swap
-//!   retires; the other ops survive swaps. [`Manager::clear_caches`]
-//!   bumps both generations: O(1), capacity kept.
+//!   depend on the variable order, so every level swap that rewrites a
+//!   node retires the whole memo, as [`Manager::clear_caches`] does: one
+//!   generation bump, O(1), capacity kept.
 //!
 //! # Memory: one cone per arena
 //!
@@ -144,9 +143,8 @@
 //! where the governed flow calls one.
 //!
 //! **What survives an abort:** everything. All invariant maintenance
-//! (unique-table insertion, per-variable node lists) happens inside one
-//! call of `mk`, so an early return between `mk` calls cannot tear any
-//! structure. After a `LimitExceeded` the manager is fully consistent
+//! (unique-table insertion and growth) happens inside one call of `mk`,
+//! so an early return between `mk` calls cannot tear any structure. After a `LimitExceeded` the manager is fully consistent
 //! and immediately usable: the unique table and computed cache are
 //! intact (including partial results the aborted operation memoized —
 //! they are correct, just incomplete), `verify_arena` passes, and the

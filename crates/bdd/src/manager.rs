@@ -98,9 +98,6 @@ pub struct Manager {
     pub(crate) var2level: Vec<u32>,
     /// Inverse of `var2level` (`level2var[level] = var`).
     pub(crate) level2var: Vec<u32>,
-    /// Exact per-variable slot lists, appended to by `mk`: the level
-    /// swap's work list.
-    pub(crate) var_nodes: Vec<Vec<u32>>,
     var_names: Vec<Option<String>>,
     /// The memo shared by every recursive kernel (see [`crate::session`]).
     pub(crate) cache: ComputedCache,
@@ -157,7 +154,6 @@ impl Manager {
             occupied: 0,
             var2level: Vec::new(),
             level2var: Vec::new(),
-            var_nodes: Vec::new(),
             var_names: Vec::new(),
             cache: ComputedCache::with_bits(cache_bits),
             visited: RefCell::new(VisitScratch::default()),
@@ -303,8 +299,10 @@ impl Manager {
     ///   function and its negation never occupy two nodes: the only
     ///   stored form of `¬f` is `f`'s own node reached through a
     ///   complemented edge;
-    /// * the per-variable slot lists hold exactly the arena's nodes, each
-    ///   once and under its own variable.
+    /// * every stored node's children sit at strictly deeper levels than
+    ///   the node under the current order — what `mk` checks on entry
+    ///   and what a level swap must re-establish for every node it
+    ///   rewrites or leaves behind.
     ///
     /// Tests call it directly.
     pub fn verify_arena(&self) {
@@ -314,24 +312,12 @@ impl Manager {
                 "slot {i}: complemented 1-edge escaped mk's normalization"
             );
             assert_ne!(n.low, n.high, "slot {i}: redundant node escaped mk");
+            let level = self.level_of_var(n.var);
+            assert!(
+                level < self.level(n.low) && level < self.level(n.high),
+                "slot {i}: a child sits at or above level {level}"
+            );
         }
-        let mut seen = self.visited.borrow_mut();
-        seen.begin(self.nodes.len());
-        for (v, list) in self.var_nodes.iter().enumerate() {
-            for &s in list {
-                assert_eq!(
-                    self.nodes[s as usize].var.0, v as u32,
-                    "var_nodes[{v}] lists slot {s} of another variable"
-                );
-                assert!(seen.mark(s as usize), "var_nodes lists slot {s} twice");
-            }
-        }
-        let listed: usize = self.var_nodes.iter().map(Vec::len).sum();
-        assert_eq!(
-            listed,
-            self.live_nodes() - 1,
-            "var_nodes and the live node count disagree"
-        );
     }
 
     /// Drops every node: the arena keeps only the terminal, and the
@@ -342,10 +328,9 @@ impl Manager {
     /// set and a level swap rewrites only that cone's nodes.
     ///
     /// The cost is O(arena), not O(table): each node's bucket is found by
-    /// its own probe and zeroed, the per-variable slot lists are emptied
-    /// and the cache retires its generations in O(1). A clear that drops
-    /// nodes counts in [`CacheStats::collections`] and
-    /// [`CacheStats::reclaimed_total`].
+    /// its own probe and zeroed, and the cache retires its generation in
+    /// O(1). A clear that drops nodes counts in
+    /// [`CacheStats::collections`] and [`CacheStats::reclaimed_total`].
     pub fn clear(&mut self) {
         let dropped = self.nodes.len() - 1;
         if dropped == 0 {
@@ -364,9 +349,6 @@ impl Manager {
         }
         self.nodes.truncate(1);
         self.occupied = 0;
-        for list in &mut self.var_nodes {
-            list.clear();
-        }
         self.cache.clear();
         self.collections += 1;
         self.reclaimed_total += dropped as u64;
@@ -529,29 +511,36 @@ mod tests {
     }
 
     #[test]
-    fn order_generation_wrap_retires_replace_memo() {
+    fn a_node_rewriting_swap_retires_the_memo() {
         let mut m = Manager::new();
         let a = m.var(0);
         let b = m.var(1);
-        let f = m.ite(a, b, Ref::ZERO);
-        // Put the order generation at the wrap boundary and plant a
-        // poisoned substitution entry. The wrap must wipe it together with
-        // every function-valued entry of the table; if it only restarted
-        // the order generation at 1, a stale entry could come back live.
-        m.cache
-            .insert(op::REPLACE, f.raw(), b.node().0, 1, Ref::ZERO);
-        m.cache.insert(op::AND, a.raw(), b.raw(), 0, Ref::ZERO);
-        m.cache.order_generation = (u32::MAX >> crate::session::GEN_SHIFT) - 1;
-        m.cache.clear_order_sensitive();
-        assert_eq!(
-            m.cache.lookup(op::REPLACE, f.raw(), b.node().0, 1),
-            None,
-            "the poisoned substitution must be unobservable after the wrap"
-        );
-        assert_eq!(m.cache.lookup(op::AND, a.raw(), b.raw(), 0), None);
-        // End-to-end: the substitution after the wrap is still correct.
+        let f = m.and(a, b);
+        // Under the order (a, b), f's root tests a and reaches b's node.
         assert_eq!(m.replace_node_with_const(f, b.node(), true), a);
-        assert_eq!(m.replace_node_with_const(f, b.node(), false), Ref::ZERO);
+        // Plant poisoned entries under a substitution key and a
+        // function-valued key, in the kernels' own key formats.
+        m.cache
+            .insert(op::REPLACE, f.raw(), b.node().0, 0, Ref::ONE);
+        m.cache.insert(op::AND, a.raw(), b.raw(), 0, Ref::ZERO);
+        assert!(m.swap_levels(0) > 0, "f's root branches into level 1");
+        assert_eq!(m.cache.lookup(op::REPLACE, f.raw(), b.node().0, 0), None);
+        assert_eq!(m.cache.lookup(op::AND, a.raw(), b.raw(), 0), None);
+        // f's slot now tests b and reaches a's node, not b's: neither the
+        // substitution memoized under the old order nor the poison may
+        // come back.
+        assert_eq!(m.replace_node_with_const(f, b.node(), true), f);
+        assert_eq!(m.replace_node_with_const(f, a.node(), true), b);
+        assert_eq!(m.replace_node_with_const(f, a.node(), false), Ref::ZERO);
+        assert_eq!(m.and(a, b), f);
+        // A swap that moves no node keeps the memo: nothing at a's level
+        // reaches c's.
+        let c = m.var(2);
+        let g = m.and(b, c);
+        assert_eq!(m.swap_levels(1), 0);
+        let hits = m.cache_stats().hits;
+        assert_eq!(m.and(b, c), g);
+        assert!(m.cache_stats().hits > hits, "the memo must survive");
     }
 
     #[test]
@@ -593,8 +582,8 @@ mod tests {
         m.verify_arena();
         assert_eq!(m.live_nodes(), 1);
         assert_eq!(m.level2var(), &order[..]);
-        // Rebuilding lists the new nodes under their variables, at the
-        // size the swaps left the function at.
+        // Rebuilding under the kept order reaches the size the swaps left
+        // the function at.
         let (a, b, c) = (m.var(0), m.var(1), m.var(2));
         let ab = m.and(a, b);
         let f = m.ite(c, ab, b);

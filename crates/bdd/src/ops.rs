@@ -31,11 +31,11 @@
 //! ([`Manager::ungoverned`]), so it can never abort. A connective has a
 //! `try_*` form where the governed flow calls one (the n-ary
 //! conjunction and disjunction have only that form). A `try_*` abort is
-//! clean by construction: all invariant maintenance (unique table,
-//! per-variable lists) happens inside one [`Manager::mk`] call, so
-//! unwinding between `mk` calls leaves the manager fully consistent and
-//! the partially built nodes in the arena until the next
-//! [`Manager::clear`] (see [`crate::LimitExceeded`]).
+//! clean by construction: all invariant maintenance (the unique table)
+//! happens inside one [`Manager::mk`] call, so unwinding between `mk`
+//! calls leaves the manager fully consistent and the partially built
+//! nodes in the arena until the next [`Manager::clear`] (see
+//! [`crate::LimitExceeded`]).
 //!
 //! Nodes carry no reference counts and nothing is reclaimed between
 //! clears, so a result stays valid until the caller clears the manager.

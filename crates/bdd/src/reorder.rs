@@ -259,12 +259,11 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// complement-normalized sub-tables its levels depend on — exactly the
 /// size a [`Manager::size_under`] rebuild would measure (debug builds
 /// assert the two agree). Only a winning arrangement pays the swap
-/// primitive, whose cost scales with the whole arena's population at
-/// the affected levels, and the probes build no node. A flow that meets
-/// the same function under the same order again can skip this search
-/// and [`install_order`] the order it left the first time; the BDS
-/// engine replays such cones, so this search sees each (function, order)
-/// pair of a run once.
+/// primitive, whose cost scales with the whole arena, and the probes
+/// build no node. A flow that meets the same function under the same
+/// order again can skip this search and [`install_order`] the order it
+/// left the first time; the BDS engine replays such cones, so this
+/// search sees each (function, order) pair of a run once.
 ///
 /// The search runs in place: `f` keeps its `Ref` and its function, and
 /// the minimizing order is left installed in the manager — which also
@@ -399,11 +398,12 @@ impl Manager {
     /// so every outstanding [`Ref`] keeps denoting the same Boolean
     /// function across the swap — nothing dangles. Displaced lower-level
     /// nodes stay in the arena, unreferenced, until the next
-    /// [`Manager::clear`]. When any node is rewritten, the
-    /// order-sensitive memo generation retires (an O(1) bump).
+    /// [`Manager::clear`]. When any node is rewritten, the computed cache
+    /// is cleared (an O(1) generation bump).
     ///
-    /// Cost is proportional to the upper level's population (via the
-    /// per-variable slot lists), not to the arena.
+    /// The upper level's nodes are found by one scan of the arena, so the
+    /// cost is proportional to the arena: in a flow that clears between
+    /// cones, to one cone's working set.
     ///
     /// Returns the number of rewritten nodes.
     ///
@@ -424,21 +424,12 @@ impl Manager {
         let y = self.level2var[l + 1];
         // Only upper-level nodes referencing the lower level change shape;
         // everything else is order-independent under an adjacent swap.
-        let list = std::mem::take(&mut self.var_nodes[x as usize]);
-        let mut keep: Vec<u32> = Vec::with_capacity(list.len());
-        let mut moved: Vec<(u32, Node)> = Vec::new();
-        for &slot in &list {
-            let n = self.nodes[slot as usize];
-            debug_assert_eq!(n.var.0, x, "per-variable slot list out of sync");
-            let low_y = self.nodes[n.low.node().index()].var.0 == y;
-            let high_y = self.nodes[n.high.node().index()].var.0 == y;
-            if low_y || high_y {
-                moved.push((slot, n));
-            } else {
-                keep.push(slot);
-            }
-        }
-        self.var_nodes[x as usize] = keep;
+        let var_of = |r: Ref| self.nodes[r.node().index()].var.0;
+        let moved: Vec<(u32, Node)> = (1u32..)
+            .zip(&self.nodes[1..])
+            .filter(|(_, n)| n.var.0 == x && (var_of(n.low) == y || var_of(n.high) == y))
+            .map(|(slot, &n)| (slot, n))
+            .collect();
         // The order maps swap unconditionally.
         self.level2var.swap(l, l + 1);
         self.var2level[x as usize] = (l + 1) as u32;
@@ -474,17 +465,11 @@ impl Manager {
                 high: new_high,
             };
             self.insert_slot(i);
-            self.var_nodes[y as usize].push(i);
         }
-        // Most memoized results survive a swap unchanged: their keys and
-        // results are `Ref`s, the swap preserves every Ref's function, and
-        // ITE/AND/XOR/COFACTOR results are determined by operand functions
-        // alone. The Coudert–Madre restrict results and node substitutions
-        // additionally depend on the variable *order* (the latter on which
-        // nodes reach the target), so exactly that class is retired (O(1)
-        // generation bump) — the rest of the memo stays warm across
-        // reordering.
-        self.cache.clear_order_sensitive();
+        // Restrict results and node substitutions depend on the variable
+        // order (the latter on which nodes reach the target), so the memo
+        // goes, in O(1).
+        self.cache.clear();
         moved.len()
     }
 }

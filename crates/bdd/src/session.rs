@@ -27,7 +27,8 @@ pub(crate) mod op {
     pub const RESTRICT: u32 = 5;
     /// Node-to-constant substitution `F(value)`, keyed by
     /// `(node, target, value)`. Which nodes reach the target depends on
-    /// the variable order, so this memo is order-sensitive.
+    /// the variable order, which is why a level swap that rewrites a node
+    /// retires the whole memo.
     pub const REPLACE: u32 = 7;
 }
 
@@ -88,39 +89,24 @@ pub const DEFAULT_CACHE_BITS: u32 = 14;
 /// a stale way first and round-robin among live ones, so two hot keys
 /// that collide no longer evict each other every call.
 ///
-/// Entries are tagged by one of *two* generations: most operations are
-/// function-valued (their keys and results are `Ref`s whose functions the
-/// in-place level swap preserves), but the Coudert–Madre generalized
-/// cofactors pick their result *using the variable order*, and a node
-/// substitution depends on which nodes reach the target in the current
-/// DAG, so their memo must not survive a reordering.
-/// [`ComputedCache::clear_order_sensitive`] retires only the latter in
-/// O(1), keeping the ITE/AND/XOR/cofactor memo warm across level swaps.
+/// Entries are tagged by one generation, and [`ComputedCache::clear`]
+/// retires every entry in O(1) by bumping it. The Coudert–Madre
+/// generalized cofactors pick their result *using the variable order*,
+/// and a node substitution depends on which nodes reach the target in the
+/// current DAG, so a level swap that rewrites a node clears the whole
+/// memo, function-valued entries included.
 pub(crate) struct ComputedCache {
     pub(crate) sets: Vec<CacheSet>,
     mask: usize,
     pub(crate) generation: u32,
-    /// Generation of the order-sensitive ops (`RESTRICT`, `REPLACE`);
-    /// bumped by every node-rewriting level swap.
-    pub(crate) order_generation: u32,
     pub(crate) lookups: u64,
     pub(crate) hits: u64,
     pub(crate) insertions: u64,
 }
 
-/// Generations live in the upper bits of the entry tag; op tags occupy the
-/// low `GEN_SHIFT` bits.
+/// The generation lives in the upper bits of the entry tag; op tags
+/// occupy the low `GEN_SHIFT` bits.
 pub(crate) const GEN_SHIFT: u32 = 3;
-
-/// Mask extracting the op code from an entry tag.
-const OP_MASK: u32 = (1 << GEN_SHIFT) - 1;
-
-/// Whether a memoized result of `op` depends on the current variable
-/// order (rather than only on the operand functions).
-#[inline(always)]
-fn order_sensitive(op: u32) -> bool {
-    op == op::RESTRICT || op == op::REPLACE
-}
 
 impl ComputedCache {
     /// `bits` is the historical entry-count budget (`2^bits` direct-mapped
@@ -133,7 +119,6 @@ impl ComputedCache {
             sets: vec![CacheSet::default(); n],
             mask: n - 1,
             generation: 1,
-            order_generation: 1,
             lookups: 0,
             hits: 0,
             insertions: 0,
@@ -152,12 +137,7 @@ impl ComputedCache {
 
     #[inline(always)]
     fn tag_for(&self, op: u32) -> u32 {
-        let gen = if order_sensitive(op) {
-            self.order_generation
-        } else {
-            self.generation
-        };
-        gen << GEN_SHIFT | op
+        self.generation << GEN_SHIFT | op
     }
 
     #[inline(always)]
@@ -188,7 +168,7 @@ impl ComputedCache {
         self.insertions += 1;
         let tag = self.tag_for(op);
         let idx = self.set_of(op, a, b, c);
-        let (generation, order_generation) = (self.generation, self.order_generation);
+        let generation = self.generation;
         let set = &mut self.sets[idx];
         // Way choice: the way already holding this key, else the first
         // stale way (its generation was retired by a clear), else the
@@ -200,12 +180,7 @@ impl ComputedCache {
                 way = Some(i);
                 break;
             }
-            let live_gen = if order_sensitive(e.tag & OP_MASK) {
-                order_generation
-            } else {
-                generation
-            };
-            if way.is_none() && e.tag >> GEN_SHIFT != live_gen {
+            if way.is_none() && e.tag >> GEN_SHIFT != generation {
                 way = Some(i);
             }
         }
@@ -223,29 +198,14 @@ impl ComputedCache {
         };
     }
 
-    /// O(1) clear of everything: bump both generations so every slot is
+    /// O(1) clear of everything: bump the generation so every slot is
     /// stale. On the (practically unreachable) generation wrap, pay one
     /// real wipe.
     pub(crate) fn clear(&mut self) {
         self.generation += 1;
-        self.order_generation += 1;
-        if self.generation >= u32::MAX >> GEN_SHIFT
-            || self.order_generation >= u32::MAX >> GEN_SHIFT
-        {
+        if self.generation >= u32::MAX >> GEN_SHIFT {
             self.sets.fill(CacheSet::default());
             self.generation = 1;
-            self.order_generation = 1;
-        }
-    }
-
-    /// O(1) clear of only the order-sensitive results (the conservative
-    /// post-swap scrub); function-valued memos stay warm.
-    pub(crate) fn clear_order_sensitive(&mut self) {
-        self.order_generation += 1;
-        if self.order_generation >= u32::MAX >> GEN_SHIFT {
-            self.sets.fill(CacheSet::default());
-            self.generation = 1;
-            self.order_generation = 1;
         }
     }
 }
@@ -348,7 +308,7 @@ pub enum LimitKind {
 /// crossed.
 ///
 /// The abort is *clean*: the kernel state remains fully consistent —
-/// unique table, computed cache and per-variable lists all intact. Nodes
+/// unique table and computed cache intact. Nodes
 /// built by the aborted recursion stay in the arena (and count against
 /// the node ceiling) until the next [`Manager::clear`]; no state needs
 /// rolling back and every previously held [`Ref`] is still valid.

@@ -1,12 +1,11 @@
-//! Node creation: the arena, the open-addressed unique table and the
-//! per-variable slot lists of [`Manager`], and [`Manager::mk`], the one
-//! function that creates a node.
+//! Node creation: the arena and the open-addressed unique table of
+//! [`Manager`], and [`Manager::mk`], the one function that creates a
+//! node.
 //!
-//! On a unique-table miss, `mk` appends a slot to the arena, inserts it,
-//! appends it to its variable's slot list and grows the table in place
-//! once it is three quarters full. Nothing is ever logged for later
-//! reconciliation, so the manager is consistent between any two `mk`
-//! calls — which is what makes a kernel abort clean.
+//! On a unique-table miss, `mk` appends a slot to the arena, inserts it
+//! and grows the table in place once it is three quarters full. Nothing
+//! is ever logged for later reconciliation, so the manager is consistent
+//! between any two `mk` calls — which is what makes a kernel abort clean.
 //!
 //! Slots are allocated in creation order and never reused: the arena
 //! only grows until [`Manager::clear`] drops every node at once. Where a
@@ -94,7 +93,6 @@ impl Manager {
             let next = self.var2level.len() as u32;
             self.var2level.push(next);
             self.level2var.push(next);
-            self.var_nodes.push(Vec::new());
         }
     }
 
@@ -120,8 +118,7 @@ impl Manager {
     /// at the deepest level first.
     ///
     /// A miss appends a slot to the arena, then does all of the
-    /// bookkeeping in place: the bucket, the variable's slot list, and
-    /// table growth at 3/4 load.
+    /// bookkeeping in place: the bucket, and table growth at 3/4 load.
     ///
     /// # Panics
     ///
@@ -170,7 +167,6 @@ impl Manager {
         let idx = self.nodes.len() as u32;
         self.nodes.push(Node { var, low, high });
         self.buckets[i] = idx;
-        self.var_nodes[var.0 as usize].push(idx);
         self.occupied += 1;
         if self.occupied * 4 >= self.buckets.len() * 3 {
             self.grow_buckets_to(self.buckets.len() * 2);
@@ -271,7 +267,8 @@ mod tests {
         assert!(f.is_complemented());
         assert_eq!(m.mk(Var(0), !a, a), !f);
         assert_eq!(m.live_nodes(), 3);
-        assert_eq!(m.var_nodes[1], vec![a.node().0]);
-        assert_eq!(m.var_nodes[0], vec![f.node().0]);
+        // Slots are appended in creation order.
+        assert_eq!((a.node().0, f.node().0), (1, 2));
+        assert_eq!(m.node(f.node()).var, Var(0));
     }
 }

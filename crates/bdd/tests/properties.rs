@@ -895,7 +895,7 @@ fn swap_storm_interleaved_with_gc_stays_canonical() {
             }
             bursts += 1;
             // The swaps' slot patching and the clears must leave the
-            // canonical form and the slot lists exact.
+            // canonical form, every child below its parent.
             m.verify_arena();
             // (a) every pool function survives reordering + clears.
             for &(f, t) in &pool {

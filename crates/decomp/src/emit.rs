@@ -4,13 +4,15 @@
 //! BDS stores decomposition results in factoring trees and detects sharing
 //! during construction; BDD canonicity makes the detection a table lookup.
 //! Here the same effect is obtained with two layers of memoization: a
-//! per-supernode map from BDD [`Ref`]s to emitted signals, and a global
-//! structural-hash table so identical gates are reused across factoring
-//! trees.
+//! per-supernode map from BDD [`Ref`]s to the operands (cut inputs or
+//! recorded steps) implementing them, and a global structural-hash table
+//! so identical gates are reused across factoring trees.
 //!
-//! Each supernode's emitter calls are also recorded as [`Step`]s over
-//! cut-input positions, so the engine can replay them for a later
-//! supernode with the same BDD under the same order.
+//! A decomposition only records its emitter calls, as [`Step`]s over
+//! cut-input positions. Every cone reaches the network through [`replay`]:
+//! a cone that decomposed replays its own steps with its cut signals, and
+//! a later supernode with the same BDD under the same order replays them
+//! with its own.
 
 use bdd::{BuildFxHasher, Manager, Ref};
 use logic::{strash_key, GateKind, Network, SignalId};
@@ -246,49 +248,26 @@ pub(crate) fn replay(
     resolve(result, inputs, &done)
 }
 
-/// Builds network signals for BDD functions of one supernode, and records
-/// every emitter call it makes as a [`Step`] so that a later cone with the
-/// same BDD and order can [`replay`] them.
-///
-/// `inputs[i]` is the network signal of BDD variable `i`. A map from
-/// (possibly complemented) references to operands provides the
-/// canonicity-based sharing inside the factoring tree.
-#[derive(Debug)]
-pub(crate) struct FunctionEmitter<'a> {
-    inputs: &'a [SignalId],
-    /// The emitter calls made so far, and the signal each returned.
+/// Records the emitter calls that implement BDD functions of one
+/// supernode, as [`Step`]s for [`replay`]; BDD variable `i` is the cut
+/// input at position `i`. A map from (possibly complemented) references to
+/// operands provides the canonicity-based sharing inside the factoring
+/// tree.
+#[derive(Debug, Default)]
+pub(crate) struct FunctionEmitter {
     steps: Vec<Step>,
-    signals: Vec<SignalId>,
     memo: HashMap<Ref, Operand, BuildFxHasher>,
 }
 
-impl<'a> FunctionEmitter<'a> {
-    /// Creates an emitter for a supernode whose BDD variable `i` is driven
-    /// by `inputs[i]`.
-    pub(crate) fn new(inputs: &'a [SignalId]) -> FunctionEmitter<'a> {
-        FunctionEmitter {
-            inputs,
-            steps: Vec::new(),
-            signals: Vec::new(),
-            memo: HashMap::default(),
-        }
-    }
-
-    /// The signal `op` names.
-    pub(crate) fn signal(&self, op: Operand) -> SignalId {
-        resolve(op, self.inputs, &self.signals)
-    }
-
-    /// Consumes the emitter, returning the emitter calls it made.
+impl FunctionEmitter {
+    /// Consumes the emitter, returning the steps it recorded.
     pub(crate) fn into_steps(self) -> Vec<Step> {
         self.steps
     }
 
-    /// Makes `step`'s emitter call and records it.
-    pub(crate) fn emit(&mut self, emitter: &mut Emitter, net: &mut Network, step: Step) -> Operand {
-        let s = step.emit(emitter, net, self.inputs, &self.signals);
+    /// Records `step`; returns the operand naming its result.
+    pub(crate) fn record(&mut self, step: Step) -> Operand {
         self.steps.push(step);
-        self.signals.push(s);
         Operand::Step(self.steps.len() as u32 - 1)
     }
 
@@ -297,32 +276,25 @@ impl<'a> FunctionEmitter<'a> {
         self.memo.insert(f, op);
     }
 
-    /// Emits (or reuses) the literal / constant base cases; returns `None`
-    /// for functions that need real decomposition.
-    pub(crate) fn emit_base(
-        &mut self,
-        m: &Manager,
-        emitter: &mut Emitter,
-        net: &mut Network,
-        f: Ref,
-    ) -> Option<Operand> {
+    /// Records (or reuses) the literal / constant base cases; returns
+    /// `None` for functions that need real decomposition.
+    pub(crate) fn record_base(&mut self, m: &Manager, f: Ref) -> Option<Operand> {
         if let Some(&op) = self.memo.get(&f) {
             return Some(op);
         }
         let op = if f.is_const() {
-            self.emit(emitter, net, Step::Const(f.is_one()))
+            self.record(Step::Const(f.is_one()))
         } else {
             let node = m.node(f.node());
             if !(node.low.is_const() && node.high.is_const()) {
                 return None;
             }
             // A single node over one variable: the literal v or !v.
-            let var = m.top_var(f).expect("non-constant");
-            let base = Operand::Input(var.0);
-            if m.eval_literal(f) {
+            let base = Operand::Input(node.var.0);
+            if is_positive_literal(m, f) {
                 base
             } else {
-                self.emit(emitter, net, Step::Invert(base))
+                self.record(Step::Invert(base))
             }
         };
         self.insert(f, op);
@@ -330,23 +302,15 @@ impl<'a> FunctionEmitter<'a> {
     }
 }
 
-/// Manager extension used by the emitter for single-node functions.
-trait LiteralPolarity {
-    /// For a single-node function, whether it is the positive literal.
-    fn eval_literal(&self, f: Ref) -> bool;
-}
-
-impl LiteralPolarity for Manager {
-    fn eval_literal(&self, f: Ref) -> bool {
-        // A size-1 BDD is var (low=0, high=1) possibly complemented.
-        let node = self.node(f.node());
-        let positive_stored = node.low.is_zero() && node.high.is_one();
-        debug_assert!(
-            positive_stored,
-            "canonical single-variable node must be the positive literal"
-        );
-        !f.is_complemented()
-    }
+/// For a single-node function, whether it is the positive literal.
+fn is_positive_literal(m: &Manager, f: Ref) -> bool {
+    // A size-1 BDD is var (low=0, high=1) possibly complemented.
+    let node = m.node(f.node());
+    debug_assert!(
+        node.low.is_zero() && node.high.is_one(),
+        "canonical single-variable node must be the positive literal"
+    );
+    !f.is_complemented()
 }
 
 #[cfg(test)]
@@ -397,17 +361,21 @@ mod tests {
         let a = net.add_input("a");
         let b = net.add_input("b");
         let mut e = Emitter::new();
-        let inputs = [a];
-        let mut fe = FunctionEmitter::new(&inputs);
-        let s = fe.emit_base(&m, &mut e, &mut net, f).expect("literal");
-        assert_eq!(fe.signal(s), a);
-        let ns = fe.emit_base(&m, &mut e, &mut net, !f).expect("neg literal");
-        assert!(matches!(net.node(fe.signal(ns)).kind, GateKind::Inv));
+        let mut fe = FunctionEmitter::default();
+        let s = fe.record_base(&m, f).expect("literal");
+        assert_eq!(s, Operand::Input(0));
+        let ns = fe.record_base(&m, !f).expect("neg literal");
         // Memoized on second ask.
-        assert_eq!(fe.emit_base(&m, &mut e, &mut net, !f), Some(ns));
-        // One call was made; replayed over `b`, it inverts `b`.
+        assert_eq!(fe.record_base(&m, !f), Some(ns));
+        // One call was recorded and nothing emitted yet.
         let steps = fe.into_steps();
         assert_eq!(steps, [Step::Invert(Operand::Input(0))]);
+        assert_eq!(net.len(), 2);
+        // Replayed over `a`, it inverts `a`; over `b`, it inverts `b`.
+        let na = replay(&steps, ns, &mut e, &mut net, &[a]);
+        assert!(matches!(net.node(na).kind, GateKind::Inv));
+        assert_eq!(net.node(na).fanins, [a]);
+        assert_eq!(replay(&steps, s, &mut e, &mut net, &[a]), a);
         let nb = replay(&steps, ns, &mut e, &mut net, &[b]);
         assert_eq!(net.node(nb).fanins, [b]);
     }

@@ -71,10 +71,10 @@ pub struct EngineOptions {
     /// copied un-decomposed. A decomposition that blows it is retried
     /// once with the step counter reset; nothing is reclaimed in between,
     /// so the retry resumes from the aborted attempt's nodes and memo,
-    /// which still count against the ceiling. If the retry aborts too,
-    /// the cone degrades. A replayed cone runs no kernel under the
-    /// budget: it ticks no step, builds no node, and cannot degrade. The
-    /// outcome lands in [`FlowReport`].
+    /// which still count against the ceiling. An aborted attempt emits no
+    /// gate. If the retry aborts too, the cone degrades. A replayed cone
+    /// runs no kernel under the budget: it ticks no step, builds no node,
+    /// and cannot degrade. The outcome lands in [`FlowReport`].
     pub limits: ResourceLimits,
 }
 
@@ -185,7 +185,7 @@ pub struct DecomposeResult {
 /// A cone's emitted logic is a function of its supernode function, of
 /// the level order on entry and of whether the cone is reordered: every
 /// decision reads only the BDD under the current order, and the
-/// recursion never branches on an emitted signal. The supernode's
+/// recursion sees no signal, only the steps it records. The supernode's
 /// partition `Ref` names its function for the whole run (compared, never
 /// dereferenced), and with the cut width and the entry order it fixes
 /// the reorder decision. So the first cone with a given key that
@@ -197,6 +197,9 @@ pub struct DecomposeResult {
 /// so the output is the same, without the rebuild, the reorder, the hook
 /// or the dominator search. Debug builds decompose every replayed cone
 /// afresh as well and assert that it makes the template's calls.
+///
+/// A cone that decomposes reaches the network through the same replay,
+/// with its own inputs, so an attempt that blows the budget emits nothing.
 pub fn decompose_network(
     net: &Network,
     options: &EngineOptions,
@@ -211,7 +214,6 @@ pub fn decompose_network(
         bdd::DEFAULT_CACHE_BITS,
     );
     let part = partition_with_limits(net, &mut manager, options.partition, options.limits);
-    let governed = options.limits.is_limited();
 
     let mut out = Network::new(net.name().to_string());
     let mut emitter = Emitter::new();
@@ -254,16 +256,11 @@ pub fn decompose_network(
             signal_map.insert(sn.root, sig);
             ConeStatus::Replayed
         } else {
-            if governed {
-                manager.set_limits(options.limits);
-            }
+            manager.set_limits(options.limits);
             // An aborted rebuild degrades the cone. A decomposition gets at
             // most two attempts, under the same order, each with a fresh
             // step count; the retry resumes from the nodes and memo of the
             // aborted attempt, which still count against the node ceiling.
-            // Any gates the first attempt emitted stay valid (the
-            // emitter's strash may even reuse them); unreachable ones are
-            // dropped by the final clean.
             let mut retried = false;
             let attempt = match try_build_cone(net, &mut manager, sn.root, &sn.inputs) {
                 Err(_) => None,
@@ -273,39 +270,26 @@ pub fn decompose_network(
                         bdd::window_reorder(&mut manager, function, options.reorder_window, SWEEPS);
                     }
                     loop {
-                        if governed {
-                            manager.set_limits(options.limits);
-                        }
-                        let mut fe = FunctionEmitter::new(&var_signals);
-                        let r = try_decompose_function(
-                            &mut manager,
-                            function,
-                            &mut fe,
-                            &mut emitter,
-                            &mut out,
-                            options,
-                            hook,
-                            0,
-                        );
-                        match r {
-                            Ok(root) => break Some((fe, root)),
+                        manager.set_limits(options.limits);
+                        let mut fe = FunctionEmitter::default();
+                        match try_decompose_function(&mut manager, function, &mut fe, hook, 0) {
+                            Ok(root) => break Some((fe.into_steps(), root)),
                             Err(_) if retried => break None,
                             Err(_) => retried = true,
                         }
                     }
                 }
             };
-            if governed {
-                manager.clear_limits();
-            }
+            manager.clear_limits();
             match attempt {
-                Some((fe, root)) => {
-                    signal_map.insert(sn.root, fe.signal(root));
+                Some((steps, root)) => {
+                    let sig = replay(&steps, root, &mut emitter, &mut out, &var_signals);
+                    signal_map.insert(sn.root, sig);
                     if retried {
                         ConeStatus::RetriedOk
                     } else {
                         let template = Template {
-                            steps: fe.into_steps(),
+                            steps,
                             result: root,
                             exit_order: manager.level2var().to_vec(),
                         };
@@ -351,7 +335,7 @@ fn reorders(m: &Manager, f: Ref, width: usize, options: &EngineOptions) -> bool 
 /// cut width, and the level order on entry.
 type ConeKey = (u32, usize, Vec<u32>);
 
-/// The first decomposition of a [`ConeKey`]: the emitter calls it made,
+/// The first decomposition of a [`ConeKey`]: the emitter calls it recorded,
 /// the operand implementing the cone, and the level order it left
 /// installed.
 struct Template {
@@ -362,9 +346,8 @@ struct Template {
 
 /// The debug-build oracle for a replay: decomposes the cone `f`, built
 /// under the entry order, afresh exactly as a miss does, reorder included
-/// and budget suspended, into a throwaway network whose inputs stand in
-/// for the cut; asserts that it makes the template's calls and leaves the
-/// template's order; then reinstalls the entry order for the replay.
+/// and budget suspended, and asserts that it records the template's
+/// calls and leaves the template's order.
 #[cfg(debug_assertions)]
 fn check_template(
     m: &mut Manager,
@@ -374,32 +357,16 @@ fn check_template(
     options: &EngineOptions,
     hook: &mut dyn MajorityHook,
 ) {
-    let entry = m.level2var().to_vec();
-    let mut net = Network::new("replay oracle");
-    let cut: Vec<SignalId> = (0..width).map(|i| net.add_input(format!("x{i}"))).collect();
     if reorders(m, f, width, options) {
         bdd::window_reorder(m, f, options.reorder_window, SWEEPS);
     }
-    let mut fe = FunctionEmitter::new(&cut);
-    let root = m.ungoverned(|m| {
-        try_decompose_function(
-            m,
-            f,
-            &mut fe,
-            &mut Emitter::new(),
-            &mut net,
-            options,
-            hook,
-            0,
-        )
-    });
-    let steps = fe.into_steps();
+    let mut fe = FunctionEmitter::default();
+    let root = m.ungoverned(|m| try_decompose_function(m, f, &mut fe, hook, 0));
     assert_eq!(
-        (&steps, root, m.level2var()),
+        (&fe.into_steps(), root, m.level2var()),
         (&t.steps, t.result, &t.exit_order[..]),
         "a replay must make the calls a fresh decomposition makes"
     );
-    bdd::install_order(m, &entry);
 }
 
 /// The graceful-degradation fallback: copies the original network's gates
@@ -440,84 +407,75 @@ fn copy_original_cone(
 /// is only a defensive bound.
 const MAX_DEPTH: usize = 512;
 
-/// Recursively decomposes `f` and emits its gates through `fe`; returns the
-/// operand implementing `f`, or aborts with [`LimitExceeded`] when the manager's
-/// installed [`ResourceLimits`] are crossed. Gates already emitted for
-/// finished subfunctions stay in `net` (they are valid, possibly shared
-/// logic); if the whole cone is then abandoned, the caller's final
-/// [`Network::cleaned`] drops the unreachable ones.
-#[allow(clippy::too_many_arguments)]
+/// Recursively decomposes `f` and records its emitter calls in `fe`;
+/// returns the operand implementing `f`, or aborts with [`LimitExceeded`]
+/// when the manager's installed [`ResourceLimits`] are crossed. Nothing
+/// reaches a network here: the caller [`replay`]s the recorded steps once
+/// the whole cone has decomposed, so an aborted attempt leaves no gate.
 fn try_decompose_function(
     m: &mut Manager,
     f: Ref,
-    fe: &mut FunctionEmitter<'_>,
-    emitter: &mut Emitter,
-    net: &mut Network,
-    options: &EngineOptions,
+    fe: &mut FunctionEmitter,
     hook: &mut dyn MajorityHook,
     depth: usize,
 ) -> Result<Operand, LimitExceeded> {
-    if let Some(s) = fe.emit_base(m, emitter, net, f) {
+    if let Some(s) = fe.record_base(m, f) {
         return Ok(s);
     }
     if depth >= MAX_DEPTH {
         // Defensive fallback: emit by Shannon expansion without search.
         let d = crate::dominators::try_mux_fallback(m, f)?;
-        return try_emit_step(m, f, d, fe, emitter, net, options, hook, depth);
+        return try_emit_step(m, f, d, fe, hook, depth);
     }
     // (1) Majority decomposition, if the hook accepts the function.
     if let Some([fa, fb, fc]) = hook.try_majority(m, f) {
         debug_assert_eq!(m.maj(fa, fb, fc), f, "hook must return a valid MAJ split");
-        let sa = try_decompose_function(m, fa, fe, emitter, net, options, hook, depth + 1)?;
-        let sb = try_decompose_function(m, fb, fe, emitter, net, options, hook, depth + 1)?;
-        let sc = try_decompose_function(m, fc, fe, emitter, net, options, hook, depth + 1)?;
-        let s = fe.emit(emitter, net, Step::Maj(sa, sb, sc));
+        let sa = try_decompose_function(m, fa, fe, hook, depth + 1)?;
+        let sb = try_decompose_function(m, fb, fe, hook, depth + 1)?;
+        let sc = try_decompose_function(m, fc, fe, hook, depth + 1)?;
+        let s = fe.record(Step::Maj(sa, sb, sc));
         fe.insert(f, s);
         return Ok(s);
     }
     // (2) Standard dominator search, MUX as last resort.
     let d = try_find_decomposition(m, f)?;
-    try_emit_step(m, f, d, fe, emitter, net, options, hook, depth)
+    try_emit_step(m, f, d, fe, hook, depth)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn try_emit_step(
     m: &mut Manager,
     f: Ref,
     d: Decomposition,
-    fe: &mut FunctionEmitter<'_>,
-    emitter: &mut Emitter,
-    net: &mut Network,
-    options: &EngineOptions,
+    fe: &mut FunctionEmitter,
     hook: &mut dyn MajorityHook,
     depth: usize,
 ) -> Result<Operand, LimitExceeded> {
     let s = match d {
         Decomposition::And { g, d } => {
-            let sg = try_decompose_function(m, g, fe, emitter, net, options, hook, depth + 1)?;
-            let sd = try_decompose_function(m, d, fe, emitter, net, options, hook, depth + 1)?;
-            fe.emit(emitter, net, Step::And(sg, sd))
+            let sg = try_decompose_function(m, g, fe, hook, depth + 1)?;
+            let sd = try_decompose_function(m, d, fe, hook, depth + 1)?;
+            fe.record(Step::And(sg, sd))
         }
         Decomposition::Or { g, d } => {
-            let sg = try_decompose_function(m, g, fe, emitter, net, options, hook, depth + 1)?;
-            let sd = try_decompose_function(m, d, fe, emitter, net, options, hook, depth + 1)?;
-            fe.emit(emitter, net, Step::Or(sg, sd))
+            let sg = try_decompose_function(m, g, fe, hook, depth + 1)?;
+            let sd = try_decompose_function(m, d, fe, hook, depth + 1)?;
+            fe.record(Step::Or(sg, sd))
         }
         Decomposition::Xnor { g, d } => {
-            let sg = try_decompose_function(m, g, fe, emitter, net, options, hook, depth + 1)?;
-            let sd = try_decompose_function(m, d, fe, emitter, net, options, hook, depth + 1)?;
-            fe.emit(emitter, net, Step::Xnor(sg, sd))
+            let sg = try_decompose_function(m, g, fe, hook, depth + 1)?;
+            let sd = try_decompose_function(m, d, fe, hook, depth + 1)?;
+            fe.record(Step::Xnor(sg, sd))
         }
         Decomposition::Mux { var, hi, lo } => {
             let sv = Operand::Input(var.0);
-            let sh = try_decompose_function(m, hi, fe, emitter, net, options, hook, depth + 1)?;
-            let sl = try_decompose_function(m, lo, fe, emitter, net, options, hook, depth + 1)?;
+            let sh = try_decompose_function(m, hi, fe, hook, depth + 1)?;
+            let sl = try_decompose_function(m, lo, fe, hook, depth + 1)?;
             // The paper's node accounting has no MUX column (BDS reports
             // muxes as AND/OR logic), so the fallback emits AND/OR/INV.
-            let t1 = fe.emit(emitter, net, Step::And(sv, sh));
-            let nv = fe.emit(emitter, net, Step::Invert(sv));
-            let t2 = fe.emit(emitter, net, Step::And(nv, sl));
-            fe.emit(emitter, net, Step::Or(t1, t2))
+            let t1 = fe.record(Step::And(sv, sh));
+            let nv = fe.record(Step::Invert(sv));
+            let t2 = fe.record(Step::And(nv, sl));
+            fe.record(Step::Or(t1, t2))
         }
     };
     fe.insert(f, s);

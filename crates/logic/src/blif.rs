@@ -6,7 +6,7 @@
 
 use crate::network::{GateKind, Network, SignalId};
 use crate::truth::TruthTable;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -271,9 +271,19 @@ fn build_names_node(
     Ok(id)
 }
 
+/// Widest cover [`write_blif`] writes for an n-ary gate. Wider AND, OR
+/// and XOR gates (and their inversions) are written as trees of such
+/// covers: a cover of `n` inputs can take up to `2^(n-1)` rows, and
+/// [`parse_blif`] reads covers of at most 16 inputs.
+const MAX_COVER_FANINS: usize = 8;
+
 /// Serializes a network to BLIF text. Every node becomes a `.names` block
 /// with an on-set cover (LUTs emit their minterm list, structured gates emit
-/// a canonical cover for their function).
+/// a canonical cover for their function). An AND, OR or XOR gate of more
+/// than [`MAX_COVER_FANINS`] fanins, or its inversion, becomes a balanced
+/// tree of covers of at most that many, with the inversion on the root
+/// and inner signals named `<gate>_t<k>`, with `k` chosen so that no
+/// other signal of the text has the name.
 pub fn write_blif(net: &Network) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -282,88 +292,27 @@ pub fn write_blif(net: &Network) -> String {
     let _ = writeln!(out, ".inputs {}", in_names.join(" "));
     let out_names: Vec<String> = net.outputs().iter().map(|(n, _)| n.clone()).collect();
     let _ = writeln!(out, ".outputs {}", out_names.join(" "));
+    // Every name the text uses, collected at the first wide gate.
+    let mut taken: Option<HashSet<String>> = None;
     for id in net.signals() {
         let node = net.node(id);
         let name = net.signal_name(id);
         let fanin_names: Vec<String> = node.fanins.iter().map(|&f| net.signal_name(f)).collect();
-        let header = if fanin_names.is_empty() {
-            format!(".names {name}")
-        } else {
-            format!(".names {} {name}", fanin_names.join(" "))
+        let mut k = 0;
+        let mut fresh = || loop {
+            let candidate = format!("{name}_t{k}");
+            k += 1;
+            let taken = taken.get_or_insert_with(|| {
+                net.signals()
+                    .map(|s| net.signal_name(s))
+                    .chain(out_names.iter().cloned())
+                    .collect()
+            });
+            if taken.insert(candidate.clone()) {
+                break candidate;
+            }
         };
-        let n = node.fanins.len();
-        match &node.kind {
-            GateKind::Input => {}
-            GateKind::Const(v) => {
-                let _ = writeln!(out, "{header}");
-                if *v {
-                    let _ = writeln!(out, "1");
-                }
-            }
-            GateKind::Buf => {
-                let _ = writeln!(out, "{header}\n1 1");
-            }
-            GateKind::Inv => {
-                let _ = writeln!(out, "{header}\n0 1");
-            }
-            GateKind::And => {
-                let _ = writeln!(out, "{header}\n{} 1", "1".repeat(n));
-            }
-            GateKind::Nand => {
-                let _ = writeln!(out, "{header}");
-                for i in 0..n {
-                    let row: String = (0..n).map(|j| if j == i { '0' } else { '-' }).collect();
-                    let _ = writeln!(out, "{row} 1");
-                }
-            }
-            GateKind::Or => {
-                let _ = writeln!(out, "{header}");
-                for i in 0..n {
-                    let row: String = (0..n).map(|j| if j == i { '1' } else { '-' }).collect();
-                    let _ = writeln!(out, "{row} 1");
-                }
-            }
-            GateKind::Nor => {
-                let _ = writeln!(out, "{header}\n{} 1", "0".repeat(n));
-            }
-            GateKind::Xor | GateKind::Xnor | GateKind::Maj | GateKind::Mux => {
-                let _ = writeln!(out, "{header}");
-                for row in 0..(1usize << n) {
-                    let on = match &node.kind {
-                        GateKind::Xor => row.count_ones() % 2 == 1,
-                        GateKind::Xnor => row.count_ones() % 2 == 0,
-                        GateKind::Maj => row.count_ones() >= 2,
-                        GateKind::Mux => {
-                            if row & 1 == 1 {
-                                row >> 1 & 1 == 1
-                            } else {
-                                row >> 2 & 1 == 1
-                            }
-                        }
-                        // bdslint: allow(panic-surface) -- the outer match arm
-                        // restricts kind to Xor/Xnor/Maj/Mux; no input reaches this
-                        _ => unreachable!(),
-                    };
-                    if on {
-                        let mask: String = (0..n)
-                            .map(|i| if row >> i & 1 == 1 { '1' } else { '0' })
-                            .collect();
-                        let _ = writeln!(out, "{mask} 1");
-                    }
-                }
-            }
-            GateKind::Lut(table) => {
-                let _ = writeln!(out, "{header}");
-                for row in 0..table.num_rows() {
-                    if table.value(row) {
-                        let mask: String = (0..n)
-                            .map(|i| if row >> i & 1 == 1 { '1' } else { '0' })
-                            .collect();
-                        let _ = writeln!(out, "{mask} 1");
-                    }
-                }
-            }
-        }
+        write_gate(&mut out, &node.kind, &fanin_names, &name, &mut fresh);
     }
     // Alias buffers for outputs whose name differs from the driving node.
     for (name, s) in net.outputs() {
@@ -374,6 +323,126 @@ pub fn write_blif(net: &Network) -> String {
     }
     out.push_str(".end\n");
     out
+}
+
+/// Writes the gate `name = kind(fanins)`: one cover, or for a wide AND, OR
+/// or XOR gate (or its inversion), a root cover of `kind` over at most
+/// [`MAX_COVER_FANINS`] balanced subtrees of the plain connective, whose
+/// roots `fresh` names.
+fn write_gate(
+    out: &mut String,
+    kind: &GateKind,
+    fanins: &[String],
+    name: &str,
+    fresh: &mut impl FnMut() -> String,
+) {
+    let connective = match kind {
+        GateKind::And | GateKind::Nand => GateKind::And,
+        GateKind::Or | GateKind::Nor => GateKind::Or,
+        GateKind::Xor | GateKind::Xnor => GateKind::Xor,
+        _ => return write_cover(out, kind, fanins, name),
+    };
+    if fanins.len() <= MAX_COVER_FANINS {
+        return write_cover(out, kind, fanins, name);
+    }
+    let parts = fanins
+        .len()
+        .div_ceil(MAX_COVER_FANINS)
+        .min(MAX_COVER_FANINS);
+    let mut rest = fanins;
+    let mut children = Vec::with_capacity(parts);
+    for left in (1..=parts).rev() {
+        // Even shares: the part sizes differ by at most one.
+        let (part, tail) = rest.split_at(rest.len().div_ceil(left));
+        rest = tail;
+        let child = fresh();
+        write_gate(out, &connective, part, &child, fresh);
+        children.push(child);
+    }
+    write_cover(out, kind, &children, name);
+}
+
+/// Writes one `.names` block: `name = kind(fanins)` as an on-set cover.
+fn write_cover(out: &mut String, kind: &GateKind, fanins: &[String], name: &str) {
+    use std::fmt::Write as _;
+    let header = if fanins.is_empty() {
+        format!(".names {name}")
+    } else {
+        format!(".names {} {name}", fanins.join(" "))
+    };
+    let n = fanins.len();
+    match kind {
+        GateKind::Input => {}
+        GateKind::Const(v) => {
+            let _ = writeln!(out, "{header}");
+            if *v {
+                let _ = writeln!(out, "1");
+            }
+        }
+        GateKind::Buf => {
+            let _ = writeln!(out, "{header}\n1 1");
+        }
+        GateKind::Inv => {
+            let _ = writeln!(out, "{header}\n0 1");
+        }
+        GateKind::And => {
+            let _ = writeln!(out, "{header}\n{} 1", "1".repeat(n));
+        }
+        GateKind::Nand => {
+            let _ = writeln!(out, "{header}");
+            for i in 0..n {
+                let row: String = (0..n).map(|j| if j == i { '0' } else { '-' }).collect();
+                let _ = writeln!(out, "{row} 1");
+            }
+        }
+        GateKind::Or => {
+            let _ = writeln!(out, "{header}");
+            for i in 0..n {
+                let row: String = (0..n).map(|j| if j == i { '1' } else { '-' }).collect();
+                let _ = writeln!(out, "{row} 1");
+            }
+        }
+        GateKind::Nor => {
+            let _ = writeln!(out, "{header}\n{} 1", "0".repeat(n));
+        }
+        GateKind::Xor | GateKind::Xnor | GateKind::Maj | GateKind::Mux => {
+            let _ = writeln!(out, "{header}");
+            for row in 0..(1usize << n) {
+                let on = match kind {
+                    GateKind::Xor => row.count_ones() % 2 == 1,
+                    GateKind::Xnor => row.count_ones() % 2 == 0,
+                    GateKind::Maj => row.count_ones() >= 2,
+                    GateKind::Mux => {
+                        if row & 1 == 1 {
+                            row >> 1 & 1 == 1
+                        } else {
+                            row >> 2 & 1 == 1
+                        }
+                    }
+                    // bdslint: allow(panic-surface) -- the outer match arm
+                    // restricts kind to Xor/Xnor/Maj/Mux; no input reaches this
+                    _ => unreachable!(),
+                };
+                if on {
+                    let mask: String = (0..n)
+                        .map(|i| if row >> i & 1 == 1 { '1' } else { '0' })
+                        .collect();
+                    let _ = writeln!(out, "{mask} 1");
+                }
+            }
+        }
+        GateKind::Lut(table) => {
+            let _ = writeln!(out, "{header}");
+            for row in 0..table.num_rows() {
+                if table.value(row) {
+                    let mask: String = (0..n)
+                        .map(|i| if row >> i & 1 == 1 { '1' } else { '0' })
+                        .collect();
+                    let _ = writeln!(out, "{mask} 1");
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -458,6 +527,85 @@ mod tests {
         let text = ".model m\n.inputs a \\\nb\n.outputs y\n.names a b y\n11 1\n.end\n";
         let net = parse_blif(text).unwrap();
         assert_eq!(net.inputs().len(), 2);
+    }
+
+    /// The output name of every `.names` block of `text`, and the widest
+    /// cover in it.
+    fn defined_names(text: &str) -> (Vec<String>, usize) {
+        let headers: Vec<Vec<&str>> = text
+            .lines()
+            .filter(|l| l.starts_with(".names"))
+            .map(|l| l.split_whitespace().skip(1).collect())
+            .collect();
+        let names = headers
+            .iter()
+            .map(|h| h.last().expect("an output").to_string())
+            .collect();
+        let widest = headers.iter().map(|h| h.len() - 1).max().unwrap_or(0);
+        (names, widest)
+    }
+
+    #[test]
+    fn wide_gates_round_trip_as_cover_trees() {
+        use crate::network::GateKind;
+        use crate::verify::equiv_exact;
+        for width in [9, 17, 20, 64, 70] {
+            for kind in [
+                GateKind::And,
+                GateKind::Nand,
+                GateKind::Or,
+                GateKind::Nor,
+                GateKind::Xor,
+                GateKind::Xnor,
+            ] {
+                let mut net = Network::new("wide");
+                let ins: Vec<SignalId> =
+                    (0..width).map(|i| net.add_input(format!("x{i}"))).collect();
+                let g = net.add_gate(kind.clone(), ins);
+                net.set_output("y", g);
+                let text = write_blif(&net);
+                let back = parse_blif(&text)
+                    .unwrap_or_else(|e| panic!("{kind:?} over {width} inputs: {e}"));
+                assert_eq!(
+                    equiv_exact(&net, &back, 1 << 16),
+                    Some(true),
+                    "{kind:?} over {width} inputs"
+                );
+                let (names, widest) = defined_names(&text);
+                assert!(widest <= 8, "{kind:?} over {width}: a {widest}-input cover");
+                assert!(names.len() > 2, "{kind:?} over {width} must be split");
+            }
+        }
+    }
+
+    #[test]
+    fn cover_tree_names_avoid_existing_signals() {
+        use crate::network::GateKind;
+        use crate::verify::equiv_exact;
+        // The inputs and a second gate already use the names a tree for
+        // `y` would take first.
+        let mut net = Network::new("clash");
+        let ins: Vec<SignalId> = (0..17).map(|i| net.add_input(format!("y_t{i}"))).collect();
+        let y = net.add_gate(GateKind::Xnor, ins.clone());
+        net.set_signal_name(y, "y");
+        let z = net.add_gate(GateKind::Or, ins);
+        net.set_signal_name(z, "y_t17");
+        net.set_output("y", y);
+        net.set_output("z", z);
+        let text = write_blif(&net);
+        let (mut names, widest) = defined_names(&text);
+        assert!(widest <= 8);
+        let defined = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), defined, "a name is defined twice:\n{text}");
+        let inputs: Vec<String> = (0..17).map(|i| format!("y_t{i}")).collect();
+        assert!(
+            names.iter().all(|n| !inputs.contains(n)),
+            "a cover drives an input:\n{text}"
+        );
+        let back = parse_blif(&text).expect("reparse");
+        assert_eq!(equiv_exact(&net, &back, 1 << 16), Some(true));
     }
 
     #[test]

@@ -39,3 +39,26 @@ fn bad_or_repeated_flags_exit_2() {
 fn a_starved_budget_exits_3() {
     assert_eq!(exit_code(&["--bench", "alu2", "--step-limit", "2"]), 3);
 }
+
+/// misex3's degraded cones carry its 22- to 24-input ORs through
+/// verbatim; the BLIF must still read back, and equal the input.
+#[test]
+fn a_degraded_run_writes_a_blif_that_reads_back() {
+    let path = std::env::temp_dir().join("bdsmaj_cli_misex3.blif");
+    let p = path.to_str().expect("utf-8");
+    let args = [
+        "--bench",
+        "misex3",
+        "--node-limit",
+        "1000",
+        "--step-limit",
+        "300",
+        "-o",
+        p,
+    ];
+    assert_eq!(exit_code(&args), 3);
+    let text = std::fs::read_to_string(&path).expect("the BLIF was written");
+    let back = logic::parse_blif(&text).expect("the BLIF parses");
+    let net = circuits::suite::benchmark("misex3").expect("a suite circuit");
+    assert_eq!(logic::equiv_exact(&net, &back, 1 << 20), Some(true));
+}
