@@ -6,7 +6,7 @@
 //! the XOR/MAJ structure of datapath circuits, which is the contrast the
 //! paper's Table II demonstrates.
 
-use logic::{GateKind, Network, SignalId, TruthTable};
+use logic::{BuildFxHasher, GateKind, Network, SignalId, TruthTable, STRASH_PAD};
 use std::collections::HashMap;
 
 /// A (possibly complemented) edge to an AIG node.
@@ -18,12 +18,16 @@ impl AigRef {
     pub const ONE: AigRef = AigRef(0);
     /// The constant false edge.
     pub const ZERO: AigRef = AigRef(1);
+    /// Never a real edge: the unmapped entry of the dense old→new tables
+    /// of the passes into and between AIGs.
+    pub(crate) const UNMAPPED: AigRef = AigRef(u32::MAX);
 
     fn new(node: u32, complemented: bool) -> AigRef {
         AigRef(node << 1 | complemented as u32)
     }
 
-    fn node(self) -> u32 {
+    /// Index of the node the edge points to.
+    pub(crate) fn node(self) -> u32 {
         self.0 >> 1
     }
 
@@ -73,8 +77,8 @@ enum AigNode {
 #[derive(Clone, Debug)]
 pub struct Aig {
     nodes: Vec<AigNode>,
-    strash: HashMap<(AigRef, AigRef), u32>,
-    inputs: Vec<AigRef>,
+    strash: HashMap<(AigRef, AigRef), u32, BuildFxHasher>,
+    inputs: Vec<(String, AigRef)>,
     outputs: Vec<(String, AigRef)>,
     levels: Vec<u32>,
     name: String,
@@ -85,7 +89,7 @@ impl Aig {
     pub fn new(name: impl Into<String>) -> Aig {
         Aig {
             nodes: vec![AigNode::Const],
-            strash: HashMap::new(),
+            strash: HashMap::default(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             levels: vec![0],
@@ -93,13 +97,18 @@ impl Aig {
         }
     }
 
-    /// Adds a primary input.
+    /// Adds a primary input, named `i{k}` as the `k`-th input.
     pub fn add_input(&mut self) -> AigRef {
+        let name = format!("i{}", self.inputs.len());
+        self.add_named_input(name)
+    }
+
+    fn add_named_input(&mut self, name: String) -> AigRef {
         let id = self.nodes.len() as u32;
         self.nodes.push(AigNode::Input);
         self.levels.push(0);
         let r = AigRef::new(id, false);
-        self.inputs.push(r);
+        self.inputs.push((name, r));
         r
     }
 
@@ -195,7 +204,7 @@ impl Aig {
 
     /// Edge of primary input `i` (declaration order).
     pub fn input_ref(&self, i: usize) -> AigRef {
-        self.inputs[i]
+        self.inputs[i].1
     }
 
     /// Declared outputs.
@@ -212,21 +221,35 @@ impl Aig {
         }
     }
 
+    /// The start of a rebuild pass ([`Aig::balanced`], [`Aig::refactored`]):
+    /// an AIG with this one's name and inputs and no AND node yet, and the
+    /// old→new edge table indexed by this AIG's nodes, with the constant
+    /// and the inputs mapped and every other node [`AigRef::UNMAPPED`].
+    pub(crate) fn rebuild_start(&self) -> (Aig, Vec<AigRef>) {
+        let mut out = Aig::new(self.name.clone());
+        let mut map = vec![AigRef::UNMAPPED; self.nodes.len()];
+        map[0] = AigRef::ONE;
+        for (name, r) in &self.inputs {
+            map[r.node() as usize] = out.add_named_input(name.clone());
+        }
+        (out, map)
+    }
+
     /// Builds an AIG from a logic network (structural hashing happens on
-    /// the way in, like ABC's `strash`).
+    /// the way in, like ABC's `strash`). The inputs keep their names.
     pub fn from_network(net: &Network) -> Aig {
         let mut aig = Aig::new(net.name().to_string());
-        let mut map: HashMap<SignalId, AigRef> = HashMap::new();
+        // old signal -> AIG edge; UNMAPPED until mapped
+        let mut map = vec![AigRef::UNMAPPED; net.len()];
         for &pi in net.inputs() {
-            let r = aig.add_input();
-            map.insert(pi, r);
+            map[pi.index()] = aig.add_named_input(net.signal_name(pi));
         }
         for id in net.signals() {
-            if map.contains_key(&id) {
+            if map[id.index()] != AigRef::UNMAPPED {
                 continue;
             }
             let node = net.node(id);
-            let kids: Vec<AigRef> = node.fanins.iter().map(|f| map[f]).collect();
+            let kids: Vec<AigRef> = node.fanins.iter().map(|f| map[f.index()]).collect();
             let r = match &node.kind {
                 GateKind::Input => unreachable!("inputs pre-mapped"),
                 GateKind::Const(b) => {
@@ -266,10 +289,10 @@ impl Aig {
                 GateKind::Mux => aig.mux(kids[0], kids[1], kids[2]),
                 GateKind::Lut(table) => aig.lut(table, &kids),
             };
-            map.insert(id, r);
+            map[id.index()] = r;
         }
         for (name, s) in net.outputs() {
-            aig.set_output(name.clone(), map[s]);
+            aig.set_output(name.clone(), map[s.index()]);
         }
         aig
     }
@@ -298,25 +321,25 @@ impl Aig {
         expand(self, table, kids, 0, 0)
     }
 
-    /// Converts back to a [`Network`] of AND/INV gates.
+    /// Converts back to a [`Network`] of AND/INV gates, with this AIG's
+    /// input names.
     pub fn to_network(&self) -> Network {
         let mut net = Network::new(self.name.clone());
-        let mut map: HashMap<u32, SignalId> = HashMap::new();
+        // AIG node -> signal; STRASH_PAD until mapped
+        let mut map = vec![STRASH_PAD; self.nodes.len()];
         let mut const_false: Option<SignalId> = None;
         let mut inputs_added = 0usize;
         for (idx, node) in self.nodes.iter().enumerate() {
             match node {
                 AigNode::Const => {}
                 AigNode::Input => {
-                    let s = net.add_input(format!("i{inputs_added}"));
+                    map[idx] = net.add_input(self.inputs[inputs_added].0.clone());
                     inputs_added += 1;
-                    map.insert(idx as u32, s);
                 }
                 AigNode::And(a, b) => {
                     let sa = edge_signal(&mut net, &map, &mut const_false, *a);
                     let sb = edge_signal(&mut net, &map, &mut const_false, *b);
-                    let s = net.add_gate(GateKind::And, vec![sa, sb]);
-                    map.insert(idx as u32, s);
+                    map[idx] = net.add_gate(GateKind::And, vec![sa, sb]);
                 }
             }
         }
@@ -330,7 +353,7 @@ impl Aig {
 
 fn edge_signal(
     net: &mut Network,
-    map: &HashMap<u32, SignalId>,
+    map: &[SignalId],
     const_false: &mut Option<SignalId>,
     r: AigRef,
 ) -> SignalId {
@@ -341,7 +364,7 @@ fn edge_signal(
         }
         return net.add_gate_simplified(GateKind::Inv, vec![zero]);
     }
-    let base = map[&r.node()];
+    let base = map[r.node() as usize];
     if r.is_complemented() {
         net.add_gate_simplified(GateKind::Inv, vec![base])
     } else {

@@ -8,13 +8,7 @@ use logic::Network;
 impl Aig {
     /// Returns a balanced copy of this AIG.
     pub fn balanced(&self) -> Aig {
-        let mut map: std::collections::HashMap<AigRef, AigRef> = std::collections::HashMap::new();
-        map.insert(AigRef::ONE, AigRef::ONE);
-        let mut rebuilt = Aig::new(self.network_name());
-        for i in 0..self.input_count() {
-            let r = rebuilt.add_input();
-            map.insert(self.input_ref(i), r);
-        }
+        let (mut rebuilt, mut map) = self.rebuild_start();
         let outputs: Vec<(String, AigRef)> = self.outputs().to_vec();
         for (name, r) in outputs {
             let nr = balance_edge(self, &mut rebuilt, r, &mut map);
@@ -25,14 +19,10 @@ impl Aig {
 }
 
 /// Rebuilds edge `r` of `src` into `dst`, balancing AND trees.
-fn balance_edge(
-    src: &Aig,
-    dst: &mut Aig,
-    r: AigRef,
-    map: &mut std::collections::HashMap<AigRef, AigRef>,
-) -> AigRef {
+fn balance_edge(src: &Aig, dst: &mut Aig, r: AigRef, map: &mut [AigRef]) -> AigRef {
     let reg = r.regular_edge();
-    if let Some(&m) = map.get(&reg) {
+    let m = map[reg.node() as usize];
+    if m != AigRef::UNMAPPED {
         return m.apply_complement(r.is_complemented_edge());
     }
     // Collect the maximal AND tree under `reg` (stop at complemented
@@ -58,7 +48,7 @@ fn balance_edge(
         rebuilt.insert(pos, combined);
     }
     let result = rebuilt.pop().unwrap_or(AigRef::ONE);
-    map.insert(reg, result);
+    map[reg.node() as usize] = result;
     result.apply_complement(r.is_complemented_edge())
 }
 

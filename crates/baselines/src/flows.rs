@@ -6,8 +6,7 @@
 use crate::balance::abc_flow;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use decomp::EngineOptions;
-use logic::{GateKind, Network, SignalId};
-use std::collections::HashMap;
+use logic::{GateKind, Network, SignalId, STRASH_PAD};
 use techmap::{map_network, report, Library, MappedNetwork};
 
 /// Re-expresses every MAJ-3 gate as `ab + c·(a⊕b)` — the best a flow can
@@ -15,17 +14,17 @@ use techmap::{map_network, report, Library, MappedNetwork};
 /// the behaviour commercial tools showed in the paper's experiments.
 pub fn expand_maj(net: &Network) -> Network {
     let mut out = Network::new(net.name().to_string());
-    let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+    // old signal -> new signal; STRASH_PAD until mapped
+    let mut map = vec![STRASH_PAD; net.len()];
     for &pi in net.inputs() {
-        let s = out.add_input(net.signal_name(pi));
-        map.insert(pi, s);
+        map[pi.index()] = out.add_input(net.signal_name(pi));
     }
     for id in net.signals() {
-        if map.contains_key(&id) {
+        if map[id.index()] != STRASH_PAD {
             continue;
         }
         let node = net.node(id);
-        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
+        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
         let s = match node.kind {
             GateKind::Input => unreachable!(),
             GateKind::Maj => {
@@ -37,10 +36,10 @@ pub fn expand_maj(net: &Network) -> Network {
             }
             ref kind => out.add_gate_simplified(kind.clone(), fanins),
         };
-        map.insert(id, s);
+        map[id.index()] = s;
     }
     for (name, s) in net.outputs() {
-        out.set_output(name.clone(), map[s]);
+        out.set_output(name.clone(), map[s.index()]);
     }
     out.cleaned()
 }

@@ -7,19 +7,12 @@
 //! (not during construction) so it cannot recurse unboundedly.
 
 use crate::aig::{Aig, AigRef};
-use std::collections::HashMap;
 
 impl Aig {
     /// Returns a refactored copy with shared-literal factorizations
     /// applied bottom-up.
     pub fn refactored(&self) -> Aig {
-        let mut out = Aig::new(self.network_name());
-        let mut map: HashMap<AigRef, AigRef> = HashMap::new();
-        map.insert(AigRef::ONE, AigRef::ONE);
-        for i in 0..self.input_count() {
-            let r = out.add_input();
-            map.insert(self.input_ref(i), r);
-        }
+        let (mut out, mut map) = self.rebuild_start();
         let outputs: Vec<(String, AigRef)> = self.outputs().to_vec();
         for (name, r) in outputs {
             let nr = rebuild(self, &mut out, r, &mut map);
@@ -29,9 +22,10 @@ impl Aig {
     }
 }
 
-fn rebuild(src: &Aig, dst: &mut Aig, r: AigRef, map: &mut HashMap<AigRef, AigRef>) -> AigRef {
+fn rebuild(src: &Aig, dst: &mut Aig, r: AigRef, map: &mut [AigRef]) -> AigRef {
     let reg = r.regular_edge();
-    if let Some(&m) = map.get(&reg) {
+    let m = map[reg.node() as usize];
+    if m != AigRef::UNMAPPED {
         return m.apply_complement(r.is_complemented_edge());
     }
     let (a, b) = src
@@ -40,7 +34,7 @@ fn rebuild(src: &Aig, dst: &mut Aig, r: AigRef, map: &mut HashMap<AigRef, AigRef
     let na = rebuild(src, dst, a, map);
     let nb = rebuild(src, dst, b, map);
     let result = factored_and(dst, na, nb);
-    map.insert(reg, result);
+    map[reg.node() as usize] = result;
     result.apply_complement(r.is_complemented_edge())
 }
 

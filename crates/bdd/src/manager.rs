@@ -16,10 +16,12 @@
 //! What remains here is construction, the order maps, [`Manager::clear`],
 //! audits and the memory-system counters.
 
+use crate::hasher::BuildFxHasher;
 use crate::reference::{NodeId, Ref, Var};
 use crate::session::{ComputedCache, ResourceLimits, VisitScratch, DEFAULT_CACHE_BITS};
 use crate::store::{buckets_for, triple_hash, TERMINAL_VAR};
 use std::cell::RefCell;
+use std::collections::HashMap;
 
 pub use crate::store::Node;
 
@@ -352,6 +354,51 @@ impl Manager {
         self.cache.clear();
         self.collections += 1;
         self.reclaimed_total += dropped as u64;
+    }
+
+    /// Copies the functions `roots` into a fresh manager that knows this
+    /// manager's variables, seated in the same level order, building with
+    /// [`Manager::mk`] alone. Returns that manager and the copies, in the
+    /// order of `roots`; a node of a root's DAG and its copy have the same
+    /// shape, so they denote the same function.
+    ///
+    /// Debug checks that build nodes run on such a copy: they add no node
+    /// to this manager's arena, tick none of its steps and leave its
+    /// computed cache alone, so a budgeted run decides the same in debug
+    /// and release builds.
+    pub fn copy_to_fresh(&self, roots: &[Ref]) -> (Manager, Vec<Ref>) {
+        let mut fresh = Manager::with_capacity(self.shared_size(roots) + 1, 8);
+        fresh.var2level = self.var2level.clone();
+        fresh.level2var = self.level2var.clone();
+        let mut copies = HashMap::default();
+        let roots = roots
+            .iter()
+            .map(|&f| fresh.copy_from(self, f, &mut copies))
+            .collect();
+        (fresh, roots)
+    }
+
+    fn copy_from(
+        &mut self,
+        src: &Manager,
+        f: Ref,
+        copies: &mut HashMap<NodeId, Ref, BuildFxHasher>,
+    ) -> Ref {
+        if f.is_const() {
+            return f;
+        }
+        let copy = match copies.get(&f.node()) {
+            Some(&c) => c,
+            None => {
+                let n = src.node(f.node());
+                let low = self.copy_from(src, n.low, copies);
+                let high = self.copy_from(src, n.high, copies);
+                let c = self.mk(n.var, low, high);
+                copies.insert(f.node(), c);
+                c
+            }
+        };
+        copy.xor_complement(f.is_complemented())
     }
 
     /// Drops every memoized operation result in O(1) (generation bump).

@@ -25,7 +25,8 @@
 //! [`Manager::permute`] is the *renaming* primitive: it builds a
 //! genuinely different function (the composition with a variable
 //! substitution). Its one in-crate use is as the oracle the window probe
-//! is checked against in debug builds ([`Manager::size_under`]).
+//! is checked against in debug builds ([`Manager::size_under`], on a
+//! [`Manager::copy_to_fresh`] copy).
 
 use crate::hasher::BuildFxHasher;
 use crate::manager::{Manager, Node};
@@ -258,12 +259,13 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// candidate's size is `f`'s nodes outside the window plus the distinct
 /// complement-normalized sub-tables its levels depend on — exactly the
 /// size a [`Manager::size_under`] rebuild would measure (debug builds
-/// assert the two agree). Only a winning arrangement pays the swap
-/// primitive, whose cost scales with the whole arena, and the probes
-/// build no node. A flow that meets the same function under the same
-/// order again can skip this search and [`install_order`] the order it
-/// left the first time; the BDS engine replays such cones, so this
-/// search sees each (function, order) pair of a run once.
+/// assert the two agree, rebuilding in a [`Manager::copy_to_fresh`] copy
+/// so that the check adds no node to `m`). Only a winning arrangement
+/// pays the swap primitive, whose cost scales with the whole arena, and
+/// the probes build no node. A flow that meets the same function under
+/// the same order again can skip this search and [`install_order`] the
+/// order it left the first time; the BDS engine replays such cones, so
+/// this search sees each (function, order) pair of a run once.
 ///
 /// The search runs in place: `f` keeps its `Ref` and its function, and
 /// the minimizing order is left installed in the manager — which also
@@ -303,8 +305,11 @@ pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize)
                     }
                     debug_assert_eq!(
                         s,
-                        m.size_under(f, &renaming(n, &slice, &cand)),
-                        "window probe must equal the rebuilt size"
+                        {
+                            let (mut copy, g) = m.copy_to_fresh(&[f]);
+                            copy.size_under(g[0], &renaming(n, &slice, &cand))
+                        },
+                        "window probe must equal the size rebuilt in a copy"
                     );
                     if s < best_size {
                         best_size = s;

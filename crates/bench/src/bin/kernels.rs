@@ -1,12 +1,13 @@
-//! Perf-baseline emitter: runs BDD-kernel op storms and the Table I suite,
-//! then writes `BENCH_kernels.json` so the kernel's performance trajectory
-//! is tracked from PR to PR.
+//! Perf-baseline emitter: runs BDD-kernel op storms, the Table I suite and
+//! the Table II rows, then writes `BENCH_kernels.json` so the performance
+//! trajectory is tracked from PR to PR.
 //!
 //! Usage: `cargo run --release -p bench --bin kernels [-- --subset N] [--out PATH] [--jobs N]`
-//! `--subset N` restricts the suite portion to the first N benchmarks (CI
-//! smoke runs use `--subset 3`). `--jobs N` sets the worker count for the
-//! parallel leg of the suite section (default: `BENCH_JOBS` or all
-//! cores); the suite is always timed sequentially first, so the JSON
+//! `--subset N` restricts the suite and Table II portions to the first N
+//! benchmarks (CI smoke runs use `--subset 3`). `--jobs N` sets the
+//! worker count for the parallel leg of the suite section (default:
+//! `BENCH_JOBS` or all cores); the Table II rows always run sequentially,
+//! and the suite is always timed sequentially first, so the JSON
 //! carries the sequential-vs-parallel wall-clock pair and the speedup is
 //! tracked like every other perf number.
 
@@ -15,6 +16,7 @@ use bench::{parse_jobs, pool, timed};
 use circuits::suite::paper_suite;
 use decomp::EngineOptions;
 use std::fmt::Write as _;
+use techmap::Library;
 
 /// An op storm: builds a dense function family, returning total operations.
 fn ite_storm(m: &mut Manager, rounds: u32) -> u64 {
@@ -214,6 +216,36 @@ fn main() {
         speedup
     );
 
+    // Table II portion: per-row wall clock of the four flows, each mapped
+    // on the 22 nm library and checked (`bench::table2_row`), run
+    // sequentially over the same rows. Mapping and the baselines, not the
+    // decomposition, take most of this time.
+    let lib = Library::cmos22();
+    let (table2, table2_elapsed) = timed(|| {
+        suite[..take]
+            .iter()
+            .map(|b| timed(|| bench::table2_row(b, &lib, &engine)))
+            .collect::<Vec<_>>()
+    });
+    for (row, t) in &table2 {
+        println!(
+            "table2: {:<18} {:>9.3} s  cells maj={} pga={} abc={} dc={} verified={}",
+            row.name,
+            t.as_secs_f64(),
+            row.bds_maj.gate_count,
+            row.bds_pga.gate_count,
+            row.abc.gate_count,
+            row.dc.gate_count,
+            row.verified
+        );
+    }
+    println!(
+        "table2 wall-clock ({} of {} benchmarks): {:.3} s sequential",
+        take,
+        suite.len(),
+        table2_elapsed.as_secs_f64()
+    );
+
     // Hand-rolled JSON writer (the workspace is dependency-free offline).
     let mut json = String::new();
     json.push_str("{\n  \"storms\": [\n");
@@ -258,6 +290,29 @@ fn main() {
             row.verified,
             row.status.as_str(),
             if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    json.push_str("    ]\n  },\n");
+    json.push_str("  \"table2\": {\n");
+    let _ = write!(
+        json,
+        "    \"benchmarks_run\": {},\n    \"wall_clock_sec\": {:.4},\n",
+        take,
+        table2_elapsed.as_secs_f64()
+    );
+    json.push_str("    \"rows\": [\n");
+    for (i, (row, t)) in table2.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"name\": \"{}\", \"sec\": {:.4}, \"bds_maj_cells\": {}, \"bds_pga_cells\": {}, \"abc_cells\": {}, \"dc_cells\": {}, \"verified\": {}}}{}",
+            row.name,
+            t.as_secs_f64(),
+            row.bds_maj.gate_count,
+            row.bds_pga.gate_count,
+            row.abc.gate_count,
+            row.dc.gate_count,
+            row.verified,
+            if i + 1 < table2.len() { "," } else { "" }
         );
     }
     json.push_str("    ]\n  }\n}\n");

@@ -275,6 +275,33 @@ fn committed_bench_json_keeps_its_schema() {
         );
     }
 
+    // The Table II contract: the sequential wall clock of the rows, and
+    // per row its time, the mapped cells of the four flows and whether
+    // all four passed the equivalence check.
+    let table2 = doc.expect_field("top level", "table2");
+    table2
+        .expect_field("table2", "wall_clock_sec")
+        .as_num("table2.wall_clock_sec");
+    let rows = table2.expect_field("table2", "rows").as_arr("table2.rows");
+    assert!(!rows.is_empty(), "table2.rows must not be empty");
+    for (i, row) in rows.iter().enumerate() {
+        let ctx = format!("table2.rows[{i}]");
+        row.expect_field(&ctx, "name").as_str(&ctx);
+        for key in [
+            "sec",
+            "bds_maj_cells",
+            "bds_pga_cells",
+            "abc_cells",
+            "dc_cells",
+        ] {
+            row.expect_field(&ctx, key).as_num(&format!("{ctx}.{key}"));
+        }
+        assert!(
+            matches!(row.expect_field(&ctx, "verified"), Json::Bool(_)),
+            "{ctx}: `verified` must be a boolean"
+        );
+    }
+
     let storms = doc.expect_field("top level", "storms").as_arr("storms");
     assert!(!storms.is_empty(), "storms must not be empty");
 }

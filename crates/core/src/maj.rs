@@ -194,9 +194,12 @@ pub fn maj_decompose(m: &mut Manager, f: Ref, config: &MajConfig) -> Option<MajC
             }
             iterations += 1;
         }
-        debug_assert_eq!(
-            m.maj(cand.triple[0], cand.triple[1], cand.triple[2]),
-            f,
+        debug_assert!(
+            {
+                let [a, b, c] = cand.triple;
+                let (mut copy, r) = m.copy_to_fresh(&[a, b, c, f]);
+                copy.maj(r[0], r[1], r[2]) == r[3]
+            },
             "majority decomposition must stay valid"
         );
         match &best {

@@ -11,7 +11,9 @@
 use crate::dominators::{try_find_decomposition, Decomposition};
 use crate::emit::{replay, Emitter, FunctionEmitter, Operand, Step};
 use bdd::{BuildFxHasher, LimitExceeded, Manager, Ref, ResourceLimits};
-use logic::{partition_with_limits, try_build_cone, Network, PartitionConfig, SignalId};
+use logic::{
+    partition_with_limits, try_build_cone, Network, PartitionConfig, SignalId, STRASH_PAD,
+};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -218,13 +220,13 @@ pub fn decompose_network(
     let mut out = Network::new(net.name().to_string());
     let mut emitter = Emitter::new();
     let mut report = FlowReport::default();
-    let mut signal_map: HashMap<SignalId, SignalId> = HashMap::new();
+    // old signal -> new signal; STRASH_PAD until mapped
+    let mut signal_map = vec![STRASH_PAD; net.len()];
     // Local to the call: the partition's `Ref`s name functions only within
     // this run.
     let mut templates: HashMap<ConeKey, Template, BuildFxHasher> = HashMap::default();
     for &pi in net.inputs() {
-        let new = out.add_input(net.signal_name(pi));
-        signal_map.insert(pi, new);
+        signal_map[pi.index()] = out.add_input(net.signal_name(pi));
     }
     for sn in &part.supernodes {
         manager.clear();
@@ -237,7 +239,7 @@ pub fn decompose_network(
                 .push((net.signal_name(sn.root), ConeStatus::Degraded));
             continue;
         }
-        let var_signals: Vec<SignalId> = sn.inputs.iter().map(|s| signal_map[s]).collect();
+        let var_signals: Vec<SignalId> = sn.inputs.iter().map(|s| signal_map[s.index()]).collect();
         let key = (
             sn.function.raw(),
             var_signals.len(),
@@ -252,8 +254,8 @@ pub fn decompose_network(
             }
             bdd::install_order(&mut manager, &t.exit_order);
             debug_assert_eq!(manager.level2var(), &t.exit_order[..]);
-            let sig = replay(&t.steps, t.result, &mut emitter, &mut out, &var_signals);
-            signal_map.insert(sn.root, sig);
+            signal_map[sn.root.index()] =
+                replay(&t.steps, t.result, &mut emitter, &mut out, &var_signals);
             ConeStatus::Replayed
         } else {
             manager.set_limits(options.limits);
@@ -283,8 +285,8 @@ pub fn decompose_network(
             manager.clear_limits();
             match attempt {
                 Some((steps, root)) => {
-                    let sig = replay(&steps, root, &mut emitter, &mut out, &var_signals);
-                    signal_map.insert(sn.root, sig);
+                    signal_map[sn.root.index()] =
+                        replay(&steps, root, &mut emitter, &mut out, &var_signals);
                     if retried {
                         ConeStatus::RetriedOk
                     } else {
@@ -308,7 +310,7 @@ pub fn decompose_network(
         report.cones.push((net.signal_name(sn.root), status));
     }
     for (name, s) in net.outputs() {
-        out.set_output(name.clone(), signal_map[s]);
+        out.set_output(name.clone(), signal_map[s.index()]);
     }
     let network = out.cleaned();
     DecomposeResult {
@@ -378,29 +380,28 @@ fn check_template(
 fn copy_original_cone(
     net: &Network,
     out: &mut Network,
-    signal_map: &mut HashMap<SignalId, SignalId>,
+    signal_map: &mut [SignalId],
     root: SignalId,
 ) -> SignalId {
     let mut stack = vec![(root, false)];
     while let Some((id, expanded)) = stack.pop() {
-        if signal_map.contains_key(&id) {
+        if signal_map[id.index()] != STRASH_PAD {
             continue;
         }
         let node = net.node(id);
         if expanded {
-            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| signal_map[f]).collect();
-            let new = out.add_gate(node.kind.clone(), fanins);
-            signal_map.insert(id, new);
+            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| signal_map[f.index()]).collect();
+            signal_map[id.index()] = out.add_gate(node.kind.clone(), fanins);
         } else {
             stack.push((id, true));
             for &f in node.fanins.iter().rev() {
-                if !signal_map.contains_key(&f) {
+                if signal_map[f.index()] == STRASH_PAD {
                     stack.push((f, false));
                 }
             }
         }
     }
-    signal_map[&root]
+    signal_map[root.index()]
 }
 
 /// Recursion depth guard: decomposition strictly shrinks functions, so this
@@ -429,7 +430,13 @@ fn try_decompose_function(
     }
     // (1) Majority decomposition, if the hook accepts the function.
     if let Some([fa, fb, fc]) = hook.try_majority(m, f) {
-        debug_assert_eq!(m.maj(fa, fb, fc), f, "hook must return a valid MAJ split");
+        debug_assert!(
+            {
+                let (mut copy, r) = m.copy_to_fresh(&[fa, fb, fc, f]);
+                copy.maj(r[0], r[1], r[2]) == r[3]
+            },
+            "hook must return a valid MAJ split"
+        );
         let sa = try_decompose_function(m, fa, fe, hook, depth + 1)?;
         let sb = try_decompose_function(m, fb, fe, hook, depth + 1)?;
         let sc = try_decompose_function(m, fc, fe, hook, depth + 1)?;

@@ -22,7 +22,8 @@ use bdd::{Manager, Ref};
 ///
 /// Debug builds walk the candidates even when no x-dominator exists and
 /// check every structural verdict against the functional test
-/// `fx[d:=0] == ¬fx[d:=1]`.
+/// `fx[d:=0] == ¬fx[d:=1]`, run in a [`Manager::copy_to_fresh`] copy so
+/// that it adds no node to `m`.
 pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref) -> (Ref, Ref) {
     let trivial = (fx, Ref::ZERO);
     let fsize = m.size(fx);
@@ -47,8 +48,9 @@ pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref) -> (Ref, Ref) {
         let is_dominator = dominators.binary_search(&id).is_ok();
         #[cfg(debug_assertions)]
         {
-            let f1 = m.replace_node_with_const(fx, id, true);
-            let f0 = m.replace_node_with_const(fx, id, false);
+            let (mut copy, r) = m.copy_to_fresh(&[fx, m.function_of(id)]);
+            let f1 = copy.replace_node_with_const(r[0], r[1].node(), true);
+            let f0 = copy.replace_node_with_const(r[0], r[1].node(), false);
             assert_eq!(
                 is_dominator,
                 f0 == !f1,

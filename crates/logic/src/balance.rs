@@ -7,8 +7,7 @@
 //! of AND / OR / XOR(+XNOR-polarity) gates are rebuilt pairing the
 //! shallowest operands first.
 
-use crate::network::{GateKind, Network, SignalId};
-use std::collections::HashMap;
+use crate::network::{GateKind, Network, SignalId, STRASH_PAD};
 
 /// Returns a balanced copy of `net`: associative chains of AND, OR and
 /// XOR/XNOR gates are rebuilt as level-balanced trees. Other gate kinds
@@ -16,43 +15,48 @@ use std::collections::HashMap;
 pub fn balance_network(net: &Network) -> Network {
     let fanouts = net.fanout_counts();
     let mut out = Network::new(net.name().to_string());
-    let mut map: HashMap<SignalId, SignalId> = HashMap::new();
-    let mut level: HashMap<SignalId, usize> = HashMap::new();
+    // old signal -> new signal; STRASH_PAD until mapped
+    let mut map = vec![STRASH_PAD; net.len()];
+    // new signal -> level, see `level_of`
+    let mut level: Vec<usize> = Vec::with_capacity(net.len());
     for &pi in net.inputs() {
-        let s = out.add_input(net.signal_name(pi));
-        map.insert(pi, s);
-        level.insert(s, 0);
+        map[pi.index()] = out.add_input(net.signal_name(pi));
     }
     // Mark chain-internal nodes: same-kind, single fanout. They are
     // absorbed into their consumer's leaf collection and never emitted.
     let absorbed = mark_absorbed(net, &fanouts);
     for id in net.signals() {
-        if map.contains_key(&id) || absorbed[id.index()] {
+        if map[id.index()] != STRASH_PAD || absorbed[id.index()] {
             continue;
         }
         let node = net.node(id);
         let s = match chain_class(&node.kind) {
             Some(class) => {
                 let (leaves, odd) = collect_leaves(net, id, class, &absorbed);
-                let mapped: Vec<SignalId> = leaves.iter().map(|l| map[l]).collect();
+                let mapped: Vec<SignalId> = leaves.iter().map(|l| map[l.index()]).collect();
                 build_balanced(&mut out, class, mapped, odd, &mut level)
             }
             None => {
-                let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
-                let lvl = fanins.iter().map(|f| level[f]).max().unwrap_or(0)
+                let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
+                let lvl = fanins
+                    .iter()
+                    .map(|&f| level_of(&level, f))
+                    .max()
+                    .unwrap_or(0)
                     + usize::from(!matches!(
                         node.kind,
                         GateKind::Input | GateKind::Const(_) | GateKind::Buf
                     ));
                 let s = out.add_gate_simplified(node.kind.clone(), fanins);
-                level.insert(s, lvl.max(level.get(&s).copied().unwrap_or(0)));
+                let lvl = lvl.max(level_of(&level, s));
+                set_level(&mut level, s, lvl);
                 s
             }
         };
-        map.insert(id, s);
+        map[id.index()] = s;
     }
     for (name, sig) in net.outputs() {
-        out.set_output(name.clone(), map[sig]);
+        out.set_output(name.clone(), map[sig.index()]);
     }
     out.cleaned()
 }
@@ -137,7 +141,7 @@ fn build_balanced(
     class: ChainClass,
     mut operands: Vec<SignalId>,
     odd: bool,
-    level: &mut HashMap<SignalId, usize>,
+    level: &mut Vec<usize>,
 ) -> SignalId {
     assert!(!operands.is_empty(), "chains have at least one leaf");
     let kind = |last: bool| match (class, odd && last) {
@@ -150,8 +154,8 @@ fn build_balanced(
         let single = operands[0];
         return if odd && class == ChainClass::Parity {
             let s = out.add_gate_simplified(GateKind::Inv, vec![single]);
-            let lvl = level.get(&single).copied().unwrap_or(0);
-            level.insert(s, lvl);
+            let lvl = level_of(level, single);
+            set_level(level, s, lvl);
             s
         } else {
             single
@@ -159,21 +163,28 @@ fn build_balanced(
     }
     while operands.len() > 1 {
         // Pick the two shallowest operands.
-        operands.sort_by_key(|s| std::cmp::Reverse(level.get(s).copied().unwrap_or(0)));
+        operands.sort_by_key(|&s| std::cmp::Reverse(level_of(level, s)));
         let a = operands.pop().expect("len > 1");
         let b = operands.pop().expect("len > 1");
         let last = operands.is_empty();
         let s = out.add_gate_simplified(kind(last), vec![a, b]);
-        let lvl = level
-            .get(&a)
-            .copied()
-            .unwrap_or(0)
-            .max(level.get(&b).copied().unwrap_or(0))
-            + 1;
-        level.insert(s, lvl.max(level.get(&s).copied().unwrap_or(0)));
+        let lvl = (level_of(level, a).max(level_of(level, b)) + 1).max(level_of(level, s));
+        set_level(level, s, lvl);
         operands.push(s);
     }
     operands.pop().expect("one root remains")
+}
+
+/// Level of the new signal `s`: 0 until [`set_level`] sets it.
+fn level_of(level: &[usize], s: SignalId) -> usize {
+    level.get(s.index()).copied().unwrap_or(0)
+}
+
+fn set_level(level: &mut Vec<usize>, s: SignalId, lvl: usize) {
+    if level.len() <= s.index() {
+        level.resize(s.index() + 1, 0);
+    }
+    level[s.index()] = lvl;
 }
 
 #[cfg(test)]

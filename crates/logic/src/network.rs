@@ -3,7 +3,6 @@
 //! technology mapper.
 
 use crate::truth::TruthTable;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a signal (equivalently, of the node driving it).
@@ -17,8 +16,10 @@ impl SignalId {
     }
 }
 
-/// Pad value for unused [`strash_key`] slots; never a real signal index
-/// (signals are dense arena indices far below `u32::MAX`).
+/// Pad value for unused [`strash_key`] slots, and the unmapped entry of
+/// the dense old→new signal tables of network-to-network passes; never a
+/// real signal index (signals are dense arena indices far below
+/// `u32::MAX`).
 pub const STRASH_PAD: SignalId = SignalId(u32::MAX);
 
 /// Builds the fixed-arity structural-hash key shared by the gate emitters
@@ -442,11 +443,19 @@ impl Network {
     /// propagated, buffers bypassed, double inverters collapsed, and
     /// single-fanin AND/OR/XOR reduced to buffers (then removed).
     ///
-    /// The pass is iterated to a fixpoint, so simplifications that expose
-    /// further dead logic (e.g. a collapsed inverter pair) are fully
-    /// cleaned up.
+    /// The pass is iterated, so simplifications that expose further dead
+    /// logic (e.g. a collapsed inverter pair) are fully cleaned up. The
+    /// iteration stops at the first of:
+    /// - a no-op pass, whose output equals its input node for node (names
+    ///   included), with the same inputs and outputs: the output is
+    ///   returned, since another pass would return it unchanged;
+    /// - a pass that does not shrink the network: its input is returned;
+    /// - the ninth pass: its output is returned.
     pub fn cleaned(&self) -> Network {
         let mut current = self.cleaned_once();
+        if current.same_as(self) {
+            return current;
+        }
         for _ in 0..8 {
             let next = current.cleaned_once();
             if next.len() >= current.len() {
@@ -457,10 +466,16 @@ impl Network {
         current
     }
 
+    /// Whether `self` and `other` hold the same nodes (names included),
+    /// inputs and outputs.
+    fn same_as(&self, other: &Network) -> bool {
+        self.nodes == other.nodes && self.inputs == other.inputs && self.outputs == other.outputs
+    }
+
     fn cleaned_once(&self) -> Network {
         let mut out = Network::new(self.name.clone());
-        // old signal -> new signal
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+        // old signal -> new signal; STRASH_PAD until mapped
+        let mut map = vec![STRASH_PAD; self.nodes.len()];
         // Mark live nodes (reachable from outputs).
         let mut live = vec![false; self.nodes.len()];
         let mut stack: Vec<SignalId> = self.outputs.iter().map(|(_, s)| *s).collect();
@@ -474,35 +489,34 @@ impl Network {
         // Inputs are always preserved to keep the interface stable.
         for &pi in &self.inputs {
             let name = self.signal_name(pi);
-            let new = out.add_input(name);
-            map.insert(pi, new);
+            map[pi.index()] = out.add_input(name);
         }
-        let mut const_cache: HashMap<bool, SignalId> = HashMap::new();
+        let mut const_cache = [None; 2];
         for (idx, node) in self.nodes.iter().enumerate() {
-            let id = SignalId(idx as u32);
-            if !live[idx] || map.contains_key(&id) {
+            if !live[idx] || map[idx] != STRASH_PAD {
                 continue;
             }
-            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
-            let new = out.rewrite_gate(node.kind.clone(), fanins, &mut const_cache);
-            map.insert(id, new);
+            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
+            map[idx] = out.rewrite_gate(node.kind.clone(), fanins, &mut const_cache);
         }
         for (name, s) in &self.outputs {
-            out.set_output(name.clone(), map[s]);
+            out.set_output(name.clone(), map[s.index()]);
         }
         out
     }
 
     /// Adds a gate applying local simplifications; used by [`Self::cleaned`]
-    /// and by decomposition emitters.
+    /// and by decomposition emitters. `const_cache[v]` holds the constant
+    /// `v` once this pass has made it.
     fn rewrite_gate(
         &mut self,
         kind: GateKind,
         fanins: Vec<SignalId>,
-        const_cache: &mut HashMap<bool, SignalId>,
+        const_cache: &mut [Option<SignalId>; 2],
     ) -> SignalId {
-        let mut get_const =
-            |net: &mut Network, v: bool| *const_cache.entry(v).or_insert_with(|| net.add_const(v));
+        let mut get_const = |net: &mut Network, v: bool| {
+            *const_cache[usize::from(v)].get_or_insert_with(|| net.add_const(v))
+        };
         let value_of = |net: &Network, s: SignalId| match net.node(s).kind {
             GateKind::Const(b) => Some(b),
             _ => None,
@@ -522,18 +536,23 @@ impl Network {
             }
             GateKind::And | GateKind::Or => {
                 let identity = matches!(kind, GateKind::And);
-                let mut reduced = Vec::new();
-                for f in fanins {
+                // Compacted in place: the first `kept` entries are the
+                // distinct non-constant fanins seen so far.
+                let mut reduced = fanins;
+                let mut kept = 0;
+                for i in 0..reduced.len() {
+                    let f = reduced[i];
                     match value_of(self, f) {
                         Some(b) if b == identity => {}
                         Some(_) => return get_const(self, !identity),
+                        None if reduced[..kept].contains(&f) => {}
                         None => {
-                            if !reduced.contains(&f) {
-                                reduced.push(f);
-                            }
+                            reduced[kept] = f;
+                            kept += 1;
                         }
                     }
                 }
+                reduced.truncate(kept);
                 match reduced.len() {
                     0 => get_const(self, identity),
                     1 => reduced[0],
@@ -611,14 +630,14 @@ impl Network {
     /// Adds a gate with the same local simplifications as [`Self::cleaned`]
     /// applies (constant folding, unit reduction, duplicate removal).
     pub fn add_gate_simplified(&mut self, kind: GateKind, fanins: Vec<SignalId>) -> SignalId {
-        let mut cache = HashMap::new();
-        self.rewrite_gate(kind, fanins, &mut cache)
+        self.rewrite_gate(kind, fanins, &mut [None; 2])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::XorShift64;
 
     fn full_adder() -> Network {
         let mut net = Network::new("fa");
@@ -726,6 +745,285 @@ mod tests {
         net.set_output("y", l);
         let out = net.simulate(&[0b1010, 0b1100]);
         assert_eq!(out[0] & 0xF, 0b0010);
+    }
+
+    /// The reference cleaning pass of the oracle test below: a `HashMap`
+    /// signal table, and the fixpoint loop that stops only when a pass
+    /// does not shrink the network (at most 9 passes).
+    mod reference {
+        use super::*;
+        use std::collections::HashMap;
+
+        pub fn cleaned(net: &Network) -> Network {
+            let mut current = cleaned_once(net);
+            for _ in 0..8 {
+                let next = cleaned_once(&current);
+                if next.len() >= current.len() {
+                    return current;
+                }
+                current = next;
+            }
+            current
+        }
+
+        fn cleaned_once(net: &Network) -> Network {
+            let mut out = Network::new(net.name.clone());
+            let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+            let mut live = vec![false; net.nodes.len()];
+            let mut stack: Vec<SignalId> = net.outputs.iter().map(|(_, s)| *s).collect();
+            while let Some(s) = stack.pop() {
+                if live[s.index()] {
+                    continue;
+                }
+                live[s.index()] = true;
+                stack.extend(net.nodes[s.index()].fanins.iter().copied());
+            }
+            for &pi in &net.inputs {
+                let name = net.signal_name(pi);
+                let new = out.add_input(name);
+                map.insert(pi, new);
+            }
+            let mut const_cache: HashMap<bool, SignalId> = HashMap::new();
+            for (idx, node) in net.nodes.iter().enumerate() {
+                let id = SignalId(idx as u32);
+                if !live[idx] || map.contains_key(&id) {
+                    continue;
+                }
+                let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
+                let new = rewrite_gate(&mut out, node.kind.clone(), fanins, &mut const_cache);
+                map.insert(id, new);
+            }
+            for (name, s) in &net.outputs {
+                out.set_output(name.clone(), map[s]);
+            }
+            out
+        }
+
+        fn rewrite_gate(
+            net: &mut Network,
+            kind: GateKind,
+            fanins: Vec<SignalId>,
+            const_cache: &mut HashMap<bool, SignalId>,
+        ) -> SignalId {
+            let mut get_const = |net: &mut Network, v: bool| {
+                *const_cache.entry(v).or_insert_with(|| net.add_const(v))
+            };
+            let value_of = |net: &Network, s: SignalId| match net.node(s).kind {
+                GateKind::Const(b) => Some(b),
+                _ => None,
+            };
+            match kind {
+                GateKind::Buf => fanins[0],
+                GateKind::Inv => {
+                    let f = fanins[0];
+                    match &net.node(f).kind {
+                        GateKind::Const(b) => {
+                            let b = !*b;
+                            get_const(net, b)
+                        }
+                        GateKind::Inv => net.node(f).fanins[0],
+                        _ => net.add_gate(GateKind::Inv, fanins),
+                    }
+                }
+                GateKind::And | GateKind::Or => {
+                    let identity = matches!(kind, GateKind::And);
+                    let mut reduced = Vec::new();
+                    for f in fanins {
+                        match value_of(net, f) {
+                            Some(b) if b == identity => {}
+                            Some(_) => return get_const(net, !identity),
+                            None => {
+                                if !reduced.contains(&f) {
+                                    reduced.push(f);
+                                }
+                            }
+                        }
+                    }
+                    match reduced.len() {
+                        0 => get_const(net, identity),
+                        1 => reduced[0],
+                        _ => net.add_gate(kind, reduced),
+                    }
+                }
+                GateKind::Xor | GateKind::Xnor => {
+                    let mut parity = matches!(kind, GateKind::Xnor);
+                    let mut reduced: Vec<SignalId> = Vec::new();
+                    for f in fanins {
+                        match value_of(net, f) {
+                            Some(b) => parity ^= b,
+                            None => {
+                                if let Some(pos) = reduced.iter().position(|&g| g == f) {
+                                    reduced.remove(pos);
+                                } else {
+                                    reduced.push(f);
+                                }
+                            }
+                        }
+                    }
+                    match (reduced.len(), parity) {
+                        (0, p) => get_const(net, p),
+                        (1, false) => reduced[0],
+                        (1, true) => net.add_gate(GateKind::Inv, reduced),
+                        (_, false) => net.add_gate(GateKind::Xor, reduced),
+                        (_, true) => net.add_gate(GateKind::Xnor, reduced),
+                    }
+                }
+                GateKind::Mux => {
+                    let (s, t, e) = (fanins[0], fanins[1], fanins[2]);
+                    match value_of(net, s) {
+                        Some(true) => t,
+                        Some(false) => e,
+                        None if t == e => t,
+                        None => net.add_gate(GateKind::Mux, fanins),
+                    }
+                }
+                GateKind::Maj => {
+                    let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
+                    let consts: Vec<Option<bool>> =
+                        fanins.iter().map(|&f| value_of(net, f)).collect();
+                    if a == b || consts[0].is_some() && consts[0] == consts[1] {
+                        return a;
+                    }
+                    if b == c || consts[1].is_some() && consts[1] == consts[2] {
+                        return b;
+                    }
+                    if a == c || consts[0].is_some() && consts[0] == consts[2] {
+                        return a;
+                    }
+                    for (i, cv) in consts.iter().enumerate() {
+                        if let Some(v) = cv {
+                            let (x, y) = match i {
+                                0 => (b, c),
+                                1 => (a, c),
+                                _ => (a, b),
+                            };
+                            let k = if *v { GateKind::Or } else { GateKind::And };
+                            return net.add_gate(k, vec![x, y]);
+                        }
+                    }
+                    net.add_gate(GateKind::Maj, fanins)
+                }
+                GateKind::Lut(table) => match table.as_constant() {
+                    Some(v) => get_const(net, v),
+                    None => net.add_gate(GateKind::Lut(table), fanins),
+                },
+                GateKind::Const(v) => get_const(net, v),
+                other => net.add_gate(other, fanins),
+            }
+        }
+    }
+
+    /// A random network over the cases the cleaning pass rewrites: dead
+    /// gates and buffers, constants of both values feeding every gate
+    /// kind, inverter pairs whose inner inverter has other fanouts,
+    /// duplicated fanins, MAJ with equal or constant fanins, MUX with a
+    /// constant select or equal branches, constant and non-constant LUTs,
+    /// named gates, unnamed inputs (also declared between gates), and
+    /// outputs driven by inputs and by constants.
+    fn random_network(rng: &mut XorShift64) -> Network {
+        fn below(rng: &mut XorShift64, n: usize) -> usize {
+            (rng.next_u64() % n as u64) as usize
+        }
+        fn add_input(net: &mut Network, rng: &mut XorShift64) -> SignalId {
+            if below(rng, 3) > 0 {
+                return net.add_input(format!("i{}", net.inputs.len()));
+            }
+            let id = net.push(NetNode {
+                kind: GateKind::Input,
+                fanins: vec![],
+                name: None,
+            });
+            net.inputs.push(id);
+            id
+        }
+        let mut net = Network::new("random");
+        let mut pool = vec![net.add_const(false), net.add_const(true)];
+        for _ in 0..1 + below(rng, 3) {
+            pool.push(add_input(&mut net, rng));
+        }
+        for g in 0..below(rng, 24) {
+            let [a, b, c] = [0; 3].map(|_| pool[below(rng, pool.len())]);
+            let s = match below(rng, 16) {
+                0 => add_input(&mut net, rng),
+                1 => net.add_const(below(rng, 2) == 1),
+                2 => net.add_gate(GateKind::Buf, vec![a]),
+                3 => net.add_gate(GateKind::Inv, vec![a]),
+                4 => {
+                    // The inner inverter stays in the pool: other fanouts.
+                    let inner = net.add_gate(GateKind::Inv, vec![a]);
+                    pool.push(inner);
+                    net.add_gate(GateKind::Inv, vec![inner])
+                }
+                5 => net.add_gate(GateKind::And, vec![a, a]),
+                6 => net.add_gate(GateKind::And, vec![a, b, c]),
+                7 => net.add_gate(GateKind::Or, vec![a, b]),
+                8 => net.add_gate(GateKind::Nand, vec![a, b]),
+                9 => net.add_gate(GateKind::Nor, vec![a, b, c]),
+                10 => net.add_gate(GateKind::Xor, vec![a, a, b]),
+                11 => net.add_gate(GateKind::Xnor, vec![a, b, c]),
+                12 => net.add_gate(GateKind::Maj, vec![a, b, c]),
+                13 => net.add_gate(GateKind::Mux, vec![a, b, b]),
+                14 => net.add_gate(GateKind::Mux, vec![a, b, c]),
+                _ => {
+                    let bits = rng.next_u64();
+                    let table = match below(rng, 3) {
+                        0 => TruthTable::constant(2, bits & 1 == 1),
+                        _ => TruthTable::from_fn(2, |r| bits >> r & 1 == 1),
+                    };
+                    net.add_gate(GateKind::Lut(table), vec![a, b])
+                }
+            };
+            if below(rng, 4) == 0 && !matches!(net.node(s).kind, GateKind::Input) {
+                net.set_signal_name(s, format!("g{g}"));
+            }
+            pool.push(s);
+        }
+        // Outputs: the last signal, an input, a constant and random picks;
+        // what no output reaches is dead.
+        net.set_output("last", *pool.last().expect("the pool holds the constants"));
+        net.set_output("pi", net.inputs[below(rng, net.inputs.len())]);
+        net.set_output("k", pool[below(rng, 2)]);
+        for o in 0..below(rng, 3) {
+            net.set_output(format!("o{o}"), pool[below(rng, pool.len())]);
+        }
+        net
+    }
+
+    fn assert_same(got: &Network, want: &Network, case: &str) {
+        assert_eq!(
+            (&got.name, &got.nodes, &got.inputs, &got.outputs),
+            (&want.name, &want.nodes, &want.inputs, &want.outputs),
+            "{case}: cleaned() differs from the reference"
+        );
+    }
+
+    /// `cleaned` returns exactly the reference's network, nodes with their
+    /// names, inputs and outputs, on networks that need several passes and
+    /// on networks that are already clean (where it stops after one).
+    #[test]
+    fn cleaned_matches_the_reference_exactly() {
+        // Maj(a, b, 1) keeps the node count on the first pass (the constant
+        // is still live there); its dead constant goes only on the second.
+        let mut net = Network::new("maj1");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let one = net.add_const(true);
+        let m = net.add_gate(GateKind::Maj, vec![a, b, one]);
+        net.set_output("y", m);
+        assert_eq!(reference::cleaned(&net).len(), 3);
+        assert_same(&net.cleaned(), &reference::cleaned(&net), "Maj(a, b, 1)");
+
+        let mut rng = XorShift64::new(0xC1EA);
+        for case in 0..2000 {
+            let net = random_network(&mut rng);
+            let want = reference::cleaned(&net);
+            assert_same(&net.cleaned(), &want, &format!("case {case}"));
+            assert_same(
+                &want.cleaned(),
+                &reference::cleaned(&want),
+                &format!("case {case}, cleaned again"),
+            );
+        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! circuits whose global BDDs stay tractable.
 
 use crate::collapse::apply_gate;
-use crate::network::{GateKind, Network, SignalId};
+use crate::network::{GateKind, Network};
 use bdd::{Manager, Ref};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A counterexample found by the simulation checker.
@@ -110,27 +109,29 @@ pub fn equiv_sim(a: &Network, b: &Network, rounds: usize, seed: u64) -> Result<(
 /// (input `i` is variable `i`). Returns `None` if the network exceeds
 /// `max_nodes` manager nodes during construction (blow-up guard).
 pub fn output_bdds(net: &Network, manager: &mut Manager, max_nodes: usize) -> Option<Vec<Ref>> {
-    let mut values: HashMap<SignalId, Ref> = HashMap::new();
+    // signal -> its BDD; nodes come in topological order, so every entry
+    // is set before it is read
+    let mut values = vec![Ref::ZERO; net.len()];
     for (i, &pi) in net.inputs().iter().enumerate() {
-        let v = manager.var(i as u32);
-        values.insert(pi, v);
+        values[pi.index()] = manager.var(i as u32);
     }
     for id in net.signals() {
-        if values.contains_key(&id) {
-            continue;
-        }
         let node = net.node(id);
         if matches!(node.kind, GateKind::Input) {
             continue;
         }
-        let kids: Vec<Ref> = node.fanins.iter().map(|f| values[f]).collect();
-        let r = apply_gate(manager, &node.kind, &kids);
-        values.insert(id, r);
+        let kids: Vec<Ref> = node.fanins.iter().map(|f| values[f.index()]).collect();
+        values[id.index()] = apply_gate(manager, &node.kind, &kids);
         if manager.live_nodes() > max_nodes {
             return None;
         }
     }
-    Some(net.outputs().iter().map(|(_, s)| values[s]).collect())
+    Some(
+        net.outputs()
+            .iter()
+            .map(|(_, s)| values[s.index()])
+            .collect(),
+    )
 }
 
 /// Exact equivalence via canonical global BDDs.

@@ -5,7 +5,7 @@
 //! NAND/NOR/INV structures with inverter minimization.
 
 use crate::library::CellKind;
-use logic::{strash_key, BuildFxHasher, GateKind, Network, SignalId, TruthTable};
+use logic::{strash_key, BuildFxHasher, GateKind, Network, SignalId, TruthTable, STRASH_PAD};
 use std::collections::HashMap;
 
 /// Structural-hash table over emitted cells, keyed by the allocation-free
@@ -64,24 +64,23 @@ pub fn map_network(net: &Network) -> MappedNetwork {
     // covering; do the same before the cell assignment.
     let net = &logic::balance_network(net);
     let mut out = Network::new(format!("{}_mapped", net.name()));
-    let mut map: HashMap<SignalId, SignalId, BuildFxHasher> = HashMap::default();
+    // old signal -> new signal; STRASH_PAD until mapped
+    let mut map = vec![STRASH_PAD; net.len()];
     let mut strash = Strash::default();
 
     for &pi in net.inputs() {
-        let new = out.add_input(net.signal_name(pi));
-        map.insert(pi, new);
+        map[pi.index()] = out.add_input(net.signal_name(pi));
     }
     for id in net.signals() {
-        if map.contains_key(&id) {
+        if map[id.index()] != STRASH_PAD {
             continue;
         }
         let node = net.node(id);
-        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
-        let mapped = emit_kind(&mut out, &node.kind, &fanins, &mut strash);
-        map.insert(id, mapped);
+        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
+        map[id.index()] = emit_kind(&mut out, &node.kind, &fanins, &mut strash);
     }
     for (name, s) in net.outputs() {
-        out.set_output(name.clone(), map[s]);
+        out.set_output(name.clone(), map[s.index()]);
     }
     MappedNetwork {
         network: out.cleaned(),
@@ -97,7 +96,7 @@ fn hashed(
     kind: GateKind,
     fanins: &[SignalId],
 ) -> SignalId {
-    let mut sorted = [logic::STRASH_PAD; 3];
+    let mut sorted = [STRASH_PAD; 3];
     sorted[..fanins.len()].copy_from_slice(fanins);
     sorted[..fanins.len()].sort_unstable();
     let key = strash_key(code, &sorted[..fanins.len()])

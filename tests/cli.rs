@@ -62,3 +62,20 @@ fn a_degraded_run_writes_a_blif_that_reads_back() {
     let net = circuits::suite::benchmark("misex3").expect("a suite circuit");
     assert_eq!(logic::equiv_exact(&net, &back, 1 << 20), Some(true));
 }
+
+/// The AIG flow keeps the circuit's input names: alu2's abc BLIF reads
+/// back with alu2's inputs, in order, and computes alu2.
+#[test]
+fn the_abc_flow_keeps_the_input_names() {
+    let path = std::env::temp_dir().join("bdsmaj_cli_alu2_abc.blif");
+    let p = path.to_str().expect("utf-8");
+    assert_eq!(exit_code(&["--bench", "alu2", "--flow", "abc", "-o", p]), 0);
+    let text = std::fs::read_to_string(&path).expect("the BLIF was written");
+    let back = logic::parse_blif(&text).expect("the BLIF parses");
+    let net = circuits::suite::benchmark("alu2").expect("a suite circuit");
+    let names = |n: &logic::Network| -> Vec<String> {
+        n.inputs().iter().map(|&i| n.signal_name(i)).collect()
+    };
+    assert_eq!(names(&back), names(&net));
+    assert_eq!(logic::equiv_exact(&net, &back, 1 << 20), Some(true));
+}

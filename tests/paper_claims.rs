@@ -1,7 +1,7 @@
 //! Pins the paper's qualitative claims as executable assertions over the
-//! full 17-benchmark suite. These are the invariants EXPERIMENTS.md
-//! reports; if a refactor breaks the reproduction's shape, these tests
-//! fail before the table binaries do.
+//! full 17-benchmark suite, and Tables I and II row by row. These are the
+//! invariants EXPERIMENTS.md reports; if a refactor breaks the
+//! reproduction's shape, these tests fail before the table binaries do.
 
 use bds_maj::circuits::suite::{paper_suite, Group};
 use bds_maj::prelude::*;
@@ -93,6 +93,63 @@ fn bds_pga_column_has_zero_majority_nodes() {
             0,
             "{} produced MAJ without the hook",
             bench.name
+        );
+    }
+}
+
+/// One mapped flow of a Table II row: (cells, area in 0.01 µm², delay in
+/// 0.001 ns).
+type Mapped = (usize, u64, u64);
+
+/// Table II under the default flow options, as `table2 --jobs 1` prints
+/// it, row by row: each flow [`Mapped`] on the 22 nm library, for
+/// BDS-MAJ, BDS-PGA, ABC and DC in that order. A changed row is a change to a flow, the mapper or the
+/// library's cells.
+#[rustfmt::skip]
+const TABLE2_GOLDEN: [(&str, [Mapped; 4]); 17] = [
+    ("alu2", [(120, 1374, 229), (143, 1521, 305), (128, 1456, 196), (128, 1456, 196)]),
+    ("C6288", [(1232, 28336, 1566), (3444, 43498, 2659), (4608, 51038, 2219), (2366, 33943, 2021)]),
+    ("C1355", [(236, 5012, 246), (236, 5012, 246), (1440, 15418, 1206), (236, 5012, 246)]),
+    ("dalu", [(409, 5132, 400), (542, 6045, 626), (526, 6058, 421), (486, 5681, 488)]),
+    ("apex6", [(1112, 10803, 361), (1112, 10803, 361), (1204, 12551, 236), (1112, 10803, 361)]),
+    ("vda", [(2012, 19793, 212), (2027, 19708, 258), (1748, 17784, 167), (1748, 17784, 167)]),
+    ("f51m", [(97, 2119, 299), (216, 2938, 526), (333, 3718, 390), (161, 2476, 410)]),
+    ("misex3", [(2159, 21030, 247), (2166, 21073, 248), (1985, 19935, 200), (1985, 19935, 200)]),
+    ("seq", [(6951, 67639, 249), (6951, 67639, 249), (6473, 64435, 220), (6473, 64435, 220)]),
+    ("bigkey", [(3140, 36612, 453), (3178, 36777, 453), (3384, 39234, 410), (3178, 36777, 453)]),
+    ("SQRT 32 bit", [(1192, 22700, 6571), (2275, 30160, 11193), (6392, 69004, 6400), (1912, 29360, 8770)]),
+    ("Wallace 16 bit", [(1403, 31122, 953), (3397, 44850, 1877), (4430, 49809, 1237), (2591, 39182, 1397)]),
+    ("CLA 64 bit", [(849, 11167, 515), (849, 11167, 515), (1307, 14059, 359), (849, 11167, 515)]),
+    ("Rev (1/X) 19 bit", [(4061, 83202, 24279), (9677, 121654, 47211), (19693, 218225, 26977), (7727, 116331, 32455)]),
+    ("Div 18 bit", [(1672, 37631, 10492), (4276, 55575, 20983), (10517, 115148, 13438), (3406, 53670, 14597)]),
+    ("MAC 16 bit", [(1508, 34446, 1012), (3786, 50128, 2011), (4954, 55672, 1312), (2863, 43608, 1484)]),
+    ("4-Op ADD 16 bit", [(145, 4734, 542), (575, 7689, 1126), (795, 8905, 717), (391, 6312, 815)]),
+];
+
+/// `x` in units of `10^-digits`, rounded as the table prints it.
+fn printed(x: f64, digits: usize) -> u64 {
+    format!("{x:.digits$}")
+        .replace('.', "")
+        .parse()
+        .expect("a printed non-negative number")
+}
+
+/// Table II, row by row: every row matches [`TABLE2_GOLDEN`], and the
+/// four mapped netlists of every row pass the equivalence check.
+#[test]
+fn table2_rows_match_the_golden() {
+    let lib = Library::cmos22();
+    let suite = paper_suite();
+    assert_eq!(suite.len(), TABLE2_GOLDEN.len());
+    for (bench, &(name, want)) in suite.iter().zip(&TABLE2_GOLDEN) {
+        assert_eq!(bench.name, name, "suite order changed");
+        let row = bench::table2_row(bench, &lib, &EngineOptions::default());
+        assert!(row.verified, "{name}: a mapped netlist failed the check");
+        let got = [&row.bds_maj, &row.bds_pga, &row.abc, &row.dc]
+            .map(|r| (r.gate_count, printed(r.area, 2), printed(r.delay, 3)));
+        assert_eq!(
+            got, want,
+            "{name}: (cells, area, delay) of BDS-MAJ, BDS-PGA, ABC and DC moved"
         );
     }
 }
