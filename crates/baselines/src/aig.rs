@@ -244,12 +244,15 @@ impl Aig {
         for &pi in net.inputs() {
             map[pi.index()] = aig.add_named_input(net.signal_name(pi));
         }
+        // The mapped fanins of the current node, kept across nodes.
+        let mut kids: Vec<AigRef> = Vec::new();
         for id in net.signals() {
             if map[id.index()] != AigRef::UNMAPPED {
                 continue;
             }
             let node = net.node(id);
-            let kids: Vec<AigRef> = node.fanins.iter().map(|f| map[f.index()]).collect();
+            kids.clear();
+            kids.extend(node.fanins.iter().map(|f| map[f.index()]));
             let r = match &node.kind {
                 GateKind::Input => unreachable!("inputs pre-mapped"),
                 GateKind::Const(b) => {
@@ -339,7 +342,7 @@ impl Aig {
                 AigNode::And(a, b) => {
                     let sa = edge_signal(&mut net, &map, &mut const_false, *a);
                     let sb = edge_signal(&mut net, &map, &mut const_false, *b);
-                    map[idx] = net.add_gate(GateKind::And, vec![sa, sb]);
+                    map[idx] = net.add_gate(GateKind::And, [sa, sb]);
                 }
             }
         }
@@ -362,11 +365,11 @@ fn edge_signal(
         if r == AigRef::ZERO {
             return zero;
         }
-        return net.add_gate_simplified(GateKind::Inv, vec![zero]);
+        return net.add_gate_simplified(GateKind::Inv, [zero]);
     }
     let base = map[r.node() as usize];
     if r.is_complemented() {
-        net.add_gate_simplified(GateKind::Inv, vec![base])
+        net.add_gate_simplified(GateKind::Inv, [base])
     } else {
         base
     }

@@ -6,7 +6,7 @@
 use crate::balance::abc_flow;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use decomp::EngineOptions;
-use logic::{GateKind, Network, SignalId, STRASH_PAD};
+use logic::{Fanins, GateKind, Network, STRASH_PAD};
 use techmap::{map_network, report, Library, MappedNetwork};
 
 /// Re-expresses every MAJ-3 gate as `ab + c·(a⊕b)` — the best a flow can
@@ -24,15 +24,15 @@ pub fn expand_maj(net: &Network) -> Network {
             continue;
         }
         let node = net.node(id);
-        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
+        let fanins: Fanins = node.fanins.iter().map(|f| map[f.index()]).collect();
         let s = match node.kind {
             GateKind::Input => unreachable!(),
             GateKind::Maj => {
                 let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
-                let ab = out.add_gate_simplified(GateKind::And, vec![a, b]);
-                let x = out.add_gate_simplified(GateKind::Xor, vec![a, b]);
-                let cx = out.add_gate_simplified(GateKind::And, vec![c, x]);
-                out.add_gate_simplified(GateKind::Or, vec![ab, cx])
+                let ab = out.add_gate_simplified(GateKind::And, [a, b]);
+                let x = out.add_gate_simplified(GateKind::Xor, [a, b]);
+                let cx = out.add_gate_simplified(GateKind::And, [c, x]);
+                out.add_gate_simplified(GateKind::Or, [ab, cx])
             }
             ref kind => out.add_gate_simplified(kind.clone(), fanins),
         };
@@ -101,7 +101,7 @@ pub fn abc_mapped(net: &Network) -> MappedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::equiv_sim;
+    use logic::{equiv_sim, SignalId};
 
     fn carry_network() -> Network {
         // 3-bit carry chain: majority-rich.

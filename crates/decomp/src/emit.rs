@@ -15,7 +15,7 @@
 //! with its own.
 
 use bdd::{BuildFxHasher, Manager, Ref};
-use logic::{strash_key, GateKind, Network, SignalId};
+use logic::{strash_key, Fanins, GateKind, Network, SignalId};
 use std::collections::HashMap;
 
 /// Emits gates into a [`Network`] with structural hashing (keys are the
@@ -24,6 +24,8 @@ use std::collections::HashMap;
 pub struct Emitter {
     strash: HashMap<(u8, [SignalId; 3]), SignalId, BuildFxHasher>,
     consts: HashMap<bool, SignalId>,
+    /// The signals of a [`replay`]'s steps, kept across replays.
+    done: Vec<SignalId>,
 }
 
 fn kind_code(kind: &GateKind) -> u8 {
@@ -51,8 +53,9 @@ impl Emitter {
         &mut self,
         net: &mut Network,
         kind: GateKind,
-        mut fanins: Vec<SignalId>,
+        fanins: impl Into<Fanins>,
     ) -> SignalId {
+        let mut fanins = fanins.into();
         match kind {
             GateKind::And | GateKind::Or | GateKind::Xor | GateKind::Xnor | GateKind::Maj => {
                 fanins.sort();
@@ -95,7 +98,7 @@ impl Emitter {
             let v = !b;
             return self.constant(net, v);
         }
-        self.gate(net, GateKind::Inv, vec![s])
+        self.gate(net, GateKind::Inv, [s])
     }
 
     fn simplify(
@@ -114,7 +117,7 @@ impl Emitter {
                 if fanins.iter().any(|&f| value_of(net, f) == Some(!identity)) {
                     return Some(self.constant(net, !identity));
                 }
-                let live: Vec<SignalId> = fanins
+                let live: Fanins = fanins
                     .iter()
                     .copied()
                     .filter(|&f| value_of(net, f).is_none())
@@ -134,7 +137,7 @@ impl Emitter {
                 // Absorb input inverters into the gate polarity:
                 // xnor(!a, b) = xor(a, b), xor(!a, b) = xnor(a, b).
                 let mut odd = matches!(kind, GateKind::Xnor);
-                let mut stripped: Vec<SignalId> = Vec::with_capacity(fanins.len());
+                let mut stripped = Fanins::new();
                 let mut changed = false;
                 for &f in fanins {
                     if let GateKind::Inv = net.node(f).kind {
@@ -219,10 +222,10 @@ impl Step {
     ) -> SignalId {
         let sig = |op| resolve(op, inputs, done);
         match self {
-            Step::And(a, b) => emitter.gate(net, GateKind::And, vec![sig(a), sig(b)]),
-            Step::Or(a, b) => emitter.gate(net, GateKind::Or, vec![sig(a), sig(b)]),
-            Step::Xnor(a, b) => emitter.gate(net, GateKind::Xnor, vec![sig(a), sig(b)]),
-            Step::Maj(a, b, c) => emitter.gate(net, GateKind::Maj, vec![sig(a), sig(b), sig(c)]),
+            Step::And(a, b) => emitter.gate(net, GateKind::And, [sig(a), sig(b)]),
+            Step::Or(a, b) => emitter.gate(net, GateKind::Or, [sig(a), sig(b)]),
+            Step::Xnor(a, b) => emitter.gate(net, GateKind::Xnor, [sig(a), sig(b)]),
+            Step::Maj(a, b, c) => emitter.gate(net, GateKind::Maj, [sig(a), sig(b), sig(c)]),
             Step::Invert(a) => emitter.invert(net, sig(a)),
             Step::Const(value) => emitter.constant(net, value),
         }
@@ -240,12 +243,15 @@ pub(crate) fn replay(
     net: &mut Network,
     inputs: &[SignalId],
 ) -> SignalId {
-    let mut done = Vec::with_capacity(steps.len());
+    let mut done = std::mem::take(&mut emitter.done);
+    done.clear();
     for &step in steps {
         let s = step.emit(emitter, net, inputs, &done);
         done.push(s);
     }
-    resolve(result, inputs, &done)
+    let s = resolve(result, inputs, &done);
+    emitter.done = done;
+    s
 }
 
 /// Records the emitter calls that implement BDD functions of one

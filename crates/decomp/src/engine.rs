@@ -12,7 +12,7 @@ use crate::dominators::{try_find_decomposition, Decomposition};
 use crate::emit::{replay, Emitter, FunctionEmitter, Operand, Step};
 use bdd::{BuildFxHasher, LimitExceeded, Manager, Ref, ResourceLimits};
 use logic::{
-    partition_with_limits, try_build_cone, Network, PartitionConfig, SignalId, STRASH_PAD,
+    partition_with_limits, ConeBuilder, Fanins, Network, PartitionConfig, SignalId, STRASH_PAD,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -179,7 +179,8 @@ pub struct DecomposeResult {
 /// One cone is in the BDD arena at a time. The partition chooses every
 /// cut and static order up front; then, before each cone, the engine
 /// clears the manager ([`Manager::clear`], which keeps the order) and
-/// builds the cone again under the current order ([`try_build_cone`]).
+/// builds the cone again under the current order
+/// ([`ConeBuilder::try_build_cone`]).
 /// By canonicity that is the BDD level swaps would have made of the
 /// partition's build, so a cone's reorder swaps rewrite only its own
 /// nodes and memory tracks the largest cone, not the network.
@@ -217,6 +218,7 @@ pub fn decompose_network(
     );
     let part = partition_with_limits(net, &mut manager, options.partition, options.limits);
 
+    let mut cones = ConeBuilder::new(net);
     let mut out = Network::new(net.name().to_string());
     let mut emitter = Emitter::new();
     let mut report = FlowReport::default();
@@ -248,7 +250,7 @@ pub fn decompose_network(
         let status = if let Some(t) = templates.get(&key) {
             #[cfg(debug_assertions)]
             {
-                let f = manager.ungoverned(|m| try_build_cone(net, m, sn.root, &sn.inputs));
+                let f = manager.ungoverned(|m| cones.try_build_cone(m, sn.root, &sn.inputs));
                 check_template(&mut manager, f, var_signals.len(), t, options, hook);
                 manager.clear();
             }
@@ -264,7 +266,7 @@ pub fn decompose_network(
             // step count; the retry resumes from the nodes and memo of the
             // aborted attempt, which still count against the node ceiling.
             let mut retried = false;
-            let attempt = match try_build_cone(net, &mut manager, sn.root, &sn.inputs) {
+            let attempt = match cones.try_build_cone(&mut manager, sn.root, &sn.inputs) {
                 Err(_) => None,
                 Ok(function) => {
                     // Per-supernode reordering pass (BDS §IV-B).
@@ -312,6 +314,11 @@ pub fn decompose_network(
     for (name, s) in net.outputs() {
         out.set_output(name.clone(), signal_map[s.index()]);
     }
+    // Free the arena and the per-call tables before the last pass: the
+    // network it builds outlives this call, and allocated while they are
+    // live it lands above them, where it keeps the heap from reusing or
+    // returning their memory.
+    drop((manager, part, cones, emitter, signal_map, templates));
     let network = out.cleaned();
     DecomposeResult {
         network,
@@ -390,7 +397,7 @@ fn copy_original_cone(
         }
         let node = net.node(id);
         if expanded {
-            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| signal_map[f.index()]).collect();
+            let fanins: Fanins = node.fanins.iter().map(|f| signal_map[f.index()]).collect();
             signal_map[id.index()] = out.add_gate(node.kind.clone(), fanins);
         } else {
             stack.push((id, true));

@@ -7,7 +7,7 @@
 //! of AND / OR / XOR(+XNOR-polarity) gates are rebuilt pairing the
 //! shallowest operands first.
 
-use crate::network::{GateKind, Network, SignalId, STRASH_PAD};
+use crate::network::{Fanins, GateKind, Network, SignalId, STRASH_PAD};
 
 /// Returns a balanced copy of `net`: associative chains of AND, OR and
 /// XOR/XNOR gates are rebuilt as level-balanced trees. Other gate kinds
@@ -25,6 +25,9 @@ pub fn balance_network(net: &Network) -> Network {
     // Mark chain-internal nodes: same-kind, single fanout. They are
     // absorbed into their consumer's leaf collection and never emitted.
     let absorbed = mark_absorbed(net, &fanouts);
+    // A chain's walk stack, its leaves, and its mapped leaves (the tree's
+    // operands), kept across chains.
+    let mut chain = Chain::default();
     for id in net.signals() {
         if map[id.index()] != STRASH_PAD || absorbed[id.index()] {
             continue;
@@ -32,12 +35,15 @@ pub fn balance_network(net: &Network) -> Network {
         let node = net.node(id);
         let s = match chain_class(&node.kind) {
             Some(class) => {
-                let (leaves, odd) = collect_leaves(net, id, class, &absorbed);
-                let mapped: Vec<SignalId> = leaves.iter().map(|l| map[l.index()]).collect();
-                build_balanced(&mut out, class, mapped, odd, &mut level)
+                let odd = collect_leaves(net, id, class, &absorbed, &mut chain);
+                chain.operands.clear();
+                chain
+                    .operands
+                    .extend(chain.leaves.iter().map(|l| map[l.index()]));
+                build_balanced(&mut out, class, &mut chain.operands, odd, &mut level)
             }
             None => {
-                let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
+                let fanins: Fanins = node.fanins.iter().map(|f| map[f.index()]).collect();
                 let lvl = fanins
                     .iter()
                     .map(|&f| level_of(&level, f))
@@ -105,18 +111,29 @@ fn mark_absorbed(net: &Network, fanouts: &[usize]) -> Vec<bool> {
     absorbed
 }
 
-/// Collects the leaves of the maximal chain rooted at `id`. For parity
-/// chains, also returns whether the overall polarity is complemented
-/// (an odd number of XNORs absorbed).
+/// The buffers of one chain's rebuild.
+#[derive(Default)]
+struct Chain {
+    stack: Vec<SignalId>,
+    leaves: Vec<SignalId>,
+    operands: Vec<SignalId>,
+}
+
+/// Collects the leaves of the maximal chain rooted at `id` into
+/// `chain.leaves`. For parity chains, also returns whether the overall
+/// polarity is complemented (an odd number of XNORs absorbed).
 fn collect_leaves(
     net: &Network,
     id: SignalId,
     class: ChainClass,
     absorbed: &[bool],
-) -> (Vec<SignalId>, bool) {
-    let mut leaves = Vec::new();
+    chain: &mut Chain,
+) -> bool {
+    let Chain { stack, leaves, .. } = chain;
+    leaves.clear();
+    stack.clear();
+    stack.push(id);
     let mut odd = false;
-    let mut stack = vec![id];
     let mut first = true;
     while let Some(cur) = stack.pop() {
         let node = net.node(cur);
@@ -131,15 +148,16 @@ fn collect_leaves(
             leaves.push(cur);
         }
     }
-    (leaves, odd)
+    odd
 }
 
 /// Builds a level-balanced tree over the mapped leaves, pairing the two
-/// shallowest operands at each step (Huffman-style).
+/// shallowest operands at each step (Huffman-style). Leaves `operands`
+/// empty.
 fn build_balanced(
     out: &mut Network,
     class: ChainClass,
-    mut operands: Vec<SignalId>,
+    operands: &mut Vec<SignalId>,
     odd: bool,
     level: &mut Vec<usize>,
 ) -> SignalId {
@@ -152,8 +170,9 @@ fn build_balanced(
     };
     if operands.len() == 1 {
         let single = operands[0];
+        operands.clear();
         return if odd && class == ChainClass::Parity {
-            let s = out.add_gate_simplified(GateKind::Inv, vec![single]);
+            let s = out.add_gate_simplified(GateKind::Inv, [single]);
             let lvl = level_of(level, single);
             set_level(level, s, lvl);
             s
@@ -167,7 +186,7 @@ fn build_balanced(
         let a = operands.pop().expect("len > 1");
         let b = operands.pop().expect("len > 1");
         let last = operands.is_empty();
-        let s = out.add_gate_simplified(kind(last), vec![a, b]);
+        let s = out.add_gate_simplified(kind(last), [a, b]);
         let lvl = (level_of(level, a).max(level_of(level, b)) + 1).max(level_of(level, s));
         set_level(level, s, lvl);
         operands.push(s);

@@ -284,45 +284,115 @@ const MAX_COVER_FANINS: usize = 8;
 /// tree of covers of at most that many, with the inversion on the root
 /// and inner signals named `<gate>_t<k>`, with `k` chosen so that no
 /// other signal of the text has the name.
+///
+/// Every name is defined once. A signal is written under its name, or
+/// `n<id>` if it has none, unless another signal claims that name first
+/// (inputs, then outputs for their driver, then named gates, then
+/// unnamed gates); a gate that loses its name takes `<name>_t<k>`.
 pub fn write_blif(net: &Network) -> String {
     use std::fmt::Write as _;
+    let names = signal_names(net);
+    let name_of = |s: SignalId| -> &str {
+        // bdslint: allow(panic-surface) -- `signal_names` returns one
+        // name per signal of `net`, and `s` is a signal of `net`
+        &names[s.index()]
+    };
     let mut out = String::new();
     let _ = writeln!(out, ".model {}", net.name());
-    let in_names: Vec<String> = net.inputs().iter().map(|&i| net.signal_name(i)).collect();
+    let in_names: Vec<&str> = net.inputs().iter().map(|&i| name_of(i)).collect();
     let _ = writeln!(out, ".inputs {}", in_names.join(" "));
-    let out_names: Vec<String> = net.outputs().iter().map(|(n, _)| n.clone()).collect();
+    let out_names: Vec<&str> = net.outputs().iter().map(|(n, _)| n.as_str()).collect();
     let _ = writeln!(out, ".outputs {}", out_names.join(" "));
     // Every name the text uses, collected at the first wide gate.
     let mut taken: Option<HashSet<String>> = None;
     for id in net.signals() {
         let node = net.node(id);
-        let name = net.signal_name(id);
-        let fanin_names: Vec<String> = node.fanins.iter().map(|&f| net.signal_name(f)).collect();
+        let name = name_of(id);
+        let fanin_names: Vec<String> = node
+            .fanins
+            .iter()
+            .map(|&f| name_of(f).to_string())
+            .collect();
         let mut k = 0;
-        let mut fresh = || loop {
-            let candidate = format!("{name}_t{k}");
-            k += 1;
-            let taken = taken.get_or_insert_with(|| {
-                net.signals()
-                    .map(|s| net.signal_name(s))
-                    .chain(out_names.iter().cloned())
-                    .collect()
-            });
-            if taken.insert(candidate.clone()) {
-                break candidate;
-            }
+        let mut fresh = || {
+            let taken = taken.get_or_insert_with(|| used_names(&names, net));
+            fresh_name(name, &mut k, taken)
         };
-        write_gate(&mut out, &node.kind, &fanin_names, &name, &mut fresh);
+        write_gate(&mut out, &node.kind, &fanin_names, name, &mut fresh);
     }
     // Alias buffers for outputs whose name differs from the driving node.
     for (name, s) in net.outputs() {
-        let driver = net.signal_name(*s);
-        if *name != driver {
+        let driver = name_of(*s);
+        if name != driver {
             let _ = writeln!(out, ".names {driver} {name}\n1 1");
         }
     }
     out.push_str(".end\n");
     out
+}
+
+/// The name [`write_blif`] writes each signal under, indexed by signal:
+/// its own name, or `n<id>` if it has none, unless an earlier claim
+/// holds that name. Inputs claim theirs first, then outputs (for the
+/// signal driving them), then named gates in order, then unnamed gates
+/// in order. A gate whose name is claimed by another signal takes
+/// `<name>_t<k>` instead, with `k` chosen as for the inner signals of a
+/// cover tree, so no output alias or gate redefines another signal.
+fn signal_names(net: &Network) -> Vec<String> {
+    let mut names: Vec<String> = net.signals().map(|s| net.signal_name(s)).collect();
+    let is_input = |s: SignalId| matches!(net.node(s).kind, GateKind::Input);
+    let mut claims: HashMap<&str, SignalId> = HashMap::new();
+    for (id, name) in net.signals().zip(&names) {
+        if is_input(id) {
+            claims.entry(name).or_insert(id);
+        }
+    }
+    for (name, s) in net.outputs() {
+        claims.entry(name).or_insert(*s);
+    }
+    for named in [true, false] {
+        for (id, name) in net.signals().zip(&names) {
+            if !is_input(id) && net.node(id).name.is_some() == named {
+                claims.entry(name).or_insert(id);
+            }
+        }
+    }
+    let renamed: Vec<bool> = net
+        .signals()
+        .zip(&names)
+        .map(|(id, name)| !is_input(id) && claims.get(name.as_str()) != Some(&id))
+        .collect();
+    if !renamed.contains(&true) {
+        return names;
+    }
+    let mut taken = used_names(&names, net);
+    for (name, renamed) in names.iter_mut().zip(renamed) {
+        if renamed {
+            *name = fresh_name(name, &mut 0, &mut taken);
+        }
+    }
+    names
+}
+
+/// Every name of `names` and every output name of `net`.
+fn used_names(names: &[String], net: &Network) -> HashSet<String> {
+    names
+        .iter()
+        .cloned()
+        .chain(net.outputs().iter().map(|(n, _)| n.clone()))
+        .collect()
+}
+
+/// The first name `<base>_t<k>` not in `taken`, for `k` counting up from
+/// `*k`; adds it to `taken`.
+fn fresh_name(base: &str, k: &mut usize, taken: &mut HashSet<String>) -> String {
+    loop {
+        let candidate = format!("{base}_t{k}");
+        *k += 1;
+        if taken.insert(candidate.clone()) {
+            return candidate;
+        }
+    }
 }
 
 /// Writes the gate `name = kind(fanins)`: one cover, or for a wide AND, OR
@@ -604,6 +674,35 @@ mod tests {
             names.iter().all(|n| !inputs.contains(n)),
             "a cover drives an input:\n{text}"
         );
+        let back = parse_blif(&text).expect("reparse");
+        assert_eq!(equiv_exact(&net, &back, 1 << 16), Some(true));
+    }
+
+    /// A named gate takes the positional name of an unnamed one, and an
+    /// output driven by the unnamed gate takes the name of a third: each
+    /// name is still defined once, and the text reads back equal.
+    #[test]
+    fn no_name_is_defined_twice() {
+        use crate::network::GateKind;
+        use crate::verify::equiv_exact;
+        let mut net = Network::new("names");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let and = net.add_gate(GateKind::And, vec![a, b]);
+        let or = net.add_gate(GateKind::Or, vec![a, b]);
+        net.set_signal_name(or, format!("n{}", and.0));
+        let xor = net.add_gate(GateKind::Xor, vec![and, or]);
+        net.set_signal_name(xor, "z");
+        net.set_output("z", and);
+        net.set_output("w", xor);
+        net.set_output(format!("n{}", and.0), or);
+        let text = write_blif(&net);
+        let (mut names, _) = defined_names(&text);
+        let defined = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), defined, "a name is defined twice:\n{text}");
+        assert!(!names.iter().any(|n| n == "a" || n == "b"), "{text}");
         let back = parse_blif(&text).expect("reparse");
         assert_eq!(equiv_exact(&net, &back, 1 << 16), Some(true));
     }

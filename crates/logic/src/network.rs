@@ -91,13 +91,183 @@ impl GateKind {
     }
 }
 
+/// How many fanins a [`Fanins`] holds inline.
+const INLINE_FANINS: usize = 3;
+
+/// The fanins of a [`NetNode`]: up to three inline, more on the heap.
+///
+/// Three fit inline because library cells and decomposition gates take
+/// at most three fanins: the cells are INV, NAND2, NOR2, XOR2, XNOR2 and
+/// MAJ3, and the decomposition emits two-input AND, OR and XNOR, MAJ-3
+/// and INV. So building, copying or dropping nearly every node of a flow
+/// allocates nothing. Wider gates (parsed covers, n-ary generator gates,
+/// degraded cones) go to the heap.
+///
+/// Derefs to `[SignalId]`. Equality and `Debug` are those of the slice,
+/// so the inline and the heap form of the same fanins are equal.
+#[derive(Clone)]
+pub struct Fanins(FaninsRepr);
+
+#[derive(Clone)]
+enum FaninsRepr {
+    Inline {
+        len: u8,
+        items: [SignalId; INLINE_FANINS],
+    },
+    Heap(Vec<SignalId>),
+}
+
+impl Fanins {
+    /// No fanins.
+    pub const fn new() -> Fanins {
+        Fanins(FaninsRepr::Inline {
+            len: 0,
+            items: [STRASH_PAD; INLINE_FANINS],
+        })
+    }
+
+    /// Appends `s`, moving to the heap past three fanins.
+    pub fn push(&mut self, s: SignalId) {
+        match &mut self.0 {
+            FaninsRepr::Inline { len, items } if usize::from(*len) < INLINE_FANINS => {
+                items[usize::from(*len)] = s;
+                *len += 1;
+            }
+            FaninsRepr::Inline { items, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_FANINS);
+                heap.extend_from_slice(&items[..]);
+                heap.push(s);
+                self.0 = FaninsRepr::Heap(heap);
+            }
+            FaninsRepr::Heap(heap) => heap.push(s),
+        }
+    }
+
+    /// Keeps the first `n` fanins (all of them if there are fewer).
+    pub fn truncate(&mut self, n: usize) {
+        match &mut self.0 {
+            FaninsRepr::Inline { len, .. } => {
+                if n < usize::from(*len) {
+                    *len = n as u8;
+                }
+            }
+            FaninsRepr::Heap(heap) => heap.truncate(n),
+        }
+    }
+}
+
+impl Default for Fanins {
+    fn default() -> Fanins {
+        Fanins::new()
+    }
+}
+
+impl std::ops::Deref for Fanins {
+    type Target = [SignalId];
+
+    fn deref(&self) -> &[SignalId] {
+        match &self.0 {
+            FaninsRepr::Inline { len, items } => &items[..usize::from(*len)],
+            FaninsRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Fanins {
+    fn deref_mut(&mut self) -> &mut [SignalId] {
+        match &mut self.0 {
+            FaninsRepr::Inline { len, items } => &mut items[..usize::from(*len)],
+            FaninsRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl From<&[SignalId]> for Fanins {
+    fn from(slice: &[SignalId]) -> Fanins {
+        if slice.len() > INLINE_FANINS {
+            return Fanins(FaninsRepr::Heap(slice.to_vec()));
+        }
+        let mut items = [STRASH_PAD; INLINE_FANINS];
+        items[..slice.len()].copy_from_slice(slice);
+        Fanins(FaninsRepr::Inline {
+            len: slice.len() as u8,
+            items,
+        })
+    }
+}
+
+impl<const N: usize> From<[SignalId; N]> for Fanins {
+    fn from(array: [SignalId; N]) -> Fanins {
+        Fanins::from(&array[..])
+    }
+}
+
+impl From<Vec<SignalId>> for Fanins {
+    fn from(vec: Vec<SignalId>) -> Fanins {
+        if vec.len() > INLINE_FANINS {
+            Fanins(FaninsRepr::Heap(vec))
+        } else {
+            Fanins::from(&vec[..])
+        }
+    }
+}
+
+impl FromIterator<SignalId> for Fanins {
+    fn from_iter<I: IntoIterator<Item = SignalId>>(iter: I) -> Fanins {
+        let iter = iter.into_iter();
+        if iter.size_hint().0 > INLINE_FANINS {
+            return Fanins(FaninsRepr::Heap(iter.collect()));
+        }
+        let mut fanins = Fanins::new();
+        for s in iter {
+            fanins.push(s);
+        }
+        fanins
+    }
+}
+
+impl<'a> IntoIterator for &'a Fanins {
+    type Item = &'a SignalId;
+    type IntoIter = std::slice::Iter<'a, SignalId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Fanins {
+    fn eq(&self, other: &Fanins) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Fanins {}
+
+impl PartialEq<[SignalId]> for Fanins {
+    fn eq(&self, other: &[SignalId]) -> bool {
+        **self == *other
+    }
+}
+
+impl<const N: usize> PartialEq<[SignalId; N]> for Fanins {
+    fn eq(&self, other: &[SignalId; N]) -> bool {
+        **self == other[..]
+    }
+}
+
+impl fmt::Debug for Fanins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One node of a [`Network`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NetNode {
     /// The function this node computes.
     pub kind: GateKind,
     /// Driving signals, in positional order (see [`GateKind`] for meaning).
-    pub fanins: Vec<SignalId>,
+    pub fanins: Fanins,
     /// Optional user-facing name (BLIF identifier).
     pub name: Option<String>,
 }
@@ -205,7 +375,7 @@ impl Network {
     pub fn add_input(&mut self, name: impl Into<String>) -> SignalId {
         let id = self.push(NetNode {
             kind: GateKind::Input,
-            fanins: vec![],
+            fanins: Fanins::new(),
             name: Some(name.into()),
         });
         self.inputs.push(id);
@@ -218,7 +388,8 @@ impl Network {
     ///
     /// Panics if a fanin does not exist yet (networks are built in
     /// topological order) or the fanin count does not fit the gate kind.
-    pub fn add_gate(&mut self, kind: GateKind, fanins: Vec<SignalId>) -> SignalId {
+    pub fn add_gate(&mut self, kind: GateKind, fanins: impl Into<Fanins>) -> SignalId {
+        let fanins = fanins.into();
         for f in &fanins {
             assert!(
                 f.index() < self.nodes.len(),
@@ -258,7 +429,7 @@ impl Network {
 
     /// Adds a constant driver.
     pub fn add_const(&mut self, value: bool) -> SignalId {
-        self.add_gate(GateKind::Const(value), vec![])
+        self.add_gate(GateKind::Const(value), Fanins::new())
     }
 
     fn push(&mut self, node: NetNode) -> SignalId {
@@ -478,14 +649,19 @@ impl Network {
         let mut map = vec![STRASH_PAD; self.nodes.len()];
         // Mark live nodes (reachable from outputs).
         let mut live = vec![false; self.nodes.len()];
+        let mut live_count = 0;
         let mut stack: Vec<SignalId> = self.outputs.iter().map(|(_, s)| *s).collect();
         while let Some(s) = stack.pop() {
             if live[s.index()] {
                 continue;
             }
             live[s.index()] = true;
+            live_count += 1;
             stack.extend(self.nodes[s.index()].fanins.iter().copied());
         }
+        // Every live node and input makes at most one node, plus the two
+        // constants.
+        out.nodes.reserve(live_count + self.inputs.len() + 2);
         // Inputs are always preserved to keep the interface stable.
         for &pi in &self.inputs {
             let name = self.signal_name(pi);
@@ -496,7 +672,7 @@ impl Network {
             if !live[idx] || map[idx] != STRASH_PAD {
                 continue;
             }
-            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
+            let fanins: Fanins = node.fanins.iter().map(|f| map[f.index()]).collect();
             map[idx] = out.rewrite_gate(node.kind.clone(), fanins, &mut const_cache);
         }
         for (name, s) in &self.outputs {
@@ -511,7 +687,7 @@ impl Network {
     fn rewrite_gate(
         &mut self,
         kind: GateKind,
-        fanins: Vec<SignalId>,
+        fanins: Fanins,
         const_cache: &mut [Option<SignalId>; 2],
     ) -> SignalId {
         let mut get_const = |net: &mut Network, v: bool| {
@@ -561,20 +737,28 @@ impl Network {
             }
             GateKind::Xor | GateKind::Xnor => {
                 let mut parity = matches!(kind, GateKind::Xnor);
-                let mut reduced: Vec<SignalId> = Vec::new();
-                for f in fanins {
+                // Compacted in place: the first `kept` entries are the
+                // non-constant fanins seen so far that no later one
+                // cancelled (x ⊕ x = 0), in order.
+                let mut reduced = fanins;
+                let mut kept = 0;
+                for i in 0..reduced.len() {
+                    let f = reduced[i];
                     match value_of(self, f) {
                         Some(b) => parity ^= b,
-                        None => {
-                            // x ⊕ x = 0: cancel pairs.
-                            if let Some(pos) = reduced.iter().position(|&g| g == f) {
-                                reduced.remove(pos);
-                            } else {
-                                reduced.push(f);
+                        None => match reduced[..kept].iter().position(|&g| g == f) {
+                            Some(pos) => {
+                                reduced.copy_within(pos + 1..kept, pos);
+                                kept -= 1;
                             }
-                        }
+                            None => {
+                                reduced[kept] = f;
+                                kept += 1;
+                            }
+                        },
                     }
                 }
+                reduced.truncate(kept);
                 match (reduced.len(), parity) {
                     (0, p) => get_const(self, p),
                     (1, false) => reduced[0],
@@ -594,7 +778,7 @@ impl Network {
             }
             GateKind::Maj => {
                 let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
-                let consts: Vec<Option<bool>> = fanins.iter().map(|&f| value_of(self, f)).collect();
+                let consts = [a, b, c].map(|f| value_of(self, f));
                 // Maj(1, b, c) = b + c; Maj(0, b, c) = b · c, and symmetric.
                 if a == b || consts[0].is_some() && consts[0] == consts[1] {
                     return a;
@@ -613,7 +797,7 @@ impl Network {
                             _ => (a, b),
                         };
                         let k = if *v { GateKind::Or } else { GateKind::And };
-                        return self.add_gate(k, vec![x, y]);
+                        return self.add_gate(k, [x, y]);
                     }
                 }
                 self.add_gate(GateKind::Maj, fanins)
@@ -629,8 +813,8 @@ impl Network {
 
     /// Adds a gate with the same local simplifications as [`Self::cleaned`]
     /// applies (constant folding, unit reduction, duplicate removal).
-    pub fn add_gate_simplified(&mut self, kind: GateKind, fanins: Vec<SignalId>) -> SignalId {
-        self.rewrite_gate(kind, fanins, &mut [None; 2])
+    pub fn add_gate_simplified(&mut self, kind: GateKind, fanins: impl Into<Fanins>) -> SignalId {
+        self.rewrite_gate(kind, fanins.into(), &mut [None; 2])
     }
 }
 
@@ -930,7 +1114,7 @@ mod tests {
             }
             let id = net.push(NetNode {
                 kind: GateKind::Input,
-                fanins: vec![],
+                fanins: Fanins::new(),
                 name: None,
             });
             net.inputs.push(id);
@@ -1024,6 +1208,90 @@ mod tests {
                 &format!("case {case}, cleaned again"),
             );
         }
+    }
+
+    fn ids(range: std::ops::Range<u32>) -> Vec<SignalId> {
+        range.map(SignalId).collect()
+    }
+
+    fn is_inline(fanins: &Fanins) -> bool {
+        matches!(fanins.0, FaninsRepr::Inline { .. })
+    }
+
+    /// Three fanins stay inline, four go to the heap, from every
+    /// constructor; both forms read back as the slice they were built
+    /// from.
+    #[test]
+    fn fanins_keep_three_inline_and_four_on_the_heap() {
+        for n in 0..=5u32 {
+            let want = ids(0..n);
+            let built = [
+                Fanins::from(&want[..]),
+                Fanins::from(want.clone()),
+                want.iter().copied().collect(),
+                want.iter().copied().filter(|_| true).collect(),
+            ];
+            for fanins in &built {
+                assert_eq!(&fanins[..], &want[..]);
+                assert_eq!(is_inline(fanins), n <= 3, "{n} fanins");
+                assert_eq!(format!("{fanins:?}"), format!("{want:?}"));
+            }
+        }
+        assert!(is_inline(&Fanins::from([SignalId(7); 3])));
+        assert!(!is_inline(&Fanins::from([SignalId(7); 4])));
+        assert!(std::mem::size_of::<Fanins>() <= std::mem::size_of::<Vec<SignalId>>());
+    }
+
+    /// `push` crosses from inline to heap at the fourth fanin and keeps
+    /// the order; `truncate` keeps a prefix in either form and never
+    /// grows.
+    #[test]
+    fn fanins_push_across_the_boundary_and_truncate() {
+        let mut fanins = Fanins::new();
+        for n in 0..6u32 {
+            assert_eq!(fanins, ids(0..n)[..]);
+            assert_eq!(is_inline(&fanins), n <= 3);
+            fanins.push(SignalId(n));
+        }
+        fanins.truncate(9);
+        assert_eq!(fanins, ids(0..6)[..]);
+        fanins.truncate(2);
+        assert_eq!(fanins, [SignalId(0), SignalId(1)]);
+        fanins.push(SignalId(9));
+        assert_eq!(fanins, [SignalId(0), SignalId(1), SignalId(9)]);
+
+        let mut inline = Fanins::from([SignalId(4), SignalId(5), SignalId(6)]);
+        inline.truncate(5);
+        assert_eq!(inline, [SignalId(4), SignalId(5), SignalId(6)]);
+        inline.truncate(1);
+        assert_eq!(inline, [SignalId(4)]);
+        inline.truncate(0);
+        assert_eq!(inline, Fanins::new());
+    }
+
+    /// An inline and a heap `Fanins` of the same slice are equal, as
+    /// are nodes holding them; different slices are not.
+    #[test]
+    fn fanins_compare_as_slices() {
+        let mut heap = Fanins::from(ids(0..5));
+        heap.truncate(2);
+        assert!(!is_inline(&heap));
+        let inline = Fanins::from(ids(0..2));
+        assert!(is_inline(&inline));
+        assert_eq!(heap, inline);
+        assert_eq!(inline, heap);
+        assert_eq!(format!("{heap:?}"), format!("{inline:?}"));
+        assert_ne!(heap, Fanins::from(ids(1..3)));
+        assert_ne!(heap, Fanins::from(ids(0..3)));
+        let node = |fanins| NetNode {
+            kind: GateKind::And,
+            fanins,
+            name: None,
+        };
+        assert_eq!(node(heap.clone()), node(inline.clone()));
+        let mut sorted = Fanins::from(vec![SignalId(3), SignalId(1), SignalId(2), SignalId(0)]);
+        sorted.sort();
+        assert_eq!(sorted, ids(0..4)[..]);
     }
 
     #[test]

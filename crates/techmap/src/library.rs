@@ -175,7 +175,8 @@ mod tests {
 
     #[test]
     fn all_cells_have_names() {
-        for kind in CellKind::ALL {
+        for (i, kind) in CellKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL lists the kinds in declaration order");
             assert!(!kind.name().is_empty());
         }
     }

@@ -5,7 +5,9 @@
 //! NAND/NOR/INV structures with inverter minimization.
 
 use crate::library::CellKind;
-use logic::{strash_key, BuildFxHasher, GateKind, Network, SignalId, TruthTable, STRASH_PAD};
+use logic::{
+    strash_key, BuildFxHasher, Fanins, GateKind, Network, SignalId, TruthTable, STRASH_PAD,
+};
 use std::collections::HashMap;
 
 /// Structural-hash table over emitted cells, keyed by the allocation-free
@@ -76,8 +78,8 @@ pub fn map_network(net: &Network) -> MappedNetwork {
             continue;
         }
         let node = net.node(id);
-        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f.index()]).collect();
-        map[id.index()] = emit_kind(&mut out, &node.kind, &fanins, &mut strash);
+        let fanins: Fanins = node.fanins.iter().map(|f| map[f.index()]).collect();
+        map[id.index()] = emit_kind(&mut out, &node.kind, fanins, &mut strash);
     }
     for (name, s) in net.outputs() {
         out.set_output(name.clone(), map[s.index()]);
@@ -104,7 +106,7 @@ fn hashed(
     if let Some(&s) = strash.get(&key) {
         return s;
     }
-    let s = net.add_gate(kind, sorted[..fanins.len()].to_vec());
+    let s = net.add_gate(kind, &sorted[..fanins.len()]);
     strash.insert(key, s);
     s
 }
@@ -126,24 +128,25 @@ fn or2(net: &mut Network, strash: &mut Strash, a: SignalId, b: SignalId) -> Sign
     inv(net, strash, n)
 }
 
-/// Reduces an n-ary associative operation with a balanced tree.
+/// Reduces an n-ary associative operation with a balanced tree: each
+/// round pairs neighbours left to right (an odd last operand passes
+/// through), writing the round's results over the front of `args`.
 fn tree(
     net: &mut Network,
     strash: &mut Strash,
-    mut args: Vec<SignalId>,
+    args: &mut [SignalId],
     op: &dyn Fn(&mut Network, &mut Strash, SignalId, SignalId) -> SignalId,
 ) -> SignalId {
     assert!(!args.is_empty());
-    while args.len() > 1 {
-        let mut next = Vec::with_capacity(args.len().div_ceil(2));
-        for pair in args.chunks(2) {
-            if pair.len() == 2 {
-                next.push(op(net, strash, pair[0], pair[1]));
-            } else {
-                next.push(pair[0]);
-            }
+    let mut len = args.len();
+    while len > 1 {
+        for i in 0..len / 2 {
+            args[i] = op(net, strash, args[2 * i], args[2 * i + 1]);
         }
-        args = next;
+        if len % 2 == 1 {
+            args[len / 2] = args[len - 1];
+        }
+        len = len.div_ceil(2);
     }
     args[0]
 }
@@ -151,7 +154,7 @@ fn tree(
 fn emit_kind(
     net: &mut Network,
     kind: &GateKind,
-    fanins: &[SignalId],
+    mut fanins: Fanins,
     strash: &mut Strash,
 ) -> SignalId {
     match kind {
@@ -159,45 +162,40 @@ fn emit_kind(
         GateKind::Const(b) => net.add_const(*b),
         GateKind::Buf => fanins[0],
         GateKind::Inv => inv(net, strash, fanins[0]),
-        GateKind::And => tree(net, strash, fanins.to_vec(), &and2),
+        GateKind::And => tree(net, strash, &mut fanins, &and2),
         GateKind::Nand => {
             if fanins.len() == 2 {
-                hashed(net, strash, 2, GateKind::Nand, fanins)
+                hashed(net, strash, 2, GateKind::Nand, &fanins)
             } else {
-                let a = tree(net, strash, fanins.to_vec(), &and2);
+                let a = tree(net, strash, &mut fanins, &and2);
                 inv(net, strash, a)
             }
         }
-        GateKind::Or => tree(net, strash, fanins.to_vec(), &or2),
+        GateKind::Or => tree(net, strash, &mut fanins, &or2),
         GateKind::Nor => {
             if fanins.len() == 2 {
-                hashed(net, strash, 3, GateKind::Nor, fanins)
+                hashed(net, strash, 3, GateKind::Nor, &fanins)
             } else {
-                let o = tree(net, strash, fanins.to_vec(), &or2);
+                let o = tree(net, strash, &mut fanins, &or2);
                 inv(net, strash, o)
             }
         }
-        GateKind::Xor => tree(net, strash, fanins.to_vec(), &|net, st, a, b| {
+        GateKind::Xor => tree(net, strash, &mut fanins, &|net, st, a, b| {
             hashed(net, st, 4, GateKind::Xor, &[a, b])
         }),
         GateKind::Xnor => {
             // Parity complement: XOR-tree with one XNOR at the root.
-            if fanins.len() == 1 {
+            let n = fanins.len();
+            if n == 1 {
                 return inv(net, strash, fanins[0]);
             }
-            let head = fanins[..fanins.len() - 1].to_vec();
-            let left = tree(net, strash, head, &|net, st, a, b| {
+            let last = fanins[n - 1];
+            let left = tree(net, strash, &mut fanins[..n - 1], &|net, st, a, b| {
                 hashed(net, st, 4, GateKind::Xor, &[a, b])
             });
-            hashed(
-                net,
-                strash,
-                5,
-                GateKind::Xnor,
-                &[left, fanins[fanins.len() - 1]],
-            )
+            hashed(net, strash, 5, GateKind::Xnor, &[left, last])
         }
-        GateKind::Maj => hashed(net, strash, 6, GateKind::Maj, fanins),
+        GateKind::Maj => hashed(net, strash, 6, GateKind::Maj, &fanins),
         GateKind::Mux => {
             // sel·t + sel'·e as NAND-NAND: NAND(NAND(s,t), NAND(s',e)).
             let (s, t, e) = (fanins[0], fanins[1], fanins[2]);
@@ -206,7 +204,7 @@ fn emit_kind(
             let n2 = hashed(net, strash, 2, GateKind::Nand, &[ns, e]);
             hashed(net, strash, 2, GateKind::Nand, &[n1, n2])
         }
-        GateKind::Lut(table) => emit_lut(net, table, fanins, strash),
+        GateKind::Lut(table) => emit_lut(net, table, &fanins, strash),
     }
 }
 

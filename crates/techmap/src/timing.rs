@@ -39,7 +39,9 @@ pub fn report(mapped: &MappedNetwork, lib: &Library) -> MappedReport {
     let mut arrival: Vec<f64> = vec![0.0; net.len()];
     let mut area = 0.0;
     let mut gate_count = 0usize;
-    let mut histogram: HashMap<CellKind, usize> = HashMap::new();
+    // Cells per kind, indexed by the discriminant (the order of
+    // `CellKind::ALL`).
+    let mut cells = [0usize; CellKind::ALL.len()];
     let mut worst: f64 = 0.0;
     for id in net.signals() {
         let node = net.node(id);
@@ -53,7 +55,7 @@ pub fn report(mapped: &MappedNetwork, lib: &Library) -> MappedReport {
                 let cell = lib.cell(kind);
                 area += cell.area;
                 gate_count += 1;
-                *histogram.entry(kind).or_insert(0) += 1;
+                cells[kind as usize] += 1;
                 let load = lib.load_delay_per_fanout * fanouts[id.index()].saturating_sub(1) as f64;
                 input_arrival + cell.delay + load
             }
@@ -68,6 +70,11 @@ pub fn report(mapped: &MappedNetwork, lib: &Library) -> MappedReport {
         .iter()
         .map(|(_, s): &(String, SignalId)| arrival[s.index()])
         .fold(0.0, f64::max);
+    let histogram = CellKind::ALL
+        .into_iter()
+        .zip(cells)
+        .filter(|&(_, n)| n > 0)
+        .collect();
     MappedReport {
         area,
         gate_count,

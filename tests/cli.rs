@@ -79,3 +79,42 @@ fn the_abc_flow_keeps_the_input_names() {
     assert_eq!(names(&back), names(&net));
     assert_eq!(logic::equiv_exact(&net, &back, 1 << 20), Some(true));
 }
+
+/// An input named like a gate's positional name (`n5`, the name gate 5
+/// would take): the written BLIF defines every name once, drives no
+/// input, and reads back equal to the input circuit.
+#[test]
+fn the_written_blif_defines_every_name_once() {
+    let dir = std::env::temp_dir();
+    let input = dir.join("bdsmaj_cli_names_in.blif");
+    let output = dir.join("bdsmaj_cli_names_out.blif");
+    // y = a·b ⊕ n5, z = a·n5
+    let text = ".model clash\n.inputs a b n5\n.outputs y z\n\
+                .names a b n5 y\n110 1\n001 1\n101 1\n011 1\n\
+                .names a n5 z\n11 1\n.end\n";
+    std::fs::write(&input, text).expect("the input BLIF is written");
+    let (i, o) = (
+        input.to_str().expect("utf-8"),
+        output.to_str().expect("utf-8"),
+    );
+    assert_eq!(exit_code(&["--flow", "bds-maj", "-o", o, i]), 0);
+    let written = std::fs::read_to_string(&output).expect("the BLIF was written");
+    let mut defined: Vec<&str> = written
+        .lines()
+        .filter(|l| l.starts_with(".names"))
+        .map(|l| l.split_whitespace().last().expect("a .names output"))
+        .collect();
+    let count = defined.len();
+    defined.sort_unstable();
+    defined.dedup();
+    assert_eq!(defined.len(), count, "a name is defined twice:\n{written}");
+    for input in ["a", "b", "n5"] {
+        assert!(
+            !defined.contains(&input),
+            "a cover drives input {input}:\n{written}"
+        );
+    }
+    let net = logic::parse_blif(text).expect("the input parses");
+    let back = logic::parse_blif(&written).expect("the BLIF parses");
+    assert_eq!(logic::equiv_exact(&net, &back, 1 << 16), Some(true));
+}

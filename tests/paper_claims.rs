@@ -154,6 +154,67 @@ fn table2_rows_match_the_golden() {
     }
 }
 
+/// `write_blif`'s text of one network: (length in bytes,
+/// `BuildFxHasher::hash_one` digest).
+type BlifPin = (usize, u64);
+
+/// The BLIF text of every network behind a Table II row, pinned byte for
+/// byte as (length, digest): per suite row, the BDS-MAJ, BDS-PGA, ABC and
+/// DC networks under the default options, each followed by its
+/// `map_network` netlist. Where [`TABLE2_GOLDEN`] pins cell counts, area
+/// and delay, this pins every gate, fanin order, signal name and cover;
+/// a changed pin is a change to a flow, the mapper or the writer.
+#[rustfmt::skip]
+const BLIF_GOLDEN: [(&str, [BlifPin; 8]); 17] = [
+    ("alu2", [(2073, 0xc2c309374c17d0ac), (3085, 0x5a08598b3f359afa), (2319, 0x5667274dc1757642), (3586, 0xbd30fe02dd6f60b2), (5372, 0x44baf3a6c9c002b8), (3654, 0x2dab539bb983b63a), (5372, 0x44baf3a6c9c002b8), (3654, 0x2dab539bb983b63a)]),
+    ("C6288", [(33496, 0x6e746b24ef94b90a), (41266, 0x109506efa57320ce), (62165, 0xff3ec9999ef8798d), (96279, 0xc4257537bd106410), (192688, 0x63956219a3065833), (141747, 0xb2375a36bcad30de), (50249, 0xa00280fa35ac4613), (67458, 0x8963d8bd1472dccc)]),
+    ("C1355", [(6196, 0x7b0f860520118c9e), (7540, 0xfeb9ceec2bc93759), (6196, 0x7b0f860520118c9e), (7540, 0xfeb9ceec2bc93759), (51897, 0x3f7459b553132fc4), (42027, 0x95cb24b5978908d9), (6196, 0x7b0f860520118c9e), (7540, 0xfeb9ceec2bc93759)]),
+    ("dalu", [(7339, 0x5849f0b9db9f99f9), (10896, 0x34efc66dca44d76c), (8805, 0xd1f1343d739810af), (13926, 0xcf270397276e5c4c), (23369, 0xb3b10470201d372e), (15411, 0x8b1bdc0945b5ab45), (8255, 0xb7718e783a75b62d), (12593, 0xccbe5c263202e41f)]),
+    ("apex6", [(20674, 0x172b54b03614c74e), (31453, 0x4f88e07dd89128d2), (20674, 0x172b54b03614c74e), (31453, 0x4f88e07dd89128d2), (42896, 0x79341840d0948bd2), (36769, 0xfa08127338e645a0), (20674, 0x172b54b03614c74e), (31453, 0x4f88e07dd89128d2)]),
+    ("vda", [(30707, 0xbb1c50860ed2befb), (53714, 0x5db9d28ae0ea3612), (30598, 0x71182371ffff2220), (53894, 0x681356ae710f76a9), (47232, 0x1779237a8fdcb4cd), (49192, 0x6a0d5e20a36eefc3), (47232, 0x1779237a8fdcb4cd), (49192, 0x6a0d5e20a36eefc3)]),
+    ("f51m", [(2434, 0x3c4cd4822604e34e), (3005, 0x38334fd5a5e951dd), (3866, 0x339095a3dd80aad6), (5691, 0x3988694eaed3df87), (13298, 0xa5eb8fb060c959cf), (9512, 0xab546950a8bf0ef9), (3241, 0x5b2a706bed646496), (4342, 0x449f85aa8078f6ba)]),
+    ("misex3", [(32168, 0x016b25cf1f3be476), (57349, 0x96d3ba0ff388533d), (32192, 0xef7c1dae580ad9e7), (57519, 0x7826d3d34ec87503), (46470, 0x4fff0925f144a464), (55071, 0xacdda5c44157def2), (46470, 0x4fff0925f144a464), (55071, 0xacdda5c44157def2)]),
+    ("seq", [(107805, 0xf033b4fdc8f38565), (191017, 0xd608ab68c948bc4f), (107805, 0xf033b4fdc8f38565), (191017, 0xd608ab68c948bc4f), (155006, 0x3d59d76078b9d1f2), (184363, 0xe8f3f94bf7d410ec), (155006, 0x3d59d76078b9d1f2), (184363, 0xe8f3f94bf7d410ec)]),
+    ("bigkey", [(56600, 0x2f7ba81f6be03dc9), (88261, 0xd38b4b4a2ffccea6), (57014, 0xd9213297cff5e2b3), (89122, 0x975c91d70e48436e), (171958, 0x330d372c9a94add0), (108286, 0x7458f1c6d23e1bb6), (57014, 0xd9213297cff5e2b3), (89122, 0x975c91d70e48436e)]),
+    ("SQRT 32 bit", [(29654, 0xb3b17a0e83efca32), (35841, 0x9a63c12cc38cdaa3), (41884, 0xff1c63373fdb90cb), (62991, 0x053952e8d5fd2213), (251975, 0xf623694dfb873e42), (195073, 0x0ae72da6f29b7661), (38246, 0xa5b4b05fbaf912ce), (53770, 0x8379cdb9de7d3bdb)]),
+    ("Wallace 16 bit", [(36877, 0x2dafc1eec0d99c27), (46420, 0x6d7553b44f21e458), (64760, 0xa7a3293c88404318), (96109, 0x8a5d92778ddfbe3a), (197750, 0x559aabab8585010f), (137539, 0xbd54be8295813e19), (53196, 0xd863b97fd4cec726), (74733, 0xa7c9af24b8f16094)]),
+    ("CLA 64 bit", [(16185, 0x3672dba0f3c4588b), (24378, 0x68f803ca6dd0a05a), (16185, 0x3672dba0f3c4588b), (24378, 0x68f803ca6dd0a05a), (51335, 0xbbe04cba8a8ba045), (39539, 0xdd990daeb6090ab6), (16185, 0x3672dba0f3c4588b), (24378, 0x68f803ca6dd0a05a)]),
+    ("Rev (1/X) 19 bit", [(110398, 0x0288bdd13f540a52), (132245, 0x16421b3ecc6a06cc), (176068, 0x26e6b7ece3dcc6ca), (271014, 0xbb4534b1f4920b32), (934061, 0x8d12035c58c5dedb), (635490, 0x72315cfc87571a76), (156534, 0x3f20d42b82e332e2), (221757, 0xf56e89c5db6b0f50)]),
+    ("Div 18 bit", [(47833, 0xc6b96dfb61b92d5e), (54678, 0x05231b0ef396cf47), (77980, 0x6f49e5ff0d90c1d3), (119264, 0xd5f3c4b1f2686598), (462358, 0x7e44fd0980d3466f), (324242, 0x65117ef756583068), (69050, 0x70be5a8073c8159c), (97358, 0x51f9115fb1f7f3b3)]),
+    ("MAC 16 bit", [(41192, 0x7f247b8e0f073a6b), (50820, 0x790f769aab94e660), (73007, 0x6220a684e123b34a), (107552, 0xe4d00a558dd4077e), (222359, 0xaca82eaec60ae882), (154222, 0xbf07d589f52f6104), (59804, 0x533591fdd1feecef), (83079, 0xe0e3afe222464b7e)]),
+    ("4-Op ADD 16 bit", [(6368, 0x00690a03df0a612d), (6427, 0x310ec71868aaed86), (11752, 0xc03a5faa7da3020e), (16249, 0x7859f3b0eaf58f81), (35361, 0x0ae926884469cced), (24061, 0x59e1c68589f61b5e), (9521, 0x31b2339f4edfdffa), (11704, 0x6c4f78b82c58027a)]),
+];
+
+/// Every BLIF text of [`BLIF_GOLDEN`] is byte-identical to the pinned one.
+#[test]
+fn blif_texts_match_the_golden() {
+    use std::hash::BuildHasher;
+    let lib = Library::cmos22();
+    let hasher = bds_maj::logic::BuildFxHasher::default();
+    let suite = paper_suite();
+    assert_eq!(suite.len(), BLIF_GOLDEN.len());
+    for (bench, &(name, want)) in suite.iter().zip(&BLIF_GOLDEN) {
+        assert_eq!(bench.name, name, "suite order changed");
+        let net = &bench.network;
+        let flows = [
+            bds_maj(net, &BdsMajOptions::default()).network().clone(),
+            bds_pga(net, &EngineOptions::default()).network,
+            abc_flow(net),
+            dc_flow(net, &lib).network,
+        ];
+        let mut got = Vec::with_capacity(want.len());
+        for flow in &flows {
+            for text in [write_blif(flow), write_blif(&map_network(flow).network)] {
+                got.push((text.len(), hasher.hash_one(&text)));
+            }
+        }
+        assert_eq!(
+            got, want,
+            "{name}: the BLIF of (BDS-MAJ, BDS-PGA, ABC, DC) x (unmapped, mapped) moved"
+        );
+    }
+}
+
 /// Table II claim: on the HDL datapath section, BDS-MAJ beats all three
 /// baselines on mapped area (the paper's headline use case).
 #[test]
