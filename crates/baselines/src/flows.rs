@@ -7,7 +7,7 @@ use crate::balance::abc_flow;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use decomp::EngineOptions;
 use logic::{Fanins, GateKind, Network, STRASH_PAD};
-use techmap::{map_network, report, Library, MappedNetwork};
+use techmap::{map_network, report, Library};
 
 /// Re-expresses every MAJ-3 gate as `ab + c·(a⊕b)` — the best a flow can
 /// do when it understands XOR but does not infer majority cells, which is
@@ -44,58 +44,34 @@ pub fn expand_maj(net: &Network) -> Network {
     out.cleaned()
 }
 
-/// Which strategy won inside the DC-like flow (reported for analysis).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DcStrategy {
-    /// The AIG flow's result was the smallest.
-    AigBased,
-    /// The BDS-PGA decomposition won.
-    BddBased,
-    /// The MAJ-free re-expression of the BDD-with-majority result won.
-    BddMajFree,
-}
-
 /// Result of the DC-like flow.
 #[derive(Clone, Debug)]
 pub struct DcResult {
     /// The chosen optimized network (before mapping).
     pub network: Network,
-    /// Which internal strategy produced it.
-    pub strategy: DcStrategy,
 }
 
 /// The Design-Compiler-like flow (`compile -area -effort high` stand-in):
 /// runs several optimization strategies — AIG restructuring, BDD
 /// decomposition, and an XOR-preserving (but majority-blind) variant of
 /// the strongest decomposition — maps each, and keeps the smallest-area
-/// result.
+/// result (the first of equals, in that order).
 pub fn dc_flow(net: &Network, lib: &Library) -> DcResult {
     let candidates = [
-        (DcStrategy::AigBased, abc_flow(net)),
-        (
-            DcStrategy::BddBased,
-            bds_pga(net, &EngineOptions::default()).network,
-        ),
-        (
-            DcStrategy::BddMajFree,
-            expand_maj(bds_maj(net, &BdsMajOptions::default()).network()),
-        ),
+        abc_flow(net),
+        bds_pga(net, &EngineOptions::default()).network,
+        expand_maj(bds_maj(net, &BdsMajOptions::default()).network()),
     ];
-    let mut best: Option<(f64, DcStrategy, Network)> = None;
-    for (strategy, candidate) in candidates {
+    let mut best: Option<(f64, Network)> = None;
+    for candidate in candidates {
         let mapped = map_network(&candidate);
         let area = report(&mapped, lib).area;
-        if best.as_ref().is_none_or(|(a, _, _)| area < *a) {
-            best = Some((area, strategy, candidate));
+        if best.as_ref().is_none_or(|(a, _)| area < *a) {
+            best = Some((area, candidate));
         }
     }
-    let (_, strategy, network) = best.expect("three candidates");
-    DcResult { network, strategy }
-}
-
-/// Convenience: run the ABC-like flow and map it.
-pub fn abc_mapped(net: &Network) -> MappedNetwork {
-    map_network(&abc_flow(net))
+    let (_, network) = best.expect("three candidates");
+    DcResult { network }
 }
 
 #[cfg(test)]
@@ -150,17 +126,10 @@ mod tests {
         let lib = Library::cmos22();
         let dc = dc_flow(&net, &lib);
         let dc_area = report(&map_network(&dc.network), &lib).area;
-        let abc_area = report(&abc_mapped(&net), &lib).area;
+        let abc_area = report(&map_network(&abc_flow(&net)), &lib).area;
         assert!(
             dc_area <= abc_area + 1e-9,
             "best-of flow cannot lose to one of its candidates"
         );
-    }
-
-    #[test]
-    fn abc_mapped_uses_library_cells() {
-        let net = carry_network();
-        let mapped = abc_mapped(&net);
-        assert!(mapped.gate_count() > 0);
     }
 }

@@ -28,4 +28,4 @@ mod refactor;
 
 pub use aig::{Aig, AigRef};
 pub use balance::abc_flow;
-pub use flows::{abc_mapped, dc_flow, expand_maj, DcResult, DcStrategy};
+pub use flows::{dc_flow, expand_maj, DcResult};

@@ -5,14 +5,15 @@
 //! Usage: `cargo run --release -p bench --bin kernels [-- --subset N] [--out PATH] [--jobs N]`
 //! `--subset N` restricts the suite and Table II portions to the first N
 //! benchmarks (CI smoke runs use `--subset 3`). `--jobs N` sets the
-//! worker count for the parallel leg of the suite section (default:
-//! `BENCH_JOBS` or all cores); the Table II rows always run sequentially,
-//! and the suite is always timed sequentially first, so the JSON
-//! carries the sequential-vs-parallel wall-clock pair and the speedup is
-//! tracked like every other perf number.
+//! worker count for the parallel leg of the suite section (default: all
+//! cores); the Table II rows always run sequentially, and the suite is
+//! always timed sequentially first, so the JSON carries the
+//! sequential-vs-parallel wall-clock pair and the speedup is tracked like
+//! every other perf number. A suite row that panics fails the run: the
+//! bin exits 1 and writes no JSON.
 
 use bdd::Manager;
-use bench::{parse_jobs, pool, timed};
+use bench::{parse_count, parse_once, pool, timed};
 use circuits::suite::paper_suite;
 use decomp::EngineOptions;
 use std::fmt::Write as _;
@@ -91,59 +92,27 @@ fn run_storm(name: &'static str, f: fn(&mut Manager, u32) -> u64, rounds: u32) -
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut subset: Option<usize> = None;
-    let mut out_path = String::from("BENCH_kernels.json");
-    let mut jobs: Option<usize> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--subset" => {
-                match args.get(i + 1).map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) => subset = Some(n),
-                    _ => {
-                        eprintln!("--subset requires a number of benchmarks");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--out" => {
-                match args.get(i + 1) {
-                    Some(path) => out_path = path.clone(),
-                    None => {
-                        eprintln!("--out requires a file path");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--jobs" => {
-                if jobs.is_some() {
-                    eprintln!("duplicate --jobs flag");
-                    std::process::exit(2);
-                }
-                match args.get(i + 1).map(|v| parse_jobs(v)) {
-                    Some(Ok(n)) => jobs = Some(n),
-                    Some(Err(msg)) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--jobs requires a worker count");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "unknown argument: {other} (supported: --subset N, --out PATH, --jobs N)"
-                );
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut subset = None;
+    let mut out_path = None;
+    let mut jobs = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        let parsed = match flag {
+            "--subset" => parse_once(&mut subset, flag, it.next(), parse_count::<usize>),
+            "--out" => parse_once(&mut out_path, flag, it.next(), |_, v| Ok(v.to_string())),
+            "--jobs" => parse_once(&mut jobs, flag, it.next(), parse_count),
+            other => Err(format!(
+                "unknown argument: {other} (supported: --subset N, --out PATH, --jobs N)"
+            )),
+        };
+        if let Err(msg) = parsed {
+            eprintln!("{msg}");
+            std::process::exit(2);
         }
     }
+    let out_path = out_path.unwrap_or_else(|| String::from("BENCH_kernels.json"));
     let jobs = jobs.unwrap_or_else(pool::default_jobs);
 
     let storms = [
@@ -171,14 +140,24 @@ fn main() {
     let suite = paper_suite();
     let take = subset.unwrap_or(suite.len()).min(suite.len());
     let engine = EngineOptions::default();
-    let row_of = |i: usize| {
-        let (row, t) = timed(|| bench::table1_row(&suite[i], &engine));
-        (suite[i].name, t.as_secs_f64(), row)
+    let suite_rows = |jobs: usize| {
+        pool::run(jobs, take, |i| {
+            let (row, t) = timed(|| bench::table1_row(&suite[i], &engine));
+            (suite[i].name, t.as_secs_f64(), row)
+        })
+        .into_iter()
+        .zip(suite)
+        .map(|(r, b)| {
+            r.unwrap_or_else(|msg| {
+                eprintln!("{}: task failed: {msg}", b.name);
+                std::process::exit(1);
+            })
+        })
+        .collect::<Vec<_>>()
     };
-    let (rows, suite_seq_elapsed) = timed(|| pool::run(1, take, row_of));
+    let (rows, suite_seq_elapsed) = timed(|| suite_rows(1));
     let (par_rows, suite_par_elapsed) = if jobs > 1 {
-        let (r, t) = timed(|| pool::run(jobs, take, row_of));
-        (r, t)
+        timed(|| suite_rows(jobs))
     } else {
         (Vec::new(), suite_seq_elapsed)
     };

@@ -5,13 +5,16 @@
 //! Suite runs fan out over the hand-rolled pool in [`pool`]: each
 //! benchmark row is an independent task (every flow run already builds
 //! its own `bdd::Manager`, which is deliberately not `Sync`), and
-//! results are placed by task index, so row order and content (names, counts, verified flags) are identical to a
-//! sequential run — only measured-runtime cells vary, as they do between
-//! any two runs of the same binary. The worker count comes
-//! from the binaries' shared `--jobs N` flag, the `BENCH_JOBS`
-//! environment variable, or the machine's available parallelism, in that
-//! order; `--jobs 1` is the exact sequential path. Parallelism stops at
-//! the row: a single cone is always built by one thread.
+//! results are placed by task index, so row order and content (names,
+//! counts, verified flags) are identical to a sequential run — only
+//! measured-runtime cells vary, as they do between any two runs of the
+//! same binary. The worker count comes from the shared `--jobs N` flag
+//! (default: the machine's available parallelism); `--jobs 1` is the
+//! exact sequential path. Parallelism stops at the row: a single cone is
+//! always built by one thread.
+//!
+//! The table binaries and `bdsmaj` parse their shared flags through
+//! [`parse_suite_args_with`] and run every task through [`pool::run`].
 
 use baselines::{abc_flow, dc_flow};
 use bdd::ResourceLimits;
@@ -90,7 +93,7 @@ impl RowBudget {
     }
 }
 
-/// The table binaries' shared command-line knobs.
+/// The shared command-line knobs of the table binaries and `bdsmaj`.
 #[derive(Clone, Debug)]
 pub struct SuiteArgs {
     /// Engine options: the defaults, with per-cone reordering off under
@@ -107,7 +110,7 @@ pub struct SuiteArgs {
 /// Usage text for the shared suite flags, printed on any parse error.
 pub const SUITE_USAGE: &str = "supported options:
   --reorder {none,window}       per-cone reordering policy (default: window)
-  --jobs N                      suite worker threads (default: BENCH_JOBS or all cores; 1 = sequential)
+  --jobs N                      suite worker threads (default: all cores; 1 = sequential)
   --node-limit N                live-BDD-node ceiling per benchmark (graceful per-cone degradation)
   --step-limit N                kernel recursion-step ceiling per cone
   --timeout SECS                wall-clock allowance per benchmark row (fractions allowed)";
@@ -115,11 +118,11 @@ pub const SUITE_USAGE: &str = "supported options:
 /// Parses a `--reorder` value into the engine's `reorder_window`: `none`
 /// turns per-cone reordering off (`0`), `window` keeps the default
 /// window.
-pub fn parse_reorder(v: &str) -> Result<usize, String> {
+fn parse_reorder(flag: &str, v: &str) -> Result<usize, String> {
     match v {
         "none" => Ok(0),
         "window" => Ok(EngineOptions::default().reorder_window),
-        _ => Err(format!("--reorder {v}: use none or window")),
+        _ => Err(format!("{flag} {v}: use none or window")),
     }
 }
 
@@ -133,95 +136,65 @@ pub fn reorder_label(engine: &EngineOptions) -> &'static str {
     }
 }
 
-/// Parses a `--jobs` value: a positive worker count.
-pub fn parse_jobs(v: &str) -> Result<usize, String> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--jobs {v}: need a positive worker count")),
-    }
-}
-
-/// Parses a positive integer limit value for `flag`.
-pub fn parse_limit(flag: &str, v: &str) -> Result<u64, String> {
-    match v.trim().parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
+/// Parses a positive integer value of `flag` (`--jobs`, `--node-limit`,
+/// `--step-limit`).
+pub fn parse_count<T>(flag: &str, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + From<u8> + PartialOrd,
+{
+    match v.trim().parse::<T>() {
+        Ok(n) if n >= T::from(1) => Ok(n),
         _ => Err(format!("{flag} {v}: need a positive integer")),
     }
 }
 
 /// Parses a `--timeout` value: positive seconds, fractions allowed.
-pub fn parse_timeout(v: &str) -> Result<Duration, String> {
+fn parse_timeout(flag: &str, v: &str) -> Result<Duration, String> {
     match v.trim().parse::<f64>() {
         Ok(secs) if secs > 0.0 && secs.is_finite() => Ok(Duration::from_secs_f64(secs)),
-        _ => Err(format!("--timeout {v}: need a positive number of seconds")),
+        _ => Err(format!("{flag} {v}: need a positive number of seconds")),
     }
 }
 
-/// Parses the table binaries' shared flags (`--reorder`, `--jobs`) from
-/// an argv slice (without the program name). Rejects duplicate flags and
-/// unknown arguments.
-pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
-    let mut reorder_window: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
-    let mut node_limit: Option<usize> = None;
-    let mut step_limit: Option<u64> = None;
-    let mut timeout: Option<Duration> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--node-limit" => {
-                if node_limit.is_some() {
-                    return Err("duplicate --node-limit flag".to_string());
-                }
-                let v = args
-                    .get(i + 1)
-                    .ok_or("--node-limit requires a node count")?;
-                node_limit = Some(parse_limit("--node-limit", v)? as usize);
-                i += 2;
-                continue;
-            }
-            "--step-limit" => {
-                if step_limit.is_some() {
-                    return Err("duplicate --step-limit flag".to_string());
-                }
-                let v = args
-                    .get(i + 1)
-                    .ok_or("--step-limit requires a step count")?;
-                step_limit = Some(parse_limit("--step-limit", v)?);
-                i += 2;
-                continue;
-            }
-            "--timeout" => {
-                if timeout.is_some() {
-                    return Err("duplicate --timeout flag".to_string());
-                }
-                let v = args.get(i + 1).ok_or("--timeout requires seconds")?;
-                timeout = Some(parse_timeout(v)?);
-                i += 2;
-                continue;
-            }
-            _ => {}
-        }
-        match args[i].as_str() {
-            "--reorder" => {
-                if reorder_window.is_some() {
-                    return Err("duplicate --reorder flag".to_string());
-                }
-                let v = args
-                    .get(i + 1)
-                    .ok_or("--reorder requires one of: none, window")?;
-                reorder_window = Some(parse_reorder(v)?);
-                i += 2;
-            }
-            "--jobs" => {
-                if jobs.is_some() {
-                    return Err("duplicate --jobs flag".to_string());
-                }
-                let v = args.get(i + 1).ok_or("--jobs requires a worker count")?;
-                jobs = Some(parse_jobs(v)?);
-                i += 2;
-            }
-            other => return Err(format!("unknown argument: {other}")),
+/// Records the value of a flag that may appear once: `value` is the
+/// argument after `flag`, checked by `parse(flag, value)` into `slot`. A
+/// second occurrence of the flag or a missing value is an error.
+pub fn parse_once<T>(
+    slot: &mut Option<T>,
+    flag: &str,
+    value: Option<&String>,
+    parse: impl FnOnce(&str, &str) -> Result<T, String>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return Err(format!("duplicate {flag} flag"));
+    }
+    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    *slot = Some(parse(flag, v)?);
+    Ok(())
+}
+
+/// Parses the shared suite flags (`--reorder`, `--jobs`, `--node-limit`,
+/// `--step-limit`, `--timeout`) from an argv slice (without the program
+/// name) and hands every other argument to `other`, with the iterator
+/// over the arguments after it for any value it takes. Each shared flag
+/// may appear once.
+pub fn parse_suite_args_with(
+    args: &[String],
+    mut other: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<(), String>,
+) -> Result<SuiteArgs, String> {
+    let mut reorder_window = None;
+    let mut jobs = None;
+    let mut budget = RowBudget::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--reorder" => parse_once(&mut reorder_window, flag, it.next(), parse_reorder)?,
+            "--jobs" => parse_once(&mut jobs, flag, it.next(), parse_count)?,
+            "--node-limit" => parse_once(&mut budget.node_limit, flag, it.next(), parse_count)?,
+            "--step-limit" => parse_once(&mut budget.step_limit, flag, it.next(), parse_count)?,
+            "--timeout" => parse_once(&mut budget.timeout, flag, it.next(), parse_timeout)?,
+            _ => other(flag, &mut it)?,
         }
     }
     let defaults = EngineOptions::default();
@@ -231,17 +204,18 @@ pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
             ..defaults
         },
         jobs: jobs.unwrap_or_else(pool::default_jobs),
-        budget: RowBudget {
-            node_limit,
-            step_limit,
-            timeout,
-        },
+        budget,
     })
 }
 
-/// Shared argv parsing for the table binaries: accepts exactly the
-/// `--reorder {none,window}`, `--jobs N` and budget flags and exits with a
-/// usage message on anything else (including a repeated flag).
+/// Parses the table binaries' command line: the shared suite flags and
+/// nothing else.
+pub fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
+    parse_suite_args_with(args, |arg, _| Err(format!("unknown argument: {arg}")))
+}
+
+/// Shared argv parsing for the table binaries: exits with a usage
+/// message on anything [`parse_suite_args`] rejects.
 pub fn suite_args() -> SuiteArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
     parse_suite_args(&args).unwrap_or_else(|msg| {
@@ -322,25 +296,37 @@ impl Table1Row {
 
 /// Runs the Table I experiment (BDS-MAJ vs BDS-PGA decomposition) on the
 /// full suite under `engine` with `budget` installed per row, on `jobs`
-/// workers. Rows come back in suite order regardless of `jobs`;
-/// `jobs == 1` is the exact sequential path. Each task is panic-isolated:
-/// a benchmark that blows the budget comes back as a `Degraded` row; one
-/// that dies entirely comes back as a `Limit` placeholder row instead of
-/// killing the batch.
+/// workers. Rows come back in suite order at any `jobs`; a row whose
+/// task panics comes back as a `Limit` placeholder.
 pub fn run_table1(engine: &EngineOptions, jobs: usize, budget: RowBudget) -> Vec<Table1Row> {
+    run_rows(engine, jobs, budget, table1_row, Table1Row::failed)
+}
+
+/// The suite row loop behind [`run_table1`] and [`run_table2`]: runs
+/// `row` on every suite benchmark under `engine` with `budget` installed
+/// at row start, on `jobs` workers. Rows come back in suite order
+/// regardless of `jobs`; `jobs == 1` is the exact sequential path. Each
+/// task is panic-isolated: a benchmark that blows the budget comes back
+/// as a `Degraded` row; one that dies entirely comes back as a `Limit`
+/// placeholder row (`failed`) instead of killing the batch.
+fn run_rows<R: Send>(
+    engine: &EngineOptions,
+    jobs: usize,
+    budget: RowBudget,
+    row: impl Fn(&Benchmark, &EngineOptions) -> R + Sync,
+    failed: fn(&Benchmark) -> R,
+) -> Vec<R> {
     let suite = paper_suite();
-    pool::run_catching(jobs, suite.len(), |i| {
-        table1_row(&suite[i], &budget.apply(engine))
-    })
-    .into_iter()
-    .enumerate()
-    .map(|(i, r)| {
-        r.unwrap_or_else(|msg| {
-            eprintln!("{}: task failed: {msg}", suite[i].name);
-            Table1Row::failed(&suite[i])
+    pool::run(jobs, suite.len(), |i| row(&suite[i], &budget.apply(engine)))
+        .into_iter()
+        .zip(suite)
+        .map(|(r, bench)| {
+            r.unwrap_or_else(|msg| {
+                eprintln!("{}: task failed: {msg}", bench.name);
+                failed(bench)
+            })
         })
-    })
-    .collect()
+        .collect()
 }
 
 /// Runs one benchmark of Table I under explicit engine options. Both
@@ -413,27 +399,20 @@ impl Table2Row {
 
 /// Runs the Table II experiment (full synthesis with mapping) on the
 /// suite under `engine` with `budget` installed per row, on `jobs`
-/// workers, with the same row order and per-task panic isolation as
-/// [`run_table1`].
+/// workers, with the row order and failed rows of [`run_table1`].
 pub fn run_table2(
     lib: &Library,
     engine: &EngineOptions,
     jobs: usize,
     budget: RowBudget,
 ) -> Vec<Table2Row> {
-    let suite = paper_suite();
-    pool::run_catching(jobs, suite.len(), |i| {
-        table2_row(&suite[i], lib, &budget.apply(engine))
-    })
-    .into_iter()
-    .enumerate()
-    .map(|(i, r)| {
-        r.unwrap_or_else(|msg| {
-            eprintln!("{}: task failed: {msg}", suite[i].name);
-            Table2Row::failed(&suite[i])
-        })
-    })
-    .collect()
+    run_rows(
+        engine,
+        jobs,
+        budget,
+        |bench, engine| table2_row(bench, lib, engine),
+        Table2Row::failed,
+    )
 }
 
 /// Runs one benchmark of Table II under explicit engine options.
@@ -471,26 +450,13 @@ pub fn table2_row(bench: &Benchmark, lib: &Library, engine: &EngineOptions) -> T
     }
 }
 
-/// Aggregate of [`saving_summary`]: the mean saving over the pairs that
-/// define one, plus how many pairs were skipped.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SavingSummary {
-    /// Mean of `1 - ours/theirs` over the contributing pairs, in percent
-    /// (`0.0` when no pair contributes).
-    pub percent: f64,
-    /// Pairs with a positive denominator that entered the mean.
-    pub used: usize,
-    /// Pairs excluded for a zero or negative denominator.
-    pub skipped: usize,
-}
-
-/// Relative saving of `ours` versus `theirs` over paired samples (the
-/// paper's "X % less area" style of aggregate). A pair only defines a
-/// relative saving when `theirs > 0`; zero/negative denominators are
-/// excluded from **both** the sum and the divisor. (The seed's version
-/// filtered them from the sum but still divided by the full pair count,
-/// silently biasing every reported aggregate toward zero.)
-pub fn saving_summary(pairs: &[(f64, f64)]) -> SavingSummary {
+/// Average relative saving of `ours` versus `theirs` over paired samples
+/// (the paper's "X % less area" style of aggregate), in percent. A pair
+/// only defines a relative saving when `theirs > 0`; zero/negative
+/// denominators are excluded from **both** the sum and the divisor, so
+/// they cannot bias the mean toward zero. Returns `0.0` when no pair
+/// contributes.
+pub fn average_saving(pairs: &[(f64, f64)]) -> f64 {
     let mut sum = 0.0f64;
     let mut used = 0usize;
     for &(ours, theirs) in pairs {
@@ -499,21 +465,11 @@ pub fn saving_summary(pairs: &[(f64, f64)]) -> SavingSummary {
             used += 1;
         }
     }
-    SavingSummary {
-        percent: if used == 0 {
-            0.0
-        } else {
-            100.0 * sum / used as f64
-        },
-        used,
-        skipped: pairs.len() - used,
+    if used == 0 {
+        0.0
+    } else {
+        100.0 * sum / used as f64
     }
-}
-
-/// Average relative saving of `ours` versus `theirs` over the pairs that
-/// actually contribute (see [`saving_summary`]), in percent.
-pub fn average_saving(pairs: &[(f64, f64)]) -> f64 {
-    saving_summary(pairs).percent
 }
 
 /// Wall-clock of a closure, returning the result and elapsed time.
@@ -530,6 +486,7 @@ mod tests {
     #[test]
     fn average_saving_basics() {
         assert_eq!(average_saving(&[]), 0.0);
+        assert_eq!(average_saving(&[(1.0, 0.0), (2.0, -1.0)]), 0.0);
         let s = average_saving(&[(50.0, 100.0), (75.0, 100.0)]);
         assert!((s - 37.5).abs() < 1e-9);
     }
@@ -547,19 +504,6 @@ mod tests {
     fn average_saving_skips_negative_denominators_from_the_count() {
         let s = average_saving(&[(50.0, 100.0), (1.0, -2.0), (25.0, 100.0)]);
         assert!((s - 62.5).abs() < 1e-9, "got {s}, want 62.5");
-    }
-
-    #[test]
-    fn saving_summary_counts_used_and_skipped() {
-        let s = saving_summary(&[(50.0, 100.0), (1.0, 0.0), (1.0, -3.0)]);
-        assert_eq!((s.used, s.skipped), (1, 2));
-        assert!((s.percent - 50.0).abs() < 1e-9);
-        let empty = saving_summary(&[]);
-        assert_eq!((empty.used, empty.skipped), (0, 0));
-        assert_eq!(empty.percent, 0.0);
-        let all_skipped = saving_summary(&[(1.0, 0.0), (2.0, -1.0)]);
-        assert_eq!((all_skipped.used, all_skipped.skipped), (0, 2));
-        assert_eq!(all_skipped.percent, 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A scoped, hand-rolled thread pool for the embarrassingly parallel
-//! suite runs (Table I/II rows, kernels-bench sections, the `bdsmaj`
-//! CLI's multi-file mode).
+//! suite runs (Table I/II rows, the kernels bench's suite section, the
+//! `bdsmaj` CLI's multi-file mode).
 //!
 //! Design:
 //!
@@ -8,16 +8,14 @@
 //!   index with a single `fetch_add` until all `n` are claimed, so a
 //!   worker that drew a short task simply claims again.
 //! * **Results by index.** Each worker keeps `(index, result)` pairs and
-//!   the caller places them by index after the join, so [`run`] returns
-//!   results in task order no matter which thread ran what — callers
-//!   print rows in the same order and with the same content as a
-//!   sequential run.
-//! * **Panic propagation.** A panicking task poisons nothing: the payload
-//!   is captured, no further task is claimed, and the payload is
-//!   re-thrown on the calling thread via `resume_unwind`, exactly like a
-//!   panic in a plain sequential loop.
-//! * **`jobs == 1` degrades to the exact sequential path** — no threads,
-//!   no atomics, a plain in-order `map`; parallelism is strictly opt-in.
+//!   [`run`] sorts them by index after the join, so results come back in
+//!   task order no matter which thread ran what — callers print rows in
+//!   the same order and with the same content as a sequential run.
+//! * **Panic isolation.** Every task runs under `catch_unwind`: a task
+//!   that panics yields its own `Err(message)` and every other task
+//!   still runs, so one bad input costs one row, not the batch.
+//! * **`jobs == 1` is the exact sequential path** — no threads, no
+//!   atomics, a plain in-order `map`.
 //!
 //! # Ownership rule
 //!
@@ -27,142 +25,62 @@
 //! this workspace builds one manager per benchmark run, so each worker
 //! owns its managers outright.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker count used when the caller does not say: the `BENCH_JOBS`
-/// environment variable if it parses as a positive integer, otherwise the
+/// Worker count used when the caller does not pass `--jobs`: the
 /// machine's available parallelism.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("BENCH_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("ignoring BENCH_JOBS={v:?}: need a positive worker count");
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
 /// Runs `f(0), f(1), ..., f(n - 1)` on up to `jobs` workers and returns
-/// the results in index order.
+/// each outcome in index order: `Ok(value)`, or `Err(panic message)` for
+/// a task that panicked. Every task runs, whatever the others do.
 ///
 /// With `jobs <= 1` (or fewer than two tasks) this is a plain sequential
 /// loop on the calling thread. Otherwise `min(jobs, n)` scoped workers
-/// claim task indices from one shared counter; results are placed by
+/// claim task indices from one shared counter; results are sorted by
 /// index, so the returned order is independent of scheduling.
-///
-/// If any task panics, no further task is claimed, and the lowest-indexed
-/// panic payload is re-thrown on the calling thread after all workers
-/// have stopped.
-pub fn run<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
+pub fn run<T, F>(jobs: usize, n: usize, f: F) -> Vec<Result<T, String>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let task = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
     if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        return (0..n).map(task).collect();
     }
-    let slots = claim_all(
-        jobs.min(n),
-        n,
-        |i| catch_unwind(AssertUnwindSafe(|| f(i))),
-        |r| r.is_err(),
-    );
-    let claimed = slots.iter().filter(|s| s.is_some()).count();
-    let mut out = Vec::with_capacity(n);
-    let mut panic = None;
-    for slot in slots.into_iter().flatten() {
-        match slot {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                panic.get_or_insert(p);
-            }
-        }
-    }
-    if let Some(p) = panic {
-        // The early stop abandons every task not yet claimed. Account for
-        // them out loud before re-throwing, so a batch log never silently
-        // under-reports.
-        let abandoned = n - claimed;
-        if abandoned > 0 {
-            eprintln!("pool: a task panicked; {abandoned} of {n} tasks were abandoned unrun");
-        }
-        resume_unwind(p);
-    }
-    out
-}
-
-/// Like [`run`], but with per-task panic isolation: every task runs to
-/// completion or to its own panic, and the result vector reports each
-/// outcome as `Ok(value)` or `Err(panic message)` in task order. No task
-/// is ever skipped — one bad input yields one failed row instead of
-/// killing the batch (the behavior `bdsmaj --bench` and the table bins
-/// want; tests keep [`run`]'s fail-fast `resume_unwind` default).
-pub fn run_catching<T, F>(jobs: usize, n: usize, f: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let call = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(call).collect();
-    }
-    claim_all(jobs.min(n), n, call, |_| false)
-        .into_iter()
-        .map(|slot| slot.expect("every task index is claimed exactly once"))
-        .collect()
-}
-
-/// The scheduling loop behind [`run`] and [`run_catching`]: `workers`
-/// scoped threads claim task indices `0..n` from one shared counter and
-/// run `task` on each, until every index is claimed or some result
-/// satisfies `stop` (then no further index is claimed). Returns each
-/// result at its task index; indices never claimed stay `None`.
-fn claim_all<R, F, S>(workers: usize, n: usize, task: F, stop: S) -> Vec<Option<R>>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    S: Fn(&R) -> bool + Sync,
-{
     let next = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+    let mut done: Vec<(usize, Result<T, String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs.min(n))
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
-                    // ordering: Relaxed throughout — the counter only
-                    // hands out distinct indices and the flag only stops
-                    // claiming; results travel back through the join.
-                    while !stopped.load(Ordering::Relaxed) {
+                    // ordering: Relaxed — the counter only hands out
+                    // distinct indices; results travel back through the
+                    // join.
+                    loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
-                            break;
+                            return done;
                         }
-                        let r = task(i);
-                        if stop(&r) {
-                            stopped.store(true, Ordering::Relaxed);
-                        }
-                        done.push((i, r));
+                        done.push((i, task(i)));
                     }
-                    done
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("pool tasks run under catch_unwind"))
+            .flat_map(|h| h.join().expect("pool tasks run under catch_unwind"))
             .collect()
     });
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in done.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
+    // The counter hands out each index once, so sorting by index puts
+    // every task's result in its slot.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Renders a caught panic payload as a display string (panics carry
@@ -181,19 +99,26 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
 
+    /// The values of a run in which no task panics.
+    fn values<T>(out: Vec<Result<T, String>>) -> Vec<T> {
+        out.into_iter()
+            .map(|r| r.expect("no task panics"))
+            .collect()
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
         let sq = |i: usize| i * i;
         let seq: Vec<usize> = (0..100).map(sq).collect();
         for jobs in [1, 2, 3, 4, 7, 100, 1000] {
-            assert_eq!(run(jobs, 100, sq), seq, "jobs={jobs}");
+            assert_eq!(values(run(jobs, 100, sq)), seq, "jobs={jobs}");
         }
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert_eq!(run(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(run(4, 1, |i| i + 41), vec![41]);
+        assert_eq!(values(run(4, 0, |i| i)), Vec::<usize>::new());
+        assert_eq!(values(run(4, 1, |i| i + 41)), vec![41]);
     }
 
     #[test]
@@ -202,7 +127,7 @@ mod tests {
         // must still run each index exactly once and keep result order.
         const N: usize = 64;
         let ran: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        let out = run(4, N, |i| {
+        let out = values(run(4, N, |i| {
             ran[i].fetch_add(1, Ordering::Relaxed);
             // Index 0 is ~N times the work of the rest.
             let rounds = if i == 0 { 4_000_000u64 } else { 50_000 };
@@ -213,7 +138,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
             }
             (i, x)
-        });
+        }));
         for (i, counter) in ran.iter().enumerate() {
             assert_eq!(counter.load(Ordering::Relaxed), 1, "task {i} run count");
         }
@@ -223,35 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_propagates_to_caller() {
-        let r = catch_unwind(|| {
-            run(4, 32, |i| {
-                if i == 17 {
-                    panic!("task 17 exploded");
-                }
-                i
-            })
-        });
-        let p = r.expect_err("the task panic must reach the caller");
-        let msg = p.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "task 17 exploded");
-    }
-
-    #[test]
-    fn panic_in_sequential_mode_propagates_too() {
-        let r = catch_unwind(|| run(1, 4, |i| if i == 2 { panic!("seq") } else { i }));
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
     }
 
     #[test]
-    fn run_catching_isolates_panics_per_task() {
+    fn panics_are_isolated_per_task() {
         for jobs in [1, 4] {
-            let out = run_catching(jobs, 32, |i| {
+            let out = run(jobs, 32, |i| {
                 if i % 7 == 3 {
                     panic!("task {i} exploded");
                 }
@@ -270,12 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn run_catching_runs_every_task_despite_early_panics() {
-        // Even when the very first tasks panic, later tasks still run —
-        // no early drain in catching mode.
+    fn every_task_runs_despite_early_panics() {
+        // Even when the very first tasks panic, later tasks still run.
         const N: usize = 48;
         let ran: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        let out = run_catching(3, N, |i| {
+        let out = run(3, N, |i| {
             ran[i].fetch_add(1, Ordering::Relaxed);
             if i < 8 {
                 panic!("early loss");
@@ -290,19 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn run_catching_all_ok_matches_run() {
-        let sq = |i: usize| i * i;
-        let plain = run(4, 40, sq);
-        let caught: Vec<usize> = run_catching(4, 40, sq)
-            .into_iter()
-            .map(Result::unwrap)
-            .collect();
-        assert_eq!(plain, caught);
-    }
-
-    #[test]
     fn string_panic_payloads_are_preserved() {
-        let out = run_catching(1, 1, |_| -> usize {
+        let out = run(1, 1, |_| -> usize {
             panic!("{}", String::from("owned message"))
         });
         assert_eq!(out[0].as_ref().unwrap_err(), "owned message");

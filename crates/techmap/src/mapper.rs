@@ -397,6 +397,61 @@ mod tests {
         assert_eq!(equiv_sim(&net, &mapped.network, 16, 2), Ok(()));
     }
 
+    /// The mapped netlist in node order, one `name = kind(fanins)` per
+    /// gate.
+    fn netlist(net: &Network) -> Vec<String> {
+        net.signals()
+            .filter(|&id| net.node(id).kind != GateKind::Input)
+            .map(|id| {
+                let node = net.node(id);
+                let fanins: Vec<String> = node.fanins.iter().map(|&f| net.signal_name(f)).collect();
+                format!(
+                    "{} = {}({})",
+                    net.signal_name(id),
+                    node.kind.tag(),
+                    fanins.join(" ")
+                )
+            })
+            .collect()
+    }
+
+    /// A 5-input NAND and a 6-input NOR reach `tree` unbalanced (the
+    /// balancing pass rebuilds only AND, OR and XOR chains), so their
+    /// first rounds build two and three cells. The exact node order pins
+    /// that each round pairs neighbours left to right.
+    #[test]
+    fn wide_nand_and_nor_pair_neighbours_left_to_right() {
+        let mut net = Network::new("wide");
+        let ins: Vec<SignalId> = (0..6).map(|i| net.add_input(format!("i{i}"))).collect();
+        let nand = net.add_gate(GateKind::Nand, &ins[..5]);
+        let nor = net.add_gate(GateKind::Nor, &ins[..]);
+        net.set_output("y", nand);
+        net.set_output("z", nor);
+        let mapped = map_network(&net);
+        assert_eq!(equiv_sim(&net, &mapped.network, 16, 6), Ok(()));
+        let want = [
+            // y: ((i0·i1)·(i2·i3))·i4, complemented.
+            "n6 = nand(i0 i1)",
+            "n7 = inv(n6)",
+            "n8 = nand(i2 i3)",
+            "n9 = inv(n8)",
+            "n10 = nand(n7 n9)",
+            "n11 = inv(n10)",
+            "n12 = nand(i4 n11)",
+            // z: ((i0+i1)+(i2+i3))+(i4+i5), complemented.
+            "n13 = nor(i0 i1)",
+            "n14 = inv(n13)",
+            "n15 = nor(i2 i3)",
+            "n16 = inv(n15)",
+            "n17 = nor(i4 i5)",
+            "n18 = inv(n17)",
+            "n19 = nor(n14 n16)",
+            "n20 = inv(n19)",
+            "n21 = nor(n18 n20)",
+        ];
+        assert_eq!(netlist(&mapped.network), want);
+    }
+
     #[test]
     fn double_inverters_are_cleaned() {
         let mut net = Network::new("ii");

@@ -13,14 +13,17 @@
 //!
 //! With more than one input file the tool switches to **multi-file mode**:
 //! every file is synthesized as an independent task on the suite pool
-//! (`--jobs N`, default `BENCH_JOBS` or all cores; each task owns its BDD
-//! managers), per-file reports are printed in input order, and `-o` names
-//! a *directory* that receives one optimized BLIF per input (stdout BLIF
+//! (`--jobs N`, default all cores; each task owns its BDD managers),
+//! per-file reports are printed in input order, and `-o` names a
+//! *directory* that receives one optimized BLIF per input (stdout BLIF
 //! dumping is single-file only). `--jobs` sizes only that pool: a single
 //! file is always synthesized on one thread.
+//!
+//! `--reorder`, `--jobs` and the budget flags are the table binaries'
+//! shared suite flags, parsed by [`bench::parse_suite_args_with`].
 
 use bds_maj::prelude::*;
-use bench::{pool, RowBudget};
+use bench::{parse_once, parse_suite_args_with, pool, SuiteArgs};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -42,29 +45,25 @@ enum Flow {
 }
 
 impl Flow {
-    fn parse(name: &str) -> Result<Flow, String> {
+    fn parse(flag: &str, name: &str) -> Result<Flow, String> {
         match name {
             "bds-maj" => Ok(Flow::BdsMaj),
             "bds-pga" => Ok(Flow::BdsPga),
             "abc" => Ok(Flow::Abc),
             "dc" => Ok(Flow::Dc),
-            other => Err(format!(
-                "unknown flow {other}; use bds-maj, bds-pga, abc or dc"
-            )),
+            other => Err(format!("{flag} {other}: use bds-maj, bds-pga, abc or dc")),
         }
     }
 }
 
 struct Args {
     flow: Flow,
-    /// The engine's `reorder_window` (`--reorder none` sets 0).
-    reorder_window: usize,
-    jobs: usize,
     map: bool,
     output: Option<String>,
     inputs: Vec<String>,
     bench: Option<String>,
-    budget: RowBudget,
+    /// `--reorder`, `--jobs` and the per-file budget.
+    suite: SuiteArgs,
 }
 
 const USAGE: &str = "usage: bdsmaj [--flow bds-maj|bds-pga|abc|dc] \
@@ -75,92 +74,42 @@ const USAGE: &str = "usage: bdsmaj [--flow bds-maj|bds-pga|abc|dc] \
 exit codes: 0 ok, 1 failed, 2 usage error, 3 completed degraded (cones over budget)";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        flow: Flow::BdsMaj,
-        reorder_window: EngineOptions::default().reorder_window,
-        jobs: 0,
-        map: false,
-        output: None,
-        inputs: Vec::new(),
-        bench: None,
-        budget: RowBudget::default(),
-    };
-    let mut jobs: Option<usize> = None;
-    let mut flow_seen = false;
-    let mut reorder_seen = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--flow" => {
-                if flow_seen {
-                    return Err("duplicate --flow flag".to_string());
-                }
-                flow_seen = true;
-                let v = it.next().ok_or("--flow needs a value")?;
-                args.flow = Flow::parse(&v)?;
-            }
-            "--reorder" => {
-                if reorder_seen {
-                    return Err("duplicate --reorder flag".to_string());
-                }
-                reorder_seen = true;
-                let v = it.next().ok_or("--reorder needs a value")?;
-                args.reorder_window = bench::parse_reorder(&v)?;
-            }
-            "--jobs" => {
-                if jobs.is_some() {
-                    return Err("duplicate --jobs flag".to_string());
-                }
-                let v = it.next().ok_or("--jobs needs a value")?;
-                jobs = Some(bench::parse_jobs(&v)?);
-            }
-            "--node-limit" => {
-                if args.budget.node_limit.is_some() {
-                    return Err("duplicate --node-limit flag".to_string());
-                }
-                let v = it.next().ok_or("--node-limit needs a value")?;
-                args.budget.node_limit = Some(bench::parse_limit("--node-limit", &v)? as usize);
-            }
-            "--step-limit" => {
-                if args.budget.step_limit.is_some() {
-                    return Err("duplicate --step-limit flag".to_string());
-                }
-                let v = it.next().ok_or("--step-limit needs a value")?;
-                args.budget.step_limit = Some(bench::parse_limit("--step-limit", &v)?);
-            }
-            "--timeout" => {
-                if args.budget.timeout.is_some() {
-                    return Err("duplicate --timeout flag".to_string());
-                }
-                let v = it.next().ok_or("--timeout needs a value")?;
-                args.budget.timeout = Some(bench::parse_timeout(&v)?);
-            }
-            "--map" => args.map = true,
-            "-o" | "--output" => {
-                if args.output.is_some() {
-                    return Err("duplicate -o flag".to_string());
-                }
-                args.output = Some(it.next().ok_or("-o needs a value")?);
-            }
-            "--bench" => {
-                if args.bench.is_some() {
-                    return Err("duplicate --bench flag".to_string());
-                }
-                args.bench = Some(it.next().ok_or("--bench needs a value")?);
-            }
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            other if !other.starts_with('-') => args.inputs.push(other.to_string()),
-            other => return Err(format!("unknown option {other}")),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut flow = None;
+    let mut map = false;
+    let mut output = None;
+    let mut inputs = Vec::new();
+    let mut bench = None;
+    let text = |_: &str, v: &str| Ok(v.to_string());
+    let suite = parse_suite_args_with(&argv, |arg, rest| match arg {
+        "--flow" => parse_once(&mut flow, arg, rest.next(), Flow::parse),
+        "--map" => {
+            map = true;
+            Ok(())
         }
-    }
-    args.jobs = jobs.unwrap_or_else(pool::default_jobs);
-    if args.inputs.is_empty() && args.bench.is_none() {
+        "-o" | "--output" => parse_once(&mut output, arg, rest.next(), text),
+        "--bench" => parse_once(&mut bench, arg, rest.next(), text),
+        "-h" | "--help" => Err(USAGE.to_string()),
+        input if !input.starts_with('-') => {
+            inputs.push(input.to_string());
+            Ok(())
+        }
+        other => Err(format!("unknown option {other}")),
+    })?;
+    if inputs.is_empty() && bench.is_none() {
         return Err("missing input: pass IN.blif or --bench NAME".to_string());
     }
-    if args.bench.is_some() && !args.inputs.is_empty() {
+    if bench.is_some() && !inputs.is_empty() {
         return Err("--bench and input files are mutually exclusive".to_string());
     }
-    Ok(args)
+    Ok(Args {
+        flow: flow.unwrap_or(Flow::BdsMaj),
+        map,
+        output,
+        inputs,
+        bench,
+        suite,
+    })
 }
 
 /// Outcome of one synthesis task: the report lines (printed in input
@@ -185,11 +134,7 @@ fn synthesize(
     use std::fmt::Write as _;
     // The budget's deadline starts counting at task start, so every file
     // in a batch gets its own clock.
-    let engine = EngineOptions {
-        reorder_window: args.reorder_window,
-        limits: args.budget.limits_now(),
-        ..EngineOptions::default()
-    };
+    let engine = args.suite.budget.apply(&args.suite.engine);
     let maj_options = BdsMajOptions {
         engine: engine.clone(),
         ..BdsMajOptions::default()
@@ -313,7 +258,7 @@ fn run_multi(nets: Vec<(String, Network)>, args: &Args, lib: &Library) -> ExitCo
     };
     // Per-task panic isolation: one pathological input yields one failed
     // row ("status: failed") instead of killing the whole batch.
-    let results = pool::run_catching(args.jobs, nets.len(), |i| {
+    let results = pool::run(args.suite.jobs, nets.len(), |i| {
         let (path, net) = &nets[i];
         synthesize(net, path, args, lib)
     });

@@ -1,6 +1,8 @@
-//! Exit codes of the `bdsmaj` command line: 0 ok, 2 usage error (checked
-//! at parse time, before any synthesis), 3 completed degraded.
+//! Exit codes of the `bdsmaj` command line: 0 ok, 1 failed, 2 usage
+//! error (checked at parse time, before any synthesis), 3 completed
+//! degraded; and the files its single- and multi-file modes write.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `bdsmaj` with `args` and returns its exit code.
@@ -117,4 +119,73 @@ fn the_written_blif_defines_every_name_once() {
     let net = logic::parse_blif(text).expect("the input parses");
     let back = logic::parse_blif(&written).expect("the BLIF parses");
     assert_eq!(logic::equiv_exact(&net, &back, 1 << 16), Some(true));
+}
+
+/// A fresh directory under the system temp dir holding the
+/// suite circuits `names` as BLIF files, one per subdirectory `in<k>`
+/// (so two equal names make two inputs with one basename). Returns the
+/// directory and the input paths.
+fn suite_blifs(dir: &str, names: &[&str]) -> (PathBuf, Vec<String>) {
+    let dir = std::env::temp_dir().join(dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let inputs = names
+        .iter()
+        .enumerate()
+        .map(|(k, name)| {
+            let net = circuits::suite::benchmark(name).expect("a suite circuit");
+            let sub = dir.join(format!("in{k}"));
+            std::fs::create_dir_all(&sub).expect("the input directory is created");
+            let path = sub.join(format!("{name}.blif"));
+            std::fs::write(&path, logic::write_blif(&net)).expect("the input BLIF is written");
+            path.to_str().expect("utf-8").to_string()
+        })
+        .collect();
+    (dir, inputs)
+}
+
+/// Multi-file mode on two suite circuits: each run exits 0 and writes
+/// `DIR/<basename>` per input, which reads back equal to that input, and
+/// the files are byte-identical at one and at two workers.
+#[test]
+fn multi_file_mode_writes_each_input_at_any_worker_count() {
+    let names = ["alu2", "f51m"];
+    let (dir, inputs) = suite_blifs("bdsmaj_cli_multi", &names);
+    let run = |jobs: &str| -> PathBuf {
+        let out = dir.join(format!("out_jobs{jobs}"));
+        let o = out.to_str().expect("utf-8");
+        let mut args = vec!["--jobs", jobs, "-o", o];
+        args.extend(inputs.iter().map(String::as_str));
+        assert_eq!(exit_code(&args), 0, "bdsmaj {}", args.join(" "));
+        out
+    };
+    let (one, two) = (run("1"), run("2"));
+    let read = |dir: &Path, name: &str| {
+        std::fs::read_to_string(dir.join(format!("{name}.blif"))).expect("the BLIF was written")
+    };
+    for name in names {
+        let text = read(&one, name);
+        assert_eq!(
+            text,
+            read(&two, name),
+            "{name}: --jobs 1 and --jobs 2 differ"
+        );
+        let back = logic::parse_blif(&text).expect("the BLIF parses");
+        let net = circuits::suite::benchmark(name).expect("a suite circuit");
+        assert_eq!(
+            logic::equiv_exact(&net, &back, 1 << 20),
+            Some(true),
+            "{name}"
+        );
+    }
+}
+
+/// Two inputs with one basename would write one output file: the run
+/// refuses before synthesis and exits 1.
+#[test]
+fn multi_file_inputs_with_one_basename_exit_1() {
+    let (dir, inputs) = suite_blifs("bdsmaj_cli_clash", &["alu2", "alu2"]);
+    let out = dir.join("out");
+    let o = out.to_str().expect("utf-8");
+    assert_eq!(exit_code(&["-o", o, &inputs[0], &inputs[1]]), 1);
+    assert!(!out.exists(), "nothing is written");
 }
