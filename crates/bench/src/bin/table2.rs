@@ -6,6 +6,14 @@
 //! `--jobs N` fans the 17 rows out over the suite pool, one manager per
 //! row. Row order and content (names, mapped area/gates/delay, verified
 //! flags) are identical at every worker count.
+//!
+//! `--reorder` and the budget flags (`--node-limit`, `--step-limit`,
+//! `--timeout`) reach the BDS-MAJ and BDS-PGA columns only. The DC column
+//! comes from `baselines::dc_flow`, which builds its BDS candidates with
+//! `EngineOptions::default()` and `BdsMajOptions::default()`, so it is
+//! computed unbudgeted under default reordering whatever the row's
+//! options: under `--timeout 0.000001`, C1355's BDS-MAJ column degrades
+//! to 257 cells (236 unbudgeted) while its DC column keeps 236.
 
 use bench::{average_saving, print_rows_grouped, reorder_label, run_table2, suite_args, RowStatus};
 use techmap::Library;

@@ -113,7 +113,10 @@ pub const SUITE_USAGE: &str = "supported options:
   --jobs N                      suite worker threads (default: all cores; 1 = sequential)
   --node-limit N                live-BDD-node ceiling per benchmark (graceful per-cone degradation)
   --step-limit N                kernel recursion-step ceiling per cone
-  --timeout SECS                wall-clock allowance per benchmark row (fractions allowed)";
+  --timeout SECS                wall-clock allowance per benchmark row (fractions allowed)
+--reorder and the budget flags do not reach the DC flow (the Design Compiler
+column of table2, bdsmaj --flow dc): it builds its BDS candidates under
+default options with no budget.";
 
 /// Parses a `--reorder` value into the engine's `reorder_window`: `none`
 /// turns per-cone reordering off (`0`), `window` keeps the default

@@ -615,19 +615,28 @@ impl Network {
     /// single-fanin AND/OR/XOR reduced to buffers (then removed).
     ///
     /// The pass is iterated, so simplifications that expose further dead
-    /// logic (e.g. a collapsed inverter pair) are fully cleaned up. The
-    /// iteration stops at the first of:
-    /// - a no-op pass, whose output equals its input node for node (names
-    ///   included), with the same inputs and outputs: the output is
-    ///   returned, since another pass would return it unchanged;
+    /// logic (e.g. a collapsed inverter pair) are fully cleaned up. Before
+    /// each pass a read-only check ([`Self::is_clean`]) tells whether the
+    /// pass would return its input unchanged, node for node (names
+    /// included), with the same inputs and outputs. The iteration stops at
+    /// the first of:
+    /// - a network the check finds clean, before its pass: it is returned
+    ///   without one (`self` as a copy), since the pass would change
+    ///   nothing;
     /// - a pass that does not shrink the network: its input is returned;
     /// - the ninth pass: its output is returned.
+    ///
+    /// Debug builds run the pass the check stands in for and assert that
+    /// they agree.
     pub fn cleaned(&self) -> Network {
-        let mut current = self.cleaned_once();
-        if current.same_as(self) {
-            return current;
+        if self.checked_is_clean() {
+            return self.clone();
         }
+        let mut current = self.cleaned_once();
         for _ in 0..8 {
+            if current.checked_is_clean() {
+                return current;
+            }
             let next = current.cleaned_once();
             if next.len() >= current.len() {
                 return current;
@@ -637,8 +646,94 @@ impl Network {
         current
     }
 
+    /// Whether one [`Self::cleaned_once`] pass would return this network
+    /// unchanged. Read off that pass and [`Self::rewrite_gate`], it holds
+    /// when all of these are true:
+    /// - the inputs are nodes `0..k` in declaration order, and every input
+    ///   is named (the pass adds the inputs first, under their names);
+    /// - every other node is live, unnamed (the pass names no gate) and
+    ///   not a buffer;
+    /// - no inverter's fanin is a constant or an inverter;
+    /// - every AND, OR, XOR, XNOR and MAJ (which has three) has two or
+    ///   more fanins, none constant and no two equal;
+    /// - every MUX has a non-constant select and two different data
+    ///   fanins;
+    /// - no LUT is constant, and no two constant nodes have the same
+    ///   value.
+    ///
+    /// NAND and NOR are never rewritten.
+    fn is_clean(&self) -> bool {
+        let k = self.inputs.len();
+        if self.inputs.iter().enumerate().any(|(i, s)| s.index() != i) {
+            return false;
+        }
+        let is_const = |s: &SignalId| matches!(self.nodes[s.index()].kind, GateKind::Const(_));
+        // Whether a node has a fanout. Nodes are in topological order and
+        // the inputs come first, so when every gate has one, every gate
+        // is live.
+        let mut used = vec![false; self.nodes.len()];
+        for (_, s) in &self.outputs {
+            used[s.index()] = true;
+        }
+        let mut seen_const = [false; 2];
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let fanins = &node.fanins[..];
+            for f in fanins {
+                used[f.index()] = true;
+            }
+            if idx < k {
+                if node.kind != GateKind::Input || node.name.is_none() {
+                    return false;
+                }
+                continue;
+            }
+            let unchanged = node.name.is_none()
+                && match &node.kind {
+                    GateKind::Input | GateKind::Buf => false,
+                    GateKind::Const(v) => {
+                        !std::mem::replace(&mut seen_const[usize::from(*v)], true)
+                    }
+                    GateKind::Inv => !matches!(
+                        self.nodes[fanins[0].index()].kind,
+                        GateKind::Const(_) | GateKind::Inv
+                    ),
+                    GateKind::And
+                    | GateKind::Or
+                    | GateKind::Xor
+                    | GateKind::Xnor
+                    | GateKind::Maj => {
+                        fanins.len() >= 2
+                            && !fanins.iter().any(is_const)
+                            && (1..fanins.len()).all(|i| !fanins[..i].contains(&fanins[i]))
+                    }
+                    GateKind::Mux => !is_const(&fanins[0]) && fanins[1] != fanins[2],
+                    GateKind::Lut(table) => table.as_constant().is_none(),
+                    GateKind::Nand | GateKind::Nor => true,
+                };
+            if !unchanged {
+                return false;
+            }
+        }
+        used[k..].iter().all(|&u| u)
+    }
+
+    /// [`Self::is_clean`], checked against the pass it stands in for in
+    /// debug builds.
+    fn checked_is_clean(&self) -> bool {
+        let clean = self.is_clean();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            clean,
+            self.cleaned_once().same_as(self),
+            "is_clean disagrees with a cleaning pass on {}",
+            self.name
+        );
+        clean
+    }
+
     /// Whether `self` and `other` hold the same nodes (names included),
     /// inputs and outputs.
+    #[cfg(any(test, debug_assertions))]
     fn same_as(&self, other: &Network) -> bool {
         self.nodes == other.nodes && self.inputs == other.inputs && self.outputs == other.outputs
     }
@@ -1208,6 +1303,118 @@ mod tests {
                 &format!("case {case}, cleaned again"),
             );
         }
+    }
+
+    /// Copies of a clean network with one defect added, each a rule of
+    /// [`Network::is_clean`] broken: a dead gate, a named gate, a second
+    /// constant of one value, a buffer, a MAJ with two equal fanins, an
+    /// inverter over an inverter, and an input declared after a gate.
+    /// An edit that needs a node the network lacks (a gate, a constant)
+    /// is left out.
+    fn one_defect_edits(clean: &Network) -> Vec<(&'static str, Network)> {
+        let a = clean.inputs[0];
+        let b = *clean.inputs.last().expect("an input");
+        // The inputs of a clean network come first.
+        let gate = (clean.len() > clean.inputs.len()).then(|| SignalId(clean.len() as u32 - 1));
+        let constant = clean.signals().find_map(|s| match clean.node(s).kind {
+            GateKind::Const(v) => Some(v),
+            _ => None,
+        });
+        let edit = |change: &dyn Fn(&mut Network)| {
+            let mut net = clean.clone();
+            change(&mut net);
+            net
+        };
+        let mut edits = vec![
+            (
+                "a dead gate",
+                edit(&|net| {
+                    net.add_gate(GateKind::Nand, [a]);
+                }),
+            ),
+            (
+                "a buffer",
+                edit(&|net| {
+                    let s = net.add_gate(GateKind::Buf, [a]);
+                    net.set_output("buf", s);
+                }),
+            ),
+            (
+                "a MAJ with two equal fanins",
+                edit(&|net| {
+                    let s = net.add_gate(GateKind::Maj, [a, a, b]);
+                    net.set_output("maj", s);
+                }),
+            ),
+            (
+                "an inverter over an inverter",
+                edit(&|net| {
+                    let inner = net.add_gate(GateKind::Inv, [a]);
+                    let s = net.add_gate(GateKind::Inv, [inner]);
+                    net.set_output("inv", s);
+                }),
+            ),
+        ];
+        if let Some(g) = gate {
+            edits.push(("a named gate", edit(&|net| net.set_signal_name(g, "named"))));
+            edits.push((
+                "an input declared after a gate",
+                edit(&|net| {
+                    net.add_input("late");
+                }),
+            ));
+        }
+        if let Some(v) = constant {
+            edits.push((
+                "a second constant of one value",
+                edit(&|net| {
+                    let s = net.add_const(v);
+                    net.set_output("const", s);
+                }),
+            ));
+        }
+        edits
+    }
+
+    /// `is_clean` holds exactly when a cleaning pass returns the network
+    /// unchanged: on random networks, on their forms after one pass
+    /// (inputs first, some rewrites still pending), on their cleaned
+    /// forms, and on clean networks with one defect added, which it must
+    /// reject.
+    #[test]
+    fn is_clean_matches_a_cleaning_pass() {
+        // Networks the check rejects and accepts.
+        let mut verdicts = [0usize; 2];
+        let mut check = |net: &Network, case: &str| {
+            let clean = net.is_clean();
+            assert_eq!(
+                clean,
+                net.cleaned_once().same_as(net),
+                "{case}: is_clean disagrees with a cleaning pass"
+            );
+            verdicts[usize::from(clean)] += 1;
+            clean
+        };
+        let mut rng = XorShift64::new(0xC1EA);
+        for case in 0..2000 {
+            let net = random_network(&mut rng);
+            check(&net, &format!("case {case}"));
+            check(&net.cleaned_once(), &format!("case {case}, one pass"));
+            let cleaned = net.cleaned();
+            if !check(&cleaned, &format!("case {case}, cleaned")) {
+                continue;
+            }
+            for (defect, edited) in one_defect_edits(&cleaned) {
+                assert!(
+                    !check(&edited, &format!("case {case} with {defect}")),
+                    "case {case}: {defect} must make the network unclean"
+                );
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&n| n >= 100),
+            "verdicts (unclean, clean): {verdicts:?}"
+        );
     }
 
     fn ids(range: std::ops::Range<u32>) -> Vec<SignalId> {

@@ -35,25 +35,6 @@ impl MappedNetwork {
             _ => None,
         }
     }
-
-    /// Histogram of mapped cells.
-    pub fn histogram(&self) -> HashMap<CellKind, usize> {
-        let mut h = HashMap::new();
-        for id in self.network.signals() {
-            if let Some(kind) = Self::cell_of(&self.network, id) {
-                *h.entry(kind).or_insert(0) += 1;
-            }
-        }
-        h
-    }
-
-    /// Number of mapped cells.
-    pub fn gate_count(&self) -> usize {
-        self.network
-            .signals()
-            .filter(|&id| Self::cell_of(&self.network, id).is_some())
-            .count()
-    }
 }
 
 /// Maps an optimized logic network onto the library cells.
@@ -286,6 +267,8 @@ fn emit_lut(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::library::Library;
+    use crate::timing::report;
     use logic::equiv_sim;
 
     fn mixed_network() -> Network {
@@ -346,7 +329,7 @@ mod tests {
     fn maj_and_xor_are_preserved_directly() {
         let net = mixed_network();
         let mapped = map_network(&net);
-        let h = mapped.histogram();
+        let h = report(&mapped, &Library::cmos22()).histogram;
         assert_eq!(h.get(&CellKind::Maj3), Some(&1), "MAJ preserved");
         assert!(
             h.get(&CellKind::Xor2).copied().unwrap_or(0) >= 1,
@@ -364,7 +347,7 @@ mod tests {
         net.set_output("y", y);
         let mapped = map_network(&net);
         assert_eq!(equiv_sim(&net, &mapped.network, 8, 1), Ok(()));
-        let h = mapped.histogram();
+        let h = report(&mapped, &Library::cmos22()).histogram;
         assert_eq!(h.get(&CellKind::Nand2), Some(&3));
         assert_eq!(h.get(&CellKind::Inv), Some(&1));
     }
@@ -464,10 +447,9 @@ mod tests {
         net.set_output("y", t2);
         let mapped = map_network(&net);
         assert_eq!(equiv_sim(&net, &mapped.network, 8, 4), Ok(()));
-        let _h = mapped.histogram();
         // NAND(a,b) -> INV -> NAND(.., a) -> INV: 2 NAND + 2 INV before
         // cleaning; the output INV stays, the internal pair is kept only if
         // structurally needed. Ensure we are not worse than the naive form.
-        assert!(mapped.gate_count() <= 4);
+        assert!(report(&mapped, &Library::cmos22()).gate_count <= 4);
     }
 }

@@ -42,7 +42,6 @@ pub fn report(mapped: &MappedNetwork, lib: &Library) -> MappedReport {
     // Cells per kind, indexed by the discriminant (the order of
     // `CellKind::ALL`).
     let mut cells = [0usize; CellKind::ALL.len()];
-    let mut worst: f64 = 0.0;
     for id in net.signals() {
         let node = net.node(id);
         let input_arrival = node
@@ -50,7 +49,7 @@ pub fn report(mapped: &MappedNetwork, lib: &Library) -> MappedReport {
             .iter()
             .map(|f| arrival[f.index()])
             .fold(0.0, f64::max);
-        let t = match MappedNetwork::cell_of(net, id) {
+        arrival[id.index()] = match MappedNetwork::cell_of(net, id) {
             Some(kind) => {
                 let cell = lib.cell(kind);
                 area += cell.area;
@@ -61,8 +60,6 @@ pub fn report(mapped: &MappedNetwork, lib: &Library) -> MappedReport {
             }
             None => input_arrival,
         };
-        arrival[id.index()] = t;
-        worst = worst.max(t);
     }
     // Outputs define the measured paths.
     let delay = net
