@@ -192,21 +192,6 @@ impl Aig {
         self.levels[r.node() as usize]
     }
 
-    /// Name of the underlying model.
-    pub fn network_name(&self) -> String {
-        self.name.clone()
-    }
-
-    /// Number of primary inputs.
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Edge of primary input `i` (declaration order).
-    pub fn input_ref(&self, i: usize) -> AigRef {
-        self.inputs[i].1
-    }
-
     /// Declared outputs.
     pub fn outputs(&self) -> &[(String, AigRef)] {
         &self.outputs
@@ -262,7 +247,6 @@ impl Aig {
                         AigRef::ZERO
                     }
                 }
-                GateKind::Buf => kids[0],
                 GateKind::Inv => !kids[0],
                 GateKind::And => kids
                     .iter()

@@ -80,7 +80,7 @@ const _: () = assert!(std::mem::size_of::<CacheSet>() == 64);
 /// Default computed-cache size in bits: the entry-count budget a
 /// direct-mapped cache would spend as `1 << bits` slots; the
 /// set-associative geometry spends it as `1 << (bits - 2)` three-way,
-/// cache-line-sized sets (see [`ComputedCache`]).
+/// cache-line-sized sets of the manager's computed cache.
 pub const DEFAULT_CACHE_BITS: u32 = 14;
 
 /// The fixed-size, set-associative, lossy operation cache: power-of-two

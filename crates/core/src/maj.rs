@@ -245,11 +245,6 @@ impl MajDecomposer {
             ..MajDecomposer::default()
         }
     }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MajConfig {
-        &self.config
-    }
 }
 
 impl MajorityHook for MajDecomposer {

@@ -50,24 +50,14 @@ impl Decomposition {
     }
 }
 
-/// The kind of simple dominator a node is, if any.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DominatorKind {
-    /// Conjunctive (1-dominator).
-    And,
-    /// Disjunctive (0-dominator).
-    Or,
-    /// Equivalence (x-dominator).
-    Xnor,
-}
-
 /// Classifies node `d` of the DAG of `f` as a dominator, if it is one.
 ///
-/// Returns the dominator kind, the residual function `g`, and the divisor
-/// reference (the node function, complemented when the dominator condition
-/// holds for the complemented divisor — edges into `d` may carry the
-/// complement attribute).
-pub fn classify_dominator(m: &mut Manager, f: Ref, d: NodeId) -> Option<(DominatorKind, Ref, Ref)> {
+/// Returns the AND (1-dominator), OR (0-dominator) or XNOR (x-dominator)
+/// decomposition it gives: the residual function `g` and the divisor `d`,
+/// the node function, complemented when the dominator condition holds
+/// for the complemented divisor (edges into `d` may carry the complement
+/// attribute).
+pub fn classify_dominator(m: &mut Manager, f: Ref, d: NodeId) -> Option<Decomposition> {
     m.ungoverned(|m| try_classify_dominator(m, f, d))
 }
 
@@ -77,7 +67,7 @@ pub fn try_classify_dominator(
     m: &mut Manager,
     f: Ref,
     d: NodeId,
-) -> Result<Option<(DominatorKind, Ref, Ref)>, LimitExceeded> {
+) -> Result<Option<Decomposition>, LimitExceeded> {
     if d == f.node() {
         return Ok(None); // the root is always a trivial dominator
     }
@@ -86,15 +76,15 @@ pub fn try_classify_dominator(
     let f0 = m.try_replace_node_with_const(f, d, false)?;
     // f = F1·fd + F0·fd', so:
     Ok(if f0.is_zero() {
-        Some((DominatorKind::And, f1, fd))
+        Some(Decomposition::And { g: f1, d: fd })
     } else if f1.is_zero() {
-        Some((DominatorKind::And, f0, !fd))
+        Some(Decomposition::And { g: f0, d: !fd })
     } else if f1.is_one() {
-        Some((DominatorKind::Or, f0, fd))
+        Some(Decomposition::Or { g: f0, d: fd })
     } else if f0.is_one() {
-        Some((DominatorKind::Or, f1, !fd))
+        Some(Decomposition::Or { g: f1, d: !fd })
     } else if f0 == !f1 {
-        Some((DominatorKind::Xnor, f1, fd))
+        Some(Decomposition::Xnor { g: f1, d: fd })
     } else {
         None
     })
@@ -135,19 +125,15 @@ pub fn try_find_decomposition(m: &mut Manager, f: Ref) -> Result<Decomposition, 
 
     let mut best: Option<(usize, Decomposition)> = None;
     for id in candidates {
-        let Some((kind, g, d)) = try_classify_dominator(m, f, id)? else {
+        let Some(decomp) = try_classify_dominator(m, f, id)? else {
             continue;
         };
+        let (g, d) = decomp.parts();
         let (gs, ds) = (m.size(g), m.size(d));
         if gs >= fsize || ds >= fsize {
             continue; // no progress: reject to guarantee termination
         }
         let score = gs.max(ds);
-        let decomp = match kind {
-            DominatorKind::And => Decomposition::And { g, d },
-            DominatorKind::Or => Decomposition::Or { g, d },
-            DominatorKind::Xnor => Decomposition::Xnor { g, d },
-        };
         if best.as_ref().is_none_or(|(s, _)| score < *s) {
             best = Some((score, decomp));
         }

@@ -15,169 +15,105 @@
 //! with its own.
 
 use bdd::{BuildFxHasher, Manager, Ref};
-use logic::{strash_key, Fanins, GateKind, Network, SignalId};
+use logic::{strash_key, GateKind, Network, SignalId};
 use std::collections::HashMap;
 
-/// Emits gates into a [`Network`] with structural hashing (keys are the
-/// allocation-free fixed-arity arrays built by [`logic::strash_key`]).
+/// Emits the gates of replayed [`Step`]s into a [`Network`]: two-input
+/// AND, OR and XNOR (XOR only where an inverter is absorbed), MAJ-3,
+/// inverters and constants, with local simplifications and structural
+/// hashing (keys are the allocation-free arrays of [`logic::strash_key`]).
 #[derive(Debug, Default)]
-pub struct Emitter {
+pub(crate) struct Emitter {
     strash: HashMap<(u8, [SignalId; 3]), SignalId, BuildFxHasher>,
-    consts: HashMap<bool, SignalId>,
+    /// The constant of each value, once made.
+    consts: [Option<SignalId>; 2],
     /// The signals of a [`replay`]'s steps, kept across replays.
     done: Vec<SignalId>,
 }
 
-fn kind_code(kind: &GateKind) -> u8 {
-    match kind {
-        GateKind::Inv => 1,
-        GateKind::And => 2,
-        GateKind::Or => 3,
-        GateKind::Xor => 4,
-        GateKind::Xnor => 5,
-        GateKind::Maj => 6,
-        GateKind::Mux => 7,
-        _ => 0,
+/// The value of `s`, if it is a constant.
+fn value_of(net: &Network, s: SignalId) -> Option<bool> {
+    match net.node(s).kind {
+        GateKind::Const(b) => Some(b),
+        _ => None,
     }
 }
 
 impl Emitter {
-    /// Creates an emitter with empty hash tables.
-    pub fn new() -> Emitter {
-        Emitter::default()
+    /// Reuses the gate `kind` over `fanins`, or adds it; callers sort the
+    /// fanins.
+    fn hashed(&mut self, net: &mut Network, kind: GateKind, fanins: &[SignalId]) -> SignalId {
+        let key = strash_key(&kind, fanins);
+        *self
+            .strash
+            .entry(key)
+            .or_insert_with(|| net.add_gate(kind, fanins))
     }
 
-    /// Adds (or reuses) a gate. Commutative gates normalize their fanin
-    /// order so equal functions hash equally.
-    pub fn gate(
-        &mut self,
-        net: &mut Network,
-        kind: GateKind,
-        fanins: impl Into<Fanins>,
-    ) -> SignalId {
-        let mut fanins = fanins.into();
-        match kind {
-            GateKind::And | GateKind::Or | GateKind::Xor | GateKind::Xnor | GateKind::Maj => {
-                fanins.sort();
+    /// Two-input AND or OR: a constant fanin folds, and `x·x = x + x = x`.
+    fn and_or(&mut self, net: &mut Network, kind: GateKind, a: SignalId, b: SignalId) -> SignalId {
+        let identity = kind == GateKind::And;
+        let (a, b) = (a.min(b), a.max(b));
+        let (va, vb) = (value_of(net, a), value_of(net, b));
+        if va == Some(!identity) || vb == Some(!identity) {
+            return self.constant(net, !identity);
+        }
+        match (va, vb) {
+            (Some(_), Some(_)) => self.constant(net, identity),
+            (Some(_), None) => b,
+            (None, Some(_)) => a,
+            (None, None) if a == b => a,
+            (None, None) => self.hashed(net, kind, &[a, b]),
+        }
+    }
+
+    /// Two-input XNOR, or XOR when `xnor` is false: `x ⊙ x = 1`,
+    /// `x ⊕ x = 0`, and an inverted fanin is absorbed into the polarity
+    /// (`!a ⊙ b = a ⊕ b`). Constant fanins stay.
+    fn parity(&mut self, net: &mut Network, xnor: bool, a: SignalId, b: SignalId) -> SignalId {
+        let (a, b) = (a.min(b), a.max(b));
+        if a == b {
+            return self.constant(net, xnor);
+        }
+        let uninverted = |s: SignalId| match net.node(s).kind {
+            GateKind::Inv => Some(net.node(s).fanins[0]),
+            _ => None,
+        };
+        match (uninverted(a), uninverted(b)) {
+            (None, None) => {
+                let kind = if xnor { GateKind::Xnor } else { GateKind::Xor };
+                self.hashed(net, kind, &[a, b])
             }
-            _ => {}
-        }
-        // Local constant/identity simplifications.
-        if let Some(s) = self.simplify(net, &kind, &fanins) {
-            return s;
-        }
-        let key = strash_key(kind_code(&kind), &fanins);
-        if let Some(key) = key {
-            if let Some(&s) = self.strash.get(&key) {
-                return s;
+            (ua, ub) => {
+                let xnor = xnor ^ ua.is_some() ^ ub.is_some();
+                self.parity(net, xnor, ua.unwrap_or(a), ub.unwrap_or(b))
             }
         }
-        let s = net.add_gate(kind, fanins);
-        if let Some(key) = key {
-            self.strash.insert(key, s);
+    }
+
+    /// MAJ-3: `Maj(x, x, y) = x`.
+    fn maj(&mut self, net: &mut Network, mut fanins: [SignalId; 3]) -> SignalId {
+        fanins.sort();
+        if fanins[0] == fanins[1] || fanins[1] == fanins[2] {
+            return fanins[1];
         }
-        s
+        self.hashed(net, GateKind::Maj, &fanins)
     }
 
     /// Returns (or creates) the constant driver for `value`.
-    pub fn constant(&mut self, net: &mut Network, value: bool) -> SignalId {
-        if let Some(&s) = self.consts.get(&value) {
-            return s;
-        }
-        let s = net.add_const(value);
-        self.consts.insert(value, s);
-        s
+    fn constant(&mut self, net: &mut Network, value: bool) -> SignalId {
+        *self.consts[usize::from(value)].get_or_insert_with(|| net.add_const(value))
     }
 
     /// Inverter with double-negation elimination.
-    pub fn invert(&mut self, net: &mut Network, s: SignalId) -> SignalId {
+    fn invert(&mut self, net: &mut Network, s: SignalId) -> SignalId {
         if let GateKind::Inv = net.node(s).kind {
             return net.node(s).fanins[0];
         }
         if let GateKind::Const(b) = net.node(s).kind {
-            let v = !b;
-            return self.constant(net, v);
+            return self.constant(net, !b);
         }
-        self.gate(net, GateKind::Inv, [s])
-    }
-
-    fn simplify(
-        &mut self,
-        net: &mut Network,
-        kind: &GateKind,
-        fanins: &[SignalId],
-    ) -> Option<SignalId> {
-        let value_of = |net: &Network, s: SignalId| match net.node(s).kind {
-            GateKind::Const(b) => Some(b),
-            _ => None,
-        };
-        match kind {
-            GateKind::And | GateKind::Or => {
-                let identity = matches!(kind, GateKind::And);
-                if fanins.iter().any(|&f| value_of(net, f) == Some(!identity)) {
-                    return Some(self.constant(net, !identity));
-                }
-                let live: Fanins = fanins
-                    .iter()
-                    .copied()
-                    .filter(|&f| value_of(net, f).is_none())
-                    .collect();
-                match live.len() {
-                    0 => Some(self.constant(net, identity)),
-                    1 => Some(live[0]),
-                    2 if live[0] == live[1] => Some(live[0]),
-                    _ if live.len() < fanins.len() => Some(self.gate(net, kind.clone(), live)),
-                    _ => None,
-                }
-            }
-            GateKind::Xor | GateKind::Xnor => {
-                if fanins.len() == 2 && fanins[0] == fanins[1] {
-                    return Some(self.constant(net, matches!(kind, GateKind::Xnor)));
-                }
-                // Absorb input inverters into the gate polarity:
-                // xnor(!a, b) = xor(a, b), xor(!a, b) = xnor(a, b).
-                let mut odd = matches!(kind, GateKind::Xnor);
-                let mut stripped = Fanins::new();
-                let mut changed = false;
-                for &f in fanins {
-                    if let GateKind::Inv = net.node(f).kind {
-                        stripped.push(net.node(f).fanins[0]);
-                        odd = !odd;
-                        changed = true;
-                    } else {
-                        stripped.push(f);
-                    }
-                }
-                if changed {
-                    let new_kind = if odd { GateKind::Xnor } else { GateKind::Xor };
-                    return Some(self.gate(net, new_kind, stripped));
-                }
-                None
-            }
-            GateKind::Mux => {
-                let (s, t, e) = (fanins[0], fanins[1], fanins[2]);
-                match value_of(net, s) {
-                    Some(true) => Some(t),
-                    Some(false) => Some(e),
-                    None if t == e => Some(t),
-                    None => None,
-                }
-            }
-            GateKind::Maj => {
-                let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
-                if a == b {
-                    return Some(a);
-                }
-                if b == c {
-                    return Some(b);
-                }
-                if a == c {
-                    return Some(a);
-                }
-                None
-            }
-            _ => None,
-        }
+        self.hashed(net, GateKind::Inv, &[s])
     }
 }
 
@@ -222,10 +158,10 @@ impl Step {
     ) -> SignalId {
         let sig = |op| resolve(op, inputs, done);
         match self {
-            Step::And(a, b) => emitter.gate(net, GateKind::And, [sig(a), sig(b)]),
-            Step::Or(a, b) => emitter.gate(net, GateKind::Or, [sig(a), sig(b)]),
-            Step::Xnor(a, b) => emitter.gate(net, GateKind::Xnor, [sig(a), sig(b)]),
-            Step::Maj(a, b, c) => emitter.gate(net, GateKind::Maj, [sig(a), sig(b), sig(c)]),
+            Step::And(a, b) => emitter.and_or(net, GateKind::And, sig(a), sig(b)),
+            Step::Or(a, b) => emitter.and_or(net, GateKind::Or, sig(a), sig(b)),
+            Step::Xnor(a, b) => emitter.parity(net, true, sig(a), sig(b)),
+            Step::Maj(a, b, c) => emitter.maj(net, [sig(a), sig(b), sig(c)]),
             Step::Invert(a) => emitter.invert(net, sig(a)),
             Step::Const(value) => emitter.constant(net, value),
         }
@@ -328,11 +264,11 @@ mod tests {
         let mut net = Network::new("t");
         let a = net.add_input("a");
         let b = net.add_input("b");
-        let mut e = Emitter::new();
-        let g1 = e.gate(&mut net, GateKind::And, vec![a, b]);
-        let g2 = e.gate(&mut net, GateKind::And, vec![b, a]);
+        let mut e = Emitter::default();
+        let g1 = e.and_or(&mut net, GateKind::And, a, b);
+        let g2 = e.and_or(&mut net, GateKind::And, b, a);
         assert_eq!(g1, g2, "commutative gates must hash equally");
-        let g3 = e.gate(&mut net, GateKind::Or, vec![a, b]);
+        let g3 = e.and_or(&mut net, GateKind::Or, a, b);
         assert_ne!(g1, g3);
     }
 
@@ -340,11 +276,11 @@ mod tests {
     fn constants_are_shared_and_folded() {
         let mut net = Network::new("t");
         let a = net.add_input("a");
-        let mut e = Emitter::new();
+        let mut e = Emitter::default();
         let one = e.constant(&mut net, true);
-        let and = e.gate(&mut net, GateKind::And, vec![a, one]);
+        let and = e.and_or(&mut net, GateKind::And, a, one);
         assert_eq!(and, a, "and with true folds away");
-        let or = e.gate(&mut net, GateKind::Or, vec![a, one]);
+        let or = e.and_or(&mut net, GateKind::Or, a, one);
         assert_eq!(or, one, "or with true is true");
         assert_eq!(e.constant(&mut net, true), one);
     }
@@ -353,7 +289,7 @@ mod tests {
     fn invert_cancels() {
         let mut net = Network::new("t");
         let a = net.add_input("a");
-        let mut e = Emitter::new();
+        let mut e = Emitter::default();
         let na = e.invert(&mut net, a);
         let nna = e.invert(&mut net, na);
         assert_eq!(nna, a);
@@ -366,7 +302,7 @@ mod tests {
         let mut net = Network::new("t");
         let a = net.add_input("a");
         let b = net.add_input("b");
-        let mut e = Emitter::new();
+        let mut e = Emitter::default();
         let mut fe = FunctionEmitter::default();
         let s = fe.record_base(&m, f).expect("literal");
         assert_eq!(s, Operand::Input(0));
@@ -386,18 +322,23 @@ mod tests {
         assert_eq!(net.node(nb).fanins, [b]);
     }
 
+    /// An inverted fanin flips XNOR to XOR (`!a ⊙ b = a ⊕ b`), two flip
+    /// it back, and equal fanins make a constant.
     #[test]
-    fn wide_gates_skip_strash_but_still_emit() {
+    fn parity_absorbs_inverters() {
         let mut net = Network::new("t");
-        let ins: Vec<SignalId> = (0..5).map(|i| net.add_input(format!("i{i}"))).collect();
-        let mut e = Emitter::new();
-        let g1 = e.gate(&mut net, GateKind::And, ins.clone());
-        let g2 = e.gate(&mut net, GateKind::And, ins.clone());
-        // Wide gates fall outside the fixed-arity strash: emitted twice,
-        // but both are valid AND gates over the same fanins.
-        assert!(matches!(net.node(g1).kind, GateKind::And));
-        assert!(matches!(net.node(g2).kind, GateKind::And));
-        assert_eq!(net.node(g1).fanins.len(), 5);
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let mut e = Emitter::default();
+        let (na, nb) = (e.invert(&mut net, a), e.invert(&mut net, b));
+        let x = e.parity(&mut net, true, na, b);
+        assert_eq!(net.node(x).kind, GateKind::Xor);
+        assert_eq!(net.node(x).fanins, [a, b]);
+        let xnor = e.parity(&mut net, true, a, b);
+        assert_eq!(net.node(xnor).kind, GateKind::Xnor);
+        assert_eq!(e.parity(&mut net, true, na, nb), xnor);
+        let one = e.constant(&mut net, true);
+        assert_eq!(e.parity(&mut net, true, na, na), one);
     }
 
     #[test]
@@ -405,8 +346,8 @@ mod tests {
         let mut net = Network::new("t");
         let a = net.add_input("a");
         let b = net.add_input("b");
-        let mut e = Emitter::new();
-        let g = e.gate(&mut net, GateKind::Maj, vec![a, a, b]);
+        let mut e = Emitter::default();
+        let g = e.maj(&mut net, [a, a, b]);
         assert_eq!(g, a, "Maj(a,a,b) = a");
     }
 }

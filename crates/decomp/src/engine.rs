@@ -220,7 +220,7 @@ pub fn decompose_network(
 
     let mut cones = ConeBuilder::new(net);
     let mut out = Network::new(net.name().to_string());
-    let mut emitter = Emitter::new();
+    let mut emitter = Emitter::default();
     let mut report = FlowReport::default();
     // old signal -> new signal; STRASH_PAD until mapped
     let mut signal_map = vec![STRASH_PAD; net.len()];

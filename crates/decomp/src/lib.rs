@@ -31,9 +31,8 @@ mod xordec;
 
 pub use dominators::{
     classify_dominator, find_decomposition, mux_fallback, try_classify_dominator,
-    try_find_decomposition, try_mux_fallback, Decomposition, DominatorKind,
+    try_find_decomposition, try_mux_fallback, Decomposition,
 };
-pub use emit::Emitter;
 pub use engine::{
     decompose_network, ConeStatus, DecomposeResult, EngineOptions, FlowReport, MajorityHook,
     NoMajority,

@@ -49,10 +49,7 @@ pub fn balance_network(net: &Network) -> Network {
                     .map(|&f| level_of(&level, f))
                     .max()
                     .unwrap_or(0)
-                    + usize::from(!matches!(
-                        node.kind,
-                        GateKind::Input | GateKind::Const(_) | GateKind::Buf
-                    ));
+                    + usize::from(!matches!(node.kind, GateKind::Input | GateKind::Const(_)));
                 let s = out.add_gate_simplified(node.kind.clone(), fanins);
                 let lvl = lvl.max(level_of(&level, s));
                 set_level(&mut level, s, lvl);

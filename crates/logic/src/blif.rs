@@ -280,7 +280,7 @@ const MAX_COVER_FANINS: usize = 8;
 /// Serializes a network to BLIF text. Every node becomes a `.names` block
 /// with an on-set cover (LUTs emit their minterm list, structured gates emit
 /// a canonical cover for their function). An AND, OR or XOR gate of more
-/// than [`MAX_COVER_FANINS`] fanins, or its inversion, becomes a balanced
+/// than `MAX_COVER_FANINS` (8) fanins, or its inversion, becomes a balanced
 /// tree of covers of at most that many, with the inversion on the root
 /// and inner signals named `<gate>_t<k>`, with `k` chosen so that no
 /// other signal of the text has the name.
@@ -448,9 +448,6 @@ fn write_cover(out: &mut String, kind: &GateKind, fanins: &[String], name: &str)
             if *v {
                 let _ = writeln!(out, "1");
             }
-        }
-        GateKind::Buf => {
-            let _ = writeln!(out, "{header}\n1 1");
         }
         GateKind::Inv => {
             let _ = writeln!(out, "{header}\n0 1");

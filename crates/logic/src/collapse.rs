@@ -441,7 +441,6 @@ pub fn try_apply_gate(
     Ok(match kind {
         GateKind::Input => panic!("inputs are boundary signals"),
         GateKind::Const(b) => manager.constant(*b),
-        GateKind::Buf => kids[0],
         GateKind::Inv => !kids[0],
         GateKind::And => manager.try_and_all(kids.iter().copied())?,
         GateKind::Or => manager.try_or_all(kids.iter().copied())?,
@@ -572,7 +571,6 @@ mod tests {
                         0
                     }
                 }
-                GateKind::Buf => v(node.fanins[0]),
                 GateKind::Inv => !v(node.fanins[0]),
                 GateKind::And => node.fanins.iter().fold(u64::MAX, |a, &f| a & v(f)),
                 GateKind::Or => node.fanins.iter().fold(0, |a, &f| a | v(f)),
@@ -866,18 +864,17 @@ mod tests {
             .map(|i| net.add_input(format!("x{i}")))
             .collect();
         for _ in 0..4 + below(rng, 40) {
-            let (kind, arity) = match below(rng, 12) {
+            let (kind, arity) = match below(rng, 11) {
                 0 => (GateKind::Inv, 1),
-                1 => (GateKind::Buf, 1),
-                2 => (GateKind::And, 2),
-                3 => (GateKind::Or, 3),
-                4 => (GateKind::Nand, 2),
-                5 => (GateKind::Nor, 4 + below(rng, 3)),
-                6 => (GateKind::Xor, 2 + below(rng, 4)),
-                7 => (GateKind::Xnor, 2),
-                8 => (GateKind::Maj, 3),
-                9 => (GateKind::Mux, 3),
-                10 => {
+                1 => (GateKind::And, 2),
+                2 => (GateKind::Or, 3),
+                3 => (GateKind::Nand, 2),
+                4 => (GateKind::Nor, 4 + below(rng, 3)),
+                5 => (GateKind::Xor, 2 + below(rng, 4)),
+                6 => (GateKind::Xnor, 2),
+                7 => (GateKind::Maj, 3),
+                8 => (GateKind::Mux, 3),
+                9 => {
                     let bits = rng.next_u64();
                     let table = crate::truth::TruthTable::from_fn(2, |r| bits >> r & 1 == 1);
                     (GateKind::Lut(table), 2)

@@ -16,27 +16,39 @@ impl SignalId {
     }
 }
 
-/// Pad value for unused [`strash_key`] slots, and the unmapped entry of
-/// the dense old→new signal tables of network-to-network passes; never a
-/// real signal index (signals are dense arena indices far below
-/// `u32::MAX`).
+/// A signal no node has (signals are dense arena indices far below
+/// `u32::MAX`): it fills the slots of a [`strash_key`] past the gate's
+/// fanins, and marks the unmapped entries of the dense old→new signal
+/// tables of network-to-network passes.
 pub const STRASH_PAD: SignalId = SignalId(u32::MAX);
 
-/// Builds the fixed-arity structural-hash key shared by the gate emitters
-/// (`decomp::Emitter`, the techmap covering pass): gates carry at most
-/// three fanins, so keying on `(code, [SignalId; 3])` padded with
-/// [`STRASH_PAD`] avoids allocating a `Vec` per lookup.
+/// The structural-hash key of a gate, shared by the decomposition's
+/// emitter and the techmap covering pass: a code that tells the gate
+/// kinds apart, and the fanins padded with [`STRASH_PAD`] to three, so a
+/// lookup allocates nothing. The fanins are kept in the order given, so
+/// callers sort them first.
 ///
-/// Returns `None` for gates outside structural hashing (code 0, or wider
-/// than three fanins). Callers sort commutative fanins *before* calling —
-/// this helper never reorders (MUX-like gates are order-sensitive).
-pub fn strash_key(code: u8, fanins: &[SignalId]) -> Option<(u8, [SignalId; 3])> {
-    if code == 0 || fanins.len() > 3 {
-        return None;
-    }
+/// # Panics
+///
+/// Panics on more than three fanins, and on an input, constant, MUX or
+/// LUT, which no strash table holds.
+pub fn strash_key(kind: &GateKind, fanins: &[SignalId]) -> (u8, [SignalId; 3]) {
+    let code = match kind {
+        GateKind::Inv => 0,
+        GateKind::And => 1,
+        GateKind::Or => 2,
+        GateKind::Nand => 3,
+        GateKind::Nor => 4,
+        GateKind::Xor => 5,
+        GateKind::Xnor => 6,
+        GateKind::Maj => 7,
+        GateKind::Input | GateKind::Const(_) | GateKind::Mux | GateKind::Lut(_) => {
+            panic!("strash_key: {} nodes are not hashed", kind.tag())
+        }
+    };
     let mut key = [STRASH_PAD; 3];
     key[..fanins.len()].copy_from_slice(fanins);
-    Some((code, key))
+    (code, key)
 }
 
 /// The function computed by a node from its fanins.
@@ -46,8 +58,6 @@ pub enum GateKind {
     Input,
     /// Constant driver (no fanins).
     Const(bool),
-    /// Buffer (1 fanin).
-    Buf,
     /// Inverter (1 fanin).
     Inv,
     /// n-ary conjunction (≥ 1 fanins).
@@ -76,7 +86,6 @@ impl GateKind {
         match self {
             GateKind::Input => "input",
             GateKind::Const(_) => "const",
-            GateKind::Buf => "buf",
             GateKind::Inv => "inv",
             GateKind::And => "and",
             GateKind::Or => "or",
@@ -282,7 +291,6 @@ pub struct GateCounts {
     pub maj: usize,
     pub mux: usize,
     pub inv: usize,
-    pub buf: usize,
     pub lut: usize,
     pub constant: usize,
     pub input: usize,
@@ -299,8 +307,8 @@ impl GateCounts {
         self.and + self.or + self.xor + self.xnor + self.maj
     }
 
-    /// Total of all function-bearing nodes (everything except inputs,
-    /// buffers and constants).
+    /// Total of all function-bearing nodes (everything except inputs and
+    /// constants).
     pub fn logic_total(&self) -> usize {
         self.and
             + self.or
@@ -399,9 +407,7 @@ impl Network {
         match &kind {
             GateKind::Input => panic!("use add_input for primary inputs"),
             GateKind::Const(_) => assert!(fanins.is_empty(), "constants take no fanins"),
-            GateKind::Buf | GateKind::Inv => {
-                assert_eq!(fanins.len(), 1, "{} takes one fanin", kind.tag())
-            }
+            GateKind::Inv => assert_eq!(fanins.len(), 1, "inv takes one fanin"),
             GateKind::Maj => assert_eq!(fanins.len(), 3, "maj takes three fanins"),
             GateKind::Mux => assert_eq!(fanins.len(), 3, "mux takes [sel, then, else]"),
             GateKind::Lut(t) => {
@@ -526,7 +532,6 @@ impl Network {
                         0
                     }
                 }
-                GateKind::Buf => v(node.fanins[0]),
                 GateKind::Inv => !v(node.fanins[0]),
                 GateKind::And => node.fanins.iter().fold(u64::MAX, |acc, &f| acc & v(f)),
                 GateKind::Or => node.fanins.iter().fold(0, |acc, &f| acc | v(f)),
@@ -572,7 +577,6 @@ impl Network {
             match &node.kind {
                 GateKind::Input => c.input += 1,
                 GateKind::Const(_) => c.constant += 1,
-                GateKind::Buf => c.buf += 1,
                 GateKind::Inv => c.inv += 1,
                 GateKind::And => c.and += 1,
                 GateKind::Or => c.or += 1,
@@ -588,8 +592,8 @@ impl Network {
         c
     }
 
-    /// Logic depth: the longest input-to-output path counting every
-    /// non-buffer logic node as one level.
+    /// Logic depth: the longest input-to-output path counting every logic
+    /// node as one level.
     pub fn depth(&self) -> usize {
         let mut level = vec![0usize; self.nodes.len()];
         let mut max = 0;
@@ -601,7 +605,7 @@ impl Network {
                 .max()
                 .unwrap_or(0);
             let own = match node.kind {
-                GateKind::Input | GateKind::Const(_) | GateKind::Buf => 0,
+                GateKind::Input | GateKind::Const(_) => 0,
                 _ => 1,
             };
             level[idx] = in_level + own;
@@ -611,15 +615,15 @@ impl Network {
     }
 
     /// Returns a structurally cleaned copy: dead nodes removed, constants
-    /// propagated, buffers bypassed, double inverters collapsed, and
-    /// single-fanin AND/OR/XOR reduced to buffers (then removed).
+    /// propagated, double inverters collapsed, duplicate fanins merged or
+    /// cancelled, and gates left with one fanin replaced by it.
     ///
     /// The pass is iterated, so simplifications that expose further dead
     /// logic (e.g. a collapsed inverter pair) are fully cleaned up. Before
-    /// each pass a read-only check ([`Self::is_clean`]) tells whether the
-    /// pass would return its input unchanged, node for node (names
-    /// included), with the same inputs and outputs. The iteration stops at
-    /// the first of:
+    /// each pass a read-only check (`is_clean`) tells whether the pass
+    /// would return its input unchanged, node for node (names included),
+    /// with the same inputs and outputs. The iteration stops at the first
+    /// of:
     /// - a network the check finds clean, before its pass: it is returned
     ///   without one (`self` as a copy), since the pass would change
     ///   nothing;
@@ -647,27 +651,18 @@ impl Network {
     }
 
     /// Whether one [`Self::cleaned_once`] pass would return this network
-    /// unchanged. Read off that pass and [`Self::rewrite_gate`], it holds
-    /// when all of these are true:
+    /// unchanged: when [`Self::rewrite`] keeps every gate and these
+    /// structural checks hold:
     /// - the inputs are nodes `0..k` in declaration order, and every input
     ///   is named (the pass adds the inputs first, under their names);
-    /// - every other node is live, unnamed (the pass names no gate) and
-    ///   not a buffer;
-    /// - no inverter's fanin is a constant or an inverter;
-    /// - every AND, OR, XOR, XNOR and MAJ (which has three) has two or
-    ///   more fanins, none constant and no two equal;
-    /// - every MUX has a non-constant select and two different data
-    ///   fanins;
-    /// - no LUT is constant, and no two constant nodes have the same
-    ///   value.
-    ///
-    /// NAND and NOR are never rewritten.
+    /// - every other node is live and unnamed (the pass names no gate);
+    /// - no two constant nodes have the same value (the pass makes each
+    ///   constant once).
     fn is_clean(&self) -> bool {
         let k = self.inputs.len();
         if self.inputs.iter().enumerate().any(|(i, s)| s.index() != i) {
             return false;
         }
-        let is_const = |s: &SignalId| matches!(self.nodes[s.index()].kind, GateKind::Const(_));
         // Whether a node has a fanout. Nodes are in topological order and
         // the inputs come first, so when every gate has one, every gate
         // is live.
@@ -681,35 +676,17 @@ impl Network {
             for f in fanins {
                 used[f.index()] = true;
             }
-            if idx < k {
-                if node.kind != GateKind::Input || node.name.is_none() {
-                    return false;
-                }
-                continue;
-            }
-            let unchanged = node.name.is_none()
-                && match &node.kind {
-                    GateKind::Input | GateKind::Buf => false,
-                    GateKind::Const(v) => {
-                        !std::mem::replace(&mut seen_const[usize::from(*v)], true)
+            let unchanged = if idx < k {
+                node.name.is_some()
+            } else {
+                node.name.is_none()
+                    && match node.kind {
+                        GateKind::Const(v) => {
+                            !std::mem::replace(&mut seen_const[usize::from(v)], true)
+                        }
+                        _ => matches!(self.rewrite(&node.kind, fanins), Rewrite::Keep),
                     }
-                    GateKind::Inv => !matches!(
-                        self.nodes[fanins[0].index()].kind,
-                        GateKind::Const(_) | GateKind::Inv
-                    ),
-                    GateKind::And
-                    | GateKind::Or
-                    | GateKind::Xor
-                    | GateKind::Xnor
-                    | GateKind::Maj => {
-                        fanins.len() >= 2
-                            && !fanins.iter().any(is_const)
-                            && (1..fanins.len()).all(|i| !fanins[..i].contains(&fanins[i]))
-                    }
-                    GateKind::Mux => !is_const(&fanins[0]) && fanins[1] != fanins[2],
-                    GateKind::Lut(table) => table.as_constant().is_none(),
-                    GateKind::Nand | GateKind::Nor => true,
-                };
+            };
             if !unchanged {
                 return false;
             }
@@ -776,113 +753,137 @@ impl Network {
         out
     }
 
-    /// Adds a gate applying local simplifications; used by [`Self::cleaned`]
-    /// and by decomposition emitters. `const_cache[v]` holds the constant
-    /// `v` once this pass has made it.
+    /// Adds the gate [`Self::rewrite`] makes of `kind` over `fanins`; used
+    /// by [`Self::cleaned`] and [`Self::add_gate_simplified`].
+    /// `const_cache[v]` holds the constant `v` once this pass has made it.
     fn rewrite_gate(
         &mut self,
         kind: GateKind,
         fanins: Fanins,
         const_cache: &mut [Option<SignalId>; 2],
     ) -> SignalId {
-        let mut get_const = |net: &mut Network, v: bool| {
-            *const_cache[usize::from(v)].get_or_insert_with(|| net.add_const(v))
-        };
-        let value_of = |net: &Network, s: SignalId| match net.node(s).kind {
-            GateKind::Const(b) => Some(b),
-            _ => None,
-        };
+        match self.rewrite(&kind, &fanins) {
+            Rewrite::Keep => self.add_gate(kind, fanins),
+            Rewrite::Signal(s) => s,
+            Rewrite::Const(v) => {
+                *const_cache[usize::from(v)].get_or_insert_with(|| self.add_const(v))
+            }
+            Rewrite::Gate(kind, fanins) => self.add_gate(kind, fanins),
+        }
+    }
+
+    /// The cleaning rules, read-only: what a gate `kind` over `fanins`
+    /// (signals of this network) becomes. An AND, OR, XOR, XNOR or MAJ
+    /// with two or more fanins, none constant and none repeated, stays as
+    /// it is, and [`Self::reduce`] rewrites the others. An inverter over
+    /// an inverter or a constant goes, a MUX with a constant select or
+    /// equal data fanins is a data fanin, a constant LUT is a constant,
+    /// and NAND and NOR stay.
+    ///
+    /// Inlined into the clean check and the pass, where nearly every gate
+    /// stays; what `reduce` builds stays out of line.
+    #[inline(always)]
+    fn rewrite(&self, kind: &GateKind, fanins: &[SignalId]) -> Rewrite {
         match kind {
-            GateKind::Buf => fanins[0],
-            GateKind::Inv => {
-                let f = fanins[0];
-                match &self.node(f).kind {
-                    GateKind::Const(b) => {
-                        let b = !*b;
-                        get_const(self, b)
-                    }
-                    GateKind::Inv => self.node(f).fanins[0],
-                    _ => self.add_gate(GateKind::Inv, fanins),
+            GateKind::And | GateKind::Or | GateKind::Xor | GateKind::Xnor | GateKind::Maj => {
+                let plain = fanins.len() >= 2
+                    && fanins
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &f)| self.value_of(f).is_none() && !fanins[..i].contains(&f));
+                if plain {
+                    Rewrite::Keep
+                } else {
+                    self.reduce(kind, fanins)
                 }
             }
+            GateKind::Const(v) => Rewrite::Const(*v),
+            GateKind::Inv => {
+                let inner = &self.nodes[fanins[0].index()];
+                match inner.kind {
+                    GateKind::Const(b) => Rewrite::Const(!b),
+                    GateKind::Inv => Rewrite::Signal(inner.fanins[0]),
+                    _ => Rewrite::Keep,
+                }
+            }
+            GateKind::Mux => match self.value_of(fanins[0]) {
+                Some(true) => Rewrite::Signal(fanins[1]),
+                Some(false) => Rewrite::Signal(fanins[2]),
+                None if fanins[1] == fanins[2] => Rewrite::Signal(fanins[1]),
+                None => Rewrite::Keep,
+            },
+            GateKind::Lut(table) => match table.as_constant() {
+                Some(v) => Rewrite::Const(v),
+                None => Rewrite::Keep,
+            },
+            GateKind::Input | GateKind::Nand | GateKind::Nor => Rewrite::Keep,
+        }
+    }
+
+    /// What [`Self::rewrite`] makes of an AND, OR, XOR, XNOR or MAJ with
+    /// fewer than two fanins, a constant one or a repeated one: constant
+    /// fanins fold, AND and OR drop repeated fanins, XOR and XNOR cancel
+    /// them in pairs, a MAJ with two equal fanins is that fanin and one
+    /// with a constant is an AND or OR, and a gate left with one fanin is
+    /// that fanin (or its inverter).
+    #[inline(never)]
+    fn reduce(&self, kind: &GateKind, fanins: &[SignalId]) -> Rewrite {
+        match kind {
             GateKind::And | GateKind::Or => {
                 let identity = matches!(kind, GateKind::And);
-                // Compacted in place: the first `kept` entries are the
-                // distinct non-constant fanins seen so far.
-                let mut reduced = fanins;
-                let mut kept = 0;
-                for i in 0..reduced.len() {
-                    let f = reduced[i];
-                    match value_of(self, f) {
+                // The distinct non-constant fanins, in order.
+                let mut reduced = Fanins::new();
+                for &f in fanins {
+                    match self.value_of(f) {
                         Some(b) if b == identity => {}
-                        Some(_) => return get_const(self, !identity),
-                        None if reduced[..kept].contains(&f) => {}
-                        None => {
-                            reduced[kept] = f;
-                            kept += 1;
-                        }
+                        Some(_) => return Rewrite::Const(!identity),
+                        None if reduced.contains(&f) => {}
+                        None => reduced.push(f),
                     }
                 }
-                reduced.truncate(kept);
                 match reduced.len() {
-                    0 => get_const(self, identity),
-                    1 => reduced[0],
-                    _ => self.add_gate(kind, reduced),
+                    0 => Rewrite::Const(identity),
+                    1 => Rewrite::Signal(reduced[0]),
+                    _ => Rewrite::Gate(kind.clone(), reduced),
                 }
             }
             GateKind::Xor | GateKind::Xnor => {
                 let mut parity = matches!(kind, GateKind::Xnor);
-                // Compacted in place: the first `kept` entries are the
-                // non-constant fanins seen so far that no later one
-                // cancelled (x ⊕ x = 0), in order.
-                let mut reduced = fanins;
-                let mut kept = 0;
-                for i in 0..reduced.len() {
-                    let f = reduced[i];
-                    match value_of(self, f) {
+                // The non-constant fanins that no later one cancelled
+                // (x ⊕ x = 0), in order.
+                let mut reduced = Fanins::new();
+                for &f in fanins {
+                    match self.value_of(f) {
                         Some(b) => parity ^= b,
-                        None => match reduced[..kept].iter().position(|&g| g == f) {
+                        None => match reduced.iter().position(|&g| g == f) {
                             Some(pos) => {
-                                reduced.copy_within(pos + 1..kept, pos);
-                                kept -= 1;
+                                reduced.copy_within(pos + 1.., pos);
+                                reduced.truncate(reduced.len() - 1);
                             }
-                            None => {
-                                reduced[kept] = f;
-                                kept += 1;
-                            }
+                            None => reduced.push(f),
                         },
                     }
                 }
-                reduced.truncate(kept);
                 match (reduced.len(), parity) {
-                    (0, p) => get_const(self, p),
-                    (1, false) => reduced[0],
-                    (1, true) => self.add_gate(GateKind::Inv, reduced),
-                    (_, false) => self.add_gate(GateKind::Xor, reduced),
-                    (_, true) => self.add_gate(GateKind::Xnor, reduced),
-                }
-            }
-            GateKind::Mux => {
-                let (s, t, e) = (fanins[0], fanins[1], fanins[2]);
-                match value_of(self, s) {
-                    Some(true) => t,
-                    Some(false) => e,
-                    None if t == e => t,
-                    None => self.add_gate(GateKind::Mux, fanins),
+                    (0, p) => Rewrite::Const(p),
+                    (1, false) => Rewrite::Signal(reduced[0]),
+                    (1, true) => Rewrite::Gate(GateKind::Inv, reduced),
+                    (_, false) => Rewrite::Gate(GateKind::Xor, reduced),
+                    (_, true) => Rewrite::Gate(GateKind::Xnor, reduced),
                 }
             }
             GateKind::Maj => {
                 let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
-                let consts = [a, b, c].map(|f| value_of(self, f));
+                let consts = [a, b, c].map(|f| self.value_of(f));
                 // Maj(1, b, c) = b + c; Maj(0, b, c) = b · c, and symmetric.
                 if a == b || consts[0].is_some() && consts[0] == consts[1] {
-                    return a;
+                    return Rewrite::Signal(a);
                 }
                 if b == c || consts[1].is_some() && consts[1] == consts[2] {
-                    return b;
+                    return Rewrite::Signal(b);
                 }
                 if a == c || consts[0].is_some() && consts[0] == consts[2] {
-                    return a;
+                    return Rewrite::Signal(a);
                 }
                 for (i, cv) in consts.iter().enumerate() {
                     if let Some(v) = cv {
@@ -892,17 +893,20 @@ impl Network {
                             _ => (a, b),
                         };
                         let k = if *v { GateKind::Or } else { GateKind::And };
-                        return self.add_gate(k, [x, y]);
+                        return Rewrite::Gate(k, Fanins::from([x, y]));
                     }
                 }
-                self.add_gate(GateKind::Maj, fanins)
+                Rewrite::Keep
             }
-            GateKind::Lut(table) => match table.as_constant() {
-                Some(v) => get_const(self, v),
-                None => self.add_gate(GateKind::Lut(table), fanins),
-            },
-            GateKind::Const(v) => get_const(self, v),
-            other => self.add_gate(other, fanins),
+            _ => unreachable!("reduce takes AND, OR, XOR, XNOR and MAJ"),
+        }
+    }
+
+    /// The value of `s`, if it is a constant.
+    fn value_of(&self, s: SignalId) -> Option<bool> {
+        match self.nodes[s.index()].kind {
+            GateKind::Const(b) => Some(b),
+            _ => None,
         }
     }
 
@@ -911,6 +915,18 @@ impl Network {
     pub fn add_gate_simplified(&mut self, kind: GateKind, fanins: impl Into<Fanins>) -> SignalId {
         self.rewrite_gate(kind, fanins.into(), &mut [None; 2])
     }
+}
+
+/// What a cleaning pass makes of one gate ([`Network::rewrite`]).
+enum Rewrite {
+    /// The gate as it stands.
+    Keep,
+    /// A signal the network already has.
+    Signal(SignalId),
+    /// The constant of this value.
+    Const(bool),
+    /// A different gate.
+    Gate(GateKind, Fanins),
 }
 
 #[cfg(test)]
@@ -1092,7 +1108,6 @@ mod tests {
                 _ => None,
             };
             match kind {
-                GateKind::Buf => fanins[0],
                 GateKind::Inv => {
                     let f = fanins[0];
                     match &net.node(f).kind {
@@ -1193,7 +1208,7 @@ mod tests {
     }
 
     /// A random network over the cases the cleaning pass rewrites: dead
-    /// gates and buffers, constants of both values feeding every gate
+    /// gates, constants of both values feeding every gate
     /// kind, inverter pairs whose inner inverter has other fanouts,
     /// duplicated fanins, MAJ with equal or constant fanins, MUX with a
     /// constant select or equal branches, constant and non-constant LUTs,
@@ -1222,27 +1237,26 @@ mod tests {
         }
         for g in 0..below(rng, 24) {
             let [a, b, c] = [0; 3].map(|_| pool[below(rng, pool.len())]);
-            let s = match below(rng, 16) {
+            let s = match below(rng, 15) {
                 0 => add_input(&mut net, rng),
                 1 => net.add_const(below(rng, 2) == 1),
-                2 => net.add_gate(GateKind::Buf, vec![a]),
-                3 => net.add_gate(GateKind::Inv, vec![a]),
-                4 => {
+                2 => net.add_gate(GateKind::Inv, vec![a]),
+                3 => {
                     // The inner inverter stays in the pool: other fanouts.
                     let inner = net.add_gate(GateKind::Inv, vec![a]);
                     pool.push(inner);
                     net.add_gate(GateKind::Inv, vec![inner])
                 }
-                5 => net.add_gate(GateKind::And, vec![a, a]),
-                6 => net.add_gate(GateKind::And, vec![a, b, c]),
-                7 => net.add_gate(GateKind::Or, vec![a, b]),
-                8 => net.add_gate(GateKind::Nand, vec![a, b]),
-                9 => net.add_gate(GateKind::Nor, vec![a, b, c]),
-                10 => net.add_gate(GateKind::Xor, vec![a, a, b]),
-                11 => net.add_gate(GateKind::Xnor, vec![a, b, c]),
-                12 => net.add_gate(GateKind::Maj, vec![a, b, c]),
-                13 => net.add_gate(GateKind::Mux, vec![a, b, b]),
-                14 => net.add_gate(GateKind::Mux, vec![a, b, c]),
+                4 => net.add_gate(GateKind::And, vec![a, a]),
+                5 => net.add_gate(GateKind::And, vec![a, b, c]),
+                6 => net.add_gate(GateKind::Or, vec![a, b]),
+                7 => net.add_gate(GateKind::Nand, vec![a, b]),
+                8 => net.add_gate(GateKind::Nor, vec![a, b, c]),
+                9 => net.add_gate(GateKind::Xor, vec![a, a, b]),
+                10 => net.add_gate(GateKind::Xnor, vec![a, b, c]),
+                11 => net.add_gate(GateKind::Maj, vec![a, b, c]),
+                12 => net.add_gate(GateKind::Mux, vec![a, b, b]),
+                13 => net.add_gate(GateKind::Mux, vec![a, b, c]),
                 _ => {
                     let bits = rng.next_u64();
                     let table = match below(rng, 3) {
@@ -1305,10 +1319,11 @@ mod tests {
         }
     }
 
-    /// Copies of a clean network with one defect added, each a rule of
-    /// [`Network::is_clean`] broken: a dead gate, a named gate, a second
-    /// constant of one value, a buffer, a MAJ with two equal fanins, an
-    /// inverter over an inverter, and an input declared after a gate.
+    /// Copies of a clean network with one defect added, each a structural
+    /// rule of [`Network::is_clean`] or a rule of [`Network::rewrite`]
+    /// broken: a dead gate, a named gate, a second constant of one value,
+    /// a MAJ with two equal fanins, an inverter over an inverter, and an
+    /// input declared after a gate.
     /// An edit that needs a node the network lacks (a gate, a constant)
     /// is left out.
     fn one_defect_edits(clean: &Network) -> Vec<(&'static str, Network)> {
@@ -1330,13 +1345,6 @@ mod tests {
                 "a dead gate",
                 edit(&|net| {
                     net.add_gate(GateKind::Nand, [a]);
-                }),
-            ),
-            (
-                "a buffer",
-                edit(&|net| {
-                    let s = net.add_gate(GateKind::Buf, [a]);
-                    net.set_output("buf", s);
                 }),
             ),
             (
@@ -1419,6 +1427,40 @@ mod tests {
 
     fn ids(range: std::ops::Range<u32>) -> Vec<SignalId> {
         range.map(SignalId).collect()
+    }
+
+    /// Gates of different kinds over equal fanins get different keys, the
+    /// property both strash tables rely on; the fanins are kept in order
+    /// and padded to three.
+    #[test]
+    fn strash_key_tells_the_gate_kinds_apart() {
+        let kinds = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Inv,
+            GateKind::Maj,
+        ];
+        for n in 1..=3 {
+            let fanins = ids(0..n);
+            let keys: Vec<_> = kinds.iter().map(|k| strash_key(k, &fanins)).collect();
+            for (i, (_, padded)) in keys.iter().enumerate() {
+                assert_eq!(padded[..n as usize], fanins[..]);
+                assert!(padded[n as usize..].iter().all(|&s| s == STRASH_PAD));
+                for j in 0..i {
+                    assert_ne!(
+                        keys[i],
+                        keys[j],
+                        "{} and {} share a key",
+                        kinds[i].tag(),
+                        kinds[j].tag()
+                    );
+                }
+            }
+        }
     }
 
     fn is_inline(fanins: &Fanins) -> bool {

@@ -14,7 +14,7 @@ pub struct NetworkStats {
     pub inputs: usize,
     /// Primary outputs.
     pub outputs: usize,
-    /// Function-bearing nodes (everything but inputs/buffers/constants).
+    /// Function-bearing nodes (everything but inputs and constants).
     pub gates: usize,
     /// Total fanin-edge count over logic nodes ("literals" in SIS-speak).
     pub literals: usize,
@@ -42,7 +42,7 @@ impl Network {
         for id in self.signals() {
             let node = self.node(id);
             match node.kind {
-                GateKind::Input | GateKind::Const(_) | GateKind::Buf => {}
+                GateKind::Input | GateKind::Const(_) => {}
                 _ => {
                     gates += 1;
                     literals += node.fanins.len();

@@ -23,7 +23,7 @@ pub struct MappedNetwork {
 }
 
 impl MappedNetwork {
-    /// Cell kind of a node, or `None` for inputs/constants/buffers.
+    /// Cell kind of a node, or `None` for inputs and constants.
     pub fn cell_of(net: &Network, id: SignalId) -> Option<CellKind> {
         match net.node(id).kind {
             GateKind::Inv => Some(CellKind::Inv),
@@ -72,40 +72,30 @@ pub fn map_network(net: &Network) -> MappedNetwork {
 
 /// Structural-hashing emit: all library cells are commutative, so fanins
 /// are sorted into the key; a hit allocates nothing.
-fn hashed(
-    net: &mut Network,
-    strash: &mut Strash,
-    code: u8,
-    kind: GateKind,
-    fanins: &[SignalId],
-) -> SignalId {
-    let mut sorted = [STRASH_PAD; 3];
-    sorted[..fanins.len()].copy_from_slice(fanins);
-    sorted[..fanins.len()].sort_unstable();
-    let key = strash_key(code, &sorted[..fanins.len()])
-        .expect("library cells have at most 3 fanins and a nonzero code");
-    if let Some(&s) = strash.get(&key) {
-        return s;
-    }
-    let s = net.add_gate(kind, &sorted[..fanins.len()]);
-    strash.insert(key, s);
-    s
+fn hashed(net: &mut Network, strash: &mut Strash, kind: GateKind, fanins: &[SignalId]) -> SignalId {
+    let mut padded = [STRASH_PAD; 3];
+    let sorted = &mut padded[..fanins.len()];
+    sorted.copy_from_slice(fanins);
+    sorted.sort_unstable();
+    *strash
+        .entry(strash_key(&kind, sorted))
+        .or_insert_with(|| net.add_gate(kind, &*sorted))
 }
 
 fn inv(net: &mut Network, strash: &mut Strash, x: SignalId) -> SignalId {
     if let GateKind::Inv = net.node(x).kind {
         return net.node(x).fanins[0];
     }
-    hashed(net, strash, 1, GateKind::Inv, &[x])
+    hashed(net, strash, GateKind::Inv, &[x])
 }
 
 fn and2(net: &mut Network, strash: &mut Strash, a: SignalId, b: SignalId) -> SignalId {
-    let n = hashed(net, strash, 2, GateKind::Nand, &[a, b]);
+    let n = hashed(net, strash, GateKind::Nand, &[a, b]);
     inv(net, strash, n)
 }
 
 fn or2(net: &mut Network, strash: &mut Strash, a: SignalId, b: SignalId) -> SignalId {
-    let n = hashed(net, strash, 3, GateKind::Nor, &[a, b]);
+    let n = hashed(net, strash, GateKind::Nor, &[a, b]);
     inv(net, strash, n)
 }
 
@@ -141,12 +131,11 @@ fn emit_kind(
     match kind {
         GateKind::Input => unreachable!("inputs pre-mapped"),
         GateKind::Const(b) => net.add_const(*b),
-        GateKind::Buf => fanins[0],
         GateKind::Inv => inv(net, strash, fanins[0]),
         GateKind::And => tree(net, strash, &mut fanins, &and2),
         GateKind::Nand => {
             if fanins.len() == 2 {
-                hashed(net, strash, 2, GateKind::Nand, &fanins)
+                hashed(net, strash, GateKind::Nand, &fanins)
             } else {
                 let a = tree(net, strash, &mut fanins, &and2);
                 inv(net, strash, a)
@@ -155,14 +144,14 @@ fn emit_kind(
         GateKind::Or => tree(net, strash, &mut fanins, &or2),
         GateKind::Nor => {
             if fanins.len() == 2 {
-                hashed(net, strash, 3, GateKind::Nor, &fanins)
+                hashed(net, strash, GateKind::Nor, &fanins)
             } else {
                 let o = tree(net, strash, &mut fanins, &or2);
                 inv(net, strash, o)
             }
         }
         GateKind::Xor => tree(net, strash, &mut fanins, &|net, st, a, b| {
-            hashed(net, st, 4, GateKind::Xor, &[a, b])
+            hashed(net, st, GateKind::Xor, &[a, b])
         }),
         GateKind::Xnor => {
             // Parity complement: XOR-tree with one XNOR at the root.
@@ -172,18 +161,18 @@ fn emit_kind(
             }
             let last = fanins[n - 1];
             let left = tree(net, strash, &mut fanins[..n - 1], &|net, st, a, b| {
-                hashed(net, st, 4, GateKind::Xor, &[a, b])
+                hashed(net, st, GateKind::Xor, &[a, b])
             });
-            hashed(net, strash, 5, GateKind::Xnor, &[left, last])
+            hashed(net, strash, GateKind::Xnor, &[left, last])
         }
-        GateKind::Maj => hashed(net, strash, 6, GateKind::Maj, &fanins),
+        GateKind::Maj => hashed(net, strash, GateKind::Maj, &fanins),
         GateKind::Mux => {
             // sel·t + sel'·e as NAND-NAND: NAND(NAND(s,t), NAND(s',e)).
             let (s, t, e) = (fanins[0], fanins[1], fanins[2]);
             let ns = inv(net, strash, s);
-            let n1 = hashed(net, strash, 2, GateKind::Nand, &[s, t]);
-            let n2 = hashed(net, strash, 2, GateKind::Nand, &[ns, e]);
-            hashed(net, strash, 2, GateKind::Nand, &[n1, n2])
+            let n1 = hashed(net, strash, GateKind::Nand, &[s, t]);
+            let n2 = hashed(net, strash, GateKind::Nand, &[ns, e]);
+            hashed(net, strash, GateKind::Nand, &[n1, n2])
         }
         GateKind::Lut(table) => emit_lut(net, table, &fanins, strash),
     }
@@ -246,9 +235,9 @@ fn emit_lut(
                     (None, Some(false)) => and2(net, strash, sel, hi),
                     _ => {
                         let ns = inv(net, strash, sel);
-                        let n1 = hashed(net, strash, 2, GateKind::Nand, &[sel, hi]);
-                        let n2 = hashed(net, strash, 2, GateKind::Nand, &[ns, lo]);
-                        hashed(net, strash, 2, GateKind::Nand, &[n1, n2])
+                        let n1 = hashed(net, strash, GateKind::Nand, &[sel, hi]);
+                        let n2 = hashed(net, strash, GateKind::Nand, &[ns, lo]);
+                        hashed(net, strash, GateKind::Nand, &[n1, n2])
                     }
                 };
                 (None, Some(s))
