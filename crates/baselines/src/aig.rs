@@ -314,7 +314,6 @@ impl Aig {
         let mut net = Network::new(self.name.clone());
         // AIG node -> signal; STRASH_PAD until mapped
         let mut map = vec![STRASH_PAD; self.nodes.len()];
-        let mut const_false: Option<SignalId> = None;
         let mut inputs_added = 0usize;
         for (idx, node) in self.nodes.iter().enumerate() {
             match node {
@@ -324,28 +323,23 @@ impl Aig {
                     inputs_added += 1;
                 }
                 AigNode::And(a, b) => {
-                    let sa = edge_signal(&mut net, &map, &mut const_false, *a);
-                    let sb = edge_signal(&mut net, &map, &mut const_false, *b);
+                    let sa = edge_signal(&mut net, &map, *a);
+                    let sb = edge_signal(&mut net, &map, *b);
                     map[idx] = net.add_gate(GateKind::And, [sa, sb]);
                 }
             }
         }
         for (name, r) in &self.outputs {
-            let s = edge_signal(&mut net, &map, &mut const_false, *r);
+            let s = edge_signal(&mut net, &map, *r);
             net.set_output(name.clone(), s);
         }
         net.cleaned()
     }
 }
 
-fn edge_signal(
-    net: &mut Network,
-    map: &[SignalId],
-    const_false: &mut Option<SignalId>,
-    r: AigRef,
-) -> SignalId {
+fn edge_signal(net: &mut Network, map: &[SignalId], r: AigRef) -> SignalId {
     if r.is_const() {
-        let zero = *const_false.get_or_insert_with(|| net.add_const(false));
+        let zero = net.add_const(false);
         if r == AigRef::ZERO {
             return zero;
         }

@@ -8,9 +8,13 @@
 //! identical at every worker count; only the measured-runtime cells
 //! vary, as they do between any two runs.
 
-use bench::{average_saving, print_rows_grouped, reorder_label, run_table1, suite_args, RowStatus};
+use bench::{
+    average_saving, print_rows_grouped, reorder_label, run_table1, suite_args, table_exit_code,
+    RowStatus,
+};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args = suite_args();
     let reorder = reorder_label(&args.engine);
     println!("TABLE I: Decomposition Results: BDS-MAJ vs. BDS-PGA ({reorder} reordering)");
@@ -103,27 +107,5 @@ fn main() {
         "  average runtime change vs BDS-PGA       : {:+5.1} %   [+4.6 %]",
         rt_delta
     );
-    let degraded = rows
-        .iter()
-        .filter(|r| r.status == RowStatus::Degraded)
-        .count();
-    let failed = rows.iter().filter(|r| r.status == RowStatus::Limit).count();
-    if degraded + failed > 0 {
-        eprintln!("NOTE: {degraded} degraded and {failed} failed rows under the resource budget");
-    }
-    // Verification only applies to rows that produced a result.
-    let unverified = rows
-        .iter()
-        .filter(|r| r.status != RowStatus::Limit && !r.verified)
-        .count();
-    if unverified > 0 {
-        eprintln!("WARNING: {unverified} rows failed equivalence checking");
-        std::process::exit(1);
-    }
-    if failed > 0 {
-        std::process::exit(1);
-    }
-    if degraded > 0 {
-        std::process::exit(3);
-    }
+    ExitCode::from(table_exit_code(rows.iter().map(|r| (r.status, r.verified))))
 }

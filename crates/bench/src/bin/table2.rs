@@ -15,10 +15,14 @@
 //! options: under `--timeout 0.000001`, C1355's BDS-MAJ column degrades
 //! to 257 cells (236 unbudgeted) while its DC column keeps 236.
 
-use bench::{average_saving, print_rows_grouped, reorder_label, run_table2, suite_args, RowStatus};
+use bench::{
+    average_saving, print_rows_grouped, reorder_label, run_table2, suite_args, table_exit_code,
+    RowStatus,
+};
+use std::process::ExitCode;
 use techmap::Library;
 
-fn main() {
+fn main() -> ExitCode {
     let args = suite_args();
     let lib = Library::cmos22();
     let reorder = reorder_label(&args.engine);
@@ -118,26 +122,5 @@ fn main() {
         "  delay saving vs DC      : {:5.1} %   [ 7.8 %]",
         average_saving(&delay_vs[2])
     );
-    let degraded = rows
-        .iter()
-        .filter(|r| r.status == RowStatus::Degraded)
-        .count();
-    let failed = rows.iter().filter(|r| r.status == RowStatus::Limit).count();
-    if degraded + failed > 0 {
-        eprintln!("NOTE: {degraded} degraded and {failed} failed rows under the resource budget");
-    }
-    let unverified = rows
-        .iter()
-        .filter(|r| r.status != RowStatus::Limit && !r.verified)
-        .count();
-    if unverified > 0 {
-        eprintln!("WARNING: {unverified} rows failed equivalence checking");
-        std::process::exit(1);
-    }
-    if failed > 0 {
-        std::process::exit(1);
-    }
-    if degraded > 0 {
-        std::process::exit(3);
-    }
+    ExitCode::from(table_exit_code(rows.iter().map(|r| (r.status, r.verified))))
 }

@@ -53,6 +53,39 @@ impl RowStatus {
     }
 }
 
+/// The exit code a table binary ends with, from its rows' `(status,
+/// verified)` pairs: 1 when a row that produced a result failed its
+/// equivalence check or a row failed, else 3 when a row degraded under
+/// the resource budget, else 0. A NOTE on stderr counts the degraded
+/// and failed rows, and a WARNING the unverified ones.
+pub fn table_exit_code(rows: impl IntoIterator<Item = (RowStatus, bool)>) -> u8 {
+    let (mut degraded, mut failed, mut unverified) = (0, 0, 0);
+    for (status, verified) in rows {
+        match status {
+            RowStatus::Ok => {}
+            RowStatus::Degraded => degraded += 1,
+            RowStatus::Limit => failed += 1,
+        }
+        // Verification only applies to rows that produced a result.
+        if status != RowStatus::Limit && !verified {
+            unverified += 1;
+        }
+    }
+    if degraded + failed > 0 {
+        eprintln!("NOTE: {degraded} degraded and {failed} failed rows under the resource budget");
+    }
+    if unverified > 0 {
+        eprintln!("WARNING: {unverified} rows failed equivalence checking");
+    }
+    if unverified + failed > 0 {
+        1
+    } else if degraded > 0 {
+        3
+    } else {
+        0
+    }
+}
+
 /// Per-row resource budget from the shared `--node-limit` /
 /// `--step-limit` / `--timeout` flags. The timeout is a *duration* here;
 /// it becomes an absolute deadline when the row starts
@@ -485,6 +518,19 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A failed or unverified row exits 1, else a degraded one exits 3; a
+    /// failed row's verified flag counts for nothing.
+    #[test]
+    fn table_exit_codes() {
+        use RowStatus::{Degraded, Limit, Ok};
+        assert_eq!(table_exit_code([]), 0);
+        assert_eq!(table_exit_code([(Ok, true), (Ok, true)]), 0);
+        assert_eq!(table_exit_code([(Ok, true), (Degraded, true)]), 3);
+        assert_eq!(table_exit_code([(Degraded, true), (Limit, false)]), 1);
+        assert_eq!(table_exit_code([(Degraded, false)]), 1);
+        assert_eq!(table_exit_code([(Ok, false), (Degraded, true)]), 1);
+    }
 
     #[test]
     fn average_saving_basics() {

@@ -15,55 +15,34 @@
 //! with its own.
 
 use bdd::{BuildFxHasher, Manager, Ref};
-use logic::{strash_key, GateKind, Network, SignalId};
+use logic::{GateKind, Network, SignalId, Strash};
 use std::collections::HashMap;
 
 /// Emits the gates of replayed [`Step`]s into a [`Network`]: two-input
 /// AND, OR and XNOR (XOR only where an inverter is absorbed), MAJ-3,
 /// inverters and constants, with local simplifications and structural
-/// hashing (keys are the allocation-free arrays of [`logic::strash_key`]).
+/// hashing ([`Strash`]).
 #[derive(Debug, Default)]
 pub(crate) struct Emitter {
-    strash: HashMap<(u8, [SignalId; 3]), SignalId, BuildFxHasher>,
-    /// The constant of each value, once made.
-    consts: [Option<SignalId>; 2],
+    strash: Strash,
     /// The signals of a [`replay`]'s steps, kept across replays.
     done: Vec<SignalId>,
 }
 
-/// The value of `s`, if it is a constant.
-fn value_of(net: &Network, s: SignalId) -> Option<bool> {
-    match net.node(s).kind {
-        GateKind::Const(b) => Some(b),
-        _ => None,
-    }
-}
-
 impl Emitter {
-    /// Reuses the gate `kind` over `fanins`, or adds it; callers sort the
-    /// fanins.
-    fn hashed(&mut self, net: &mut Network, kind: GateKind, fanins: &[SignalId]) -> SignalId {
-        let key = strash_key(&kind, fanins);
-        *self
-            .strash
-            .entry(key)
-            .or_insert_with(|| net.add_gate(kind, fanins))
-    }
-
     /// Two-input AND or OR: a constant fanin folds, and `x·x = x + x = x`.
     fn and_or(&mut self, net: &mut Network, kind: GateKind, a: SignalId, b: SignalId) -> SignalId {
         let identity = kind == GateKind::And;
-        let (a, b) = (a.min(b), a.max(b));
-        let (va, vb) = (value_of(net, a), value_of(net, b));
+        let (va, vb) = (net.value_of(a), net.value_of(b));
         if va == Some(!identity) || vb == Some(!identity) {
-            return self.constant(net, !identity);
+            return net.add_const(!identity);
         }
         match (va, vb) {
-            (Some(_), Some(_)) => self.constant(net, identity),
+            (Some(_), Some(_)) => net.add_const(identity),
             (Some(_), None) => b,
             (None, Some(_)) => a,
             (None, None) if a == b => a,
-            (None, None) => self.hashed(net, kind, &[a, b]),
+            (None, None) => self.strash.gate(net, kind, &[a, b]),
         }
     }
 
@@ -71,9 +50,8 @@ impl Emitter {
     /// `x ⊕ x = 0`, and an inverted fanin is absorbed into the polarity
     /// (`!a ⊙ b = a ⊕ b`). Constant fanins stay.
     fn parity(&mut self, net: &mut Network, xnor: bool, a: SignalId, b: SignalId) -> SignalId {
-        let (a, b) = (a.min(b), a.max(b));
         if a == b {
-            return self.constant(net, xnor);
+            return net.add_const(xnor);
         }
         let uninverted = |s: SignalId| match net.node(s).kind {
             GateKind::Inv => Some(net.node(s).fanins[0]),
@@ -82,7 +60,7 @@ impl Emitter {
         match (uninverted(a), uninverted(b)) {
             (None, None) => {
                 let kind = if xnor { GateKind::Xnor } else { GateKind::Xor };
-                self.hashed(net, kind, &[a, b])
+                self.strash.gate(net, kind, &[a, b])
             }
             (ua, ub) => {
                 let xnor = xnor ^ ua.is_some() ^ ub.is_some();
@@ -97,23 +75,15 @@ impl Emitter {
         if fanins[0] == fanins[1] || fanins[1] == fanins[2] {
             return fanins[1];
         }
-        self.hashed(net, GateKind::Maj, &fanins)
+        self.strash.gate(net, GateKind::Maj, &fanins)
     }
 
-    /// Returns (or creates) the constant driver for `value`.
-    fn constant(&mut self, net: &mut Network, value: bool) -> SignalId {
-        *self.consts[usize::from(value)].get_or_insert_with(|| net.add_const(value))
-    }
-
-    /// Inverter with double-negation elimination.
+    /// Inverter with double-negation elimination and constant folding.
     fn invert(&mut self, net: &mut Network, s: SignalId) -> SignalId {
-        if let GateKind::Inv = net.node(s).kind {
-            return net.node(s).fanins[0];
+        match net.value_of(s) {
+            Some(b) => net.add_const(!b),
+            None => self.strash.inv(net, s),
         }
-        if let GateKind::Const(b) = net.node(s).kind {
-            return self.constant(net, !b);
-        }
-        self.hashed(net, GateKind::Inv, &[s])
     }
 }
 
@@ -163,7 +133,7 @@ impl Step {
             Step::Xnor(a, b) => emitter.parity(net, true, sig(a), sig(b)),
             Step::Maj(a, b, c) => emitter.maj(net, [sig(a), sig(b), sig(c)]),
             Step::Invert(a) => emitter.invert(net, sig(a)),
-            Step::Const(value) => emitter.constant(net, value),
+            Step::Const(value) => net.add_const(value),
         }
     }
 }
@@ -277,12 +247,13 @@ mod tests {
         let mut net = Network::new("t");
         let a = net.add_input("a");
         let mut e = Emitter::default();
-        let one = e.constant(&mut net, true);
+        let one = net.add_const(true);
         let and = e.and_or(&mut net, GateKind::And, a, one);
         assert_eq!(and, a, "and with true folds away");
         let or = e.and_or(&mut net, GateKind::Or, a, one);
         assert_eq!(or, one, "or with true is true");
-        assert_eq!(e.constant(&mut net, true), one);
+        assert_eq!(e.invert(&mut net, or), net.add_const(false));
+        assert_eq!(e.and_or(&mut net, GateKind::Or, one, one), one);
     }
 
     #[test]
@@ -337,7 +308,7 @@ mod tests {
         let xnor = e.parity(&mut net, true, a, b);
         assert_eq!(net.node(xnor).kind, GateKind::Xnor);
         assert_eq!(e.parity(&mut net, true, na, nb), xnor);
-        let one = e.constant(&mut net, true);
+        let one = net.add_const(true);
         assert_eq!(e.parity(&mut net, true, na, na), one);
     }
 

@@ -55,7 +55,9 @@ struct NamesBlock {
 /// Parses a BLIF model into a [`Network`].
 ///
 /// The nodes of the result are LUTs carrying the exact cover function, so a
-/// write/read round-trip is semantics-preserving.
+/// write/read round-trip is semantics-preserving. Constant blocks of one
+/// value share the network's one constant node, named after the first of
+/// them; an output named after a later one is written back as a buffer.
 ///
 /// # Errors
 ///
@@ -235,9 +237,12 @@ fn build_names_node(
         .collect::<Result<_, _>>()?;
     if block.inputs.is_empty() {
         // Constant node: the cover is a (possibly empty) list of "1"/"0".
+        // A later block of the value only adds its name to `signals`.
         let value = block.cubes.iter().any(|(_, v)| *v == '1');
         let id = net.add_const(value);
-        net.set_signal_name(id, block.output.clone());
+        if net.node(id).name.is_none() {
+            net.set_signal_name(id, block.output.clone());
+        }
         return Ok(id);
     }
     if block.inputs.len() > 16 {
@@ -574,6 +579,29 @@ mod tests {
         let out = net.simulate(&[0]);
         assert_eq!(out[0], u64::MAX);
         assert_eq!(out[1], 0);
+    }
+
+    /// Two constant-1 blocks make one node, named after the first; both
+    /// names resolve to it, and the text written back (the output named
+    /// after the second block as a buffer) reads back equal.
+    #[test]
+    fn constant_blocks_of_one_value_share_a_node() {
+        use crate::verify::equiv_exact;
+        let text = ".model m\n.inputs a\n.outputs one vdd y\n.names one\n1\n.names vdd\n1\n\
+                    .names a vdd y\n11 1\n.end\n";
+        let net = parse_blif(text).expect("parse");
+        assert_eq!(net.gate_counts().constant, 1);
+        let [(_, one), (_, vdd), (_, y)] = net.outputs() else {
+            panic!("three outputs");
+        };
+        assert_eq!(one, vdd);
+        assert_eq!(net.signal_name(*one), "one");
+        assert_eq!(net.node(*y).fanins[1], *one);
+        assert_eq!(net.simulate(&[0b10]), [u64::MAX, u64::MAX, 0b10]);
+        let written = write_blif(&net);
+        assert!(written.contains(".names one vdd\n1 1\n"), "{written}");
+        let back = parse_blif(&written).expect("reparse");
+        assert_eq!(equiv_exact(&net, &back, 1 << 16), Some(true), "{written}");
     }
 
     #[test]

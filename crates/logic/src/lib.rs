@@ -44,9 +44,7 @@ pub use collapse::{
     apply_gate, partition, partition_with_limits, try_apply_gate, ConeBuilder, Partition,
     PartitionConfig, Supernode,
 };
-pub use network::{
-    strash_key, Fanins, GateCounts, GateKind, NetNode, Network, SignalId, STRASH_PAD,
-};
+pub use network::{Fanins, GateCounts, GateKind, NetNode, Network, SignalId, Strash, STRASH_PAD};
 pub use stats::{read_blif_file, write_blif_file, NetworkStats, ReadBlifError};
 pub use truth::TruthTable;
 pub use verify::{equiv_exact, equiv_sim, output_bdds, Mismatch, XorShift64};

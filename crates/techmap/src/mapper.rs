@@ -5,14 +5,7 @@
 //! NAND/NOR/INV structures with inverter minimization.
 
 use crate::library::CellKind;
-use logic::{
-    strash_key, BuildFxHasher, Fanins, GateKind, Network, SignalId, TruthTable, STRASH_PAD,
-};
-use std::collections::HashMap;
-
-/// Structural-hash table over emitted cells, keyed by the allocation-free
-/// fixed-arity arrays built by [`logic::strash_key`].
-type Strash = HashMap<(u8, [SignalId; 3]), SignalId, BuildFxHasher>;
+use logic::{Fanins, GateKind, Network, SignalId, Strash, TruthTable, STRASH_PAD};
 
 /// A technology-mapped netlist: a [`Network`] whose logic nodes are
 /// restricted to the six library cells, plus the kind annotation per node.
@@ -70,33 +63,14 @@ pub fn map_network(net: &Network) -> MappedNetwork {
     }
 }
 
-/// Structural-hashing emit: all library cells are commutative, so fanins
-/// are sorted into the key; a hit allocates nothing.
-fn hashed(net: &mut Network, strash: &mut Strash, kind: GateKind, fanins: &[SignalId]) -> SignalId {
-    let mut padded = [STRASH_PAD; 3];
-    let sorted = &mut padded[..fanins.len()];
-    sorted.copy_from_slice(fanins);
-    sorted.sort_unstable();
-    *strash
-        .entry(strash_key(&kind, sorted))
-        .or_insert_with(|| net.add_gate(kind, &*sorted))
-}
-
-fn inv(net: &mut Network, strash: &mut Strash, x: SignalId) -> SignalId {
-    if let GateKind::Inv = net.node(x).kind {
-        return net.node(x).fanins[0];
-    }
-    hashed(net, strash, GateKind::Inv, &[x])
-}
-
 fn and2(net: &mut Network, strash: &mut Strash, a: SignalId, b: SignalId) -> SignalId {
-    let n = hashed(net, strash, GateKind::Nand, &[a, b]);
-    inv(net, strash, n)
+    let n = strash.gate(net, GateKind::Nand, &[a, b]);
+    strash.inv(net, n)
 }
 
 fn or2(net: &mut Network, strash: &mut Strash, a: SignalId, b: SignalId) -> SignalId {
-    let n = hashed(net, strash, GateKind::Nor, &[a, b]);
-    inv(net, strash, n)
+    let n = strash.gate(net, GateKind::Nor, &[a, b]);
+    strash.inv(net, n)
 }
 
 /// Reduces an n-ary associative operation with a balanced tree: each
@@ -131,126 +105,108 @@ fn emit_kind(
     match kind {
         GateKind::Input => unreachable!("inputs pre-mapped"),
         GateKind::Const(b) => net.add_const(*b),
-        GateKind::Inv => inv(net, strash, fanins[0]),
+        GateKind::Inv => strash.inv(net, fanins[0]),
         GateKind::And => tree(net, strash, &mut fanins, &and2),
         GateKind::Nand => {
             if fanins.len() == 2 {
-                hashed(net, strash, GateKind::Nand, &fanins)
+                strash.gate(net, GateKind::Nand, &fanins)
             } else {
                 let a = tree(net, strash, &mut fanins, &and2);
-                inv(net, strash, a)
+                strash.inv(net, a)
             }
         }
         GateKind::Or => tree(net, strash, &mut fanins, &or2),
         GateKind::Nor => {
             if fanins.len() == 2 {
-                hashed(net, strash, GateKind::Nor, &fanins)
+                strash.gate(net, GateKind::Nor, &fanins)
             } else {
                 let o = tree(net, strash, &mut fanins, &or2);
-                inv(net, strash, o)
+                strash.inv(net, o)
             }
         }
         GateKind::Xor => tree(net, strash, &mut fanins, &|net, st, a, b| {
-            hashed(net, st, GateKind::Xor, &[a, b])
+            st.gate(net, GateKind::Xor, &[a, b])
         }),
         GateKind::Xnor => {
             // Parity complement: XOR-tree with one XNOR at the root.
             let n = fanins.len();
             if n == 1 {
-                return inv(net, strash, fanins[0]);
+                return strash.inv(net, fanins[0]);
             }
             let last = fanins[n - 1];
             let left = tree(net, strash, &mut fanins[..n - 1], &|net, st, a, b| {
-                hashed(net, st, GateKind::Xor, &[a, b])
+                st.gate(net, GateKind::Xor, &[a, b])
             });
-            hashed(net, strash, GateKind::Xnor, &[left, last])
+            strash.gate(net, GateKind::Xnor, &[left, last])
         }
-        GateKind::Maj => hashed(net, strash, GateKind::Maj, &fanins),
-        GateKind::Mux => {
-            // sel·t + sel'·e as NAND-NAND: NAND(NAND(s,t), NAND(s',e)).
-            let (s, t, e) = (fanins[0], fanins[1], fanins[2]);
-            let ns = inv(net, strash, s);
-            let n1 = hashed(net, strash, GateKind::Nand, &[s, t]);
-            let n2 = hashed(net, strash, GateKind::Nand, &[ns, e]);
-            hashed(net, strash, GateKind::Nand, &[n1, n2])
-        }
-        GateKind::Lut(table) => emit_lut(net, table, &fanins, strash),
+        GateKind::Maj => strash.gate(net, GateKind::Maj, &fanins),
+        GateKind::Mux => mux(net, strash, fanins[0], fanins[1], fanins[2]),
+        GateKind::Lut(table) => match expand_lut(net, table, &fanins, strash, 0, 0) {
+            Cofactor::Const(v) => net.add_const(v),
+            Cofactor::Signal(s) => s,
+        },
     }
 }
 
-/// Shannon-expands a LUT into MUX structures over its inputs.
-fn emit_lut(
+/// `sel·t + sel'·e` as NAND-NAND: `NAND(NAND(sel, t), NAND(sel', e))`.
+fn mux(
+    net: &mut Network,
+    strash: &mut Strash,
+    sel: SignalId,
+    t: SignalId,
+    e: SignalId,
+) -> SignalId {
+    let ns = strash.inv(net, sel);
+    let n1 = strash.gate(net, GateKind::Nand, &[sel, t]);
+    let n2 = strash.gate(net, GateKind::Nand, &[ns, e]);
+    strash.gate(net, GateKind::Nand, &[n1, n2])
+}
+
+/// A cofactor of a LUT: a constant, or the signal that implements it.
+enum Cofactor {
+    Const(bool),
+    Signal(SignalId),
+}
+
+/// Shannon-expands a LUT into MUX structures over its inputs: the
+/// cofactor of `table` where the last `fixed` fanins take the values of
+/// `row`. A constant cofactor folds into its MUX, so it makes no node.
+fn expand_lut(
     net: &mut Network,
     table: &TruthTable,
     fanins: &[SignalId],
     strash: &mut Strash,
-) -> SignalId {
-    fn expand(
-        net: &mut Network,
-        table: &TruthTable,
-        fanins: &[SignalId],
-        strash: &mut Strash,
-        fixed: usize,
-        row: usize,
-        consts: &mut HashMap<bool, SignalId>,
-    ) -> (Option<bool>, Option<SignalId>) {
-        if fixed == fanins.len() {
-            return (Some(table.value(row)), None);
-        }
-        let i = fanins.len() - 1 - fixed;
-        let (hc, hs) = expand(net, table, fanins, strash, fixed + 1, row | 1 << i, consts);
-        let (lc, ls) = expand(net, table, fanins, strash, fixed + 1, row, consts);
-        let sel = fanins[i];
-        // Constant-aware MUX construction.
-        match (hc, lc) {
-            (Some(h), Some(l)) if h == l => (Some(h), None),
-            (Some(true), Some(false)) => (None, Some(sel)),
-            (Some(false), Some(true)) => (None, Some(inv(net, strash, sel))),
-            _ => {
-                let hi = hs.unwrap_or_else(|| {
-                    *consts
-                        .entry(hc.unwrap())
-                        .or_insert_with(|| net.add_const(hc.unwrap()))
-                });
-                let lo = ls.unwrap_or_else(|| {
-                    *consts
-                        .entry(lc.unwrap())
-                        .or_insert_with(|| net.add_const(lc.unwrap()))
-                });
-                let s = match (hc, lc) {
-                    (Some(true), None) => {
-                        // sel + lo
-                        or2(net, strash, sel, lo)
-                    }
-                    (Some(false), None) => {
-                        // sel'·lo
-                        let ns = inv(net, strash, sel);
-                        and2(net, strash, ns, lo)
-                    }
-                    (None, Some(true)) => {
-                        // sel' + hi
-                        let ns = inv(net, strash, sel);
-                        or2(net, strash, ns, hi)
-                    }
-                    (None, Some(false)) => and2(net, strash, sel, hi),
-                    _ => {
-                        let ns = inv(net, strash, sel);
-                        let n1 = hashed(net, strash, GateKind::Nand, &[sel, hi]);
-                        let n2 = hashed(net, strash, GateKind::Nand, &[ns, lo]);
-                        hashed(net, strash, GateKind::Nand, &[n1, n2])
-                    }
-                };
-                (None, Some(s))
-            }
-        }
+    fixed: usize,
+    row: usize,
+) -> Cofactor {
+    if fixed == fanins.len() {
+        return Cofactor::Const(table.value(row));
     }
-    let mut consts = HashMap::new();
-    let (c, s) = expand(net, table, fanins, strash, 0, 0, &mut consts);
-    match (c, s) {
-        (Some(v), _) => net.add_const(v),
-        (None, Some(s)) => s,
-        _ => unreachable!(),
-    }
+    let i = fanins.len() - 1 - fixed;
+    let hi = expand_lut(net, table, fanins, strash, fixed + 1, row | 1 << i);
+    let lo = expand_lut(net, table, fanins, strash, fixed + 1, row);
+    let sel = fanins[i];
+    Cofactor::Signal(match (hi, lo) {
+        (Cofactor::Const(h), Cofactor::Const(l)) if h == l => return Cofactor::Const(h),
+        // sel, or sel'
+        (Cofactor::Const(true), Cofactor::Const(_)) => sel,
+        (Cofactor::Const(false), Cofactor::Const(_)) => strash.inv(net, sel),
+        // sel + lo
+        (Cofactor::Const(true), Cofactor::Signal(lo)) => or2(net, strash, sel, lo),
+        // sel'·lo
+        (Cofactor::Const(false), Cofactor::Signal(lo)) => {
+            let ns = strash.inv(net, sel);
+            and2(net, strash, ns, lo)
+        }
+        // sel' + hi
+        (Cofactor::Signal(hi), Cofactor::Const(true)) => {
+            let ns = strash.inv(net, sel);
+            or2(net, strash, ns, hi)
+        }
+        // sel·hi
+        (Cofactor::Signal(hi), Cofactor::Const(false)) => and2(net, strash, sel, hi),
+        (Cofactor::Signal(hi), Cofactor::Signal(lo)) => mux(net, strash, sel, hi, lo),
+    })
 }
 
 #[cfg(test)]
