@@ -13,10 +13,8 @@
 //! `size`, `node_stats`, `x_dominators` — describe the DAG under the
 //! current order.
 
-use crate::hasher::BuildFxHasher;
-use crate::manager::Manager;
+use crate::manager::{Manager, Node};
 use crate::reference::{NodeId, Ref, Var};
-use std::collections::{HashMap, HashSet};
 
 /// Incoming-edge statistics of one node inside the DAG of a function, as
 /// needed by the m-dominator search of BDS-MAJ (§III-B condition (ii)).
@@ -35,36 +33,72 @@ impl InDegree {
     pub fn total(&self) -> usize {
         self.zero_regular + self.zero_complemented + self.one
     }
+
+    fn add_zero(&mut self, complemented: bool) {
+        if complemented {
+            self.zero_complemented += 1;
+        } else {
+            self.zero_regular += 1;
+        }
+    }
 }
 
-/// Connectivity statistics for every internal node reachable from a root.
+/// Connectivity statistics for every internal node reachable from a root:
+/// `(node, in-degree)` pairs in DFS discovery order, root first. Each
+/// degree sits beside its node, so a caller that ranks the nodes by
+/// connectivity sorts the pairs and looks nothing up.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStats {
-    degrees: HashMap<NodeId, InDegree, BuildFxHasher>,
-    order: Vec<NodeId>,
+    pairs: Vec<(NodeId, InDegree)>,
 }
 
 impl NodeStats {
-    /// In-degree record of `id` (zeroed if the node is unknown).
-    pub fn in_degree(&self, id: NodeId) -> InDegree {
-        self.degrees.get(&id).copied().unwrap_or_default()
+    /// The internal nodes with their in-degrees, in DFS discovery order
+    /// (root first).
+    pub fn pairs(&self) -> &[(NodeId, InDegree)] {
+        &self.pairs
     }
 
-    /// The internal nodes reachable from the root, in DFS discovery order
-    /// (root first).
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.order
+    /// The pairs of [`Self::pairs`], by value.
+    pub fn into_pairs(self) -> Vec<(NodeId, InDegree)> {
+        self.pairs
+    }
+
+    /// The internal nodes, in DFS discovery order (root first).
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.pairs.iter().map(|&(id, _)| id)
     }
 
     /// Number of internal nodes.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.pairs.len()
     }
 
     /// Whether the function had no internal nodes (i.e., was constant).
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.pairs.is_empty()
     }
+}
+
+/// One level of a function's DAG, as [`Manager::with_level_profile`]
+/// gathers it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LevelRow {
+    /// The DAG's nodes at this level.
+    pub(crate) count: u32,
+    /// The last of them the walk met: the only one when `count == 1`.
+    pub(crate) node: NodeId,
+    /// The deepest level an edge out of them enters (the terminal's
+    /// pseudo-level is `u32::MAX`); 0 when the level holds no node.
+    pub(crate) reach: u32,
+}
+
+impl LevelRow {
+    const EMPTY: LevelRow = LevelRow {
+        count: 0,
+        node: NodeId::TERMINAL,
+        reach: 0,
+    };
 }
 
 impl Manager {
@@ -92,85 +126,110 @@ impl Manager {
         }
     }
 
+    /// Calls `visit` once on every internal node reachable from `roots`,
+    /// in DFS discovery order: a node before its descendants, its 1-child's
+    /// sub-DAG before its 0-child's, the last root's DAG first. It marks
+    /// the nodes and keeps its stack in the visit scratch, so it allocates
+    /// nothing once the scratch has grown to the arena; until the next
+    /// traversal, the scratch then gives each visited node's position in
+    /// that order. `visit` must not start a traversal itself.
+    pub(crate) fn walk(&self, roots: &[Ref], mut visit: impl FnMut(NodeId, Node)) {
+        let mut scratch = self.visited.borrow_mut();
+        scratch.begin(self.nodes.len());
+        let mut stack = std::mem::take(&mut scratch.stack);
+        stack.clear();
+        stack.extend(roots.iter().map(|f| f.node()));
+        while let Some(id) = stack.pop() {
+            if id.is_terminal() || !scratch.mark(id.index()) {
+                continue;
+            }
+            let n = self.nodes[id.index()];
+            visit(id, n);
+            stack.push(n.low.node());
+            stack.push(n.high.node());
+        }
+        scratch.stack = stack;
+    }
+
+    /// Runs `read` on the level profile of `f`: one [`LevelRow`] per level
+    /// of the current order, from one [`Manager::walk`]. The rows are kept
+    /// in the visit scratch, so this allocates nothing once the scratch has
+    /// grown to the order.
+    pub(crate) fn with_level_profile<T>(&self, f: Ref, read: impl FnOnce(&[LevelRow]) -> T) -> T {
+        let mut rows = std::mem::take(&mut self.visited.borrow_mut().levels);
+        rows.clear();
+        rows.resize(self.level2var.len(), LevelRow::EMPTY);
+        self.walk(&[f], |id, n| {
+            let row = &mut rows[self.level_of_var(n.var) as usize];
+            row.count += 1;
+            row.node = id;
+            row.reach = row.reach.max(self.level(n.low)).max(self.level(n.high));
+        });
+        let out = read(&rows);
+        self.visited.borrow_mut().levels = rows;
+        out
+    }
+
     /// Number of distinct internal nodes in the DAG rooted at `f`
     /// (the `|F|` size metric used throughout the BDS-MAJ paper;
     /// constants have size 0, a single variable has size 1).
     ///
-    /// Uses the manager's visited-stamp scratch instead of a per-call hash
-    /// set: reordering calls this in a tight loop.
+    /// Reordering calls this in a tight loop, so it marks nodes in the
+    /// manager's visit scratch and allocates nothing.
     pub fn size(&self, f: Ref) -> usize {
         self.shared_size(std::slice::from_ref(&f))
     }
 
     /// Combined size of several functions counting shared nodes once.
     pub fn shared_size(&self, fs: &[Ref]) -> usize {
-        let mut seen = self.visited.borrow_mut();
-        seen.begin(self.nodes.len());
-        let mut count = 0usize;
-        let mut stack: Vec<NodeId> = fs.iter().map(|f| f.node()).collect();
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.mark(id.index()) {
-                continue;
-            }
-            count += 1;
-            let n = self.nodes[id.index()];
-            stack.push(n.low.node());
-            stack.push(n.high.node());
-        }
+        let mut count = 0;
+        self.walk(fs, |_, _| count += 1);
         count
     }
 
     /// The set of variables `f` structurally depends on, in increasing
     /// *index* order (independent of where they currently sit in the
-    /// level order).
+    /// level order): the variables of the levels that hold a node of `f`.
     pub fn support(&self, f: Ref) -> Vec<Var> {
-        let mut vars: HashSet<u32, BuildFxHasher> = HashSet::default();
-        let mut seen = self.visited.borrow_mut();
-        seen.begin(self.nodes.len());
-        let mut stack = vec![f.node()];
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.mark(id.index()) {
-                continue;
-            }
-            let n = self.nodes[id.index()];
-            vars.insert(n.var.0);
-            stack.push(n.low.node());
-            stack.push(n.high.node());
-        }
-        let mut out: Vec<Var> = vars.into_iter().map(Var).collect();
-        out.sort();
-        out
+        let mut vars: Vec<Var> = self.with_level_profile(f, |rows| {
+            rows.iter()
+                .zip(&self.level2var)
+                .filter(|(row, _)| row.count > 0)
+                .map(|(_, &v)| Var(v))
+                .collect()
+        });
+        vars.sort_unstable();
+        vars
     }
 
     /// Collects the internal nodes of the DAG rooted at `f`, together with
     /// incoming-edge statistics for each. The root reference itself is
     /// counted as one incoming edge (a 0-edge, complemented if the root
     /// reference is).
+    ///
+    /// One DFS lists the nodes; a pass over the list then adds each node's
+    /// out-edges to its children's degrees, which it finds by the visit
+    /// positions the DFS left in the manager's visit scratch.
     pub fn node_stats(&self, f: Ref) -> NodeStats {
-        let mut stats = NodeStats::default();
-        if f.is_const() {
-            return stats;
-        }
-        let mut seen = self.visited.borrow_mut();
-        seen.begin(self.nodes.len());
-        let mut stack = vec![f.node()];
-        stats.record_zero(f.node(), f.is_complemented());
-        while let Some(id) = stack.pop() {
-            if !seen.mark(id.index()) {
-                continue;
+        let mut pairs = Vec::new();
+        self.walk(&[f], |id, _| pairs.push((id, InDegree::default())));
+        let Some(root) = pairs.first_mut() else {
+            return NodeStats { pairs };
+        };
+        root.1.add_zero(f.is_complemented());
+        let seen = self.visited.borrow();
+        for i in 0..pairs.len() {
+            let n = self.nodes[pairs[i].0.index()];
+            if !n.low.is_const() {
+                pairs[seen.position(n.low.node().index())]
+                    .1
+                    .add_zero(n.low.is_complemented());
             }
-            stats.order.push(id);
-            let n = self.nodes[id.index()];
-            if !n.low.node().is_terminal() {
-                stats.record_zero(n.low.node(), n.low.is_complemented());
-                stack.push(n.low.node());
-            }
-            if !n.high.node().is_terminal() {
-                stats.record_one(n.high.node());
-                stack.push(n.high.node());
+            if !n.high.is_const() {
+                pairs[seen.position(n.high.node().index())].1.one += 1;
             }
         }
-        stats
+        NodeStats { pairs }
     }
 
     /// The internal nodes of `f`, root excluded, that lie on every
@@ -183,62 +242,27 @@ impl Manager {
     /// [`Manager::replace_node_with_const`]). A path meets each level at
     /// most once and ends at the terminal, below the last level, so `d`
     /// lies on every path iff it is the only node of `f` at its level and
-    /// no edge from a shallower level reaches deeper than it. One pass
-    /// over the nodes in level order checks both. It creates no nodes,
+    /// no edge from a shallower level reaches deeper than it. One scan of
+    /// the level profile, top down, checks both. It creates no nodes,
     /// probes no cache and ticks no budget.
     pub fn x_dominators(&self, f: Ref) -> Vec<NodeId> {
-        let mut by_level: Vec<(u32, NodeId)> = Vec::new();
-        {
-            let mut seen = self.visited.borrow_mut();
-            seen.begin(self.nodes.len());
-            let mut stack = vec![f.node()];
-            while let Some(id) = stack.pop() {
-                if id.is_terminal() || !seen.mark(id.index()) {
-                    continue;
+        self.with_level_profile(f, |rows| {
+            let mut out = Vec::new();
+            // The deepest level entered by an edge from the levels above.
+            let mut reach = 0;
+            for (level, row) in (0u32..).zip(rows) {
+                if row.count == 1 && reach <= level && row.node != f.node() {
+                    out.push(row.node);
                 }
-                let n = self.nodes[id.index()];
-                by_level.push((self.level_of_var(n.var), id));
-                stack.push(n.low.node());
-                stack.push(n.high.node());
+                reach = reach.max(row.reach);
             }
-        }
-        by_level.sort_unstable();
-        let mut out = Vec::new();
-        // The deepest level entered by an edge from the levels above; the
-        // terminal's pseudo-level u32::MAX is below every real one.
-        let mut reach = 0;
-        for group in by_level.chunk_by(|a, b| a.0 == b.0) {
-            if let [(level, id)] = *group {
-                if reach <= level && id != f.node() {
-                    out.push(id);
-                }
-            }
-            for &(_, id) in group {
-                let n = self.nodes[id.index()];
-                reach = reach.max(self.level(n.low)).max(self.level(n.high));
-            }
-        }
-        out
+            out
+        })
     }
 
     /// The function rooted at internal node `id`, as a regular reference.
     pub fn function_of(&self, id: NodeId) -> Ref {
         Ref::new(id, false)
-    }
-}
-
-impl NodeStats {
-    fn record_zero(&mut self, id: NodeId, complemented: bool) {
-        let e = self.degrees.entry(id).or_default();
-        if complemented {
-            e.zero_complemented += 1;
-        } else {
-            e.zero_regular += 1;
-        }
-    }
-
-    fn record_one(&mut self, id: NodeId) {
-        self.degrees.entry(id).or_default().one += 1;
     }
 }
 
@@ -302,13 +326,12 @@ mod tests {
         assert_eq!(stats.len(), 4);
         assert_eq!(m.size(f), 4);
         // The node for variable c is reached from both b-nodes.
-        let c_node = stats
-            .nodes()
+        let &(_, deg) = stats
+            .pairs()
             .iter()
-            .copied()
-            .find(|&id| m.node(id).var == Var(2))
+            .find(|&&(id, _)| m.node(id).var == Var(2))
             .expect("c node present");
-        assert!(stats.in_degree(c_node).total() >= 2);
+        assert!(deg.total() >= 2);
     }
 
     #[test]
@@ -349,7 +372,12 @@ mod tests {
         let (a, b, c) = (m.var(0), m.var(1), m.var(2));
         let bc = m.and(b, c);
         let f = m.xnor(a, bc);
-        let deg = m.node_stats(f).in_degree(bc.node());
+        let stats = m.node_stats(f);
+        let &(_, deg) = stats
+            .pairs()
+            .iter()
+            .find(|&&(id, _)| id == bc.node())
+            .expect("bc node present");
         assert_eq!((deg.total(), deg.zero_complemented), (2, 1));
         assert_eq!(m.x_dominators(f), vec![bc.node()]);
         assert_eq!(m.x_dominators(!f), vec![bc.node()]);

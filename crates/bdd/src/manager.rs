@@ -103,7 +103,8 @@ pub struct Manager {
     var_names: Vec<Option<String>>,
     /// The memo shared by every recursive kernel (see [`crate::session`]).
     pub(crate) cache: ComputedCache,
-    /// Visited-stamp scratch shared by the `&self` traversals. The
+    /// Scratch shared by the `&self` traversals: visited stamps, visit
+    /// positions, the DFS stack and the level profile's rows. The
     /// `RefCell` lets them mark nodes; it also makes the manager `!Sync`
     /// (asserted by a `compile_fail` doctest in the crate docs).
     pub(crate) visited: RefCell<VisitScratch>,

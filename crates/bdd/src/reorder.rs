@@ -22,6 +22,16 @@
 //! rebuild would measure. Probes therefore leave no garbage behind; only
 //! a winning arrangement pays the swap primitive.
 //!
+//! Many windows need no probe at all. Every support variable of `f`
+//! labels at least one node of `f` under any order, and permuting a
+//! window changes only the nodes at the window's levels, so a window
+//! whose levels hold exactly one node per support variable in it is at
+//! its *floor*: no arrangement of it is strictly smaller, and the search
+//! installs only strictly smaller ones. [`window_reorder`] skips such
+//! windows, and returns at once when `size(f)` equals the support size,
+//! where every window is at its floor. Both skips change no decision;
+//! debug builds probe the skipped windows anyway and assert it.
+//!
 //! [`Manager::permute`] is the *renaming* primitive: it builds a
 //! genuinely different function (the composition with a variable
 //! substitution). Its one in-crate use is as the oracle the window probe
@@ -100,7 +110,9 @@ const LOCAL: u64 = 1 << 63;
 
 /// The boundary tables of one window position, from which the size of
 /// `f` under any arrangement of the window's variables follows without
-/// building a node (see the module docs).
+/// building a node (see the module docs). [`WindowProbe::fill`] tabulates
+/// a position; the buffers are kept for the next one.
+#[derive(Default)]
 struct WindowProbe {
     width: usize,
     /// `f`'s size under the current order.
@@ -108,6 +120,8 @@ struct WindowProbe {
     /// `f`'s nodes above and below the window: every arrangement keeps
     /// them.
     outside: usize,
+    /// The distinct edges that enter the window from above.
+    entering: Vec<Ref>,
     /// `2^width` entries per entering edge: entry `a` is the edge's
     /// cofactor under the window assignment `a` (bit `p` = value of the
     /// variable at level `start + p`), an edge below the window.
@@ -119,41 +133,34 @@ struct WindowProbe {
 
 impl WindowProbe {
     /// Tabulates the window of `width` levels from `start` for `f`.
-    fn new(m: &Manager, f: Ref, start: usize, width: usize) -> WindowProbe {
+    fn fill(&mut self, m: &Manager, f: Ref, start: usize, width: usize) {
         let (top, bottom) = (start as u32, (start + width) as u32);
         let in_window = |level: u32| (top..bottom).contains(&level);
-        let mut entering: Vec<Ref> = Vec::new();
+        let entering = &mut self.entering;
+        entering.clear();
         if in_window(m.level(f)) {
             entering.push(f);
         }
         let (mut size, mut outside) = (0, 0);
-        {
-            let mut seen = m.visited.borrow_mut();
-            seen.begin(m.live_nodes());
-            let mut stack = vec![f.node()];
-            while let Some(id) = stack.pop() {
-                if id.is_terminal() || !seen.mark(id.index()) {
-                    continue;
-                }
-                size += 1;
-                let n = m.node(id);
-                let level = m.level_of_var(n.var);
-                if !in_window(level) {
-                    outside += 1;
-                }
+        m.walk(&[f], |_, n| {
+            size += 1;
+            let level = m.level_of_var(n.var);
+            if !in_window(level) {
+                outside += 1;
+            }
+            if level < top {
                 for child in [n.low, n.high] {
-                    if level < top && in_window(m.level(child)) {
+                    if in_window(m.level(child)) {
                         entering.push(child);
                     }
-                    stack.push(child.node());
                 }
             }
-        }
+        });
         entering.sort_unstable();
         entering.dedup();
         let rows = 1usize << width;
-        let mut tables = Vec::with_capacity(entering.len() * rows);
-        for &g in &entering {
+        self.tables.clear();
+        for &g in &self.entering {
             for a in 0..rows {
                 let mut e = g;
                 let mut level = m.level(e);
@@ -167,16 +174,10 @@ impl WindowProbe {
                     e = child.xor_complement(e.is_complemented());
                     level = m.level(e);
                 }
-                tables.push(e);
+                self.tables.push(e);
             }
         }
-        WindowProbe {
-            width,
-            size,
-            outside,
-            tables,
-            unique: HashMap::default(),
-        }
+        (self.width, self.size, self.outside) = (width, size, outside);
     }
 
     /// Size of `f` under the arrangement that seats the window's current
@@ -229,7 +230,8 @@ impl WindowProbe {
 /// Panics if `start + width` exceeds the manager's variable count.
 pub fn window_sizes(m: &Manager, f: Ref, start: usize, width: usize) -> Vec<(Vec<u32>, usize)> {
     let slice = &m.level2var()[start..start + width];
-    let mut probe = WindowProbe::new(m, f, start, width);
+    let mut probe = WindowProbe::default();
+    probe.fill(m, f, start, width);
     permutations(&(0..width as u32).collect::<Vec<u32>>())
         .into_iter()
         .map(|order| {
@@ -267,6 +269,17 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// order it left the first time; the BDS engine replays such cones, so
 /// this search sees each (function, order) pair of a run once.
 ///
+/// Windows at their floor are not probed. The search keeps the number of
+/// `f`'s nodes at each level (one walk, redone after each installed
+/// arrangement), and a window whose levels hold one node per support
+/// variable in it is skipped; a call where `size(f)` equals the support
+/// size returns at once. This is exact: every support variable labels a
+/// node of `f` under any order, and permuting a window changes only the
+/// nodes at its levels, so such a window has no strictly smaller
+/// arrangement, and only a strictly smaller one is installed. Debug
+/// builds probe the skipped windows anyway (with the same probe, so they
+/// build no node in `m`) and assert that no arrangement is smaller.
+///
 /// The search runs in place: `f` keeps its `Ref` and its function, and
 /// the minimizing order is left installed in the manager — which also
 /// re-shapes every other function in the arena, as dynamic reordering
@@ -275,62 +288,86 @@ fn is_permutation(perm: &[u32]) -> bool {
 /// nodes. Returns the size `f` is left at.
 pub fn window_reorder(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize) -> usize {
     let n = m.num_vars() as usize;
-    let mut best_size = m.size(f);
-    if n >= 2 && window >= 2 {
-        let window = window.min(n);
-        // size(f) depends only on the *relative* order of f's support
-        // variables, so a window holding fewer than two of them cannot
-        // change it — skip those positions instead of probing shuffles of
-        // foreign levels. (Support is a set of variable identities,
-        // stable across every swap.)
-        let mut in_support = vec![false; n];
-        for v in m.support(f) {
-            if v.index() < n {
-                in_support[v.index()] = true;
+    // Nodes of f per level. A level holds one exactly when its variable is
+    // in f's support, so the counts also give the support.
+    let mut counts = Vec::new();
+    level_counts(m, f, &mut counts);
+    let mut best_size = counts.iter().sum::<u32>() as usize;
+    let support_size = counts.iter().filter(|&&c| c > 0).count();
+    if n < 2 || window < 2 || (best_size == support_size && !cfg!(debug_assertions)) {
+        return best_size;
+    }
+    let window = window.min(n);
+    // Window arrangements as level offsets; the first is the identity.
+    let orders = permutations(&(0..window as u32).collect::<Vec<u32>>());
+    let mut probe = WindowProbe::default();
+    for _ in 0..max_sweeps {
+        let mut improved = false;
+        for start in 0..=(n - window) {
+            let levels = &counts[start..start + window];
+            // size(f) depends only on the *relative* order of f's support
+            // variables, so a window holding fewer than two of them cannot
+            // change it — skip those positions instead of probing shuffles
+            // of foreign levels.
+            let support_vars = levels.iter().filter(|&&c| c > 0).count();
+            if support_vars < 2 {
+                continue;
+            }
+            let floor = levels.iter().sum::<u32>() as usize == support_vars;
+            if floor && !cfg!(debug_assertions) {
+                continue;
+            }
+            // Probe every other arrangement of the window's variables.
+            probe.fill(m, f, start, window);
+            let mut best = None;
+            for (k, order) in orders.iter().enumerate().skip(1) {
+                let s = probe.size_with(order);
+                debug_assert_eq!(
+                    s,
+                    {
+                        let slice = &m.level2var()[start..start + window];
+                        let cand: Vec<u32> = order.iter().map(|&p| slice[p as usize]).collect();
+                        let (mut copy, g) = m.copy_to_fresh(&[f]);
+                        copy.size_under(g[0], &renaming(n, slice, &cand))
+                    },
+                    "window probe must equal the size rebuilt in a copy"
+                );
+                if s < best_size {
+                    best_size = s;
+                    best = Some(k);
+                }
+            }
+            debug_assert!(
+                !floor || best.is_none(),
+                "the floor window at level {start} has a smaller arrangement"
+            );
+            if let Some(k) = best {
+                // Install the winner for real, by adjacent swaps. The
+                // probe promised this size; the in-place machinery must
+                // deliver exactly it (canonicity makes them equal).
+                let target: Vec<u32> = orders[k]
+                    .iter()
+                    .map(|&p| m.level2var()[start + p as usize])
+                    .collect();
+                restore_window(m, start, &target);
+                debug_assert_eq!(m.size(f), best_size, "probe and swap must agree");
+                level_counts(m, f, &mut counts);
+                improved = true;
             }
         }
-        for _ in 0..max_sweeps {
-            let mut improved = false;
-            for start in 0..=(n - window) {
-                let slice: Vec<u32> = m.level2var()[start..start + window].to_vec();
-                let support_vars = slice.iter().filter(|&&v| in_support[v as usize]).count();
-                if support_vars < 2 {
-                    continue;
-                }
-                // Probe every other arrangement of the window's variables.
-                let mut best_slice = slice.clone();
-                for (cand, s) in window_sizes(m, f, start, window) {
-                    if cand == slice {
-                        continue;
-                    }
-                    debug_assert_eq!(
-                        s,
-                        {
-                            let (mut copy, g) = m.copy_to_fresh(&[f]);
-                            copy.size_under(g[0], &renaming(n, &slice, &cand))
-                        },
-                        "window probe must equal the size rebuilt in a copy"
-                    );
-                    if s < best_size {
-                        best_size = s;
-                        best_slice = cand;
-                        improved = true;
-                    }
-                }
-                if best_slice != slice {
-                    // Install the winner for real, by adjacent swaps. The
-                    // probe promised this size; the in-place machinery must
-                    // deliver exactly it (canonicity makes them equal).
-                    restore_window(m, start, &best_slice);
-                    debug_assert_eq!(m.size(f), best_size, "probe and swap must agree");
-                }
-            }
-            if !improved {
-                break;
-            }
+        if !improved {
+            break;
         }
     }
-    m.size(f)
+    best_size
+}
+
+/// Sets `counts[l]` to the number of `f`'s nodes at level `l`.
+fn level_counts(m: &Manager, f: Ref, counts: &mut Vec<u32>) {
+    m.with_level_profile(f, |rows| {
+        counts.clear();
+        counts.extend(rows.iter().map(|row| row.count));
+    });
 }
 
 /// The variable renaming under which [`Manager::size_under`] measures the
@@ -377,7 +414,8 @@ fn restore_window(m: &mut Manager, start: usize, target: &[u32]) {
     }
 }
 
-/// All permutations of a small slice (window ≤ 4 in practice).
+/// All permutations of a small slice (window ≤ 4 in practice), the
+/// slice's own order first.
 fn permutations(items: &[u32]) -> Vec<Vec<u32>> {
     if items.len() <= 1 {
         return vec![items.to_vec()];

@@ -8,8 +8,9 @@
 //! infallible entry points suspend the budget with
 //! [`Manager::ungoverned`].
 
+use crate::analysis::LevelRow;
 use crate::manager::Manager;
-use crate::reference::Ref;
+use crate::reference::{NodeId, Ref};
 use crate::store::triple_hash;
 
 /// Operation tags for the computed cache. Tag 0 is reserved
@@ -222,13 +223,22 @@ impl std::fmt::Debug for ComputedCache {
     }
 }
 
-/// Reusable visited-stamp scratch for `&self` DAG traversals: `stamp[i] ==
-/// gen` means node `i` was seen in the current traversal. Replaces a fresh
-/// `HashSet` per call with two loads and a compare per visit.
+/// Reusable scratch for the `&self` DAG traversals, so that one
+/// allocates nothing once the scratch has grown to the arena. Per arena
+/// slot it keeps a visited stamp (`stamp[i] == gen` means slot `i` was
+/// seen in the current traversal) and the slot's position in that
+/// traversal's visit order; beside them, the traversal's DFS stack and
+/// the rows of the level profile (see [`Manager::walk`]).
 #[derive(Debug, Default)]
 pub(crate) struct VisitScratch {
     stamp: Vec<u32>,
     gen: u32,
+    /// `pos[i]`: how many nodes the traversal that marked slot `i`
+    /// visited before it.
+    pos: Vec<u32>,
+    visits: u32,
+    pub(crate) stack: Vec<NodeId>,
+    pub(crate) levels: Vec<LevelRow>,
 }
 
 impl VisitScratch {
@@ -236,7 +246,9 @@ impl VisitScratch {
     pub(crate) fn begin(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
+            self.pos.resize(n, 0);
         }
+        self.visits = 0;
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             self.stamp.fill(0);
@@ -251,8 +263,17 @@ impl VisitScratch {
             false
         } else {
             self.stamp[i] = self.gen;
+            self.pos[i] = self.visits;
+            self.visits += 1;
             true
         }
+    }
+
+    /// The position of slot `i` in the visit order of the current
+    /// traversal, which must have marked it.
+    pub(crate) fn position(&self, i: usize) -> usize {
+        debug_assert_eq!(self.stamp[i], self.gen, "slot {i} was not visited");
+        self.pos[i] as usize
     }
 }
 

@@ -2,8 +2,9 @@
 //! against randomly generated Boolean expressions, with the BDD compared to
 //! a bit-parallel truth-vector oracle.
 
-use bdd::{LimitKind, Manager, Node, NodeId, Ref, Var};
+use bdd::{InDegree, LimitKind, Manager, Node, NodeId, Ref, Var};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// A random Boolean expression over `NVARS` variables.
 #[derive(Clone, Debug)]
@@ -181,7 +182,7 @@ proptest! {
         let f = e.to_bdd(&mut m);
         let stats = m.node_stats(f);
         prop_assume!(!stats.is_empty());
-        let d = stats.nodes()[pick % stats.len()];
+        let (d, _) = stats.pairs()[pick % stats.len()];
         let fd = m.function_of(d);
         let f1 = m.replace_node_with_const(f, d, true);
         let f0 = m.replace_node_with_const(f, d, false);
@@ -450,6 +451,128 @@ fn window_reorder_by_rebuild(m: &mut Manager, f: Ref, window: usize, max_sweeps:
     }
 }
 
+/// A conjunction, disjunction or parity of literals of distinct
+/// variables: one node per support variable under every order, so a
+/// window search on it starts at its floor.
+fn arb_floor_expr() -> impl Strategy<Value = Expr> {
+    (0..3u8, 1u32..1 << NVARS, any::<u32>()).prop_map(|(op, vars, negated)| {
+        let mut literals = (0..NVARS).filter(|i| vars >> i & 1 == 1).map(|i| {
+            if negated >> i & 1 == 1 {
+                Expr::Not(Box::new(Expr::Var(i)))
+            } else {
+                Expr::Var(i)
+            }
+        });
+        let first = literals.next().expect("at least one variable");
+        literals.fold(first, |acc, lit| {
+            let (a, b) = (Box::new(acc), Box::new(lit));
+            match op {
+                0 => Expr::And(a, b),
+                1 => Expr::Or(a, b),
+                _ => Expr::Xor(a, b),
+            }
+        })
+    })
+}
+
+/// Searches the subject of [`probe_subject`] with [`bdd::window_reorder`]
+/// in one manager and with [`window_reorder_by_rebuild`] in another, and
+/// checks that both leave the same order, after the same number of
+/// installing swaps, with the same function.
+fn check_window_search(
+    e: &Expr,
+    pair: bool,
+    negate: bool,
+    w: usize,
+    swaps: &[u32],
+) -> Result<(), TestCaseError> {
+    let (mut a, fa) = probe_subject(e, pair, negate, swaps);
+    let (mut b, fb) = probe_subject(e, pair, negate, swaps);
+    let (swaps_a, swaps_b) = (a.cache_stats().sift_swaps, b.cache_stats().sift_swaps);
+    let found = bdd::window_reorder(&mut a, fa, w, 4);
+    window_reorder_by_rebuild(&mut b, fb, w, 4);
+    prop_assert_eq!(a.var2level(), b.var2level());
+    prop_assert_eq!(
+        a.cache_stats().sift_swaps - swaps_a,
+        b.cache_stats().sift_swaps - swaps_b,
+        "same number of installing swaps"
+    );
+    prop_assert_eq!(found, b.size(fb));
+    prop_assert_eq!(bdd_truth(&a, fa), bdd_truth(&b, fb));
+    Ok(())
+}
+
+/// [`Manager::node_stats`] as it was before the degrees moved beside the
+/// nodes: a DFS over a `HashSet` of visited nodes that adds every edge it
+/// discovers to a `HashMap` of in-degrees.
+fn node_stats_reference(m: &Manager, f: Ref) -> (Vec<NodeId>, HashMap<NodeId, InDegree>) {
+    let (mut order, mut degrees) = (Vec::new(), HashMap::<NodeId, InDegree>::new());
+    if f.is_const() {
+        return (order, degrees);
+    }
+    let zero = |degrees: &mut HashMap<NodeId, InDegree>, e: Ref| {
+        let d = degrees.entry(e.node()).or_default();
+        if e.is_complemented() {
+            d.zero_complemented += 1;
+        } else {
+            d.zero_regular += 1;
+        }
+    };
+    let mut seen = HashSet::new();
+    let mut stack = vec![f.node()];
+    zero(&mut degrees, f);
+    while let Some(id) = stack.pop() {
+        if !seen.insert(id) {
+            continue;
+        }
+        order.push(id);
+        let n = m.node(id);
+        if !n.low.is_const() {
+            zero(&mut degrees, n.low);
+            stack.push(n.low.node());
+        }
+        if !n.high.is_const() {
+            degrees.entry(n.high.node()).or_default().one += 1;
+            stack.push(n.high.node());
+        }
+    }
+    (order, degrees)
+}
+
+/// The variables of `f`'s nodes, gathered in a `HashSet`.
+fn support_reference(m: &Manager, f: Ref) -> HashSet<Var> {
+    let (mut vars, mut seen, mut stack) = (HashSet::new(), HashSet::new(), vec![f]);
+    while let Some(e) = stack.pop() {
+        if e.is_const() || !seen.insert(e.node()) {
+            continue;
+        }
+        let n = m.node(e.node());
+        vars.insert(n.var);
+        stack.extend([n.low, n.high]);
+    }
+    vars
+}
+
+/// Checks [`Manager::node_stats`] and [`Manager::support`] of `f` and of
+/// `!f` against their references: the same nodes in the same DFS order,
+/// each with the same in-degree, and the same variables.
+fn check_node_stats(m: &Manager, f: Ref) -> Result<(), TestCaseError> {
+    for root in [f, !f] {
+        let (order, degrees) = node_stats_reference(m, root);
+        let want: Vec<(NodeId, InDegree)> = order.iter().map(|id| (*id, degrees[id])).collect();
+        prop_assert_eq!(
+            m.node_stats(root).into_pairs(),
+            want,
+            "node stats of {:?}",
+            root
+        );
+        let mut support: Vec<Var> = support_reference(m, root).into_iter().collect();
+        support.sort();
+        prop_assert_eq!(m.support(root), support, "support of {:?}", root);
+    }
+    Ok(())
+}
+
 /// Node-to-constant substitution by a full, unmemoized rebuild of `f`:
 /// the oracle for the pruned, memoized kernel.
 fn replace_by_rebuild(m: &mut Manager, f: Ref, target: NodeId, value: bool) -> Ref {
@@ -491,7 +614,7 @@ fn check_replacements(m: &mut Manager, fs: &[Ref]) -> Result<(), TestCaseError> 
 /// functional x-dominator test `f[d:=0] == ¬f[d:=1]` on every node of `f`
 /// but the root, and checks that the structural set comes in level order.
 fn check_x_dominators(m: &mut Manager, f: Ref) -> Result<(), TestCaseError> {
-    let nodes = m.node_stats(f).nodes().to_vec();
+    let nodes: Vec<NodeId> = m.node_stats(f).nodes().collect();
     for root in [f, !f] {
         let mut functional = Vec::new();
         for &d in &nodes {
@@ -562,24 +685,18 @@ proptest! {
         negate in any::<bool>(),
         w in 2usize..5,
         swaps in proptest::collection::vec(0..NVARS - 1, 0..4),
+        floor in arb_floor_expr(),
     ) {
         // Two managers built by the same steps: one searched by
         // window_reorder, one by the rebuild-scored loop it replaced. Same
         // candidates, same strict `<`, so the same order and the same
-        // swaps.
-        let (mut a, fa) = probe_subject(&e, pair, negate, &swaps);
-        let (mut b, fb) = probe_subject(&e, pair, negate, &swaps);
-        let (swaps_a, swaps_b) = (a.cache_stats().sift_swaps, b.cache_stats().sift_swaps);
-        let found = bdd::window_reorder(&mut a, fa, w, 4);
-        window_reorder_by_rebuild(&mut b, fb, w, 4);
-        prop_assert_eq!(a.var2level(), b.var2level());
-        prop_assert_eq!(
-            a.cache_stats().sift_swaps - swaps_a,
-            b.cache_stats().sift_swaps - swaps_b,
-            "same number of installing swaps"
-        );
-        prop_assert_eq!(found, b.size(fb));
-        prop_assert_eq!(bdd_truth(&a, fa), bdd_truth(&b, fb));
+        // swaps. The floor arm's calls start at their floor, where
+        // window_reorder probes nothing (debug builds probe every window
+        // and assert that none has a smaller arrangement).
+        check_window_search(&e, pair, negate, w, &swaps)?;
+        let (m, f) = probe_subject(&floor, false, negate, &swaps);
+        prop_assert_eq!(m.size(f), m.support(f).len(), "{:?} starts at its floor", floor);
+        check_window_search(&floor, false, negate, w, &swaps)?;
     }
 
     #[test]
@@ -610,6 +727,24 @@ proptest! {
         let fresh = k.to_bdd(&mut m);
         let f = e.to_bdd(&mut m);
         check_replacements(&mut m, &[fresh, f])?;
+    }
+
+    #[test]
+    fn node_stats_matches_reference(
+        e in arb_expr(),
+        pair in any::<bool>(),
+        negate in any::<bool>(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 1..4),
+    ) {
+        // Under the identity order and after each level swap, so that
+        // levels and variable indices differ, and the DFS meets children
+        // in other orders.
+        let (mut m, f) = probe_subject(&e, pair, negate, &[]);
+        check_node_stats(&m, f)?;
+        for &l in &swaps {
+            m.swap_levels(l);
+            check_node_stats(&m, f)?;
+        }
     }
 
     #[test]

@@ -98,27 +98,16 @@ pub fn find_m_dominators(m: &mut Manager, f: Ref, config: &MajConfig) -> Vec<Nod
     if f.is_const() {
         return Vec::new();
     }
-    let stats = m.node_stats(f);
-    let mut out: Vec<(usize, NodeId)> = Vec::new();
-    for &id in stats.nodes() {
-        if id == f.node() {
-            continue;
-        }
-        let deg = stats.in_degree(id);
+    let mut out = m.node_stats(f).into_pairs();
+    out.retain(|&(id, deg)| {
         // Condition (ii): highly connected through regular 0- and 1-edges.
-        if deg.zero_regular + deg.one <= 1 {
-            continue;
-        }
         // Condition (i): skip simple AND/OR/XNOR dominators — those are
         // better served by the standard radix-2 decompositions.
-        if classify_dominator(m, f, id).is_some() {
-            continue;
-        }
-        out.push((deg.total(), id));
-    }
-    out.sort_by_key(|&(deg, _)| std::cmp::Reverse(deg));
+        id != f.node() && deg.zero_regular + deg.one > 1 && classify_dominator(m, f, id).is_none()
+    });
+    out.sort_by_key(|&(_, deg)| std::cmp::Reverse(deg.total()));
     out.truncate(config.max_candidates);
-    out.into_iter().map(|(_, id)| id).collect()
+    out.into_iter().map(|(id, _)| id).collect()
 }
 
 /// Constructs the initial majority decomposition for a candidate `fa`

@@ -116,15 +116,14 @@ pub fn try_find_decomposition(m: &mut Manager, f: Ref) -> Result<Decomposition, 
     if fsize <= 1 || fsize > MAX_BDD_SIZE {
         return Ok(mux);
     }
-    let stats = m.node_stats(f);
-    let mut candidates: Vec<NodeId> = stats.nodes().to_vec();
+    let mut candidates = m.node_stats(f).into_pairs();
     // Highest fan-in nodes first: they are the most promising divisors and
     // the most likely shared subfunctions.
-    candidates.sort_by_key(|&id| std::cmp::Reverse(stats.in_degree(id).total()));
+    candidates.sort_by_key(|&(_, deg)| std::cmp::Reverse(deg.total()));
     candidates.truncate(MAX_CANDIDATES);
 
     let mut best: Option<(usize, Decomposition)> = None;
-    for id in candidates {
+    for (id, _) in candidates {
         let Some(decomp) = try_classify_dominator(m, f, id)? else {
             continue;
         };

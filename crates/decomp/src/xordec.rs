@@ -35,13 +35,12 @@ pub fn xor_decompose_balanced(m: &mut Manager, fx: Ref) -> (Ref, Ref) {
         return trivial;
     }
     dominators.sort_unstable();
-    let stats = m.node_stats(fx);
-    let mut candidates: Vec<_> = stats.nodes().to_vec();
-    candidates.sort_by_key(|&id| std::cmp::Reverse(stats.in_degree(id).total()));
+    let mut candidates = m.node_stats(fx).into_pairs();
+    candidates.sort_by_key(|&(_, deg)| std::cmp::Reverse(deg.total()));
     candidates.truncate(MAX_CANDIDATES);
     let mut best = trivial;
     let mut best_score = fsize; // the trivial split scores |fx|
-    for id in candidates {
+    for (id, _) in candidates {
         if id == fx.node() {
             continue;
         }
