@@ -207,25 +207,33 @@ pub fn partition_with_limits(
             // global, which is exactly the containment we want.
             manager.set_limits(limits);
         }
-        let supernode = match cones.try_build_local_bdd(manager, id, &boundary, &depth, false) {
-            Ok((inputs, function)) => {
+        let inputs = cones.walk(id, &boundary, &depth, false);
+        let supernode = match cones.eval(manager, id, id) {
+            Ok(function) => {
                 // Second candidate under the depth-weighted visit order.
                 // Neither static order dominates the suite, so keep the
-                // smaller of the two. A fresh step budget keeps the extra
+                // smaller of the two. A walk that finds the same input
+                // order assigns the same variables, so by canonicity its
+                // build would return `function` again, which the strict
+                // `<` drops: skip it. A fresh step budget keeps the extra
                 // build from starving the cone, and a blown second build
                 // just falls back to the first — never a new degradation.
-                if governed {
-                    manager.set_limits(limits);
-                }
-                let (inputs, function) =
-                    match cones.try_build_local_bdd(manager, id, &boundary, &depth, true) {
-                        Ok((inputs2, function2))
-                            if manager.size(function2) < manager.size(function) =>
+                let deep = cones.walk(id, &boundary, &depth, true);
+                let (inputs, function) = if deep == inputs {
+                    (inputs, function)
+                } else {
+                    if governed {
+                        manager.set_limits(limits);
+                    }
+                    match cones.eval(manager, id, id) {
+                        Ok(deep_function)
+                            if manager.size(deep_function) < manager.size(function) =>
                         {
-                            (inputs2, function2)
+                            (deep, deep_function)
                         }
                         _ => (inputs, function),
-                    };
+                    }
+                };
                 Supernode {
                     root: id,
                     inputs,
@@ -324,8 +332,10 @@ impl<'a> ConeBuilder<'a> {
         slot.var = var;
     }
 
-    /// Builds the BDD of the cone rooted at `root`, stopping at boundary
-    /// signals, which become the BDD variables in DFS discovery order.
+    /// Starts a build of the cone rooted at `root` whose BDD variables are
+    /// the boundary signals the walk down from `root` meets, in DFS
+    /// discovery order, and returns them; [`Self::eval`] of `root` then
+    /// builds the cone's BDD.
     ///
     /// With `deep_first` the DFS is depth-weighted: at each gate the
     /// deepest fanin sub-cone is descended first (ties keep the
@@ -333,14 +343,13 @@ impl<'a> ConeBuilder<'a> {
     /// arrival paths are assigned low variable indices. Neither order
     /// dominates across the benchmark suite, so [`partition_with_limits`]
     /// builds both candidates and keeps the smaller BDD.
-    fn try_build_local_bdd(
+    fn walk(
         &mut self,
-        manager: &mut Manager,
         root: SignalId,
         boundary: &[bool],
         depth: &[u32],
         deep_first: bool,
-    ) -> Result<(Vec<SignalId>, Ref), LimitExceeded> {
+    ) -> Vec<SignalId> {
         self.next_build();
         let net = self.net;
         let mut inputs: Vec<SignalId> = Vec::new();
@@ -373,8 +382,7 @@ impl<'a> ConeBuilder<'a> {
                 self.stack.push((f, boundary[f.index()]));
             }
         }
-        let f = self.eval(manager, root, root)?;
-        Ok((inputs, f))
+        inputs
     }
 
     /// Builds the function of the cone rooted at `root` over the
